@@ -148,7 +148,8 @@ def counterexample_report(g: Graph, jobs: int = 1, oracle: bool = False) -> Veri
         solution, stats = solve_3coloring_with_stats(g, jobs=jobs)
         details: dict[str, Any] = {"solver_nodes": stats.nodes}
         if solution is not None:
-            assert is_proper(g, solution)
+            if not is_proper(g, solution):
+                raise OracleMismatchError("solver returned an improper coloring")
             witness = {"coloring": {str(v): c for v, c in sorted(solution.items())}}
             return False, witness, details
         details["split"] = revalidate_unsat(g, jobs=jobs)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -76,11 +76,20 @@ def _pair_classes(
     one class is a wipeout, and any vertex adjacent to both parities of
     a single class sees both colors and loses the pair.  Returns None on
     wipeout, else whether any domain shrank (shrunk vertices are queued).
+
+    Only pair-domain vertices and their neighbors are visited, in index
+    order.  Stripping a pair never leaves a new pair behind (what is left
+    is a singleton or nothing), so one bucketing pass up front serves all
+    three pairs; a bucketed vertex an earlier pair shrank is skipped.
     """
+    buckets: dict[int, list[int]] = {p: [] for p in _PAIRS}
+    for s, ds in enumerate(dom):
+        if _POPCOUNT[ds] == 2:
+            buckets[ds].append(s)
     progressed = False
     for p in _PAIRS:
         comp: dict[int, tuple[int, int]] = {}
-        for s in range(len(dom)):
+        for s in buckets[p]:
             if dom[s] != p or s in comp:
                 continue
             comp[s] = (s, 0)
@@ -101,15 +110,16 @@ def _pair_classes(
                         return None  # odd cycle two-colored
         if not comp:
             continue
-        for w in range(len(dom)):
+        # a class member's pair-domain neighbors all share its class, so
+        # only vertices outside the classes can see both parities of one
+        for w in sorted({y for x in comp for y in adj[x]}.difference(comp)):
             dw = dom[w]
             if not (dw & p):
                 continue
-            own = comp.get(w)
             hits: dict[int, int] = {}
             for y in adj[w]:
                 info = comp.get(y)
-                if info is None or (own is not None and info[0] == own[0]):
+                if info is None:
                     continue
                 root, par = info
                 mask = hits.get(root, 0) | (1 << par)
@@ -225,27 +235,44 @@ def _search(
     dom: list[int],
     stats: SolveStats,
 ) -> list[int] | None:
-    stats.nodes += 1
-    best_v = -1
-    best_size = 4
-    for v, d in enumerate(dom):
-        size = _POPCOUNT[d]
-        if 1 < size < best_size:
-            best_v = v
-            best_size = size
-            if size == 2:
-                break
-    if best_v < 0:
-        return dom[:]
-    for bit in _COLOR_BITS:
-        if dom[best_v] & bit:
-            child = dom[:]
-            child[best_v] = bit
-            if _propagate(adj, nbr, child, [best_v], stats):
-                result = _search(adj, nbr, child, stats)
-                if result is not None:
-                    return result
-    return None
+    """Depth-first search over propagated domains, with an explicit stack
+    so the branching depth is not bounded by Python's recursion limit.
+
+    Each node branches on the unassigned vertex with the fewest colors
+    (ties to the smallest index) and tries its colors in order 0, 1, 2.
+    """
+    stack: list[tuple[list[int], int, Iterator[int]]] = []
+    while True:
+        stats.nodes += 1
+        best_v = -1
+        best_size = 4
+        for v, d in enumerate(dom):
+            size = _POPCOUNT[d]
+            if 1 < size < best_size:
+                best_v = v
+                best_size = size
+                if size == 2:
+                    break
+        if best_v < 0:
+            return dom[:]
+        stack.append((dom, best_v, iter(_COLOR_BITS)))
+        # descend into the next child that survives propagation, backing
+        # out of every node whose colors are exhausted
+        nxt: list[int] | None = None
+        while nxt is None:
+            if not stack:
+                return None
+            parent, v, bits = stack[-1]
+            for bit in bits:
+                if parent[v] & bit:
+                    child = parent[:]
+                    child[v] = bit
+                    if _propagate(adj, nbr, child, [v], stats):
+                        nxt = child
+                        break
+            else:
+                stack.pop()
+        dom = nxt
 
 
 def _solve_sequential(
@@ -275,9 +302,10 @@ def _solve_sequential(
 
 def _solve_worker(
     args: tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]],
-) -> dict[int, int] | None:
+) -> tuple[ColorAssignment | None, SolveStats]:
     n, edges, fixed_items = args
-    return _solve_sequential(n, edges, dict(fixed_items), SolveStats())
+    stats = SolveStats()
+    return _solve_sequential(n, edges, dict(fixed_items), stats), stats
 
 
 def solve_3coloring_with_stats(
@@ -306,7 +334,11 @@ def solve_3coloring_with_stats(
         tasks.append((g.n, g.edges, tuple(sorted(sub.items()))))
     with ProcessPoolExecutor(max_workers=min(jobs, 3)) as pool:
         results = list(pool.map(_solve_worker, tasks))
-    for res in results:
+    # every branch runs to completion, so the counts cover all of them
+    for _, branch in results:
+        stats.nodes += branch.nodes
+        stats.propagations += branch.propagations
+    for res, _ in results:
         if res is not None:
             return res, stats
     return None, stats
@@ -547,8 +579,10 @@ def terminal_behavior(gadget: "TerminalGadget", jobs: int = 1) -> TerminalBehavi
             entries.append((pattern, False))
             continue
         result = solve_3coloring(gadget.graph, fixing, jobs=jobs)
-        if result is not None:
-            assert is_proper(gadget.graph, result)
+        if result is not None and not is_proper(gadget.graph, result):
+            raise OracleMismatchError(
+                f"pattern {pattern}: solver returned an improper coloring"
+            )
         entries.append((pattern, result is not None))
     return TerminalBehavior(t, tuple(entries))
 

@@ -229,7 +229,10 @@ def _check_pattern_infeasible(
         return True, None, {"mode": "adjacent-terminals"}
     details: dict[str, Any] = {"solver_nodes": stats.nodes}
     if solution is not None:
-        assert is_proper(g, solution)
+        if not is_proper(g, solution):
+            raise OracleMismatchError(
+                f"pattern {pattern}: solver returned an improper coloring"
+            )
         witness = {"coloring": {str(v): c for v, c in sorted(solution.items())}}
         return False, witness, details
     free = g.n - len(fixing)

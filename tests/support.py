@@ -142,3 +142,63 @@ def iso_classes_upto(n_max: int) -> dict[int, list[Graph]]:
                 seen.setdefault(canonical_digest(h), h)
         levels[n] = [seen[key] for key in sorted(seen)]
     return levels
+
+
+def pair_classes_reference(adj, dom: list[int], pending: list[int]):
+    """The solver's pair-class rule by full scans, one pass per pair.
+
+    Domains are 3-bit color masks.  For each two-color mask p in the
+    order 0b011, 0b101, 0b110, every vertex whose domain is exactly p is
+    grouped into classes connected through such vertices and two-colored
+    by BFS (an odd cycle is a wipeout, None).  Then every vertex whose
+    domain meets p, scanned in index order, loses p when one class other
+    than its own holds neighbors of both parities; it is queued on
+    ``pending``, and an emptied domain is a wipeout.  Mutates ``dom`` and
+    ``pending`` in place and returns whether any domain shrank.
+    """
+    progressed = False
+    for p in (0b011, 0b101, 0b110):
+        comp: dict[int, tuple[int, int]] = {}
+        for s in range(len(dom)):
+            if dom[s] != p or s in comp:
+                continue
+            comp[s] = (s, 0)
+            queue = [s]
+            qi = 0
+            while qi < len(queue):
+                x = queue[qi]
+                qi += 1
+                xpar = comp[x][1]
+                for y in adj[x]:
+                    if dom[y] != p:
+                        continue
+                    seen = comp.get(y)
+                    if seen is None:
+                        comp[y] = (s, xpar ^ 1)
+                        queue.append(y)
+                    elif seen[1] == xpar:
+                        return None
+        if not comp:
+            continue
+        for w in range(len(dom)):
+            dw = dom[w]
+            if not (dw & p):
+                continue
+            own = comp.get(w)
+            hits: dict[int, int] = {}
+            for y in adj[w]:
+                info = comp.get(y)
+                if info is None or (own is not None and info[0] == own[0]):
+                    continue
+                root, par = info
+                mask = hits.get(root, 0) | (1 << par)
+                if mask == 0b11:
+                    dw &= ~p
+                    if not dw:
+                        return None
+                    dom[w] = dw
+                    pending.append(w)
+                    progressed = True
+                    break
+                hits[root] = mask
+    return progressed

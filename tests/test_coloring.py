@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,10 @@ from steinberg import (
     solve_3coloring_with_stats,
     terminal_behavior,
 )
+from steinberg import cli, coloring, gadgets
 from steinberg.coloring import (
+    SolveStats,
+    _pair_classes,
     all_equal_pattern,
     all_patterns,
     pattern_of,
@@ -28,6 +32,7 @@ from steinberg.coloring import (
 from steinberg.gadgets import InterfaceContract, TerminalGadget
 
 from support import (
+    pair_classes_reference,
     product_3coloring_exists,
     random_conflict_free_fixing,
     random_graph,
@@ -114,6 +119,22 @@ def test_stats_count_nodes():
     assert sol is not None
 
 
+def test_parallel_stats_sum_the_workers():
+    # each worker solves the root vertex pinned to one color; the pooled
+    # counts must be the sum of those sequential solves, not a fresh zero
+    c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    for g in (K4, c6):
+        want = SolveStats()
+        for c in (0, 1, 2):
+            _, branch = solve_3coloring_with_stats(g, {0: c})
+            want.nodes += branch.nodes
+            want.propagations += branch.propagations
+        _, got = solve_3coloring_with_stats(g, jobs=2)
+        assert got == want
+        assert got.propagations > 0
+    assert got.nodes > 0
+
+
 def test_parallel_verdict_matches_sequential():
     for g in (K4, C5, build_graph(6, [(i, (i + 1) % 6) for i in range(6)])):
         seq = solve_3coloring(g)
@@ -153,6 +174,124 @@ def test_color_permutation_never_flips_the_verdict(g, perm):
     assert (solve_3coloring(g, fixing) is None) == (
         solve_3coloring(g, permuted) is None
     )
+
+
+@st.composite
+def pair_class_inputs(draw):
+    # dense graphs and pair-heavy domains, so that classes form, collide
+    # and strip often enough for the rare orderings to come up
+    n = draw(st.integers(min_value=0, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = build_graph(n, [e for e, k in zip(pairs, keep) if k])
+    masks = st.sampled_from((0b011, 0b101, 0b110, 0b011, 0b101, 0b110, 1, 2, 4, 7))
+    dom = draw(st.lists(masks, min_size=n, max_size=n))
+    pending = draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []
+    return g, dom, pending
+
+
+@given(pair_class_inputs())
+@settings(max_examples=400, deadline=None)
+def test_pair_classes_matches_full_scan_reference(case):
+    g, dom, pending = case
+    adj = [sorted(g.neighbor_sets[v]) for v in range(g.n)]
+    dom_ref, pending_ref = dom[:], pending[:]
+    got = _pair_classes(adj, dom, pending)
+    want = pair_classes_reference(adj, dom_ref, pending_ref)
+    assert got is want
+    assert dom == dom_ref
+    assert pending == pending_ref
+
+
+def test_solver_counts_are_pinned_on_seed_and_triple(seed_gadget, triple_gadget):
+    # a change that moves these counts or witnesses must say so
+    for gadget, stats, witness in (
+        (seed_gadget, SolveStats(nodes=9, propagations=907), "011201202021102"),
+        (
+            triple_gadget,
+            SolveStats(nodes=16, propagations=6414),
+            "011102120202011102021202101012020121210021",
+        ),
+    ):
+        g = gadget.graph
+        got, got_stats = solve_3coloring_with_stats(g)
+        assert got_stats == stats
+        assert "".join(str(got[v]) for v in range(g.n)) == witness
+
+
+def test_solver_counts_are_pinned_on_final_graph(final_graph):
+    result, stats = solve_3coloring_with_stats(final_graph)
+    assert result is None
+    assert stats == SolveStats(nodes=118, propagations=482854)
+    split = revalidate_unsat(final_graph)
+    assert [b["nodes"] for b in split["branches"]] == [39, 39, 39]
+
+
+def _stack_depth() -> int:
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
+
+
+def test_deep_branching_does_not_recurse():
+    # a path branches once per vertex; the search must not spend a Python
+    # frame on each decision
+    n = 120
+    path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 40)
+    try:
+        got, stats = solve_3coloring_with_stats(path)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert stats.nodes > n
+    assert got is not None and is_proper(path, got)
+
+
+def _all_zero(g, fixed=None, jobs=1):
+    return {v: 0 for v in range(g.n)}
+
+
+def _all_zero_with_stats(g, fixed=None, jobs=1):
+    return _all_zero(g), SolveStats()
+
+
+@pytest.mark.parametrize(
+    "module, name, fake, run",
+    [
+        (
+            cli,
+            "solve_3coloring_with_stats",
+            _all_zero_with_stats,
+            lambda: cli.counterexample_report(C5),
+        ),
+        (
+            gadgets,
+            "solve_3coloring_with_stats",
+            _all_zero_with_stats,
+            lambda: gadgets.verify_contract(
+                _bare_gadget(C5, (0, 1, 2), frozenset({"012"}))
+            ),
+        ),
+        (
+            coloring,
+            "solve_3coloring",
+            _all_zero,
+            lambda: terminal_behavior(_bare_gadget(C5, (0, 2))),
+        ),
+    ],
+    ids=["counterexample-report", "verify-contract", "terminal-behavior"],
+)
+def test_improper_solver_witness_is_an_oracle_mismatch(
+    monkeypatch, module, name, fake, run
+):
+    # these checks raise rather than assert, so python -O keeps them
+    monkeypatch.setattr(module, name, fake)
+    with pytest.raises(OracleMismatchError):
+        run()
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +374,10 @@ def test_pattern_counts_partition_all_colorings(g, seed):
 # ---------------------------------------------------------------------------
 # terminal behavior
 
-def _bare_gadget(g, terminals):
-    return TerminalGadget(g, terminals, InterfaceContract())
+def _bare_gadget(g, terminals, forbidden_patterns=frozenset()):
+    return TerminalGadget(
+        g, terminals, InterfaceContract(forbidden_patterns=forbidden_patterns)
+    )
 
 
 def test_triangle_terminals_admit_only_all_distinct():
