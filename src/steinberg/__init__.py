@@ -46,6 +46,7 @@ from .coloring import (
     revalidate_unsat,
     solve_3coloring,
     solve_3coloring_with_stats,
+    split_3coloring,
     terminal_behavior,
 )
 from .report import CheckResult, VerificationReport
@@ -79,6 +80,7 @@ from .search import (
     shrink_counterexample,
 )
 from .stock import load_seed_gadget, seed_data_path
+from .cli import counterexample_report
 
 __all__ = [
     "__version__",
@@ -114,6 +116,7 @@ __all__ = [
     "check_fixed",
     "solve_3coloring",
     "solve_3coloring_with_stats",
+    "split_3coloring",
     "revalidate_unsat",
     "brute_force_3coloring",
     "exhaustive_color_count",
@@ -134,6 +137,7 @@ __all__ = [
     "build_triple_gadget",
     "build_counterexample",
     "verify_contract",
+    "counterexample_report",
     "terminals_cofacial",
     "compositional_check",
     "CompositionalResult",

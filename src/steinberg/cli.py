@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 from typing import Any
 
@@ -28,8 +27,7 @@ from .coloring import (
     brute_force_3coloring,
     exhaustive_color_count,
     is_proper,
-    revalidate_unsat,
-    solve_3coloring_with_stats,
+    split_3coloring,
     terminal_behavior,
 )
 from .errors import (
@@ -56,7 +54,7 @@ from .gadgets import (
     verify_contract,
 )
 from .graphs import Graph
-from .report import CheckResult, VerificationReport, witness_json
+from .report import CheckResult, VerificationReport, timed_check
 from .search import (
     certify_and_freeze,
     load_search_spec,
@@ -110,18 +108,6 @@ def _write_report(report: VerificationReport, json_path: str | None) -> None:
         print(f"report written to {json_path}")
 
 
-def _timed_check(name: str, fn) -> CheckResult:
-    t0 = time.perf_counter()
-    passed, witness, details = fn()
-    return CheckResult(
-        name=name,
-        passed=passed,
-        witness=witness_json(witness),
-        details=details,
-        duration_s=time.perf_counter() - t0,
-    )
-
-
 def counterexample_report(g: Graph, jobs: int = 1, oracle: bool = False) -> VerificationReport:
     """The full battery run against a bare graph, trusting nothing about
     where it came from."""
@@ -134,7 +120,7 @@ def counterexample_report(g: Graph, jobs: int = 1, oracle: bool = False) -> Veri
             return True, None, {"faces_traced": True}
         return False, cert, {"obstruction": cert.kind}
 
-    checks.append(_timed_check("planarity", planarity))
+    checks.append(timed_check("planarity", planarity))
 
     def no_short_cycles():
         witness = forbidden_cycle_check(g, frozenset({4, 5}))
@@ -142,17 +128,21 @@ def counterexample_report(g: Graph, jobs: int = 1, oracle: bool = False) -> Veri
             return True, None, {"lengths_checked": [4, 5]}
         return False, witness, {}
 
-    checks.append(_timed_check("no-4-or-5-cycles", no_short_cycles))
+    checks.append(timed_check("no-4-or-5-cycles", no_short_cycles))
 
     def not_colorable():
-        solution, stats = solve_3coloring_with_stats(g, jobs=jobs)
-        details: dict[str, Any] = {"solver_nodes": stats.nodes}
+        # one pass over the symmetry split decides the verdict and, on
+        # UNSAT, is the transcript
+        solution, split = split_3coloring(g, jobs=jobs)
+        details: dict[str, Any] = {
+            "solver_nodes": sum(b["nodes"] for b in split["branches"])
+        }
         if solution is not None:
             if not is_proper(g, solution):
                 raise OracleMismatchError("solver returned an improper coloring")
             witness = {"coloring": {str(v): c for v, c in sorted(solution.items())}}
             return False, witness, details
-        details["split"] = revalidate_unsat(g, jobs=jobs)
+        details["split"] = split
         if oracle:
             details["oracle"] = "brute-force"
             if brute_force_3coloring(g) is not None:
@@ -161,7 +151,7 @@ def counterexample_report(g: Graph, jobs: int = 1, oracle: bool = False) -> Veri
                 )
         return True, None, details
 
-    checks.append(_timed_check("not-3-colorable", not_colorable))
+    checks.append(timed_check("not-3-colorable", not_colorable))
 
     def no_adjacent_triangles():
         conflicts = triangles_sharing_edge(g)
@@ -170,7 +160,7 @@ def counterexample_report(g: Graph, jobs: int = 1, oracle: bool = False) -> Veri
         edge, t1, t2 = conflicts[0]
         return False, {"edge": list(edge), "triangles": [list(t1.vertices), list(t2.vertices)]}, {}
 
-    checks.append(_timed_check("no-adjacent-triangles", no_adjacent_triangles))
+    checks.append(timed_check("no-adjacent-triangles", no_adjacent_triangles))
 
     def no_triangle_short_cycle_edge():
         conflicts = triangle_edge_conflicts(g, frozenset({3, 5}))
@@ -187,7 +177,7 @@ def counterexample_report(g: Graph, jobs: int = 1, oracle: bool = False) -> Veri
             {},
         )
 
-    checks.append(_timed_check("no-triangle-sharing-edge-with-3-or-5-cycle", no_triangle_short_cycle_edge))
+    checks.append(timed_check("no-triangle-sharing-edge-with-3-or-5-cycle", no_triangle_short_cycle_edge))
 
     target = {"n": g.n, "m": len(g.edges), "canonical_digest": canonical_digest(g)}
     return VerificationReport(target=target, checks=tuple(checks), tool_version=__version__)
@@ -290,7 +280,7 @@ def cmd_lemmas(args) -> int:
             None if count == 0 else {"extensions_found": count}
         ), {"assignments_swept": swept, "extensions_found": count}
 
-    checks.append(_timed_check("seed:all-equal-exhaustive-sweep", seed_exhaustive))
+    checks.append(timed_check("seed:all-equal-exhaustive-sweep", seed_exhaustive))
 
     def seed_oracle():
         fixing = {t: 0 for t in seed.terminals}
@@ -299,7 +289,7 @@ def cmd_lemmas(args) -> int:
             return True, None, {"oracle": "brute-force"}
         return False, {"coloring": {str(v): c for v, c in sorted(witness.items())}}, {}
 
-    checks.append(_timed_check("seed:all-equal-brute-force", seed_oracle))
+    checks.append(timed_check("seed:all-equal-brute-force", seed_oracle))
 
     triple = build_triple_gadget(seed, jobs=jobs)
     triple_report = verify_contract(triple, jobs=jobs)
@@ -321,7 +311,7 @@ def cmd_lemmas(args) -> int:
             return True, None, result.to_json_dict()
         return False, result.counterexample, result.to_json_dict()
 
-    checks.append(_timed_check("composition:case-tree", composition))
+    checks.append(timed_check("composition:case-tree", composition))
 
     target = {
         "n": seed.graph.n,

@@ -65,7 +65,7 @@ _PAIRS = (0b011, 0b101, 0b110)
 
 
 def _pair_classes(
-    adj: Sequence[Sequence[int]],
+    nb: Sequence[int],
     dom: list[int],
     pending: list[int],
 ) -> bool | None:
@@ -77,67 +77,67 @@ def _pair_classes(
     a single class sees both colors and loses the pair.  Returns None on
     wipeout, else whether any domain shrank (shrunk vertices are queued).
 
-    Only pair-domain vertices and their neighbors are visited, in index
-    order.  Stripping a pair never leaves a new pair behind (what is left
-    is a singleton or nothing), so one bucketing pass up front serves all
+    ``nb[v]`` is the neighborhood of ``v`` as a bitmask.  Each class is
+    grown by a layered flood fill over the masks, so an edge inside one
+    layer is the odd cycle, and a vertex sees both parities exactly when
+    it lies in the neighborhoods of both the even and the odd layers.
+    Stripping a pair never leaves a new pair behind (what is left is a
+    singleton or nothing), so one bucketing pass up front serves all
     three pairs; a bucketed vertex an earlier pair shrank is skipped.
+    Pairs go in ``_PAIRS`` order and strips in index order.
     """
-    buckets: dict[int, list[int]] = {p: [] for p in _PAIRS}
+    buckets = dict.fromkeys(_PAIRS, 0)
     for s, ds in enumerate(dom):
         if _POPCOUNT[ds] == 2:
-            buckets[ds].append(s)
-    progressed = False
+            buckets[ds] |= 1 << s
+    stripped = 0
     for p in _PAIRS:
-        comp: dict[int, tuple[int, int]] = {}
-        for s in buckets[p]:
-            if dom[s] != p or s in comp:
-                continue
-            comp[s] = (s, 0)
-            queue = [s]
-            qi = 0
-            while qi < len(queue):
-                x = queue[qi]
-                qi += 1
-                xpar = comp[x][1]
-                for y in adj[x]:
-                    if dom[y] != p:
-                        continue
-                    seen = comp.get(y)
-                    if seen is None:
-                        comp[y] = (s, xpar ^ 1)
-                        queue.append(y)
-                    elif seen[1] == xpar:
-                        return None  # odd cycle two-colored
-        if not comp:
-            continue
-        # a class member's pair-domain neighbors all share its class, so
-        # only vertices outside the classes can see both parities of one
-        for w in sorted({y for x in comp for y in adj[x]}.difference(comp)):
+        members = left = buckets[p] & ~stripped
+        hits = 0
+        while left:
+            seen = layer = left & -left
+            # neighborhoods of the layers with the next layer's parity,
+            # and of those with the other parity
+            ahead = behind = 0
+            while layer:
+                # most classes are single edges, so most layers are one
+                # vertex, whose mask needs no bit walk
+                if layer & (layer - 1):
+                    reach = 0
+                    rest = layer
+                    while rest:
+                        low = rest & -rest
+                        reach |= nb[low.bit_length() - 1]
+                        rest ^= low
+                else:
+                    reach = nb[layer.bit_length() - 1]
+                if reach & layer:
+                    return None  # odd cycle two-colored
+                ahead, behind = behind, ahead | reach
+                layer = reach & left & ~seen
+                seen |= layer
+            hits |= ahead & behind
+            left &= ~seen
+        hits &= ~members
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            w = low.bit_length() - 1
             dw = dom[w]
             if not (dw & p):
                 continue
-            hits: dict[int, int] = {}
-            for y in adj[w]:
-                info = comp.get(y)
-                if info is None:
-                    continue
-                root, par = info
-                mask = hits.get(root, 0) | (1 << par)
-                if mask == 0b11:
-                    dw &= ~p
-                    if not dw:
-                        return None
-                    dom[w] = dw
-                    pending.append(w)
-                    progressed = True
-                    break
-                hits[root] = mask
-    return progressed
+            dw &= ~p
+            if not dw:
+                return None
+            dom[w] = dw
+            pending.append(w)
+            stripped |= low
+    return stripped != 0
 
 
 def _fixpoint(
     adj: Sequence[Sequence[int]],
-    nbr: Sequence[frozenset[int]],
+    nb: Sequence[int],
     dom: list[int],
     pending: list[int],
     stats: SolveStats,
@@ -172,8 +172,9 @@ def _fixpoint(
                 for u in adj[v]:
                     if dom[u] != dv:
                         continue
+                    nu = nb[u]
                     for w in adj[v]:
-                        if w == u or w not in nbr[u]:
+                        if not nu >> w & 1:
                             continue
                         dw = dom[w]
                         if dw & dv:
@@ -183,7 +184,7 @@ def _fixpoint(
                             dom[w] = dw
                             pending.append(w)
             stats.propagations += 1
-        shrank = _pair_classes(adj, dom, pending)
+        shrank = _pair_classes(nb, dom, pending)
         if shrank is None:
             return False
         if not shrank:
@@ -192,7 +193,7 @@ def _fixpoint(
 
 def _propagate(
     adj: Sequence[Sequence[int]],
-    nbr: Sequence[frozenset[int]],
+    nb: Sequence[int],
     dom: list[int],
     pending: list[int],
     stats: SolveStats,
@@ -201,7 +202,7 @@ def _propagate(
     rules: a color whose trial assignment propagates to a wipeout is
     stripped outright.  This is what surfaces a gadget's interface
     constraints (some vertex cannot take some color) without search."""
-    if not _fixpoint(adj, nbr, dom, pending, stats):
+    if not _fixpoint(adj, nb, dom, pending, stats):
         return False
     while True:
         stripped = False
@@ -214,13 +215,13 @@ def _propagate(
                     continue
                 trial = dom[:]
                 trial[v] = bit
-                if not _fixpoint(adj, nbr, trial, [v], stats):
+                if not _fixpoint(adj, nb, trial, [v], stats):
                     dv &= ~bit
                     if not dv:
                         return False
                     dom[v] = dv
                     stripped = True
-                    if not _fixpoint(adj, nbr, dom, [v], stats):
+                    if not _fixpoint(adj, nb, dom, [v], stats):
                         return False
                     dv = dom[v]
                     if _POPCOUNT[dv] == 1:
@@ -231,7 +232,7 @@ def _propagate(
 
 def _search(
     adj: Sequence[Sequence[int]],
-    nbr: Sequence[frozenset[int]],
+    nb: Sequence[int],
     dom: list[int],
     stats: SolveStats,
 ) -> list[int] | None:
@@ -267,7 +268,7 @@ def _search(
                 if parent[v] & bit:
                     child = parent[:]
                     child[v] = bit
-                    if _propagate(adj, nbr, child, [v], stats):
+                    if _propagate(adj, nb, child, [v], stats):
                         nxt = child
                         break
             else:
@@ -285,16 +286,16 @@ def _solve_sequential(
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    nbr = [frozenset(ns) for ns in adj]
+    nb = [sum(1 << w for w in ns) for ns in adj]
     dom = [0b111] * n
     pending = []
     for v, c in fixed.items():
         dom[v] = _COLOR_BITS[c]
         pending.append(v)
     pending.sort()
-    if not _propagate(adj, nbr, dom, pending, stats):
+    if not _propagate(adj, nb, dom, pending, stats):
         return None
-    final = _search(adj, nbr, dom, stats)
+    final = _search(adj, nb, dom, stats)
     if final is None:
         return None
     return {v: _BIT_COLOR[d] for v, d in enumerate(final)}
@@ -359,27 +360,26 @@ def solve_3coloring(
     return result
 
 
-def revalidate_unsat(
+def split_3coloring(
     g: Graph, fixed: Mapping[int, int] | None = None, jobs: int = 1
-) -> dict:
-    """Re-derive an UNSAT verdict by a symmetry split and return the
-    transcript.
+) -> tuple[ColorAssignment | None, dict]:
+    """Decide colorability by a symmetry split and return the transcript.
 
-    The smallest free vertex is pinned to each color in turn and every
-    branch must come back UNSAT; a satisfiable branch means the original
-    verdict was wrong and raises :class:`OracleMismatchError`.  Mostly
-    useful past the brute-force guard, where no full enumeration can
-    back the solver up.
+    The smallest free vertex is pinned to each color in turn, stopping at
+    the first satisfiable branch, whose coloring is returned; None means
+    every branch is UNSAT or conflicts with a fixed neighbor.  The
+    transcript gives the ``root`` and one entry per branch tried.
+
+    With nothing fixed the solver's rules are color-symmetric and it
+    branches first on vertex 0, so this replays :func:`solve_3coloring`
+    branch for branch and returns the same coloring, one node cheaper.
     """
     fixed = dict(fixed or {})
     check_fixed(g, fixed)
     free = [v for v in range(g.n) if v not in fixed]
     if not free:
-        if is_proper(g, fixed):
-            raise OracleMismatchError(
-                "UNSAT claimed but the fixing itself is a proper coloring"
-            )
-        return {"root": None, "branches": []}
+        # check_fixed passed, so a total fixing is a proper coloring
+        return fixed, {"root": None, "branches": []}
     root = free[0]
     branches = []
     for c in (0, 1, 2):
@@ -390,13 +390,34 @@ def revalidate_unsat(
         except ImproperFixingError:
             branches.append({"color": c, "verdict": "conflict", "nodes": 0})
             continue
+        verdict = "unsat" if result is None else "sat"
+        branches.append({"color": c, "verdict": verdict, "nodes": stats.nodes})
         if result is not None:
+            return result, {"root": root, "branches": branches}
+    return None, {"root": root, "branches": branches}
+
+
+def revalidate_unsat(
+    g: Graph, fixed: Mapping[int, int] | None = None, jobs: int = 1
+) -> dict:
+    """Re-derive an UNSAT verdict by :func:`split_3coloring` and return
+    its transcript.
+
+    A satisfiable branch means the original verdict was wrong and raises
+    :class:`OracleMismatchError`.  Mostly useful past the brute-force
+    guard, where no full enumeration can back the solver up.
+    """
+    result, split = split_3coloring(g, fixed, jobs=jobs)
+    if result is not None:
+        if split["root"] is None:
             raise OracleMismatchError(
-                f"UNSAT claimed overall but SAT with vertex {root} pinned"
-                f" to color {c}"
+                "UNSAT claimed but the fixing itself is a proper coloring"
             )
-        branches.append({"color": c, "verdict": "unsat", "nodes": stats.nodes})
-    return {"root": root, "branches": branches}
+        raise OracleMismatchError(
+            f"UNSAT claimed overall but SAT with vertex {split['root']} pinned"
+            f" to color {split['branches'][-1]['color']}"
+        )
+    return split
 
 
 def brute_force_3coloring(

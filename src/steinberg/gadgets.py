@@ -15,7 +15,6 @@ three-copy composite gadget and then the final counterexample graph.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -42,7 +41,7 @@ from .coloring import (
 from .errors import ContractError, FormatError, OracleMismatchError, PasteError
 from .formats import graph_from_json_dict, graph_to_json_dict, parse_json_payload
 from .graphs import Graph, add_apex, build_graph
-from .report import CheckResult, VerificationReport, witness_json
+from .report import CheckResult, VerificationReport, timed_check
 
 _ORACLE_FREE_LIMIT = 25  # past this, UNSAT is revalidated by symmetry split
 
@@ -256,26 +255,13 @@ def verify_contract(gadget: TerminalGadget, jobs: int = 1) -> VerificationReport
     contract = gadget.contract
     checks: list[CheckResult] = []
 
-    def timed(name: str, fn) -> None:
-        t0 = time.perf_counter()
-        passed, witness, details = fn()
-        checks.append(
-            CheckResult(
-                name=name,
-                passed=passed,
-                witness=witness_json(witness),
-                details=details,
-                duration_s=time.perf_counter() - t0,
-            )
-        )
-
     if contract.forbidden_cycle_lengths:
 
         def cycle_clause():
             hit = forbidden_cycle_check(g, contract.forbidden_cycle_lengths)
             return hit is None, hit, None
 
-        timed("forbidden-cycles", cycle_clause)
+        checks.append(timed_check("forbidden-cycles", cycle_clause))
 
     exact = contract.exact_terminal_distances
     minimum = contract.min_terminal_distances
@@ -305,7 +291,7 @@ def verify_contract(gadget: TerminalGadget, jobs: int = 1) -> VerificationReport
                     }
                 return ok, witness, {"distance": d}
 
-            timed(f"distance-t{i}-t{j}", distance_clause)
+            checks.append(timed_check(f"distance-t{i}-t{j}", distance_clause))
 
     for pattern in sorted(contract.forbidden_patterns):
 
@@ -314,7 +300,7 @@ def verify_contract(gadget: TerminalGadget, jobs: int = 1) -> VerificationReport
                 g, gadget.terminals, pattern, jobs=jobs
             )
 
-        timed(f"pattern-{pattern}-infeasible", pattern_clause)
+        checks.append(timed_check(f"pattern-{pattern}-infeasible", pattern_clause))
 
     if contract.require_planar:
 
@@ -325,7 +311,7 @@ def verify_contract(gadget: TerminalGadget, jobs: int = 1) -> VerificationReport
                 return True, None, {"faces": "euler-checked"}
             return False, cert, None
 
-        timed("planarity", planar_clause)
+        checks.append(timed_check("planarity", planar_clause))
 
     target = {"n": g.n, "m": g.m, "canonical_digest": canonical_digest(g)}
     return VerificationReport(target=target, checks=tuple(checks))

@@ -7,8 +7,9 @@ parse(emit(report)) == report, so reports can be archived and diffed.
 from __future__ import annotations
 
 import json
+import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from . import __version__ as _tool_version
 
@@ -49,6 +50,20 @@ class CheckResult:
             details=d.get("details"),
             duration_s=d.get("duration_s", 0.0),
         )
+
+
+def timed_check(name: str, fn: Callable[[], tuple[bool, Any, Any]]) -> CheckResult:
+    """Run one check body, which returns ``(passed, witness, details)``,
+    and time it; the witness is lowered to JSON."""
+    t0 = time.perf_counter()
+    passed, witness, details = fn()
+    return CheckResult(
+        name=name,
+        passed=passed,
+        witness=witness_json(witness),
+        details=details,
+        duration_s=time.perf_counter() - t0,
+    )
 
 
 @dataclass(frozen=True)

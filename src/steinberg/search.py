@@ -502,7 +502,9 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
     and write the frozen JSON file.
 
     A solver/oracle disagreement raises :class:`OracleMismatchError`
-    with both transcripts; nothing is written in that case.
+    with both transcripts; nothing is written in that case.  Patterns
+    past the brute-force guard are not cross-checked, and the record
+    lists them under ``oracle_skipped``.
     """
     report = verify_contract(gadget)
     if not report.passed:
@@ -512,6 +514,7 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
         )
     behavior = terminal_behavior(gadget)
     counts: dict[str, int] = {}
+    oracle_skipped: list[str] = []
     for pattern, feasible in behavior.entries:
         rep = pattern_representative(pattern)
         fixing = {gadget.terminals[i]: rep[i] for i in range(len(rep))}
@@ -529,7 +532,9 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
         try:
             oracle_feasible = brute_force_3coloring(gadget.graph, fixing) is not None
         except SizeGuardError:
-            oracle_feasible = feasible  # too big to cross-check
+            # too big to cross-check; the record says so
+            oracle_skipped.append(pattern)
+            continue
         if oracle_feasible != feasible:
             raise OracleMismatchError(
                 f"pattern {pattern}: solver says"
@@ -559,6 +564,7 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
         "behavior": behavior.as_dict(),
         "terminals_cofacial": cofacial,
         "exhaustive_counts": counts,
+        "oracle_skipped": oracle_skipped,
     }
     frozen = TerminalGadget(
         gadget.graph, gadget.terminals, replace(gadget.contract, verified=True)

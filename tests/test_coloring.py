@@ -18,6 +18,7 @@ from steinberg import (
     revalidate_unsat,
     solve_3coloring,
     solve_3coloring_with_stats,
+    split_3coloring,
     terminal_behavior,
 )
 from steinberg import cli, coloring, gadgets
@@ -195,8 +196,9 @@ def pair_class_inputs(draw):
 def test_pair_classes_matches_full_scan_reference(case):
     g, dom, pending = case
     adj = [sorted(g.neighbor_sets[v]) for v in range(g.n)]
+    masks = [sum(1 << w for w in adj[v]) for v in range(g.n)]
     dom_ref, pending_ref = dom[:], pending[:]
-    got = _pair_classes(adj, dom, pending)
+    got = _pair_classes(masks, dom, pending)
     want = pair_classes_reference(adj, dom_ref, pending_ref)
     assert got is want
     assert dom == dom_ref
@@ -225,6 +227,35 @@ def test_solver_counts_are_pinned_on_final_graph(final_graph):
     assert stats == SolveStats(nodes=118, propagations=482854)
     split = revalidate_unsat(final_graph)
     assert [b["nodes"] for b in split["branches"]] == [39, 39, 39]
+
+
+def test_report_refutes_the_final_graph_in_one_split(monkeypatch, final_graph):
+    # the verdict comes from the three pinned branches alone: no unpinned
+    # solve ahead of them, no second split after them
+    calls = []
+    solve = coloring.solve_3coloring_with_stats
+
+    def counted(g, fixed=None, jobs=1):
+        calls.append(dict(fixed or {}))
+        return solve(g, fixed, jobs=jobs)
+
+    monkeypatch.setattr(coloring, "solve_3coloring_with_stats", counted)
+    check = cli.counterexample_report(final_graph).check("not-3-colorable")
+    assert check.passed
+    assert calls == [{0: 0}, {0: 1}, {0: 2}]
+    split = check.details["split"]
+    assert split["root"] == 0
+    assert [b["nodes"] for b in split["branches"]] == [39, 39, 39]
+    assert all(b["verdict"] == "unsat" for b in split["branches"])
+    assert check.details["solver_nodes"] == 117
+
+
+@given(graphs(7))
+@settings(max_examples=150, deadline=None)
+def test_split_replays_the_unpinned_solve(g):
+    # with nothing fixed the solver branches first on vertex 0 under
+    # color-symmetric rules, so the split returns the very same witness
+    assert split_3coloring(g)[0] == solve_3coloring(g)
 
 
 def _stack_depth() -> int:
@@ -263,7 +294,7 @@ def _all_zero_with_stats(g, fixed=None, jobs=1):
     "module, name, fake, run",
     [
         (
-            cli,
+            coloring,
             "solve_3coloring_with_stats",
             _all_zero_with_stats,
             lambda: cli.counterexample_report(C5),
@@ -420,6 +451,30 @@ def test_revalidate_unsat_conflict_branches():
     fixing = {1: 0, 2: 1, 3: 2}
     split = revalidate_unsat(K4, fixing)
     assert all(b["verdict"] == "conflict" for b in split["branches"])
+
+
+def test_split_3coloring_stops_at_the_first_satisfiable_branch():
+    # vertex 0 of a triangle pinned to 0 already colors; the transcript
+    # holds that one branch
+    tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    got, split = split_3coloring(tri)
+    assert got == {0: 0, 1: 1, 2: 2}
+    assert split["root"] == 0
+    assert [(b["color"], b["verdict"]) for b in split["branches"]] == [(0, "sat")]
+    # a total fixing needs no split: it is the coloring
+    assert split_3coloring(tri, {0: 2, 1: 0, 2: 1}) == (
+        {0: 2, 1: 0, 2: 1},
+        {"root": None, "branches": []},
+    )
+    assert split_3coloring(K4) == (
+        None,
+        {
+            "root": 0,
+            "branches": [
+                {"color": c, "verdict": "unsat", "nodes": 0} for c in (0, 1, 2)
+            ],
+        },
+    )
 
 
 def test_revalidate_unsat_rejects_satisfiable_input():

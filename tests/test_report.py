@@ -1,7 +1,7 @@
 import pytest
 
 from steinberg import CheckResult, VerificationReport
-from steinberg.report import witness_json
+from steinberg.report import timed_check, witness_json
 
 
 def sample_report():
@@ -60,3 +60,12 @@ def test_render_text_shape():
     assert any(line.startswith("  [FAIL] second") for line in lines)
     assert "witness:" in text
     assert lines[-1] == "overall: FAIL"
+
+
+def test_timed_check_times_the_body_and_lowers_the_witness():
+    got = timed_check("sample", lambda: (False, {3: (1, 2)}, {"k": 1}))
+    assert got.name == "sample"
+    assert not got.passed
+    assert got.witness == {"3": [1, 2]}
+    assert got.details == {"k": 1}
+    assert got.duration_s >= 0.0

@@ -134,6 +134,19 @@ def test_certify_and_freeze_round_trip(tmp_path, seed_gadget):
     assert ver["exhaustive_counts"]["000"] == 0
 
 
+def test_freeze_records_patterns_the_oracle_skipped(tmp_path, seed_gadget, triple_gadget):
+    # the triple's 39 free vertices are past the brute-force guard, and no
+    # two of its terminals are adjacent, so no pattern is cross-checked
+    g, terminals = triple_gadget.graph, triple_gadget.terminals
+    assert not any(g.has_edge(u, v) for u in terminals for v in terminals if u != v)
+    path = certify_and_freeze(triple_gadget, tmp_path / "triple.json")
+    ver = load_gadget_payload(path)["verification"]
+    assert ver["oracle_skipped"] == ["000", "001", "010", "011", "012"]
+    # the seed's 12 free vertices are all within it
+    path = certify_and_freeze(seed_gadget, tmp_path / "seed.json")
+    assert load_gadget_payload(path)["verification"]["oracle_skipped"] == []
+
+
 def test_certify_and_freeze_refuses_a_failing_gadget(tmp_path):
     p3 = build_graph(3, [(0, 1), (1, 2)])
     gadget = TerminalGadget(
