@@ -41,7 +41,6 @@ from .coloring import (
     brute_force_3coloring,
     check_fixed,
     exhaustive_color_count,
-    forced_unequal,
     is_proper,
     revalidate_unsat,
     solve_3coloring,
@@ -121,7 +120,6 @@ __all__ = [
     "brute_force_3coloring",
     "exhaustive_color_count",
     "terminal_behavior",
-    "forced_unequal",
     "CheckResult",
     "VerificationReport",
     "InterfaceContract",

@@ -9,6 +9,7 @@ flags; `--jobs 1` is the deterministic default everywhere.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -260,17 +261,8 @@ def cmd_lemmas(args) -> int:
         return 2
     jobs = args.jobs
     checks: list[CheckResult] = []
-    seed_report = verify_contract(seed, jobs=jobs)
-    for c in seed_report.checks:
-        checks.append(
-            CheckResult(
-                name=f"seed:{c.name}",
-                passed=c.passed,
-                witness=c.witness,
-                details=c.details,
-                duration_s=c.duration_s,
-            )
-        )
+    for c in verify_contract(seed, jobs=jobs).checks:
+        checks.append(dataclasses.replace(c, name=f"seed:{c.name}"))
 
     def seed_exhaustive():
         fixing = {t: 0 for t in seed.terminals}
@@ -292,21 +284,11 @@ def cmd_lemmas(args) -> int:
     checks.append(timed_check("seed:all-equal-brute-force", seed_oracle))
 
     triple = build_triple_gadget(seed, jobs=jobs)
-    triple_report = verify_contract(triple, jobs=jobs)
-    for c in triple_report.checks:
-        checks.append(
-            CheckResult(
-                name=f"triple:{c.name}",
-                passed=c.passed,
-                witness=c.witness,
-                details=c.details,
-                duration_s=c.duration_s,
-            )
-        )
+    for c in verify_contract(triple, jobs=jobs).checks:
+        checks.append(dataclasses.replace(c, name=f"triple:{c.name}"))
 
     def composition():
-        behavior = terminal_behavior(seed, jobs=jobs)
-        result = compositional_check(behavior)
+        result = compositional_check(seed, terminal_behavior(seed, jobs=jobs))
         if result.ok:
             return True, None, result.to_json_dict()
         return False, result.counterexample, result.to_json_dict()

@@ -606,16 +606,3 @@ def terminal_behavior(gadget: "TerminalGadget", jobs: int = 1) -> TerminalBehavi
             )
         entries.append((pattern, result is not None))
     return TerminalBehavior(t, tuple(entries))
-
-
-def forced_unequal(gadget: "TerminalGadget") -> bool:
-    """True when no proper 3-coloring gives all three terminals one color."""
-    terminals = gadget.terminals
-    if len(terminals) != 3:
-        raise ValueError(f"forced_unequal needs 3 terminals, got {len(terminals)}")
-    fixing = {v: 0 for v in terminals}
-    try:
-        check_fixed(gadget.graph, fixing)
-    except ImproperFixingError:
-        return True
-    return solve_3coloring(gadget.graph, fixing) is None

@@ -10,6 +10,10 @@ error rather than a silent merge.
 
 The two stock recipes here build, from a verified seed gadget, the
 three-copy composite gadget and then the final counterexample graph.
+The same recipes drive the solver-free proof: :func:`walk_recipe`
+derives a pasted graph's terminal behavior from its parts' behavior
+tables, and :func:`compositional_check` walks both recipes in turn, so
+the seed, triple, final argument cannot drift from the construction.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
 from .analysis import (
     distance,
@@ -31,6 +35,7 @@ from .coloring import (
     ImproperFixingError,
     TerminalBehavior,
     all_equal_pattern,
+    all_patterns,
     brute_force_3coloring,
     is_proper,
     pattern_of,
@@ -485,17 +490,18 @@ def triple_recipe(seed: TerminalGadget) -> PasteRecipe:
     the three a-role terminals and carry the extra triangle.  Copy X
     spans slots (0, 1), copy Y (1, 2), copy Z (2, 0) with its distance-4
     pair, so every new terminal pair is bridged by exactly one copy.
+    Each part is the seed itself, its slots listed in the seed's own
+    terminal order, so a behavior table of the seed reads each part.
     """
     a, b, c = _seed_roles(seed)
-    oriented = TerminalGadget(seed.graph, (a, b, c), seed_contract())
-    pos = {v: i for i, v in enumerate(oriented.terminals)}
+    pos = {v: i for i, v in enumerate(seed.terminals)}
 
     def part(a_slot: int, b_slot: int, c_slot: int) -> PastePart:
         slots = [0, 0, 0]
         slots[pos[a]] = a_slot
         slots[pos[b]] = b_slot
         slots[pos[c]] = c_slot
-        return PastePart(oriented, tuple(slots))
+        return PastePart(seed, tuple(slots))
 
     return PasteRecipe(
         num_slots=6,
@@ -600,175 +606,174 @@ def build_counterexample(triple: TerminalGadget, jobs: int = 1) -> Graph:
 # ---------------------------------------------------------------------------
 # solver-free compositional argument
 
-_FINAL_NAMES = ("a", "b", "c", "c'", "d", "e", "f", "d'", "e'", "f'")
+@dataclass(frozen=True)
+class RecipeWalk:
+    """Terminal behavior of a pasted graph, derived from its parts' tables.
 
-_FINAL_NAME_EDGES = (
-    ("a", "b"),
-    ("b", "c"),
-    ("b", "c'"),
-    ("c", "c'"),
-    ("a", "e"),
-    ("d", "e"),
-    ("e", "f"),
-    ("d", "f"),
-    ("a", "e'"),
-    ("d'", "e'"),
-    ("e'", "f'"),
-    ("d'", "f'"),
-)
+    ``witnesses`` maps each feasible pattern to the first slot and fresh
+    vertex coloring that realizes it, keyed by the recipe's labels.  In
+    ``tree`` a branch reads ``{"vertex": name, "cases": {color: subtree}}``,
+    a closed branch is its closing reason and a surviving one reads
+    ``{"survivor": pattern}``; ``closed_by`` counts the closing reasons.
+    """
 
-_FINAL_COPY_TRIPLES = (
-    ("a", "c", "d"),
-    ("a", "c", "f"),
-    ("a", "c'", "d'"),
-    ("a", "c'", "f'"),
-)
+    behavior: TerminalBehavior
+    closed_by: dict[str, int]
+    witnesses: dict[str, dict[str, int]]
+    tree: dict[str, Any]
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {
+            "table": self.behavior.as_dict(),
+            "closed_by": dict(sorted(self.closed_by.items())),
+            "witnesses": self.witnesses,
+            "tree": self.tree,
+        }
+
+
+def walk_recipe(
+    recipe: PasteRecipe,
+    tables: Sequence[TerminalBehavior],
+    terminals: tuple[int, ...],
+) -> RecipeWalk:
+    """Decide the terminal behavior of ``paste(recipe)`` on the slot or
+    fresh vertices ``terminals`` from one behavior table per part,
+    without a solver.
+
+    ``tables[i]`` reads part i in the terminal order of its gadget.  The
+    walk enumerates colorings of the slot and fresh vertices with vertex
+    0 pinned to color 0, which is no loss because permuting colors
+    preserves properness.  A branch closes on a
+    monochromatic extra edge or on a part whose terminals take a pattern
+    its table marks infeasible.  Part interiors are disjoint and extra
+    edges touch only slot and fresh vertices, so every surviving
+    coloring extends to the whole pasted graph: the derived table is
+    exact.  With no terminals the single pattern is "", feasible exactly
+    when the pasted graph is 3-colorable.
+    """
+    if len(tables) != len(recipe.parts):
+        raise ValueError(
+            f"{len(tables)} behavior tables for {len(recipe.parts)} parts"
+        )
+    n = recipe.num_slots + recipe.extra_vertices
+    # color next the vertex that decides the most extra edges and parts,
+    # smallest id first on ties (so vertex 0 comes first): branches close
+    # early and the case tree stays small
+    scopes = [set(e) for e in recipe.extra_edges]
+    scopes += [set(part.slots) for part in recipe.parts]
+    order: list[int] = []
+    while len(order) < n:
+        placed = set(order)
+        order.append(
+            max(
+                (v for v in range(n) if v not in placed),
+                key=lambda v: (
+                    sum(v in sc and sc - {v} <= placed for sc in scopes),
+                    -v,
+                ),
+            )
+        )
+    step = {v: k for k, v in enumerate(order)}
+    # each extra edge and part is decided once its last vertex is colored
+    edges_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v in recipe.extra_edges:
+        edges_at[max(step[u], step[v])].append((u, v))
+    parts_at: list[list[tuple[int, tuple[int, ...], TerminalBehavior]]] = [
+        [] for _ in range(n)
+    ]
+    for i, (part, table) in enumerate(zip(recipe.parts, tables)):
+        if table.arity != len(part.slots):
+            raise ValueError(
+                f"part {i} has {len(part.slots)} terminals but its behavior"
+                f" table covers {table.arity}"
+            )
+        parts_at[max(step[s] for s in part.slots)].append((i, part.slots, table))
+    labels = dict(recipe.labels or ())
+    name = [labels.get(v, str(v)) for v in range(n)]
+    color = [0] * n
+    closed_by: dict[str, int] = {}
+    witnesses: dict[str, dict[str, int]] = {}
+
+    def closing_reason(k: int) -> str | None:
+        for u, v in edges_at[k]:
+            if color[u] == color[v]:
+                return f"edge {name[u]}-{name[v]} monochromatic"
+        for i, slots, table in parts_at[k]:
+            pattern = pattern_of([color[s] for s in slots])
+            if not table.feasible(pattern):
+                where = ", ".join(name[s] for s in slots)
+                return f"part {i} ({where}) takes infeasible pattern {pattern}"
+        return None
+
+    def walk(k: int) -> dict[str, Any]:
+        if k == n:
+            pattern = pattern_of([color[t] for t in terminals])
+            witnesses.setdefault(pattern, dict(zip(name, color)))
+            return {"survivor": pattern}
+        v = order[k]
+        cases: dict[str, Any] = {}
+        for c in (0,) if k == 0 else (0, 1, 2):
+            color[v] = c
+            reason = closing_reason(k)
+            if reason is None:
+                cases[str(c)] = walk(k + 1)
+            else:
+                closed_by[reason] = closed_by.get(reason, 0) + 1
+                cases[str(c)] = reason
+        return {"vertex": name[v], "cases": cases}
+
+    tree = walk(0)
+    patterns = all_patterns(len(terminals)) if terminals else [""]
+    behavior = TerminalBehavior(
+        len(terminals), tuple((p, p in witnesses) for p in patterns)
+    )
+    return RecipeWalk(behavior, closed_by, witnesses, tree)
 
 
 @dataclass(frozen=True)
 class CompositionalResult:
     """Outcome of the composition-level non-colorability argument."""
 
-    ok: bool
-    triple_stage: dict[str, Any]
-    final_stage: dict[str, Any] | None
-    counterexample: dict[str, int] | None
+    triple_stage: RecipeWalk
+    final_stage: RecipeWalk
+
+    @property
+    def counterexample(self) -> dict[str, int] | None:
+        return self.final_stage.witnesses.get("")
+
+    @property
+    def ok(self) -> bool:
+        return self.counterexample is None
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "ok": self.ok,
-            "triple_stage": self.triple_stage,
-            "final_stage": self.final_stage,
+            "triple_stage": self.triple_stage.to_json_dict(),
+            "final_stage": self.final_stage.to_json_dict(),
             "counterexample": self.counterexample,
         }
 
 
-def _close_tree(
-    names: tuple[str, ...],
-    assign: dict[str, int],
-    order: int,
-    edges: tuple[tuple[str, str], ...],
-    mono_triples: tuple[tuple[str, ...], ...],
-    counts: dict[str, int],
-) -> tuple[dict[str, Any], dict[str, int] | None]:
-    """DFS over colorings of ``names``; a branch closes on a
-    monochromatic edge or a fully-monochromatic triple.  Returns the case
-    tree and the first surviving assignment, if any."""
-    for x, y in edges:
-        if x in assign and y in assign and assign[x] == assign[y]:
-            reason = f"edge {x}-{y} monochromatic"
-            counts[reason] = counts.get(reason, 0) + 1
-            return {"closed": reason}, None
-    for triple in mono_triples:
-        if all(v in assign for v in triple) and (
-            len({assign[v] for v in triple}) == 1
-        ):
-            reason = f"copy ({', '.join(triple)}) monochromatic"
-            counts[reason] = counts.get(reason, 0) + 1
-            return {"closed": reason}, None
-    if order == len(names):
-        counts["open branch"] = counts.get("open branch", 0) + 1
-        return {"survivor": True}, dict(assign)
-    v = names[order]
-    cases: dict[str, Any] = {}
-    survivor = None
-    for color in (0, 1, 2):
-        assign[v] = color
-        subtree, found = _close_tree(
-            names, assign, order + 1, edges, mono_triples, counts
-        )
-        del assign[v]
-        cases[str(color)] = subtree
-        if found is not None and survivor is None:
-            survivor = found
-    return {"vertex": v, "cases": cases}, survivor
-
-
-def compositional_check(seed_behavior: TerminalBehavior) -> CompositionalResult:
+def compositional_check(
+    seed: TerminalGadget, seed_behavior: TerminalBehavior
+) -> CompositionalResult:
     """Prove the final graph non-3-colorable from the seed behavior
-    table alone, without running the solver on the big graph.
+    table alone, without running the solver.
 
-    Stage one re-derives the composite gadget's interface fact: no
-    proper coloring makes its three terminals equal.  Every coloring of
-    the shared color and the triangle d e f must die on a triangle edge
-    or on a seed copy whose terminal pattern the table marks infeasible.
-
-    Stage two enumerates colorings of the ten interface vertices of the
-    final assembly and closes every branch using only the extra edges
-    and the stage-one fact.  A surviving branch in either stage is
-    returned as a counter-witness.
+    Stage one walks :func:`triple_recipe` with the seed table on every
+    part and derives the composite gadget's whole behavior table on its
+    terminals (0, 1, 2).  Stage two walks :func:`counterexample_recipe`
+    with that table on every part and no terminals; the final graph has
+    no 3-coloring exactly when no branch survives.  ``seed_behavior``
+    must list the patterns in ``seed.terminals`` order.
     """
-    if seed_behavior.arity != 3:
-        raise ValueError("seed behavior table must cover 3 terminals")
-
-    # stage one: three seed copies spanning terminal pairs (A,B), (B,C),
-    # (C,A), their a-roles on the triangle d e f, all terminals equal
-    counts1: dict[str, int] = {}
-    survivor1: dict[str, int] | None = None
-    cases1 = 0
-    tri_edges = (("d", "e"), ("e", "f"), ("d", "f"))
-    for shared in (0, 1, 2):
-        for d in (0, 1, 2):
-            for e in (0, 1, 2):
-                for f in (0, 1, 2):
-                    cases1 += 1
-                    assign = {"d": d, "e": e, "f": f}
-                    closed = None
-                    for x, y in tri_edges:
-                        if assign[x] == assign[y]:
-                            closed = f"edge {x}-{y} monochromatic"
-                            break
-                    if closed is None:
-                        for slot_name in ("d", "e", "f"):
-                            pat = pattern_of((assign[slot_name], shared, shared))
-                            if not seed_behavior.feasible(pat):
-                                closed = (
-                                    f"seed copy at {slot_name} needs"
-                                    f" infeasible pattern {pat}"
-                                )
-                                break
-                    if closed is None:
-                        if survivor1 is None:
-                            survivor1 = {"shared": shared, **assign}
-                        counts1["open branch"] = counts1.get("open branch", 0) + 1
-                    else:
-                        counts1[closed] = counts1.get(closed, 0) + 1
-    triple_stage = {
-        "cases": cases1,
-        "closed_by": dict(sorted(counts1.items())),
-        "survivor": survivor1,
-    }
-    if survivor1 is not None:
-        return CompositionalResult(
-            ok=False,
-            triple_stage=triple_stage,
-            final_stage=None,
-            counterexample=survivor1,
-        )
-
-    # stage two: the ten interface vertices of the final assembly; the
-    # hub is pinned to color 0, which is no loss because permuting
-    # colors preserves properness
-    counts2: dict[str, int] = {}
-    tree, survivor2 = _close_tree(
-        _FINAL_NAMES,
-        {"a": 0},
-        1,
-        _FINAL_NAME_EDGES,
-        _FINAL_COPY_TRIPLES,
-        counts2,
+    recipe = triple_recipe(seed)
+    triple_stage = walk_recipe(recipe, [seed_behavior] * 3, (0, 1, 2))
+    composite = TerminalGadget(paste(recipe).graph, (0, 1, 2), triple_contract())
+    final_stage = walk_recipe(
+        counterexample_recipe(composite), [triple_stage.behavior] * 4, ()
     )
-    final_stage = {
-        "assumed": {"a": 0},
-        "closed_by": dict(sorted(counts2.items())),
-        "tree": tree,
-    }
-    return CompositionalResult(
-        ok=survivor2 is None,
-        triple_stage=triple_stage,
-        final_stage=final_stage,
-        counterexample=survivor2,
-    )
+    return CompositionalResult(triple_stage, final_stage)
 
 
 # ---------------------------------------------------------------------------

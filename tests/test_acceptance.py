@@ -115,7 +115,7 @@ def test_criterion_3_theorem_suite(seed_gadget, final_graph):
         split = revalidate_unsat(g)
         assert all(b["verdict"] == "unsat" for b in split["branches"])
 
-        composed = compositional_check(terminal_behavior(seed_gadget))
+        composed = compositional_check(seed_gadget, terminal_behavior(seed_gadget))
         assert composed.ok and composed.counterexample is None
     report(3, "non-colorability theorem suite", t, limit=60)
 

@@ -156,6 +156,31 @@ def test_lemmas(capsys):
     assert out.rstrip().endswith("overall: PASS")
 
 
+def test_lemmas_json_lists_the_fifteen_checks_in_order(tmp_path, capsys):
+    path = tmp_path / "lemmas.json"
+    code, _, _ = run_cli(capsys, "lemmas", "--json", str(path))
+    assert code == 0
+    checks = json.loads(path.read_text())["checks"]
+    assert [c["name"] for c in checks] == [
+        "seed:forbidden-cycles",
+        "seed:distance-t0-t1",
+        "seed:distance-t0-t2",
+        "seed:distance-t1-t2",
+        "seed:pattern-000-infeasible",
+        "seed:planarity",
+        "seed:all-equal-exhaustive-sweep",
+        "seed:all-equal-brute-force",
+        "triple:forbidden-cycles",
+        "triple:distance-t0-t1",
+        "triple:distance-t0-t2",
+        "triple:distance-t1-t2",
+        "triple:pattern-000-infeasible",
+        "triple:planarity",
+        "composition:case-tree",
+    ]
+    assert all(c["verdict"] == "pass" for c in checks)
+
+
 def test_search_stock_writes_a_frozen_gadget(tmp_path, capsys, seed_gadget):
     code, out, _ = run_cli(
         capsys, "search", "--stock", "--limit", "1", "--out-dir", str(tmp_path)

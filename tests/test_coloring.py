@@ -13,7 +13,6 @@ from steinberg import (
     build_graph,
     check_fixed,
     exhaustive_color_count,
-    forced_unequal,
     is_proper,
     revalidate_unsat,
     solve_3coloring,
@@ -425,7 +424,7 @@ def test_triangle_terminals_admit_only_all_distinct():
 
 def test_edgeless_gadget_is_not_forced_unequal():
     g = build_graph(3, [])
-    assert not forced_unequal(_bare_gadget(g, (0, 1, 2)))
+    assert terminal_behavior(_bare_gadget(g, (0, 1, 2))).feasible("000")
 
 
 def test_seed_gadget_behavior_table(seed_gadget):
@@ -433,7 +432,6 @@ def test_seed_gadget_behavior_table(seed_gadget):
     table = dict(behavior.entries)
     assert table["000"] is False
     assert all(table[p] for p in ("001", "010", "011", "012"))
-    assert forced_unequal(seed_gadget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
 import json
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from steinberg import (
     ContractError,
@@ -27,8 +31,14 @@ from steinberg import (
     triple_recipe,
     verify_contract,
 )
-from steinberg.coloring import TerminalBehavior, all_patterns
-from steinberg.gadgets import load_gadget_payload
+from steinberg.coloring import (
+    TerminalBehavior,
+    all_patterns,
+    is_proper,
+    pattern_of,
+    solve_3coloring,
+)
+from steinberg.gadgets import load_gadget_payload, walk_recipe
 from steinberg.graphs import add_edges
 
 from support import normalize_cycle
@@ -378,31 +388,158 @@ def test_build_counterexample_rejects_a_broken_triple(triple_gadget):
 
 def test_compositional_check_closes_every_branch(seed_gadget):
     behavior = terminal_behavior(seed_gadget)
-    result = compositional_check(behavior)
+    result = compositional_check(seed_gadget, behavior)
     assert result.ok
     assert result.counterexample is None
-    assert result.triple_stage["cases"] == 81
-    assert result.triple_stage["survivor"] is None
-    assert result.final_stage is not None
-    assert "open branch" not in result.final_stage["closed_by"]
+    assert result.triple_stage.behavior.as_dict() == {
+        "000": False,
+        "001": True,
+        "010": True,
+        "011": True,
+        "012": True,
+    }
+    # no stage-one coloring leaves the composite's terminals all equal,
+    # and no stage-two branch survives at all
+    assert "000" not in result.triple_stage.witnesses
+    assert result.final_stage.witnesses == {}
+    assert result.final_stage.behavior.as_dict() == {"": False}
     # a json-serializable summary
     json.dumps(result.to_json_dict())
 
 
-def test_compositional_check_catches_a_lying_behavior_table():
+def test_composed_triple_table_matches_the_solver(seed_gadget, triple_gadget):
+    result = compositional_check(seed_gadget, terminal_behavior(seed_gadget))
+    assert result.triple_stage.behavior == terminal_behavior(triple_gadget)
+
+
+def test_compositional_check_catches_a_lying_behavior_table(seed_gadget):
     # if the all-equal pattern were feasible the argument must not close
     lying = TerminalBehavior(
         arity=3, entries=tuple((p, True) for p in all_patterns(3))
     )
-    result = compositional_check(lying)
+    result = compositional_check(seed_gadget, lying)
     assert not result.ok
     assert result.counterexample is not None
 
 
-def test_compositional_check_rejects_wrong_arity():
+def test_compositional_check_rejects_wrong_arity(seed_gadget):
     two = TerminalBehavior(arity=2, entries=(("00", False), ("01", True)))
     with pytest.raises(ValueError):
-        compositional_check(two)
+        compositional_check(seed_gadget, two)
+
+
+def test_compositional_check_reads_the_table_in_the_seeds_terminal_order(
+    seed_gadget,
+):
+    # an asymmetric table, as a search might propose: besides the
+    # all-equal pattern, b = c with a apart is infeasible
+    a, b, c = seed_gadget.terminals
+    table = TerminalBehavior(
+        3, tuple((p, p not in ("000", "011")) for p in all_patterns(3))
+    )
+    turned = TerminalGadget(seed_gadget.graph, (b, c, a), InterfaceContract())
+    turned_table = TerminalBehavior(
+        3,
+        tuple(
+            (p, table.feasible(pattern_of([int(p[2]), int(p[0]), int(p[1])])))
+            for p in all_patterns(3)
+        ),
+    )
+    assert paste(triple_recipe(turned)).graph == paste(triple_recipe(seed_gadget)).graph
+    got = compositional_check(turned, turned_table)
+    want = compositional_check(seed_gadget, table)
+    assert got.triple_stage.behavior == want.triple_stage.behavior
+    assert got.ok == want.ok
+
+
+def test_walk_finds_a_survivor_once_an_extra_edge_is_gone(
+    seed_gadget, triple_gadget
+):
+    seed_table = terminal_behavior(seed_gadget)
+    triple_table = compositional_check(seed_gadget, seed_table).triple_stage.behavior
+    recipe = counterexample_recipe(triple_gadget)
+    for edge in recipe.extra_edges:
+        cut = dataclasses.replace(
+            recipe, extra_edges=tuple(e for e in recipe.extra_edges if e != edge)
+        )
+        walk = walk_recipe(cut, [triple_table] * 4, ())
+        assert walk.behavior.feasible(""), edge
+    # the last cut's surviving slot coloring really extends to the graph
+    survivor = walk.witnesses[""]
+    pasted = paste(cut).graph
+    fixing = {pasted.vertex_by_label(name): c for name, c in survivor.items()}
+    coloring = solve_3coloring(pasted, fixing)
+    assert coloring is not None and is_proper(pasted, coloring)
+
+
+@st.composite
+def small_recipes(draw):
+    """2-3 random gadgets of at most 7 vertices and arity 2-3, pasted on
+    random slots with up to 2 fresh vertices and random extra edges,
+    plus 2-3 terminal slots in a random order."""
+    parts = []
+    slot_pool = draw(st.integers(min_value=3, max_value=6))
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        arity = draw(st.integers(min_value=2, max_value=3))
+        n = draw(st.integers(min_value=arity, max_value=7))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+        terminals = tuple(draw(st.permutations(range(n)))[:arity])
+        slots = tuple(draw(st.permutations(range(slot_pool)))[:arity])
+        gadget = TerminalGadget(build_graph(n, edges), terminals, InterfaceContract())
+        parts.append(PastePart(gadget, slots))
+    used = sorted({s for part in parts for s in part.slots})
+    renumber = {s: i for i, s in enumerate(used)}
+    parts = [
+        PastePart(p.gadget, tuple(renumber[s] for s in p.slots)) for p in parts
+    ]
+    num_slots = len(used)
+    fresh = draw(st.integers(min_value=0, max_value=2))
+    part_edges = set()  # part edges that land on two slots
+    for p in parts:
+        slot_of = dict(zip(p.gadget.terminals, p.slots))
+        part_edges |= {
+            frozenset((slot_of[u], slot_of[v]))
+            for u, v in p.gadget.graph.edges
+            if u in slot_of and v in slot_of
+        }
+    free_pairs = [
+        e
+        for e in itertools.combinations(range(num_slots + fresh), 2)
+        if frozenset(e) not in part_edges
+    ]
+    extra_edges = tuple(
+        draw(st.lists(st.sampled_from(free_pairs), unique=True, max_size=6))
+        if free_pairs
+        else ()
+    )
+    arity = draw(st.integers(min_value=2, max_value=min(3, num_slots)))
+    terminals = tuple(draw(st.permutations(range(num_slots)))[:arity])
+    recipe = PasteRecipe(
+        num_slots=num_slots,
+        parts=tuple(parts),
+        extra_vertices=fresh,
+        extra_edges=extra_edges,
+    )
+    return recipe, terminals
+
+
+@given(small_recipes())
+@settings(max_examples=80, deadline=None)
+def test_walk_matches_the_solver_on_the_pasted_graph(case):
+    recipe, terminals = case
+    try:
+        pasted = paste(recipe).graph
+    except PasteError:
+        assume(False)  # two parts put an edge on one slot pair
+    tables = [terminal_behavior(part.gadget) for part in recipe.parts]
+    walk = walk_recipe(recipe, tables, terminals)
+    want = terminal_behavior(
+        TerminalGadget(pasted, terminals, InterfaceContract())
+    )
+    assert walk.behavior == want
+    for pattern, coloring in walk.witnesses.items():
+        assert pattern_of([coloring[str(t)] for t in terminals]) == pattern
 
 
 # ---------------------------------------------------------------------------
