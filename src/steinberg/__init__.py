@@ -45,7 +45,6 @@ from .coloring import (
     revalidate_unsat,
     solve_3coloring,
     solve_3coloring_with_stats,
-    split_3coloring,
     terminal_behavior,
 )
 from .report import CheckResult, VerificationReport
@@ -115,7 +114,6 @@ __all__ = [
     "check_fixed",
     "solve_3coloring",
     "solve_3coloring_with_stats",
-    "split_3coloring",
     "revalidate_unsat",
     "brute_force_3coloring",
     "exhaustive_color_count",

@@ -3,7 +3,7 @@
 Subcommands: build, verify, lemmas, search, shrink, convert.  Exit codes
 are a stable contract: 0 success / all checks passed, 1 a verification
 check failed, 2 usage or parse error.  All configuration arrives via
-flags; `--jobs 1` is the deterministic default everywhere.
+flags, and every command is deterministic.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .coloring import (
     brute_force_3coloring,
     exhaustive_color_count,
     is_proper,
-    split_3coloring,
+    solve_3coloring_with_stats,
     terminal_behavior,
 )
 from .errors import (
@@ -111,7 +111,11 @@ def _write_report(report: VerificationReport, json_path: str | None) -> None:
 
 def counterexample_report(g: Graph, jobs: int = 1, oracle: bool = False) -> VerificationReport:
     """The full battery run against a bare graph, trusting nothing about
-    where it came from."""
+    where it came from.
+
+    ``jobs`` is ignored: the solver runs in one process, and the keyword
+    stays only so existing callers that pass it keep working.
+    """
     checks: list[CheckResult] = []
 
     def planarity():
@@ -132,18 +136,13 @@ def counterexample_report(g: Graph, jobs: int = 1, oracle: bool = False) -> Veri
     checks.append(timed_check("no-4-or-5-cycles", no_short_cycles))
 
     def not_colorable():
-        # one pass over the symmetry split decides the verdict and, on
-        # UNSAT, is the transcript
-        solution, split = split_3coloring(g, jobs=jobs)
-        details: dict[str, Any] = {
-            "solver_nodes": sum(b["nodes"] for b in split["branches"])
-        }
+        solution, stats = solve_3coloring_with_stats(g)
+        details: dict[str, Any] = {"solver_nodes": stats.nodes}
         if solution is not None:
             if not is_proper(g, solution):
                 raise OracleMismatchError("solver returned an improper coloring")
             witness = {"coloring": {str(v): c for v, c in sorted(solution.items())}}
             return False, witness, details
-        details["split"] = split
         if oracle:
             details["oracle"] = "brute-force"
             if brute_force_3coloring(g) is not None:
@@ -207,16 +206,15 @@ def cmd_build(args) -> int:
             file=sys.stderr,
         )
         return 2
-    jobs = args.jobs
     if stage == "seed":
         gadget = seed
     else:
-        triple = build_triple_gadget(seed, jobs=jobs)
+        triple = build_triple_gadget(seed)
         if stage == "triple":
             gadget = triple
         else:
             gadget = None
-            graph = build_counterexample(triple, jobs=jobs)
+            graph = build_counterexample(triple)
     if stage != "final":
         graph = gadget.graph
     digest = canonical_digest(graph)
@@ -248,7 +246,7 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return 2
-    report = counterexample_report(graph, jobs=args.jobs, oracle=args.oracle)
+    report = counterexample_report(graph, oracle=args.oracle)
     _write_report(report, args.json)
     return 0 if report.passed else 1
 
@@ -259,9 +257,8 @@ def cmd_lemmas(args) -> int:
     except SteinbergError as exc:
         print(f"error: frozen seed gadget unavailable: {exc}", file=sys.stderr)
         return 2
-    jobs = args.jobs
     checks: list[CheckResult] = []
-    for c in verify_contract(seed, jobs=jobs).checks:
+    for c in verify_contract(seed).checks:
         checks.append(dataclasses.replace(c, name=f"seed:{c.name}"))
 
     def seed_exhaustive():
@@ -283,12 +280,12 @@ def cmd_lemmas(args) -> int:
 
     checks.append(timed_check("seed:all-equal-brute-force", seed_oracle))
 
-    triple = build_triple_gadget(seed, jobs=jobs)
-    for c in verify_contract(triple, jobs=jobs).checks:
+    triple = build_triple_gadget(seed)
+    for c in verify_contract(triple).checks:
         checks.append(dataclasses.replace(c, name=f"triple:{c.name}"))
 
     def composition():
-        result = compositional_check(seed, terminal_behavior(seed, jobs=jobs))
+        result = compositional_check(seed, terminal_behavior(seed))
         if result.ok:
             return True, None, result.to_json_dict()
         return False, result.counterexample, result.to_json_dict()
@@ -367,12 +364,9 @@ def cmd_convert(args) -> int:
 
 
 def _add_jobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the solver (default 1, deterministic)",
-    )
+    # accepted and ignored, so command lines that still pass --jobs keep
+    # their exit codes; the solver runs in one process
+    p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
 
 
 def _add_format(p: argparse.ArgumentParser, flag: str = "--format") -> None:

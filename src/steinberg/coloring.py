@@ -1,14 +1,13 @@
 """3-coloring: a propagating backtracker plus independent brute force.
 
-The solver is deterministic in sequential mode: it branches on the
-unassigned vertex with the fewest remaining colors (ties to the smallest
-index) and tries colors in the order 0, 1, 2.  The brute-force routines
-share no search logic with it and exist to keep the solver honest.
+The solver is deterministic: it branches on the unassigned vertex with
+the fewest remaining colors (ties to the smallest index) and tries
+colors in the order 0, 1, 2.  The brute-force routines share no search
+logic with it and exist to keep the solver honest.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
@@ -276,77 +275,35 @@ def _search(
         dom = nxt
 
 
-def _solve_sequential(
-    n: int,
-    edges: Sequence[tuple[int, int]],
-    fixed: Mapping[int, int],
-    stats: SolveStats,
-) -> ColorAssignment | None:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    nb = [sum(1 << w for w in ns) for ns in adj]
-    dom = [0b111] * n
-    pending = []
-    for v, c in fixed.items():
-        dom[v] = _COLOR_BITS[c]
-        pending.append(v)
-    pending.sort()
-    if not _propagate(adj, nb, dom, pending, stats):
-        return None
-    final = _search(adj, nb, dom, stats)
-    if final is None:
-        return None
-    return {v: _BIT_COLOR[d] for v, d in enumerate(final)}
-
-
-def _solve_worker(
-    args: tuple[int, tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]],
-) -> tuple[ColorAssignment | None, SolveStats]:
-    n, edges, fixed_items = args
-    stats = SolveStats()
-    return _solve_sequential(n, edges, dict(fixed_items), stats), stats
-
-
 def solve_3coloring_with_stats(
-    g: Graph, fixed: Mapping[int, int] | None = None, jobs: int = 1
+    g: Graph, fixed: Mapping[int, int] | None = None
 ) -> tuple[ColorAssignment | None, SolveStats]:
     """Like :func:`solve_3coloring` but also returns search statistics."""
     fixed = dict(fixed or {})
     check_fixed(g, fixed)
+    if not fixed and g.n:
+        # permuting the colors maps proper colorings to proper colorings,
+        # so with nothing fixed vertex 0 may take color 0 outright
+        fixed = {0: 0}
     stats = SolveStats()
-    if jobs <= 1 or g.n == 0:
-        return _solve_sequential(g.n, g.edges, fixed, stats), stats
-    # parallel mode: split the smallest-index free vertex across workers;
-    # the verdict matches sequential mode, the witness may not
-    free = [v for v in range(g.n) if v not in fixed]
-    if not free:
-        return _solve_sequential(g.n, g.edges, fixed, stats), stats
-    root = free[0]
-    tasks = []
-    for c in (0, 1, 2):
-        sub = dict(fixed)
-        sub[root] = c
-        try:
-            check_fixed(g, sub)
-        except ImproperFixingError:
-            continue
-        tasks.append((g.n, g.edges, tuple(sorted(sub.items()))))
-    with ProcessPoolExecutor(max_workers=min(jobs, 3)) as pool:
-        results = list(pool.map(_solve_worker, tasks))
-    # every branch runs to completion, so the counts cover all of them
-    for _, branch in results:
-        stats.nodes += branch.nodes
-        stats.propagations += branch.propagations
-    for res, _ in results:
-        if res is not None:
-            return res, stats
-    return None, stats
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    nb = [sum(1 << w for w in ns) for ns in adj]
+    dom = [0b111] * g.n
+    for v, c in fixed.items():
+        dom[v] = _COLOR_BITS[c]
+    if not _propagate(adj, nb, dom, sorted(fixed), stats):
+        return None, stats
+    final = _search(adj, nb, dom, stats)
+    if final is None:
+        return None, stats
+    return {v: _BIT_COLOR[d] for v, d in enumerate(final)}, stats
 
 
 def solve_3coloring(
-    g: Graph, fixed: Mapping[int, int] | None = None, jobs: int = 1
+    g: Graph, fixed: Mapping[int, int] | None = None
 ) -> ColorAssignment | None:
     """Find a proper 3-coloring extending ``fixed``, or None when no
     extension exists.
@@ -354,70 +311,48 @@ def solve_3coloring(
     A ``fixed`` assignment that already violates one of its own edges
     raises :class:`ImproperFixingError`; that situation is reported as an
     input error, never as UNSAT.  The empty graph is satisfiable with the
-    empty assignment.
+    empty assignment.  With nothing fixed, vertex 0 gets color 0.
     """
-    result, _ = solve_3coloring_with_stats(g, fixed, jobs=jobs)
+    result, _ = solve_3coloring_with_stats(g, fixed)
     return result
 
 
-def split_3coloring(
-    g: Graph, fixed: Mapping[int, int] | None = None, jobs: int = 1
-) -> tuple[ColorAssignment | None, dict]:
-    """Decide colorability by a symmetry split and return the transcript.
+def revalidate_unsat(g: Graph, fixed: Mapping[int, int] | None = None) -> dict:
+    """Re-derive an UNSAT verdict by a symmetry split and return its
+    transcript.
 
-    The smallest free vertex is pinned to each color in turn, stopping at
-    the first satisfiable branch, whose coloring is returned; None means
-    every branch is UNSAT or conflicts with a fixed neighbor.  The
-    transcript gives the ``root`` and one entry per branch tried.
-
-    With nothing fixed the solver's rules are color-symmetric and it
-    branches first on vertex 0, so this replays :func:`solve_3coloring`
-    branch for branch and returns the same coloring, one node cheaper.
+    The smallest free vertex is pinned to each color in turn and solved;
+    the transcript gives the ``root`` and one entry per branch.  A
+    satisfiable branch, or a total fixing that is itself a proper
+    coloring, means the original verdict was wrong and raises
+    :class:`OracleMismatchError` at once.  This repeats the solver, so it
+    is opt-in evidence, not part of any report.
     """
     fixed = dict(fixed or {})
     check_fixed(g, fixed)
     free = [v for v in range(g.n) if v not in fixed]
     if not free:
         # check_fixed passed, so a total fixing is a proper coloring
-        return fixed, {"root": None, "branches": []}
+        raise OracleMismatchError(
+            "UNSAT claimed but the fixing itself is a proper coloring"
+        )
     root = free[0]
     branches = []
     for c in (0, 1, 2):
         split = dict(fixed)
         split[root] = c
         try:
-            result, stats = solve_3coloring_with_stats(g, split, jobs=jobs)
+            result, stats = solve_3coloring_with_stats(g, split)
         except ImproperFixingError:
             branches.append({"color": c, "verdict": "conflict", "nodes": 0})
             continue
-        verdict = "unsat" if result is None else "sat"
-        branches.append({"color": c, "verdict": verdict, "nodes": stats.nodes})
         if result is not None:
-            return result, {"root": root, "branches": branches}
-    return None, {"root": root, "branches": branches}
-
-
-def revalidate_unsat(
-    g: Graph, fixed: Mapping[int, int] | None = None, jobs: int = 1
-) -> dict:
-    """Re-derive an UNSAT verdict by :func:`split_3coloring` and return
-    its transcript.
-
-    A satisfiable branch means the original verdict was wrong and raises
-    :class:`OracleMismatchError`.  Mostly useful past the brute-force
-    guard, where no full enumeration can back the solver up.
-    """
-    result, split = split_3coloring(g, fixed, jobs=jobs)
-    if result is not None:
-        if split["root"] is None:
             raise OracleMismatchError(
-                "UNSAT claimed but the fixing itself is a proper coloring"
+                f"UNSAT claimed overall but SAT with vertex {root} pinned"
+                f" to color {c}"
             )
-        raise OracleMismatchError(
-            f"UNSAT claimed overall but SAT with vertex {split['root']} pinned"
-            f" to color {split['branches'][-1]['color']}"
-        )
-    return split
+        branches.append({"color": c, "verdict": "unsat", "nodes": stats.nodes})
+    return {"root": root, "branches": branches}
 
 
 def brute_force_3coloring(
@@ -579,7 +514,7 @@ class TerminalBehavior:
         return tuple(p for p, ok in self.entries if ok)
 
 
-def terminal_behavior(gadget: "TerminalGadget", jobs: int = 1) -> TerminalBehavior:
+def terminal_behavior(gadget: "TerminalGadget") -> TerminalBehavior:
     """Decide every terminal pattern of a gadget with 2 to 4 terminals.
 
     A pattern whose representative coloring is improper on the terminal
@@ -599,7 +534,7 @@ def terminal_behavior(gadget: "TerminalGadget", jobs: int = 1) -> TerminalBehavi
         except ImproperFixingError:
             entries.append((pattern, False))
             continue
-        result = solve_3coloring(gadget.graph, fixing, jobs=jobs)
+        result = solve_3coloring(gadget.graph, fixing)
         if result is not None and not is_proper(gadget.graph, result):
             raise OracleMismatchError(
                 f"pattern {pattern}: solver returned an improper coloring"

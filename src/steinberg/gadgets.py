@@ -40,7 +40,6 @@ from .coloring import (
     is_proper,
     pattern_of,
     pattern_representative,
-    revalidate_unsat,
     solve_3coloring_with_stats,
 )
 from .errors import ContractError, FormatError, OracleMismatchError, PasteError
@@ -48,7 +47,7 @@ from .formats import graph_from_json_dict, graph_to_json_dict, parse_json_payloa
 from .graphs import Graph, add_apex, build_graph
 from .report import CheckResult, VerificationReport, timed_check
 
-_ORACLE_FREE_LIMIT = 25  # past this, UNSAT is revalidated by symmetry split
+_ORACLE_FREE_LIMIT = 25  # past this, an UNSAT pattern is reported oracle-skipped
 
 
 # ---------------------------------------------------------------------------
@@ -215,19 +214,20 @@ def triple_contract() -> InterfaceContract:
 # verification
 
 def _check_pattern_infeasible(
-    g: Graph, terminals: tuple[int, ...], pattern: str, jobs: int = 1
+    g: Graph, terminals: tuple[int, ...], pattern: str
 ) -> tuple[bool, Any, dict[str, Any]]:
     """Solver verdict plus independent revalidation for one pattern.
 
     Below the brute-force guard the oracle re-decides the query and any
     disagreement with the solver raises :class:`OracleMismatchError`.
-    Above it, an UNSAT answer is re-validated by a symmetry split: the
-    smallest free vertex is pinned to each of the three colors in turn.
+    Above it no oracle runs, and the details say so (mode
+    ``oracle-skipped`` with the number of free vertices): re-running the
+    same solver would add no independent evidence.
     """
     rep = pattern_representative(pattern)
     fixing = {terminals[i]: rep[i] for i in range(len(terminals))}
     try:
-        solution, stats = solve_3coloring_with_stats(g, fixing, jobs=jobs)
+        solution, stats = solve_3coloring_with_stats(g, fixing)
     except ImproperFixingError:
         # two equal terminals are adjacent: the pattern cannot occur
         return True, None, {"mode": "adjacent-terminals"}
@@ -249,12 +249,12 @@ def _check_pattern_infeasible(
             )
         details["mode"] = "brute-force-oracle"
     else:
-        details["mode"] = "symmetry-split"
-        details["split"] = revalidate_unsat(g, fixing, jobs=jobs)
+        details["mode"] = "oracle-skipped"
+        details["free_vertices"] = free
     return True, None, details
 
 
-def verify_contract(gadget: TerminalGadget, jobs: int = 1) -> VerificationReport:
+def verify_contract(gadget: TerminalGadget) -> VerificationReport:
     """Re-check every contract clause; one report line per clause."""
     g = gadget.graph
     contract = gadget.contract
@@ -301,9 +301,7 @@ def verify_contract(gadget: TerminalGadget, jobs: int = 1) -> VerificationReport
     for pattern in sorted(contract.forbidden_patterns):
 
         def pattern_clause(pattern=pattern):
-            return _check_pattern_infeasible(
-                g, gadget.terminals, pattern, jobs=jobs
-            )
+            return _check_pattern_infeasible(g, gadget.terminals, pattern)
 
         checks.append(timed_check(f"pattern-{pattern}-infeasible", pattern_clause))
 
@@ -322,10 +320,10 @@ def verify_contract(gadget: TerminalGadget, jobs: int = 1) -> VerificationReport
     return VerificationReport(target=target, checks=tuple(checks))
 
 
-def require_contract(gadget: TerminalGadget, jobs: int = 1) -> VerificationReport:
+def require_contract(gadget: TerminalGadget) -> VerificationReport:
     """verify_contract, raising :class:`ContractError` on the first
     failing clause."""
-    report = verify_contract(gadget, jobs=jobs)
+    report = verify_contract(gadget)
     if not report.passed:
         bad = next(c for c in report.checks if not c.passed)
         raise ContractError(
@@ -459,7 +457,9 @@ def paste(recipe: PasteRecipe) -> PasteResult:
 
 def _seed_roles(seed: TerminalGadget) -> tuple[int, int, int]:
     """Order the seed terminals as (a, b, c): the pair at distance 4 is
-    (b, c) and the remaining terminal is a."""
+    (b, c), b the smaller vertex id, and the remaining terminal is a.
+    Ordering b and c by id, not by position, keeps the pasted triple the
+    same whatever order the seed lists its terminals in."""
     t = seed.terminals
     if len(t) != 3:
         raise ContractError(
@@ -480,7 +480,8 @@ def _seed_roles(seed: TerminalGadget) -> tuple[int, int, int]:
         )
     b_pos, c_pos = far[0]
     a_pos = ({0, 1, 2} - {b_pos, c_pos}).pop()
-    return t[a_pos], t[b_pos], t[c_pos]
+    b, c = sorted((t[b_pos], t[c_pos]))
+    return t[a_pos], b, c
 
 
 def triple_recipe(seed: TerminalGadget) -> PasteRecipe:
@@ -516,12 +517,12 @@ def build_triple_gadget(seed: TerminalGadget, jobs: int = 1) -> TerminalGadget:
     """Paste three verified seed copies into the composite gadget.
 
     The seed is re-verified against its full contract first; any failing
-    clause rejects the build.
+    clause rejects the build.  ``jobs`` is ignored: the solver runs in one
+    process, and the keyword stays only so existing callers that pass it
+    keep working.
     """
     a, b, c = _seed_roles(seed)
-    require_contract(
-        TerminalGadget(seed.graph, (a, b, c), seed_contract()), jobs=jobs
-    )
+    require_contract(TerminalGadget(seed.graph, (a, b, c), seed_contract()))
     result = paste(triple_recipe(seed))
     return TerminalGadget(result.graph, (0, 1, 2), triple_contract())
 
@@ -582,10 +583,12 @@ def counterexample_recipe(triple: TerminalGadget) -> PasteRecipe:
 
 
 def build_counterexample(triple: TerminalGadget, jobs: int = 1) -> Graph:
-    """Assemble the final graph from a verified composite gadget."""
+    """Assemble the final graph from a verified composite gadget.
+
+    ``jobs`` is ignored, as in :func:`build_triple_gadget`.
+    """
     require_contract(
-        TerminalGadget(triple.graph, triple.terminals, triple_contract()),
-        jobs=jobs,
+        TerminalGadget(triple.graph, triple.terminals, triple_contract())
     )
     result = paste(counterexample_recipe(triple))
     g = result.graph

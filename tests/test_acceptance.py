@@ -100,6 +100,9 @@ def test_criterion_2_triple_lemma_suite(seed_gadget, triple_gadget):
         split = revalidate_unsat(g2, fixing)
         assert len(split["branches"]) == 3
         assert all(b["verdict"] in ("unsat", "conflict") for b in split["branches"])
+        # solver-free backing: the triple's table, derived from the seed's
+        composed = compositional_check(seed_gadget, terminal_behavior(seed_gadget))
+        assert composed.triple_stage.behavior.feasible("000") is False
     report(2, "composite lemma suite", t, limit=30)
 
 

@@ -105,15 +105,38 @@ def test_verify_report_json_round_trips(tmp_path, capsys, k4_file):
     assert report.target["n"] == 4
 
 
+def _report_without_durations(path):
+    report = json.loads(path.read_text())
+    for check in report["checks"]:
+        check.pop("duration_s")
+    return report
+
+
 def test_verify_is_deterministic_apart_from_durations(tmp_path, capsys, k4_file):
     paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
     for p in paths:
         assert run_cli(capsys, "verify", str(k4_file), "--json", str(p))[0] == 1
-    reports = [json.loads(p.read_text()) for p in paths]
-    for r in reports:
-        for check in r["checks"]:
-            check.pop("duration_s")
+    reports = [_report_without_durations(p) for p in paths]
     assert reports[0] == reports[1]
+
+
+def test_ignored_jobs_flag_keeps_exit_codes_and_reports(
+    tmp_path, capsys, k4_file, c5_file
+):
+    # --jobs is accepted and ignored, so old command lines behave as before
+    for graph_file in (k4_file, c5_file):
+        runs = []
+        for extra in ((), ("--jobs", "2")):
+            path = tmp_path / f"{graph_file.stem}-{len(extra)}.json"
+            code, _, _ = run_cli(
+                capsys, "verify", str(graph_file), "--json", str(path), *extra
+            )
+            runs.append((code, _report_without_durations(path)))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 1
+    assert run_cli(capsys, "lemmas", "--jobs", "1")[0] == 0
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0 and "--jobs" not in out
 
 
 def test_verify_accepts_gadget_payloads(tmp_path, capsys, seed_gadget):

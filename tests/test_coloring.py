@@ -17,7 +17,6 @@ from steinberg import (
     revalidate_unsat,
     solve_3coloring,
     solve_3coloring_with_stats,
-    split_3coloring,
     terminal_behavior,
 )
 from steinberg import cli, coloring, gadgets
@@ -119,31 +118,6 @@ def test_stats_count_nodes():
     assert sol is not None
 
 
-def test_parallel_stats_sum_the_workers():
-    # each worker solves the root vertex pinned to one color; the pooled
-    # counts must be the sum of those sequential solves, not a fresh zero
-    c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
-    for g in (K4, c6):
-        want = SolveStats()
-        for c in (0, 1, 2):
-            _, branch = solve_3coloring_with_stats(g, {0: c})
-            want.nodes += branch.nodes
-            want.propagations += branch.propagations
-        _, got = solve_3coloring_with_stats(g, jobs=2)
-        assert got == want
-        assert got.propagations > 0
-    assert got.nodes > 0
-
-
-def test_parallel_verdict_matches_sequential():
-    for g in (K4, C5, build_graph(6, [(i, (i + 1) % 6) for i in range(6)])):
-        seq = solve_3coloring(g)
-        par = solve_3coloring(g, jobs=2)
-        assert (seq is None) == (par is None)
-        if par is not None:
-            assert is_proper(g, par)
-
-
 @given(graphs(6))
 @settings(max_examples=150, deadline=None)
 def test_solver_agrees_with_plain_enumeration(g):
@@ -207,10 +181,10 @@ def test_pair_classes_matches_full_scan_reference(case):
 def test_solver_counts_are_pinned_on_seed_and_triple(seed_gadget, triple_gadget):
     # a change that moves these counts or witnesses must say so
     for gadget, stats, witness in (
-        (seed_gadget, SolveStats(nodes=9, propagations=907), "011201202021102"),
+        (seed_gadget, SolveStats(nodes=8, propagations=724), "011201202021102"),
         (
             triple_gadget,
-            SolveStats(nodes=16, propagations=6414),
+            SolveStats(nodes=15, propagations=5856),
             "011102120202011102021202101012020121210021",
         ),
     ):
@@ -223,38 +197,45 @@ def test_solver_counts_are_pinned_on_seed_and_triple(seed_gadget, triple_gadget)
 def test_solver_counts_are_pinned_on_final_graph(final_graph):
     result, stats = solve_3coloring_with_stats(final_graph)
     assert result is None
-    assert stats == SolveStats(nodes=118, propagations=482854)
+    assert stats == SolveStats(nodes=39, propagations=159572)
     split = revalidate_unsat(final_graph)
     assert [b["nodes"] for b in split["branches"]] == [39, 39, 39]
 
 
-def test_report_refutes_the_final_graph_in_one_split(monkeypatch, final_graph):
-    # the verdict comes from the three pinned branches alone: no unpinned
-    # solve ahead of them, no second split after them
+def _count_solves(monkeypatch, *modules):
+    """Record the fixing of every solver call made through ``modules``."""
     calls = []
     solve = coloring.solve_3coloring_with_stats
 
-    def counted(g, fixed=None, jobs=1):
+    def counted(g, fixed=None):
         calls.append(dict(fixed or {}))
-        return solve(g, fixed, jobs=jobs)
+        return solve(g, fixed)
 
-    monkeypatch.setattr(coloring, "solve_3coloring_with_stats", counted)
+    for module in modules:
+        monkeypatch.setattr(module, "solve_3coloring_with_stats", counted)
+    return calls
+
+
+def test_report_refutes_the_final_graph_in_one_solve(monkeypatch, final_graph):
+    # the verdict comes from one solver call with nothing fixed: no split
+    # into pinned branches, no re-solve after it
+    calls = _count_solves(monkeypatch, coloring, cli)
     check = cli.counterexample_report(final_graph).check("not-3-colorable")
     assert check.passed
-    assert calls == [{0: 0}, {0: 1}, {0: 2}]
-    split = check.details["split"]
-    assert split["root"] == 0
-    assert [b["nodes"] for b in split["branches"]] == [39, 39, 39]
-    assert all(b["verdict"] == "unsat" for b in split["branches"])
-    assert check.details["solver_nodes"] == 117
+    assert calls == [{}]
+    assert check.details == {"solver_nodes": 39}
 
 
 @given(graphs(7))
 @settings(max_examples=150, deadline=None)
-def test_split_replays_the_unpinned_solve(g):
-    # with nothing fixed the solver branches first on vertex 0 under
-    # color-symmetric rules, so the split returns the very same witness
-    assert split_3coloring(g)[0] == solve_3coloring(g)
+def test_unfixed_solve_pins_vertex_0_to_color_0(g):
+    # permuting the colors maps colorings to colorings, so the pin loses
+    # nothing: the verdict still matches brute force over every color
+    got = solve_3coloring(g)
+    assert (got is None) == (brute_force_3coloring(g) is None)
+    if got is not None:
+        assert is_proper(g, got)
+        assert g.n == 0 or got[0] == 0
 
 
 def _stack_depth() -> int:
@@ -277,15 +258,17 @@ def test_deep_branching_does_not_recurse():
         got, stats = solve_3coloring_with_stats(path)
     finally:
         sys.setrecursionlimit(limit)
-    assert stats.nodes > n
+    # vertex 0 is pinned, not branched on: one node for each of the
+    # other n - 1 vertices plus the colored leaf, n in all
+    assert stats.nodes >= n
     assert got is not None and is_proper(path, got)
 
 
-def _all_zero(g, fixed=None, jobs=1):
+def _all_zero(g, fixed=None):
     return {v: 0 for v in range(g.n)}
 
 
-def _all_zero_with_stats(g, fixed=None, jobs=1):
+def _all_zero_with_stats(g, fixed=None):
     return _all_zero(g), SolveStats()
 
 
@@ -293,7 +276,7 @@ def _all_zero_with_stats(g, fixed=None, jobs=1):
     "module, name, fake, run",
     [
         (
-            coloring,
+            cli,
             "solve_3coloring_with_stats",
             _all_zero_with_stats,
             lambda: cli.counterexample_report(C5),
@@ -438,10 +421,13 @@ def test_seed_gadget_behavior_table(seed_gadget):
 # UNSAT revalidation
 
 def test_revalidate_unsat_on_k4():
-    split = revalidate_unsat(K4)
-    assert split["root"] == 0
-    assert [b["color"] for b in split["branches"]] == [0, 1, 2]
-    assert all(b["verdict"] == "unsat" for b in split["branches"])
+    # propagation refutes every pinned branch before any search node
+    assert revalidate_unsat(K4) == {
+        "root": 0,
+        "branches": [
+            {"color": c, "verdict": "unsat", "nodes": 0} for c in (0, 1, 2)
+        ],
+    }
 
 
 def test_revalidate_unsat_conflict_branches():
@@ -451,33 +437,17 @@ def test_revalidate_unsat_conflict_branches():
     assert all(b["verdict"] == "conflict" for b in split["branches"])
 
 
-def test_split_3coloring_stops_at_the_first_satisfiable_branch():
-    # vertex 0 of a triangle pinned to 0 already colors; the transcript
-    # holds that one branch
-    tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    got, split = split_3coloring(tri)
-    assert got == {0: 0, 1: 1, 2: 2}
-    assert split["root"] == 0
-    assert [(b["color"], b["verdict"]) for b in split["branches"]] == [(0, "sat")]
-    # a total fixing needs no split: it is the coloring
-    assert split_3coloring(tri, {0: 2, 1: 0, 2: 1}) == (
-        {0: 2, 1: 0, 2: 1},
-        {"root": None, "branches": []},
-    )
-    assert split_3coloring(K4) == (
-        None,
-        {
-            "root": 0,
-            "branches": [
-                {"color": c, "verdict": "unsat", "nodes": 0} for c in (0, 1, 2)
-            ],
-        },
-    )
-
-
-def test_revalidate_unsat_rejects_satisfiable_input():
+def test_revalidate_unsat_rejects_satisfiable_input(monkeypatch):
     with pytest.raises(OracleMismatchError):
         revalidate_unsat(C5)
+    # vertex 0 of a triangle pinned to 0 already colors: the split stops
+    # at that first branch and names it
+    calls = _count_solves(monkeypatch, coloring)
     tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(OracleMismatchError):
-        revalidate_unsat(tri, {0: 0, 1: 1, 2: 2})
+    with pytest.raises(OracleMismatchError, match="vertex 0 pinned to color 0"):
+        revalidate_unsat(tri)
+    assert calls == [{0: 0}]
+    # a total proper fixing needs no split: it is the coloring
+    with pytest.raises(OracleMismatchError, match="fixing itself"):
+        revalidate_unsat(tri, {0: 2, 1: 0, 2: 1})
+    assert calls == [{0: 0}]

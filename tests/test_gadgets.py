@@ -177,6 +177,20 @@ def test_verify_contract_pattern_clause():
     assert witness is not None and "coloring" in witness
 
 
+def test_pattern_clause_says_which_cross_check_ran(seed_gadget, triple_gadget):
+    # the seed is small enough for brute force; the triple is past the
+    # guard, and the report says that no oracle backed its verdict
+    seed_check = verify_contract(seed_gadget).check("pattern-000-infeasible")
+    assert seed_check.details["mode"] == "brute-force-oracle"
+    triple_check = verify_contract(triple_gadget).check("pattern-000-infeasible")
+    assert triple_check.passed
+    assert triple_check.details == {
+        "solver_nodes": 0,
+        "mode": "oracle-skipped",
+        "free_vertices": 39,
+    }
+
+
 def test_verify_contract_nonplanar():
     k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
     gadget = TerminalGadget(k5, (0, 1), InterfaceContract())
@@ -329,6 +343,15 @@ def test_triple_recipe_orients_the_seed(seed_gadget):
         seen_pairs.add(frozenset({b_slot, c_slot}))
         assert part.slots[0] in (3, 4, 5)
     assert seen_pairs == {frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})}
+
+
+def test_triple_paste_ignores_the_seeds_terminal_order(seed_gadget):
+    # b and c are told apart by vertex id, so all six orders of the
+    # seed's terminals paste the very same triple, not a mirror image
+    want = paste(triple_recipe(seed_gadget)).graph
+    for order in itertools.permutations(seed_gadget.terminals):
+        turned = TerminalGadget(seed_gadget.graph, order, InterfaceContract())
+        assert paste(triple_recipe(turned)).graph == want
 
 
 def test_build_triple_gadget_arithmetic(seed_gadget, triple_gadget):
