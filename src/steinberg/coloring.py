@@ -1,17 +1,20 @@
-"""3-coloring: a propagating backtracker plus independent brute force.
+"""3-coloring: a clause-learning solver plus independent brute force.
 
-The solver is deterministic: it branches on the unassigned vertex with
-the fewest remaining colors (ties to the smallest index) and tries
-colors in the order 0, 1, 2.  The brute-force routines share no search
-logic with it and exist to keep the solver honest.
+The solver encodes the coloring as clauses over (vertex, color)
+variables and runs textbook conflict-driven clause learning on them, so
+its speed does not hang on the input's vertex order.  It is
+deterministic: each decision sets the unassigned variable of highest
+activity false, ties to the smallest variable.  On UNSAT its learnt
+clauses form a proof that a unit-propagation checker can replay.  The
+brute-force routines share no search logic with it and exist to keep
+the solver honest.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
-
-import numpy as np
+import heapq
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .errors import ImproperFixingError, OracleMismatchError, SizeGuardError
 from .graphs import Graph
@@ -23,10 +26,6 @@ ColorAssignment = dict[int, int]
 
 _BRUTE_FORCE_LIMIT = 25  # 3^25 assignment space; beyond this, refuse
 _EXHAUSTIVE_LIMIT = 16  # vectorized full sweep, all 3^k rows touched
-
-_COLOR_BITS = (1, 2, 4)
-_BIT_COLOR = {1: 0, 2: 1, 4: 2}
-_POPCOUNT = (0, 1, 1, 2, 1, 2, 2, 3)
 
 
 def is_proper(g: Graph, assignment: Mapping[int, int]) -> bool:
@@ -56,250 +55,192 @@ def check_fixed(g: Graph, fixed: Mapping[int, int]) -> None:
 
 @dataclass
 class SolveStats:
+    """Counters of one solve, plus the clauses it learnt.
+
+    ``nodes`` counts decisions and ``propagations`` the literals unit
+    propagation processed.  ``proof`` lists the learnt clauses in the
+    order they were learnt, in the literal encoding of
+    :func:`solve_3coloring_with_stats`; after an UNSAT verdict each of
+    them, and then the empty clause, follows from the encoding and the
+    clauses before it by unit propagation alone (a RUP proof).
+    """
+
     nodes: int = 0
     propagations: int = 0
+    conflicts: int = 0
+    proof: list[tuple[int, ...]] = field(
+        default_factory=list, compare=False, repr=False
+    )
 
 
-_PAIRS = (0b011, 0b101, 0b110)
-
-
-def _pair_classes(
-    nb: Sequence[int],
-    dom: list[int],
-    pending: list[int],
-) -> bool | None:
-    """Reason about vertices stuck on the same two colors.
-
-    Adjacent vertices sharing a two-color domain alternate, so each
-    connected class of them two-colors like a path: an odd cycle inside
-    one class is a wipeout, and any vertex adjacent to both parities of
-    a single class sees both colors and loses the pair.  Returns None on
-    wipeout, else whether any domain shrank (shrunk vertices are queued).
-
-    ``nb[v]`` is the neighborhood of ``v`` as a bitmask.  Each class is
-    grown by a layered flood fill over the masks, so an edge inside one
-    layer is the odd cycle, and a vertex sees both parities exactly when
-    it lies in the neighborhoods of both the even and the odd layers.
-    Stripping a pair never leaves a new pair behind (what is left is a
-    singleton or nothing), so one bucketing pass up front serves all
-    three pairs; a bucketed vertex an earlier pair shrank is skipped.
-    Pairs go in ``_PAIRS`` order and strips in index order.
-    """
-    buckets = dict.fromkeys(_PAIRS, 0)
-    for s, ds in enumerate(dom):
-        if _POPCOUNT[ds] == 2:
-            buckets[ds] |= 1 << s
-    stripped = 0
-    for p in _PAIRS:
-        members = left = buckets[p] & ~stripped
-        hits = 0
-        while left:
-            seen = layer = left & -left
-            # neighborhoods of the layers with the next layer's parity,
-            # and of those with the other parity
-            ahead = behind = 0
-            while layer:
-                # most classes are single edges, so most layers are one
-                # vertex, whose mask needs no bit walk
-                if layer & (layer - 1):
-                    reach = 0
-                    rest = layer
-                    while rest:
-                        low = rest & -rest
-                        reach |= nb[low.bit_length() - 1]
-                        rest ^= low
-                else:
-                    reach = nb[layer.bit_length() - 1]
-                if reach & layer:
-                    return None  # odd cycle two-colored
-                ahead, behind = behind, ahead | reach
-                layer = reach & left & ~seen
-                seen |= layer
-            hits |= ahead & behind
-            left &= ~seen
-        hits &= ~members
-        while hits:
-            low = hits & -hits
-            hits ^= low
-            w = low.bit_length() - 1
-            dw = dom[w]
-            if not (dw & p):
-                continue
-            dw &= ~p
-            if not dw:
-                return None
-            dom[w] = dw
-            pending.append(w)
-            stripped |= low
-    return stripped != 0
-
-
-def _fixpoint(
-    adj: Sequence[Sequence[int]],
-    nb: Sequence[int],
-    dom: list[int],
-    pending: list[int],
-    stats: SolveStats,
-) -> bool:
-    """Push shrunken domains through their neighborhoods.  In place;
-    returns False on a wiped-out domain.
-
-    A singleton leaves its neighbors' domains; two adjacent vertices
-    stuck on the same two colors must use both, so their common
-    neighbors lose the pair.  Once the queue drains, the whole-class
-    parity rules of :func:`_pair_classes` run, and the two alternate to
-    a fixpoint.
-    """
-    i = 0
-    while True:
-        while i < len(pending):
-            v = pending[i]
-            i += 1
-            dv = dom[v]
-            size = _POPCOUNT[dv]
-            if size == 1:
-                for w in adj[v]:
-                    dw = dom[w]
-                    if dw & dv:
-                        dw &= ~dv
-                        if not dw:
-                            return False
-                        dom[w] = dw
-                        if _POPCOUNT[dw] <= 2:
-                            pending.append(w)
-            elif size == 2:
-                for u in adj[v]:
-                    if dom[u] != dv:
-                        continue
-                    nu = nb[u]
-                    for w in adj[v]:
-                        if not nu >> w & 1:
-                            continue
-                        dw = dom[w]
-                        if dw & dv:
-                            dw &= ~dv
-                            if not dw:
-                                return False
-                            dom[w] = dw
-                            pending.append(w)
-            stats.propagations += 1
-        shrank = _pair_classes(nb, dom, pending)
-        if shrank is None:
-            return False
-        if not shrank:
-            return True
-
-
-def _propagate(
-    adj: Sequence[Sequence[int]],
-    nb: Sequence[int],
-    dom: list[int],
-    pending: list[int],
-    stats: SolveStats,
-) -> bool:
-    """Propagation with failed-literal probing on top of the fixpoint
-    rules: a color whose trial assignment propagates to a wipeout is
-    stripped outright.  This is what surfaces a gadget's interface
-    constraints (some vertex cannot take some color) without search."""
-    if not _fixpoint(adj, nb, dom, pending, stats):
-        return False
-    while True:
-        stripped = False
-        for v in range(len(dom)):
-            dv = dom[v]
-            if _POPCOUNT[dv] == 1:
-                continue
-            for bit in _COLOR_BITS:
-                if not dv & bit:
-                    continue
-                trial = dom[:]
-                trial[v] = bit
-                if not _fixpoint(adj, nb, trial, [v], stats):
-                    dv &= ~bit
-                    if not dv:
-                        return False
-                    dom[v] = dv
-                    stripped = True
-                    if not _fixpoint(adj, nb, dom, [v], stats):
-                        return False
-                    dv = dom[v]
-                    if _POPCOUNT[dv] == 1:
-                        break
-        if not stripped:
-            return True
-
-
-def _search(
-    adj: Sequence[Sequence[int]],
-    nb: Sequence[int],
-    dom: list[int],
-    stats: SolveStats,
+def _cdcl(
+    num_vars: int, clauses: list[list[int]], stats: SolveStats
 ) -> list[int] | None:
-    """Depth-first search over propagated domains, with an explicit stack
-    so the branching depth is not bounded by Python's recursion limit.
+    """Conflict-driven clause learning over literals ``2 * var`` (true)
+    and ``2 * var + 1`` (false); returns the literal values of a total
+    model (1 true, -1 false), or None when the clauses are unsatisfiable.
 
-    Each node branches on the unassigned vertex with the fewest colors
-    (ties to the smallest index) and tries its colors in order 0, 1, 2.
+    Two watched literals per clause, first-UIP learning, and branching
+    on the unassigned variable of highest activity (ties to the smallest
+    variable), set false.  Every variable in a conflict's analysis gains
+    activity, and later conflicts weigh more.  No restarts and no clause
+    deletion, so the learnt clauses only grow.
     """
-    stack: list[tuple[list[int], int, Iterator[int]]] = []
+    value = [0] * (2 * num_vars)
+    level = [0] * num_vars
+    reason: list[list[int] | None] = [None] * num_vars
+    watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars)]
+    trail: list[int] = []
+    trail_lim: list[int] = []
+    activity = [0.0] * num_vars
+    bump = 1.0
+    heap = [(-0.0, v) for v in range(num_vars)]  # sorted, so a heap
+
+    def assign(lit: int, why: list[int] | None) -> None:
+        value[lit] = 1
+        value[lit ^ 1] = -1
+        level[lit >> 1] = len(trail_lim)
+        reason[lit >> 1] = why
+        trail.append(lit)
+
+    for c in clauses:
+        if len(c) > 1:
+            watches[c[0]].append(c)
+            watches[c[1]].append(c)
+        elif value[c[0]] == -1:
+            return None
+        elif not value[c[0]]:
+            assign(c[0], None)
+    qhead = 0
     while True:
-        stats.nodes += 1
-        best_v = -1
-        best_size = 4
-        for v, d in enumerate(dom):
-            size = _POPCOUNT[d]
-            if 1 < size < best_size:
-                best_v = v
-                best_size = size
-                if size == 2:
-                    break
-        if best_v < 0:
-            return dom[:]
-        stack.append((dom, best_v, iter(_COLOR_BITS)))
-        # descend into the next child that survives propagation, backing
-        # out of every node whose colors are exhausted
-        nxt: list[int] | None = None
-        while nxt is None:
-            if not stack:
-                return None
-            parent, v, bits = stack[-1]
-            for bit in bits:
-                if parent[v] & bit:
-                    child = parent[:]
-                    child[v] = bit
-                    if _propagate(adj, nb, child, [v], stats):
-                        nxt = child
+        # unit propagation: visit the clauses watching each newly false
+        # literal, moving the watch or propagating the other watched one
+        conflict = None
+        while qhead < len(trail) and conflict is None:
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            stats.propagations += 1
+            watching = watches[false_lit]
+            watches[false_lit] = kept = []
+            for k, c in enumerate(watching):
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                other = c[0]
+                if value[other] == 1:
+                    kept.append(c)
+                    continue
+                for i in range(2, len(c)):
+                    if value[c[i]] != -1:
+                        c[1], c[i] = c[i], false_lit
+                        watches[c[1]].append(c)
                         break
-            else:
-                stack.pop()
-        dom = nxt
+                else:
+                    kept.append(c)
+                    if value[other] == -1:
+                        kept.extend(watching[k + 1 :])
+                        conflict = c
+                        break
+                    assign(other, c)
+        if conflict is None:
+            while heap and value[2 * heap[0][1]]:
+                heapq.heappop(heap)
+            if not heap:
+                return value
+            stats.nodes += 1
+            trail_lim.append(len(trail))
+            assign(2 * heapq.heappop(heap)[1] + 1, None)
+            continue
+        stats.conflicts += 1
+        if not trail_lim:
+            return None
+        # first-UIP analysis: resolve the conflict with the reasons of
+        # current-level literals, latest first, until one is left
+        here = len(trail_lim)
+        learnt = [0]
+        seen = set()
+        pending = 0
+        i = len(trail)
+        clause = conflict
+        while True:
+            for q in clause:
+                v = q >> 1
+                if v in seen or not level[v]:
+                    continue
+                seen.add(v)
+                activity[v] += bump
+                if activity[v] > 1e100:
+                    activity = [a * 1e-100 for a in activity]
+                    bump *= 1e-100
+                    heap = [(-activity[u], u) for u in range(num_vars)]
+                    heapq.heapify(heap)
+                if level[v] == here:
+                    pending += 1
+                else:
+                    learnt.append(q)
+            while True:
+                i -= 1
+                lit = trail[i]
+                if lit >> 1 in seen:
+                    break
+            pending -= 1
+            if not pending:
+                break
+            clause = reason[lit >> 1]
+        learnt[0] = lit ^ 1
+        bump /= 0.95
+        stats.proof.append(tuple(learnt))
+        # backjump to the second-highest level in the clause, which then
+        # asserts its first-UIP literal
+        back = 0
+        for k in range(1, len(learnt)):
+            if level[learnt[k] >> 1] > back:
+                back = level[learnt[k] >> 1]
+                learnt[1], learnt[k] = learnt[k], learnt[1]
+        for q in trail[trail_lim[back] :]:
+            value[q] = value[q ^ 1] = 0
+            heapq.heappush(heap, (-activity[q >> 1], q >> 1))
+        del trail[trail_lim[back] :]
+        del trail_lim[back:]
+        qhead = len(trail)
+        if len(learnt) > 1:
+            watches[learnt[0]].append(learnt)
+            watches[learnt[1]].append(learnt)
+        assign(learnt[0], learnt if len(learnt) > 1 else None)
 
 
 def solve_3coloring_with_stats(
     g: Graph, fixed: Mapping[int, int] | None = None
 ) -> tuple[ColorAssignment | None, SolveStats]:
-    """Like :func:`solve_3coloring` but also returns search statistics."""
+    """Like :func:`solve_3coloring` but also returns the solver's
+    counters and learnt clauses.
+
+    The encoding has a variable ``3 * v + c`` for "vertex v takes color
+    c", with literal ``2 * (3 * v + c)`` and its negation one above: one
+    at-least-one clause per vertex, one binary clause per edge and
+    color, and for each fixed vertex three units, its own color true
+    and the other two false.
+    """
     fixed = dict(fixed or {})
     check_fixed(g, fixed)
     if not fixed and g.n:
         # permuting the colors maps proper colorings to proper colorings,
         # so with nothing fixed vertex 0 may take color 0 outright
         fixed = {0: 0}
-    stats = SolveStats()
-    adj: list[list[int]] = [[] for _ in range(g.n)]
+    clauses = [[6 * v, 6 * v + 2, 6 * v + 4] for v in range(g.n)]
     for u, v in g.edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    nb = [sum(1 << w for w in ns) for ns in adj]
-    dom = [0b111] * g.n
-    for v, c in fixed.items():
-        dom[v] = _COLOR_BITS[c]
-    if not _propagate(adj, nb, dom, sorted(fixed), stats):
+        clauses.extend(
+            [6 * u + 2 * c + 1, 6 * v + 2 * c + 1] for c in range(3)
+        )
+    for v, col in sorted(fixed.items()):
+        clauses.extend([6 * v + 2 * c + (c != col)] for c in range(3))
+    stats = SolveStats()
+    model = _cdcl(3 * g.n, clauses, stats)
+    if model is None:
         return None, stats
-    final = _search(adj, nb, dom, stats)
-    if final is None:
-        return None, stats
-    return {v: _BIT_COLOR[d] for v, d in enumerate(final)}, stats
+    # no clause forbids two true colors on one vertex; any true one is
+    # proper, since every edge forbids each color at one of its ends
+    colors = {v: model[6 * v : 6 * v + 6 : 2].index(1) for v in range(g.n)}
+    return colors, stats
 
 
 def solve_3coloring(
@@ -410,6 +351,9 @@ def exhaustive_color_count(
             f"{k} free vertices exceed the 3^{_EXHAUSTIVE_LIMIT}"
             " exhaustive-sweep guard"
         )
+    # the only user of numpy, so `import steinberg` does not load it
+    import numpy as np
+
     index_of = {v: i for i, v in enumerate(free)}
     free_edges = []
     half_edges = []

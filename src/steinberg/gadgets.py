@@ -583,27 +583,15 @@ def counterexample_recipe(triple: TerminalGadget) -> PasteRecipe:
 
 
 def build_counterexample(triple: TerminalGadget, jobs: int = 1) -> Graph:
-    """Assemble the final graph from a verified composite gadget.
+    """Assemble the final graph from a verified composite gadget, in
+    the vertex order :func:`paste` gives it.
 
     ``jobs`` is ignored, as in :func:`build_triple_gadget`.
     """
     require_contract(
         TerminalGadget(triple.graph, triple.terminals, triple_contract())
     )
-    result = paste(counterexample_recipe(triple))
-    g = result.graph
-    # Renumber so each copy's hub triangle (composite vertices 3, 4, 5)
-    # directly follows the ten named vertices.  The solver breaks
-    # minimum-domain ties by smallest index, so the vertices that many
-    # copies constrain must come first; otherwise a refutation inside a
-    # later copy is rediscovered under every assignment of an earlier
-    # copy's interior.
-    front = list(range(10))
-    for pm in result.part_maps:
-        front.extend(pm[v] for v in (3, 4, 5))
-    in_front = set(front)
-    order = front + [v for v in range(g.n) if v not in in_front]
-    return g.relabeled({old: new for new, old in enumerate(order)})
+    return paste(counterexample_recipe(triple)).graph
 
 
 # ---------------------------------------------------------------------------

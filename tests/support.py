@@ -144,61 +144,48 @@ def iso_classes_upto(n_max: int) -> dict[int, list[Graph]]:
     return levels
 
 
-def pair_classes_reference(adj, dom: list[int], pending: list[int]):
-    """The solver's pair-class rule by full scans, one pass per pair.
+def rup_refutes(g: Graph, fixed, proof) -> bool:
+    """Check a RUP refutation of "g is 3-colorable extending ``fixed``".
 
-    Domains are 3-bit color masks.  For each two-color mask p in the
-    order 0b011, 0b101, 0b110, every vertex whose domain is exactly p is
-    grouped into classes connected through such vertices and two-colored
-    by BFS (an odd cycle is a wipeout, None).  Then every vertex whose
-    domain meets p, scanned in index order, loses p when one class other
-    than its own holds neighbors of both parities; it is queued on
-    ``pending``, and an emptied domain is a wipeout.  Mutates ``dom`` and
-    ``pending`` in place and returns whether any domain shrank.
+    The encoding is rebuilt from ``g.edges``: literal 2*(3v + c) says
+    vertex v takes color c, literal + 1 says it does not; one
+    at-least-one clause per vertex, one clause per edge and color, and
+    three units per fixed vertex.  Each proof clause, then the empty
+    clause, must make unit propagation hit a conflict once its literals
+    are assumed false; it is then added to the formula.
     """
-    progressed = False
-    for p in (0b011, 0b101, 0b110):
-        comp: dict[int, tuple[int, int]] = {}
-        for s in range(len(dom)):
-            if dom[s] != p or s in comp:
+    clauses = [[6 * v, 6 * v + 2, 6 * v + 4] for v in range(g.n)]
+    for c in range(3):
+        clauses += [[6 * u + 2 * c + 1, 6 * v + 2 * c + 1] for u, v in g.edges]
+        clauses += [[6 * v + 2 * c + (c != col)] for v, col in fixed.items()]
+    occurs: dict[int, list[list[int]]] = {}
+    for clause in clauses:
+        for lit in clause:
+            occurs.setdefault(lit, []).append(clause)
+
+    def propagates_to_conflict(assumed) -> bool:
+        true: set[int] = set()
+        queue = list(assumed) + [c[0] for c in clauses if len(c) == 1]
+        while queue:
+            lit = queue.pop()
+            if lit ^ 1 in true:
+                return True
+            if lit in true:
                 continue
-            comp[s] = (s, 0)
-            queue = [s]
-            qi = 0
-            while qi < len(queue):
-                x = queue[qi]
-                qi += 1
-                xpar = comp[x][1]
-                for y in adj[x]:
-                    if dom[y] != p:
-                        continue
-                    seen = comp.get(y)
-                    if seen is None:
-                        comp[y] = (s, xpar ^ 1)
-                        queue.append(y)
-                    elif seen[1] == xpar:
-                        return None
-        if not comp:
-            continue
-        for w in range(len(dom)):
-            dw = dom[w]
-            if not (dw & p):
-                continue
-            own = comp.get(w)
-            hits: dict[int, int] = {}
-            for y in adj[w]:
-                info = comp.get(y)
-                if info is None or (own is not None and info[0] == own[0]):
-                    continue
-                root, par = info
-                mask = hits.get(root, 0) | (1 << par)
-                if mask == 0b11:
-                    dw &= ~p
-                    if not dw:
-                        return None
-                    dom[w] = dw
-                    pending.append(w)
-                    progressed = True
-                    break
-                hits[root] = mask
-    return progressed
+            true.add(lit)
+            for clause in occurs.get(lit ^ 1, []):
+                if not any(x in true for x in clause):
+                    open_lits = [x for x in clause if x ^ 1 not in true]
+                    if not open_lits:
+                        return True
+                    if len(open_lits) == 1:
+                        queue.append(open_lits[0])
+        return False
+
+    for clause in [*proof, ()]:
+        if not propagates_to_conflict([lit ^ 1 for lit in clause]):
+            return False
+        clauses.append(list(clause))
+        for lit in clause:
+            occurs.setdefault(lit, []).append(clauses[-1])
+    return True

@@ -24,8 +24,8 @@ from steinberg import (
     forbidden_cycle_check,
     is_planar,
     is_proper,
-    revalidate_unsat,
     solve_3coloring,
+    solve_3coloring_with_stats,
     terminal_behavior,
     terminals_cofacial,
     triangle_edge_conflicts,
@@ -39,6 +39,7 @@ from support import (
     graph6_reference,
     random_conflict_free_fixing,
     random_graph,
+    rup_refutes,
     subset_cycles,
 )
 
@@ -95,11 +96,12 @@ def test_criterion_2_triple_lemma_suite(seed_gadget, triple_gadget):
         for u, v in ((t0, t1), (t0, t2), (t1, t2)):
             assert distance(g2, u, v) == 4
 
+        # one solve, its refutation checked by a RUP checker that shares
+        # no code with the solver
         fixing = {t0: 0, t1: 0, t2: 0}
-        assert solve_3coloring(g2, fixing) is None
-        split = revalidate_unsat(g2, fixing)
-        assert len(split["branches"]) == 3
-        assert all(b["verdict"] in ("unsat", "conflict") for b in split["branches"])
+        result, stats = solve_3coloring_with_stats(g2, fixing)
+        assert result is None
+        assert rup_refutes(g2, fixing, stats.proof)
         # solver-free backing: the triple's table, derived from the seed's
         composed = compositional_check(seed_gadget, terminal_behavior(seed_gadget))
         assert composed.triple_stage.behavior.feasible("000") is False
@@ -114,9 +116,10 @@ def test_criterion_3_theorem_suite(seed_gadget, final_graph):
         validate_planarity_certificate(g, cert)
         assert forbidden_cycle_check(g, {4, 5}) is None
 
-        assert solve_3coloring(g) is None
-        split = revalidate_unsat(g)
-        assert all(b["verdict"] == "unsat" for b in split["branches"])
+        # with nothing fixed the solver pins vertex 0 to color 0
+        result, stats = solve_3coloring_with_stats(g)
+        assert result is None
+        assert rup_refutes(g, {0: 0}, stats.proof)
 
         composed = compositional_check(seed_gadget, terminal_behavior(seed_gadget))
         assert composed.ok and composed.counterexample is None

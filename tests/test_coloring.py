@@ -1,5 +1,8 @@
 import itertools
+import os
+import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -22,19 +25,18 @@ from steinberg import (
 from steinberg import cli, coloring, gadgets
 from steinberg.coloring import (
     SolveStats,
-    _pair_classes,
     all_equal_pattern,
     all_patterns,
     pattern_of,
     pattern_representative,
 )
 from steinberg.gadgets import InterfaceContract, TerminalGadget
+from steinberg.graphs import remove_edge
 
 from support import (
-    pair_classes_reference,
     product_3coloring_exists,
     random_conflict_free_fixing,
-    random_graph,
+    rup_refutes,
 )
 import random
 
@@ -86,8 +88,10 @@ def test_check_fixed():
 # the solver
 
 def test_c5_witness_is_the_documented_one():
-    # fixed branching order makes this exact, not just some proper coloring
-    assert solve_3coloring(C5) == {0: 0, 1: 1, 2: 0, 3: 1, 4: 2}
+    # the solver is deterministic, so this is exact, not just some proper
+    # coloring: vertex 0 is pinned, then each decision sets the smallest
+    # open (vertex, color) variable false
+    assert solve_3coloring(C5) == {0: 0, 1: 2, 2: 1, 3: 2, 4: 1}
 
 
 def test_k4_unsat():
@@ -150,56 +154,83 @@ def test_color_permutation_never_flips_the_verdict(g, perm):
     )
 
 
-@st.composite
-def pair_class_inputs(draw):
-    # dense graphs and pair-heavy domains, so that classes form, collide
-    # and strip often enough for the rare orderings to come up
-    n = draw(st.integers(min_value=0, max_value=10))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    g = build_graph(n, [e for e, k in zip(pairs, keep) if k])
-    masks = st.sampled_from((0b011, 0b101, 0b110, 0b011, 0b101, 0b110, 1, 2, 4, 7))
-    dom = draw(st.lists(masks, min_size=n, max_size=n))
-    pending = draw(st.lists(st.integers(0, n - 1), max_size=4)) if n else []
-    return g, dom, pending
-
-
-@given(pair_class_inputs())
-@settings(max_examples=400, deadline=None)
-def test_pair_classes_matches_full_scan_reference(case):
-    g, dom, pending = case
-    adj = [sorted(g.neighbor_sets[v]) for v in range(g.n)]
-    masks = [sum(1 << w for w in adj[v]) for v in range(g.n)]
-    dom_ref, pending_ref = dom[:], pending[:]
-    got = _pair_classes(masks, dom, pending)
-    want = pair_classes_reference(adj, dom_ref, pending_ref)
-    assert got is want
-    assert dom == dom_ref
-    assert pending == pending_ref
-
-
 def test_solver_counts_are_pinned_on_seed_and_triple(seed_gadget, triple_gadget):
-    # a change that moves these counts or witnesses must say so
+    # a change that moves these counts or witnesses must say so; both
+    # color without a single conflict
     for gadget, stats, witness in (
-        (seed_gadget, SolveStats(nodes=8, propagations=724), "011201202021102"),
+        (
+            seed_gadget,
+            SolveStats(nodes=8, propagations=45, conflicts=0),
+            "022102101212120",
+        ),
         (
             triple_gadget,
-            SolveStats(nodes=15, propagations=5856),
-            "011102120202011102021202101012020121210021",
+            SolveStats(nodes=16, propagations=126, conflicts=0),
+            "022210210101022210102010212120102121210102",
         ),
     ):
         g = gadget.graph
         got, got_stats = solve_3coloring_with_stats(g)
         assert got_stats == stats
+        assert got_stats.proof == []
+        assert is_proper(g, got)
         assert "".join(str(got[v]) for v in range(g.n)) == witness
 
 
 def test_solver_counts_are_pinned_on_final_graph(final_graph):
     result, stats = solve_3coloring_with_stats(final_graph)
     assert result is None
-    assert stats == SolveStats(nodes=39, propagations=159572)
-    split = revalidate_unsat(final_graph)
-    assert [b["nodes"] for b in split["branches"]] == [39, 39, 39]
+    assert stats == SolveStats(nodes=657, propagations=5781, conflicts=67)
+    # every conflict but the last, at level 0, learns one clause
+    assert len(stats.proof) == 66
+    assert rup_refutes(final_graph, {0: 0}, stats.proof)
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+def test_verify_refutes_the_final_graph_in_any_vertex_order(
+    monkeypatch, final_graph, seed
+):
+    # paste order (None) and five seeded relabelings: the report passes
+    # every check within 2 s, and the proof of its one solve passes a
+    # checker that shares no code with the solver
+    g = final_graph
+    if seed is not None:
+        g = g.relabeled(random.Random(seed).sample(range(g.n), g.n))
+    solves = []
+    solve = coloring.solve_3coloring_with_stats
+
+    def recorded(graph, fixed=None):
+        solves.append(solve(graph, fixed))
+        return solves[-1]
+
+    monkeypatch.setattr(cli, "solve_3coloring_with_stats", recorded)
+    start = time.perf_counter()
+    report = cli.counterexample_report(g)
+    assert time.perf_counter() - start < 2
+    assert report.passed
+    [(result, stats)] = solves
+    assert result is None
+    assert rup_refutes(g, {0: 0}, stats.proof)
+
+
+def test_checker_rejects_proofs_that_do_not_refute(final_graph):
+    g = final_graph
+    result, stats = solve_3coloring_with_stats(g)
+    assert result is None
+    proof = stats.proof
+    # the proof of a different graph: minus d-e, the graph colors, so no
+    # proof of it can pass
+    weakened = remove_edge(g, g.vertex_by_label("d"), g.vertex_by_label("e"))
+    assert solve_3coloring(weakened) is not None
+    assert not rup_refutes(weakened, {0: 0}, proof)
+    # unit propagation alone does not refute the encoding
+    assert not rup_refutes(g, {0: 0}, [])
+    # "vertex 0 takes color 1" contradicts the pin, so it is not RUP
+    assert not rup_refutes(g, {0: 0}, [(2,), *proof])
+    # a dropped clause and a flipped literal break the chain
+    assert not rup_refutes(g, {0: 0}, proof[1:])
+    flipped = (proof[0][0] ^ 1, *proof[0][1:])
+    assert not rup_refutes(g, {0: 0}, [flipped, *proof[1:]])
 
 
 def _count_solves(monkeypatch, *modules):
@@ -223,7 +254,8 @@ def test_report_refutes_the_final_graph_in_one_solve(monkeypatch, final_graph):
     check = cli.counterexample_report(final_graph).check("not-3-colorable")
     assert check.passed
     assert calls == [{}]
-    assert check.details == {"solver_nodes": 39}
+    # solver_nodes counts the solve's decisions
+    assert check.details == {"solver_nodes": 657}
 
 
 @given(graphs(7))
@@ -248,8 +280,8 @@ def _stack_depth() -> int:
 
 
 def test_deep_branching_does_not_recurse():
-    # a path branches once per vertex; the search must not spend a Python
-    # frame on each decision
+    # a path takes one decision per vertex; the search must not spend a
+    # Python frame on each of them
     n = 120
     path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
     limit = sys.getrecursionlimit()
@@ -258,9 +290,10 @@ def test_deep_branching_does_not_recurse():
         got, stats = solve_3coloring_with_stats(path)
     finally:
         sys.setrecursionlimit(limit)
-    # vertex 0 is pinned, not branched on: one node for each of the
-    # other n - 1 vertices plus the colored leaf, n in all
-    assert stats.nodes >= n
+    # vertex 0 is pinned; each other vertex, its predecessor's color
+    # already ruled out, needs one decision (its smallest open color set
+    # false) and takes the last color by propagation, with no conflict
+    assert stats == SolveStats(nodes=n - 1, propagations=3 * n, conflicts=0)
     assert got is not None and is_proper(path, got)
 
 
@@ -334,6 +367,22 @@ def test_exhaustive_color_count():
     assert exhaustive_color_count(build_graph(2, [])) == 9
     with pytest.raises(SizeGuardError):
         exhaustive_color_count(build_graph(17, []))
+
+
+def test_import_leaves_numpy_unloaded():
+    # only the exhaustive sweep needs numpy, and it imports it itself
+    code = "import sys, steinberg; print('numpy' in sys.modules)"
+    # the child imports the same package as this test run
+    src = os.path.dirname(os.path.dirname(coloring.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == "False"
 
 
 @given(graphs(6))
@@ -421,11 +470,11 @@ def test_seed_gadget_behavior_table(seed_gadget):
 # UNSAT revalidation
 
 def test_revalidate_unsat_on_k4():
-    # propagation refutes every pinned branch before any search node
+    # each pinned branch is refuted after one decision
     assert revalidate_unsat(K4) == {
         "root": 0,
         "branches": [
-            {"color": c, "verdict": "unsat", "nodes": 0} for c in (0, 1, 2)
+            {"color": c, "verdict": "unsat", "nodes": 1} for c in (0, 1, 2)
         ],
     }
 

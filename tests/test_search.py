@@ -4,7 +4,6 @@ from steinberg import (
     ContractError,
     InterfaceContract,
     LayerSpec,
-    OracleMismatchError,
     SearchSpec,
     SearchSpecError,
     TemplateSpec,
