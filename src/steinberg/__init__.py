@@ -59,6 +59,7 @@ from .gadgets import (
     build_triple_gadget,
     compositional_check,
     counterexample_recipe,
+    first_failing_clause,
     load_gadget,
     paste,
     save_gadget,
@@ -133,6 +134,7 @@ __all__ = [
     "build_triple_gadget",
     "build_counterexample",
     "verify_contract",
+    "first_failing_clause",
     "counterexample_report",
     "terminals_cofacial",
     "compositional_check",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from .analysis import (
     distance,
@@ -254,11 +254,17 @@ def _check_pattern_infeasible(
     return True, None, details
 
 
-def verify_contract(gadget: TerminalGadget) -> VerificationReport:
-    """Re-check every contract clause; one report line per clause."""
+def _contract_clauses(
+    gadget: TerminalGadget,
+) -> list[tuple[str, Callable[[], tuple[bool, Any, Any]]]]:
+    """The contract's clauses as (name, body) pairs, in report order.
+
+    Each body runs its clause in full and returns ``(passed, witness,
+    details)``, as :func:`timed_check` expects.
+    """
     g = gadget.graph
     contract = gadget.contract
-    checks: list[CheckResult] = []
+    clauses: list[tuple[str, Callable[[], tuple[bool, Any, Any]]]] = []
 
     if contract.forbidden_cycle_lengths:
 
@@ -266,7 +272,7 @@ def verify_contract(gadget: TerminalGadget) -> VerificationReport:
             hit = forbidden_cycle_check(g, contract.forbidden_cycle_lengths)
             return hit is None, hit, None
 
-        checks.append(timed_check("forbidden-cycles", cycle_clause))
+        clauses.append(("forbidden-cycles", cycle_clause))
 
     exact = contract.exact_terminal_distances
     minimum = contract.min_terminal_distances
@@ -296,14 +302,14 @@ def verify_contract(gadget: TerminalGadget) -> VerificationReport:
                     }
                 return ok, witness, {"distance": d}
 
-            checks.append(timed_check(f"distance-t{i}-t{j}", distance_clause))
+            clauses.append((f"distance-t{i}-t{j}", distance_clause))
 
     for pattern in sorted(contract.forbidden_patterns):
 
         def pattern_clause(pattern=pattern):
             return _check_pattern_infeasible(g, gadget.terminals, pattern)
 
-        checks.append(timed_check(f"pattern-{pattern}-infeasible", pattern_clause))
+        clauses.append((f"pattern-{pattern}-infeasible", pattern_clause))
 
     if contract.require_planar:
 
@@ -314,10 +320,45 @@ def verify_contract(gadget: TerminalGadget) -> VerificationReport:
                 return True, None, {"faces": "euler-checked"}
             return False, cert, None
 
-        checks.append(timed_check("planarity", planar_clause))
+        clauses.append(("planarity", planar_clause))
 
+    return clauses
+
+
+def verify_contract(gadget: TerminalGadget) -> VerificationReport:
+    """Re-check every contract clause; one report line per clause."""
+    checks = tuple(
+        timed_check(name, body) for name, body in _contract_clauses(gadget)
+    )
+    g = gadget.graph
     target = {"n": g.n, "m": g.m, "canonical_digest": canonical_digest(g)}
-    return VerificationReport(target=target, checks=tuple(checks))
+    return VerificationReport(target=target, checks=checks)
+
+
+# clause kinds by the first word of their names, cheapest first: one BFS,
+# one small pinned solve, a bounded cycle search, then planarity with its
+# certificate (and a Kuratowski subgraph when it fails)
+_CHEAPEST_FIRST = ("distance", "pattern", "forbidden", "planarity")
+
+
+def first_failing_clause(gadget: TerminalGadget) -> str | None:
+    """The name of the cheapest failing contract clause, or ``None`` when
+    every clause passes.
+
+    Runs the bodies :func:`verify_contract` runs, each one in full, but
+    cheapest kind first, and stops at the first failure; it builds no
+    report and computes no digest.  So it is ``None`` exactly when
+    ``verify_contract(gadget).passed``.
+    """
+    clauses = sorted(
+        _contract_clauses(gadget),
+        key=lambda clause: _CHEAPEST_FIRST.index(clause[0].split("-")[0]),
+    )
+    for name, body in clauses:
+        passed, _, _ = body()
+        if not passed:
+            return name
+    return None
 
 
 def require_contract(gadget: TerminalGadget) -> VerificationReport:
@@ -513,6 +554,20 @@ def triple_recipe(seed: TerminalGadget) -> PasteRecipe:
     )
 
 
+def seed_in_roles(seed: TerminalGadget) -> TerminalGadget:
+    """The seed as the triple needs it: terminals in (a, b, c) role
+    order under :func:`seed_contract`."""
+    return TerminalGadget(seed.graph, _seed_roles(seed), seed_contract())
+
+
+def paste_triple(seed: TerminalGadget) -> TerminalGadget:
+    """Paste three seed copies by :func:`triple_recipe` into the
+    composite gadget, without checking the seed's contract; callers
+    check ``seed_in_roles(seed)`` first."""
+    result = paste(triple_recipe(seed))
+    return TerminalGadget(result.graph, (0, 1, 2), triple_contract())
+
+
 def build_triple_gadget(seed: TerminalGadget, jobs: int = 1) -> TerminalGadget:
     """Paste three verified seed copies into the composite gadget.
 
@@ -521,10 +576,8 @@ def build_triple_gadget(seed: TerminalGadget, jobs: int = 1) -> TerminalGadget:
     process, and the keyword stays only so existing callers that pass it
     keep working.
     """
-    a, b, c = _seed_roles(seed)
-    require_contract(TerminalGadget(seed.graph, (a, b, c), seed_contract()))
-    result = paste(triple_recipe(seed))
-    return TerminalGadget(result.graph, (0, 1, 2), triple_contract())
+    require_contract(seed_in_roles(seed))
+    return paste_triple(seed)
 
 
 # final assembly slot ids
@@ -758,9 +811,8 @@ def compositional_check(
     no 3-coloring exactly when no branch survives.  ``seed_behavior``
     must list the patterns in ``seed.terminals`` order.
     """
-    recipe = triple_recipe(seed)
-    triple_stage = walk_recipe(recipe, [seed_behavior] * 3, (0, 1, 2))
-    composite = TerminalGadget(paste(recipe).graph, (0, 1, 2), triple_contract())
+    triple_stage = walk_recipe(triple_recipe(seed), [seed_behavior] * 3, (0, 1, 2))
+    composite = paste_triple(seed)
     final_stage = walk_recipe(
         counterexample_recipe(composite), [triple_stage.behavior] * 4, ()
     )

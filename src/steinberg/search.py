@@ -3,15 +3,21 @@
 The search enumerates candidate graphs inside a layered template,
 prunes partial candidates as soon as they violate a monotone contract
 clause (a forbidden short cycle, a terminal distance already too small),
-and hands every survivor to the full contract verifier.  Results stream
-in a fixed order: fewer vertices first, then fewer edges, then smallest
-canonical form, so a search is reproducible run to run.
+and rejects each complete candidate at its cheapest failing contract
+clause (:func:`first_failing_clause`).  Planarity runs only on
+candidates that pass every cheaper clause, and the co-facial test and
+the canonical form only on those that pass them all.  Results stream in a fixed order:
+fewer vertices first, then fewer edges, then smallest canonical form, so
+a search is reproducible run to run.  An optional counter records the
+funnel: how many candidates each stage enumerated, pruned, rejected,
+dropped as duplicates and emitted.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Iterator
@@ -37,6 +43,7 @@ from .errors import (
 from .gadgets import (
     InterfaceContract,
     TerminalGadget,
+    first_failing_clause,
     seed_contract,
     terminals_cofacial,
     save_gadget,
@@ -211,10 +218,11 @@ def _distance_floor_violated(
 
 
 def _template_candidates(
-    spec: SearchSpec,
+    spec: SearchSpec, funnel: Counter
 ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     """Yield (edge_count, edges) for every template candidate surviving
-    the monotone prunes, in edge-count order."""
+    the monotone prunes, in edge-count order.  Each prune is counted in
+    ``funnel`` under "pruned-cycle" or "pruned-distance"."""
     template = spec.template
     assert template is not None
     contract = spec.contract
@@ -311,8 +319,10 @@ def _template_candidates(
                     adj[v].add(u)
                     chosen.append((u, v) if u < v else (v, u))
                 if _forms_forbidden_cycle(adj, es, lengths):
+                    funnel["pruned-cycle"] += 1
                     return False
                 if floors and _distance_floor_violated(adj, floors):
+                    funnel["pruned-distance"] += 1
                     return False
                 return True
 
@@ -391,22 +401,46 @@ def _raw_candidates(
                 yield n, m, edges
 
 
+_FUNNEL_HEAD = ("enumerated", "pruned-cycle", "pruned-distance")
+_FUNNEL_TAIL = ("not-cofacial", "duplicates", "emitted")
+
+
+def funnel_line(funnel: Counter) -> str:
+    """The funnel of a search as one line: enumeration and its prunes,
+    then the rejections counted by clause name, then the co-facial
+    test, deduplication and emission."""
+    rejected = sorted(k for k in funnel if k not in _FUNNEL_HEAD + _FUNNEL_TAIL)
+    keys = (*_FUNNEL_HEAD, *rejected, *_FUNNEL_TAIL)
+    return "funnel: " + ", ".join(f"{key} {funnel[key]}" for key in keys)
+
+
 def search_gadget(
-    spec: SearchSpec, limit: int | None = None
+    spec: SearchSpec, limit: int | None = None, funnel: Counter | None = None
 ) -> Iterator[TerminalGadget]:
-    """Stream contract-verified gadgets in deterministic order.
+    """Stream contract-satisfying gadgets in deterministic order.
 
     Exhaustive within the template (or, template-free, within the raw
-    vertex bound) when run to completion.  With ``dedup`` no two emitted
-    gadgets are isomorphic.  When the contract requires planarity the
-    terminals must additionally share a face, so the output can later sit
-    inside larger assemblies.
+    vertex bound) when run to completion.  Each complete candidate is
+    rejected at its cheapest failing clause by
+    :func:`first_failing_clause`; only a candidate that passes every
+    clause is kept, so every emitted gadget satisfies its whole contract.
+    With ``dedup`` no two emitted gadgets are isomorphic.  When the
+    contract requires planarity the terminals must additionally share a
+    face, so the output can later sit inside larger assemblies.
+
+    ``funnel``, when given, receives counts that the search itself never
+    reads: "enumerated" candidates, partial candidates "pruned-cycle" and
+    "pruned-distance" during enumeration, rejections under the name of
+    the failing clause, "not-cofacial", "duplicates" dropped by dedup,
+    and "emitted".  :func:`funnel_line` prints it.
     """
     if limit is not None and limit <= 0:
         return
     arity = spec.contract.arity
     if arity is None:
         raise SearchSpecError("contract fixes no terminal count")
+    if funnel is None:
+        funnel = Counter()
 
     seen: set[bytes] = set()
     emitted = 0
@@ -417,10 +451,13 @@ def search_gadget(
         )
         graph = build_graph(n, edges, labels)
         gadget = TerminalGadget(graph, tuple(range(arity)), spec.contract)
-        report = verify_contract(gadget)
-        if not report.passed:
+        funnel["enumerated"] += 1
+        failed = first_failing_clause(gadget)
+        if failed is not None:
+            funnel[failed] += 1
             return None
         if spec.contract.require_planar and not terminals_cofacial(gadget):
+            funnel["not-cofacial"] += 1
             return None
         return TerminalGadget(
             graph, gadget.terminals, replace(spec.contract, verified=True)
@@ -434,17 +471,19 @@ def search_gadget(
         )
         for key, gadget in keyed:
             if spec.dedup and key in seen:
+                funnel["duplicates"] += 1
                 continue
             seen.add(key)
-            yield gadget
             emitted += 1
+            funnel["emitted"] += 1
+            yield gadget
             if limit is not None and emitted >= limit:
                 return
 
     if spec.template is not None:
         bucket: list[TerminalGadget] = []
         bucket_m: int | None = None
-        for m, edges in _template_candidates(spec):
+        for m, edges in _template_candidates(spec, funnel):
             if bucket_m is not None and m != bucket_m:
                 yield from emit_bucket(bucket)
                 if limit is not None and emitted >= limit:

@@ -189,3 +189,19 @@ def rup_refutes(g: Graph, fixed, proof) -> bool:
         for lit in clause:
             occurs.setdefault(lit, []).append(clauses[-1])
     return True
+
+
+# contract clause kinds, cheapest first, by the first word of a check name
+CHEAPEST_CLAUSE_FIRST = ("distance", "pattern", "forbidden", "planarity")
+
+
+def cheapest_failing_check(report) -> str | None:
+    """The name of the first failing check of a full contract report,
+    taken in cost order (report order within one kind), or None when
+    every check passes."""
+    failing = [c.name for c in report.checks if not c.passed]
+    return min(
+        failing,
+        key=lambda name: CHEAPEST_CLAUSE_FIRST.index(name.split("-")[0]),
+        default=None,
+    )

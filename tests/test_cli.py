@@ -2,7 +2,15 @@ import json
 
 import pytest
 
-from steinberg import VerificationReport, build_graph, canonical_digest, decode, encode, load_gadget
+from steinberg import (
+    VerificationReport,
+    build_graph,
+    canonical_digest,
+    decode,
+    encode,
+    load_gadget,
+    seed_data_path,
+)
 from steinberg.cli import main
 
 
@@ -179,6 +187,31 @@ def test_lemmas(capsys):
     assert out.rstrip().endswith("overall: PASS")
 
 
+def test_lemmas_checks_the_seed_contract_once(monkeypatch, capsys):
+    # one contract run each for the seed and the triple, and two seed
+    # digests: the load-time file-name check and the seed report's target
+    from steinberg import canon, cli, gadgets, stock
+
+    contracts = []
+    digests = []
+
+    def counting_verify(gadget, real=gadgets.verify_contract):
+        contracts.append(gadget.graph.n)
+        return real(gadget)
+
+    def counting_digest(g, real=canon.canonical_digest):
+        digests.append(g.n)
+        return real(g)
+
+    for module in (cli, gadgets):
+        monkeypatch.setattr(module, "verify_contract", counting_verify)
+    for module in (canon, cli, gadgets, stock):
+        monkeypatch.setattr(module, "canonical_digest", counting_digest)
+    assert run_cli(capsys, "lemmas")[0] == 0
+    assert contracts == [15, 42]
+    assert digests.count(15) == 2
+
+
 def test_lemmas_json_lists_the_fifteen_checks_in_order(tmp_path, capsys):
     path = tmp_path / "lemmas.json"
     code, _, _ = run_cli(capsys, "lemmas", "--json", str(path))
@@ -213,6 +246,15 @@ def test_search_stock_writes_a_frozen_gadget(tmp_path, capsys, seed_gadget):
     frozen = tmp_path / f"gadget-{digest}.json"
     assert frozen.exists()
     assert load_gadget(frozen).contract.verified
+    # the same file as the packaged seed, plus the newer oracle_skipped list
+    packaged = json.loads(seed_data_path().read_text())
+    packaged["verification"]["oracle_skipped"] = []
+    text = json.dumps(packaged, indent=2, sort_keys=True) + "\n"
+    assert frozen.read_bytes() == text.encode("ascii")
+    assert out.splitlines()[-1] == (
+        "funnel: enumerated 2, pruned-cycle 1490, pruned-distance 616,"
+        " not-cofacial 0, duplicates 0, emitted 1"
+    )
 
 
 def test_search_spec_file_with_no_hits(tmp_path, capsys):

@@ -19,6 +19,7 @@ from steinberg import (
     canonical_digest,
     compositional_check,
     counterexample_recipe,
+    first_failing_clause,
     forbidden_cycle_check,
     load_gadget,
     paste,
@@ -39,6 +40,8 @@ from steinberg.coloring import (
 )
 from steinberg.gadgets import load_gadget_payload, walk_recipe
 from steinberg.graphs import add_edges
+
+from support import cheapest_failing_check
 
 
 TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -140,6 +143,15 @@ def test_verify_contract_reports_cycle_violation(seed_gadget):
     cycles = report.check("forbidden-cycles")
     distances = report.check("distance-t0-t1")
     assert not (cycles.passed and distances.passed)
+    # distances are tried first; without them the cycle clause fails first
+    no_distances = dataclasses.replace(
+        spoiled,
+        contract=dataclasses.replace(seed_contract(), exact_terminal_distances=None),
+    )
+    assert (
+        first_failing_clause(spoiled),
+        first_failing_clause(no_distances),
+    ) == ("distance-t0-t1", "forbidden-cycles")
 
 
 def test_verify_contract_distance_violation():
@@ -151,6 +163,7 @@ def test_verify_contract_distance_violation():
     report = verify_contract(gadget)
     assert not report.passed
     assert not report.check("distance-t0-t1").passed
+    assert first_failing_clause(gadget) == "distance-t0-t1"
 
 
 def test_verify_contract_pattern_clause():
@@ -172,6 +185,10 @@ def test_verify_contract_pattern_clause():
     assert not report.passed
     witness = report.check("pattern-012-infeasible").witness
     assert witness is not None and "coloring" in witness
+    assert (first_failing_clause(ok), first_failing_clause(bad)) == (
+        None,
+        "pattern-012-infeasible",
+    )
 
 
 def test_pattern_clause_says_which_cross_check_ran(seed_gadget, triple_gadget):
@@ -194,6 +211,50 @@ def test_verify_contract_nonplanar():
     report = verify_contract(gadget)
     assert not report.passed
     assert report.check("planarity").witness["kind"] == "K5"
+    assert first_failing_clause(gadget) == "planarity"
+
+
+@st.composite
+def small_gadgets(draw):
+    """A graph on up to 7 vertices with 2 or 3 terminals and a random
+    contract: cycle bans, exact or minimum distances (exact never below
+    minimum), forbidden patterns and the planarity flag."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [e for e in pairs if draw(st.booleans())]
+    t = draw(st.sampled_from([2, 3]))
+    terminals = tuple(draw(st.permutations(range(n)))[:t])
+
+    def matrix(lo):
+        mat = [[0] * t for _ in range(t)]
+        for i, j in itertools.combinations(range(t), 2):
+            mat[i][j] = mat[j][i] = draw(st.integers(lo[i][j], lo[i][j] + 4))
+        return tuple(map(tuple, mat))
+
+    zero = ((0,) * t,) * t
+    minimum = matrix(zero) if draw(st.booleans()) else None
+    exact = matrix(minimum or zero) if draw(st.booleans()) else None
+    contract = InterfaceContract(
+        forbidden_cycle_lengths=frozenset(
+            draw(st.sets(st.sampled_from([3, 4, 5, 6])))
+        ),
+        min_terminal_distances=minimum,
+        exact_terminal_distances=exact,
+        forbidden_patterns=frozenset(
+            draw(st.sets(st.sampled_from(all_patterns(t))))
+        ),
+        require_planar=draw(st.booleans()),
+    )
+    return TerminalGadget(build_graph(n, edges), terminals, contract)
+
+
+@given(small_gadgets())
+@settings(max_examples=200, deadline=None)
+def test_first_failing_clause_agrees_with_the_full_verifier(gadget):
+    report = verify_contract(gadget)
+    failed = first_failing_clause(gadget)
+    assert (failed is None) == report.passed
+    assert failed == cheapest_failing_check(report)
 
 
 def test_terminals_cofacial(seed_gadget):

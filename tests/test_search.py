@@ -1,3 +1,6 @@
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from steinberg import (
@@ -11,17 +14,22 @@ from steinberg import (
     build_graph,
     canonical_digest,
     certify_and_freeze,
+    first_failing_clause,
     load_gadget,
     search_gadget,
     seed_search_spec,
     shrink_counterexample,
+    verify_contract,
 )
 from steinberg.gadgets import load_gadget_payload
 from steinberg.search import (
+    _template_candidates,
     load_search_spec,
     search_spec_from_json_dict,
     search_spec_to_json_dict,
 )
+
+from support import cheapest_failing_check
 
 
 TRIANGLE_CONTRACT = InterfaceContract(
@@ -103,6 +111,44 @@ def test_stock_seed_search_rediscovers_the_frozen_gadget(seed_gadget):
     found = next(iter(search_gadget(seed_search_spec(), limit=1)))
     assert found.graph.n == 15 and found.graph.m == 23
     assert canonical_digest(found.graph) == canonical_digest(seed_gadget.graph)
+
+
+def wide_spec():
+    """The stock seed template with the bridges linked by any nonempty
+    subset of ring vertices instead of by pairs: 756 candidates."""
+    spec = seed_search_spec()
+    layers = tuple(
+        replace(layer, link_kind="subsets") if layer.name == "bridges" else layer
+        for layer in spec.template.layers
+    )
+    return replace(spec, template=TemplateSpec(layers=layers))
+
+
+def test_wide_template_funnel():
+    funnel = Counter()
+    found = list(search_gadget(wide_spec(), funnel=funnel))
+    assert [canonical_digest(g.graph) for g in found] == ["3855c0a1d182d600"]
+    assert dict(funnel) == {
+        "enumerated": 756,
+        "pruned-cycle": 28028,
+        "pruned-distance": 2056,
+        "distance-t1-t2": 408,
+        "pattern-000-infeasible": 336,
+        "duplicates": 11,
+        "emitted": 1,
+    }
+    assert funnel["not-cofacial"] == 0
+
+
+def test_first_failing_clause_is_the_cheapest_failing_check():
+    spec = wide_spec()
+    passing = 0
+    for _, edges in _template_candidates(spec, Counter()):
+        gadget = TerminalGadget(build_graph(15, edges), (0, 1, 2), spec.contract)
+        report = verify_contract(gadget)
+        assert first_failing_clause(gadget) == cheapest_failing_check(report)
+        passing += report.passed
+    assert passing == 12
 
 
 def test_search_spec_json_round_trip():
