@@ -2,22 +2,39 @@
 
 Two graphs are isomorphic exactly when their canonical forms are equal.
 The form is the lexicographically smallest graph6 encoding over every
-labeling reachable from the equitable-refinement search tree, which is
-the full orbit of labelings up to automorphism, so the result is exact
-rather than a hash heuristic.
+leaf of the equitable-refinement search tree, which is the full orbit
+of labelings up to automorphism, so the result is exact rather than a
+hash heuristic.
+
+The search still returns the minimum over the whole tree but does not
+visit all of it.  A leaf whose encoding equals the first or the best
+leaf's gives an automorphism: the map from one leaf's vertex order to
+the other's.  Refinement and the choice of target cell depend only on
+structure, so an automorphism that fixes a node's individualized
+vertices maps the subtree below one child onto the subtree below
+another, leaf encoding for leaf encoding.  Pruned subtrees therefore
+hold exactly the encodings of subtrees already searched, and the
+minimum is unchanged:
+
+- a child in the orbit of an explored child, under the automorphisms
+  found that fix the node's individualized vertices, is skipped;
+- after a leaf repeats an earlier one, the search returns to the
+  deepest node the two leaves share, since the rest of the current
+  child's subtree is the image of the earlier leaf's, already searched.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .formats import encode_graph6
+from .formats import encode_graph6, pack_graph6
 from .graphs import Graph
 
 Cells = list[list[int]]
+Adjacency = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -34,38 +51,118 @@ class CanonicalForm:
         return self.data.decode("ascii")
 
 
-def _refine(cells: Cells, nbrs: tuple[frozenset[int], ...]) -> Cells:
-    """Refine to the coarsest stable partition.
+class _Partition:
+    """An ordered partition kept as one vertex array.
 
-    Worklist color refinement: cells split by neighbor counts into a
-    splitter set, fragments are enqueued as further splitters.  Fragment
-    order within a split is by count, which depends only on structure,
-    never on the input labeling, so the final cell sequence is
-    isomorphism-invariant.
+    ``order`` lists the vertices cell by cell, each cell sorted;
+    ``start[v]`` is the position where the cell holding v begins and
+    ``end[s]`` is one past the last position of the cell beginning at s.
     """
-    cells = [sorted(c) for c in cells]
-    work: deque[frozenset[int]] = deque(frozenset(c) for c in cells)
-    while work:
-        sset = work.popleft()
-        new_cells: Cells = []
+
+    __slots__ = ("order", "start", "end")
+
+    def __init__(self, order: list[int], start: list[int], end: list[int]) -> None:
+        self.order = order
+        self.start = start
+        self.end = end
+
+    @classmethod
+    def from_cells(cls, cells: Cells, n: int) -> _Partition:
+        order: list[int] = []
+        start = [0] * n
+        end = [0] * n
         for cell in cells:
-            if len(cell) == 1:
-                new_cells.append(cell)
-                continue
-            groups: dict[int, list[int]] = {}
+            s = len(order)
+            order.extend(sorted(cell))
+            end[s] = len(order)
             for v in cell:
-                groups.setdefault(len(nbrs[v] & sset), []).append(v)
-            if len(groups) == 1:
-                new_cells.append(cell)
-            else:
-                fragments = [sorted(groups[k]) for k in sorted(groups)]
-                new_cells.extend(fragments)
-                work.extend(frozenset(f) for f in fragments)
-        cells = new_cells
-    return cells
+                start[v] = s
+        return cls(order, start, end)
+
+    def copy(self) -> _Partition:
+        return _Partition(self.order[:], self.start[:], self.end[:])
+
+    def ranges(self) -> list[tuple[int, int]]:
+        out = []
+        s, end, n = 0, self.end, len(self.order)
+        while s < n:
+            out.append((s, end[s]))
+            s = end[s]
+        return out
 
 
-def _cells_relate_trivially(cells: Cells, nbrs: tuple[frozenset[int], ...]) -> bool:
+def _split(p: _Partition, adj: Adjacency, work: deque[tuple[int, int]]) -> None:
+    """Refine ``p`` in place until no splitter on ``work`` splits a cell.
+
+    A splitter is the position range of a cell at the time it was
+    enqueued.  Splitting only permutes vertices inside a cell, so the
+    range keeps the same vertex set.  Neighbour counts come from walking
+    the splitter's adjacency, and only the cells those hits touch are
+    visited, in position order.  A split cell becomes its fragments in
+    increasing order of count, each sorted, and every fragment is
+    enqueued.  The order depends only on structure, never on the input
+    labeling, so the final cell sequence is isomorphism-invariant.
+    """
+    order, start, end = p.order, p.start, p.end
+    count = [0] * len(order)
+    while work:
+        s, e = work.popleft()
+        hit: list[int] = []
+        for v in order[s:e]:
+            for w in adj[v]:
+                if count[w]:
+                    count[w] += 1
+                else:
+                    count[w] = 1
+                    hit.append(w)
+        touched: dict[int, list[int]] = {}
+        for w in hit:
+            touched.setdefault(start[w], []).append(w)
+        for c in sorted(touched):
+            ce = end[c]
+            ws = touched[c]
+            if len(ws) == ce - c:
+                k = count[ws[0]]
+                if all(count[w] == k for w in ws):
+                    continue
+            groups: dict[int, list[int]] = {}
+            for v in order[c:ce]:
+                groups.setdefault(count[v], []).append(v)
+            pos = c
+            for k in sorted(groups):
+                fragment = groups[k]
+                nxt = pos + len(fragment)
+                order[pos:nxt] = fragment
+                end[pos] = nxt
+                for v in fragment:
+                    start[v] = pos
+                work.append((pos, nxt))
+                pos = nxt
+        for w in hit:
+            count[w] = 0
+
+
+def _refine(cells: Cells, adj: Adjacency) -> _Partition:
+    """Refine the ordered partition ``cells`` to the coarsest stable one,
+    starting with every cell as a splitter."""
+    p = _Partition.from_cells(cells, len(adj))
+    _split(p, adj, deque(p.ranges()))
+    return p
+
+
+def _target(p: _Partition) -> int | None:
+    """Start of the first smallest cell with more than one vertex."""
+    best = None
+    best_size = len(p.order) + 1
+    for s, e in p.ranges():
+        if 1 < e - s < best_size:
+            best, best_size = s, e - s
+            if best_size == 2:
+                break
+    return best
+
+
+def _cells_relate_trivially(p: _Partition, nbrs: tuple[frozenset[int], ...]) -> bool:
     """True when adjacency depends only on which cells two vertices lie in.
 
     For a stable partition this needs checking only between multi-vertex
@@ -76,7 +173,7 @@ def _cells_relate_trivially(cells: Cells, nbrs: tuple[frozenset[int], ...]) -> b
     subtree.  Without this, highly symmetric graphs (edgeless, complete,
     complete multipartite) degenerate to n! leaves.
     """
-    multi = [frozenset(c) for c in cells if len(c) > 1]
+    multi = [frozenset(p.order[s:e]) for s, e in p.ranges() if e - s > 1]
     for i, ci in enumerate(multi):
         u = next(iter(ci))
         if len(nbrs[u] & ci) not in (0, len(ci) - 1):
@@ -87,51 +184,126 @@ def _cells_relate_trivially(cells: Cells, nbrs: tuple[frozenset[int], ...]) -> b
     return True
 
 
-def _encode_under_order(g: Graph, order: list[int]) -> bytes:
+def _encode_leaf(g: Graph, order: list[int]) -> bytes:
+    """graph6 of ``g`` with vertex ``order[i]`` renamed to ``i``."""
     position = [0] * g.n
     for pos, v in enumerate(order):
         position[v] = pos
-    relabeled = Graph(
-        g.n,
-        tuple(
-            sorted(
-                tuple(sorted((position[u], position[v])))
-                for u, v in g.edges
-            )
-        ),
-    )
-    return encode_graph6(relabeled)
+    return pack_graph6(g.n, [(position[u], position[v]) for u, v in g.edges])
+
+
+@dataclass
+class _Node:
+    """An inner node of the search tree on the current path."""
+
+    partition: _Partition
+    target: int  # start of the cell whose vertices are the children
+    children: list[int]
+    prefix: list[int]  # vertices individualized on the way here
+    fixing: list[dict[int, int]]  # automorphisms found that fix ``prefix``
+    explored: list[int] = field(default_factory=list)
+    orbit: dict[int, int] = field(init=False)  # union-find over ``children``
+    merged: int = 0  # how many of ``fixing`` ``orbit`` accounts for
+    next: int = 0
+
+    def __post_init__(self) -> None:
+        self.orbit = {v: v for v in self.children}
+
+    def find(self, v: int) -> int:
+        orbit = self.orbit
+        while orbit[v] != v:
+            orbit[v] = v = orbit[orbit[v]]
+        return v
+
+    def in_explored_orbit(self, v: int) -> bool:
+        """Whether an explored child shares v's orbit.  The automorphisms
+        in ``fixing`` permute ``children``; only those not merged yet are
+        unioned, so the orbits grow incrementally."""
+        orbit = self.orbit
+        for gamma in self.fixing[self.merged :]:
+            for u, w in gamma.items():
+                if u in orbit:
+                    a, b = self.find(u), self.find(w)
+                    if a != b:
+                        orbit[a] = b
+        self.merged = len(self.fixing)
+        root = self.find(v)
+        return any(self.find(u) == root for u in self.explored)
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
     """Compute the canonical form of ``g``."""
     if g.n == 0:
         return CanonicalForm(encode_graph6(g))
-    nbrs = g.neighbor_sets
-    best: bytes | None = None
+    adj, nbrs = g.adj, g.neighbor_sets
+    # Leaves are (encoding, vertex order, individualized vertices).
+    first: tuple[bytes, list[int], list[int]] | None = None
+    best: tuple[bytes, list[int], list[int]] | None = None
+    path: list[_Node] = []
 
-    def descend(cells: Cells) -> None:
-        nonlocal best
-        cells = _refine(cells, nbrs)
-        target = None
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1 and (
-                target is None or len(cell) < len(cells[target])
-            ):
-                target = idx
-        if target is None or _cells_relate_trivially(cells, nbrs):
-            order = [v for c in cells for v in c]
-            candidate = _encode_under_order(g, order)
-            if best is None or candidate < best:
-                best = candidate
+    def visit(
+        p: _Partition, prefix: list[int], fixing: list[dict[int, int]]
+    ) -> None:
+        nonlocal first, best
+        target = _target(p)
+        if target is not None and not _cells_relate_trivially(p, nbrs):
+            children = p.order[target : p.end[target]]
+            path.append(_Node(p, target, children, prefix, fixing))
             return
-        for v in cells[target]:
-            rest = [w for w in cells[target] if w != v]
-            descend(cells[:target] + [[v], rest] + cells[target + 1 :])
+        leaf = (_encode_leaf(g, p.order), p.order, prefix)
+        if first is None:
+            first = best = leaf
+            return
+        for known in (first, best):
+            if leaf[0] == known[0]:
+                # The map between the two orders is an automorphism.  It
+                # fixes the vertices individualized above the deepest node
+                # the leaves share and maps the child holding ``known``
+                # onto the one holding this leaf, so the rest of this
+                # child's subtree repeats one already searched: return to
+                # that node.  The automorphism fixes the prefix of every
+                # node left on the path.
+                shared = 0
+                for u, v in zip(known[2], prefix):
+                    if u != v:
+                        break
+                    shared += 1
+                del path[shared + 1 :]
+                gamma = {u: v for u, v in zip(known[1], leaf[1]) if u != v}
+                for node in path:
+                    node.fixing.append(gamma)
+                return
+        if leaf[0] < best[0]:
+            best = leaf
 
-    descend([list(range(g.n))])
+    visit(_refine([list(range(g.n))], adj), [], [])
+    while path:
+        node = path[-1]
+        if node.next == len(node.children):
+            path.pop()
+            continue
+        v = node.children[node.next]
+        node.next += 1
+        if node.explored and node.in_explored_orbit(v):
+            continue
+        node.explored.append(v)
+        child = node.partition.copy()
+        t, e = node.target, child.end[node.target]
+        child.order[t:e] = [v] + [w for w in node.children if w != v]
+        child.end[t], child.end[t + 1] = t + 1, e
+        for w in child.order[t + 1 : e]:
+            child.start[w] = t + 1
+        # The parent is equitable, so its cells and the rest of the target
+        # cell split nothing: starting from {v} alone gives the same cells
+        # as starting from every cell.
+        _split(child, adj, deque([(t, t + 1)]))
+        visit(
+            child,
+            node.prefix + [v],
+            [gamma for gamma in node.fixing if v not in gamma],
+        )
     assert best is not None
-    return CanonicalForm(best)
+    return CanonicalForm(best[0])
 
 
 def canonical_digest(g: Graph) -> str:

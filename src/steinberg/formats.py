@@ -8,7 +8,7 @@ byte.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import FormatError
 from .graphs import Graph, build_graph
@@ -16,6 +16,7 @@ from .graphs import Graph, build_graph
 FORMATS = ("graph6", "dimacs", "json")
 
 _G6_HEADER = b">>graph6<<"
+_G6_OFFSET = bytes((b + 63) & 255 for b in range(256))
 
 
 def _g6_encode_n(n: int) -> bytes:
@@ -28,25 +29,24 @@ def _g6_encode_n(n: int) -> bytes:
     raise FormatError(f"graph6 encoder limited to 258047 vertices, got {n}")
 
 
+def pack_graph6(n: int, pairs: Iterable[tuple[int, int]]) -> bytes:
+    """Standard graph6 of ``n`` vertices joined by ``pairs`` (endpoints in
+    either order): header byte(s), then the upper triangle of the
+    adjacency matrix in column order, six bits per output byte, high bit
+    first, zero-padded, each byte offset by 63."""
+    header = _g6_encode_n(n)
+    body = bytearray(-(-(n * (n - 1) // 2) // 6))
+    for u, v in pairs:
+        if u > v:
+            u, v = v, u
+        byte, bit = divmod(v * (v - 1) // 2 + u, 6)
+        body[byte] |= 32 >> bit
+    return header + body.translate(_G6_OFFSET)
+
+
 def encode_graph6(g: Graph) -> bytes:
-    """Standard graph6: header byte(s), then the upper triangle of the
-    adjacency matrix in column order, six bits per output byte."""
-    out = bytearray(_g6_encode_n(g.n))
-    edge_set = g.edge_set
-    acc = 0
-    nbits = 0
-    for v in range(1, g.n):
-        for u in range(v):
-            acc = (acc << 1) | (1 if (u, v) in edge_set else 0)
-            nbits += 1
-            if nbits == 6:
-                out.append(63 + acc)
-                acc = 0
-                nbits = 0
-    if nbits:
-        acc <<= 6 - nbits
-        out.append(63 + acc)
-    return bytes(out)
+    """Standard graph6 of ``g`` (see ``pack_graph6``)."""
+    return pack_graph6(g.n, g.edges)
 
 
 def decode_graph6(data: bytes) -> Graph:

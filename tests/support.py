@@ -4,14 +4,16 @@ Everything here is deliberately naive and shares no code with the
 package: an oracle that reuses the implementation under test cannot
 catch its bugs.  The graph6 encoder follows the published format
 definition directly, the cycle finder enumerates vertex subsets, the
-coloring check enumerates assignments, and the isomorphism test tries
-every permutation.
+coloring check enumerates assignments, the isomorphism test tries
+every permutation, and the canonical form encodes every leaf of the
+refinement tree.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from steinberg import Graph, build_graph, canonical_digest
 
@@ -205,3 +207,86 @@ def cheapest_failing_check(report) -> str | None:
         key=lambda name: CHEAPEST_CLAUSE_FIRST.index(name.split("-")[0]),
         default=None,
     )
+
+
+def reference_refine(cells, nbrs):
+    """Refine to the coarsest stable partition.
+
+    Worklist color refinement: cells split by neighbor counts into a
+    splitter set, fragments are enqueued as further splitters.  Fragment
+    order within a split is by count, which depends only on structure,
+    never on the input labeling, so the final cell sequence is
+    isomorphism-invariant.
+    """
+    cells = [sorted(c) for c in cells]
+    work = deque(frozenset(c) for c in cells)
+    while work:
+        sset = work.popleft()
+        new_cells = []
+        for cell in cells:
+            if len(cell) == 1:
+                new_cells.append(cell)
+                continue
+            groups = {}
+            for v in cell:
+                groups.setdefault(len(nbrs[v] & sset), []).append(v)
+            if len(groups) == 1:
+                new_cells.append(cell)
+            else:
+                fragments = [sorted(groups[k]) for k in sorted(groups)]
+                new_cells.extend(fragments)
+                work.extend(frozenset(f) for f in fragments)
+        cells = new_cells
+    return cells
+
+
+def _reference_cells_relate_trivially(cells, nbrs) -> bool:
+    multi = [frozenset(c) for c in cells if len(c) > 1]
+    for i, ci in enumerate(multi):
+        u = next(iter(ci))
+        if len(nbrs[u] & ci) not in (0, len(ci) - 1):
+            return False
+        for cj in multi[i + 1 :]:
+            if len(nbrs[u] & cj) not in (0, len(cj)):
+                return False
+    return True
+
+
+def reference_canonical_form(g: Graph) -> bytes:
+    """The canonical form as the minimum over the whole refinement tree.
+
+    The package's algorithm before automorphism pruning, with the same
+    refinement and target-cell rule, but every cell is a splitter at
+    every node, every leaf is encoded, and the encoder is
+    ``graph6_reference``.  The pruned search must reproduce its bytes
+    exactly (n <= 62 only).
+    """
+    if g.n == 0:
+        return graph6_reference(0, [])
+    nbrs = g.neighbor_sets
+    best = None
+
+    def descend(cells) -> None:
+        nonlocal best
+        cells = reference_refine(cells, nbrs)
+        target = None
+        for idx, cell in enumerate(cells):
+            if len(cell) > 1 and (
+                target is None or len(cell) < len(cells[target])
+            ):
+                target = idx
+        if target is None or _reference_cells_relate_trivially(cells, nbrs):
+            order = [v for c in cells for v in c]
+            position = {v: pos for pos, v in enumerate(order)}
+            candidate = graph6_reference(
+                g.n, [(position[u], position[v]) for u, v in g.edges]
+            )
+            if best is None or candidate < best:
+                best = candidate
+            return
+        for v in cells[target]:
+            rest = [w for w in cells[target] if w != v]
+            descend(cells[:target] + [[v], rest] + cells[target + 1 :])
+
+    descend([list(range(g.n))])
+    return best

@@ -199,12 +199,20 @@ def test_criterion_6_structural_oracles(small_graph_pool, seed_gadget):
 def test_criterion_7_perturbation_sensitivity(final_graph):
     g = final_graph
     at = g.vertex_by_label
-    triangles = (("d", "e", "f"), ("d'", "e'", "f'"), ("b", "c", "c'"))
+    # each edge of the three extra triangles, with the canonical digest
+    # of the final graph without it
+    triangles = (
+        ("d", "e", "f", "31f4b2730da3eb92", "31f4b2730da3eb92", "f432b8b4a820659b"),
+        ("d'", "e'", "f'", "31f4b2730da3eb92", "31f4b2730da3eb92", "f432b8b4a820659b"),
+        ("b", "c", "c'", "510e1eedf139fdcc", "b6e0b4ffa8a5d101", "510e1eedf139fdcc"),
+    )
     with Timer() as t:
+        assert canonical_form(g).digest == "6acb9d9830286561"
         deleted = 0
-        for x, y, z in triangles:
-            for u, v in ((at(x), at(y)), (at(y), at(z)), (at(x), at(z))):
-                weakened = remove_edge(g, u, v)
+        for x, y, z, xy, yz, xz in triangles:
+            for a, b, digest in ((x, y, xy), (y, z, yz), (x, z, xz)):
+                weakened = remove_edge(g, at(a), at(b))
+                assert canonical_form(weakened).digest == digest
                 coloring = solve_3coloring(weakened)
                 assert coloring is not None
                 assert is_proper(weakened, coloring)

@@ -1,12 +1,18 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinberg import build_graph, canonical_digest, canonical_form, decode
+from steinberg import build_graph, canon, canonical_digest, canonical_form, decode
 
-from support import brute_isomorphic, iso_classes_upto
+from support import (
+    brute_isomorphic,
+    iso_classes_upto,
+    reference_canonical_form,
+    reference_refine,
+)
 
 
 def test_empty_and_singleton():
@@ -76,3 +82,126 @@ def test_thousand_random_relabelings_fixed_graph():
         perm = list(range(g.n))
         rng.shuffle(perm)
         assert canonical_form(g.relabeled(perm)) == reference
+
+
+def draw_graph(data, max_n):
+    n = data.draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return build_graph(n, sorted(edges))
+
+
+def disjoint_cycles(copies: int, length: int):
+    return build_graph(
+        copies * length,
+        [
+            (length * c + i, length * c + (i + 1) % length)
+            for c in range(copies)
+            for i in range(length)
+        ],
+    )
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_form_equals_the_full_tree_minimum(data):
+    g = draw_graph(data, 10)
+    assert canonical_form(g).data == reference_canonical_form(g)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_refine_keeps_the_reference_cell_order(data):
+    g = draw_graph(data, 12)
+    order = data.draw(st.permutations(list(range(g.n))))
+    cuts = data.draw(st.sets(st.integers(min_value=1, max_value=max(g.n - 1, 1))))
+    bounds = [0, *sorted(c for c in cuts if c < g.n), g.n]
+    cells = [list(order[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
+    p = canon._refine(cells, g.adj)
+    got = [p.order[s:e] for s, e in p.ranges()]
+    assert got == reference_refine(cells, g.neighbor_sets)
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + spokes + inner)
+
+
+VERTEX_TRANSITIVE = {
+    "petersen": petersen(),
+    "cube": build_graph(
+        8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b]
+    ),
+    "C5": disjoint_cycles(1, 5),
+    "C8": disjoint_cycles(1, 8),
+    "C12": disjoint_cycles(1, 12),
+    "two C7": disjoint_cycles(2, 7),
+    "K33": build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),
+    "prism": build_graph(
+        6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERTEX_TRANSITIVE))
+def test_vertex_transitive_graphs_match_the_full_tree(name):
+    g = VERTEX_TRANSITIVE[name]
+    perm = list(range(g.n))
+    random.Random(name).shuffle(perm)
+    want = reference_canonical_form(g)
+    assert canonical_form(g).data == want
+    assert canonical_form(g.relabeled(perm)).data == want
+
+
+def count_leaves(monkeypatch, g) -> int:
+    leaves = []
+
+    def counting_encode(graph, order, real=canon._encode_leaf):
+        leaves.append(len(order))
+        return real(graph, order)
+
+    monkeypatch.setattr(canon, "_encode_leaf", counting_encode)
+    canonical_form(g)
+    return len(leaves)
+
+
+def test_final_graph_search_visits_four_leaves(monkeypatch, final_graph):
+    # the full tree has 8 leaves; the automorphisms found prune half
+    assert count_leaves(monkeypatch, final_graph) == 4
+
+
+def test_disjoint_cycles_stay_cheap(monkeypatch):
+    # the full tree of five disjoint 7-cycles has about 14^5 * 5! leaves
+    assert count_leaves(monkeypatch, disjoint_cycles(5, 7)) == 15
+
+
+def test_pruning_uses_only_automorphisms_that_fix_the_node(monkeypatch):
+    # orbit pruning at a node is sound only for automorphisms of the
+    # graph that fix every vertex individualized above it
+    merged = []
+
+    def checked(node, v, real=canon._Node.in_explored_orbit):
+        for gamma in node.fixing:
+            assert gamma.keys().isdisjoint(node.prefix)
+            image = {
+                tuple(sorted((gamma.get(a, a), gamma.get(b, b)))) for a, b in g.edges
+            }
+            assert image == g.edge_set
+        merged.append(len(node.fixing))
+        return real(node, v)
+
+    # two 10-cycles joined by u -> 3u (mod 10) except at 0 and 5, beside
+    # a third: here an automorphism found below one node moves the vertex
+    # individualized at a later sibling
+    twisted = build_graph(
+        30,
+        list(disjoint_cycles(3, 10).edges)
+        + [(u, 10 + 3 * u % 10) for u in (1, 2, 3, 4, 6, 7, 8, 9)],
+    )
+    assert canonical_form(twisted).data == reference_canonical_form(twisted)
+    monkeypatch.setattr(canon._Node, "in_explored_orbit", checked)
+    for g in [twisted, disjoint_cycles(5, 7), *VERTEX_TRANSITIVE.values()]:
+        canonical_form(g)
+    assert sum(merged) > 0

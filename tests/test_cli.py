@@ -300,3 +300,19 @@ def test_shrink_rejects_non_counterexample(capsys, c5_file, tmp_path):
     )
     assert code == 1
     assert "not a counterexample" in err
+
+
+def test_verify_six_disjoint_seven_cycles(tmp_path, capsys):
+    # planar, no 4- or 5-cycles, 3-colorable, and an automorphism group
+    # of order 14^6 * 6!, which the canonical digest must not enumerate
+    g = build_graph(
+        42, [(7 * c + i, 7 * c + (i + 1) % 7) for c in range(6) for i in range(7)]
+    )
+    path = tmp_path / "cycles.g6"
+    path.write_bytes(encode(g, "graph6"))
+    code, out, _ = run_cli(capsys, "verify", str(path))
+    assert code == 1
+    assert f"canonical_digest={canonical_digest(g)}" in out
+    assert "[PASS] planarity" in out
+    assert "[PASS] no-4-or-5-cycles" in out
+    assert "[FAIL] not-3-colorable" in out
