@@ -88,12 +88,7 @@ def _resolve_format(name: str | None, path: Path) -> str:
         if name not in FORMATS:
             raise FormatError(f"unknown format {name!r}")
         return name
-    fmt = sniff_format(path.name)
-    if fmt is None:
-        raise FormatError(
-            f"cannot tell the format of {path.name!r}; pass --format"
-        )
-    return fmt
+    return sniff_format(path.name)
 
 
 def _load_graph(path: Path, fmt: str) -> Graph:

@@ -1,12 +1,13 @@
 """Constrained gadget search, freezing, and best-effort shrinking.
 
-The search enumerates candidate graphs inside a layered template,
-prunes partial candidates as soon as they violate a monotone contract
-clause (a forbidden short cycle, a terminal distance already too small),
-and rejects each complete candidate at its cheapest failing contract
-clause (:func:`first_failing_clause`).  Planarity runs only on
-candidates that pass every cheaper clause, and the co-facial test and
-the canonical form only on those that pass them all.  Results stream in a fixed order:
+The search walks a layered template once, as a list of steps that each
+choose one of several edge tuples.  It prunes a partial candidate as
+soon as it violates a monotone contract clause (a forbidden short cycle,
+a terminal distance already too small), and rejects each complete
+candidate at its cheapest failing contract clause
+(:func:`first_failing_clause`).  Planarity runs only on candidates that
+pass every cheaper clause, and the co-facial test and the canonical form
+only on those that pass them all.  Results stream in a fixed order:
 fewer vertices first, then fewer edges, then smallest canonical form, so
 a search is reproducible run to run.  An optional counter records the
 funnel: how many candidates each stage enumerated, pruned, rejected,
@@ -56,6 +57,8 @@ _RAW_VERTEX_LIMIT = 6  # raw enumeration is 2^C(n,2); past this a template is re
 _INTRA_KINDS = ("none", "path", "cycle", "path_or_cycle", "clique")
 _LINK_KINDS = ("subsets", "pairs", "matching")
 
+_Edges = tuple[tuple[int, int], ...]
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -89,8 +92,9 @@ class SearchSpec:
     dedup: bool = True
 
 
-def _validate_template(template: TemplateSpec, arity: int) -> None:
-    names: list[str] = []
+def _validate_template(template: TemplateSpec, arity: int | None) -> None:
+    if not template.layers:
+        raise SearchSpecError("template has no layers")
     sizes: dict[str, int] = {}
     for idx, layer in enumerate(template.layers):
         if layer.size <= 0:
@@ -122,42 +126,55 @@ def _validate_template(template: TemplateSpec, arity: int) -> None:
                 raise SearchSpecError(
                     f"pairs layer {layer.name!r} needs a target of size >= 2"
                 )
-        names.append(layer.name)
         sizes[layer.name] = layer.size
-    if template.layers[0].size != arity:
+    if arity and template.layers[0].size != arity:
         raise SearchSpecError(
             f"terminal layer size {template.layers[0].size} != contract"
             f" arity {arity}"
         )
 
 
-def _intra_variants(kind: str, verts: list[int]) -> list[tuple[tuple[int, int], ...]]:
-    k = len(verts)
-    path = tuple((verts[i], verts[i + 1]) for i in range(k - 1))
-    if kind == "none":
-        return [()]
-    if kind == "path":
-        return [path]
-    if kind == "cycle":
-        return [path + ((verts[0], verts[-1]),)] if k >= 3 else [path]
-    if kind == "path_or_cycle":
-        if k >= 3:
-            return [path, path + ((verts[0], verts[-1]),)]
-        return [path]
-    if kind == "clique":
-        return [tuple(itertools.combinations(verts, 2))]
-    raise SearchSpecError(f"unknown intra kind {kind!r}")
+def _intra_variants(kind: str, verts: range) -> list[_Edges]:
+    path = tuple(zip(verts, verts[1:]))
+    cycle = path + ((verts[0], verts[-1]),) if len(verts) >= 3 else path
+    return {
+        "none": [()],
+        "path": [path],
+        "cycle": [cycle],
+        "path_or_cycle": [path, cycle] if cycle != path else [path],
+        "clique": [tuple(itertools.combinations(verts, 2))],
+    }[kind]
 
 
-# enumeration steps: ("edges", edge tuple) adds fixed edges,
-# ("subset", vertex, target vertices) picks a nonempty neighborhood,
-# ("pair", vertex, target vertices, group id) picks an increasing 2-subset
-_Step = tuple
+def _closes_forbidden_cycle(
+    adj: dict[int, set[int]],
+    x: int,
+    v: int,
+    depth: int,
+    want: set[int],
+    depth_max: int,
+    visited: set[int],
+) -> bool:
+    """Can the simple path that ends at ``x`` after ``depth`` edges (its
+    vertices in ``visited``) reach ``v`` at a length in ``want``?  A
+    length below 2 would be the new edge itself and does not count."""
+    for y in adj.get(x, ()):
+        if y == v:
+            if depth + 1 in want and depth + 1 >= 2:
+                return True
+            continue
+        if y in visited or depth + 1 >= depth_max:
+            continue
+        visited.add(y)
+        if _closes_forbidden_cycle(adj, y, v, depth + 1, want, depth_max, visited):
+            return True
+        visited.discard(y)
+    return False
 
 
 def _forms_forbidden_cycle(
     adj: dict[int, set[int]],
-    new_edges: list[tuple[int, int]],
+    new_edges: _Edges,
     lengths: frozenset[int],
 ) -> bool:
     """Would any forbidden cycle pass through one of the new edges?"""
@@ -165,26 +182,10 @@ def _forms_forbidden_cycle(
         return False
     want = {k - 1 for k in lengths}
     depth_max = max(want)
-    for u, v in new_edges:
-        visited = {u}
-
-        def dfs(x: int, depth: int) -> bool:
-            for y in adj.get(x, ()):
-                if y == v:
-                    if depth + 1 in want and depth + 1 >= 2:
-                        return True
-                    continue
-                if y in visited or depth + 1 >= depth_max:
-                    continue
-                visited.add(y)
-                if dfs(y, depth + 1):
-                    return True
-                visited.discard(y)
-            return False
-
-        if dfs(u, 0):
-            return True
-    return False
+    return any(
+        _closes_forbidden_cycle(adj, u, v, 0, want, depth_max, {u})
+        for u, v in new_edges
+    )
 
 
 def _distance_floor_violated(
@@ -194,46 +195,100 @@ def _distance_floor_violated(
     """Is a required terminal distance already beaten?  Distances only
     shrink as edges arrive, so a too-short partial distance is final."""
     for u, v, floor in floors:
-        dist = {u: 0}
-        frontier = [u]
-        d = 0
-        hit = None
-        while frontier and hit is None and d < floor:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for y in adj.get(x, ()):
-                    if y not in dist:
-                        dist[y] = d
-                        if y == v:
-                            hit = d
-                            break
-                        nxt.append(y)
-                if hit is not None:
-                    break
-            frontier = nxt
-        if hit is not None and hit < floor:
-            return True
+        seen = {u}
+        frontier = {u}
+        for _ in range(floor - 1):
+            frontier = {y for x in frontier for y in adj[x]} - seen
+            if v in frontier:
+                return True
+            seen |= frontier
     return False
+
+
+def _template_steps(template: TemplateSpec) -> list[list[_Edges]]:
+    """The template as a list of steps, each a list of alternative edge
+    tuples.  Every intra step comes first, so candidates of one edge
+    count come shape by shape; then one step per link: a matching has
+    one alternative, a subsets vertex every nonempty neighborhood by
+    size then lexicographically, a pairs layer every strictly increasing
+    sequence of 2-subsets."""
+    verts: dict[str, range] = {}
+    start = 0
+    for layer in template.layers:
+        verts[layer.name] = range(start, start + layer.size)
+        start += layer.size
+    steps = [
+        _intra_variants(layer.intra, verts[layer.name])
+        for layer in template.layers
+    ]
+    for layer in template.layers:
+        if layer.link_to is None:
+            continue
+        targets = verts[layer.link_to]
+        own = verts[layer.name]
+        if layer.link_kind == "matching":
+            steps.append([tuple(zip(targets, own))])
+        elif layer.link_kind == "pairs":
+            steps.append([
+                tuple((t, v) for v, pair in zip(own, pairs) for t in pair)
+                for pairs in itertools.combinations(
+                    itertools.combinations(targets, 2), layer.size
+                )
+            ])
+        else:
+            for v in own:
+                steps.append([
+                    tuple((t, v) for t in subset)
+                    for size in range(1, len(targets) + 1)
+                    for subset in itertools.combinations(targets, size)
+                ])
+    return steps
+
+
+def _walk(
+    steps: list[list[_Edges]],
+    si: int,
+    adj: dict[int, set[int]],
+    chosen: list[tuple[int, int]],
+    lengths: frozenset[int],
+    floors: list[tuple[int, int, int]],
+    funnel: Counter,
+    out: list[_Edges],
+) -> None:
+    """Append to ``out`` every completion of ``chosen`` through
+    ``steps[si:]`` that no monotone prune rejects."""
+    if si == len(steps):
+        out.append(tuple(sorted(chosen)))
+        return
+    for es in steps[si]:
+        for u, v in es:
+            adj[u].add(v)
+            adj[v].add(u)
+        chosen.extend(es)
+        if _forms_forbidden_cycle(adj, es, lengths):
+            funnel["pruned-cycle"] += 1
+        elif floors and _distance_floor_violated(adj, floors):
+            funnel["pruned-distance"] += 1
+        else:
+            _walk(steps, si + 1, adj, chosen, lengths, floors, funnel, out)
+        del chosen[len(chosen) - len(es):]
+        for u, v in es:
+            adj[u].discard(v)
+            adj[v].discard(u)
 
 
 def _template_candidates(
     spec: SearchSpec, funnel: Counter
-) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    """Yield (edge_count, edges) for every template candidate surviving
+) -> Iterator[tuple[int, _Edges]]:
+    """Yield (vertex_count, edges) for every template candidate surviving
     the monotone prunes, in edge-count order.  Each prune is counted in
     ``funnel`` under "pruned-cycle" or "pruned-distance"."""
     template = spec.template
     assert template is not None
     contract = spec.contract
+    _validate_template(template, contract.arity)
     arity = contract.arity or template.layers[0].size
-    _validate_template(template, arity)
-
-    offsets: dict[str, int] = {}
-    total = 0
-    for layer in template.layers:
-        offsets[layer.name] = total
-        total += layer.size
+    total = sum(layer.size for layer in template.layers)
     if total > spec.max_vertices:
         return
 
@@ -245,146 +300,15 @@ def _template_candidates(
                 if matrix[i][j] > 1:
                     floors.append((i, j, matrix[i][j]))
 
-    layer_verts = {
-        layer.name: list(range(offsets[layer.name], offsets[layer.name] + layer.size))
-        for layer in template.layers
-    }
-
-    # per-layer intra variants, in declaration order, fewest edges first
-    variant_lists = [
-        _intra_variants(layer.intra, layer_verts[layer.name])
-        for layer in template.layers
-    ]
-
-    def build_steps(shape: tuple) -> tuple[list[_Step], int]:
-        steps: list[_Step] = []
-        fixed = 0
-        for li, layer in enumerate(template.layers):
-            intra = shape[li]
-            if intra:
-                steps.append(("edges", list(intra)))
-                fixed += len(intra)
-            if layer.link_to is None:
-                continue
-            targets = layer_verts[layer.link_to]
-            verts = layer_verts[layer.name]
-            if layer.link_kind == "matching":
-                steps.append(("edges", [(verts[i], targets[i]) for i in range(layer.size)]))
-                fixed += layer.size
-            elif layer.link_kind == "pairs":
-                for i, v in enumerate(verts):
-                    steps.append(("pair", v, targets, layer.name, i))
-                fixed += 2 * layer.size
-            elif layer.link_kind == "subsets":
-                for v in verts:
-                    steps.append(("subset", v, targets))
-        return steps, fixed
-
-    shapes = list(itertools.product(*variant_lists))
-    shape_steps = [build_steps(shape) for shape in shapes]
-
-    def subset_bounds(steps: list[_Step]) -> tuple[list[int], list[int]]:
-        mins = [0]
-        maxs = [0]
-        for step in reversed(steps):
-            if step[0] == "subset":
-                mins.insert(0, mins[0] + 1)
-                maxs.insert(0, maxs[0] + len(step[2]))
-            else:
-                mins.insert(0, mins[0])
-                maxs.insert(0, maxs[0])
-        return mins, maxs
-
-    lo = min(
-        fixed + subset_bounds(steps)[0][0] for steps, fixed in shape_steps
-    )
-    hi = max(
-        fixed + subset_bounds(steps)[1][0] for steps, fixed in shape_steps
-    )
-
-    lengths = contract.forbidden_cycle_lengths
-
-    for m_total in range(lo, hi + 1):
-        for (steps, fixed) in shape_steps:
-            mins, maxs = subset_bounds(steps)
-            budget = m_total - fixed
-            if not (mins[0] <= budget <= maxs[0]):
-                continue
-            adj: dict[int, set[int]] = {v: set() for v in range(total)}
-            chosen: list[tuple[int, int]] = []
-
-            def add(es: list[tuple[int, int]]) -> bool:
-                for u, v in es:
-                    adj[u].add(v)
-                    adj[v].add(u)
-                    chosen.append((u, v) if u < v else (v, u))
-                if _forms_forbidden_cycle(adj, es, lengths):
-                    funnel["pruned-cycle"] += 1
-                    return False
-                if floors and _distance_floor_violated(adj, floors):
-                    funnel["pruned-distance"] += 1
-                    return False
-                return True
-
-            def remove(count: int) -> None:
-                for _ in range(count):
-                    u, v = chosen.pop()
-                    adj[u].discard(v)
-                    adj[v].discard(u)
-
-            # subset-step indices for budget tracking
-            def walk(si: int, budget: int, last_pair: dict[str, tuple]) -> Iterator[
-                tuple[int, tuple[tuple[int, int], ...]]
-            ]:
-                if si == len(steps):
-                    if budget == 0:
-                        yield m_total, tuple(sorted(chosen))
-                    return
-                step = steps[si]
-                if step[0] == "edges":
-                    es = step[1]
-                    ok = add(es)
-                    if ok:
-                        yield from walk(si + 1, budget, last_pair)
-                    remove(len(es))
-                elif step[0] == "pair":
-                    _, v, targets, group, gi = step
-                    prev = last_pair.get(group) if gi > 0 else None
-                    for pair in itertools.combinations(targets, 2):
-                        if prev is not None and pair <= prev:
-                            continue
-                        es = [(v, pair[0]), (v, pair[1])]
-                        ok = add(es)
-                        if ok:
-                            saved = last_pair.get(group)
-                            last_pair[group] = pair
-                            yield from walk(si + 1, budget, last_pair)
-                            if saved is None:
-                                del last_pair[group]
-                            else:
-                                last_pair[group] = saved
-                        remove(2)
-                else:
-                    _, v, targets = step
-                    min_rest = mins[si + 1]
-                    max_rest = maxs[si + 1]
-                    for size in range(1, len(targets) + 1):
-                        rest = budget - size
-                        if rest < min_rest or rest > max_rest:
-                            continue
-                        for subset in itertools.combinations(targets, size):
-                            es = [(v, t) for t in subset]
-                            ok = add(es)
-                            if ok:
-                                yield from walk(si + 1, rest, last_pair)
-                            remove(size)
-
-            yield from walk(0, budget, {})
+    steps = _template_steps(template)
+    adj: dict[int, set[int]] = {v: set() for v in range(total)}
+    out: list[_Edges] = []
+    _walk(steps, 0, adj, [], contract.forbidden_cycle_lengths, floors, funnel, out)
+    for edges in sorted(out, key=len):
+        yield total, edges
 
 
-def _raw_candidates(
-    spec: SearchSpec,
-) -> Iterator[tuple[int, int, tuple[tuple[int, int], ...]]]:
+def _raw_candidates(spec: SearchSpec) -> Iterator[tuple[int, _Edges]]:
     arity = spec.contract.arity or 0
     start = max(arity, 1)
     if start > spec.max_vertices:
@@ -398,7 +322,7 @@ def _raw_candidates(
         pairs = list(itertools.combinations(range(n), 2))
         for m in range(len(pairs) + 1):
             for edges in itertools.combinations(pairs, m):
-                yield n, m, edges
+                yield n, edges
 
 
 _FUNNEL_HEAD = ("enumerated", "pruned-cycle", "pruned-distance")
@@ -480,36 +404,18 @@ def search_gadget(
             if limit is not None and emitted >= limit:
                 return
 
-    if spec.template is not None:
-        bucket: list[TerminalGadget] = []
-        bucket_m: int | None = None
-        for m, edges in _template_candidates(spec, funnel):
-            if bucket_m is not None and m != bucket_m:
-                yield from emit_bucket(bucket)
-                if limit is not None and emitted >= limit:
-                    return
-                bucket = []
-            bucket_m = m
-            n = sum(layer.size for layer in spec.template.layers)
-            gadget = consider(n, edges)
-            if gadget is not None:
-                bucket.append(gadget)
-        yield from emit_bucket(bucket)
-        return
-
-    bucket = []
-    bucket_key: tuple[int, int] | None = None
-    for n, m, edges in _raw_candidates(spec):
-        if bucket_key is not None and (n, m) != bucket_key:
-            yield from emit_bucket(bucket)
-            if limit is not None and emitted >= limit:
-                return
-            bucket = []
-        bucket_key = (n, m)
-        gadget = consider(n, edges)
-        if gadget is not None:
-            bucket.append(gadget)
-    yield from emit_bucket(bucket)
+    candidates = (
+        _raw_candidates(spec)
+        if spec.template is None
+        else _template_candidates(spec, funnel)
+    )
+    for _, group in itertools.groupby(
+        candidates, key=lambda c: (c[0], len(c[1]))
+    ):
+        gadgets = (consider(n, edges) for n, edges in group)
+        yield from emit_bucket([g for g in gadgets if g is not None])
+        if limit is not None and emitted >= limit:
+            return
 
 
 def seed_search_spec(max_vertices: int = 15) -> SearchSpec:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from steinberg import (
+    CertificateError,
     VerificationReport,
     build_graph,
     canonical_digest,
@@ -11,6 +12,7 @@ from steinberg import (
     load_gadget,
     seed_data_path,
 )
+from steinberg import cli
 from steinberg.cli import main
 
 
@@ -252,7 +254,7 @@ def test_search_stock_writes_a_frozen_gadget(tmp_path, capsys, seed_gadget):
     text = json.dumps(packaged, indent=2, sort_keys=True) + "\n"
     assert frozen.read_bytes() == text.encode("ascii")
     assert out.splitlines()[-1] == (
-        "funnel: enumerated 2, pruned-cycle 1490, pruned-distance 616,"
+        "funnel: enumerated 2, pruned-cycle 1256, pruned-distance 96,"
         " not-cofacial 0, duplicates 0, emitted 1"
     )
 
@@ -276,6 +278,34 @@ def test_search_spec_file_with_no_hits(tmp_path, capsys):
     )
     assert code == 0
     assert "none found" in out
+
+
+def test_search_spec_with_no_layers_is_a_usage_error(tmp_path, capsys):
+    spec = {
+        "max_vertices": 3,
+        "contract": {"exact_terminal_distances": [[0, 1], [1, 0]]},
+        "template": {"layers": []},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, _, err = run_cli(
+        capsys, "search", str(spec_path), "--out-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert "no layers" in err
+
+
+def test_build_falls_back_to_the_search_only_when_asked(monkeypatch, capsys):
+    def missing_seed():
+        raise CertificateError("no seed file")
+
+    monkeypatch.setattr(cli, "load_seed_gadget", missing_seed)
+    code, _, err = run_cli(capsys, "build", "--stage", "final")
+    assert code == 2
+    assert "rerun with --search" in err
+    code, out, _ = run_cli(capsys, "build", "--stage", "final", "--search")
+    assert code == 0
+    assert "digest 6acb9d9830286561" in out
 
 
 def test_convert_round_trip(tmp_path, capsys, c5_file):

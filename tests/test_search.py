@@ -1,3 +1,5 @@
+import itertools
+import random
 from collections import Counter
 from dataclasses import replace
 
@@ -21,6 +23,7 @@ from steinberg import (
     shrink_counterexample,
     verify_contract,
 )
+from steinberg.analysis import distance, forbidden_cycle_check
 from steinberg.gadgets import load_gadget_payload
 from steinberg.search import (
     _template_candidates,
@@ -130,14 +133,107 @@ def test_wide_template_funnel():
     assert [canonical_digest(g.graph) for g in found] == ["3855c0a1d182d600"]
     assert dict(funnel) == {
         "enumerated": 756,
-        "pruned-cycle": 28028,
-        "pruned-distance": 2056,
+        "pruned-cycle": 14970,
+        "pruned-distance": 96,
         "distance-t1-t2": 408,
         "pattern-000-infeasible": 336,
         "duplicates": 11,
         "emitted": 1,
     }
     assert funnel["not-cofacial"] == 0
+
+
+INTRA_KINDS = ("none", "path", "cycle", "path_or_cycle", "clique")
+
+
+def random_template_spec(rng):
+    """A small random template under a contract with at most one
+    forbidden cycle length and random terminal distance floors."""
+    arity = rng.randint(1, 3)
+    layers = [LayerSpec("L0", arity)]
+    for i in range(1, rng.randint(2, 5)):
+        target = rng.choice(layers)
+        kinds = ["subsets", "matching"] + (["pairs"] if target.size >= 2 else [])
+        kind = rng.choice(kinds)
+        size = target.size if kind == "matching" else rng.randint(1, 2)
+        layers.append(
+            LayerSpec(f"L{i}", size, rng.choice(INTRA_KINDS), target.name, kind)
+        )
+    floors = [[0] * arity for _ in range(arity)]
+    for i, j in itertools.combinations(range(arity), 2):
+        floors[i][j] = floors[j][i] = rng.randint(1, 3)
+    contract = InterfaceContract(
+        forbidden_cycle_lengths=frozenset(rng.sample([3, 4, 5], rng.randint(0, 1))),
+        min_terminal_distances=tuple(map(tuple, floors)),
+    )
+    return SearchSpec(16, contract, TemplateSpec(tuple(layers)))
+
+
+def unpruned_choices(template):
+    """Each layer's edge choices straight from its fields: the intra
+    choices of every layer first, then every link choice."""
+    verts, start = {}, 0
+    for layer in template.layers:
+        verts[layer.name] = list(range(start, start + layer.size))
+        start += layer.size
+    intra, links = [], []
+    for layer in template.layers:
+        own = verts[layer.name]
+        path = list(zip(own, own[1:]))
+        cycle = [path + [(own[0], own[-1])]] if len(own) >= 3 else []
+        intra.append({
+            "none": [[]],
+            "path": [path],
+            "cycle": cycle or [path],
+            "path_or_cycle": [path] + cycle,
+            "clique": [list(itertools.combinations(own, 2))],
+        }[layer.intra])
+        targets = verts.get(layer.link_to, [])
+        if layer.link_kind == "matching":
+            links.append([list(zip(targets, own))])
+        elif layer.link_kind == "pairs":
+            pairs = list(itertools.combinations(targets, 2))
+            links.append([
+                [(t, v) for v, pair in zip(own, chosen) for t in pair]
+                for chosen in itertools.combinations(pairs, layer.size)
+            ])
+        elif layer.link_kind == "subsets":
+            for v in own:
+                links.append([
+                    [(t, v) for t in subset]
+                    for k in range(1, len(targets) + 1)
+                    for subset in itertools.combinations(targets, k)
+                ])
+    return start, intra + links
+
+
+def test_template_candidates_match_the_filtered_product():
+    rng = random.Random(2016)
+    checked = several_counts = 0
+    for _ in range(80):
+        spec = random_template_spec(rng)
+        n, choices = unpruned_choices(spec.template)
+        contract = spec.contract
+        floors = contract.min_terminal_distances
+        expected = []
+        for combo in itertools.product(*choices):
+            edges = tuple(sorted(e for part in combo for e in part))
+            graph = build_graph(n, edges)
+            if forbidden_cycle_check(graph, contract.forbidden_cycle_lengths):
+                continue
+            if any(
+                (d := distance(graph, i, j)) is not None and d < floors[i][j]
+                for i, j in itertools.combinations(range(contract.arity), 2)
+            ):
+                continue
+            expected.append((n, edges))
+        expected.sort(key=lambda c: len(c[1]))
+        assert list(_template_candidates(spec, Counter())) == expected
+        checked += len(expected)
+        several_counts += len({len(edges) for _, edges in expected}) > 1
+    # enough survivors, and enough templates mixing edge counts, for the
+    # order and the prunes to be pinned
+    assert checked > 500 and several_counts > 10
 
 
 def test_first_failing_clause_is_the_cheapest_failing_check():
