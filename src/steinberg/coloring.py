@@ -13,6 +13,7 @@ the solver honest.
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -25,7 +26,8 @@ if TYPE_CHECKING:  # pragma: no cover
 ColorAssignment = dict[int, int]
 
 _BRUTE_FORCE_LIMIT = 25  # 3^25 assignment space; beyond this, refuse
-_EXHAUSTIVE_LIMIT = 16  # vectorized full sweep, all 3^k rows touched
+_EXHAUSTIVE_LIMIT = 16  # full bitset sweep, all 3^k rows touched
+_SWEEP_CHUNK_VERTICES = 11  # a chunk spans 3^11 rows, one bit each
 
 
 def is_proper(g: Graph, assignment: Mapping[int, int]) -> bool:
@@ -334,13 +336,30 @@ def brute_force_3coloring(
     return None
 
 
+def _tile(block: int, width: int, total: int) -> int:
+    """``block``, ``width`` bits wide, repeated to fill ``total`` bits (a
+    multiple of ``width``) by shift-and-OR doubling."""
+    while width < total:
+        block |= block << width
+        width *= 2
+    return block & ((1 << total) - 1)
+
+
 def exhaustive_color_count(
     g: Graph, fixed: Mapping[int, int] | None = None
 ) -> int:
     """Count proper 3-colorings extending ``fixed`` by sweeping the full
-    3^k assignment space in vectorized chunks; every row is examined.
+    3^k assignment space in bitset chunks; every row is examined.
 
-    Guard: at most 3^16 free vertices (the sweep has no pruning at all).
+    The first (at most 11) free vertices span the rows of one chunk: bit
+    r of an integer stands for row r, and ``masks[v][c]`` holds the rows
+    that give vertex v color c.  Each coloring of the remaining free
+    vertices is one chunk, in which they and the fixed vertices are
+    colored.  Every edge ORs in the rows it violates and the chunk adds
+    the rows left over.
+
+    Guard: at most 16 free vertices, 3^16 rows (the sweep has no pruning
+    at all).
     """
     fixed = dict(fixed or {})
     check_fixed(g, fixed)
@@ -351,35 +370,39 @@ def exhaustive_color_count(
             f"{k} free vertices exceed the 3^{_EXHAUSTIVE_LIMIT}"
             " exhaustive-sweep guard"
         )
-    # the only user of numpy, so `import steinberg` does not load it
-    import numpy as np
-
-    index_of = {v: i for i, v in enumerate(free)}
-    free_edges = []
-    half_edges = []
+    inner = free[:_SWEEP_CHUNK_VERTICES]
+    outer = free[_SWEEP_CHUNK_VERTICES:]
+    rows = 3 ** len(inner)
+    every_row = (1 << rows) - 1
+    masks: dict[int, list[int]] = {}
+    stride = 1
+    for v in inner:
+        run = (1 << stride) - 1
+        masks[v] = [_tile(run << (c * stride), 3 * stride, rows) for c in range(3)]
+        stride *= 3
+    base = 0  # rows violating an edge between two row-spanning vertices
+    half_edges = []  # (row-spanning vertex, colored vertex)
+    colored_edges = []
     for u, v in g.edges:
-        if u in index_of and v in index_of:
-            free_edges.append((index_of[u], index_of[v]))
-        elif u in index_of:
-            half_edges.append((index_of[u], fixed[v]))
-        elif v in index_of:
-            half_edges.append((index_of[v], fixed[u]))
-    total = 3**k
-    if k == 0:
-        return 1
-    chunk = 3**11
+        if u in masks and v in masks:
+            a, b = masks[u], masks[v]
+            base |= a[0] & b[0] | a[1] & b[1] | a[2] & b[2]
+        elif u in masks:
+            half_edges.append((u, v))
+        elif v in masks:
+            half_edges.append((v, u))
+        else:
+            colored_edges.append((u, v))
     count = 0
-    powers = np.array([3**i for i in range(k)], dtype=np.int64)
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        codes = np.arange(start, stop, dtype=np.int64)
-        digits = (codes[:, None] // powers[None, :]) % 3
-        bad = np.zeros(stop - start, dtype=bool)
-        for i, j in free_edges:
-            bad |= digits[:, i] == digits[:, j]
-        for i, c in half_edges:
-            bad |= digits[:, i] == c
-        count += int(np.count_nonzero(~bad))
+    color = dict(fixed)
+    for chunk in itertools.product((0, 1, 2), repeat=len(outer)):
+        color.update(zip(outer, chunk))
+        bad = base
+        for u, w in half_edges:
+            bad |= masks[u][color[w]]
+        if any(color[u] == color[w] for u, w in colored_edges):
+            bad = every_row
+        count += rows - bad.bit_count()
     return count
 
 

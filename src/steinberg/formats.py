@@ -17,6 +17,9 @@ FORMATS = ("graph6", "dimacs", "json")
 
 _G6_HEADER = b">>graph6<<"
 _G6_OFFSET = bytes((b + 63) & 255 for b in range(256))
+_G6_PRINTABLE = bytes(range(63, 127))
+# a body byte's six bits, high bit first, as text
+_G6_SIX_BITS = {b: format(b - 63, "06b") for b in _G6_PRINTABLE}
 
 
 def _g6_encode_n(n: int) -> bytes:
@@ -80,22 +83,23 @@ def decode_graph6(data: bytes) -> Graph:
             f"graph6 body for n={n} needs {nbytes} bytes, got {len(data) - pos}",
             offset=pos,
         )
-    bits: list[int] = []
-    for i in range(nbytes):
-        b = data[pos + i]
-        if not (63 <= b <= 126):
-            raise FormatError(f"invalid graph6 byte {b!r}", offset=pos + i)
-        x = b - 63
-        for k in range(5, -1, -1):
-            bits.append((x >> k) & 1)
+    body = data[pos:]
+    if body.translate(None, _G6_PRINTABLE):
+        i = next(i for i, b in enumerate(body) if not (63 <= b <= 126))
+        raise FormatError(f"invalid graph6 byte {body[i]!r}", offset=pos + i)
+    bits = "".join([_G6_SIX_BITS[b] for b in body])
+    # bit v*(v-1)/2 + u stands for edge (u, v): walk the set bits with
+    # the column v and the index `start` of its first bit
     edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.append((u, v))
-            idx += 1
-    if any(bits[nbits:]):
+    v, start = 1, 0
+    idx = bits.find("1")
+    while 0 <= idx < nbits:
+        while idx >= start + v:
+            start += v
+            v += 1
+        edges.append((idx - start, v))
+        idx = bits.find("1", idx + 1)
+    if idx >= 0:
         raise FormatError("nonzero padding bits in graph6 body", offset=pos)
     return build_graph(n, edges)
 

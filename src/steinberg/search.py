@@ -449,7 +449,9 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
     A solver/oracle disagreement raises :class:`OracleMismatchError`
     with both transcripts; nothing is written in that case.  Patterns
     past the brute-force guard are not cross-checked, and the record
-    lists them under ``oracle_skipped``.
+    lists them under ``oracle_skipped``.  Forbidden patterns within the
+    exhaustive sweep's guard get their sweep count under
+    ``exhaustive_counts``; past it they get none.
     """
     report = verify_contract(gadget)
     if not report.passed:
@@ -486,9 +488,11 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
                 f" {'feasible' if feasible else 'infeasible'}, brute force"
                 f" says the opposite on {gadget.graph.n} vertices"
             )
-        free = gadget.graph.n - len(fixing)
-        if pattern in gadget.contract.forbidden_patterns and free <= 16:
-            counts[pattern] = exhaustive_color_count(gadget.graph, fixing)
+        if pattern in gadget.contract.forbidden_patterns:
+            try:
+                counts[pattern] = exhaustive_color_count(gadget.graph, fixing)
+            except SizeGuardError:
+                continue
             if counts[pattern] != 0:
                 raise OracleMismatchError(
                     f"pattern {pattern}: exhaustive sweep found"

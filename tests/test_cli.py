@@ -237,6 +237,8 @@ def test_lemmas_json_lists_the_fifteen_checks_in_order(tmp_path, capsys):
         "composition:case-tree",
     ]
     assert all(c["verdict"] == "pass" for c in checks)
+    sweep = next(c for c in checks if c["name"] == "seed:all-equal-exhaustive-sweep")
+    assert sweep["details"] == {"assignments_swept": 531441, "extensions_found": 0}
 
 
 def test_search_stock_writes_a_frozen_gadget(tmp_path, capsys, seed_gadget):

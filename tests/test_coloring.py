@@ -5,7 +5,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steinberg import (
@@ -17,6 +17,7 @@ from steinberg import (
     check_fixed,
     exhaustive_color_count,
     is_proper,
+    load_seed_gadget,
     revalidate_unsat,
     solve_3coloring,
     solve_3coloring_with_stats,
@@ -369,9 +370,47 @@ def test_exhaustive_color_count():
         exhaustive_color_count(build_graph(17, []))
 
 
+def _path(n):
+    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _cycle(n):
+    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _walks(length, same_ends):
+    # 3-colorings of a path of `length` edges with both ends precolored
+    return (2**length + (2 if same_ends else -1) * (-1) ** length) // 3
+
+
+@pytest.mark.parametrize("n", range(10, 17))
+def test_exhaustive_count_matches_closed_forms(n):
+    # past 11 free vertices the sweep runs in several chunks
+    assert exhaustive_color_count(_cycle(n)) == 2**n + 2 * (-1) ** n
+    assert exhaustive_color_count(_path(n)) == 3 * 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("end_color", [0, 1])
+def test_exhaustive_count_with_fixings_across_chunks(end_color):
+    # 14 vertices with 7 and 13 fixed: 12 free, so vertex 12 alone is
+    # colored per chunk, and its edge to fixed vertex 13 is checked per chunk
+    fixed = {7: 0, 13: end_color}
+    same = end_color == 0
+    # the path: 0..6 hangs off vertex 7, 8..12 runs from 7 to 13
+    assert exhaustive_color_count(_path(14), fixed) == 2**7 * _walks(6, same)
+    # the cycle: arcs of 6 and 8 edges between the two fixed vertices
+    assert exhaustive_color_count(_cycle(14), fixed) == _walks(6, same) * _walks(8, same)
+
+
 def test_import_leaves_numpy_unloaded():
-    # only the exhaustive sweep needs numpy, and it imports it itself
-    code = "import sys, steinberg; print('numpy' in sys.modules)"
+    # no module needs numpy, the exhaustive sweep included
+    code = (
+        "import sys, steinberg\n"
+        "seed = steinberg.load_seed_gadget()\n"
+        "fixing = {t: 0 for t in seed.terminals}\n"
+        "assert steinberg.exhaustive_color_count(seed.graph, fixing) == 0\n"
+        "print('numpy' in sys.modules)"
+    )
     # the child imports the same package as this test run
     src = os.path.dirname(os.path.dirname(coloring.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -412,6 +451,7 @@ def test_pattern_representative_round_trips():
 
 
 @given(graphs(6), st.integers(min_value=0, max_value=2**31 - 1))
+@example(load_seed_gadget().graph, 0)  # 15 vertices: several sweep chunks
 @settings(max_examples=60, deadline=None)
 def test_pattern_counts_partition_all_colorings(g, seed):
     # the pattern classes of three chosen vertices partition the space of

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,10 +60,16 @@ def test_graph6_optional_header_accepted():
 
 
 def test_graph6_large_n_uses_long_form():
-    g = build_graph(63, [(0, 62)])
-    data = encode(g, "graph6")
-    assert data.startswith(b"~")
-    assert decode(data, "graph6") == g
+    # 63 vertices and up take four header bytes; the dense and complete
+    # 70-vertex graphs put a set bit in every body byte and column
+    rng = random.Random(70)
+    dense = [(u, v) for v in range(70) for u in range(v) if rng.random() < 0.4]
+    complete = [(u, v) for v in range(70) for u in range(v)]
+    for n, pairs in ((63, [(0, 62)]), (70, dense), (70, complete)):
+        g = build_graph(n, pairs)
+        data = encode(g, "graph6")
+        assert data.startswith(b"~")
+        assert decode(data, "graph6") == g
 
 
 def test_graph6_errors_carry_byte_offsets():
@@ -79,14 +87,22 @@ def test_graph6_errors_carry_byte_offsets():
         decode_graph6(bytes([30]))
     assert exc.value.offset == 0
 
+    # the first bad body byte is the one reported
+    with pytest.raises(FormatError, match="invalid graph6 byte 127") as exc:
+        decode_graph6(b">>graph6<<E?" + bytes([127, 30]))
+    assert exc.value.offset == 12
+
 
 def test_graph6_rejects_nonzero_padding():
     # B? is the empty 3-vertex graph: 3 data bits, then 3 padding bits
     good = b"B?"
     assert decode(good, "graph6").m == 0
-    bad = bytes([good[0], 63 + 1])
-    with pytest.raises(FormatError, match="padding"):
-        decode(bad, "graph6")
+    # the last padding bit, and the first one, right after the data bits
+    for padding in (1, 4):
+        bad = bytes([good[0], 63 + padding])
+        with pytest.raises(FormatError, match="padding") as exc:
+            decode(bad, "graph6")
+        assert exc.value.offset == 1
 
 
 def test_dimacs_shape():

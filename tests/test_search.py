@@ -23,6 +23,7 @@ from steinberg import (
     shrink_counterexample,
     verify_contract,
 )
+from steinberg import coloring
 from steinberg.analysis import distance, forbidden_cycle_check
 from steinberg.gadgets import load_gadget_payload
 from steinberg.search import (
@@ -286,6 +287,18 @@ def test_freeze_records_patterns_the_oracle_skipped(tmp_path, seed_gadget, tripl
     # the seed's 12 free vertices are all within it
     path = certify_and_freeze(seed_gadget, tmp_path / "seed.json")
     assert load_gadget_payload(path)["verification"]["oracle_skipped"] == []
+
+
+def test_freeze_records_no_sweep_count_past_the_sweep_guard(
+    tmp_path, monkeypatch, seed_gadget
+):
+    # the guard lives in the sweep alone: lowered below the seed's 12 free
+    # vertices, the record keeps its keys and lists no count
+    monkeypatch.setattr(coloring, "_EXHAUSTIVE_LIMIT", 11)
+    path = certify_and_freeze(seed_gadget, tmp_path / "seed.json")
+    ver = load_gadget_payload(path)["verification"]
+    assert ver["exhaustive_counts"] == {}
+    assert ver["oracle_skipped"] == []
 
 
 def test_certify_and_freeze_refuses_a_failing_gadget(tmp_path):
