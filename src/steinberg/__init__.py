@@ -59,6 +59,7 @@ from .gadgets import (
     build_triple_gadget,
     compositional_check,
     counterexample_recipe,
+    counterexample_report,
     first_failing_clause,
     load_gadget,
     paste,
@@ -76,10 +77,8 @@ from .search import (
     certify_and_freeze,
     search_gadget,
     seed_search_spec,
-    shrink_counterexample,
 )
 from .stock import load_seed_gadget, seed_data_path
-from .cli import counterexample_report
 
 __all__ = [
     "__version__",
@@ -147,7 +146,6 @@ __all__ = [
     "search_gadget",
     "seed_search_spec",
     "certify_and_freeze",
-    "shrink_counterexample",
     "load_seed_gadget",
     "seed_data_path",
 ]

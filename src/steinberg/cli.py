@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: build, verify, lemmas, search, shrink, convert.  Exit codes
+Subcommands: build, verify, lemmas, search, convert.  Exit codes
 are a stable contract: 0 success / all checks passed, 1 a verification
 check failed, 2 usage or parse error.  All configuration arrives via
 flags, and every command is deterministic.
@@ -9,7 +9,6 @@ flags, and every command is deterministic.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from collections import Counter
@@ -17,21 +16,8 @@ from pathlib import Path
 from typing import Any
 
 from . import __version__
-from .analysis import (
-    forbidden_cycle_check,
-    is_planar,
-    triangle_edge_conflicts,
-    triangles_sharing_edge,
-    validate_planarity_certificate,
-)
 from .canon import canonical_digest
-from .coloring import (
-    brute_force_3coloring,
-    exhaustive_color_count,
-    is_proper,
-    solve_3coloring_with_stats,
-    terminal_behavior,
-)
+from .coloring import _BRUTE_FORCE_LIMIT
 from .errors import (
     ContractError,
     FormatError,
@@ -51,22 +37,18 @@ from .formats import (
 from .gadgets import (
     build_counterexample,
     build_triple_gadget,
-    compositional_check,
+    counterexample_report,
     gadget_to_json_dict,
-    paste_triple,
-    require_contract,
-    seed_in_roles,
-    verify_contract,
+    lemmas_report,
 )
 from .graphs import Graph
-from .report import CheckResult, VerificationReport, timed_check
+from .report import VerificationReport
 from .search import (
     certify_and_freeze,
     funnel_line,
     load_search_spec,
     search_gadget,
     seed_search_spec,
-    shrink_counterexample,
 )
 from .stock import load_seed_gadget
 
@@ -107,80 +89,6 @@ def _write_report(report: VerificationReport, json_path: str | None) -> None:
     if json_path:
         Path(json_path).write_bytes(report.to_json_bytes())
         print(f"report written to {json_path}")
-
-
-def counterexample_report(g: Graph, jobs: int = 1, oracle: bool = False) -> VerificationReport:
-    """The full battery run against a bare graph, trusting nothing about
-    where it came from.
-
-    ``jobs`` is ignored: the solver runs in one process, and the keyword
-    stays only so existing callers that pass it keep working.
-    """
-    checks: list[CheckResult] = []
-
-    def planarity():
-        cert = is_planar(g)
-        validate_planarity_certificate(g, cert)
-        if cert.planar:
-            return True, None, {"faces_traced": True}
-        return False, cert, {"obstruction": cert.kind}
-
-    checks.append(timed_check("planarity", planarity))
-
-    def no_short_cycles():
-        witness = forbidden_cycle_check(g, frozenset({4, 5}))
-        if witness is None:
-            return True, None, {"lengths_checked": [4, 5]}
-        return False, witness, {}
-
-    checks.append(timed_check("no-4-or-5-cycles", no_short_cycles))
-
-    def not_colorable():
-        solution, stats = solve_3coloring_with_stats(g)
-        details: dict[str, Any] = {"solver_nodes": stats.nodes}
-        if solution is not None:
-            if not is_proper(g, solution):
-                raise OracleMismatchError("solver returned an improper coloring")
-            witness = {"coloring": {str(v): c for v, c in sorted(solution.items())}}
-            return False, witness, details
-        if oracle:
-            details["oracle"] = "brute-force"
-            if brute_force_3coloring(g) is not None:
-                raise OracleMismatchError(
-                    "solver says UNSAT but brute force found a coloring"
-                )
-        return True, None, details
-
-    checks.append(timed_check("not-3-colorable", not_colorable))
-
-    def no_adjacent_triangles():
-        conflicts = triangles_sharing_edge(g)
-        if not conflicts:
-            return True, None, {"triangle_pairs_sharing_an_edge": 0}
-        edge, t1, t2 = conflicts[0]
-        return False, {"edge": list(edge), "triangles": [list(t1.vertices), list(t2.vertices)]}, {}
-
-    checks.append(timed_check("no-adjacent-triangles", no_adjacent_triangles))
-
-    def no_triangle_short_cycle_edge():
-        conflicts = triangle_edge_conflicts(g, frozenset({3, 5}))
-        if not conflicts:
-            return True, None, {"conflicts": 0}
-        edge, tri, other = conflicts[0]
-        return (
-            False,
-            {
-                "triangle": list(tri.vertices),
-                "cycle": list(other.vertices),
-                "shared_edge": list(edge),
-            },
-            {},
-        )
-
-    checks.append(timed_check("no-triangle-sharing-edge-with-3-or-5-cycle", no_triangle_short_cycle_edge))
-
-    target = {"n": g.n, "m": len(g.edges), "canonical_digest": canonical_digest(g)}
-    return VerificationReport(target=target, checks=tuple(checks), tool_version=__version__)
 
 
 def _get_seed(args) -> Any:
@@ -240,9 +148,10 @@ def cmd_verify(args) -> int:
     path = Path(args.graph)
     fmt = _resolve_format(args.format, path)
     graph = _load_graph(path, fmt)
-    if args.oracle and graph.n > 25:
+    if args.oracle and graph.n > _BRUTE_FORCE_LIMIT:
         print(
-            f"error: --oracle needs at most 25 vertices, got {graph.n}",
+            f"error: --oracle needs at most {_BRUTE_FORCE_LIMIT} vertices,"
+            f" got {graph.n}",
             file=sys.stderr,
         )
         return 2
@@ -257,50 +166,7 @@ def cmd_lemmas(args) -> int:
     except SteinbergError as exc:
         print(f"error: frozen seed gadget unavailable: {exc}", file=sys.stderr)
         return 2
-    # the one check of the seed's contract, the check build_triple_gadget
-    # makes, so the triple below is pasted without repeating it.  A failing
-    # clause raises ContractError (exit 1) before any report is written.
-    # The packaged seed lists its terminals in role order under the seed
-    # contract, so the check names are those of its own contract.
-    seed_report = require_contract(seed_in_roles(seed))
-    checks: list[CheckResult] = []
-    for c in seed_report.checks:
-        checks.append(dataclasses.replace(c, name=f"seed:{c.name}"))
-
-    def seed_exhaustive():
-        fixing = {t: 0 for t in seed.terminals}
-        count = exhaustive_color_count(seed.graph, fixing)
-        swept = 3 ** (seed.graph.n - len(seed.terminals))
-        return count == 0, (
-            None if count == 0 else {"extensions_found": count}
-        ), {"assignments_swept": swept, "extensions_found": count}
-
-    checks.append(timed_check("seed:all-equal-exhaustive-sweep", seed_exhaustive))
-
-    def seed_oracle():
-        fixing = {t: 0 for t in seed.terminals}
-        witness = brute_force_3coloring(seed.graph, fixing)
-        if witness is None:
-            return True, None, {"oracle": "brute-force"}
-        return False, {"coloring": {str(v): c for v, c in sorted(witness.items())}}, {}
-
-    checks.append(timed_check("seed:all-equal-brute-force", seed_oracle))
-
-    triple = paste_triple(seed)
-    for c in verify_contract(triple).checks:
-        checks.append(dataclasses.replace(c, name=f"triple:{c.name}"))
-
-    def composition():
-        result = compositional_check(seed, terminal_behavior(seed))
-        if result.ok:
-            return True, None, result.to_json_dict()
-        return False, result.counterexample, result.to_json_dict()
-
-    checks.append(timed_check("composition:case-tree", composition))
-
-    report = VerificationReport(
-        target=seed_report.target, checks=tuple(checks), tool_version=__version__
-    )
+    report = lemmas_report(seed)
     _write_report(report, args.json)
     return 0 if report.passed else 1
 
@@ -331,27 +197,6 @@ def cmd_search(args) -> int:
     else:
         print(f"{found} gadget(s) frozen")
     print(funnel_line(funnel))
-    return 0
-
-
-def cmd_shrink(args) -> int:
-    path = Path(args.graph)
-    fmt = _resolve_format(args.format, path)
-    graph = _load_graph(path, fmt)
-    try:
-        shrunk = shrink_counterexample(graph, budget=args.budget)
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(
-        f"{graph.n} vertices / {len(graph.edges)} edges ->"
-        f" {shrunk.n} vertices / {len(shrunk.edges)} edges"
-    )
-    if args.out:
-        out = Path(args.out)
-        out_fmt = _resolve_format(args.to, out)
-        out.write_bytes(encode(shrunk, out_fmt))
-        print(f"written to {out} ({out_fmt})")
     return 0
 
 
@@ -433,14 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--limit", type=int, default=1, help="stop after this many finds (default 1)")
     p.add_argument("--out-dir", default=".", help="where frozen gadget files go")
     p.set_defaults(fn=cmd_search)
-
-    p = sub.add_parser("shrink", help="best-effort minimization of a counterexample")
-    p.add_argument("graph", help="graph file that must already verify")
-    _add_format(p)
-    p.add_argument("--budget", type=int, default=60, help="candidate verifications (default 60)")
-    p.add_argument("--out", help="write the shrunk graph here")
-    p.add_argument("--to", default=None, help="output format (default: by extension)")
-    p.set_defaults(fn=cmd_shrink)
 
     p = sub.add_parser("convert", help="convert between graph file formats")
     p.add_argument("src")

@@ -19,7 +19,7 @@ the seed, triple, final argument cannot drift from the construction.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -28,26 +28,29 @@ from .analysis import (
     forbidden_cycle_check,
     is_planar,
     shortest_path,
+    triangle_edge_conflicts,
+    triangles_sharing_edge,
     validate_planarity_certificate,
 )
 from .canon import canonical_digest
 from .coloring import (
+    _BRUTE_FORCE_LIMIT,
     ImproperFixingError,
     TerminalBehavior,
     all_equal_pattern,
     all_patterns,
     brute_force_3coloring,
+    exhaustive_color_count,
     is_proper,
     pattern_of,
     pattern_representative,
     solve_3coloring_with_stats,
+    terminal_behavior,
 )
 from .errors import ContractError, FormatError, OracleMismatchError, PasteError
 from .formats import graph_from_json_dict, graph_to_json_dict, parse_json_payload
 from .graphs import Graph, add_apex, build_graph
-from .report import CheckResult, VerificationReport, timed_check
-
-_ORACLE_FREE_LIMIT = 25  # past this, an UNSAT pattern is reported oracle-skipped
+from .report import VerificationReport, timed_check
 
 
 # ---------------------------------------------------------------------------
@@ -211,68 +214,93 @@ def triple_contract() -> InterfaceContract:
 
 
 # ---------------------------------------------------------------------------
-# verification
+# check bodies
+#
+# Each body returns ``(passed, witness, details)``, as :func:`timed_check`
+# expects.  The contract clauses and the counterexample battery share
+# them, so each fact is checked by one piece of code.
 
-def _check_pattern_infeasible(
-    g: Graph, terminals: tuple[int, ...], pattern: str
-) -> tuple[bool, Any, dict[str, Any]]:
-    """Solver verdict plus independent revalidation for one pattern.
+CheckBody = Callable[[], tuple[bool, Any, Any]]
 
-    Below the brute-force guard the oracle re-decides the query and any
-    disagreement with the solver raises :class:`OracleMismatchError`.
-    Above it no oracle runs, and the details say so (mode
-    ``oracle-skipped`` with the number of free vertices): re-running the
-    same solver would add no independent evidence.
+
+def _planarity_check(g: Graph) -> tuple[bool, Any, Any]:
+    """Planarity, with its certificate re-checked from scratch."""
+    cert = is_planar(g)
+    validate_planarity_certificate(g, cert)
+    if cert.planar:
+        return True, None, {"faces": "euler-checked"}
+    return False, cert, None
+
+
+def _cycle_check(g: Graph, lengths: frozenset[int]) -> tuple[bool, Any, Any]:
+    """No cycle of a length in ``lengths``."""
+    hit = forbidden_cycle_check(g, lengths)
+    return hit is None, hit, None
+
+
+def _coloring_check(
+    g: Graph, fixing: dict[int, int], oracle: bool
+) -> tuple[bool, Any, Any]:
+    """No proper 3-coloring extends ``fixing``.
+
+    A solver witness is checked with :func:`is_proper`.  On UNSAT, with
+    ``oracle`` brute force re-decides the query and any disagreement
+    raises :class:`OracleMismatchError` (mode ``brute-force-oracle``);
+    without it the details say no cross-check ran (mode
+    ``oracle-skipped`` with the number of free vertices).
     """
-    rep = pattern_representative(pattern)
-    fixing = {terminals[i]: rep[i] for i in range(len(terminals))}
     try:
         solution, stats = solve_3coloring_with_stats(g, fixing)
     except ImproperFixingError:
-        # two equal terminals are adjacent: the pattern cannot occur
+        # two adjacent vertices are fixed to one color: nothing extends it
         return True, None, {"mode": "adjacent-terminals"}
     details: dict[str, Any] = {"solver_nodes": stats.nodes}
     if solution is not None:
         if not is_proper(g, solution):
             raise OracleMismatchError(
-                f"pattern {pattern}: solver returned an improper coloring"
+                f"solver returned an improper coloring with fixing {fixing!r}"
             )
         witness = {"coloring": {str(v): c for v, c in sorted(solution.items())}}
         return False, witness, details
-    free = g.n - len(fixing)
-    if free <= _ORACLE_FREE_LIMIT:
-        oracle = brute_force_3coloring(g, fixing)
-        if oracle is not None:
+    if oracle:
+        found = brute_force_3coloring(g, fixing)
+        if found is not None:
             raise OracleMismatchError(
-                f"pattern {pattern}: solver says UNSAT, brute force found"
-                f" {oracle!r} on a {g.n}-vertex graph with fixing {fixing!r}"
+                f"solver says UNSAT, brute force found {found!r} on a"
+                f" {g.n}-vertex graph with fixing {fixing!r}"
             )
         details["mode"] = "brute-force-oracle"
     else:
         details["mode"] = "oracle-skipped"
-        details["free_vertices"] = free
+        details["free_vertices"] = g.n - len(fixing)
     return True, None, details
 
 
-def _contract_clauses(
-    gadget: TerminalGadget,
-) -> list[tuple[str, Callable[[], tuple[bool, Any, Any]]]]:
-    """The contract's clauses as (name, body) pairs, in report order.
+def _report(
+    g: Graph, clauses: Sequence[tuple[str, CheckBody]]
+) -> VerificationReport:
+    """Run each clause, timed and in order, on the graph ``g``; the
+    target names ``g`` by its canonical digest."""
+    checks = tuple(timed_check(name, body) for name, body in clauses)
+    target = {"n": g.n, "m": g.m, "canonical_digest": canonical_digest(g)}
+    return VerificationReport(target=target, checks=checks)
 
-    Each body runs its clause in full and returns ``(passed, witness,
-    details)``, as :func:`timed_check` expects.
-    """
+
+# ---------------------------------------------------------------------------
+# contract verification
+
+def _contract_clauses(gadget: TerminalGadget) -> list[tuple[str, CheckBody]]:
+    """The contract's clauses as (name, body) pairs, in report order.
+    Each body runs its clause in full."""
     g = gadget.graph
     contract = gadget.contract
-    clauses: list[tuple[str, Callable[[], tuple[bool, Any, Any]]]] = []
+    clauses: list[tuple[str, CheckBody]] = []
 
     if contract.forbidden_cycle_lengths:
-
-        def cycle_clause():
-            hit = forbidden_cycle_check(g, contract.forbidden_cycle_lengths)
-            return hit is None, hit, None
-
-        clauses.append(("forbidden-cycles", cycle_clause))
+        clauses.append((
+            "forbidden-cycles",
+            lambda: _cycle_check(g, contract.forbidden_cycle_lengths),
+        ))
 
     exact = contract.exact_terminal_distances
     minimum = contract.min_terminal_distances
@@ -305,34 +333,24 @@ def _contract_clauses(
             clauses.append((f"distance-t{i}-t{j}", distance_clause))
 
     for pattern in sorted(contract.forbidden_patterns):
-
-        def pattern_clause(pattern=pattern):
-            return _check_pattern_infeasible(g, gadget.terminals, pattern)
-
-        clauses.append((f"pattern-{pattern}-infeasible", pattern_clause))
+        rep = pattern_representative(pattern)
+        fixing = dict(zip(gadget.terminals, rep))
+        # brute force cross-checks every pattern within its guard
+        oracle = g.n - len(fixing) <= _BRUTE_FORCE_LIMIT
+        clauses.append((
+            f"pattern-{pattern}-infeasible",
+            lambda fixing=fixing, oracle=oracle: _coloring_check(g, fixing, oracle),
+        ))
 
     if contract.require_planar:
-
-        def planar_clause():
-            cert = is_planar(g)
-            validate_planarity_certificate(g, cert)
-            if cert.planar:
-                return True, None, {"faces": "euler-checked"}
-            return False, cert, None
-
-        clauses.append(("planarity", planar_clause))
+        clauses.append(("planarity", lambda: _planarity_check(g)))
 
     return clauses
 
 
 def verify_contract(gadget: TerminalGadget) -> VerificationReport:
     """Re-check every contract clause; one report line per clause."""
-    checks = tuple(
-        timed_check(name, body) for name, body in _contract_clauses(gadget)
-    )
-    g = gadget.graph
-    target = {"n": g.n, "m": g.m, "canonical_digest": canonical_digest(g)}
-    return VerificationReport(target=target, checks=checks)
+    return _report(gadget.graph, _contract_clauses(gadget))
 
 
 # clause kinds by the first word of their names, cheapest first: one BFS,
@@ -376,10 +394,55 @@ def require_contract(gadget: TerminalGadget) -> VerificationReport:
 def terminals_cofacial(gadget: TerminalGadget) -> bool:
     """Can the terminals lie on one face?  Tested by joining a fresh apex
     vertex to all of them: planarity survives exactly when they can."""
-    apexed = add_apex(gadget.graph, gadget.terminals)
-    cert = is_planar(apexed)
-    validate_planarity_certificate(apexed, cert)
-    return cert.planar
+    passed, _, _ = _planarity_check(add_apex(gadget.graph, gadget.terminals))
+    return passed
+
+
+# ---------------------------------------------------------------------------
+# the counterexample battery
+
+def _adjacent_triangles_check(g: Graph) -> tuple[bool, Any, Any]:
+    conflicts = triangles_sharing_edge(g)
+    if not conflicts:
+        return True, None, {"triangle_pairs_sharing_an_edge": 0}
+    edge, t1, t2 = conflicts[0]
+    witness = {"edge": list(edge), "triangles": [list(t1.vertices), list(t2.vertices)]}
+    return False, witness, {}
+
+
+def _triangle_short_cycle_edge_check(g: Graph) -> tuple[bool, Any, Any]:
+    conflicts = triangle_edge_conflicts(g, frozenset({3, 5}))
+    if not conflicts:
+        return True, None, {"conflicts": 0}
+    edge, tri, other = conflicts[0]
+    witness = {
+        "triangle": list(tri.vertices),
+        "cycle": list(other.vertices),
+        "shared_edge": list(edge),
+    }
+    return False, witness, {}
+
+
+def counterexample_report(g: Graph, jobs: int = 1, oracle: bool = False) -> VerificationReport:
+    """The full battery run against a bare graph, trusting nothing about
+    where it came from: planarity, no 4- or 5-cycles, no 3-coloring, and
+    the two triangle conditions of the stronger conjecture variants.
+
+    ``oracle`` cross-checks a non-colorability verdict by brute force,
+    which refuses graphs past its guard.  ``jobs`` is ignored: the
+    solver runs in one process, and the keyword stays only so existing
+    callers that pass it keep working.
+    """
+    return _report(g, [
+        ("planarity", lambda: _planarity_check(g)),
+        ("no-4-or-5-cycles", lambda: _cycle_check(g, frozenset({4, 5}))),
+        ("not-3-colorable", lambda: _coloring_check(g, {}, oracle)),
+        ("no-adjacent-triangles", lambda: _adjacent_triangles_check(g)),
+        (
+            "no-triangle-sharing-edge-with-3-or-5-cycle",
+            lambda: _triangle_short_cycle_edge_check(g),
+        ),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -817,6 +880,52 @@ def compositional_check(
         counterexample_recipe(composite), [triple_stage.behavior] * 4, ()
     )
     return CompositionalResult(triple_stage, final_stage)
+
+
+def lemmas_report(seed: TerminalGadget) -> VerificationReport:
+    """The per-stage lemmas: the seed's contract, the seed's all-equal
+    infeasibility by an exhaustive sweep and by brute force, the triple's
+    contract, and the solver-free case tree over both recipes.
+
+    The seed's contract is checked once, the check
+    :func:`build_triple_gadget` makes, so the triple is pasted without
+    repeating it; a failing clause raises :class:`ContractError` before
+    any other check runs.  The seed is checked with its terminals in
+    role order under :func:`seed_contract`, so the check names are those
+    of its own contract.
+    """
+    seed_report = require_contract(seed_in_roles(seed))
+    checks = [replace(c, name=f"seed:{c.name}") for c in seed_report.checks]
+    all_equal = {t: 0 for t in seed.terminals}
+
+    def seed_exhaustive():
+        count = exhaustive_color_count(seed.graph, all_equal)
+        swept = 3 ** (seed.graph.n - len(seed.terminals))
+        return count == 0, (
+            None if count == 0 else {"extensions_found": count}
+        ), {"assignments_swept": swept, "extensions_found": count}
+
+    checks.append(timed_check("seed:all-equal-exhaustive-sweep", seed_exhaustive))
+
+    def seed_oracle():
+        witness = brute_force_3coloring(seed.graph, all_equal)
+        if witness is None:
+            return True, None, {"oracle": "brute-force"}
+        return False, {"coloring": {str(v): c for v, c in sorted(witness.items())}}, {}
+
+    checks.append(timed_check("seed:all-equal-brute-force", seed_oracle))
+
+    for c in verify_contract(paste_triple(seed)).checks:
+        checks.append(replace(c, name=f"triple:{c.name}"))
+
+    def composition():
+        result = compositional_check(seed, terminal_behavior(seed))
+        if result.ok:
+            return True, None, result.to_json_dict()
+        return False, result.counterexample, result.to_json_dict()
+
+    checks.append(timed_check("composition:case-tree", composition))
+    return VerificationReport(target=seed_report.target, checks=tuple(checks))
 
 
 # ---------------------------------------------------------------------------

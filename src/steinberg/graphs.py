@@ -133,47 +133,6 @@ def add_edges(g: Graph, new: Iterable[tuple[int, int]]) -> Graph:
     return build_graph(g.n, edges, labels)
 
 
-def delete_vertex(g: Graph, v: int) -> tuple[Graph, dict[int, int]]:
-    """Delete one vertex, compacting indices.
-
-    Returns the new graph and the old-to-new vertex map.
-    """
-    if not (0 <= v < g.n):
-        raise GraphConstructionError(f"vertex {v} outside 0..{g.n - 1}")
-    remap = {u: (u if u < v else u - 1) for u in range(g.n) if u != v}
-    edges = [
-        (remap[a], remap[b]) for a, b in g.edges if a != v and b != v
-    ]
-    labels = None
-    if g.labels is not None:
-        labels = {remap[u]: s for u, s in g.labels if u != v}
-    return build_graph(g.n - 1, edges, labels), remap
-
-
-def contract_edge(g: Graph, u: int, v: int) -> Graph:
-    """Contract an edge, merging v into u and compacting indices.
-
-    Parallel edges created by the merge collapse into single edges; this
-    is the usual minor operation, unlike paste where collisions are
-    errors.
-    """
-    e = normalize_edge(u, v)
-    if e not in g.edge_set:
-        raise GraphConstructionError(f"edge ({u}, {v}) not present")
-    u, v = e
-    remap = {w: (w if w < v else w - 1) for w in range(g.n) if w != v}
-    merged: set[Edge] = set()
-    for a, b in g.edges:
-        a2 = remap[u] if a == v else remap[a]
-        b2 = remap[u] if b == v else remap[b]
-        if a2 != b2:
-            merged.add(normalize_edge(a2, b2))
-    labels = None
-    if g.labels is not None:
-        labels = {remap[w]: s for w, s in g.labels if w != v}
-    return build_graph(g.n - 1, sorted(merged), labels)
-
-
 def add_apex(g: Graph, targets: Iterable[int]) -> Graph:
     """Add one new vertex adjacent to ``targets``.
 

@@ -1,4 +1,4 @@
-"""Constrained gadget search, freezing, and best-effort shrinking.
+"""Constrained gadget search and freezing.
 
 The search walks a layered template once, as a list of steps that each
 choose one of several edge tuples.  It prunes a partial candidate as
@@ -24,14 +24,12 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from . import __version__ as _tool_version
-from .analysis import cycles_of_length, is_planar, validate_planarity_certificate
 from .canon import canonical_form
 from .coloring import (
     brute_force_3coloring,
     check_fixed,
     exhaustive_color_count,
     pattern_representative,
-    solve_3coloring,
     terminal_behavior,
 )
 from .errors import (
@@ -50,7 +48,7 @@ from .gadgets import (
     save_gadget,
     verify_contract,
 )
-from .graphs import Graph, build_graph, contract_edge, delete_vertex
+from .graphs import build_graph
 
 _RAW_VERTEX_LIMIT = 6  # raw enumeration is 2^C(n,2); past this a template is required
 
@@ -193,7 +191,7 @@ def _distance_floor_violated(
     floors: list[tuple[int, int, int]],
 ) -> bool:
     """Is a required terminal distance already beaten?  Distances only
-    shrink as edges arrive, so a too-short partial distance is final."""
+    fall as edges arrive, so a too-short partial distance is final."""
     for u, v, floor in floors:
         seen = {u}
         frontier = {u}
@@ -521,64 +519,6 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
     path = Path(path)
     save_gadget(frozen, path, verification=verification)
     return path
-
-
-# ---------------------------------------------------------------------------
-# shrinking
-
-def _counterexample_failure(graph: Graph) -> str | None:
-    cert = is_planar(graph)
-    validate_planarity_certificate(graph, cert)
-    if not cert.planar:
-        return "planarity"
-    for k in (4, 5):
-        if cycles_of_length(graph, k):
-            return f"{k}-cycle"
-    if solve_3coloring(graph) is not None:
-        return "3-colorable"
-    return None
-
-
-def shrink_counterexample(graph: Graph, budget: int = 60) -> Graph:
-    """Best-effort local minimization of a verified counterexample.
-
-    Tries single vertex deletions, then single edge contractions, in
-    index order, re-verifying planarity, the cycle bans, and
-    non-colorability after each step; the first improving step is taken
-    and the scan restarts.  ``budget`` bounds the number of candidate
-    verifications.  No minimality guarantee.
-    """
-    failure = _counterexample_failure(graph)
-    if failure is not None:
-        raise ContractError(
-            f"input is not a counterexample: fails {failure}", clause=failure
-        )
-    attempts = 0
-    current = graph
-    improved = True
-    while improved and attempts < budget:
-        improved = False
-        for v in range(current.n):
-            if attempts >= budget:
-                break
-            candidate, _ = delete_vertex(current, v)
-            attempts += 1
-            if _counterexample_failure(candidate) is None:
-                current = candidate
-                improved = True
-                break
-        if improved or attempts >= budget:
-            continue
-        for u, v in current.edges:
-            if attempts >= budget:
-                break
-            candidate = contract_edge(current, u, v)
-            attempts += 1
-            if _counterexample_failure(candidate) is None:
-                current = candidate
-                improved = True
-                break
-    return current
 
 
 # ---------------------------------------------------------------------------

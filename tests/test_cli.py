@@ -97,6 +97,30 @@ def test_verify_oracle_flag(capsys, k4_file):
     assert "[PASS] not-3-colorable" in out
 
 
+def test_verify_details_name_the_coloring_cross_check(tmp_path, capsys, k4_file):
+    # without --oracle the report says no cross-check ran; with it, the
+    # brute-force oracle agreed.  Verdicts and the exit code are the same.
+    reports = []
+    for extra in ((), ("--oracle",)):
+        path = tmp_path / f"k4{len(extra)}.json"
+        code, _, _ = run_cli(
+            capsys, "verify", str(k4_file), "--json", str(path), *extra
+        )
+        assert code == 1
+        reports.append(VerificationReport.from_json_bytes(path.read_bytes()))
+    plain, oracle = (r.check("not-3-colorable") for r in reports)
+    assert plain.passed and oracle.passed
+    assert plain.details == {
+        "solver_nodes": 1,
+        "mode": "oracle-skipped",
+        "free_vertices": 4,
+    }
+    assert oracle.details == {"solver_nodes": 1, "mode": "brute-force-oracle"}
+    assert [c.passed for c in reports[0].checks] == [
+        c.passed for c in reports[1].checks
+    ]
+
+
 def test_verify_oracle_guard(tmp_path, capsys, final_graph):
     path = tmp_path / "g.g6"
     path.write_bytes(encode(final_graph, "graph6"))
@@ -205,8 +229,7 @@ def test_lemmas_checks_the_seed_contract_once(monkeypatch, capsys):
         digests.append(g.n)
         return real(g)
 
-    for module in (cli, gadgets):
-        monkeypatch.setattr(module, "verify_contract", counting_verify)
+    monkeypatch.setattr(gadgets, "verify_contract", counting_verify)
     for module in (canon, cli, gadgets, stock):
         monkeypatch.setattr(module, "canonical_digest", counting_digest)
     assert run_cli(capsys, "lemmas")[0] == 0
@@ -326,12 +349,10 @@ def test_convert_unknown_extension(tmp_path, capsys, c5_file):
     assert "format" in err
 
 
-def test_shrink_rejects_non_counterexample(capsys, c5_file, tmp_path):
-    code, _, err = run_cli(
-        capsys, "shrink", str(c5_file), "--out", str(tmp_path / "s.g6")
-    )
-    assert code == 1
-    assert "not a counterexample" in err
+def test_shrink_is_an_unknown_subcommand(capsys, c5_file):
+    code, _, err = run_cli(capsys, "shrink", str(c5_file))
+    assert code == 2
+    assert "invalid choice" in err and "shrink" in err
 
 
 def test_verify_six_disjoint_seven_cycles(tmp_path, capsys):

@@ -23,7 +23,7 @@ from steinberg import (
     solve_3coloring_with_stats,
     terminal_behavior,
 )
-from steinberg import cli, coloring, gadgets
+from steinberg import coloring, gadgets
 from steinberg.coloring import (
     SolveStats,
     all_equal_pattern,
@@ -204,9 +204,9 @@ def test_verify_refutes_the_final_graph_in_any_vertex_order(
         solves.append(solve(graph, fixed))
         return solves[-1]
 
-    monkeypatch.setattr(cli, "solve_3coloring_with_stats", recorded)
+    monkeypatch.setattr(gadgets, "solve_3coloring_with_stats", recorded)
     start = time.perf_counter()
-    report = cli.counterexample_report(g)
+    report = gadgets.counterexample_report(g)
     assert time.perf_counter() - start < 2
     assert report.passed
     [(result, stats)] = solves
@@ -251,12 +251,17 @@ def _count_solves(monkeypatch, *modules):
 def test_report_refutes_the_final_graph_in_one_solve(monkeypatch, final_graph):
     # the verdict comes from one solver call with nothing fixed: no split
     # into pinned branches, no re-solve after it
-    calls = _count_solves(monkeypatch, coloring, cli)
-    check = cli.counterexample_report(final_graph).check("not-3-colorable")
+    calls = _count_solves(monkeypatch, coloring, gadgets)
+    check = gadgets.counterexample_report(final_graph).check("not-3-colorable")
     assert check.passed
     assert calls == [{}]
-    # solver_nodes counts the solve's decisions
-    assert check.details == {"solver_nodes": 657}
+    # solver_nodes counts the solve's decisions; 166 free vertices are
+    # past the brute-force guard, and the details say no oracle ran
+    assert check.details == {
+        "solver_nodes": 657,
+        "mode": "oracle-skipped",
+        "free_vertices": 166,
+    }
 
 
 @given(graphs(7))
@@ -310,10 +315,10 @@ def _all_zero_with_stats(g, fixed=None):
     "module, name, fake, run",
     [
         (
-            cli,
+            gadgets,
             "solve_3coloring_with_stats",
             _all_zero_with_stats,
-            lambda: cli.counterexample_report(C5),
+            lambda: gadgets.counterexample_report(C5),
         ),
         (
             gadgets,

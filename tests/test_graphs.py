@@ -4,8 +4,6 @@ from steinberg import Graph, GraphConstructionError, build_graph
 from steinberg.graphs import (
     add_apex,
     add_edges,
-    contract_edge,
-    delete_vertex,
     normalize_edge,
     remove_edge,
 )
@@ -97,33 +95,6 @@ def test_add_edges_checks_duplicates():
     assert h.edges == ((0, 1), (1, 2))
     with pytest.raises(GraphConstructionError):
         add_edges(g, [(1, 0)])
-
-
-def test_delete_vertex_compacts_and_maps():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3)], labels={3: "end"})
-    h, remap = delete_vertex(g, 1)
-    assert h.n == 3
-    assert h.edges == ((1, 2),)
-    assert remap == {0: 0, 2: 1, 3: 2}
-    assert h.label_map == {2: "end"}
-    with pytest.raises(GraphConstructionError):
-        delete_vertex(g, 4)
-
-
-def test_contract_edge_merges_parallel_edges():
-    # contracting one side of a triangle must not produce a multi-edge
-    g = build_graph(3, [(0, 1), (0, 2), (1, 2)])
-    h = contract_edge(g, 1, 2)
-    assert h.n == 2
-    assert h.edges == ((0, 1),)
-    with pytest.raises(GraphConstructionError):
-        contract_edge(g, 0, 0)
-
-
-def test_contract_edge_requires_presence():
-    g = build_graph(3, [(0, 1)])
-    with pytest.raises(GraphConstructionError):
-        contract_edge(g, 0, 2)
 
 
 def test_add_apex():

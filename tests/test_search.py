@@ -20,7 +20,6 @@ from steinberg import (
     load_gadget,
     search_gadget,
     seed_search_spec,
-    shrink_counterexample,
     verify_contract,
 )
 from steinberg import coloring
@@ -310,19 +309,3 @@ def test_certify_and_freeze_refuses_a_failing_gadget(tmp_path):
         certify_and_freeze(gadget, tmp_path / "nope.json")
     assert not (tmp_path / "nope.json").exists()
 
-
-def test_shrink_rejects_non_counterexamples():
-    c5 = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    with pytest.raises(ContractError, match="5-cycle"):
-        shrink_counterexample(c5)
-    k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
-    with pytest.raises(ContractError, match="4-cycle"):
-        shrink_counterexample(k4)
-    tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(ContractError, match="3-colorable"):
-        shrink_counterexample(tri)
-
-
-def test_shrink_keeps_a_tight_counterexample(final_graph):
-    # a tiny budget: the point is the verified no-op path, not progress
-    assert shrink_counterexample(final_graph, budget=1) == final_graph
