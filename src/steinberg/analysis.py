@@ -218,7 +218,7 @@ def is_planar(g: Graph) -> PlanarityCertificate:
         rotation = tuple(tuple(data.get(v, ())) for v in range(g.n))
         return PlanarityCertificate(planar=True, rotation=rotation)
     edges = tuple(sorted(normalize_edge(u, v) for u, v in cert.edges()))
-    kind = _classify_obstruction(edges)
+    _, kind = _smooth_subdivision(edges)
     return PlanarityCertificate(
         planar=False, obstruction_edges=edges, kind=kind
     )
@@ -323,11 +323,6 @@ def _smooth_subdivision(edges: tuple[Edge, ...]) -> tuple[dict[int, set[int]], s
         f"smoothed obstruction has {len(core)} branch vertices of degrees"
         f" {degs}; neither a K5 nor a K3,3 subdivision"
     )
-
-
-def _classify_obstruction(edges: tuple[Edge, ...]) -> str:
-    _, kind = _smooth_subdivision(edges)
-    return kind
 
 
 def validate_planarity_certificate(

@@ -2,7 +2,7 @@
 
 Subcommands: build, verify, lemmas, search, convert.  Exit codes
 are a stable contract: 0 success / all checks passed, 1 a verification
-check failed, 2 usage or parse error.  All configuration arrives via
+check failed, 2 usage or input error.  All configuration arrives via
 flags, and every command is deterministic.
 """
 
@@ -21,6 +21,7 @@ from .coloring import _BRUTE_FORCE_LIMIT
 from .errors import (
     ContractError,
     FormatError,
+    GraphConstructionError,
     OracleMismatchError,
     SearchSpecError,
     SizeGuardError,
@@ -30,8 +31,6 @@ from .formats import (
     FORMATS,
     decode,
     encode,
-    graph_from_json_dict,
-    parse_json_payload,
     sniff_format,
 )
 from .gadgets import (
@@ -74,14 +73,7 @@ def _resolve_format(name: str | None, path: Path) -> str:
 
 
 def _load_graph(path: Path, fmt: str) -> Graph:
-    data = path.read_bytes()
-    if fmt == "json":
-        payload = parse_json_payload(data)
-        if "graph" in payload:
-            # a frozen gadget file: verify the underlying graph
-            return graph_from_json_dict(payload["graph"])
-        return graph_from_json_dict(payload)
-    return decode(data, fmt)
+    return decode(path.read_bytes(), fmt)
 
 
 def _write_report(report: VerificationReport, json_path: str | None) -> None:
@@ -173,7 +165,7 @@ def cmd_lemmas(args) -> int:
 
 def cmd_search(args) -> int:
     if args.stock:
-        spec = seed_search_spec(max_vertices=args.max_vertices or 15)
+        spec = seed_search_spec()
     else:
         if not args.spec:
             print("error: pass a spec file or --stock", file=sys.stderr)
@@ -274,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run a constrained gadget search")
     p.add_argument("spec", nargs="?", help="SearchSpec JSON file")
     p.add_argument("--stock", action="store_true", help="use the built-in seed template")
-    p.add_argument("--max-vertices", type=int, default=None, help="override for --stock")
     p.add_argument("--limit", type=int, default=1, help="stop after this many finds (default 1)")
     p.add_argument("--out-dir", default=".", help="where frozen gadget files go")
     p.set_defaults(fn=cmd_search)
@@ -294,13 +285,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, SearchSpecError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SizeGuardError as exc:
+    except (FormatError, GraphConstructionError, OSError, SearchSpecError,
+            SizeGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OracleMismatchError as exc:

@@ -7,7 +7,9 @@ deterministic: each decision sets the unassigned variable of highest
 activity false, ties to the smallest variable.  On UNSAT its learnt
 clauses form a proof that a unit-propagation checker can replay.  The
 brute-force routines share no search logic with it and exist to keep
-the solver honest.
+the solver honest.  Every coloring verdict in the package comes from
+:func:`_coloring_check`: the contracts' pattern clauses, ``verify``'s
+colorability check and each row of a :func:`terminal_behavior` table.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .errors import ImproperFixingError, OracleMismatchError, SizeGuardError
 from .graphs import Graph
@@ -407,6 +409,52 @@ def exhaustive_color_count(
 
 
 # ---------------------------------------------------------------------------
+# verdicts
+
+def _coloring_witness(coloring: Mapping[int, int]) -> dict[str, Any]:
+    """A coloring as a report witness, keyed by vertex string in order."""
+    return {"coloring": {str(v): c for v, c in sorted(coloring.items())}}
+
+
+def _coloring_check(
+    g: Graph, fixing: Mapping[int, int], oracle: bool
+) -> tuple[bool, Any, Any]:
+    """No proper 3-coloring extends ``fixing``; a report check body.
+
+    A fixing monochromatic on one of its own edges passes (mode
+    ``adjacent-terminals``).  A solver witness is checked with
+    :func:`is_proper`.  On UNSAT, with ``oracle`` brute force re-decides
+    the query and any disagreement raises :class:`OracleMismatchError`
+    (mode ``brute-force-oracle``); without it the details say no
+    cross-check ran (mode ``oracle-skipped`` with the number of free
+    vertices).  Mismatches raise, not assert, so ``python -O`` keeps them.
+    """
+    try:
+        solution, stats = solve_3coloring_with_stats(g, fixing)
+    except ImproperFixingError:
+        return True, None, {"mode": "adjacent-terminals"}
+    details: dict[str, Any] = {"solver_nodes": stats.nodes}
+    if solution is not None:
+        if not is_proper(g, solution):
+            raise OracleMismatchError(
+                f"solver returned an improper coloring with fixing {fixing!r}"
+            )
+        return False, _coloring_witness(solution), details
+    if oracle:
+        found = brute_force_3coloring(g, fixing)
+        if found is not None:
+            raise OracleMismatchError(
+                f"solver says UNSAT, brute force found {found!r} on a"
+                f" {g.n}-vertex graph with fixing {fixing!r}"
+            )
+        details["mode"] = "brute-force-oracle"
+    else:
+        details["mode"] = "oracle-skipped"
+        details["free_vertices"] = g.n - len(fixing)
+    return True, None, details
+
+
+# ---------------------------------------------------------------------------
 # terminal patterns
 
 def pattern_of(colors: Sequence[int]) -> str:
@@ -451,6 +499,12 @@ def pattern_representative(pattern: str) -> list[int]:
     return digits
 
 
+def pattern_fixing(terminals: Sequence[int], pattern: str) -> dict[int, int]:
+    """The fixing that colors ``terminals`` by ``pattern``'s
+    representative: terminal i takes color ``pattern[i]``."""
+    return dict(zip(terminals, pattern_representative(pattern)))
+
+
 def all_equal_pattern(t: int) -> str:
     return "0" * t
 
@@ -476,17 +530,13 @@ class TerminalBehavior:
     def as_dict(self) -> dict[str, bool]:
         return dict(self.entries)
 
-    @property
-    def feasible_patterns(self) -> tuple[str, ...]:
-        return tuple(p for p, ok in self.entries if ok)
-
 
 def terminal_behavior(gadget: "TerminalGadget") -> TerminalBehavior:
     """Decide every terminal pattern of a gadget with 2 to 4 terminals.
 
-    A pattern whose representative coloring is improper on the terminal
-    subgraph (two equal terminals joined by an edge) is infeasible, not
-    an error.
+    A pattern is infeasible exactly when :func:`_coloring_check`, oracle
+    off, passes on its fixing, so equal colors on adjacent terminals are
+    infeasible, not an error.
     """
     terminals = gadget.terminals
     t = len(terminals)
@@ -494,17 +544,8 @@ def terminal_behavior(gadget: "TerminalGadget") -> TerminalBehavior:
         raise ValueError(f"terminal behavior needs 2..4 terminals, got {t}")
     entries = []
     for pattern in all_patterns(t):
-        rep = pattern_representative(pattern)
-        fixing = {terminals[i]: rep[i] for i in range(t)}
-        try:
-            check_fixed(gadget.graph, fixing)
-        except ImproperFixingError:
-            entries.append((pattern, False))
-            continue
-        result = solve_3coloring(gadget.graph, fixing)
-        if result is not None and not is_proper(gadget.graph, result):
-            raise OracleMismatchError(
-                f"pattern {pattern}: solver returned an improper coloring"
-            )
-        entries.append((pattern, result is not None))
+        infeasible, _, _ = _coloring_check(
+            gadget.graph, pattern_fixing(terminals, pattern), oracle=False
+        )
+        entries.append((pattern, not infeasible))
     return TerminalBehavior(t, tuple(entries))

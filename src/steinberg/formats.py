@@ -180,10 +180,14 @@ def graph_from_json_dict(d: dict[str, Any]) -> Graph:
         except (TypeError, ValueError, AttributeError):
             raise FormatError("'labels' must map vertex ids to strings") from None
     try:
+        n = int(d["n"])
+    except (TypeError, ValueError):
+        raise FormatError("'n' must be an integer") from None
+    try:
         edges = [(int(u), int(v)) for u, v in d["edges"]]
     except (TypeError, ValueError):
         raise FormatError("'edges' must be a list of pairs") from None
-    return build_graph(int(d["n"]), edges, labels)
+    return build_graph(n, edges, labels)
 
 
 def encode_json(g: Graph) -> bytes:

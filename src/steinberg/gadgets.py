@@ -35,19 +35,18 @@ from .analysis import (
 from .canon import canonical_digest
 from .coloring import (
     _BRUTE_FORCE_LIMIT,
-    ImproperFixingError,
     TerminalBehavior,
+    _coloring_check,
+    _coloring_witness,
     all_equal_pattern,
     all_patterns,
     brute_force_3coloring,
     exhaustive_color_count,
-    is_proper,
+    pattern_fixing,
     pattern_of,
-    pattern_representative,
-    solve_3coloring_with_stats,
     terminal_behavior,
 )
-from .errors import ContractError, FormatError, OracleMismatchError, PasteError
+from .errors import ContractError, FormatError, PasteError
 from .formats import graph_from_json_dict, graph_to_json_dict, parse_json_payload
 from .graphs import Graph, add_apex, build_graph
 from .report import VerificationReport, timed_check
@@ -218,7 +217,8 @@ def triple_contract() -> InterfaceContract:
 #
 # Each body returns ``(passed, witness, details)``, as :func:`timed_check`
 # expects.  The contract clauses and the counterexample battery share
-# them, so each fact is checked by one piece of code.
+# them and ``coloring._coloring_check``, so each fact is checked by one
+# piece of code.
 
 CheckBody = Callable[[], tuple[bool, Any, Any]]
 
@@ -236,44 +236,6 @@ def _cycle_check(g: Graph, lengths: frozenset[int]) -> tuple[bool, Any, Any]:
     """No cycle of a length in ``lengths``."""
     hit = forbidden_cycle_check(g, lengths)
     return hit is None, hit, None
-
-
-def _coloring_check(
-    g: Graph, fixing: dict[int, int], oracle: bool
-) -> tuple[bool, Any, Any]:
-    """No proper 3-coloring extends ``fixing``.
-
-    A solver witness is checked with :func:`is_proper`.  On UNSAT, with
-    ``oracle`` brute force re-decides the query and any disagreement
-    raises :class:`OracleMismatchError` (mode ``brute-force-oracle``);
-    without it the details say no cross-check ran (mode
-    ``oracle-skipped`` with the number of free vertices).
-    """
-    try:
-        solution, stats = solve_3coloring_with_stats(g, fixing)
-    except ImproperFixingError:
-        # two adjacent vertices are fixed to one color: nothing extends it
-        return True, None, {"mode": "adjacent-terminals"}
-    details: dict[str, Any] = {"solver_nodes": stats.nodes}
-    if solution is not None:
-        if not is_proper(g, solution):
-            raise OracleMismatchError(
-                f"solver returned an improper coloring with fixing {fixing!r}"
-            )
-        witness = {"coloring": {str(v): c for v, c in sorted(solution.items())}}
-        return False, witness, details
-    if oracle:
-        found = brute_force_3coloring(g, fixing)
-        if found is not None:
-            raise OracleMismatchError(
-                f"solver says UNSAT, brute force found {found!r} on a"
-                f" {g.n}-vertex graph with fixing {fixing!r}"
-            )
-        details["mode"] = "brute-force-oracle"
-    else:
-        details["mode"] = "oracle-skipped"
-        details["free_vertices"] = g.n - len(fixing)
-    return True, None, details
 
 
 def _report(
@@ -333,8 +295,7 @@ def _contract_clauses(gadget: TerminalGadget) -> list[tuple[str, CheckBody]]:
             clauses.append((f"distance-t{i}-t{j}", distance_clause))
 
     for pattern in sorted(contract.forbidden_patterns):
-        rep = pattern_representative(pattern)
-        fixing = dict(zip(gadget.terminals, rep))
+        fixing = pattern_fixing(gadget.terminals, pattern)
         # brute force cross-checks every pattern within its guard
         oracle = g.n - len(fixing) <= _BRUTE_FORCE_LIMIT
         clauses.append((
@@ -892,11 +853,12 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
     repeating it; a failing clause raises :class:`ContractError` before
     any other check runs.  The seed is checked with its terminals in
     role order under :func:`seed_contract`, so the check names are those
-    of its own contract.
+    of its own contract.  The triple's clauses run without a report of
+    their own, so the triple is never digested.
     """
     seed_report = require_contract(seed_in_roles(seed))
     checks = [replace(c, name=f"seed:{c.name}") for c in seed_report.checks]
-    all_equal = {t: 0 for t in seed.terminals}
+    all_equal = pattern_fixing(seed.terminals, all_equal_pattern(len(seed.terminals)))
 
     def seed_exhaustive():
         count = exhaustive_color_count(seed.graph, all_equal)
@@ -911,12 +873,12 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
         witness = brute_force_3coloring(seed.graph, all_equal)
         if witness is None:
             return True, None, {"oracle": "brute-force"}
-        return False, {"coloring": {str(v): c for v, c in sorted(witness.items())}}, {}
+        return False, _coloring_witness(witness), {}
 
     checks.append(timed_check("seed:all-equal-brute-force", seed_oracle))
 
-    for c in verify_contract(paste_triple(seed)).checks:
-        checks.append(replace(c, name=f"triple:{c.name}"))
+    for name, body in _contract_clauses(paste_triple(seed)):
+        checks.append(timed_check(f"triple:{name}", body))
 
     def composition():
         result = compositional_check(seed, terminal_behavior(seed))

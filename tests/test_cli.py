@@ -199,6 +199,35 @@ def test_verify_usage_errors(tmp_path, capsys):
     assert "format" in err
 
 
+_MALFORMED_INPUTS = {
+    "duplicate.col": b"p edge 2 2\ne 1 2\ne 1 2\n",
+    "loop.col": b"p edge 2 1\ne 1 1\n",
+    "duplicate.json": b'{"n": 2, "edges": [[0, 1], [0, 1]]}',
+    "out-of-range.json": b'{"n": 2, "edges": [[0, 2]]}',
+    "negative-n.json": b'{"n": -1, "edges": []}',
+    "unknown-label.json": b'{"n": 1, "edges": [], "labels": {"3": "x"}}',
+    "text-n.json": b'{"n": "x", "edges": []}',
+    "directory.g6": None,
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED_INPUTS))
+@pytest.mark.parametrize("command", ["verify", "convert"])
+def test_malformed_input_is_an_input_error(tmp_path, capsys, command, name):
+    # exit 2 with one error line; an uncaught exception would fail here
+    path = tmp_path / name
+    data = _MALFORMED_INPUTS[name]
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    extra = [str(tmp_path / "out.g6")] if command == "convert" else []
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_lemmas(capsys):
     code, out, _ = run_cli(capsys, "lemmas")
     assert code == 0
@@ -214,8 +243,9 @@ def test_lemmas(capsys):
 
 
 def test_lemmas_checks_the_seed_contract_once(monkeypatch, capsys):
-    # one contract run each for the seed and the triple, and two seed
-    # digests: the load-time file-name check and the seed report's target
+    # one contract report, the seed's (the triple's clauses run without
+    # one), and two seed digests: the load-time file-name check and the
+    # seed report's target; the triple is never digested
     from steinberg import canon, cli, gadgets, stock
 
     contracts = []
@@ -233,8 +263,9 @@ def test_lemmas_checks_the_seed_contract_once(monkeypatch, capsys):
     for module in (canon, cli, gadgets, stock):
         monkeypatch.setattr(module, "canonical_digest", counting_digest)
     assert run_cli(capsys, "lemmas")[0] == 0
-    assert contracts == [15, 42]
+    assert contracts == [15]
     assert digests.count(15) == 2
+    assert 42 not in digests
 
 
 def test_lemmas_json_lists_the_fifteen_checks_in_order(tmp_path, capsys):
@@ -303,6 +334,14 @@ def test_search_spec_file_with_no_hits(tmp_path, capsys):
     )
     assert code == 0
     assert "none found" in out
+
+
+def test_search_max_vertices_is_an_unknown_option(tmp_path, capsys):
+    code, _, err = run_cli(
+        capsys, "search", "--stock", "--max-vertices", "15", "--out-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert "unrecognized arguments: --max-vertices" in err
 
 
 def test_search_spec_with_no_layers_is_a_usage_error(tmp_path, capsys):

@@ -33,6 +33,7 @@ from steinberg.coloring import (
 )
 from steinberg.gadgets import InterfaceContract, TerminalGadget
 from steinberg.graphs import remove_edge
+from steinberg.search import certify_and_freeze
 
 from support import (
     product_3coloring_exists,
@@ -204,7 +205,7 @@ def test_verify_refutes_the_final_graph_in_any_vertex_order(
         solves.append(solve(graph, fixed))
         return solves[-1]
 
-    monkeypatch.setattr(gadgets, "solve_3coloring_with_stats", recorded)
+    monkeypatch.setattr(coloring, "solve_3coloring_with_stats", recorded)
     start = time.perf_counter()
     report = gadgets.counterexample_report(g)
     assert time.perf_counter() - start < 2
@@ -234,8 +235,9 @@ def test_checker_rejects_proofs_that_do_not_refute(final_graph):
     assert not rup_refutes(g, {0: 0}, [flipped, *proof[1:]])
 
 
-def _count_solves(monkeypatch, *modules):
-    """Record the fixing of every solver call made through ``modules``."""
+def _count_solves(monkeypatch):
+    """Record the fixing of every solver call; every verdict in the
+    package solves through the one binding in ``coloring``."""
     calls = []
     solve = coloring.solve_3coloring_with_stats
 
@@ -243,15 +245,14 @@ def _count_solves(monkeypatch, *modules):
         calls.append(dict(fixed or {}))
         return solve(g, fixed)
 
-    for module in modules:
-        monkeypatch.setattr(module, "solve_3coloring_with_stats", counted)
+    monkeypatch.setattr(coloring, "solve_3coloring_with_stats", counted)
     return calls
 
 
 def test_report_refutes_the_final_graph_in_one_solve(monkeypatch, final_graph):
     # the verdict comes from one solver call with nothing fixed: no split
     # into pinned branches, no re-solve after it
-    calls = _count_solves(monkeypatch, coloring, gadgets)
+    calls = _count_solves(monkeypatch)
     check = gadgets.counterexample_report(final_graph).check("not-3-colorable")
     assert check.passed
     assert calls == [{}]
@@ -303,47 +304,66 @@ def test_deep_branching_does_not_recurse():
     assert got is not None and is_proper(path, got)
 
 
-def _all_zero(g, fixed=None):
-    return {v: 0 for v in range(g.n)}
+def test_one_solver_binding_sees_every_solve(monkeypatch, seed_gadget, tmp_path):
+    # lemmas: the seed's and the triple's pattern-000 clauses and the
+    # seed's five behavior rows; a freeze: the seed's clause and its rows
+    calls = _count_solves(monkeypatch)
+    assert gadgets.lemmas_report(seed_gadget).passed
+    assert len(calls) == 7
+    calls.clear()
+    certify_and_freeze(seed_gadget, tmp_path / "seed.json")
+    assert len(calls) == 6
 
 
 def _all_zero_with_stats(g, fixed=None):
-    return _all_zero(g), SolveStats()
+    return {v: 0 for v in range(g.n)}, SolveStats()
+
+
+# each run reaches the solver through ``coloring._coloring_check``
+_IMPROPER_WITNESS_RUNS = {
+    "counterexample-report": lambda: gadgets.counterexample_report(C5),
+    "verify-contract": lambda: gadgets.verify_contract(
+        _bare_gadget(C5, (0, 1, 2), frozenset({"012"}))
+    ),
+    "terminal-behavior": lambda: terminal_behavior(_bare_gadget(C5, (0, 2))),
+}
 
 
 @pytest.mark.parametrize(
-    "module, name, fake, run",
-    [
-        (
-            gadgets,
-            "solve_3coloring_with_stats",
-            _all_zero_with_stats,
-            lambda: gadgets.counterexample_report(C5),
-        ),
-        (
-            gadgets,
-            "solve_3coloring_with_stats",
-            _all_zero_with_stats,
-            lambda: gadgets.verify_contract(
-                _bare_gadget(C5, (0, 1, 2), frozenset({"012"}))
-            ),
-        ),
-        (
-            coloring,
-            "solve_3coloring",
-            _all_zero,
-            lambda: terminal_behavior(_bare_gadget(C5, (0, 2))),
-        ),
-    ],
-    ids=["counterexample-report", "verify-contract", "terminal-behavior"],
+    "run", _IMPROPER_WITNESS_RUNS.values(), ids=list(_IMPROPER_WITNESS_RUNS)
 )
-def test_improper_solver_witness_is_an_oracle_mismatch(
-    monkeypatch, module, name, fake, run
-):
-    # these checks raise rather than assert, so python -O keeps them
-    monkeypatch.setattr(module, name, fake)
+def test_improper_solver_witness_is_an_oracle_mismatch(monkeypatch, run):
+    monkeypatch.setattr(coloring, "solve_3coloring_with_stats", _all_zero_with_stats)
     with pytest.raises(OracleMismatchError):
         run()
+
+
+def test_improper_solver_witness_is_caught_under_python_O():
+    # the same three runs in a child with assertions stripped: the
+    # mismatch is raised, not asserted, so it survives -O
+    code = (
+        "import sys\n"
+        "from steinberg import OracleMismatchError, coloring\n"
+        "import test_coloring as t\n"
+        "coloring.solve_3coloring_with_stats = t._all_zero_with_stats\n"
+        "print(sys.flags.optimize)\n"
+        "for name, run in t._IMPROPER_WITNESS_RUNS.items():\n"
+        "    try:\n"
+        "        run()\n"
+        "    except OracleMismatchError:\n"
+        "        print(name)\n"
+    )
+    src = os.path.dirname(os.path.dirname(coloring.__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, here])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert out.stdout.split() == ["1", *_IMPROPER_WITNESS_RUNS]
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +556,7 @@ def test_revalidate_unsat_rejects_satisfiable_input(monkeypatch):
         revalidate_unsat(C5)
     # vertex 0 of a triangle pinned to 0 already colors: the split stops
     # at that first branch and names it
-    calls = _count_solves(monkeypatch, coloring)
+    calls = _count_solves(monkeypatch)
     tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(OracleMismatchError, match="vertex 0 pinned to color 0"):
         revalidate_unsat(tri)

@@ -150,6 +150,8 @@ def test_json_errors():
         decode(b'{"n": 2}', "json")
     with pytest.raises(FormatError, match="labels"):
         decode(b'{"n": 2, "edges": [], "labels": 7}', "json")
+    with pytest.raises(FormatError, match="'n' must be an integer"):
+        decode(b'{"n": "x", "edges": []}', "json")
 
 
 def test_unknown_format_rejected():
