@@ -9,6 +9,8 @@ scratch, so the library's answer is never taken on faith.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -141,57 +143,46 @@ def forbidden_cycle_check(
 # ---------------------------------------------------------------------------
 # triangle adjacency predicates
 
-def triangles_sharing_edge(
-    g: Graph,
-) -> list[tuple[Edge, CycleWitness, CycleWitness]]:
-    """Every unordered pair of distinct triangles with a common edge."""
+# a shared edge, a triangle on it and a second cycle on it
+Conflict = tuple[Edge, CycleWitness, CycleWitness]
+
+
+def _triangle_pairs(g: Graph) -> tuple[dict[Edge, list[CycleWitness]], list[Conflict]]:
+    """Each edge on a triangle with its triangles in sorted order, and
+    every pair of triangles on one edge, sorted by edge, then by pair."""
     by_edge: dict[Edge, list[CycleWitness]] = {}
     for tri in cycles_of_length(g, 3):
         for e in tri.edges():
             by_edge.setdefault(e, []).append(tri)
-    out = []
-    for e in sorted(by_edge):
-        tris = sorted(by_edge[e])
-        for i in range(len(tris)):
-            for j in range(i + 1, len(tris)):
-                out.append((e, tris[i], tris[j]))
-    return out
+    pairs = [
+        (e, t1, t2)
+        for e in sorted(by_edge)
+        for t1, t2 in itertools.combinations(by_edge[e], 2)
+    ]
+    return by_edge, pairs
 
 
-def triangle_edge_conflicts(
-    g: Graph, lengths: Iterable[int]
-) -> list[tuple[Edge, CycleWitness, CycleWitness]]:
-    """Pairs (triangle, k-cycle) sharing an edge, for k in ``lengths``.
+def triangles_sharing_edge(g: Graph) -> list[Conflict]:
+    """Every unordered pair of distinct triangles with a common edge."""
+    return _triangle_pairs(g)[1]
 
-    Only k in {3, 5} is meaningful here.  Each pair appears once, tagged
-    with its smallest shared edge; for k=3 the pair is unordered.
+
+def triangle_edge_conflicts(g: Graph) -> list[Conflict]:
+    """Pairs (triangle, 3- or 5-cycle) sharing an edge.
+
+    The triangle pairs come first, exactly as :func:`triangles_sharing_edge`
+    lists them (two distinct triangles share at most one edge).  Then each
+    (triangle, 5-cycle) pair appears once, tagged with its smallest shared
+    edge, sorted by that edge, then by the pair.
     """
-    ks = sorted(set(lengths))
-    if not ks or any(k not in (3, 5) for k in ks):
-        raise ValueError(f"lengths must be a nonempty subset of {{3, 5}}, got {ks}")
-    out = []
-    if 3 in ks:
-        seen_pairs: dict[tuple, Edge] = {}
-        for e, t1, t2 in triangles_sharing_edge(g):
-            key = (t1, t2)
-            if key not in seen_pairs:
-                seen_pairs[key] = e
-        for (t1, t2), e in sorted(seen_pairs.items(), key=lambda kv: (kv[1], kv[0])):
-            out.append((e, t1, t2))
-    if 5 in ks:
-        triangles = cycles_of_length(g, 3)
-        tri_edges = {t: set(t.edges()) for t in triangles}
-        pairs: dict[tuple, Edge] = {}
-        for five in cycles_of_length(g, 5):
-            fedges = set(five.edges())
-            for t in triangles:
-                shared = tri_edges[t] & fedges
-                if shared:
-                    key = (t, five)
-                    pairs[key] = min(shared)
-        for (t, five), e in sorted(pairs.items(), key=lambda kv: (kv[1], kv[0])):
-            out.append((e, t, five))
-    return out
+    by_edge, pairs = _triangle_pairs(g)
+    shared: dict[tuple[CycleWitness, CycleWitness], Edge] = {}
+    for five in cycles_of_length(g, 5):
+        for e in sorted(five.edges()):
+            for tri in by_edge.get(e, ()):
+                shared.setdefault((tri, five), e)
+    fives = sorted((e, tri, five) for (tri, five), e in shared.items())
+    return pairs + fives
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +215,8 @@ def is_planar(g: Graph) -> PlanarityCertificate:
     )
 
 
-def _components(n: int, edges: Iterable[Edge]) -> list[set[int]]:
+def _component_roots(n: int, edges: Iterable[Edge]) -> list[int]:
+    """One representative vertex per connected component, for each vertex."""
     parent = list(range(n))
 
     def find(x: int) -> int:
@@ -237,14 +229,12 @@ def _components(n: int, edges: Iterable[Edge]) -> list[set[int]]:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-    comps: dict[int, set[int]] = {}
-    for v in range(n):
-        comps.setdefault(find(v), set()).add(v)
-    return list(comps.values())
+    return [find(v) for v in range(n)]
 
 
 def _trace_faces(rotation: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Face orbits of the rotation system, as dart cycles."""
+    """Face orbits of the rotation system, as dart cycles, each starting
+    at its smallest dart, in order of those darts."""
     succ: dict[tuple[int, int], tuple[int, int]] = {}
     for v, ring in enumerate(rotation):
         deg = len(ring)
@@ -254,18 +244,15 @@ def _trace_faces(rotation: tuple[tuple[int, ...], ...]) -> list[list[int]]:
             w = ring[(i + 1) % deg]
             succ[(u, v)] = (v, w)
     faces = []
-    remaining = set(succ)
-    while remaining:
-        start = min(remaining)
+    seen: set[tuple[int, int]] = set()
+    for dart in sorted(succ):
         face = []
-        dart = start
-        while True:
+        while dart not in seen:
+            seen.add(dart)
             face.append(dart[0])
-            remaining.discard(dart)
             dart = succ[dart]
-            if dart == start:
-                break
-        faces.append(face)
+        if face:
+            faces.append(face)
     return faces
 
 
@@ -277,25 +264,17 @@ def _smooth_subdivision(edges: tuple[Edge, ...]) -> tuple[dict[int, set[int]], s
             raise CertificateError("obstruction contains a loop")
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
-    changed = True
-    while changed:
-        changed = False
-        for x in sorted(adj):
-            if len(adj[x]) == 2:
-                u, w = sorted(adj[x])
-                if u == w:
-                    raise CertificateError("obstruction smooths to a loop")
-                if w in adj[u]:
-                    raise CertificateError(
-                        "obstruction smooths to a doubled edge"
-                    )
-                adj[u].discard(x)
-                adj[w].discard(x)
-                adj[u].add(w)
-                adj[w].add(u)
-                del adj[x]
-                changed = True
-                break
+    # suppressing x keeps every other degree, so one sorted pass
+    # suppresses each degree-2 vertex of the input in turn
+    for x in sorted(adj):
+        if len(adj[x]) == 2:
+            u, w = adj.pop(x)
+            if w in adj[u]:
+                raise CertificateError("obstruction smooths to a doubled edge")
+            adj[u].remove(x)
+            adj[w].remove(x)
+            adj[u].add(w)
+            adj[w].add(u)
     core = sorted(adj)
     degs = sorted(len(adj[v]) for v in core)
     if len(core) == 5 and degs == [4] * 5:
@@ -347,16 +326,17 @@ def validate_planarity_certificate(
                 raise CertificateError(
                     f"rotation at vertex {v} does not list its neighbors"
                 )
-        faces = _trace_faces(rotation)
-        for comp in _components(g.n, g.edges):
-            m_c = sum(1 for u, v in g.edges if u in comp)
-            if m_c == 0:
-                continue
-            f_c = sum(1 for face in faces if face[0] in comp)
-            if len(comp) - m_c + f_c != 2:
+        # n, m and f per component, keyed by its root and ordered by
+        # its smallest vertex
+        root = _component_roots(g.n, g.edges)
+        n_c = Counter(root)
+        m_c = Counter(root[u] for u, _ in g.edges)
+        f_c = Counter(root[face[0]] for face in _trace_faces(rotation))
+        for r in n_c:
+            if m_c[r] and n_c[r] - m_c[r] + f_c[r] != 2:
                 raise CertificateError(
-                    f"Euler check failed on a component: n={len(comp)}"
-                    f" m={m_c} f={f_c}"
+                    f"Euler check failed on a component: n={n_c[r]}"
+                    f" m={m_c[r]} f={f_c[r]}"
                 )
         return
     edges = cert.obstruction_edges

@@ -170,6 +170,14 @@ def graph_to_json_dict(g: Graph) -> dict[str, Any]:
     return d
 
 
+def strict_int(value: Any, name: str) -> int:
+    """``value`` if it is an integer; a float or a bool is refused, not
+    truncated."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def graph_from_json_dict(d: dict[str, Any]) -> Graph:
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise FormatError("JSON gadget object needs 'n' and 'edges'")
@@ -179,14 +187,11 @@ def graph_from_json_dict(d: dict[str, Any]) -> Graph:
             labels = {int(k): str(v) for k, v in d["labels"].items()}
         except (TypeError, ValueError, AttributeError):
             raise FormatError("'labels' must map vertex ids to strings") from None
+    n = strict_int(d["n"], "'n'")
     try:
-        n = int(d["n"])
+        edges = [(strict_int(u, "u"), strict_int(v, "v")) for u, v in d["edges"]]
     except (TypeError, ValueError):
-        raise FormatError("'n' must be an integer") from None
-    try:
-        edges = [(int(u), int(v)) for u, v in d["edges"]]
-    except (TypeError, ValueError):
-        raise FormatError("'edges' must be a list of pairs") from None
+        raise FormatError("'edges' must be a list of integer pairs") from None
     return build_graph(n, edges, labels)
 
 

@@ -47,7 +47,9 @@ from .coloring import (
     terminal_behavior,
 )
 from .errors import ContractError, FormatError, PasteError
-from .formats import graph_from_json_dict, graph_to_json_dict, parse_json_payload
+from .formats import (
+    graph_from_json_dict, graph_to_json_dict, parse_json_payload, strict_int
+)
 from .graphs import Graph, add_apex, build_graph
 from .report import VerificationReport, timed_check
 
@@ -154,11 +156,12 @@ class InterfaceContract:
             raw = d.get(key)
             if raw is None:
                 return None
-            return tuple(tuple(int(x) for x in row) for row in raw)
+            return tuple(tuple(strict_int(x, key) for x in row) for row in raw)
 
         return cls(
             forbidden_cycle_lengths=frozenset(
-                int(k) for k in d.get("forbidden_cycle_lengths", ())
+                strict_int(k, "a cycle length")
+                for k in d.get("forbidden_cycle_lengths", ())
             ),
             min_terminal_distances=mat("min_terminal_distances"),
             exact_terminal_distances=mat("exact_terminal_distances"),
@@ -372,7 +375,7 @@ def _adjacent_triangles_check(g: Graph) -> tuple[bool, Any, Any]:
 
 
 def _triangle_short_cycle_edge_check(g: Graph) -> tuple[bool, Any, Any]:
-    conflicts = triangle_edge_conflicts(g, frozenset({3, 5}))
+    conflicts = triangle_edge_conflicts(g)
     if not conflicts:
         return True, None, {"conflicts": 0}
     edge, tri, other = conflicts[0]
@@ -904,7 +907,7 @@ def gadget_from_json_dict(d: dict[str, Any]) -> TerminalGadget:
     graph = graph_from_json_dict(d)
     if "terminals" not in d:
         raise FormatError("gadget JSON needs a 'terminals' list")
-    terminals = tuple(int(t) for t in d["terminals"])
+    terminals = tuple(strict_int(t, "a terminal") for t in d["terminals"])
     contract = InterfaceContract.from_json_dict(d.get("contract", {}))
     return TerminalGadget(graph, terminals, contract)
 

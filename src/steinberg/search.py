@@ -38,6 +38,7 @@ from .errors import (
     SearchSpecError,
     SizeGuardError,
 )
+from .formats import strict_int
 from .gadgets import (
     InterfaceContract,
     TerminalGadget,
@@ -546,7 +547,7 @@ def search_spec_from_json_dict(d: dict[str, Any]) -> SearchSpec:
                 layers=tuple(
                     LayerSpec(
                         name=str(ld["name"]),
-                        size=int(ld["size"]),
+                        size=strict_int(ld["size"], "a layer size"),
                         intra=str(ld.get("intra", "none")),
                         link_to=ld.get("link_to"),
                         link_kind=ld.get("link_kind"),
@@ -555,7 +556,7 @@ def search_spec_from_json_dict(d: dict[str, Any]) -> SearchSpec:
                 )
             )
         return SearchSpec(
-            max_vertices=int(d["max_vertices"]),
+            max_vertices=strict_int(d["max_vertices"], "max_vertices"),
             contract=contract,
             template=template,
             dedup=bool(d.get("dedup", True)),

@@ -69,6 +69,45 @@ def subset_cycles(g: Graph, k: int) -> set[tuple[int, ...]]:
     return found
 
 
+def reference_triangle_conflicts(g: Graph):
+    """(triangle pairs, triangle conflicts) from :func:`subset_cycles`.
+
+    Every pair of cycles is intersected edge set against edge set: two
+    distinct triangles, then a triangle and a 5-cycle, each tagged with
+    its smallest shared edge.  Each part is sorted by that edge, then by
+    the pair; the conflicts are the triangle pairs followed by the
+    triangle/5-cycle pairs, as vertex tuples.
+    """
+
+    def edges(cycle):
+        k = len(cycle)
+        return {tuple(sorted((cycle[i], cycle[(i + 1) % k]))) for i in range(k)}
+
+    def sharing(cycle_pairs):
+        out = []
+        for a, b in cycle_pairs:
+            shared = edges(a) & edges(b)
+            if shared:
+                out.append((min(shared), a, b))
+        return sorted(out)
+
+    triangles = sorted(subset_cycles(g, 3))
+    fives = sorted(subset_cycles(g, 5))
+    pairs = sharing(itertools.combinations(triangles, 2))
+    return pairs, pairs + sharing(itertools.product(triangles, fives))
+
+
+def replace_at(tree, path, value):
+    """``tree`` (nested dicts and lists) with the item at ``path`` set to
+    ``value``; returns ``tree``, changed in place."""
+    *parents, last = path
+    target = tree
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return tree
+
+
 def brute_isomorphic(g: Graph, h: Graph) -> bool:
     """Isomorphism by trying every vertex bijection (tiny graphs only)."""
     if g.n != h.n or g.m != h.m:

@@ -61,6 +61,11 @@ def report(num: int, label: str, timer: Timer, limit: float | None = None) -> No
         assert timer.elapsed < limit
 
 
+def ceiling(label: str, timer: Timer, limit: float) -> None:
+    print(f"hostile input ({label}): PASS in {timer.elapsed:.2f}s (limit {limit:g}s)")
+    assert timer.elapsed < limit
+
+
 def test_criterion_1_seed_lemma_suite(seed_gadget):
     g = seed_gadget.graph
     a, b, c = seed_gadget.terminals
@@ -131,7 +136,7 @@ def test_criterion_4_conjecture_hypotheses(final_graph):
     with Timer() as t:
         assert triangles_sharing_edge(g) == []
         assert cycles_of_length(g, 5) == []
-        assert triangle_edge_conflicts(g, {3, 5}) == []
+        assert triangle_edge_conflicts(g) == []
         assert is_planar(g).planar
     report(4, "conjecture hypothesis enumeration", t)
 
@@ -235,3 +240,40 @@ def test_criterion_8_format_fidelity(seed_gadget, triple_gadget, final_graph):
         assert encode(triangle, "graph6") == graph6_reference(3, triangle.edges)
         assert encode(triangle, "graph6") == b"Bw"
     report(8, "format fidelity", t)
+
+
+# ---------------------------------------------------------------------------
+# hostile inputs: each structural check is one pass over its input
+
+
+def test_hostile_disjoint_triangles_certificate():
+    k = 3000
+    g = build_graph(3 * k, [
+        (3 * i + a, 3 * i + b) for i in range(k) for a, b in ((0, 1), (1, 2), (0, 2))
+    ])
+    cert = is_planar(g)
+    with Timer() as t:
+        validate_planarity_certificate(g, cert)
+    ceiling(f"certificate of {k:,} disjoint triangles", t, limit=2)
+
+
+def test_hostile_triangulated_grid_triangle_check():
+    w = 30
+    edges = []
+    for r in range(w):
+        for c in range(w):
+            v = r * w + c
+            if c + 1 < w:
+                edges.append((v, v + 1))
+            if r + 1 < w:
+                edges.append((v, v + w))
+            if c + 1 < w and r + 1 < w:
+                edges.append((v, v + w + 1))
+    g = build_graph(w * w, edges)
+    with Timer() as t:
+        conflicts = triangle_edge_conflicts(g)
+    ceiling(f"triangle conflicts of a {w}x{w} triangulated grid", t, limit=1.5)
+    # every inner edge lies on exactly two of the 2 * 29^2 triangles
+    pairs = triangles_sharing_edge(g)
+    assert len(pairs) == g.m - 4 * (w - 1)
+    assert conflicts[: len(pairs)] == pairs and len(conflicts) > len(pairs)

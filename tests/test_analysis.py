@@ -16,7 +16,7 @@ from steinberg import (
 )
 from steinberg.analysis import bfs_distances, shortest_path
 
-from support import normalize_cycle, subset_cycles
+from support import normalize_cycle, reference_triangle_conflicts, subset_cycles
 
 
 def graphs(max_n: int = 9):
@@ -134,23 +134,48 @@ def test_triangles_sharing_edge():
 def test_triangle_edge_conflicts_with_five_cycle():
     # a 5-cycle with one chord: the chord triangle leans on the cycle
     house = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-    conflicts = triangle_edge_conflicts(house, {5})
+    conflicts = triangle_edge_conflicts(house)
     assert len(conflicts) == 1
     edge, tri, five = conflicts[0]
     assert tri.vertices == (0, 1, 2)
     assert five.length == 5
     assert edge in set(tri.edges()) and edge in set(five.edges())
 
-    with pytest.raises(ValueError):
-        triangle_edge_conflicts(house, {4})
-    with pytest.raises(ValueError):
-        triangle_edge_conflicts(house, set())
+    # the knob that picked cycle lengths is gone: 3 and 5 are always checked
+    with pytest.raises(TypeError):
+        triangle_edge_conflicts(house, {5})
 
 
 def test_triangle_edge_conflicts_includes_triangle_pairs():
     book = build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
-    assert len(triangle_edge_conflicts(book, {3})) == 1
-    assert len(triangle_edge_conflicts(book, {3, 5})) == 1
+    assert triangle_edge_conflicts(book) == triangles_sharing_edge(book)
+    assert len(triangle_edge_conflicts(book)) == 1
+
+
+@given(graphs(9))
+@settings(max_examples=150, deadline=None)
+def test_triangle_predicates_match_subset_reference(g):
+    def plain(conflicts):
+        return [(e, a.vertices, b.vertices) for e, a, b in conflicts]
+
+    pairs, conflicts = reference_triangle_conflicts(g)
+    assert plain(triangles_sharing_edge(g)) == pairs
+    assert plain(triangle_edge_conflicts(g)) == conflicts
+
+
+def test_triangle_edge_conflicts_enumerates_each_length_once(monkeypatch):
+    # one pass for the triangles, one for the 5-cycles
+    from steinberg import analysis
+
+    calls = []
+
+    def counting(g, k, real=analysis.cycles_of_length):
+        calls.append(k)
+        return real(g, k)
+
+    monkeypatch.setattr(analysis, "cycles_of_length", counting)
+    assert triangle_edge_conflicts(K5)
+    assert calls == [3, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +228,21 @@ def test_tampered_rotation_fails():
         validate_planarity_certificate(g, bad)
     with pytest.raises(CertificateError, match="rotation"):
         validate_planarity_certificate(g, PlanarityCertificate(planar=True))
+
+
+@pytest.mark.parametrize("k4_first", [True, False])
+def test_one_nonplanar_component_fails_the_euler_check(k4_first):
+    # K4 beside a triangle; the sorted rotation puts K4 on the torus
+    # (2 faces, not 4), and any rotation of a triangle is planar
+    k4 = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    tri = [(0, 1), (1, 2), (0, 2)]
+    k4_at, tri_at = (0, 4) if k4_first else (3, 0)
+    g = build_graph(7, [(u + k4_at, v + k4_at) for u, v in k4]
+                    + [(u + tri_at, v + tri_at) for u, v in tri])
+    validate_planarity_certificate(g, is_planar(g))
+    sorted_rings = PlanarityCertificate(planar=True, rotation=g.adj)
+    with pytest.raises(CertificateError, match="n=4 m=6 f=2"):
+        validate_planarity_certificate(g, sorted_rings)
 
 
 def test_tampered_obstruction_fails():

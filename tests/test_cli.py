@@ -15,6 +15,8 @@ from steinberg import (
 from steinberg import cli
 from steinberg.cli import main
 
+from support import replace_at
+
 
 def run_cli(capsys, *argv):
     try:
@@ -207,6 +209,9 @@ _MALFORMED_INPUTS = {
     "negative-n.json": b'{"n": -1, "edges": []}',
     "unknown-label.json": b'{"n": 1, "edges": [], "labels": {"3": "x"}}',
     "text-n.json": b'{"n": "x", "edges": []}',
+    "float-n.json": b'{"n": 2.9, "edges": [[0, 1]]}',
+    "bool-n.json": b'{"n": true, "edges": []}',
+    "float-endpoint.json": b'{"n": 2, "edges": [[0, 1.7]]}',
     "directory.g6": None,
 }
 
@@ -357,6 +362,31 @@ def test_search_spec_with_no_layers_is_a_usage_error(tmp_path, capsys):
     )
     assert code == 2
     assert "no layers" in err
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(("max_vertices",), 3.5, id="max-vertices-float"),
+    pytest.param(("max_vertices",), True, id="max-vertices-bool"),
+    pytest.param(("template", "layers", 0, "size"), 3.7, id="layer-size"),
+    pytest.param(("contract", "exact_terminal_distances", 0, 1), 3.5, id="distance"),
+    pytest.param(("contract", "forbidden_cycle_lengths", 0), 4.9, id="cycle-length"),
+])
+def test_search_spec_with_a_non_integer_is_a_usage_error(tmp_path, capsys, path, value):
+    # JSON floats and booleans are refused, never truncated to an integer
+    spec = {
+        "max_vertices": 3,
+        "contract": {
+            "forbidden_cycle_lengths": [3],
+            "exact_terminal_distances": [[0, 1], [1, 0]],
+        },
+        "template": {"layers": [{"name": "t", "size": 2}]},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(replace_at(spec, path, value)))
+    code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert "must be an integer" in err
 
 
 def test_build_falls_back_to_the_search_only_when_asked(monkeypatch, capsys):

@@ -152,6 +152,12 @@ def test_json_errors():
         decode(b'{"n": 2, "edges": [], "labels": 7}', "json")
     with pytest.raises(FormatError, match="'n' must be an integer"):
         decode(b'{"n": "x", "edges": []}', "json")
+    # floats and booleans are refused, not truncated
+    for bad_n in (b"2.9", b"2.0", b"true"):
+        with pytest.raises(FormatError, match="'n' must be an integer"):
+            decode(b'{"n": %s, "edges": []}' % bad_n, "json")
+    with pytest.raises(FormatError, match="integer pairs"):
+        decode(b'{"n": 2, "edges": [[0, 1.7]]}', "json")
 
 
 def test_unknown_format_rejected():

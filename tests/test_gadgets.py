@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from steinberg import (
     ContractError,
+    FormatError,
     InterfaceContract,
     PasteError,
     PastePart,
@@ -38,10 +39,15 @@ from steinberg.coloring import (
     pattern_of,
     solve_3coloring,
 )
-from steinberg.gadgets import load_gadget_payload, walk_recipe
+from steinberg.gadgets import (
+    gadget_from_json_dict,
+    gadget_to_json_dict,
+    load_gadget_payload,
+    walk_recipe,
+)
 from steinberg.graphs import add_edges
 
-from support import cheapest_failing_check
+from support import cheapest_failing_check, replace_at
 
 
 TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -95,6 +101,20 @@ def test_contract_arity_and_json_round_trip():
         assert back == contract
     assert seed_contract().arity == 3
     assert InterfaceContract().arity is None
+
+
+@pytest.mark.parametrize("path, value", [
+    pytest.param(("terminals", 0), 0.0, id="terminal-float"),
+    pytest.param(("terminals", 0), True, id="terminal-bool"),
+    pytest.param(("contract", "forbidden_cycle_lengths", 0), 4.9, id="cycle-length"),
+    pytest.param(("contract", "exact_terminal_distances", 0, 1), 3.5, id="distance"),
+])
+def test_gadget_json_refuses_non_integers(seed_gadget, path, value):
+    # a float or a bool is an input error, never truncated to an integer
+    d = json.loads(json.dumps(gadget_to_json_dict(seed_gadget)))
+    assert gadget_from_json_dict(d) == seed_gadget
+    with pytest.raises(FormatError, match="must be an integer"):
+        gadget_from_json_dict(replace_at(d, path, value))
 
 
 def test_seed_and_triple_contract_shapes():
