@@ -1,10 +1,11 @@
 """Structural facts with checkable witnesses.
 
 Distances come from plain BFS.  Short cycles are enumerated exhaustively
-with a bounded DFS.  Planarity verdicts come from networkx, but every
-verdict is wrapped in a certificate (a rotation system or a Kuratowski
-subdivision) that :func:`validate_planarity_certificate` re-checks from
-scratch, so the library's answer is never taken on faith.
+with a bounded DFS.  Planarity verdicts come from an iterative
+left-right planarity test, and every verdict is wrapped in a certificate
+(a rotation system or a Kuratowski subdivision) that
+:func:`validate_planarity_certificate` re-checks from scratch with code
+the test does not share, so the test's answer is never taken on faith.
 """
 
 from __future__ import annotations
@@ -12,9 +13,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
-
-import networkx as nx
+from typing import Iterable, Sequence
 
 from .errors import CertificateError
 from .graphs import Edge, Graph, normalize_edge
@@ -198,17 +197,411 @@ class PlanarityCertificate:
     kind: str | None = None  # "K5" or "K3,3" when nonplanar
 
 
+class _LeftRight:
+    """Brandes' left-right planarity test ("The Left-Right Planarity
+    Test", 2009) on the adjacency lists of vertices 0..n-1.
+
+    Construction runs the first two phases, the orientation DFS (heights,
+    lowpoints and nesting depths) and the testing DFS (the conflict-pair
+    stack), and sets ``planar``.  :meth:`rotation` runs the third, the
+    embedding DFS.  Every DFS keeps an explicit stack, so no input depth
+    reaches the recursion limit.
+
+    Edges are numbered in the order the orientation DFS meets them and
+    kept as parallel lists indexed by that number.  A conflict pair is a
+    list ``[left.low, left.high, right.low, right.high]`` of edge
+    numbers, None marking an empty end.
+    """
+
+    def __init__(self, adj: Sequence[Sequence[int]]) -> None:
+        self.adj = adj
+        n = len(adj)
+        m = sum(map(len, adj)) // 2
+        # Euler's bound: a simple planar graph on n >= 3 vertices has at
+        # most 3n - 6 edges
+        self.planar = not (n >= 3 and m > 3 * n - 6)
+        if self.planar:
+            self._orient()
+            self.planar = self._test()
+
+    def _orient(self) -> None:
+        """Phase one: orient every edge away from the DFS roots (tree
+        edges down, back edges up), with each edge's two lowest return
+        heights and its nesting depth."""
+        adj = self.adj
+        n = len(adj)
+        height = [-1] * n
+        parent_edge = [-1] * n
+        src: list[int] = []
+        dst: list[int] = []
+        lowpt: list[int] = []
+        lowpt2: list[int] = []
+        nesting: list[int] = []
+        out: list[list[int]] = [[] for _ in range(n)]
+        roots = []
+        nxt = [0] * n
+
+        def finish(k: int) -> None:
+            # edge k's return heights are final: fix its nesting depth and
+            # fold its lowpoints into the parent edge of its tail
+            v = src[k]
+            nesting[k] = 2 * lowpt[k] + (lowpt2[k] < height[v])
+            e = parent_edge[v]
+            if e >= 0:
+                lk, le = lowpt[k], lowpt[e]
+                if lk < le:
+                    lowpt2[e] = min(le, lowpt2[k])
+                    lowpt[e] = lk
+                elif lk > le:
+                    lowpt2[e] = min(lowpt2[e], lk)
+                else:
+                    lowpt2[e] = min(lowpt2[e], lowpt2[k])
+
+        for s in range(n):
+            if height[s] >= 0:
+                continue
+            height[s] = 0
+            roots.append(s)
+            stack = [s]
+            while stack:
+                v = stack[-1]
+                i = nxt[v]
+                if i == len(adj[v]):
+                    stack.pop()
+                    if parent_edge[v] >= 0:
+                        finish(parent_edge[v])
+                    continue
+                nxt[v] = i + 1
+                w = adj[v][i]
+                hv, hw = height[v], height[w]
+                # an edge to a finished descendant or along the tree edge
+                # from the parent is already oriented
+                if hw >= hv or (hw >= 0 and src[parent_edge[v]] == w):
+                    continue
+                k = len(src)
+                src.append(v)
+                dst.append(w)
+                out[v].append(k)
+                lowpt2.append(hv)
+                nesting.append(0)
+                if hw < 0:  # tree edge
+                    lowpt.append(hv)
+                    parent_edge[w] = k
+                    height[w] = hv + 1
+                    stack.append(w)
+                else:  # back edge
+                    lowpt.append(hw)
+                    finish(k)
+
+        self.height, self.parent_edge, self.roots = height, parent_edge, roots
+        self.src, self.dst, self.lowpt, self.nesting = src, dst, lowpt, nesting
+        self.out = out
+
+    def _test(self) -> bool:
+        """Phase two: assign back edges to the left or right side through
+        the conflict-pair stack; False as soon as no assignment fits."""
+        height, parent_edge = self.height, self.parent_edge
+        src, dst, lowpt = self.src, self.dst, self.lowpt
+        nesting = self.nesting
+        ordered = [sorted(o, key=nesting.__getitem__) for o in self.out]
+        m = len(src)
+        ref: list[int | None] = [None] * m
+        side = [1] * m
+        lowpt_edge: list[int | None] = [None] * m
+        stack_bottom: list[list | None] = [None] * m
+        S: list[list] = []
+
+        def conflicting(high: int | None, ei: int) -> bool:
+            # an interval whose highest edge returns above ei's lowpoint
+            return high is not None and lowpt[high] > lowpt[ei]
+
+        def add_constraints(ei: int, e: int) -> bool:
+            P: list = [None, None, None, None]
+            # merge the return edges of ei into P's right interval
+            while True:
+                Q = S.pop()
+                if Q[0] is not None or Q[1] is not None:
+                    Q[:] = Q[2], Q[3], Q[0], Q[1]
+                if Q[0] is not None or Q[1] is not None:
+                    return False
+                if lowpt[Q[2]] > lowpt[e]:
+                    if P[2] is None and P[3] is None:
+                        P[2], P[3] = Q[2], Q[3]
+                    else:
+                        ref[P[2]] = Q[3]
+                    P[2] = Q[2]
+                else:
+                    ref[Q[2]] = lowpt_edge[e]
+                if (S[-1] if S else None) is stack_bottom[ei]:
+                    break
+            # merge the return edges of earlier siblings that conflict
+            # with ei into P's left interval
+            while S and (conflicting(S[-1][1], ei) or conflicting(S[-1][3], ei)):
+                Q = S.pop()
+                if conflicting(Q[3], ei):
+                    Q[:] = Q[2], Q[3], Q[0], Q[1]
+                if conflicting(Q[3], ei):
+                    return False
+                if P[2] is not None:
+                    ref[P[2]] = Q[3]
+                if Q[2] is not None:
+                    P[2] = Q[2]
+                if P[0] is None and P[1] is None:
+                    P[0], P[1] = Q[0], Q[1]
+                else:
+                    ref[P[0]] = Q[1]
+                P[0] = Q[0]
+            if any(x is not None for x in P):
+                S.append(P)
+            return True
+
+        def lowest(P: list) -> int:
+            if P[0] is None and P[1] is None:
+                return lowpt[P[2]]
+            if P[2] is None and P[3] is None:
+                return lowpt[P[0]]
+            return min(lowpt[P[0]], lowpt[P[2]])
+
+        def remove_back_edges(e: int) -> None:
+            u = src[e]
+            hu = height[u]
+            # drop the conflict pairs whose every edge returns to u
+            while S and lowest(S[-1]) == hu:
+                P = S.pop()
+                if P[0] is not None:
+                    side[P[0]] = -1
+            if S:
+                # trim the edges returning to u off the next pair
+                P = S[-1]
+                while P[1] is not None and dst[P[1]] == u:
+                    P[1] = ref[P[1]]
+                if P[1] is None and P[0] is not None:
+                    ref[P[0]] = P[2]
+                    side[P[0]] = -1
+                    P[0] = None
+                while P[3] is not None and dst[P[3]] == u:
+                    P[3] = ref[P[3]]
+                if P[3] is None and P[2] is not None:
+                    ref[P[2]] = P[0]
+                    side[P[2]] = -1
+                    P[2] = None
+            # e takes the side of its highest return edge
+            if lowpt[e] < hu:
+                hl, hr = S[-1][1], S[-1][3]
+                if hl is not None and (hr is None or lowpt[hl] > lowpt[hr]):
+                    ref[e] = hl
+                else:
+                    ref[e] = hr
+
+        def integrate(ei: int) -> bool:
+            # fold the return edges of ei, just finished, into its tail's
+            # parent edge
+            v = src[ei]
+            if lowpt[ei] >= height[v]:
+                return True
+            e = parent_edge[v]
+            if ordered[v][0] == ei:
+                lowpt_edge[e] = lowpt_edge[ei]
+                return True
+            return add_constraints(ei, e)
+
+        nxt = [0] * len(height)
+        for s in self.roots:
+            stack = [s]
+            while stack:
+                v = stack[-1]
+                i = nxt[v]
+                if i == len(ordered[v]):
+                    stack.pop()
+                    e = parent_edge[v]
+                    if e >= 0:
+                        remove_back_edges(e)
+                        if not integrate(e):
+                            return False
+                    continue
+                nxt[v] = i + 1
+                ei = ordered[v][i]
+                stack_bottom[ei] = S[-1] if S else None
+                w = dst[ei]
+                if parent_edge[w] == ei:  # tree edge
+                    stack.append(w)
+                    continue
+                lowpt_edge[ei] = ei
+                S.append([None, None, ei, ei])
+                if not integrate(ei):
+                    return False
+        self.ref, self.side = ref, side
+        return True
+
+    def rotation(self) -> tuple[tuple[int, ...], ...]:
+        """Phase three, for a planar input: each vertex's neighbors in
+        clockwise order.  It resolves the sides in place, so it runs
+        once per test."""
+        n = len(self.adj)
+        dst, parent_edge = self.dst, self.parent_edge
+        ref, side, nesting = self.ref, self.side, self.nesting
+        # resolve each side relative to its reference chain
+        for k in range(len(dst)):
+            chain = []
+            e = k
+            while ref[e] is not None:
+                chain.append(e)
+                e = ref[e]
+            s = side[e]
+            for x in reversed(chain):
+                s *= side[x]
+                side[x] = s
+                ref[x] = None
+            nesting[k] *= side[k]
+        # each rotation as a cyclic doubly linked list
+        cw: list[dict[int, int]] = [{} for _ in range(n)]
+        ccw: list[dict[int, int]] = [{} for _ in range(n)]
+        first: list[int | None] = [None] * n
+
+        def insert_after(v: int, w: int, at: int | None) -> None:
+            if at is None:
+                cw[v][w] = ccw[v][w] = first[v] = w
+                return
+            c = cw[v][at]
+            cw[v][at] = w
+            cw[v][w] = c
+            ccw[v][c] = w
+            ccw[v][w] = at
+
+        def insert_before(v: int, w: int, at: int | None) -> None:
+            insert_after(v, w, None if at is None else ccw[v][at])
+            if first[v] == at:
+                first[v] = w
+
+        ordered = [sorted(o, key=nesting.__getitem__) for o in self.out]
+        for v in range(n):
+            prev = None
+            for k in ordered[v]:
+                insert_after(v, dst[k], prev)
+                prev = dst[k]
+        # add each edge at its head: a tree edge first, a back edge
+        # beside the left or right reference of its head
+        left_ref = [0] * n
+        right_ref = [0] * n
+        nxt = [0] * n
+        for s in self.roots:
+            stack = [s]
+            while stack:
+                v = stack[-1]
+                i = nxt[v]
+                if i == len(ordered[v]):
+                    stack.pop()
+                    continue
+                nxt[v] = i + 1
+                ei = ordered[v][i]
+                w = dst[ei]
+                if parent_edge[w] == ei:
+                    insert_before(w, v, first[w])
+                    left_ref[v] = right_ref[v] = w
+                    stack.append(w)
+                elif side[ei] == 1:
+                    insert_after(w, v, right_ref[w])
+                else:
+                    insert_before(w, v, left_ref[w])
+                    left_ref[w] = v
+        rings = []
+        for v in range(n):
+            ring = []
+            w = first[v]
+            if w is not None:
+                while True:
+                    ring.append(w)
+                    w = cw[v][w]
+                    if w == first[v]:
+                        break
+            rings.append(tuple(ring))
+        return tuple(rings)
+
+
+def _adjacency(n: int, edges: Iterable[Edge]) -> list[list[int]]:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
+
+
+def _kernel(g: Graph) -> dict[Edge, list[Edge]]:
+    """What is left of ``g`` after deleting vertices of degree at most
+    one and suppressing degree-2 vertices whose neighbors are not
+    adjacent, until neither applies: each kernel edge maps to the path
+    of ``g``'s edges it stands for.
+
+    Neither step changes planarity, and the paths are internally
+    disjoint, so a Kuratowski subdivision in the kernel expands to one
+    in ``g``.
+    """
+    nbrs = [set(s) for s in g.neighbor_sets]
+    paths = {e: [e] for e in g.edges}
+    queue = [v for v in range(g.n) if len(nbrs[v]) <= 2]
+    while queue:
+        x = queue.pop()
+        if len(nbrs[x]) == 1:
+            (u,) = nbrs[x]
+            nbrs[x].clear()
+            nbrs[u].remove(x)
+            del paths[normalize_edge(u, x)]
+            if len(nbrs[u]) <= 2:
+                queue.append(u)
+        elif len(nbrs[x]) == 2:
+            u, w = nbrs[x]
+            if w in nbrs[u]:
+                continue
+            nbrs[x].clear()
+            nbrs[u].remove(x)
+            nbrs[w].remove(x)
+            nbrs[u].add(w)
+            nbrs[w].add(u)
+            p = paths.pop(normalize_edge(u, x))
+            q = paths.pop(normalize_edge(x, w))
+            if len(p) < len(q):
+                p, q = q, p
+            p.extend(q)
+            paths[normalize_edge(u, w)] = p
+    return paths
+
+
+def _kuratowski_edges(g: Graph) -> tuple[Edge, ...]:
+    """A K5 or K3,3 subdivision in the nonplanar ``g``, as sorted edges.
+
+    Walks the sorted edges of the kernel (see :func:`_kernel`),
+    tentatively deleting a chunk at a time and keeping the deletion only
+    while the rest stays nonplanar (delta debugging; Zeller and
+    Hildebrandt, TSE 2002).  A chunk halves when its deletion would make
+    the rest planar and doubles when the deletion is kept.  An edge
+    survives only when deleting it alone made the rest planar, and
+    deleting more edges later cannot undo that, so every surviving edge
+    is needed: what is left is edge-minimal nonplanar, which by
+    Kuratowski's theorem is a K5 or K3,3 subdivision.  The kernel keeps
+    a long subdivided path from costing one planarity test per edge.
+    """
+    paths = _kernel(g)
+    keep = sorted(paths)
+    i, chunk = 0, 1
+    while i < len(keep):
+        trial = keep[:i] + keep[i + chunk:]
+        if _LeftRight(_adjacency(g.n, trial)).planar:
+            if chunk == 1:
+                i += 1
+            else:
+                chunk //= 2
+        else:
+            keep = trial
+            chunk *= 2
+    return tuple(sorted(e for k in keep for e in paths[k]))
+
+
 def is_planar(g: Graph) -> PlanarityCertificate:
     """Planarity test; the verdict always carries a certificate."""
-    G = nx.Graph()
-    G.add_nodes_from(range(g.n))
-    G.add_edges_from(g.edges)
-    ok, cert = nx.check_planarity(G, counterexample=True)
-    if ok:
-        data = cert.get_data()
-        rotation = tuple(tuple(data.get(v, ())) for v in range(g.n))
-        return PlanarityCertificate(planar=True, rotation=rotation)
-    edges = tuple(sorted(normalize_edge(u, v) for u, v in cert.edges()))
+    lr = _LeftRight(g.adj)
+    if lr.planar:
+        return PlanarityCertificate(planar=True, rotation=lr.rotation())
+    edges = _kuratowski_edges(g)
     _, kind = _smooth_subdivision(edges)
     return PlanarityCertificate(
         planar=False, obstruction_edges=edges, kind=kind

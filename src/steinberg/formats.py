@@ -178,15 +178,36 @@ def strict_int(value: Any, name: str) -> int:
     return value
 
 
+def strict_bool(value: Any, name: str) -> bool:
+    """``value`` if it is JSON ``true`` or ``false``; a string such as
+    ``"false"`` or a number is refused, not read as truthy."""
+    if not isinstance(value, bool):
+        raise FormatError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def _vertex_key(key: Any) -> int:
+    """A label key as a vertex id: plain decimal digits without a leading
+    zero, so that ``"1_0"``, ``" 3"``, ``"+3"`` and ``"03"`` are refused."""
+    if not (isinstance(key, str) and key.isascii() and key.isdigit()
+            and (key == "0" or key[0] != "0")):
+        raise FormatError(f"label key {key!r} is not a plain vertex id")
+    try:
+        return int(key)
+    except ValueError:  # past the interpreter's digit limit
+        raise FormatError(
+            f"label key of {len(key)} digits is not a plain vertex id"
+        ) from None
+
+
 def graph_from_json_dict(d: dict[str, Any]) -> Graph:
     if not isinstance(d, dict) or "n" not in d or "edges" not in d:
         raise FormatError("JSON gadget object needs 'n' and 'edges'")
     labels = None
     if "labels" in d and d["labels"] is not None:
-        try:
-            labels = {int(k): str(v) for k, v in d["labels"].items()}
-        except (TypeError, ValueError, AttributeError):
-            raise FormatError("'labels' must map vertex ids to strings") from None
+        if not isinstance(d["labels"], dict):
+            raise FormatError("'labels' must map vertex ids to strings")
+        labels = {_vertex_key(k): str(v) for k, v in d["labels"].items()}
     n = strict_int(d["n"], "'n'")
     try:
         edges = [(strict_int(u, "u"), strict_int(v, "v")) for u, v in d["edges"]]

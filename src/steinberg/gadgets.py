@@ -48,7 +48,8 @@ from .coloring import (
 )
 from .errors import ContractError, FormatError, PasteError
 from .formats import (
-    graph_from_json_dict, graph_to_json_dict, parse_json_payload, strict_int
+    graph_from_json_dict, graph_to_json_dict, parse_json_payload, strict_bool,
+    strict_int,
 )
 from .graphs import Graph, add_apex, build_graph
 from .report import VerificationReport, timed_check
@@ -168,8 +169,10 @@ class InterfaceContract:
             forbidden_patterns=frozenset(
                 str(p) for p in d.get("forbidden_patterns", ())
             ),
-            require_planar=bool(d.get("require_planar", True)),
-            verified=bool(d.get("verified", False)),
+            require_planar=strict_bool(
+                d.get("require_planar", True), "require_planar"
+            ),
+            verified=strict_bool(d.get("verified", False), "verified"),
         )
 
 

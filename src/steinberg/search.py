@@ -38,7 +38,7 @@ from .errors import (
     SearchSpecError,
     SizeGuardError,
 )
-from .formats import strict_int
+from .formats import strict_bool, strict_int
 from .gadgets import (
     InterfaceContract,
     TerminalGadget,
@@ -559,7 +559,7 @@ def search_spec_from_json_dict(d: dict[str, Any]) -> SearchSpec:
             max_vertices=strict_int(d["max_vertices"], "max_vertices"),
             contract=contract,
             template=template,
-            dedup=bool(d.get("dedup", True)),
+            dedup=strict_bool(d.get("dedup", True), "dedup"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SearchSpecError(f"bad search spec: {exc}") from exc

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import deque
 
 from steinberg import Graph, build_graph, canonical_digest
@@ -138,6 +139,25 @@ def random_graph(rng: random.Random, n: int, p: float) -> Graph:
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
     return build_graph(n, edges)
+
+
+def random_sparse_graph(rng: random.Random, n: int, m: int) -> Graph:
+    """A uniformly random simple graph with exactly ``m`` edges."""
+    pairs: set[tuple[int, int]] = set()
+    while len(pairs) < m:
+        u, v = rng.sample(range(n), 2)
+        pairs.add((min(u, v), max(u, v)))
+    return build_graph(n, sorted(pairs))
+
+
+def stack_depth() -> int:
+    """Frames on the caller's stack, for setting a tight recursion limit."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
 
 
 def random_conflict_free_fixing(

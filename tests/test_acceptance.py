@@ -12,10 +12,12 @@ import time
 import pytest
 
 from steinberg import (
+    PlanarityCertificate,
     brute_force_3coloring,
     build_graph,
     canonical_form,
     compositional_check,
+    counterexample_report,
     cycles_of_length,
     distance,
     encode,
@@ -39,6 +41,7 @@ from support import (
     graph6_reference,
     random_conflict_free_fixing,
     random_graph,
+    random_sparse_graph,
     rup_refutes,
     subset_cycles,
 )
@@ -277,3 +280,20 @@ def test_hostile_triangulated_grid_triangle_check():
     pairs = triangles_sharing_edge(g)
     assert len(pairs) == g.m - 4 * (w - 1)
     assert conflicts[: len(pairs)] == pairs and len(conflicts) > len(pairs)
+
+
+def test_hostile_random_nonplanar_report():
+    g = random_sparse_graph(random.Random(300), 300, 600)
+    with Timer() as t:
+        report = counterexample_report(g)
+    ceiling("verify on a random graph with 300 vertices and 600 edges", t, limit=2)
+    check = report.check("planarity")
+    assert not check.passed
+    witness = check.witness
+    assert witness["kind"] in ("K5", "K3,3")
+    cert = PlanarityCertificate(
+        planar=False,
+        obstruction_edges=tuple(tuple(e) for e in witness["edges"]),
+        kind=witness["kind"],
+    )
+    validate_planarity_certificate(g, cert)

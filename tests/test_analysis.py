@@ -1,3 +1,8 @@
+import os
+import random
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,9 +19,16 @@ from steinberg import (
     triangles_sharing_edge,
     validate_planarity_certificate,
 )
+from steinberg import analysis
 from steinberg.analysis import bfs_distances, shortest_path
 
-from support import normalize_cycle, reference_triangle_conflicts, subset_cycles
+from support import (
+    normalize_cycle,
+    random_sparse_graph,
+    reference_triangle_conflicts,
+    stack_depth,
+    subset_cycles,
+)
 
 
 def graphs(max_n: int = 9):
@@ -34,14 +46,22 @@ K5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])
 K33 = build_graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
 
 
-def subdivide_every_edge(g):
-    """Replace each edge by a path of length two."""
+def subdivide_every_edge(g, length=2):
+    """Replace each edge by a path of ``length`` edges."""
     edges = []
     nxt = g.n
     for u, v in g.edges:
-        edges.extend([(u, nxt), (nxt, v)])
-        nxt += 1
+        path = [u, *range(nxt, nxt + length - 1), v]
+        edges.extend(zip(path, path[1:]))
+        nxt += length - 1
     return build_graph(nxt, edges)
+
+
+def grid(w):
+    """The w x w grid, row by row."""
+    edges = [(v, v + 1) for v in range(w * w) if v % w < w - 1]
+    edges += [(v, v + w) for v in range(w * (w - 1))]
+    return build_graph(w * w, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -272,3 +292,97 @@ def test_every_planarity_certificate_validates(g):
     validate_planarity_certificate(g, cert)
     if g.n >= 3 and cert.planar:
         assert g.m <= 3 * g.n - 6
+
+
+@pytest.mark.parametrize("g, kind", [
+    pytest.param(build_graph(5000, [(i, i + 1) for i in range(4999)]), None, id="path-5000"),
+    pytest.param(grid(70), None, id="grid-70x70"),
+    pytest.param(subdivide_every_edge(K5, 200), "K5", id="K5-paths-200"),
+    pytest.param(subdivide_every_edge(K33, 200), "K3,3", id="K3,3-paths-200"),
+])
+def test_deep_inputs_do_not_recurse(g, kind):
+    # every DFS keeps an explicit stack, and the Kuratowski extraction
+    # suppresses the long paths rather than testing one edge at a time
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 40)
+    try:
+        cert = is_planar(g)
+        validate_planarity_certificate(g, cert)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert cert.planar == (kind is None)
+    assert cert.kind == kind
+    if kind is not None:
+        assert cert.obstruction_edges == g.edges
+
+
+def test_planarity_stops_testing_at_the_first_conflict(monkeypatch):
+    # a nonplanar verdict never builds an embedding
+    def no_embedding(self):
+        raise AssertionError("embedding phase ran on a nonplanar graph")
+
+    monkeypatch.setattr(analysis._LeftRight, "rotation", no_embedding)
+    for g in (K5, K33, subdivide_every_edge(K33)):
+        assert not is_planar(g).planar
+
+
+# ---------------------------------------------------------------------------
+# networkx as an outside oracle, in the tests only
+
+@pytest.fixture(scope="module")
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def networkx_planar(nx, g) -> bool:
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges)
+    return nx.check_planarity(G)[0]
+
+
+@given(graphs(10))
+@settings(max_examples=300, deadline=None)
+def test_planarity_verdicts_match_networkx(nx, g):
+    cert = is_planar(g)
+    assert cert.planar == networkx_planar(nx, g)
+    validate_planarity_certificate(g, cert)
+
+
+def test_sparse_planarity_verdicts_match_networkx(nx):
+    rng = random.Random(14)
+    verdicts = []
+    for _ in range(40):
+        n = rng.randrange(10, 301)
+        g = random_sparse_graph(rng, n, rng.randrange(n // 2, 3 * n // 2))
+        cert = is_planar(g)
+        assert cert.planar == networkx_planar(nx, g)
+        validate_planarity_certificate(g, cert)
+        verdicts.append(cert.planar)
+    # the pool holds both verdicts
+    assert 5 <= sum(verdicts) <= 35
+
+
+def test_reports_leave_networkx_unloaded():
+    # planarity is decided in-house; networkx is a test-only oracle
+    code = (
+        "import sys, steinberg\n"
+        "from steinberg import build_graph, counterexample_report\n"
+        "triple = steinberg.build_triple_gadget(steinberg.load_seed_gadget())\n"
+        "final = steinberg.build_counterexample(triple)\n"
+        "assert counterexample_report(final).passed\n"
+        "k5 = build_graph(5, [(i, j) for i in range(5) for j in range(i + 1, 5)])\n"
+        "assert not counterexample_report(k5).check('planarity').passed\n"
+        "print('networkx' in sys.modules)"
+    )
+    # the child imports the same package as this test run
+    src = os.path.dirname(os.path.dirname(analysis.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert out.stdout.strip() == "False"

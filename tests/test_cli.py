@@ -212,6 +212,9 @@ _MALFORMED_INPUTS = {
     "float-n.json": b'{"n": 2.9, "edges": [[0, 1]]}',
     "bool-n.json": b'{"n": true, "edges": []}',
     "float-endpoint.json": b'{"n": 2, "edges": [[0, 1.7]]}',
+    "underscore-label.json": b'{"n": 12, "edges": [], "labels": {"1_0": "x"}}',
+    "space-label.json": b'{"n": 4, "edges": [], "labels": {" 3": "x"}}',
+    "plus-label.json": b'{"n": 4, "edges": [], "labels": {"+3": "x"}}',
     "directory.g6": None,
 }
 
@@ -387,6 +390,25 @@ def test_search_spec_with_a_non_integer_is_a_usage_error(tmp_path, capsys, path,
     assert code == 2
     assert out == ""
     assert "must be an integer" in err
+
+
+@pytest.mark.parametrize("path", [
+    pytest.param(("dedup",), id="dedup"),
+    pytest.param(("contract", "require_planar"), id="require-planar"),
+])
+def test_search_spec_with_a_non_boolean_flag_is_a_usage_error(tmp_path, capsys, path):
+    # "false" is a string, not JSON false, and is refused rather than truthy
+    spec = {
+        "max_vertices": 3,
+        "contract": {"forbidden_cycle_lengths": [3]},
+        "template": {"layers": [{"name": "t", "size": 2}]},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(replace_at(spec, path, "false")))
+    code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert f"{path[-1]} must be true or false" in err
 
 
 def test_build_falls_back_to_the_search_only_when_asked(monkeypatch, capsys):

@@ -39,6 +39,7 @@ from support import (
     product_3coloring_exists,
     random_conflict_free_fixing,
     rup_refutes,
+    stack_depth,
 )
 import random
 
@@ -277,22 +278,13 @@ def test_unfixed_solve_pins_vertex_0_to_color_0(g):
         assert g.n == 0 or got[0] == 0
 
 
-def _stack_depth() -> int:
-    depth = 0
-    frame = sys._getframe()
-    while frame is not None:
-        depth += 1
-        frame = frame.f_back
-    return depth
-
-
 def test_deep_branching_does_not_recurse():
     # a path takes one decision per vertex; the search must not spend a
     # Python frame on each of them
     n = 120
     path = build_graph(n, [(i, i + 1) for i in range(n - 1)])
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 40)
+    sys.setrecursionlimit(stack_depth() + 40)
     try:
         got, stats = solve_3coloring_with_stats(path)
     finally:

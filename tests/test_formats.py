@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinberg import FormatError, build_graph, decode, encode, sniff_format
-from steinberg.formats import FORMATS, decode_graph6
+from steinberg.formats import FORMATS, decode_graph6, strict_bool
 
 from support import graph6_reference
 
@@ -158,6 +158,20 @@ def test_json_errors():
             decode(b'{"n": %s, "edges": []}' % bad_n, "json")
     with pytest.raises(FormatError, match="integer pairs"):
         decode(b'{"n": 2, "edges": [[0, 1.7]]}', "json")
+    # label keys are plain decimal vertex ids, never parsed leniently
+    for key in (b"1_0", b" 3", b"+3", b"03", b"x", b"9" * 5000):
+        with pytest.raises(FormatError, match="not a plain vertex id"):
+            decode(b'{"n": 12, "edges": [], "labels": {"%s": "x"}}' % key, "json")
+    g = decode(b'{"n": 12, "edges": [], "labels": {"0": "a", "10": "b"}}', "json")
+    assert g.labels == ((0, "a"), (10, "b"))
+
+
+def test_strict_bool_accepts_only_json_booleans():
+    assert strict_bool(True, "flag") is True
+    assert strict_bool(False, "flag") is False
+    for bad in ("false", "true", 0, 1, None):
+        with pytest.raises(FormatError, match="flag must be true or false"):
+            strict_bool(bad, "flag")
 
 
 def test_unknown_format_rejected():

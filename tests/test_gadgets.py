@@ -117,6 +117,15 @@ def test_gadget_json_refuses_non_integers(seed_gadget, path, value):
         gadget_from_json_dict(replace_at(d, path, value))
 
 
+@pytest.mark.parametrize("key", ["verified", "require_planar"])
+@pytest.mark.parametrize("value", ["false", 0])
+def test_gadget_json_refuses_non_boolean_flags(seed_gadget, key, value):
+    # a flag that is not JSON true/false is an input error, never truthy
+    d = json.loads(json.dumps(gadget_to_json_dict(seed_gadget)))
+    with pytest.raises(FormatError, match=f"{key} must be true or false"):
+        gadget_from_json_dict(replace_at(d, ("contract", key), value))
+
+
 def test_seed_and_triple_contract_shapes():
     sc = seed_contract()
     assert sc.forbidden_cycle_lengths == frozenset({4, 5})
