@@ -17,7 +17,7 @@ from typing import Any
 
 from . import __version__
 from .canon import canonical_digest
-from .coloring import _BRUTE_FORCE_LIMIT
+from .coloring import _BEHAVIOR_ARITIES, _BRUTE_FORCE_LIMIT
 from .errors import (
     ContractError,
     FormatError,
@@ -171,6 +171,14 @@ def cmd_search(args) -> int:
             print("error: pass a spec file or --stock", file=sys.stderr)
             return 2
         spec = load_search_spec(args.spec)
+    arity = spec.contract.arity
+    if arity is not None and arity not in _BEHAVIOR_ARITIES:
+        # every find is frozen with its behavior table, which covers only
+        # these terminal counts: refuse before the walk, not after it
+        raise SearchSpecError(
+            f"search freezes gadgets with {min(_BEHAVIOR_ARITIES)} to"
+            f" {max(_BEHAVIOR_ARITIES)} terminals; the contract has {arity}"
+        )
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     found = 0

@@ -30,6 +30,7 @@ ColorAssignment = dict[int, int]
 _BRUTE_FORCE_LIMIT = 25  # 3^25 assignment space; beyond this, refuse
 _EXHAUSTIVE_LIMIT = 16  # full bitset sweep, all 3^k rows touched
 _SWEEP_CHUNK_VERTICES = 11  # a chunk spans 3^11 rows, one bit each
+_BEHAVIOR_ARITIES = range(2, 5)  # terminal counts a behavior table covers
 
 
 def is_proper(g: Graph, assignment: Mapping[int, int]) -> bool:
@@ -540,7 +541,7 @@ def terminal_behavior(gadget: "TerminalGadget") -> TerminalBehavior:
     """
     terminals = gadget.terminals
     t = len(terminals)
-    if not (2 <= t <= 4):
+    if t not in _BEHAVIOR_ARITIES:
         raise ValueError(f"terminal behavior needs 2..4 terminals, got {t}")
     entries = []
     for pattern in all_patterns(t):

@@ -228,6 +228,8 @@ def parse_json_payload(data: bytes) -> dict[str, Any]:
         raise FormatError("gadget JSON is not UTF-8", offset=exc.start) from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc.msg}", offset=exc.pos) from None
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise FormatError(f"bad JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise FormatError("gadget JSON must be an object")
     return payload

@@ -3,8 +3,13 @@
 The search walks a layered template once, as a list of steps that each
 choose one of several edge tuples.  It prunes a partial candidate as
 soon as it violates a monotone contract clause (a forbidden short cycle,
-a terminal distance already too small), and rejects each complete
-candidate at its cheapest failing contract clause
+a terminal distance already too small).  The walk is one loop over an
+explicit stack of per-step choices, so a template of any length stays
+clear of the recursion limit, and the partial graph is one adjacency
+bitmask per vertex: a new edge closes a forbidden k-cycle when simple
+paths grown k - 3 edges from one end meet the other end's neighbors in
+one mask test, and a terminal distance is a bitset BFS.  Each complete
+candidate is rejected at its cheapest failing contract clause
 (:func:`first_failing_clause`).  Planarity runs only on candidates that
 pass every cheaper clause, and the co-facial test and the canonical form
 only on those that pass them all.  Results stream in a fixed order:
@@ -145,60 +150,58 @@ def _intra_variants(kind: str, verts: range) -> list[_Edges]:
 
 
 def _closes_forbidden_cycle(
-    adj: dict[int, set[int]],
-    x: int,
-    v: int,
-    depth: int,
-    want: set[int],
-    depth_max: int,
-    visited: set[int],
+    adj: list[int], new_edges: _Edges, lengths: frozenset[int]
 ) -> bool:
-    """Can the simple path that ends at ``x`` after ``depth`` edges (its
-    vertices in ``visited``) reach ``v`` at a length in ``want``?  A
-    length below 2 would be the new edge itself and does not count."""
-    for y in adj.get(x, ()):
-        if y == v:
-            if depth + 1 in want and depth + 1 >= 2:
-                return True
-            continue
-        if y in visited or depth + 1 >= depth_max:
-            continue
-        visited.add(y)
-        if _closes_forbidden_cycle(adj, y, v, depth + 1, want, depth_max, visited):
-            return True
-        visited.discard(y)
+    """Would a cycle of a forbidden length pass through one of the new
+    edges?  Edge (u, v) closes a k-cycle when a simple path of k - 1
+    edges joins u to v: simple paths are extended from one end to depth
+    k - 3, and the last two edges close in one mask test.  Lengths are
+    3..6, so paths grow at most three edges; they grow from the end
+    with fewer neighbors."""
+    if not lengths:
+        return False
+    top = max(lengths) - 3
+    for u, v in new_edges:
+        if adj[u].bit_count() > adj[v].bit_count():
+            u, v = v, u
+        target = adj[v]
+        level = [(u, (1 << u) | (1 << v))]
+        for depth in range(top + 1):
+            if depth + 3 in lengths:
+                for x, seen in level:
+                    if adj[x] & target & ~seen:
+                        return True
+            if depth == top:
+                break
+            grown = []
+            for x, seen in level:
+                rest = adj[x] & ~seen
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    grown.append((low.bit_length() - 1, seen | low))
+            level = grown
     return False
 
 
-def _forms_forbidden_cycle(
-    adj: dict[int, set[int]],
-    new_edges: _Edges,
-    lengths: frozenset[int],
-) -> bool:
-    """Would any forbidden cycle pass through one of the new edges?"""
-    if not lengths:
-        return False
-    want = {k - 1 for k in lengths}
-    depth_max = max(want)
-    return any(
-        _closes_forbidden_cycle(adj, u, v, 0, want, depth_max, {u})
-        for u, v in new_edges
-    )
-
-
 def _distance_floor_violated(
-    adj: dict[int, set[int]],
-    floors: list[tuple[int, int, int]],
+    adj: list[int], floors: list[tuple[int, int, int]]
 ) -> bool:
     """Is a required terminal distance already beaten?  Distances only
     fall as edges arrive, so a too-short partial distance is final."""
     for u, v, floor in floors:
-        seen = {u}
-        frontier = {u}
+        seen = frontier = 1 << u
         for _ in range(floor - 1):
-            frontier = {y for x in frontier for y in adj[x]} - seen
-            if v in frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reach |= adj[low.bit_length() - 1]
+            frontier = reach & ~seen
+            if frontier >> v & 1:
                 return True
+            if not frontier:
+                break
             seen |= frontier
     return False
 
@@ -245,34 +248,53 @@ def _template_steps(template: TemplateSpec) -> list[list[_Edges]]:
 
 def _walk(
     steps: list[list[_Edges]],
-    si: int,
-    adj: dict[int, set[int]],
-    chosen: list[tuple[int, int]],
+    n: int,
     lengths: frozenset[int],
     floors: list[tuple[int, int, int]],
     funnel: Counter,
-    out: list[_Edges],
-) -> None:
-    """Append to ``out`` every completion of ``chosen`` through
-    ``steps[si:]`` that no monotone prune rejects."""
-    if si == len(steps):
-        out.append(tuple(sorted(chosen)))
-        return
-    for es in steps[si]:
-        for u, v in es:
-            adj[u].add(v)
-            adj[v].add(u)
-        chosen.extend(es)
-        if _forms_forbidden_cycle(adj, es, lengths):
-            funnel["pruned-cycle"] += 1
-        elif floors and _distance_floor_violated(adj, floors):
-            funnel["pruned-distance"] += 1
+) -> list[_Edges]:
+    """Every choice of one alternative per step that no monotone prune
+    rejects, as a sorted edge tuple, in the order of the steps'
+    alternatives.  One loop over an explicit stack of next-alternative
+    indices, so a template's length never meets the recursion limit;
+    the partial graph is one adjacency bitmask per vertex."""
+    adj = [0] * n
+    chosen: list[tuple[int, int]] = []
+    out: list[_Edges] = []
+    nxt = [0] * len(steps)
+    si = 0
+    while True:
+        if si == len(steps):
+            out.append(tuple(sorted(chosen)))
+        elif nxt[si] < len(steps[si]):
+            es = steps[si][nxt[si]]
+            nxt[si] += 1
+            for u, v in es:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            if _closes_forbidden_cycle(adj, es, lengths):
+                funnel["pruned-cycle"] += 1
+            elif floors and _distance_floor_violated(adj, floors):
+                funnel["pruned-distance"] += 1
+            else:
+                chosen.extend(es)
+                si += 1
+                continue
+            for u, v in es:
+                adj[u] &= ~(1 << v)
+                adj[v] &= ~(1 << u)
+            continue
         else:
-            _walk(steps, si + 1, adj, chosen, lengths, floors, funnel, out)
+            nxt[si] = 0
+        # every alternative below step si is done: undo step si - 1
+        if si == 0:
+            return out
+        si -= 1
+        es = steps[si][nxt[si] - 1]
         del chosen[len(chosen) - len(es):]
         for u, v in es:
-            adj[u].discard(v)
-            adj[v].discard(u)
+            adj[u] &= ~(1 << v)
+            adj[v] &= ~(1 << u)
 
 
 def _template_candidates(
@@ -298,10 +320,13 @@ def _template_candidates(
                 if matrix[i][j] > 1:
                     floors.append((i, j, matrix[i][j]))
 
-    steps = _template_steps(template)
-    adj: dict[int, set[int]] = {v: set() for v in range(total)}
-    out: list[_Edges] = []
-    _walk(steps, 0, adj, [], contract.forbidden_cycle_lengths, floors, funnel, out)
+    out = _walk(
+        _template_steps(template),
+        total,
+        contract.forbidden_cycle_lengths,
+        floors,
+        funnel,
+    )
     for edges in sorted(out, key=len):
         yield total, edges
 
@@ -568,6 +593,6 @@ def search_spec_from_json_dict(d: dict[str, Any]) -> SearchSpec:
 def load_search_spec(path: str | Path) -> SearchSpec:
     try:
         payload = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an oversized integer
         raise SearchSpecError(f"bad search spec JSON: {exc}") from exc
     return search_spec_from_json_dict(payload)

@@ -160,6 +160,26 @@ def stack_depth() -> int:
     return depth
 
 
+def deep_template_spec() -> dict:
+    """A search spec, as JSON, whose template is 1,201 link steps long:
+    two terminals, a hub joined to a nonempty subset of them, and 1,200
+    leaves each joined to the hub.  Its three candidates are trees with
+    the terminals at distance 2 or apart."""
+    return {
+        "max_vertices": 1203,
+        "contract": {
+            "forbidden_cycle_lengths": [4],
+            "min_terminal_distances": [[0, 2], [2, 0]],
+            "require_planar": False,
+        },
+        "template": {"layers": [
+            {"name": "t", "size": 2},
+            {"name": "hub", "size": 1, "link_to": "t", "link_kind": "subsets"},
+            {"name": "x", "size": 1200, "link_to": "hub", "link_kind": "subsets"},
+        ]},
+    }
+
+
 def random_conflict_free_fixing(
     rng: random.Random, g: Graph, max_fixed: int | None = None
 ) -> dict[int, int]:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -15,7 +16,7 @@ from steinberg import (
 from steinberg import cli
 from steinberg.cli import main
 
-from support import replace_at
+from support import deep_template_spec, replace_at
 
 
 def run_cli(capsys, *argv):
@@ -215,6 +216,7 @@ _MALFORMED_INPUTS = {
     "underscore-label.json": b'{"n": 12, "edges": [], "labels": {"1_0": "x"}}',
     "space-label.json": b'{"n": 4, "edges": [], "labels": {" 3": "x"}}',
     "plus-label.json": b'{"n": 4, "edges": [], "labels": {"+3": "x"}}',
+    "huge-n.json": b'{"n": ' + b"9" * 5000 + b', "edges": []}',
     "directory.g6": None,
 }
 
@@ -409,6 +411,56 @@ def test_search_spec_with_a_non_boolean_flag_is_a_usage_error(tmp_path, capsys, 
     assert code == 2
     assert out == ""
     assert f"{path[-1]} must be true or false" in err
+
+
+def test_search_spec_with_an_oversized_integer_is_a_usage_error(tmp_path, capsys):
+    # past the interpreter's 4,300-digit limit for integer conversion
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(
+        '{"max_vertices": ' + "9" * 5000 + ', "contract": {}}'
+    )
+    code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad search spec JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("arity", [1, 5])
+def test_search_refuses_a_contract_it_cannot_freeze(tmp_path, capsys, monkeypatch, arity):
+    # a find is frozen with its behavior table, which needs 2 to 4
+    # terminals, so the spec is refused before the walk starts
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "search_gadget", no_walk)
+    floors = [[0 if i == j else 1 for j in range(arity)] for i in range(arity)]
+    spec = {
+        "max_vertices": arity,
+        "contract": {"min_terminal_distances": floors},
+        "template": {"layers": [{"name": "t", "size": arity}]},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: search freezes gadgets with 2 to 4 terminals; the contract"
+        f" has {arity}\n"
+    )
+
+
+def test_search_walks_a_deep_template(tmp_path, capsys):
+    # 1,201 link steps, each a level of the walk
+    spec_path = tmp_path / "deep.json"
+    spec_path.write_text(json.dumps(deep_template_spec()))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
+    elapsed = time.perf_counter() - start
+    assert code == 0, err
+    assert "1 gadget(s) frozen" in out
+    assert len(list(tmp_path.glob("gadget-*.json"))) == 1
+    assert elapsed < 10
 
 
 def test_build_falls_back_to_the_search_only_when_asked(monkeypatch, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 
@@ -32,7 +33,7 @@ from steinberg.search import (
     search_spec_to_json_dict,
 )
 
-from support import cheapest_failing_check
+from support import cheapest_failing_check, deep_template_spec, stack_depth
 
 
 TRIANGLE_CONTRACT = InterfaceContract(
@@ -234,6 +235,70 @@ def test_template_candidates_match_the_filtered_product():
     # enough survivors, and enough templates mixing edge counts, for the
     # order and the prunes to be pinned
     assert checked > 500 and several_counts > 10
+
+
+def filtered_product(spec):
+    """The template's unpruned product, less every candidate with a
+    forbidden cycle or a terminal pair closer than its floor, stably
+    sorted by edge count."""
+    n, choices = unpruned_choices(spec.template)
+    contract = spec.contract
+    floors = contract.min_terminal_distances
+    expected = []
+    for combo in itertools.product(*choices):
+        edges = tuple(sorted(e for part in combo for e in part))
+        graph = build_graph(n, edges)
+        if forbidden_cycle_check(graph, contract.forbidden_cycle_lengths):
+            continue
+        if any(
+            (d := distance(graph, i, j)) is not None and d < floors[i][j]
+            for i, j in itertools.combinations(range(contract.arity), 2)
+        ):
+            continue
+        expected.append((n, edges))
+    expected.sort(key=lambda c: len(c[1]))
+    return expected
+
+
+def test_template_candidates_match_the_filtered_product_at_every_length():
+    # one or two forbidden lengths from 3..6: the walk closes cycles by
+    # growing paths zero to three edges before its last mask test
+    def with_lengths(spec, lengths):
+        return replace(
+            spec, contract=replace(spec.contract, forbidden_cycle_lengths=lengths)
+        )
+
+    rng = random.Random(1506)
+    checked = six_matters = 0
+    for _ in range(160):
+        lengths = frozenset(rng.sample([3, 4, 5, 6], rng.randint(1, 2)))
+        spec = with_lengths(random_template_spec(rng), lengths)
+        expected = filtered_product(spec)
+        assert list(_template_candidates(spec, Counter())) == expected
+        checked += len(expected)
+        if 6 in lengths:
+            rest = with_lengths(spec, lengths - {6})
+            six_matters += list(_template_candidates(rest, Counter())) != expected
+    # enough survivors, and enough templates where a 6-cycle alone
+    # removes candidates, for the deepest mask test to be pinned
+    assert checked > 1000 and six_matters > 3
+
+
+def test_deep_template_walks_without_recursion():
+    # 1,201 link steps; the walk keeps its own stack
+    spec = search_spec_from_json_dict(deep_template_spec())
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 40)
+    try:
+        found = list(_template_candidates(spec, Counter()))
+    finally:
+        sys.setrecursionlimit(limit)
+    spokes = tuple((2, x) for x in range(3, 1203))
+    assert found == [
+        (1203, ((0, 2),) + spokes),
+        (1203, ((1, 2),) + spokes),
+        (1203, ((0, 2), (1, 2)) + spokes),
+    ]
 
 
 def test_first_failing_clause_is_the_cheapest_failing_check():
