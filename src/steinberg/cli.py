@@ -17,7 +17,7 @@ from typing import Any
 
 from . import __version__
 from .canon import canonical_digest
-from .coloring import _BEHAVIOR_ARITIES, _BRUTE_FORCE_LIMIT
+from .coloring import _BEHAVIOR_ARITIES
 from .errors import (
     ContractError,
     FormatError,
@@ -139,15 +139,7 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     path = Path(args.graph)
     fmt = _resolve_format(args.format, path)
-    graph = _load_graph(path, fmt)
-    if args.oracle and graph.n > _BRUTE_FORCE_LIMIT:
-        print(
-            f"error: --oracle needs at most {_BRUTE_FORCE_LIMIT} vertices,"
-            f" got {graph.n}",
-            file=sys.stderr,
-        )
-        return 2
-    report = counterexample_report(graph, oracle=args.oracle)
+    report = counterexample_report(_load_graph(path, fmt))
     _write_report(report, args.json)
     return 0 if report.passed else 1
 
@@ -258,11 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph", help="graph file (graph6, DIMACS, or JSON)")
     _add_format(p)
     p.add_argument("--json", help="also write the report as JSON to this path")
-    p.add_argument(
-        "--oracle",
-        action="store_true",
-        help="cross-check the coloring verdict by brute force (<= 25 vertices)",
-    )
     _add_jobs(p)
     p.set_defaults(fn=cmd_verify)
 

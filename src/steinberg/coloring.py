@@ -5,11 +5,11 @@ variables and runs textbook conflict-driven clause learning on them, so
 its speed does not hang on the input's vertex order.  It is
 deterministic: each decision sets the unassigned variable of highest
 activity false, ties to the smallest variable.  On UNSAT its learnt
-clauses form a proof that a unit-propagation checker can replay.  The
-brute-force routines share no search logic with it and exist to keep
-the solver honest.  Every coloring verdict in the package comes from
-:func:`_coloring_check`: the contracts' pattern clauses, ``verify``'s
-colorability check and each row of a :func:`terminal_behavior` table.
+clauses form a proof that :func:`_coloring_check` replays with
+:mod:`proof`, which shares no code with the solver.  Every coloring
+verdict in the package comes from that function: the contracts' pattern
+clauses, ``verify``'s colorability check and each row of a
+:func:`terminal_behavior` table.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from .errors import ImproperFixingError, OracleMismatchError, SizeGuardError
 from .graphs import Graph
+from .proof import rup_refutes
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gadgets import TerminalGadget
@@ -418,41 +419,38 @@ def _coloring_witness(coloring: Mapping[int, int]) -> dict[str, Any]:
 
 
 def _coloring_check(
-    g: Graph, fixing: Mapping[int, int], oracle: bool
+    g: Graph, fixing: Mapping[int, int]
 ) -> tuple[bool, Any, Any]:
     """No proper 3-coloring extends ``fixing``; a report check body.
 
     A fixing monochromatic on one of its own edges passes (mode
     ``adjacent-terminals``).  A solver witness is checked with
-    :func:`is_proper`.  On UNSAT, with ``oracle`` brute force re-decides
-    the query and any disagreement raises :class:`OracleMismatchError`
-    (mode ``brute-force-oracle``); without it the details say no
-    cross-check ran (mode ``oracle-skipped`` with the number of free
-    vertices).  Mismatches raise, not assert, so ``python -O`` keeps them.
+    :func:`is_proper`, and an UNSAT verdict by replaying its proof with
+    :func:`rup_refutes` under the solver's own pin, ``{0: 0}`` when
+    nothing is fixed.  A failed check raises :class:`OracleMismatchError`,
+    not an assertion, so ``python -O`` keeps it.
     """
     try:
         solution, stats = solve_3coloring_with_stats(g, fixing)
     except ImproperFixingError:
         return True, None, {"mode": "adjacent-terminals"}
-    details: dict[str, Any] = {"solver_nodes": stats.nodes}
     if solution is not None:
         if not is_proper(g, solution):
             raise OracleMismatchError(
                 f"solver returned an improper coloring with fixing {fixing!r}"
             )
-        return False, _coloring_witness(solution), details
-    if oracle:
-        found = brute_force_3coloring(g, fixing)
-        if found is not None:
-            raise OracleMismatchError(
-                f"solver says UNSAT, brute force found {found!r} on a"
-                f" {g.n}-vertex graph with fixing {fixing!r}"
-            )
-        details["mode"] = "brute-force-oracle"
-    else:
-        details["mode"] = "oracle-skipped"
-        details["free_vertices"] = g.n - len(fixing)
-    return True, None, details
+        return False, _coloring_witness(solution), {"solver_nodes": stats.nodes}
+    if not rup_refutes(g.n, g.edges, fixing or {0: 0}, stats.proof):
+        raise OracleMismatchError(
+            f"the solver's UNSAT proof fails the RUP check with fixing {fixing!r}"
+        )
+    return True, None, {
+        "solver_nodes": stats.nodes,
+        "conflicts": stats.conflicts,
+        "proof_clauses": len(stats.proof),
+        "proof_literals": sum(map(len, stats.proof)),
+        "proof": "rup-checked",
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +533,9 @@ class TerminalBehavior:
 def terminal_behavior(gadget: "TerminalGadget") -> TerminalBehavior:
     """Decide every terminal pattern of a gadget with 2 to 4 terminals.
 
-    A pattern is infeasible exactly when :func:`_coloring_check`, oracle
-    off, passes on its fixing, so equal colors on adjacent terminals are
-    infeasible, not an error.
+    A pattern is infeasible exactly when :func:`_coloring_check` passes
+    on its fixing, so equal colors on adjacent terminals are infeasible,
+    not an error.
     """
     terminals = gadget.terminals
     t = len(terminals)
@@ -546,7 +544,7 @@ def terminal_behavior(gadget: "TerminalGadget") -> TerminalBehavior:
     entries = []
     for pattern in all_patterns(t):
         infeasible, _, _ = _coloring_check(
-            gadget.graph, pattern_fixing(terminals, pattern), oracle=False
+            gadget.graph, pattern_fixing(terminals, pattern)
         )
         entries.append((pattern, not infeasible))
     return TerminalBehavior(t, tuple(entries))

@@ -51,7 +51,8 @@ class CertificateError(SteinbergError, ValueError):
 
 
 class OracleMismatchError(SteinbergError, RuntimeError):
-    """Solver and brute-force oracle disagree; one of them is wrong."""
+    """A solver verdict failed its independent check: an improper witness,
+    a refutation proof that does not replay, or a disagreeing sweep."""
 
 
 class SearchSpecError(SteinbergError, ValueError):

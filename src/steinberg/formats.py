@@ -8,10 +8,11 @@ byte.
 from __future__ import annotations
 
 import json
+import sys
 from typing import Any, Iterable
 
 from .errors import FormatError
-from .graphs import Graph, build_graph
+from .graphs import MAX_VERTICES, Graph, build_graph
 
 FORMATS = ("graph6", "dimacs", "json")
 
@@ -25,11 +26,11 @@ _G6_SIX_BITS = {b: format(b - 63, "06b") for b in _G6_PRINTABLE}
 def _g6_encode_n(n: int) -> bytes:
     if n <= 62:
         return bytes([63 + n])
-    if n <= 258047:
+    if n <= MAX_VERTICES:
         return b"~" + bytes(
             [63 + ((n >> 12) & 63), 63 + ((n >> 6) & 63), 63 + (n & 63)]
         )
-    raise FormatError(f"graph6 encoder limited to 258047 vertices, got {n}")
+    raise FormatError(f"graph6 encoder limited to {MAX_VERTICES} vertices, got {n}")
 
 
 def pack_graph6(n: int, pairs: Iterable[tuple[int, int]]) -> bytes:
@@ -228,8 +229,9 @@ def parse_json_payload(data: bytes) -> dict[str, Any]:
         raise FormatError("gadget JSON is not UTF-8", offset=exc.start) from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc.msg}", offset=exc.pos) from None
-    except ValueError as exc:  # an integer past the interpreter's digit limit
-        raise FormatError(f"bad JSON: {exc}") from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        most = sys.get_int_max_str_digits()
+        raise FormatError(f"bad JSON: an integer has more than {most} digits") from None
     if not isinstance(payload, dict):
         raise FormatError("gadget JSON must be an object")
     return payload

@@ -34,7 +34,6 @@ from .analysis import (
 )
 from .canon import canonical_digest
 from .coloring import (
-    _BRUTE_FORCE_LIMIT,
     TerminalBehavior,
     _coloring_check,
     _coloring_witness,
@@ -302,11 +301,9 @@ def _contract_clauses(gadget: TerminalGadget) -> list[tuple[str, CheckBody]]:
 
     for pattern in sorted(contract.forbidden_patterns):
         fixing = pattern_fixing(gadget.terminals, pattern)
-        # brute force cross-checks every pattern within its guard
-        oracle = g.n - len(fixing) <= _BRUTE_FORCE_LIMIT
         clauses.append((
             f"pattern-{pattern}-infeasible",
-            lambda fixing=fixing, oracle=oracle: _coloring_check(g, fixing, oracle),
+            lambda fixing=fixing: _coloring_check(g, fixing),
         ))
 
     if contract.require_planar:
@@ -390,20 +387,18 @@ def _triangle_short_cycle_edge_check(g: Graph) -> tuple[bool, Any, Any]:
     return False, witness, {}
 
 
-def counterexample_report(g: Graph, jobs: int = 1, oracle: bool = False) -> VerificationReport:
+def counterexample_report(g: Graph, jobs: int = 1) -> VerificationReport:
     """The full battery run against a bare graph, trusting nothing about
     where it came from: planarity, no 4- or 5-cycles, no 3-coloring, and
     the two triangle conditions of the stronger conjecture variants.
 
-    ``oracle`` cross-checks a non-colorability verdict by brute force,
-    which refuses graphs past its guard.  ``jobs`` is ignored: the
-    solver runs in one process, and the keyword stays only so existing
-    callers that pass it keep working.
+    ``jobs`` is ignored: the solver runs in one process, and the keyword
+    stays only so existing callers that pass it keep working.
     """
     return _report(g, [
         ("planarity", lambda: _planarity_check(g)),
         ("no-4-or-5-cycles", lambda: _cycle_check(g, frozenset({4, 5}))),
-        ("not-3-colorable", lambda: _coloring_check(g, {}, oracle)),
+        ("not-3-colorable", lambda: _coloring_check(g, {})),
         ("no-adjacent-triangles", lambda: _adjacent_triangles_check(g)),
         (
             "no-triangle-sharing-edge-with-3-or-5-cycle",

@@ -14,6 +14,7 @@ from typing import Iterable, Mapping
 from .errors import GraphConstructionError
 
 Edge = tuple[int, int]
+MAX_VERTICES = 258047  # graph6's limit, so every graph fits every format
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -95,8 +96,10 @@ def build_graph(
     Raises :class:`GraphConstructionError` naming the offending pair on a
     loop, an out-of-range endpoint, or a duplicate edge.
     """
-    if n < 0:
-        raise GraphConstructionError(f"vertex count must be >= 0, got {n}")
+    if not 0 <= n <= MAX_VERTICES:  # before any memory is spent per vertex
+        raise GraphConstructionError(
+            f"vertex count must be in 0..{MAX_VERTICES}, got {n}"
+        )
     seen: set[Edge] = set()
     normalized: list[Edge] = []
     for u, v in edges:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,12 +31,7 @@ from typing import Any, Iterator
 
 from . import __version__ as _tool_version
 from .canon import canonical_form
-from .coloring import (
-    brute_force_3coloring,
-    exhaustive_color_count,
-    pattern_fixing,
-    terminal_behavior,
-)
+from .coloring import exhaustive_color_count, pattern_fixing, terminal_behavior
 from .errors import (
     ContractError,
     ImproperFixingError,
@@ -53,7 +49,7 @@ from .gadgets import (
     save_gadget,
     verify_contract,
 )
-from .graphs import build_graph
+from .graphs import MAX_VERTICES, build_graph
 
 _RAW_VERTEX_LIMIT = 6  # raw enumeration is 2^C(n,2); past this a template is required
 
@@ -130,6 +126,8 @@ def _validate_template(template: TemplateSpec, arity: int | None) -> None:
                     f"pairs layer {layer.name!r} needs a target of size >= 2"
                 )
         sizes[layer.name] = layer.size
+    if sum(sizes.values()) > MAX_VERTICES:  # before any per-vertex step
+        raise SearchSpecError(f"template has more than {MAX_VERTICES} vertices")
     if arity and template.layers[0].size != arity:
         raise SearchSpecError(
             f"terminal layer size {template.layers[0].size} != contract"
@@ -466,15 +464,12 @@ def seed_search_spec() -> SearchSpec:
 # freezing
 
 def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
-    """Re-verify a gadget, cross-check the solver against brute force,
-    and write the frozen JSON file.
+    """Re-verify a gadget, tabulate its terminal behavior (each refutation
+    in it replayed as a proof), and write the frozen JSON file.
 
-    A solver/oracle disagreement raises :class:`OracleMismatchError`
-    with both transcripts; nothing is written in that case.  Patterns
-    past the brute-force guard are not cross-checked, and the record
-    lists them under ``oracle_skipped``.  Forbidden patterns within the
-    exhaustive sweep's guard get their sweep count under
-    ``exhaustive_counts``; past it they get none.
+    Forbidden patterns within the exhaustive sweep's guard also get their
+    sweep count under ``exhaustive_counts``; a nonzero count raises
+    :class:`OracleMismatchError`, and nothing is written.
     """
     report = verify_contract(gadget)
     if not report.passed:
@@ -484,35 +479,18 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
         )
     behavior = terminal_behavior(gadget)
     counts: dict[str, int] = {}
-    oracle_skipped: list[str] = []
-    for pattern, feasible in behavior.entries:
+    for pattern in sorted(gadget.contract.forbidden_patterns):
         fixing = pattern_fixing(gadget.terminals, pattern)
         try:
-            oracle_feasible = brute_force_3coloring(gadget.graph, fixing) is not None
-        except ImproperFixingError:
-            # equal colors forced onto adjacent terminals: infeasible by
-            # definition, nothing to cross-check
+            counts[pattern] = exhaustive_color_count(gadget.graph, fixing)
+        except (ImproperFixingError, SizeGuardError):
+            # equal colors on adjacent terminals, or too big to sweep
             continue
-        except SizeGuardError:
-            # too big to cross-check; the record says so
-            oracle_skipped.append(pattern)
-            continue
-        if oracle_feasible != feasible:
+        if counts[pattern] != 0:
             raise OracleMismatchError(
-                f"pattern {pattern}: solver says"
-                f" {'feasible' if feasible else 'infeasible'}, brute force"
-                f" says the opposite on {gadget.graph.n} vertices"
+                f"pattern {pattern}: exhaustive sweep found"
+                f" {counts[pattern]} colorings where the solver found none"
             )
-        if pattern in gadget.contract.forbidden_patterns:
-            try:
-                counts[pattern] = exhaustive_color_count(gadget.graph, fixing)
-            except SizeGuardError:
-                continue
-            if counts[pattern] != 0:
-                raise OracleMismatchError(
-                    f"pattern {pattern}: exhaustive sweep found"
-                    f" {counts[pattern]} colorings where the solver found none"
-                )
     cofacial = None
     if gadget.contract.require_planar:
         cofacial = terminals_cofacial(gadget)
@@ -528,7 +506,6 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
         "behavior": behavior.as_dict(),
         "terminals_cofacial": cofacial,
         "exhaustive_counts": counts,
-        "oracle_skipped": oracle_skipped,
     }
     frozen = TerminalGadget(
         gadget.graph, gadget.terminals, replace(gadget.contract, verified=True)
@@ -593,6 +570,11 @@ def search_spec_from_json_dict(d: dict[str, Any]) -> SearchSpec:
 def load_search_spec(path: str | Path) -> SearchSpec:
     try:
         payload = json.loads(Path(path).read_text())
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an oversized integer
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise SearchSpecError(f"bad search spec JSON: {exc}") from exc
+    except ValueError:  # an integer past the interpreter's digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SearchSpecError(
+            f"bad search spec JSON: an integer has more than {limit} digits"
+        ) from None
     return search_spec_from_json_dict(payload)

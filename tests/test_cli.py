@@ -1,4 +1,8 @@
 import json
+import os
+import resource
+import subprocess
+import sys
 import time
 
 import pytest
@@ -15,6 +19,7 @@ from steinberg import (
 )
 from steinberg import cli
 from steinberg.cli import main
+from steinberg.graphs import MAX_VERTICES
 
 from support import deep_template_spec, replace_at
 
@@ -95,41 +100,40 @@ def test_verify_fails_on_c5(capsys, c5_file):
 
 
 def test_verify_oracle_flag(capsys, k4_file):
-    code, out, _ = run_cli(capsys, "verify", str(k4_file), "--oracle")
-    assert code == 1
-    assert "[PASS] not-3-colorable" in out
-
-
-def test_verify_details_name_the_coloring_cross_check(tmp_path, capsys, k4_file):
-    # without --oracle the report says no cross-check ran; with it, the
-    # brute-force oracle agreed.  Verdicts and the exit code are the same.
-    reports = []
-    for extra in ((), ("--oracle",)):
-        path = tmp_path / f"k4{len(extra)}.json"
-        code, _, _ = run_cli(
-            capsys, "verify", str(k4_file), "--json", str(path), *extra
-        )
-        assert code == 1
-        reports.append(VerificationReport.from_json_bytes(path.read_bytes()))
-    plain, oracle = (r.check("not-3-colorable") for r in reports)
-    assert plain.passed and oracle.passed
-    assert plain.details == {
-        "solver_nodes": 1,
-        "mode": "oracle-skipped",
-        "free_vertices": 4,
-    }
-    assert oracle.details == {"solver_nodes": 1, "mode": "brute-force-oracle"}
-    assert [c.passed for c in reports[0].checks] == [
-        c.passed for c in reports[1].checks
-    ]
+    # --oracle is gone: every UNSAT verdict replays its proof instead, so
+    # the flag is unknown even on a graph small enough for brute force
+    code, out, err = run_cli(capsys, "verify", str(k4_file), "--oracle")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --oracle" in err
 
 
 def test_verify_oracle_guard(tmp_path, capsys, final_graph):
+    # past the old 25-vertex guard the flag is refused before any work
     path = tmp_path / "g.g6"
     path.write_bytes(encode(final_graph, "graph6"))
-    code, _, err = run_cli(capsys, "verify", str(path), "--oracle")
+    code, out, err = run_cli(capsys, "verify", str(path), "--oracle")
     assert code == 2
+    assert out == ""
     assert "--oracle" in err
+
+
+def test_verify_details_name_the_coloring_cross_check(tmp_path, capsys, k4_file):
+    # the report says the solver's refutation was replayed, with its size
+    path = tmp_path / "k4.json"
+    code, _, _ = run_cli(capsys, "verify", str(k4_file), "--json", str(path))
+    assert code == 1
+    check = VerificationReport.from_json_bytes(path.read_bytes()).check(
+        "not-3-colorable"
+    )
+    assert check.passed
+    assert check.details == {
+        "solver_nodes": 1,
+        "conflicts": 2,
+        "proof_clauses": 1,
+        "proof_literals": 1,
+        "proof": "rup-checked",
+    }
 
 
 def test_verify_report_json_round_trips(tmp_path, capsys, k4_file):
@@ -314,11 +318,8 @@ def test_search_stock_writes_a_frozen_gadget(tmp_path, capsys, seed_gadget):
     frozen = tmp_path / f"gadget-{digest}.json"
     assert frozen.exists()
     assert load_gadget(frozen).contract.verified
-    # the same file as the packaged seed, plus the newer oracle_skipped list
-    packaged = json.loads(seed_data_path().read_text())
-    packaged["verification"]["oracle_skipped"] = []
-    text = json.dumps(packaged, indent=2, sort_keys=True) + "\n"
-    assert frozen.read_bytes() == text.encode("ascii")
+    # byte for byte the packaged seed
+    assert frozen.read_bytes() == seed_data_path().read_bytes()
     assert out.splitlines()[-1] == (
         "funnel: enumerated 2, pruned-cycle 1256, pruned-distance 96,"
         " not-cofacial 0, duplicates 0, emitted 1"
@@ -422,7 +423,68 @@ def test_search_spec_with_an_oversized_integer_is_a_usage_error(tmp_path, capsys
     code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
     assert code == 2
     assert out == ""
-    assert err.startswith("error: bad search spec JSON") and err.count("\n") == 1
+    assert err == (
+        "error: bad search spec JSON: an integer has more than"
+        f" {sys.get_int_max_str_digits()} digits\n"
+    )
+    # the interpreter's own advice names a call no command line can make
+    assert "set_int_max_str_digits" not in err
+
+
+def test_verify_json_with_an_oversized_integer_names_the_limit(tmp_path, capsys):
+    path = tmp_path / "huge-n.json"
+    path.write_bytes(_MALFORMED_INPUTS["huge-n.json"])
+    code, out, err = run_cli(capsys, "verify", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: bad JSON: an integer has more than"
+        f" {sys.get_int_max_str_digits()} digits\n"
+    )
+    assert "set_int_max_str_digits" not in err
+
+
+def _huge_search_spec() -> bytes:
+    spec = deep_template_spec()
+    spec["template"]["layers"][-1]["size"] = 10**11
+    spec["max_vertices"] = 10**11 + 3
+    return json.dumps(spec).encode()
+
+
+# declared sizes far past the vertex cap, each refused before any memory
+# is spent per vertex
+_HUGE_DECLARED_SIZES = {
+    "huge.json": ("verify", b'{"n": 100000000000, "edges": []}'),
+    "huge.col": ("verify", b"p edge 100000000000 0\n"),
+    "huge-spec.json": ("search", _huge_search_spec()),
+}
+
+
+def _cap_address_space():
+    # in the child only: if a size were acted on before it is checked,
+    # the child dies of a MemoryError here instead of filling the host
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("name", list(_HUGE_DECLARED_SIZES))
+def test_huge_declared_size_is_refused_before_allocating(tmp_path, name):
+    command, data = _HUGE_DECLARED_SIZES[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-m", "steinberg.cli", command, str(path),
+         *(["--out-dir", str(tmp_path)] if command == "search" else [])],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=_cap_address_space,
+        timeout=60,
+    )
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
+    assert str(MAX_VERTICES) in out.stderr
 
 
 @pytest.mark.parametrize("arity", [1, 5])

@@ -15,6 +15,7 @@ from steinberg import (
     brute_force_3coloring,
     build_graph,
     check_fixed,
+    encode,
     exhaustive_color_count,
     is_proper,
     load_seed_gadget,
@@ -23,7 +24,7 @@ from steinberg import (
     solve_3coloring_with_stats,
     terminal_behavior,
 )
-from steinberg import coloring, gadgets
+from steinberg import cli, coloring, gadgets, proof
 from steinberg.coloring import (
     SolveStats,
     all_equal_pattern,
@@ -187,6 +188,7 @@ def test_solver_counts_are_pinned_on_final_graph(final_graph):
     # every conflict but the last, at level 0, learns one clause
     assert len(stats.proof) == 66
     assert rup_refutes(final_graph, {0: 0}, stats.proof)
+    assert proof.rup_refutes(final_graph.n, final_graph.edges, {0: 0}, stats.proof)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
@@ -214,26 +216,65 @@ def test_verify_refutes_the_final_graph_in_any_vertex_order(
     [(result, stats)] = solves
     assert result is None
     assert rup_refutes(g, {0: 0}, stats.proof)
+    assert proof.rup_refutes(g.n, g.edges, {0: 0}, stats.proof)
+
+
+def _proof_mutants(steps):
+    """A RUP proof with its first or last clause dropped, emptied, and
+    with its first literal flipped."""
+    mutants = {"first-dropped": steps[1:], "last-dropped": steps[:-1], "empty": []}
+    if steps:
+        mutants["flipped"] = [(steps[0][0] ^ 1, *steps[0][1:]), *steps[1:]]
+    return mutants
+
+
+def _both_checkers(g, fixed, steps):
+    """The package's verdict on a proof, required to equal the test
+    reference's."""
+    got = proof.rup_refutes(g.n, g.edges, fixed, steps)
+    assert got == rup_refutes(g, fixed, steps)
+    return got
 
 
 def test_checker_rejects_proofs_that_do_not_refute(final_graph):
     g = final_graph
     result, stats = solve_3coloring_with_stats(g)
     assert result is None
-    proof = stats.proof
+    steps = stats.proof
     # the proof of a different graph: minus d-e, the graph colors, so no
     # proof of it can pass
     weakened = remove_edge(g, g.vertex_by_label("d"), g.vertex_by_label("e"))
     assert solve_3coloring(weakened) is not None
-    assert not rup_refutes(weakened, {0: 0}, proof)
+    assert not _both_checkers(weakened, {0: 0}, steps)
     # unit propagation alone does not refute the encoding
-    assert not rup_refutes(g, {0: 0}, [])
+    assert not _both_checkers(g, {0: 0}, [])
     # "vertex 0 takes color 1" contradicts the pin, so it is not RUP
-    assert not rup_refutes(g, {0: 0}, [(2,), *proof])
+    assert not _both_checkers(g, {0: 0}, [(2,), *steps])
     # a dropped clause and a flipped literal break the chain
-    assert not rup_refutes(g, {0: 0}, proof[1:])
-    flipped = (proof[0][0] ^ 1, *proof[0][1:])
-    assert not rup_refutes(g, {0: 0}, [flipped, *proof[1:]])
+    for mutant in _proof_mutants(steps).values():
+        assert not _both_checkers(g, {0: 0}, mutant)
+
+
+@st.composite
+def coin_flip_graphs(draw, max_n=9):
+    """Each pair an edge with even odds: about a third are UNSAT."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return build_graph(n, [e for e, k in zip(pairs, keep) if k])
+
+
+@given(coin_flip_graphs())
+@settings(max_examples=300, deadline=None)
+def test_replay_matches_the_reference_checker(g):
+    # on every UNSAT proof and its mutants the package's two-watched-
+    # literal replay gives the naive reference's verdict
+    result, stats = solve_3coloring_with_stats(g, {0: 0})
+    if result is not None:
+        return
+    assert _both_checkers(g, {0: 0}, stats.proof)
+    for mutant in _proof_mutants(stats.proof).values():
+        _both_checkers(g, {0: 0}, mutant)
 
 
 def _count_solves(monkeypatch):
@@ -257,12 +298,14 @@ def test_report_refutes_the_final_graph_in_one_solve(monkeypatch, final_graph):
     check = gadgets.counterexample_report(final_graph).check("not-3-colorable")
     assert check.passed
     assert calls == [{}]
-    # solver_nodes counts the solve's decisions; 166 free vertices are
-    # past the brute-force guard, and the details say no oracle ran
+    # solver_nodes counts the solve's decisions; the proof of its 67
+    # conflicts was replayed by a checker that shares no code with it
     assert check.details == {
         "solver_nodes": 657,
-        "mode": "oracle-skipped",
-        "free_vertices": 166,
+        "conflicts": 67,
+        "proof_clauses": 66,
+        "proof_literals": 241,
+        "proof": "rup-checked",
     }
 
 
@@ -356,6 +399,79 @@ def test_improper_solver_witness_is_caught_under_python_O():
         env=env,
     )
     assert out.stdout.split() == ["1", *_IMPROPER_WITNESS_RUNS]
+
+
+# proofs that must not pass: the final graph's own proof mutated, or its
+# intact proof on the final graph minus d-e, which colors
+_BAD_REFUTATIONS = ("first-dropped", "last-dropped", "flipped", "edge-removed")
+
+
+def _bad_refutation(g, name):
+    """The graph and the proof of one bad refutation of the final graph g."""
+    _, stats = solve_3coloring_with_stats(g)
+    if name == "edge-removed":
+        return remove_edge(g, g.vertex_by_label("d"), g.vertex_by_label("e")), stats.proof
+    return g, _proof_mutants(stats.proof)[name]
+
+
+def _claiming_unsat(steps):
+    """A solver stand-in that calls every query UNSAT with ``steps`` as
+    its proof."""
+    return lambda g, fixed=None: (None, SolveStats(proof=list(steps)))
+
+
+def _verify_claiming_unsat(g, steps, path):
+    """The exit code of ``steinberg verify`` on ``g`` while the solver
+    claims UNSAT with ``steps`` as its proof."""
+    path.write_bytes(encode(g, "graph6"))
+    solve = coloring.solve_3coloring_with_stats
+    coloring.solve_3coloring_with_stats = _claiming_unsat(steps)
+    try:
+        return cli.main(["verify", str(path)])
+    finally:
+        coloring.solve_3coloring_with_stats = solve
+
+
+@pytest.mark.parametrize("name", _BAD_REFUTATIONS)
+def test_bad_refutation_is_an_oracle_mismatch(
+    monkeypatch, tmp_path, capsys, final_graph, name
+):
+    g, steps = _bad_refutation(final_graph, name)
+    assert _verify_claiming_unsat(g, steps, tmp_path / "g.g6") == 1
+    assert capsys.readouterr().err.startswith("ORACLE MISMATCH: ")
+    monkeypatch.setattr(coloring, "solve_3coloring_with_stats", _claiming_unsat(steps))
+    with pytest.raises(OracleMismatchError, match="RUP check"):
+        gadgets.counterexample_report(g)
+
+
+def test_bad_refutation_is_caught_under_python_O(tmp_path):
+    # the same verify runs in a child with assertions stripped: the
+    # rejected proof is raised, not asserted, so it survives -O
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from steinberg import build_counterexample, build_triple_gadget\n"
+        "import test_coloring as t\n"
+        "print(sys.flags.optimize)\n"
+        "g = build_counterexample(build_triple_gadget(t.load_seed_gadget()))\n"
+        "for name in t._BAD_REFUTATIONS:\n"
+        "    bad = t._bad_refutation(g, name)\n"
+        "    print(name, t._verify_claiming_unsat(*bad, Path(sys.argv[1])))\n"
+    )
+    src = os.path.dirname(os.path.dirname(coloring.__file__))
+    here = os.path.dirname(os.path.abspath(__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, here])}
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code, str(tmp_path / "g.g6")],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
+    )
+    assert out.stdout.split() == [
+        "1", *(word for name in _BAD_REFUTATIONS for word in (name, "1"))
+    ]
+    assert out.stderr.count("ORACLE MISMATCH: ") == len(_BAD_REFUTATIONS)
 
 
 # ---------------------------------------------------------------------------

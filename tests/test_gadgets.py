@@ -221,17 +221,21 @@ def test_verify_contract_pattern_clause():
 
 
 def test_pattern_clause_says_which_cross_check_ran(seed_gadget, triple_gadget):
-    # the seed is small enough for brute force; the triple is past the
-    # guard, and the report says that no oracle backed its verdict
-    seed_check = verify_contract(seed_gadget).check("pattern-000-infeasible")
-    assert seed_check.details["mode"] == "brute-force-oracle"
-    triple_check = verify_contract(triple_gadget).check("pattern-000-infeasible")
-    assert triple_check.passed
-    assert triple_check.details == {
-        "solver_nodes": 45,
-        "mode": "oracle-skipped",
-        "free_vertices": 39,
-    }
+    # at any size the solver's refutation is replayed as a RUP proof, and
+    # the details give its size
+    for gadget, nodes, conflicts, clauses, literals in (
+        (seed_gadget, 2, 3, 2, 4),
+        (triple_gadget, 45, 12, 11, 26),
+    ):
+        check = verify_contract(gadget).check("pattern-000-infeasible")
+        assert check.passed
+        assert check.details == {
+            "solver_nodes": nodes,
+            "conflicts": conflicts,
+            "proof_clauses": clauses,
+            "proof_literals": literals,
+            "proof": "rup-checked",
+        }
 
 
 def test_verify_contract_nonplanar():

@@ -340,17 +340,28 @@ def test_certify_and_freeze_round_trip(tmp_path, seed_gadget):
     assert ver["exhaustive_counts"]["000"] == 0
 
 
-def test_freeze_records_patterns_the_oracle_skipped(tmp_path, seed_gadget, triple_gadget):
-    # the triple's 39 free vertices are past the brute-force guard, and no
-    # two of its terminals are adjacent, so no pattern is cross-checked
-    g, terminals = triple_gadget.graph, triple_gadget.terminals
-    assert not any(g.has_edge(u, v) for u in terminals for v in terminals if u != v)
-    path = certify_and_freeze(triple_gadget, tmp_path / "triple.json")
+def test_freeze_record_has_proofs_not_an_oracle_list(tmp_path, seed_gadget, triple_gadget):
+    # every pattern verdict is a replayed proof, so the record names no
+    # skipped cross-check; the sweep still counts within its guard, which
+    # the triple's 39 free vertices are past
+    for gadget, counts in ((seed_gadget, {"000": 0}), (triple_gadget, {})):
+        path = certify_and_freeze(gadget, tmp_path / f"{gadget.graph.n}.json")
+        ver = load_gadget_payload(path)["verification"]
+        assert "oracle_skipped" not in ver
+        assert ver["exhaustive_counts"] == counts
+
+
+def test_freeze_sweeps_no_pattern_forced_onto_an_edge(tmp_path):
+    # "00" on the two ends of an edge is infeasible by its fixing alone,
+    # so the record has its behavior row but no sweep count
+    tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+    gadget = TerminalGadget(
+        tri, (0, 1), InterfaceContract(forbidden_patterns=frozenset({"00"}))
+    )
+    path = certify_and_freeze(gadget, tmp_path / "t.json")
     ver = load_gadget_payload(path)["verification"]
-    assert ver["oracle_skipped"] == ["000", "001", "010", "011", "012"]
-    # the seed's 12 free vertices are all within it
-    path = certify_and_freeze(seed_gadget, tmp_path / "seed.json")
-    assert load_gadget_payload(path)["verification"]["oracle_skipped"] == []
+    assert ver["behavior"] == {"00": False, "01": True}
+    assert ver["exhaustive_counts"] == {}
 
 
 def test_freeze_records_no_sweep_count_past_the_sweep_guard(
@@ -362,7 +373,6 @@ def test_freeze_records_no_sweep_count_past_the_sweep_guard(
     path = certify_and_freeze(seed_gadget, tmp_path / "seed.json")
     ver = load_gadget_payload(path)["verification"]
     assert ver["exhaustive_counts"] == {}
-    assert ver["oracle_skipped"] == []
 
 
 def test_certify_and_freeze_refuses_a_failing_gadget(tmp_path):
