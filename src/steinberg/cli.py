@@ -13,13 +13,11 @@ import json
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Any
 
 from . import __version__
 from .canon import canonical_digest
 from .coloring import _BEHAVIOR_ARITIES
 from .errors import (
-    ContractError,
     FormatError,
     GraphConstructionError,
     OracleMismatchError,
@@ -83,28 +81,12 @@ def _write_report(report: VerificationReport, json_path: str | None) -> None:
         print(f"report written to {json_path}")
 
 
-def _get_seed(args) -> Any:
-    try:
-        return load_seed_gadget()
-    except SteinbergError:
-        if getattr(args, "search", False):
-            spec = seed_search_spec()
-            for gadget in search_gadget(spec, limit=1):
-                return gadget
-            raise ContractError("search found no seed gadget", clause="search")
-        raise
-
-
 def cmd_build(args) -> int:
     stage = _STAGES[args.stage]
     try:
-        seed = _get_seed(args)
+        seed = load_seed_gadget()
     except SteinbergError as exc:
-        print(
-            f"error: no frozen seed gadget available ({exc}); rerun with"
-            " --search to derive one",
-            file=sys.stderr,
-        )
+        print(f"error: frozen seed gadget unavailable: {exc}", file=sys.stderr)
         return 2
     if stage == "seed":
         gadget = seed
@@ -238,11 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", help="output file")
     _add_format(p)
-    p.add_argument(
-        "--search",
-        action="store_true",
-        help="derive the seed by template search when no frozen seed exists",
-    )
     _add_jobs(p)
     p.set_defaults(fn=cmd_build)
 

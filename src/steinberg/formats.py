@@ -187,6 +187,14 @@ def strict_bool(value: Any, name: str) -> bool:
     return value
 
 
+def strict_str(value: Any, name: str) -> str:
+    """``value`` if it is a JSON string; a list or a number is refused,
+    not turned into its text."""
+    if not isinstance(value, str):
+        raise FormatError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def _vertex_key(key: Any) -> int:
     """A label key as a vertex id: plain decimal digits without a leading
     zero, so that ``"1_0"``, ``" 3"``, ``"+3"`` and ``"03"`` are refused."""

@@ -88,7 +88,6 @@ class InterfaceContract:
     exact_terminal_distances: Matrix | None = None
     forbidden_patterns: frozenset[str] = frozenset()
     require_planar: bool = True
-    verified: bool = False
 
     def __post_init__(self) -> None:
         for k in self.forbidden_cycle_lengths:
@@ -147,7 +146,6 @@ class InterfaceContract:
             ),
             "forbidden_patterns": sorted(self.forbidden_patterns),
             "require_planar": self.require_planar,
-            "verified": self.verified,
         }
 
     @classmethod
@@ -171,7 +169,6 @@ class InterfaceContract:
             require_planar=strict_bool(
                 d.get("require_planar", True), "require_planar"
             ),
-            verified=strict_bool(d.get("verified", False), "verified"),
         )
 
 

@@ -13,10 +13,10 @@ candidate is rejected at its cheapest failing contract clause
 (:func:`first_failing_clause`).  Planarity runs only on candidates that
 pass every cheaper clause, and the co-facial test and the canonical form
 only on those that pass them all.  Results stream in a fixed order:
-fewer vertices first, then fewer edges, then smallest canonical form, so
-a search is reproducible run to run.  An optional counter records the
-funnel: how many candidates each stage enumerated, pruned, rejected,
-dropped as duplicates and emitted.
+fewer edges first, then smallest canonical form, so a search is
+reproducible run to run.  An optional counter records the funnel: how
+many candidates each stage enumerated, pruned, rejected, dropped as
+duplicates and emitted.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import itertools
 import json
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -39,7 +39,7 @@ from .errors import (
     SearchSpecError,
     SizeGuardError,
 )
-from .formats import strict_bool, strict_int
+from .formats import strict_int, strict_str
 from .gadgets import (
     InterfaceContract,
     TerminalGadget,
@@ -51,10 +51,11 @@ from .gadgets import (
 )
 from .graphs import MAX_VERTICES, build_graph
 
-_RAW_VERTEX_LIMIT = 6  # raw enumeration is 2^C(n,2); past this a template is required
-
 _INTRA_KINDS = ("none", "path", "cycle", "path_or_cycle", "clique")
 _LINK_KINDS = ("subsets", "pairs", "matching")
+# alternatives one step may list, all held at once before the walk; the
+# stock pairs step has 455, the widened subsets step 63
+_STEP_CAP = 65_536
 
 _Edges = tuple[tuple[int, int], ...]
 
@@ -85,10 +86,32 @@ class TemplateSpec:
 
 @dataclass(frozen=True)
 class SearchSpec:
-    max_vertices: int
+    """What to search for: every gadget the ``template`` can build that
+    satisfies ``contract``, one per isomorphism class."""
+
     contract: InterfaceContract
-    template: TemplateSpec | None = None
-    dedup: bool = True
+    template: TemplateSpec
+
+
+def _link_alternatives(kind: str, t: int, size: int) -> int:
+    """How many alternatives one link step lists, for a target layer of
+    ``t`` vertices, counted exactly up to ``_STEP_CAP`` and only just
+    past it: a pairs layer chooses ``size`` of the C(t, 2) target pairs,
+    a subsets vertex one of the 2^t - 1 nonempty target subsets."""
+    if kind == "matching":
+        return 1
+    if kind == "subsets":
+        return (1 << min(t, _STEP_CAP.bit_length())) - 1
+    pairs = t * (t - 1) // 2
+    k = min(size, pairs - size)  # C(p, size) = C(p, p - size)
+    if k < 0:
+        return 0
+    count = 1
+    for i in range(k):
+        count = count * (pairs - i) // (i + 1)
+        if count > _STEP_CAP:
+            break
+    return count
 
 
 def _validate_template(template: TemplateSpec, arity: int | None) -> None:
@@ -128,6 +151,14 @@ def _validate_template(template: TemplateSpec, arity: int | None) -> None:
         sizes[layer.name] = layer.size
     if sum(sizes.values()) > MAX_VERTICES:  # before any per-vertex step
         raise SearchSpecError(f"template has more than {MAX_VERTICES} vertices")
+    for layer in template.layers:  # before any step is listed
+        if layer.link_kind is not None and _link_alternatives(
+            layer.link_kind, sizes[layer.link_to], layer.size
+        ) > _STEP_CAP:
+            raise SearchSpecError(
+                f"layer {layer.name!r} has a link step of more than"
+                f" {_STEP_CAP} alternatives"
+            )
     if arity and template.layers[0].size != arity:
         raise SearchSpecError(
             f"terminal layer size {template.layers[0].size} != contract"
@@ -302,19 +333,15 @@ def _template_candidates(
     the monotone prunes, in edge-count order.  Each prune is counted in
     ``funnel`` under "pruned-cycle" or "pruned-distance"."""
     template = spec.template
-    assert template is not None
     contract = spec.contract
     _validate_template(template, contract.arity)
-    arity = contract.arity or template.layers[0].size
     total = sum(layer.size for layer in template.layers)
-    if total > spec.max_vertices:
-        return
 
     floors: list[tuple[int, int, int]] = []
     matrix = contract.exact_terminal_distances or contract.min_terminal_distances
     if matrix is not None:
-        for i in range(arity):
-            for j in range(i + 1, arity):
+        for i in range(len(matrix)):
+            for j in range(i + 1, len(matrix)):
                 if matrix[i][j] > 1:
                     floors.append((i, j, matrix[i][j]))
 
@@ -327,23 +354,6 @@ def _template_candidates(
     )
     for edges in sorted(out, key=len):
         yield total, edges
-
-
-def _raw_candidates(spec: SearchSpec) -> Iterator[tuple[int, _Edges]]:
-    arity = spec.contract.arity or 0
-    start = max(arity, 1)
-    if start > spec.max_vertices:
-        return
-    if spec.max_vertices > _RAW_VERTEX_LIMIT:
-        raise SearchSpecError(
-            f"raw enumeration is limited to {_RAW_VERTEX_LIMIT} vertices"
-            f" (asked for {spec.max_vertices}); provide a template"
-        )
-    for n in range(start, spec.max_vertices + 1):
-        pairs = list(itertools.combinations(range(n), 2))
-        for m in range(len(pairs) + 1):
-            for edges in itertools.combinations(pairs, m):
-                yield n, edges
 
 
 _FUNNEL_HEAD = ("enumerated", "pruned-cycle", "pruned-distance")
@@ -364,19 +374,18 @@ def search_gadget(
 ) -> Iterator[TerminalGadget]:
     """Stream contract-satisfying gadgets in deterministic order.
 
-    Exhaustive within the template (or, template-free, within the raw
-    vertex bound) when run to completion.  Each complete candidate is
-    rejected at its cheapest failing clause by
+    Exhaustive within the template when run to completion.  Each
+    complete candidate is rejected at its cheapest failing clause by
     :func:`first_failing_clause`; only a candidate that passes every
     clause is kept, so every emitted gadget satisfies its whole contract.
-    With ``dedup`` no two emitted gadgets are isomorphic.  When the
-    contract requires planarity the terminals must additionally share a
-    face, so the output can later sit inside larger assemblies.
+    No two emitted gadgets are isomorphic.  When the contract requires
+    planarity the terminals must additionally share a face, so the
+    output can later sit inside larger assemblies.
 
     ``funnel``, when given, receives counts that the search itself never
     reads: "enumerated" candidates, partial candidates "pruned-cycle" and
     "pruned-distance" during enumeration, rejections under the name of
-    the failing clause, "not-cofacial", "duplicates" dropped by dedup,
+    the failing clause, "not-cofacial", isomorphic "duplicates" dropped,
     and "emitted".  :func:`funnel_line` prints it.
     """
     if limit is not None and limit <= 0:
@@ -404,9 +413,7 @@ def search_gadget(
         if spec.contract.require_planar and not terminals_cofacial(gadget):
             funnel["not-cofacial"] += 1
             return None
-        return TerminalGadget(
-            graph, gadget.terminals, replace(spec.contract, verified=True)
-        )
+        return gadget
 
     def emit_bucket(bucket: list[TerminalGadget]) -> Iterator[TerminalGadget]:
         nonlocal emitted
@@ -415,7 +422,7 @@ def search_gadget(
             key=lambda pair: pair[0],
         )
         for key, gadget in keyed:
-            if spec.dedup and key in seen:
+            if key in seen:
                 funnel["duplicates"] += 1
                 continue
             seen.add(key)
@@ -425,13 +432,8 @@ def search_gadget(
             if limit is not None and emitted >= limit:
                 return
 
-    candidates = (
-        _raw_candidates(spec)
-        if spec.template is None
-        else _template_candidates(spec, funnel)
-    )
     for _, group in itertools.groupby(
-        candidates, key=lambda c: (c[0], len(c[1]))
+        _template_candidates(spec, funnel), key=lambda c: len(c[1])
     ):
         gadgets = (consider(n, edges) for n, edges in group)
         yield from emit_bucket([g for g in gadgets if g is not None])
@@ -452,12 +454,7 @@ def seed_search_spec() -> SearchSpec:
             LayerSpec("inner", 3, intra="clique", link_to="bridges", link_kind="matching"),
         )
     )
-    return SearchSpec(
-        max_vertices=15,
-        contract=seed_contract(),
-        template=template,
-        dedup=True,
-    )
+    return SearchSpec(contract=seed_contract(), template=template)
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +504,8 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
         "terminals_cofacial": cofacial,
         "exhaustive_counts": counts,
     }
-    frozen = TerminalGadget(
-        gadget.graph, gadget.terminals, replace(gadget.contract, verified=True)
-    )
     path = Path(path)
-    save_gadget(frozen, path, verification=verification)
+    save_gadget(gadget, path, verification=verification)
     return path
 
 
@@ -519,13 +513,9 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
 # search spec serialization
 
 def search_spec_to_json_dict(spec: SearchSpec) -> dict[str, Any]:
-    d: dict[str, Any] = {
-        "max_vertices": spec.max_vertices,
-        "dedup": spec.dedup,
+    return {
         "contract": spec.contract.to_json_dict(),
-    }
-    if spec.template is not None:
-        d["template"] = {
+        "template": {
             "layers": [
                 {
                     "name": layer.name,
@@ -536,33 +526,34 @@ def search_spec_to_json_dict(spec: SearchSpec) -> dict[str, Any]:
                 }
                 for layer in spec.template.layers
             ]
-        }
-    return d
+        },
+    }
+
+
+def _layer_from_json_dict(ld: dict[str, Any]) -> LayerSpec:
+    def link(key: str) -> str | None:
+        value = ld.get(key)
+        return None if value is None else strict_str(value, key)
+
+    return LayerSpec(
+        name=strict_str(ld["name"], "a layer name"),
+        size=strict_int(ld["size"], "a layer size"),
+        intra=strict_str(ld.get("intra", "none"), "intra"),
+        link_to=link("link_to"),
+        link_kind=link("link_kind"),
+    )
 
 
 def search_spec_from_json_dict(d: dict[str, Any]) -> SearchSpec:
+    """A spec from its JSON form; keys it does not read, such as the
+    retired ``max_vertices`` and ``dedup``, are ignored."""
     try:
         contract = InterfaceContract.from_json_dict(d["contract"])
-        template = None
-        if d.get("template") is not None:
-            template = TemplateSpec(
-                layers=tuple(
-                    LayerSpec(
-                        name=str(ld["name"]),
-                        size=strict_int(ld["size"], "a layer size"),
-                        intra=str(ld.get("intra", "none")),
-                        link_to=ld.get("link_to"),
-                        link_kind=ld.get("link_kind"),
-                    )
-                    for ld in d["template"]["layers"]
-                )
-            )
-        return SearchSpec(
-            max_vertices=strict_int(d["max_vertices"], "max_vertices"),
-            contract=contract,
-            template=template,
-            dedup=strict_bool(d.get("dedup", True), "dedup"),
-        )
+        template = d.get("template")
+        if template is None:
+            raise ValueError("a spec needs a template")
+        layers = tuple(_layer_from_json_dict(ld) for ld in template["layers"])
+        return SearchSpec(contract=contract, template=TemplateSpec(layers=layers))
     except (KeyError, TypeError, ValueError) as exc:
         raise SearchSpecError(f"bad search spec: {exc}") from exc
 

@@ -166,7 +166,6 @@ def deep_template_spec() -> dict:
     leaves each joined to the hub.  Its three candidates are trees with
     the terminals at distance 2 or apart."""
     return {
-        "max_vertices": 1203,
         "contract": {
             "forbidden_cycle_lengths": [4],
             "min_terminal_distances": [[0, 2], [2, 0]],

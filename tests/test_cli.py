@@ -316,8 +316,7 @@ def test_search_stock_writes_a_frozen_gadget(tmp_path, capsys, seed_gadget):
     assert code == 0
     digest = canonical_digest(seed_gadget.graph)
     frozen = tmp_path / f"gadget-{digest}.json"
-    assert frozen.exists()
-    assert load_gadget(frozen).contract.verified
+    assert load_gadget(frozen) == seed_gadget
     # byte for byte the packaged seed
     assert frozen.read_bytes() == seed_data_path().read_bytes()
     assert out.splitlines()[-1] == (
@@ -327,16 +326,15 @@ def test_search_stock_writes_a_frozen_gadget(tmp_path, capsys, seed_gadget):
 
 
 def test_search_spec_file_with_no_hits(tmp_path, capsys):
+    # the only candidate is the triangle, which is a forbidden 3-cycle
     spec = {
-        "max_vertices": 3,
-        "dedup": True,
         "contract": {
             "forbidden_cycle_lengths": [3],
             "exact_terminal_distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
             "forbidden_patterns": [],
             "require_planar": True,
-            "verified": False,
         },
+        "template": {"layers": [{"name": "t", "size": 3, "intra": "clique"}]},
     }
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
@@ -355,9 +353,19 @@ def test_search_max_vertices_is_an_unknown_option(tmp_path, capsys):
     assert "unrecognized arguments: --max-vertices" in err
 
 
+def test_search_spec_without_a_template_is_a_usage_error(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"contract": {"forbidden_cycle_lengths": [3]}}))
+    code, out, err = run_cli(
+        capsys, "search", str(spec_path), "--out-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: bad search spec: a spec needs a template\n"
+
+
 def test_search_spec_with_no_layers_is_a_usage_error(tmp_path, capsys):
     spec = {
-        "max_vertices": 3,
         "contract": {"exact_terminal_distances": [[0, 1], [1, 0]]},
         "template": {"layers": []},
     }
@@ -371,8 +379,6 @@ def test_search_spec_with_no_layers_is_a_usage_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("path, value", [
-    pytest.param(("max_vertices",), 3.5, id="max-vertices-float"),
-    pytest.param(("max_vertices",), True, id="max-vertices-bool"),
     pytest.param(("template", "layers", 0, "size"), 3.7, id="layer-size"),
     pytest.param(("contract", "exact_terminal_distances", 0, 1), 3.5, id="distance"),
     pytest.param(("contract", "forbidden_cycle_lengths", 0), 4.9, id="cycle-length"),
@@ -380,7 +386,6 @@ def test_search_spec_with_no_layers_is_a_usage_error(tmp_path, capsys):
 def test_search_spec_with_a_non_integer_is_a_usage_error(tmp_path, capsys, path, value):
     # JSON floats and booleans are refused, never truncated to an integer
     spec = {
-        "max_vertices": 3,
         "contract": {
             "forbidden_cycle_lengths": [3],
             "exact_terminal_distances": [[0, 1], [1, 0]],
@@ -396,13 +401,11 @@ def test_search_spec_with_a_non_integer_is_a_usage_error(tmp_path, capsys, path,
 
 
 @pytest.mark.parametrize("path", [
-    pytest.param(("dedup",), id="dedup"),
     pytest.param(("contract", "require_planar"), id="require-planar"),
 ])
 def test_search_spec_with_a_non_boolean_flag_is_a_usage_error(tmp_path, capsys, path):
     # "false" is a string, not JSON false, and is refused rather than truthy
     spec = {
-        "max_vertices": 3,
         "contract": {"forbidden_cycle_lengths": [3]},
         "template": {"layers": [{"name": "t", "size": 2}]},
     }
@@ -414,11 +417,32 @@ def test_search_spec_with_a_non_boolean_flag_is_a_usage_error(tmp_path, capsys, 
     assert f"{path[-1]} must be true or false" in err
 
 
+@pytest.mark.parametrize("field", ["name", "intra", "link_to", "link_kind"])
+def test_search_spec_with_a_non_string_layer_field_is_a_usage_error(
+    tmp_path, capsys, field
+):
+    # a list is refused, neither hashed nor turned into its text
+    spec = {
+        "contract": {"min_terminal_distances": [[0, 1], [1, 0]]},
+        "template": {"layers": [
+            {"name": "t", "size": 2},
+            {"name": "x", "size": 1, "link_to": "t", "link_kind": "subsets"},
+        ]},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(replace_at(spec, ("template", "layers", 1, field), ["t"])))
+    code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be a string, got ['t']" in err
+
+
 def test_search_spec_with_an_oversized_integer_is_a_usage_error(tmp_path, capsys):
     # past the interpreter's 4,300-digit limit for integer conversion
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(
-        '{"max_vertices": ' + "9" * 5000 + ', "contract": {}}'
+        '{"contract": {"forbidden_cycle_lengths": [' + "9" * 5000 + "]}}"
     )
     code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
     assert code == 2
@@ -447,7 +471,6 @@ def test_verify_json_with_an_oversized_integer_names_the_limit(tmp_path, capsys)
 def _huge_search_spec() -> bytes:
     spec = deep_template_spec()
     spec["template"]["layers"][-1]["size"] = 10**11
-    spec["max_vertices"] = 10**11 + 3
     return json.dumps(spec).encode()
 
 
@@ -466,13 +489,10 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-@pytest.mark.parametrize("name", list(_HUGE_DECLARED_SIZES))
-def test_huge_declared_size_is_refused_before_allocating(tmp_path, name):
-    command, data = _HUGE_DECLARED_SIZES[name]
-    path = tmp_path / name
-    path.write_bytes(data)
+def _run_capped(command, path, tmp_path):
+    """The command line on ``path`` in a child under a 1 GB address cap."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "steinberg.cli", command, str(path),
          *(["--out-dir", str(tmp_path)] if command == "search" else [])],
         capture_output=True,
@@ -481,10 +501,51 @@ def test_huge_declared_size_is_refused_before_allocating(tmp_path, name):
         preexec_fn=_cap_address_space,
         timeout=60,
     )
+
+
+@pytest.mark.parametrize("name", list(_HUGE_DECLARED_SIZES))
+def test_huge_declared_size_is_refused_before_allocating(tmp_path, name):
+    command, data = _HUGE_DECLARED_SIZES[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    out = _run_capped(command, path, tmp_path)
     assert out.returncode == 2, out.stderr
     assert out.stdout == ""
     assert out.stderr.startswith("error: ") and out.stderr.count("\n") == 1
     assert str(MAX_VERTICES) in out.stderr
+
+
+def _one_step_spec(target: int, layer: dict) -> bytes:
+    return json.dumps({
+        "contract": {"min_terminal_distances": [[0, 1], [1, 0]]},
+        "template": {"layers": [
+            {"name": "t", "size": 2},
+            {"name": "ring", "size": target, "link_to": "t", "link_kind": "subsets"},
+            {"name": "x", "link_to": "ring", **layer},
+        ]},
+    }).encode()
+
+
+# one link step each whose alternatives would be listed before the walk
+_OVERSIZED_STEPS = {
+    "4-pairs-of-12": _one_step_spec(12, {"size": 4, "link_kind": "pairs"}),
+    "5-pairs-of-20": _one_step_spec(20, {"size": 5, "link_kind": "pairs"}),
+    "subsets-of-40": _one_step_spec(40, {"size": 1, "link_kind": "subsets"}),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVERSIZED_STEPS))
+def test_oversized_template_step_is_refused_before_allocating(tmp_path, name):
+    # 720,720, about 1.96e9 and 2^40 - 1 alternatives, against a cap of
+    # 65,536 a step
+    path = tmp_path / "spec.json"
+    path.write_bytes(_OVERSIZED_STEPS[name])
+    out = _run_capped("search", path, tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == (
+        "error: layer 'x' has a link step of more than 65536 alternatives\n"
+    )
 
 
 @pytest.mark.parametrize("arity", [1, 5])
@@ -497,7 +558,6 @@ def test_search_refuses_a_contract_it_cannot_freeze(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(cli, "search_gadget", no_walk)
     floors = [[0 if i == j else 1 for j in range(arity)] for i in range(arity)]
     spec = {
-        "max_vertices": arity,
         "contract": {"min_terminal_distances": floors},
         "template": {"layers": [{"name": "t", "size": arity}]},
     }
@@ -526,16 +586,19 @@ def test_search_walks_a_deep_template(tmp_path, capsys):
 
 
 def test_build_falls_back_to_the_search_only_when_asked(monkeypatch, capsys):
+    # without the packaged seed, build is an input error and runs no
+    # search; --search is an unknown flag
     def missing_seed():
         raise CertificateError("no seed file")
 
     monkeypatch.setattr(cli, "load_seed_gadget", missing_seed)
-    code, _, err = run_cli(capsys, "build", "--stage", "final")
+    code, out, err = run_cli(capsys, "build", "--stage", "final")
     assert code == 2
-    assert "rerun with --search" in err
-    code, out, _ = run_cli(capsys, "build", "--stage", "final", "--search")
-    assert code == 0
-    assert "digest 6acb9d9830286561" in out
+    assert out == ""
+    assert err == "error: frozen seed gadget unavailable: no seed file\n"
+    code, _, err = run_cli(capsys, "build", "--stage", "final", "--search")
+    assert code == 2
+    assert "unrecognized arguments: --search" in err
 
 
 def test_convert_round_trip(tmp_path, capsys, c5_file):

@@ -117,7 +117,7 @@ def test_gadget_json_refuses_non_integers(seed_gadget, path, value):
         gadget_from_json_dict(replace_at(d, path, value))
 
 
-@pytest.mark.parametrize("key", ["verified", "require_planar"])
+@pytest.mark.parametrize("key", ["require_planar"])
 @pytest.mark.parametrize("value", ["false", 0])
 def test_gadget_json_refuses_non_boolean_flags(seed_gadget, key, value):
     # a flag that is not JSON true/false is an input error, never truthy
@@ -131,7 +131,7 @@ def test_seed_and_triple_contract_shapes():
     assert sc.forbidden_cycle_lengths == frozenset({4, 5})
     assert sc.exact_terminal_distances == ((0, 3, 3), (3, 0, 4), (3, 4, 0))
     assert sc.forbidden_patterns == frozenset({"000"})
-    assert sc.require_planar and not sc.verified
+    assert sc.require_planar
     tc = triple_contract()
     assert tc.exact_terminal_distances == ((0, 4, 4), (4, 0, 4), (4, 4, 0))
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 import sys
 from collections import Counter
@@ -25,9 +26,11 @@ from steinberg import (
 )
 from steinberg import coloring
 from steinberg.analysis import distance, forbidden_cycle_check
-from steinberg.gadgets import load_gadget_payload
+from steinberg.gadgets import gadget_to_json_dict, load_gadget_payload
 from steinberg.search import (
+    _link_alternatives,
     _template_candidates,
+    _template_steps,
     load_search_spec,
     search_spec_from_json_dict,
     search_spec_to_json_dict,
@@ -41,49 +44,42 @@ TRIANGLE_CONTRACT = InterfaceContract(
 )
 
 
+TRIANGLE = TemplateSpec(layers=(LayerSpec("terminals", 3, intra="clique"),))
+# the triangle and a fourth vertex joined to any nonempty set of its
+# corners: seven candidates in three isomorphism classes
+TRIANGLE_AND_APEX = TemplateSpec(layers=(
+    LayerSpec("terminals", 3, intra="clique"),
+    LayerSpec("apex", 1, link_to="terminals", link_kind="subsets"),
+))
+
+
 def test_raw_search_finds_the_triangle():
-    spec = SearchSpec(max_vertices=3, contract=TRIANGLE_CONTRACT)
-    found = list(search_gadget(spec))
+    # of the path and the triangle on the terminals, only the triangle
+    # puts every terminal pair at distance 1
+    template = TemplateSpec(layers=(LayerSpec("terminals", 3, intra="path_or_cycle"),))
+    found = list(search_gadget(SearchSpec(TRIANGLE_CONTRACT, template)))
     assert len(found) == 1
     gadget = found[0]
     assert gadget.graph.edges == ((0, 1), (0, 2), (1, 2))
     assert gadget.terminals == (0, 1, 2)
-    assert gadget.contract.verified
+    assert gadget.contract == TRIANGLE_CONTRACT
 
 
 def test_search_respects_limit():
-    spec = SearchSpec(max_vertices=4, contract=TRIANGLE_CONTRACT)
+    spec = SearchSpec(TRIANGLE_CONTRACT, TRIANGLE_AND_APEX)
+    assert len(list(search_gadget(spec))) == 3
     assert len(list(search_gadget(spec, limit=1))) == 1
     assert list(search_gadget(spec, limit=0)) == []
 
 
 def test_search_needs_an_arity():
-    spec = SearchSpec(max_vertices=3, contract=InterfaceContract())
+    spec = SearchSpec(InterfaceContract(), TRIANGLE)
     with pytest.raises(SearchSpecError):
         list(search_gadget(spec))
 
 
-def test_raw_search_guard():
-    spec = SearchSpec(max_vertices=7, contract=TRIANGLE_CONTRACT)
-    with pytest.raises(SearchSpecError, match="template"):
-        list(search_gadget(spec))
-
-
-def test_dedup_collapses_isomorphic_hits():
-    # terminals at distance exactly 2: on four vertices several labeled
-    # graphs satisfy it, fewer isomorphism classes do
-    contract = InterfaceContract(exact_terminal_distances=((0, 2), (2, 0)))
-    spec = SearchSpec(max_vertices=4, contract=contract)
-    deduped = list(search_gadget(spec))
-    raw = list(search_gadget(SearchSpec(4, contract, dedup=False)))
-    assert len(deduped) < len(raw)
-    digests = [canonical_digest(g.graph) for g in deduped]
-    assert len(digests) == len(set(digests))
-
-
 def test_template_search_triangle():
-    template = TemplateSpec(layers=(LayerSpec("terminals", 3, intra="clique"),))
-    spec = SearchSpec(max_vertices=3, contract=TRIANGLE_CONTRACT, template=template)
+    spec = SearchSpec(TRIANGLE_CONTRACT, TRIANGLE)
     found = list(search_gadget(spec))
     assert len(found) == 1
     assert found[0].graph.m == 3
@@ -91,14 +87,12 @@ def test_template_search_triangle():
 
 def test_template_validation():
     bad_intra = SearchSpec(
-        max_vertices=3,
         contract=TRIANGLE_CONTRACT,
         template=TemplateSpec(layers=(LayerSpec("a", 3, intra="star"),)),
     )
     with pytest.raises(SearchSpecError, match="intra"):
         list(search_gadget(bad_intra))
     bad_link = SearchSpec(
-        max_vertices=6,
         contract=TRIANGLE_CONTRACT,
         template=TemplateSpec(
             layers=(
@@ -144,6 +138,23 @@ def test_wide_template_funnel():
     assert funnel["not-cofacial"] == 0
 
 
+def test_wide_search_finds_have_distinct_digests():
+    # 12 candidates pass the whole contract; the search emits one per
+    # isomorphism class and counts the rest as duplicates
+    spec = wide_spec()
+    passing = []
+    for _, edges in _template_candidates(spec, Counter()):
+        gadget = TerminalGadget(build_graph(15, edges), (0, 1, 2), spec.contract)
+        if first_failing_clause(gadget) is None:
+            passing.append(gadget.graph)
+    classes = {canonical_digest(g) for g in passing}
+    funnel = Counter()
+    digests = [canonical_digest(g.graph) for g in search_gadget(spec, funnel=funnel)]
+    assert len(digests) == len(set(digests))
+    assert set(digests) == classes
+    assert funnel["duplicates"] == len(passing) - len(classes) == 11
+
+
 INTRA_KINDS = ("none", "path", "cycle", "path_or_cycle", "clique")
 
 
@@ -167,7 +178,7 @@ def random_template_spec(rng):
         forbidden_cycle_lengths=frozenset(rng.sample([3, 4, 5], rng.randint(0, 1))),
         min_terminal_distances=tuple(map(tuple, floors)),
     )
-    return SearchSpec(16, contract, TemplateSpec(tuple(layers)))
+    return SearchSpec(contract, TemplateSpec(tuple(layers)))
 
 
 def unpruned_choices(template):
@@ -318,9 +329,49 @@ def test_search_spec_json_round_trip():
     assert back == spec
 
 
-def test_load_search_spec(tmp_path):
-    import json
+def test_step_counts_match_the_listed_alternatives():
+    # the count that guards memory before the walk is the length of the
+    # step the walk would list
+    rng = random.Random(1604)
+    for _ in range(60):
+        template = random_template_spec(rng).template
+        sizes = {layer.name: layer.size for layer in template.layers}
+        counts = []
+        for layer in template.layers:
+            if layer.link_kind is not None:
+                count = _link_alternatives(
+                    layer.link_kind, sizes[layer.link_to], layer.size
+                )
+                counts += [count] * (layer.size if layer.link_kind == "subsets" else 1)
+        links = _template_steps(template)[len(template.layers):]
+        assert [len(step) for step in links] == counts
+    assert _link_alternatives("pairs", 6, 3) == 455  # the stock bridges
+    assert _link_alternatives("subsets", 6, 3) == 63  # the widened bridges
+    assert _link_alternatives("pairs", 3, 4) == 0  # four of three pairs
+    assert _link_alternatives("subsets", 16, 1) == 2**16 - 1
 
+
+def test_old_spec_and_gadget_keys_are_ignored(tmp_path, seed_gadget):
+    # max_vertices, dedup and verified were once written; files that
+    # still carry them load as if they did not
+    spec = search_spec_to_json_dict(seed_search_spec())
+    old_spec = {**spec, "max_vertices": 15, "dedup": True}
+    gadget = gadget_to_json_dict(seed_gadget)
+    old_gadget = {
+        **gadget, "contract": {**gadget["contract"], "verified": True}
+    }
+    loaded = {}
+    for name, doc in (("spec", spec), ("old-spec", old_spec),
+                      ("gadget", gadget), ("old-gadget", old_gadget)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        load = load_search_spec if name.endswith("spec") else load_gadget
+        loaded[name] = load(path)
+    assert loaded["old-spec"] == loaded["spec"] == seed_search_spec()
+    assert loaded["old-gadget"] == loaded["gadget"] == seed_gadget
+
+
+def test_load_search_spec(tmp_path):
     spec = seed_search_spec()
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(search_spec_to_json_dict(spec)))
@@ -331,7 +382,7 @@ def test_certify_and_freeze_round_trip(tmp_path, seed_gadget):
     path = certify_and_freeze(seed_gadget, tmp_path / "frozen.json")
     back = load_gadget(path)
     assert back.graph == seed_gadget.graph
-    assert back.contract.verified
+    assert back.contract == seed_gadget.contract
     payload = load_gadget_payload(path)
     ver = payload["verification"]
     assert ver["digest"] == canonical_digest(seed_gadget.graph)

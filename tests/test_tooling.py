@@ -2,8 +2,10 @@
 
 The benchmark's tracer names the functions it wraps by module and
 attribute.  A refactor that moves or renames one of them would break
-``perfbench/run.py --trace 1`` at start-up; this catches it here.  The
-proof checker must stay free of package imports."""
+``perfbench/run.py --trace 1`` at start-up; this catches it here, and
+one op of each benchmark workload, run through its own gate, catches a
+change to an entry point the workloads call.  The proof checker must
+stay free of package imports."""
 
 import ast
 import importlib
@@ -11,13 +13,20 @@ import importlib.util
 import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_perfbench(name: str):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_binding_resolves_in_its_home_module():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _load_perfbench("tracing")
     assert tracing.TRACED
     for name, module_name, attr, _ in tracing.TRACED:
         target = importlib.import_module(module_name)
@@ -25,6 +34,17 @@ def test_every_traced_binding_resolves_in_its_home_module():
             assert hasattr(target, part), f"{name}: {module_name}.{attr} is gone"
             target = getattr(target, part)
         assert callable(target), name
+
+
+def test_every_benchmark_workload_passes_its_gate(tmp_path):
+    workloads = _load_perfbench("workloads")
+    assert len(workloads.WORKLOADS) == 4
+    for name, workload in workloads.WORKLOADS.items():
+        scratch = tmp_path / name
+        scratch.mkdir()
+        bench = workload(1, scratch)
+        key = bench.keys[0]
+        assert bench.check(key, bench.op(key)) is None, name
 
 
 PROOF = Path(__file__).resolve().parent.parent / "src" / "steinberg" / "proof.py"
