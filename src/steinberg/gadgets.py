@@ -48,7 +48,7 @@ from .coloring import (
 from .errors import ContractError, FormatError, PasteError
 from .formats import (
     graph_from_json_dict, graph_to_json_dict, parse_json_payload, strict_bool,
-    strict_int,
+    strict_int, strict_str,
 )
 from .graphs import Graph, add_apex, build_graph
 from .report import VerificationReport, timed_check
@@ -115,6 +115,10 @@ class InterfaceContract:
                             "exact distances must dominate min distances"
                         )
         for p in self.forbidden_patterns:
+            if not isinstance(p, str) or not set(p) <= set("012"):
+                raise ValueError(
+                    f"forbidden pattern {p!r} has a color other than 0, 1, 2"
+                )
             if pattern_of([int(ch) for ch in p]) != p:
                 raise ValueError(f"forbidden pattern {p!r} is not normalized")
             arities.add(len(p))
@@ -164,7 +168,8 @@ class InterfaceContract:
             min_terminal_distances=mat("min_terminal_distances"),
             exact_terminal_distances=mat("exact_terminal_distances"),
             forbidden_patterns=frozenset(
-                str(p) for p in d.get("forbidden_patterns", ())
+                strict_str(p, "a forbidden pattern")
+                for p in d.get("forbidden_patterns", ())
             ),
             require_planar=strict_bool(
                 d.get("require_planar", True), "require_planar"
@@ -903,8 +908,11 @@ def gadget_from_json_dict(d: dict[str, Any]) -> TerminalGadget:
     if "terminals" not in d:
         raise FormatError("gadget JSON needs a 'terminals' list")
     terminals = tuple(strict_int(t, "a terminal") for t in d["terminals"])
-    contract = InterfaceContract.from_json_dict(d.get("contract", {}))
-    return TerminalGadget(graph, terminals, contract)
+    try:
+        contract = InterfaceContract.from_json_dict(d.get("contract", {}))
+        return TerminalGadget(graph, terminals, contract)
+    except ValueError as exc:  # a clause or terminal the constructors refuse
+        raise FormatError(str(exc)) from exc
 
 
 def save_gadget(

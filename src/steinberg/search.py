@@ -8,7 +8,14 @@ explicit stack of per-step choices, so a template of any length stays
 clear of the recursion limit, and the partial graph is one adjacency
 bitmask per vertex: a new edge closes a forbidden k-cycle when simple
 paths grown k - 3 edges from one end meet the other end's neighbors in
-one mask test, and a terminal distance is a bitset BFS.  Each complete
+one mask test, and a terminal distance is a bitset BFS.  The walk skips
+orderings that only swap interchangeable vertices (lex-leader symmetry
+breaking): a pairs layer always lists its 2-subsets in strictly
+increasing order, and the vertices of an interchangeable subsets layer
+choose their neighborhoods in nondecreasing order (see
+:class:`LayerSpec`).  The first member of each isomorphism class in the
+full walk's order is lex-least in its orbit, so it is still walked, and
+the search emits the same gadgets in the same order.  Each complete
 candidate is rejected at its cheapest failing contract clause
 (:func:`first_failing_clause`).  Planarity runs only on candidates that
 pass every cheaper clause, and the co-facial test and the canonical form
@@ -67,9 +74,18 @@ class LayerSpec:
     ``intra`` fixes the edges inside the layer.  ``link_kind`` says how
     each vertex attaches to the earlier layer ``link_to``: "subsets"
     tries every nonempty neighborhood, "pairs" every 2-subset with the
-    layer's vertices treated as interchangeable (choices enumerated in
-    strictly increasing order), "matching" joins vertex i to target
-    vertex i.
+    layer's vertices always treated as interchangeable (choices
+    enumerated in strictly increasing order), "matching" joins vertex i
+    to target vertex i.
+
+    A layer is interchangeable when its ``intra`` is "none" or "clique"
+    and every layer linking to it links by "subsets", or by "matching"
+    or "pairs" and is interchangeable itself: then permuting its
+    vertices, and those of its matching and pairs dependents along with
+    them, maps the template onto itself.  The vertices of an
+    interchangeable subsets layer choose their neighborhoods in
+    nondecreasing order (size, then lexicographic), since every other
+    order only swaps them.
     """
 
     name: str
@@ -235,13 +251,36 @@ def _distance_floor_violated(
     return False
 
 
-def _template_steps(template: TemplateSpec) -> list[list[_Edges]]:
+def _interchangeable_layers(template: TemplateSpec) -> set[str]:
+    """Names of the layers whose vertices may be permuted without leaving
+    the template: the layer's own edges (``none`` or ``clique``) stay put,
+    and every layer linking to it either picks subsets, which a
+    permutation maps to subsets, or is a matching or pairs layer that is
+    itself interchangeable, so it can be permuted along.  Links point to
+    earlier layers, so one pass from the last layer back decides it."""
+    free: set[str] = set()
+    pinned: set[str] = set()
+    for layer in reversed(template.layers):
+        if layer.intra in ("none", "clique") and layer.name not in pinned:
+            free.add(layer.name)
+        if layer.link_kind in ("matching", "pairs") and layer.name not in free:
+            pinned.add(layer.link_to)
+    return free
+
+
+def _template_steps(
+    template: TemplateSpec,
+) -> tuple[list[list[_Edges]], list[int | None]]:
     """The template as a list of steps, each a list of alternative edge
-    tuples.  Every intra step comes first, so candidates of one edge
-    count come shape by shape; then one step per link: a matching has
-    one alternative, a subsets vertex every nonempty neighborhood by
+    tuples, and for each step the earlier step whose choice it starts
+    from, or None.  Every intra step comes first, so candidates of one
+    edge count come shape by shape; then one step per link: a matching
+    has one alternative, a subsets vertex every nonempty neighborhood by
     size then lexicographically, a pairs layer every strictly increasing
-    sequence of 2-subsets."""
+    sequence of 2-subsets.  The vertices of an interchangeable subsets
+    layer choose in nondecreasing order, each from its predecessor's
+    choice on, so no two candidates differ only by swapping them."""
+    free = _interchangeable_layers(template)
     verts: dict[str, range] = {}
     start = 0
     for layer in template.layers:
@@ -251,6 +290,7 @@ def _template_steps(template: TemplateSpec) -> list[list[_Edges]]:
         _intra_variants(layer.intra, verts[layer.name])
         for layer in template.layers
     ]
+    follows: list[int | None] = [None] * len(steps)
     for layer in template.layers:
         if layer.link_to is None:
             continue
@@ -258,6 +298,7 @@ def _template_steps(template: TemplateSpec) -> list[list[_Edges]]:
         own = verts[layer.name]
         if layer.link_kind == "matching":
             steps.append([tuple(zip(targets, own))])
+            follows.append(None)
         elif layer.link_kind == "pairs":
             steps.append([
                 tuple((t, v) for v, pair in zip(own, pairs) for t in pair)
@@ -265,18 +306,22 @@ def _template_steps(template: TemplateSpec) -> list[list[_Edges]]:
                     itertools.combinations(targets, 2), layer.size
                 )
             ])
+            follows.append(None)
         else:
             for v in own:
+                tied = v != own[0] and layer.name in free
+                follows.append(len(steps) - 1 if tied else None)
                 steps.append([
                     tuple((t, v) for t in subset)
                     for size in range(1, len(targets) + 1)
                     for subset in itertools.combinations(targets, size)
                 ])
-    return steps
+    return steps, follows
 
 
 def _walk(
     steps: list[list[_Edges]],
+    follows: list[int | None],
     n: int,
     lengths: frozenset[int],
     floors: list[tuple[int, int, int]],
@@ -284,9 +329,11 @@ def _walk(
 ) -> list[_Edges]:
     """Every choice of one alternative per step that no monotone prune
     rejects, as a sorted edge tuple, in the order of the steps'
-    alternatives.  One loop over an explicit stack of next-alternative
-    indices, so a template's length never meets the recursion limit;
-    the partial graph is one adjacency bitmask per vertex."""
+    alternatives; a step with an entry in ``follows`` starts at the
+    alternative that step chose.  One loop over an explicit stack of
+    next-alternative indices, so a template's length never meets the
+    recursion limit; the partial graph is one adjacency bitmask per
+    vertex."""
     adj = [0] * n
     chosen: list[tuple[int, int]] = []
     out: list[_Edges] = []
@@ -308,6 +355,8 @@ def _walk(
             else:
                 chosen.extend(es)
                 si += 1
+                if si < len(steps) and follows[si] is not None:
+                    nxt[si] = nxt[follows[si]] - 1
                 continue
             for u, v in es:
                 adj[u] &= ~(1 << v)
@@ -345,8 +394,10 @@ def _template_candidates(
                 if matrix[i][j] > 1:
                     floors.append((i, j, matrix[i][j]))
 
+    steps, follows = _template_steps(template)
     out = _walk(
-        _template_steps(template),
+        steps,
+        follows,
         total,
         contract.forbidden_cycle_lengths,
         floors,

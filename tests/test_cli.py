@@ -17,9 +17,10 @@ from steinberg import (
     load_gadget,
     seed_data_path,
 )
-from steinberg import cli
+from steinberg import cli, stock
 from steinberg.cli import main
 from steinberg.graphs import MAX_VERTICES
+from steinberg.search import search_spec_to_json_dict, seed_search_spec
 
 from support import deep_template_spec, replace_at
 
@@ -325,6 +326,39 @@ def test_search_stock_writes_a_frozen_gadget(tmp_path, capsys, seed_gadget):
     )
 
 
+def test_wide_search_is_the_same_under_any_hash_seed(tmp_path):
+    # the stock template with the bridges widened to subsets, searched to
+    # exhaustion in two interpreters that hash strings differently: the
+    # same funnel and, byte for byte, the packaged seed
+    spec = search_spec_to_json_dict(seed_search_spec())
+    for layer in spec["template"]["layers"]:
+        if layer["name"] == "bridges":
+            layer["link_kind"] = "subsets"
+    spec_path = tmp_path / "wide.json"
+    spec_path.write_text(json.dumps(spec))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    frozen = []
+    for hash_seed in ("1", "2718"):
+        out_dir = tmp_path / hash_seed
+        run = subprocess.run(
+            [sys.executable, "-m", "steinberg.cli", "search", str(spec_path),
+             "--limit", "2", "--out-dir", str(out_dir)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": hash_seed},
+            timeout=60,
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-2:] == [
+            "1 gadget(s) frozen",
+            "funnel: enumerated 126, pruned-cycle 7746, pruned-distance 96,"
+            " distance-t1-t2 68, pattern-000-infeasible 56, not-cofacial 0,"
+            " duplicates 1, emitted 1",
+        ]
+        frozen.append((out_dir / "gadget-3855c0a1d182d600.json").read_bytes())
+    assert frozen[0] == frozen[1] == seed_data_path().read_bytes()
+
+
 def test_search_spec_file_with_no_hits(tmp_path, capsys):
     # the only candidate is the triangle, which is a forbidden 3-cycle
     spec = {
@@ -436,6 +470,39 @@ def test_search_spec_with_a_non_string_layer_field_is_a_usage_error(
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "must be a string, got ['t']" in err
+
+
+@pytest.mark.parametrize("pattern, message", [
+    pytest.param(0, "a forbidden pattern must be a string, got 0", id="number"),
+    pytest.param(True, "a forbidden pattern must be a string, got True", id="bool"),
+    pytest.param("0a", "forbidden pattern '0a' has a color other than 0, 1, 2",
+                 id="letter"),
+    pytest.param("0123", "forbidden pattern '0123' has a color other than 0, 1, 2",
+                 id="fourth-color"),
+])
+def test_a_bad_forbidden_pattern_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, pattern, message
+):
+    # neither turned into its text nor read digit by digit, in a search
+    # spec and in a gadget file alike
+    spec = {
+        "contract": {"forbidden_patterns": [pattern]},
+        "template": {"layers": [{"name": "t", "size": 4, "intra": "path"}]},
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: bad search spec: {message}\n")
+
+    seed = json.loads(seed_data_path().read_text())
+    seed["contract"]["forbidden_patterns"] = [pattern]
+    seed_path = tmp_path / seed_data_path().name
+    seed_path.write_text(json.dumps(seed))
+    monkeypatch.setattr(stock, "seed_data_path", lambda: seed_path)
+    code, out, err = run_cli(capsys, "lemmas")
+    assert (code, out, err) == (
+        2, "", f"error: frozen seed gadget unavailable: {message}\n"
+    )
 
 
 def test_search_spec_with_an_oversized_integer_is_a_usage_error(tmp_path, capsys):

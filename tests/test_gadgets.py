@@ -87,6 +87,22 @@ def test_contract_rejects_unnormalized_pattern():
         InterfaceContract(forbidden_patterns=frozenset({"110"}))
 
 
+@pytest.mark.parametrize("pattern", ["0a", "0123", "01 ", 0])
+def test_contract_rejects_a_pattern_of_other_colors(pattern):
+    with pytest.raises(ValueError, match="color other than 0, 1, 2"):
+        InterfaceContract(forbidden_patterns=frozenset({pattern}))
+
+
+@pytest.mark.parametrize("pattern", [0, True, "0a", "0123", "110"])
+def test_gadget_json_refuses_a_bad_pattern(seed_gadget, pattern):
+    # an input error with the contract's own message, not a bare ValueError
+    d = json.loads(json.dumps(gadget_to_json_dict(seed_gadget)))
+    with pytest.raises(FormatError, match="pattern"):
+        gadget_from_json_dict(
+            replace_at(d, ("contract", "forbidden_patterns", 0), pattern)
+        )
+
+
 def test_contract_rejects_arity_disagreement():
     with pytest.raises(ValueError, match="arity"):
         InterfaceContract(

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -26,7 +27,12 @@ from steinberg import (
 )
 from steinberg import coloring
 from steinberg.analysis import distance, forbidden_cycle_check
-from steinberg.gadgets import gadget_to_json_dict, load_gadget_payload
+from steinberg.canon import canonical_form
+from steinberg.gadgets import (
+    gadget_to_json_dict,
+    load_gadget_payload,
+    terminals_cofacial,
+)
 from steinberg.search import (
     _link_alternatives,
     _template_candidates,
@@ -113,7 +119,9 @@ def test_stock_seed_search_rediscovers_the_frozen_gadget(seed_gadget):
 
 def wide_spec():
     """The stock seed template with the bridges linked by any nonempty
-    subset of ring vertices instead of by pairs: 756 candidates."""
+    subset of ring vertices instead of by pairs: 756 candidates, which
+    the walk cuts to 126 by taking the three bridges' subsets in
+    nondecreasing order."""
     spec = seed_search_spec()
     layers = tuple(
         replace(layer, link_kind="subsets") if layer.name == "bridges" else layer
@@ -122,37 +130,42 @@ def wide_spec():
     return replace(spec, template=TemplateSpec(layers=layers))
 
 
+@pytest.fixture(scope="module")
+def wide_unreduced():
+    """Every candidate of the wide template, the bridges in every order."""
+    return filtered_product(wide_spec(), reduced=False)
+
+
 def test_wide_template_funnel():
     funnel = Counter()
     found = list(search_gadget(wide_spec(), funnel=funnel))
     assert [canonical_digest(g.graph) for g in found] == ["3855c0a1d182d600"]
     assert dict(funnel) == {
-        "enumerated": 756,
-        "pruned-cycle": 14970,
+        "enumerated": 126,
+        "pruned-cycle": 7746,
         "pruned-distance": 96,
-        "distance-t1-t2": 408,
-        "pattern-000-infeasible": 336,
-        "duplicates": 11,
+        "distance-t1-t2": 68,
+        "pattern-000-infeasible": 56,
+        "duplicates": 1,
         "emitted": 1,
     }
     assert funnel["not-cofacial"] == 0
 
 
-def test_wide_search_finds_have_distinct_digests():
+def test_wide_search_finds_have_distinct_digests(wide_unreduced):
     # 12 candidates pass the whole contract; the search emits one per
-    # isomorphism class and counts the rest as duplicates
+    # isomorphism class, the first in product order
     spec = wide_spec()
-    passing = []
-    for _, edges in _template_candidates(spec, Counter()):
+    assert len(wide_unreduced) == 756
+    first = {}
+    for edges in wide_unreduced:
         gadget = TerminalGadget(build_graph(15, edges), (0, 1, 2), spec.contract)
         if first_failing_clause(gadget) is None:
-            passing.append(gadget.graph)
-    classes = {canonical_digest(g) for g in passing}
-    funnel = Counter()
-    digests = [canonical_digest(g.graph) for g in search_gadget(spec, funnel=funnel)]
-    assert len(digests) == len(set(digests))
-    assert set(digests) == classes
-    assert funnel["duplicates"] == len(passing) - len(classes) == 11
+            first.setdefault(canonical_digest(gadget.graph), []).append(edges)
+    passing = sum(len(members) for members in first.values())
+    assert (passing, len(first)) == (12, 1)  # 11 duplicates
+    digests = {canonical_digest(g.graph): g.graph.edges for g in search_gadget(spec)}
+    assert digests == {key: members[0] for key, members in first.items()}
 
 
 INTRA_KINDS = ("none", "path", "cycle", "path_or_cycle", "clique")
@@ -181,14 +194,31 @@ def random_template_spec(rng):
     return SearchSpec(contract, TemplateSpec(tuple(layers)))
 
 
+def interchangeable(template):
+    """Layers whose vertices can be permuted with the template unchanged:
+    own edges ``none`` or ``clique``, and every layer linking to it picks
+    subsets or is a matching or pairs layer that is interchangeable too."""
+    def free(layer):
+        return layer.intra in ("none", "clique") and all(
+            other.link_kind == "subsets" or free(other)
+            for other in template.layers
+            if other.link_to == layer.name
+        )
+
+    return {layer.name for layer in template.layers if free(layer)}
+
+
 def unpruned_choices(template):
     """Each layer's edge choices straight from its fields: the intra
-    choices of every layer first, then every link choice."""
+    choices of every layer first, then every link choice.  Also the
+    choices that may not come before the one just ahead of them: every
+    subsets vertex of an interchangeable layer after its first."""
     verts, start = {}, 0
     for layer in template.layers:
         verts[layer.name] = list(range(start, start + layer.size))
         start += layer.size
-    intra, links = [], []
+    free = interchangeable(template)
+    intra, links, ties = [], [], set()
     for layer in template.layers:
         own = verts[layer.name]
         path = list(zip(own, own[1:]))
@@ -211,12 +241,57 @@ def unpruned_choices(template):
             ])
         elif layer.link_kind == "subsets":
             for v in own:
+                if v != own[0] and layer.name in free:
+                    ties.add(len(template.layers) + len(links))
                 links.append([
                     [(t, v) for t in subset]
                     for k in range(1, len(targets) + 1)
                     for subset in itertools.combinations(targets, k)
                 ])
-    return start, intra + links
+    return start, intra + links, ties
+
+
+def filtered_product(spec, reduced=True):
+    """The template's product in product order, less every candidate with
+    a forbidden cycle or a terminal pair closer than its floor.  With
+    ``reduced``, tied choices are nondecreasing.  Both prunes only grow
+    with the edges, so a prefix that fails one is dropped with all of its
+    extensions."""
+    n, choices, ties = unpruned_choices(spec.template)
+    contract = spec.contract
+    floors = contract.exact_terminal_distances or contract.min_terminal_distances
+    out = []
+
+    def fails(edges):
+        graph = build_graph(n, edges)
+        if forbidden_cycle_check(graph, contract.forbidden_cycle_lengths):
+            return True
+        return any(
+            (d := distance(graph, i, j)) is not None and d < floors[i][j]
+            for i, j in itertools.combinations(range(contract.arity), 2)
+        )
+
+    def extend(picked, edges):
+        if fails(edges):
+            return
+        step = len(picked)
+        if step == len(choices):
+            out.append(tuple(sorted(edges)))
+            return
+        low = picked[-1] if reduced and step in ties else 0
+        for i in range(low, len(choices[step])):
+            extend(picked + [i], edges + choices[step][i])
+
+    extend([], [])
+    return out
+
+
+def walked(spec):
+    """The walk's candidates, whose vertex count is the template's."""
+    n = sum(layer.size for layer in spec.template.layers)
+    found = list(_template_candidates(spec, Counter()))
+    assert {count for count, _ in found} <= {n}
+    return [edges for _, edges in found]
 
 
 def test_template_candidates_match_the_filtered_product():
@@ -224,51 +299,13 @@ def test_template_candidates_match_the_filtered_product():
     checked = several_counts = 0
     for _ in range(80):
         spec = random_template_spec(rng)
-        n, choices = unpruned_choices(spec.template)
-        contract = spec.contract
-        floors = contract.min_terminal_distances
-        expected = []
-        for combo in itertools.product(*choices):
-            edges = tuple(sorted(e for part in combo for e in part))
-            graph = build_graph(n, edges)
-            if forbidden_cycle_check(graph, contract.forbidden_cycle_lengths):
-                continue
-            if any(
-                (d := distance(graph, i, j)) is not None and d < floors[i][j]
-                for i, j in itertools.combinations(range(contract.arity), 2)
-            ):
-                continue
-            expected.append((n, edges))
-        expected.sort(key=lambda c: len(c[1]))
-        assert list(_template_candidates(spec, Counter())) == expected
+        expected = sorted(filtered_product(spec), key=len)
+        assert walked(spec) == expected
         checked += len(expected)
-        several_counts += len({len(edges) for _, edges in expected}) > 1
+        several_counts += len({len(edges) for edges in expected}) > 1
     # enough survivors, and enough templates mixing edge counts, for the
     # order and the prunes to be pinned
     assert checked > 500 and several_counts > 10
-
-
-def filtered_product(spec):
-    """The template's unpruned product, less every candidate with a
-    forbidden cycle or a terminal pair closer than its floor, stably
-    sorted by edge count."""
-    n, choices = unpruned_choices(spec.template)
-    contract = spec.contract
-    floors = contract.min_terminal_distances
-    expected = []
-    for combo in itertools.product(*choices):
-        edges = tuple(sorted(e for part in combo for e in part))
-        graph = build_graph(n, edges)
-        if forbidden_cycle_check(graph, contract.forbidden_cycle_lengths):
-            continue
-        if any(
-            (d := distance(graph, i, j)) is not None and d < floors[i][j]
-            for i, j in itertools.combinations(range(contract.arity), 2)
-        ):
-            continue
-        expected.append((n, edges))
-    expected.sort(key=lambda c: len(c[1]))
-    return expected
 
 
 def test_template_candidates_match_the_filtered_product_at_every_length():
@@ -284,15 +321,118 @@ def test_template_candidates_match_the_filtered_product_at_every_length():
     for _ in range(160):
         lengths = frozenset(rng.sample([3, 4, 5, 6], rng.randint(1, 2)))
         spec = with_lengths(random_template_spec(rng), lengths)
-        expected = filtered_product(spec)
-        assert list(_template_candidates(spec, Counter())) == expected
+        expected = sorted(filtered_product(spec), key=len)
+        assert walked(spec) == expected
         checked += len(expected)
         if 6 in lengths:
-            rest = with_lengths(spec, lengths - {6})
-            six_matters += list(_template_candidates(rest, Counter())) != expected
+            six_matters += walked(with_lengths(spec, lengths - {6})) != expected
     # enough survivors, and enough templates where a 6-cycle alone
     # removes candidates, for the deepest mask test to be pinned
     assert checked > 1000 and six_matters > 3
+
+
+def interchangeable_template_spec(rng):
+    """A small random template with a subsets layer "x" of 2 or 3
+    vertices whose own edges and dependents let them be swapped, under a
+    random contract; drawn again until its product has at most 4,000
+    candidates, so that the unreduced product stays quick to list."""
+    while True:
+        arity = rng.randint(2, 3)
+        layers = [LayerSpec("t", arity)]
+        if rng.random() < 0.6:
+            layers.append(LayerSpec(
+                "ring", rng.randint(2, 3), rng.choice(INTRA_KINDS), "t", "subsets"
+            ))
+        size = rng.randint(2, 3)
+        layers.append(LayerSpec(
+            "x", size, rng.choice(["none", "clique"]), rng.choice(layers).name,
+            "subsets",
+        ))
+        kind = rng.choice([None, "subsets", "matching", "pairs"])
+        intra = rng.choice(["none", "clique"])
+        if kind == "matching":
+            layers.append(LayerSpec("y", size, intra, "x", "matching"))
+        elif kind == "pairs":
+            layers.append(LayerSpec("y", rng.randint(1, 2), intra, "x", "pairs"))
+        elif kind == "subsets":
+            layers.append(LayerSpec("y", 1, rng.choice(INTRA_KINDS), "x", "subsets"))
+        floors = [[0] * arity for _ in range(arity)]
+        for i, j in itertools.combinations(range(arity), 2):
+            floors[i][j] = floors[j][i] = rng.randint(1, 3)
+        contract = InterfaceContract(
+            forbidden_cycle_lengths=frozenset(rng.sample([3, 4, 5], rng.randint(0, 1))),
+            min_terminal_distances=tuple(map(tuple, floors)),
+            forbidden_patterns=frozenset({"0" * arity} if rng.random() < 0.5 else ()),
+            require_planar=rng.random() < 0.5,
+        )
+        template = TemplateSpec(tuple(layers))
+        _, choices, _ = unpruned_choices(template)
+        if math.prod(map(len, choices)) <= 4000:
+            return SearchSpec(contract, template)
+
+
+def test_swapping_interchangeable_vertices_loses_no_class():
+    # the unreduced product's passing candidates, grouped by class: the
+    # search emits one per class, the first in product order, fewer edges
+    # first and then by canonical form
+    rng = random.Random(1996)
+    cut = duplicated = 0
+    for _ in range(30):
+        spec = interchangeable_template_spec(rng)
+        n, _, ties = unpruned_choices(spec.template)
+        follows = _template_steps(spec.template)[1]
+        assert ties and {i for i, f in enumerate(follows) if f is not None} == ties
+        assert all(follows[i] == i - 1 for i in ties)
+        unreduced = filtered_product(spec, reduced=False)
+        cut += len(walked(spec)) < len(unreduced)
+        first = {}
+        for edges in unreduced:
+            gadget = TerminalGadget(
+                build_graph(n, edges), tuple(range(spec.contract.arity)), spec.contract
+            )
+            if first_failing_clause(gadget) is None and (
+                not spec.contract.require_planar or terminals_cofacial(gadget)
+            ):
+                first.setdefault(canonical_form(gadget.graph).data, []).append(edges)
+        order = sorted(first, key=lambda key: (len(first[key][0]), key))
+        found = [g.graph.edges for g in search_gadget(spec)]
+        assert found == [first[key][0] for key in order]
+        duplicated += sum(len(members) > 1 for members in first.values())
+    # enough templates whose walk the ordering cuts, and enough classes
+    # met more than once in the product, for a lost class to show
+    assert cut > 15 and duplicated > 100
+
+
+def two_terminal_spec(*layers):
+    contract = InterfaceContract(min_terminal_distances=((0, 1), (1, 0)))
+    return SearchSpec(contract, TemplateSpec((LayerSpec("t", 2), *layers)))
+
+
+# subsets layers whose vertices cannot all be swapped: their own edges, a
+# matching layer's edges or a pairs layer's edges tell them apart
+NOT_INTERCHANGEABLE = {
+    "path-intra": (LayerSpec("x", 3, "path", "t", "subsets"),),
+    "matched-by-path-or-cycle": (
+        LayerSpec("x", 3, "none", "t", "subsets"),
+        LayerSpec("y", 3, "path_or_cycle", "x", "matching"),
+    ),
+    "paired-by-cycle": (
+        LayerSpec("x", 4, "none", "t", "subsets"),
+        LayerSpec("y", 4, "cycle", "x", "pairs"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_INTERCHANGEABLE))
+def test_walk_keeps_every_order_of_vertices_it_cannot_swap(name):
+    layers = NOT_INTERCHANGEABLE[name]
+    spec = two_terminal_spec(*layers)
+    assert walked(spec) == sorted(filtered_product(spec, reduced=False), key=len)
+    # the same layers with no edges of their own are cut down
+    twin = two_terminal_spec(*(replace(layer, intra="none") for layer in layers))
+    reduced = sorted(filtered_product(twin), key=len)
+    assert walked(twin) == reduced
+    assert len(reduced) < len(filtered_product(twin, reduced=False))
 
 
 def test_deep_template_walks_without_recursion():
@@ -312,10 +452,10 @@ def test_deep_template_walks_without_recursion():
     ]
 
 
-def test_first_failing_clause_is_the_cheapest_failing_check():
+def test_first_failing_clause_is_the_cheapest_failing_check(wide_unreduced):
     spec = wide_spec()
     passing = 0
-    for _, edges in _template_candidates(spec, Counter()):
+    for edges in wide_unreduced:
         gadget = TerminalGadget(build_graph(15, edges), (0, 1, 2), spec.contract)
         report = verify_contract(gadget)
         assert first_failing_clause(gadget) == cheapest_failing_check(report)
@@ -343,7 +483,7 @@ def test_step_counts_match_the_listed_alternatives():
                     layer.link_kind, sizes[layer.link_to], layer.size
                 )
                 counts += [count] * (layer.size if layer.link_kind == "subsets" else 1)
-        links = _template_steps(template)[len(template.layers):]
+        links = _template_steps(template)[0][len(template.layers):]
         assert [len(step) for step in links] == counts
     assert _link_alternatives("pairs", 6, 3) == 455  # the stock bridges
     assert _link_alternatives("subsets", 6, 3) == 63  # the widened bridges
