@@ -8,14 +8,22 @@ explicit stack of per-step choices, so a template of any length stays
 clear of the recursion limit, and the partial graph is one adjacency
 bitmask per vertex: a new edge closes a forbidden k-cycle when simple
 paths grown k - 3 edges from one end meet the other end's neighbors in
-one mask test, and a terminal distance is a bitset BFS.  The walk skips
-orderings that only swap interchangeable vertices (lex-leader symmetry
-breaking): a pairs layer always lists its 2-subsets in strictly
-increasing order, and the vertices of an interchangeable subsets layer
-choose their neighborhoods in nondecreasing order (see
-:class:`LayerSpec`).  The first member of each isomorphism class in the
-full walk's order is lex-least in its orbit, so it is still walked, and
-the search emits the same gadgets in the same order.  Each complete
+one mask test, and a terminal distance is a bitset BFS.  A subsets
+vertex's step is a hub step: every edge of it meets that vertex v, so a
+forbidden cycle through its new edges runs v - t ... w - v with t a new
+neighbor.  On entry to such a step the paths t ... w are grown once per
+target t, and each alternative is kept or pruned by one mask test per
+target it picks, instead of by regrowing those paths for every
+alternative.  The walk skips orderings that only swap interchangeable
+vertices (lex-leader symmetry breaking): an interchangeable pairs layer
+lists its 2-subsets in strictly increasing order, and the vertices of an
+interchangeable subsets layer choose their neighborhoods in
+nondecreasing order (see :class:`LayerSpec`); any other pairs layer
+gives its 2-subsets to its vertices in every order.  The first member
+of each isomorphism class in the full walk's order is lex-least in its
+orbit, so it is still walked, and the search emits the same gadgets in
+the same order.  The walk holds at most ``_WALK_CAP`` candidates, and a
+template with more is refused.  Each complete
 candidate is rejected at its cheapest failing contract clause
 (:func:`first_failing_clause`).  Planarity runs only on candidates that
 pass every cheaper clause, and the co-facial test and the canonical form
@@ -63,6 +71,9 @@ _LINK_KINDS = ("subsets", "pairs", "matching")
 # alternatives one step may list, all held at once before the walk; the
 # stock pairs step has 455, the widened subsets step 63
 _STEP_CAP = 65_536
+# candidates past the walk's prunes, all held at once to be sorted by edge
+# count; the widened stock template keeps 126
+_WALK_CAP = 100_000
 
 _Edges = tuple[tuple[int, int], ...]
 
@@ -73,10 +84,8 @@ class LayerSpec:
 
     ``intra`` fixes the edges inside the layer.  ``link_kind`` says how
     each vertex attaches to the earlier layer ``link_to``: "subsets"
-    tries every nonempty neighborhood, "pairs" every 2-subset with the
-    layer's vertices always treated as interchangeable (choices
-    enumerated in strictly increasing order), "matching" joins vertex i
-    to target vertex i.
+    tries every nonempty neighborhood, "pairs" gives the vertices
+    distinct 2-subsets, "matching" joins vertex i to target vertex i.
 
     A layer is interchangeable when its ``intra`` is "none" or "clique"
     and every layer linking to it links by "subsets", or by "matching"
@@ -84,8 +93,10 @@ class LayerSpec:
     vertices, and those of its matching and pairs dependents along with
     them, maps the template onto itself.  The vertices of an
     interchangeable subsets layer choose their neighborhoods in
-    nondecreasing order (size, then lexicographic), since every other
-    order only swaps them.
+    nondecreasing order (size, then lexicographic), and those of an
+    interchangeable pairs layer take their 2-subsets in strictly
+    increasing order, since every other order only swaps them.  A pairs
+    layer that is not interchangeable takes them in every order.
     """
 
     name: str
@@ -109,22 +120,24 @@ class SearchSpec:
     template: TemplateSpec
 
 
-def _link_alternatives(kind: str, t: int, size: int) -> int:
+def _link_alternatives(kind: str, t: int, size: int, ordered: bool = False) -> int:
     """How many alternatives one link step lists, for a target layer of
     ``t`` vertices, counted exactly up to ``_STEP_CAP`` and only just
     past it: a pairs layer chooses ``size`` of the C(t, 2) target pairs,
-    a subsets vertex one of the 2^t - 1 nonempty target subsets."""
+    in every order when ``ordered``, a subsets vertex one of the 2^t - 1
+    nonempty target subsets."""
     if kind == "matching":
         return 1
     if kind == "subsets":
         return (1 << min(t, _STEP_CAP.bit_length())) - 1
     pairs = t * (t - 1) // 2
-    k = min(size, pairs - size)  # C(p, size) = C(p, p - size)
-    if k < 0:
+    if size > pairs:
         return 0
+    # P(p, size) = p (p - 1) ... (p - size + 1), and C(p, size) = C(p, k)
+    k = size if ordered else min(size, pairs - size)
     count = 1
     for i in range(k):
-        count = count * (pairs - i) // (i + 1)
+        count = count * (pairs - i) // (1 if ordered else i + 1)
         if count > _STEP_CAP:
             break
     return count
@@ -167,9 +180,13 @@ def _validate_template(template: TemplateSpec, arity: int | None) -> None:
         sizes[layer.name] = layer.size
     if sum(sizes.values()) > MAX_VERTICES:  # before any per-vertex step
         raise SearchSpecError(f"template has more than {MAX_VERTICES} vertices")
+    free = _interchangeable_layers(template)
     for layer in template.layers:  # before any step is listed
         if layer.link_kind is not None and _link_alternatives(
-            layer.link_kind, sizes[layer.link_to], layer.size
+            layer.link_kind,
+            sizes[layer.link_to],
+            layer.size,
+            ordered=layer.name not in free,
         ) > _STEP_CAP:
             raise SearchSpecError(
                 f"layer {layer.name!r} has a link step of more than"
@@ -270,16 +287,19 @@ def _interchangeable_layers(template: TemplateSpec) -> set[str]:
 
 def _template_steps(
     template: TemplateSpec,
-) -> tuple[list[list[_Edges]], list[int | None]]:
+) -> tuple[list[list[_Edges]], list[int | None], list[int | None]]:
     """The template as a list of steps, each a list of alternative edge
-    tuples, and for each step the earlier step whose choice it starts
-    from, or None.  Every intra step comes first, so candidates of one
+    tuples; for each step the earlier step whose choice it starts from,
+    or None; and for each step the vertex every edge of it meets (its
+    hub), or None.  Every intra step comes first, so candidates of one
     edge count come shape by shape; then one step per link: a matching
     has one alternative, a subsets vertex every nonempty neighborhood by
-    size then lexicographically, a pairs layer every strictly increasing
-    sequence of 2-subsets.  The vertices of an interchangeable subsets
-    layer choose in nondecreasing order, each from its predecessor's
-    choice on, so no two candidates differ only by swapping them."""
+    size then lexicographically, with the vertex as its hub, a pairs
+    layer every sequence of distinct 2-subsets, strictly increasing when
+    the layer is interchangeable.  The vertices of an interchangeable
+    subsets layer choose in nondecreasing order, each from its
+    predecessor's choice on, so no two candidates differ only by
+    swapping them."""
     free = _interchangeable_layers(template)
     verts: dict[str, range] = {}
     start = 0
@@ -291,6 +311,7 @@ def _template_steps(
         for layer in template.layers
     ]
     follows: list[int | None] = [None] * len(steps)
+    hubs: list[int | None] = [None] * len(steps)
     for layer in template.layers:
         if layer.link_to is None:
             continue
@@ -299,29 +320,100 @@ def _template_steps(
         if layer.link_kind == "matching":
             steps.append([tuple(zip(targets, own))])
             follows.append(None)
+            hubs.append(None)
         elif layer.link_kind == "pairs":
+            orders = (
+                itertools.combinations if layer.name in free
+                else itertools.permutations
+            )
             steps.append([
                 tuple((t, v) for v, pair in zip(own, pairs) for t in pair)
-                for pairs in itertools.combinations(
-                    itertools.combinations(targets, 2), layer.size
-                )
+                for pairs in orders(itertools.combinations(targets, 2), layer.size)
             ])
             follows.append(None)
+            hubs.append(None)
         else:
             for v in own:
                 tied = v != own[0] and layer.name in free
                 follows.append(len(steps) - 1 if tied else None)
+                hubs.append(v)
                 steps.append([
                     tuple((t, v) for t in subset)
                     for size in range(1, len(targets) + 1)
                     for subset in itertools.combinations(targets, size)
                 ])
-    return steps, follows
+    return steps, follows, hubs
+
+
+def _hub_survivors(
+    adj: list[int],
+    hub: int,
+    masks: list[int],
+    start: int,
+    lengths: frozenset[int],
+) -> list[int]:
+    """The alternatives from ``start`` on of a hub step, one whose every
+    edge meets vertex ``hub``, that close no forbidden cycle; ``masks``
+    holds each alternative's other ends S as one bitmask.  A forbidden
+    k-cycle through a new edge runs hub - t ... w - hub, with t in S, w in
+    S or already a neighbor of the hub, and t ... w a simple path of
+    k - 2 edges that avoids the hub in the graph as it stands.  Those
+    paths are found once per end t, for every w at once: they grow k - 4
+    edges from t and close on w through one common neighbor in one mask
+    test (a triangle needs t and w adjacent).  The w so reached make the
+    mask ``reach[t]``, and an
+    alternative survives when ``reach[t] & (S | adj[hub])`` is empty for
+    every t in S."""
+    near = adj[hub]
+    ends = 0
+    for mask in masks[start:]:
+        ends |= mask
+    top = max(lengths) - 4  # the most edges grown before the last two
+    reach: dict[int, int] = {}
+    rest = ends
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        t = bit.bit_length() - 1
+        closers = (ends ^ bit) | near  # every w a cycle from t could close on
+        hit = adj[t] & closers if 3 in lengths else 0
+        level = [(t, bit | 1 << hub)] if closers else []
+        for depth in range(top + 1):
+            grown = []
+            for x, seen in level:
+                if depth + 4 in lengths:
+                    open_ = closers & ~seen & ~hit
+                    while open_:
+                        w = open_ & -open_
+                        open_ ^= w
+                        if adj[x] & adj[w.bit_length() - 1] & ~seen:
+                            hit |= w
+                if depth < top:
+                    out = adj[x] & ~seen
+                    while out:
+                        low = out & -out
+                        out ^= low
+                        grown.append((low.bit_length() - 1, seen | low))
+            level = grown
+        reach[bit] = hit
+    survivors = []
+    for i in range(start, len(masks)):
+        closing = masks[i] | near
+        rest = masks[i]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            if reach[bit] & closing:
+                break
+        else:
+            survivors.append(i)
+    return survivors
 
 
 def _walk(
     steps: list[list[_Edges]],
     follows: list[int | None],
+    hubs: list[int | None],
     n: int,
     lengths: frozenset[int],
     floors: list[tuple[int, int, int]],
@@ -331,44 +423,73 @@ def _walk(
     rejects, as a sorted edge tuple, in the order of the steps'
     alternatives; a step with an entry in ``follows`` starts at the
     alternative that step chose.  One loop over an explicit stack of
-    next-alternative indices, so a template's length never meets the
-    recursion limit; the partial graph is one adjacency bitmask per
-    vertex."""
+    per-step queues of alternatives to try, so a template's length never
+    meets the recursion limit; the partial graph is one adjacency bitmask
+    per vertex.  A step with an entry in ``hubs`` (a subsets vertex) is
+    cycle-pruned once on entry, for all of its alternatives, by
+    :func:`_hub_survivors`: its queue holds only the survivors, and the
+    rest count as "pruned-cycle" in one addition.  Every other
+    alternative is cycle-pruned alone by :func:`_closes_forbidden_cycle`,
+    and every alternative past the cycle prune meets the distance floors.
+    More than ``_WALK_CAP`` candidates raise :class:`SearchSpecError`."""
+    masks = [
+        None if hub is None else [sum(1 << t for t, _ in es) for es in step]
+        for step, hub in zip(steps, hubs)
+    ]
     adj = [0] * n
     chosen: list[tuple[int, int]] = []
     out: list[_Edges] = []
-    nxt = [0] * len(steps)
+    # per step, the alternatives this entry tries and how many it has tried
+    queue: list[range | list[int]] = [range(0)] * len(steps)
+    tried = [0] * len(steps)
+
+    def enter(si: int) -> None:
+        lead = follows[si]
+        start = 0 if lead is None else queue[lead][tried[lead] - 1]
+        tried[si] = 0
+        if hubs[si] is None or not lengths:
+            queue[si] = range(start, len(steps[si]))
+            return
+        queue[si] = _hub_survivors(adj, hubs[si], masks[si], start, lengths)
+        pruned = len(steps[si]) - start - len(queue[si])
+        if pruned:
+            funnel["pruned-cycle"] += pruned
+
     si = 0
+    enter(si)
     while True:
         if si == len(steps):
             out.append(tuple(sorted(chosen)))
-        elif nxt[si] < len(steps[si]):
-            es = steps[si][nxt[si]]
-            nxt[si] += 1
+            if len(out) > _WALK_CAP:
+                raise SearchSpecError(
+                    f"template has more than {_WALK_CAP} candidates that"
+                    " pass the walk's prunes"
+                )
+        elif tried[si] < len(queue[si]):
+            es = steps[si][queue[si][tried[si]]]
+            tried[si] += 1
             for u, v in es:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-            if _closes_forbidden_cycle(adj, es, lengths):
+            if hubs[si] is None and _closes_forbidden_cycle(adj, es, lengths):
                 funnel["pruned-cycle"] += 1
             elif floors and _distance_floor_violated(adj, floors):
                 funnel["pruned-distance"] += 1
             else:
                 chosen.extend(es)
                 si += 1
-                if si < len(steps) and follows[si] is not None:
-                    nxt[si] = nxt[follows[si]] - 1
+                if si < len(steps):
+                    enter(si)
                 continue
             for u, v in es:
                 adj[u] &= ~(1 << v)
                 adj[v] &= ~(1 << u)
             continue
-        else:
-            nxt[si] = 0
         # every alternative below step si is done: undo step si - 1
         if si == 0:
             return out
         si -= 1
-        es = steps[si][nxt[si] - 1]
+        es = steps[si][queue[si][tried[si] - 1]]
         del chosen[len(chosen) - len(es):]
         for u, v in es:
             adj[u] &= ~(1 << v)
@@ -394,10 +515,11 @@ def _template_candidates(
                 if matrix[i][j] > 1:
                     floors.append((i, j, matrix[i][j]))
 
-    steps, follows = _template_steps(template)
+    steps, follows, hubs = _template_steps(template)
     out = _walk(
         steps,
         follows,
+        hubs,
         total,
         contract.forbidden_cycle_lengths,
         floors,

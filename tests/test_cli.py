@@ -598,13 +598,17 @@ _OVERSIZED_STEPS = {
     "4-pairs-of-12": _one_step_spec(12, {"size": 4, "link_kind": "pairs"}),
     "5-pairs-of-20": _one_step_spec(20, {"size": 5, "link_kind": "pairs"}),
     "subsets-of-40": _one_step_spec(40, {"size": 1, "link_kind": "subsets"}),
+    # a path tells the four vertices apart, so their pairs come in every order
+    "4-ordered-pairs-of-8": _one_step_spec(
+        8, {"size": 4, "intra": "path", "link_kind": "pairs"}
+    ),
 }
 
 
 @pytest.mark.parametrize("name", list(_OVERSIZED_STEPS))
 def test_oversized_template_step_is_refused_before_allocating(tmp_path, name):
-    # 720,720, about 1.96e9 and 2^40 - 1 alternatives, against a cap of
-    # 65,536 a step
+    # 720,720, about 1.96e9, 2^40 - 1 and 491,400 alternatives, against a
+    # cap of 65,536 a step
     path = tmp_path / "spec.json"
     path.write_bytes(_OVERSIZED_STEPS[name])
     out = _run_capped("search", path, tmp_path)
@@ -612,6 +616,30 @@ def test_oversized_template_step_is_refused_before_allocating(tmp_path, name):
     assert out.stdout == ""
     assert out.stderr == (
         "error: layer 'x' has a link step of more than 65536 alternatives\n"
+    )
+
+
+def test_search_refuses_a_walk_with_too_many_candidates(tmp_path):
+    # no step lists more than 63 alternatives and nothing is pruned, but
+    # the 3^6 ring neighborhoods times 2,016 nondecreasing pairs of ring
+    # subsets make about 1.5 million candidates to hold at once and sort,
+    # against a cap of 100,000
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({
+        "contract": {"min_terminal_distances": [[0, 1], [1, 0]]},
+        "template": {"layers": [
+            {"name": "t", "size": 2},
+            {"name": "ring", "size": 6, "intra": "cycle", "link_to": "t",
+             "link_kind": "subsets"},
+            {"name": "x", "size": 2, "link_to": "ring", "link_kind": "subsets"},
+        ]},
+    }))
+    out = _run_capped("search", path, tmp_path)
+    assert out.returncode == 2, out.stderr
+    assert out.stdout == ""
+    assert out.stderr == (
+        "error: template has more than 100000 candidates that pass the"
+        " walk's prunes\n"
     )
 
 

@@ -34,6 +34,8 @@ from steinberg.gadgets import (
     terminals_cofacial,
 )
 from steinberg.search import (
+    _closes_forbidden_cycle,
+    _hub_survivors,
     _link_alternatives,
     _template_candidates,
     _template_steps,
@@ -208,11 +210,13 @@ def interchangeable(template):
     return {layer.name for layer in template.layers if free(layer)}
 
 
-def unpruned_choices(template):
+def unpruned_choices(template, every_order=False):
     """Each layer's edge choices straight from its fields: the intra
-    choices of every layer first, then every link choice.  Also the
-    choices that may not come before the one just ahead of them: every
-    subsets vertex of an interchangeable layer after its first."""
+    choices of every layer first, then every link choice, with the pairs
+    of a layer that is not interchangeable, or of every layer with
+    ``every_order``, in every order.  Also the choices that may not come
+    before the one just ahead of them: every subsets vertex of an
+    interchangeable layer after its first."""
     verts, start = {}, 0
     for layer in template.layers:
         verts[layer.name] = list(range(start, start + layer.size))
@@ -235,9 +239,13 @@ def unpruned_choices(template):
             links.append([list(zip(targets, own))])
         elif layer.link_kind == "pairs":
             pairs = list(itertools.combinations(targets, 2))
+            orders = (
+                itertools.combinations if layer.name in free and not every_order
+                else itertools.permutations
+            )
             links.append([
                 [(t, v) for v, pair in zip(own, chosen) for t in pair]
-                for chosen in itertools.combinations(pairs, layer.size)
+                for chosen in orders(pairs, layer.size)
             ])
         elif layer.link_kind == "subsets":
             for v in own:
@@ -435,6 +443,98 @@ def test_walk_keeps_every_order_of_vertices_it_cannot_swap(name):
     assert len(reduced) < len(filtered_product(twin, reduced=False))
 
 
+# a subsets layer "x" over the two terminals and a pairs layer "y" over x
+# with a path of its own: y's vertices cannot be swapped, so the pairs go
+# to them in every order
+PAIRED_BY_PATH = {
+    f"x{size}-{intra}-y{pairs}" + ("-planar" if planar else ""): (
+        (LayerSpec("x", size, intra, "t", "subsets"),
+         LayerSpec("y", pairs, "path", "x", "pairs")),
+        planar,
+    )
+    for size, pairs, intras, planars in (
+        (3, 3, ("none", "path", "cycle"), (False, True)),
+        (4, 2, ("path",), (False,)),
+    )
+    for intra in intras
+    for planar in planars
+}
+
+
+@pytest.mark.parametrize("name", list(PAIRED_BY_PATH))
+def test_pairs_in_every_order_lose_no_class(name):
+    # the classes of the product that gives every layer's pairs in every
+    # order, each emitted once; with y's pairs in increasing order only,
+    # x3-path-y3 kept 9 of its 22 classes
+    layers, planar = PAIRED_BY_PATH[name]
+    spec = two_terminal_spec(*layers)
+    spec = replace(spec, contract=replace(spec.contract, require_planar=planar))
+    n, choices, _ = unpruned_choices(spec.template, every_order=True)
+    classes = set()
+    for picked in itertools.product(*choices):
+        gadget = TerminalGadget(
+            build_graph(n, [e for edges in picked for e in edges]), (0, 1),
+            spec.contract,
+        )
+        if first_failing_clause(gadget) is None and (
+            not planar or terminals_cofacial(gadget)
+        ):
+            classes.add(canonical_form(gadget.graph).data)
+    found = [canonical_form(g.graph).data for g in search_gadget(spec)]
+    assert sorted(found) == sorted(classes)
+
+
+def test_hub_step_prune_matches_the_edge_by_edge_test():
+    # a subsets step's cycle prune, decided once for all of its
+    # alternatives from the paths grown from each target, keeps exactly
+    # the alternatives whose edges, added one step at a time, close no
+    # forbidden cycle
+    rng = random.Random(1919)
+    pruned = kept = near_decides = 0
+    for _ in range(400):
+        n = rng.randint(4, 11)
+        hub = n - 1
+        adj = [0] * n
+
+        def join(u, v):
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+
+        density = rng.choice([0.2, 0.35, 0.5])
+        for u, v in itertools.combinations(range(hub), 2):
+            if rng.random() < density:
+                join(u, v)
+        others = rng.sample(range(hub), hub)
+        targets = sorted(others[:rng.randint(1, min(4, hub))])
+        if rng.random() < 0.5:  # the hub's own earlier neighbors
+            for u in others[len(targets):][:rng.randint(1, 2)]:
+                join(u, hub)
+        step = [
+            tuple((t, hub) for t in subset)
+            for k in range(1, len(targets) + 1)
+            for subset in itertools.combinations(targets, k)
+        ]
+        masks = [sum(1 << t for t, _ in edges) for edges in step]
+        lengths = frozenset(rng.sample([3, 4, 5, 6], rng.randint(1, 3)))
+        start = rng.randrange(len(step))
+        expected = []
+        for i in range(start, len(step)):
+            trial = adj[:]
+            for t, v in step[i]:
+                trial[t] |= 1 << v
+                trial[v] |= 1 << t
+            if not _closes_forbidden_cycle(trial, step[i], lengths):
+                expected.append(i)
+            elif len(step[i]) == 1:
+                near_decides += 1
+        assert _hub_survivors(adj, hub, masks, start, lengths) == expected
+        pruned += len(step) - start - len(expected)
+        kept += len(expected)
+    # enough of both verdicts, and enough single edges that close a cycle
+    # only through the hub's own neighbors, for a wrong prune to show
+    assert pruned > 300 and kept > 300 and near_decides > 30
+
+
 def test_deep_template_walks_without_recursion():
     # 1,201 link steps; the walk keeps its own stack
     spec = search_spec_from_json_dict(deep_template_spec())
@@ -473,19 +573,25 @@ def test_step_counts_match_the_listed_alternatives():
     # the count that guards memory before the walk is the length of the
     # step the walk would list
     rng = random.Random(1604)
+    ordered = 0
     for _ in range(60):
         template = random_template_spec(rng).template
         sizes = {layer.name: layer.size for layer in template.layers}
+        free = interchangeable(template)
         counts = []
         for layer in template.layers:
             if layer.link_kind is not None:
                 count = _link_alternatives(
-                    layer.link_kind, sizes[layer.link_to], layer.size
+                    layer.link_kind, sizes[layer.link_to], layer.size,
+                    ordered=layer.name not in free,
                 )
+                ordered += layer.link_kind == "pairs" and layer.name not in free
                 counts += [count] * (layer.size if layer.link_kind == "subsets" else 1)
         links = _template_steps(template)[0][len(template.layers):]
         assert [len(step) for step in links] == counts
+    assert ordered > 5
     assert _link_alternatives("pairs", 6, 3) == 455  # the stock bridges
+    assert _link_alternatives("pairs", 6, 3, ordered=True) == 2730
     assert _link_alternatives("subsets", 6, 3) == 63  # the widened bridges
     assert _link_alternatives("pairs", 3, 4) == 0  # four of three pairs
     assert _link_alternatives("subsets", 16, 1) == 2**16 - 1
