@@ -1,7 +1,8 @@
 """Structural facts with checkable witnesses.
 
-Distances come from plain BFS.  Short cycles are enumerated exhaustively
-with a bounded DFS.  Planarity verdicts come from an iterative
+A distance is the length of a shortest path, found by a BFS that stops
+at its target.  Short cycles are enumerated exhaustively with a bounded
+DFS.  Planarity verdicts come from an iterative
 left-right planarity test, and every verdict is wrapped in a certificate
 (a rotation system or a Kuratowski subdivision) that
 :func:`validate_planarity_certificate` re-checks from scratch with code
@@ -22,31 +23,9 @@ from .graphs import Edge, Graph, normalize_edge
 # ---------------------------------------------------------------------------
 # distances
 
-def bfs_distances(g: Graph, source: int) -> list[int | None]:
-    """Distances from ``source``; None marks unreachable vertices."""
-    dist: list[int | None] = [None] * g.n
-    dist[source] = 0
-    frontier = [source]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for v in frontier:
-            for w in g.adj[v]:
-                if dist[w] is None:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
-    return dist
-
-
-def distance(g: Graph, u: int, v: int) -> int | None:
-    """Length of a shortest u-v path, or None if none exists."""
-    return bfs_distances(g, u)[v]
-
-
 def shortest_path(g: Graph, u: int, v: int) -> list[int] | None:
-    """One shortest u-v path as a vertex list, or None."""
+    """One shortest u-v path as a vertex list, or None.  The BFS stops
+    at the level that reaches ``v``."""
     parent: dict[int, int | None] = {u: None}
     frontier = [u]
     while frontier and v not in parent:
@@ -64,6 +43,12 @@ def shortest_path(g: Graph, u: int, v: int) -> list[int] | None:
         path.append(parent[path[-1]])  # type: ignore[arg-type]
     path.reverse()
     return path
+
+
+def distance(g: Graph, u: int, v: int) -> int | None:
+    """Length of a shortest u-v path, or None if none exists."""
+    path = shortest_path(g, u, v)
+    return None if path is None else len(path) - 1
 
 
 # ---------------------------------------------------------------------------

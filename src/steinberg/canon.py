@@ -47,9 +47,6 @@ class CanonicalForm:
     def digest(self) -> str:
         return hashlib.sha256(self.data).hexdigest()[:16]
 
-    def __str__(self) -> str:
-        return self.data.decode("ascii")
-
 
 class _Partition:
     """An ordered partition kept as one vertex array.

@@ -9,7 +9,6 @@ flags, and every command is deterministic.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -35,8 +34,8 @@ from .gadgets import (
     build_counterexample,
     build_triple_gadget,
     counterexample_report,
-    gadget_to_json_dict,
     lemmas_report,
+    save_gadget,
 )
 from .graphs import Graph
 from .report import VerificationReport
@@ -108,10 +107,7 @@ def cmd_build(args) -> int:
         out = Path(args.out)
         fmt = _resolve_format(args.format, out)
         if fmt == "json" and gadget is not None:
-            out.write_text(
-                json.dumps(gadget_to_json_dict(gadget), indent=2, sort_keys=True)
-                + "\n"
-            )
+            save_gadget(gadget, out)
         else:
             out.write_bytes(encode(graph, fmt))
         print(f"written to {out} ({fmt})")
@@ -191,6 +187,18 @@ def _add_jobs(p: argparse.ArgumentParser) -> None:
     p.add_argument("--jobs", type=int, default=1, help=argparse.SUPPRESS)
 
 
+def _at_least_one(text: str) -> int:
+    # a search stops only after a find: a limit below 1 would walk
+    # nothing and print an all-zero funnel
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_format(p: argparse.ArgumentParser, flag: str = "--format") -> None:
     p.add_argument(
         flag,
@@ -238,7 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="run a constrained gadget search")
     p.add_argument("spec", nargs="?", help="SearchSpec JSON file")
     p.add_argument("--stock", action="store_true", help="use the built-in seed template")
-    p.add_argument("--limit", type=int, default=1, help="stop after this many finds (default 1)")
+    p.add_argument(
+        "--limit", type=_at_least_one, default=1,
+        help="stop after this many finds (default 1)",
+    )
     p.add_argument("--out-dir", default=".", help="where frozen gadget files go")
     p.set_defaults(fn=cmd_search)
 

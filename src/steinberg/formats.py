@@ -216,7 +216,10 @@ def graph_from_json_dict(d: dict[str, Any]) -> Graph:
     if "labels" in d and d["labels"] is not None:
         if not isinstance(d["labels"], dict):
             raise FormatError("'labels' must map vertex ids to strings")
-        labels = {_vertex_key(k): str(v) for k, v in d["labels"].items()}
+        labels = {
+            _vertex_key(k): strict_str(v, f"the label of vertex {k}")
+            for k, v in d["labels"].items()
+        }
     n = strict_int(d["n"], "'n'")
     try:
         edges = [(strict_int(u, "u"), strict_int(v, "v")) for u, v in d["edges"]]
@@ -225,9 +228,14 @@ def graph_from_json_dict(d: dict[str, Any]) -> Graph:
     return build_graph(n, edges, labels)
 
 
+def dump_json(obj: Any) -> bytes:
+    """The one JSON byte format of every file the package writes: indent
+    2, sorted keys, ASCII, a trailing newline."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii")
+
+
 def encode_json(g: Graph) -> bytes:
-    text = json.dumps(graph_to_json_dict(g), indent=2, sort_keys=True)
-    return (text + "\n").encode("ascii")
+    return dump_json(graph_to_json_dict(g))
 
 
 def parse_json_payload(data: bytes) -> dict[str, Any]:

@@ -18,7 +18,6 @@ the seed, triple, final argument cannot drift from the construction.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -47,8 +46,8 @@ from .coloring import (
 )
 from .errors import ContractError, FormatError, PasteError
 from .formats import (
-    graph_from_json_dict, graph_to_json_dict, parse_json_payload, strict_bool,
-    strict_int, strict_str,
+    dump_json, graph_from_json_dict, graph_to_json_dict, parse_json_payload,
+    strict_bool, strict_int, strict_str,
 )
 from .graphs import Graph, add_apex, build_graph
 from .report import VerificationReport, timed_check
@@ -231,18 +230,22 @@ CheckBody = Callable[[], tuple[bool, Any, Any]]
 
 
 def _planarity_check(g: Graph) -> tuple[bool, Any, Any]:
-    """Planarity, with its certificate re-checked from scratch."""
+    """Planarity, with its certificate re-checked from scratch; the
+    witness of a failure is the Kuratowski subgraph."""
     cert = is_planar(g)
     validate_planarity_certificate(g, cert)
     if cert.planar:
         return True, None, {"faces": "euler-checked"}
-    return False, cert, None
+    edges = [list(e) for e in cert.obstruction_edges]
+    return False, {"type": "kuratowski", "kind": cert.kind, "edges": edges}, None
 
 
 def _cycle_check(g: Graph, lengths: frozenset[int]) -> tuple[bool, Any, Any]:
     """No cycle of a length in ``lengths``."""
     hit = forbidden_cycle_check(g, lengths)
-    return hit is None, hit, None
+    if hit is None:
+        return True, None, None
+    return False, {"type": "cycle", "vertices": list(hit.vertices)}, None
 
 
 def _report(
@@ -282,8 +285,8 @@ def _contract_clauses(gadget: TerminalGadget) -> list[tuple[str, CheckBody]]:
                 continue
 
             def distance_clause(i=i, j=j, want_exact=want_exact, want_min=want_min):
-                u, v = gadget.terminals[i], gadget.terminals[j]
-                d = distance(g, u, v)
+                path = shortest_path(g, gadget.terminals[i], gadget.terminals[j])
+                d = None if path is None else len(path) - 1
                 ok = d is not None
                 if ok and want_exact is not None:
                     ok = d == want_exact
@@ -293,7 +296,7 @@ def _contract_clauses(gadget: TerminalGadget) -> list[tuple[str, CheckBody]]:
                 if not ok:
                     witness = {
                         "distance": d,
-                        "path": shortest_path(g, u, v),
+                        "path": path,
                         "expected_exact": want_exact,
                         "expected_min": want_min,
                     }
@@ -923,8 +926,7 @@ def save_gadget(
     d = gadget_to_json_dict(gadget)
     if verification is not None:
         d["verification"] = verification
-    text = json.dumps(d, indent=2, sort_keys=True)
-    Path(path).write_bytes((text + "\n").encode("ascii"))
+    Path(path).write_bytes(dump_json(d))
 
 
 def load_gadget(path: str | Path) -> TerminalGadget:

@@ -1,6 +1,8 @@
 """Verification reports: one named check per claim, JSON and text views.
 
-The JSON emitter is deterministic (sorted keys, fixed rounding), and
+Each check body hands over its witness and details as JSON values, so
+this module knows nothing of the objects the checks inspect.  The JSON
+emitter is deterministic (``formats.dump_json``, fixed rounding), and
 parse(emit(report)) == report, so reports can be archived and diffed.
 """
 
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import __version__ as _tool_version
+from .formats import dump_json
 
 
 @dataclass(frozen=True)
@@ -53,14 +56,14 @@ class CheckResult:
 
 
 def timed_check(name: str, fn: Callable[[], tuple[bool, Any, Any]]) -> CheckResult:
-    """Run one check body, which returns ``(passed, witness, details)``,
-    and time it; the witness is lowered to JSON."""
+    """Run one check body, which returns ``(passed, witness, details)``
+    with the witness and details already JSON values, and time it."""
     t0 = time.perf_counter()
     passed, witness, details = fn()
     return CheckResult(
         name=name,
         passed=passed,
-        witness=witness_json(witness),
+        witness=witness,
         details=details,
         duration_s=time.perf_counter() - t0,
     )
@@ -91,8 +94,7 @@ class VerificationReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        text = json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
-        return (text + "\n").encode("ascii")
+        return dump_json(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict[str, Any]) -> "VerificationReport":
@@ -129,27 +131,3 @@ def _compact(obj: Any) -> str:
         text = text[:197] + "..."
     return text
 
-
-def witness_json(obj: Any) -> Any:
-    """Lower witness objects (cycles, colorings, paths...) to JSON."""
-    from .analysis import CycleWitness, PlanarityCertificate
-
-    if obj is None:
-        return None
-    if isinstance(obj, CycleWitness):
-        return {"type": "cycle", "vertices": list(obj.vertices)}
-    if isinstance(obj, PlanarityCertificate):
-        if obj.planar:
-            return {"type": "embedding", "faces": "validated"}
-        return {
-            "type": "kuratowski",
-            "kind": obj.kind,
-            "edges": [list(e) for e in obj.obstruction_edges or ()],
-        }
-    if isinstance(obj, dict):
-        return {str(k): witness_json(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [witness_json(x) for x in obj]
-    if isinstance(obj, (set, frozenset)):
-        return sorted(witness_json(x) for x in obj)
-    return obj

@@ -59,10 +59,10 @@ from .gadgets import (
     InterfaceContract,
     TerminalGadget,
     first_failing_clause,
+    require_contract,
+    save_gadget,
     seed_contract,
     terminals_cofacial,
-    save_gadget,
-    verify_contract,
 )
 from .graphs import MAX_VERTICES, build_graph
 
@@ -87,11 +87,12 @@ class LayerSpec:
     tries every nonempty neighborhood, "pairs" gives the vertices
     distinct 2-subsets, "matching" joins vertex i to target vertex i.
 
-    A layer is interchangeable when its ``intra`` is "none" or "clique"
-    and every layer linking to it links by "subsets", or by "matching"
-    or "pairs" and is interchangeable itself: then permuting its
-    vertices, and those of its matching and pairs dependents along with
-    them, maps the template onto itself.  The vertices of an
+    A layer is interchangeable when each of its ``intra`` variants is
+    empty or complete ("none", "clique", a "cycle" on 3 vertices, a
+    "path" on 2) and every layer linking to it links by "subsets", or by
+    "matching" or "pairs" and is interchangeable itself: then permuting
+    its vertices, and those of its matching and pairs dependents along
+    with them, maps the template onto itself.  The vertices of an
     interchangeable subsets layer choose their neighborhoods in
     nondecreasing order (size, then lexicographic), and those of an
     interchangeable pairs layer take their 2-subsets in strictly
@@ -200,14 +201,16 @@ def _validate_template(template: TemplateSpec, arity: int | None) -> None:
 
 
 def _intra_variants(kind: str, verts: range) -> list[_Edges]:
+    if kind == "none":
+        return [()]
+    if kind == "clique":
+        return [tuple(itertools.combinations(verts, 2))]
     path = tuple(zip(verts, verts[1:]))
     cycle = path + ((verts[0], verts[-1]),) if len(verts) >= 3 else path
     return {
-        "none": [()],
         "path": [path],
         "cycle": [cycle],
         "path_or_cycle": [path, cycle] if cycle != path else [path],
-        "clique": [tuple(itertools.combinations(verts, 2))],
     }[kind]
 
 
@@ -269,16 +272,17 @@ def _distance_floor_violated(
 
 
 def _interchangeable_layers(template: TemplateSpec) -> set[str]:
-    """Names of the layers whose vertices may be permuted without leaving
-    the template: the layer's own edges (``none`` or ``clique``) stay put,
-    and every layer linking to it either picks subsets, which a
-    permutation maps to subsets, or is a matching or pairs layer that is
-    itself interchangeable, so it can be permuted along.  Links point to
-    earlier layers, so one pass from the last layer back decides it."""
+    """Names of the interchangeable layers (see :class:`LayerSpec`).
+    Links point to earlier layers, so one pass from the last layer back
+    decides it."""
     free: set[str] = set()
     pinned: set[str] = set()
     for layer in reversed(template.layers):
-        if layer.intra in ("none", "clique") and layer.name not in pinned:
+        whole = layer.size * (layer.size - 1) // 2
+        if layer.name not in pinned and all(
+            len(edges) in (0, whole)
+            for edges in _intra_variants(layer.intra, range(layer.size))
+        ):
             free.add(layer.name)
         if layer.link_kind in ("matching", "pairs") and layer.name not in free:
             pinned.add(layer.link_to)
@@ -496,12 +500,11 @@ def _walk(
             adj[v] &= ~(1 << u)
 
 
-def _template_candidates(
-    spec: SearchSpec, funnel: Counter
-) -> Iterator[tuple[int, _Edges]]:
-    """Yield (vertex_count, edges) for every template candidate surviving
-    the monotone prunes, in edge-count order.  Each prune is counted in
-    ``funnel`` under "pruned-cycle" or "pruned-distance"."""
+def _template_candidates(spec: SearchSpec, funnel: Counter) -> list[_Edges]:
+    """The edges of every template candidate surviving the monotone
+    prunes, in edge-count order; each has the template's vertices.  Each
+    prune is counted in ``funnel`` under "pruned-cycle" or
+    "pruned-distance"."""
     template = spec.template
     contract = spec.contract
     _validate_template(template, contract.arity)
@@ -525,8 +528,7 @@ def _template_candidates(
         floors,
         funnel,
     )
-    for edges in sorted(out, key=len):
-        yield total, edges
+    return sorted(out, key=len)
 
 
 _FUNNEL_HEAD = ("enumerated", "pruned-cycle", "pruned-distance")
@@ -569,10 +571,11 @@ def search_gadget(
     if funnel is None:
         funnel = Counter()
 
+    n = sum(layer.size for layer in spec.template.layers)
     seen: set[bytes] = set()
     emitted = 0
 
-    def consider(n: int, edges: tuple[tuple[int, int], ...]) -> TerminalGadget | None:
+    def consider(edges: _Edges) -> TerminalGadget | None:
         labels = (
             {v: chr(ord("a") + v) for v in range(n)} if n <= 26 else None
         )
@@ -605,10 +608,8 @@ def search_gadget(
             if limit is not None and emitted >= limit:
                 return
 
-    for _, group in itertools.groupby(
-        _template_candidates(spec, funnel), key=lambda c: len(c[1])
-    ):
-        gadgets = (consider(n, edges) for n, edges in group)
+    for _, group in itertools.groupby(_template_candidates(spec, funnel), key=len):
+        gadgets = (consider(edges) for edges in group)
         yield from emit_bucket([g for g in gadgets if g is not None])
         if limit is not None and emitted >= limit:
             return
@@ -637,16 +638,13 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
     """Re-verify a gadget, tabulate its terminal behavior (each refutation
     in it replayed as a proof), and write the frozen JSON file.
 
-    Forbidden patterns within the exhaustive sweep's guard also get their
-    sweep count under ``exhaustive_counts``; a nonzero count raises
+    A failing clause raises :func:`require_contract`'s
+    :class:`ContractError`, and nothing is written.  Forbidden patterns
+    within the exhaustive sweep's guard also get their sweep count under
+    ``exhaustive_counts``; a nonzero count raises
     :class:`OracleMismatchError`, and nothing is written.
     """
-    report = verify_contract(gadget)
-    if not report.passed:
-        bad = next(c for c in report.checks if not c.passed)
-        raise ContractError(
-            f"refusing to freeze: clause {bad.name} failed", clause=bad.name
-        )
+    report = require_contract(gadget)
     behavior = terminal_behavior(gadget)
     counts: dict[str, int] = {}
     for pattern in sorted(gadget.contract.forbidden_patterns):

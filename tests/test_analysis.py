@@ -20,7 +20,7 @@ from steinberg import (
     validate_planarity_certificate,
 )
 from steinberg import analysis
-from steinberg.analysis import bfs_distances, shortest_path
+from steinberg.analysis import shortest_path
 
 from support import (
     normalize_cycle,
@@ -67,9 +67,9 @@ def grid(w):
 # ---------------------------------------------------------------------------
 # distances
 
-def test_bfs_distances_on_a_path():
+def test_distances_on_a_path():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
-    assert bfs_distances(g, 0) == [0, 1, 2, 3]
+    assert [distance(g, 0, v) for v in range(4)] == [0, 1, 2, 3]
     assert distance(g, 3, 0) == 3
     assert shortest_path(g, 0, 3) == [0, 1, 2, 3]
 
@@ -78,7 +78,7 @@ def test_distance_unreachable_is_none():
     g = build_graph(3, [(0, 1)])
     assert distance(g, 0, 2) is None
     assert shortest_path(g, 0, 2) is None
-    assert bfs_distances(g, 2) == [None, None, 0]
+    assert [distance(g, 2, v) for v in range(3)] == [None, None, 0]
 
 
 def test_shortest_path_is_shortest():

@@ -221,6 +221,8 @@ _MALFORMED_INPUTS = {
     "underscore-label.json": b'{"n": 12, "edges": [], "labels": {"1_0": "x"}}',
     "space-label.json": b'{"n": 4, "edges": [], "labels": {" 3": "x"}}',
     "plus-label.json": b'{"n": 4, "edges": [], "labels": {"+3": "x"}}',
+    "null-label.json": b'{"n": 2, "edges": [], "labels": {"0": null}}',
+    "list-label.json": b'{"n": 2, "edges": [], "labels": {"1": [1, 2]}}',
     "huge-n.json": b'{"n": ' + b"9" * 5000 + b', "edges": []}',
     "directory.g6": None,
 }
@@ -377,6 +379,18 @@ def test_search_spec_file_with_no_hits(tmp_path, capsys):
     )
     assert code == 0
     assert "none found" in out
+
+
+@pytest.mark.parametrize("limit", ["0", "-3"])
+def test_search_limit_below_one_is_a_usage_error(tmp_path, capsys, limit):
+    # a limit of no finds would print "none found" and an empty funnel
+    code, out, err = run_cli(
+        capsys, "search", "--stock", "--limit", limit, "--out-dir", str(tmp_path)
+    )
+    assert code == 2
+    assert out == ""
+    assert f"argument --limit: must be at least 1, got {limit}" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_search_max_vertices_is_an_unknown_option(tmp_path, capsys):
@@ -732,3 +746,55 @@ def test_verify_six_disjoint_seven_cycles(tmp_path, capsys):
     assert "[PASS] planarity" in out
     assert "[PASS] no-4-or-5-cycles" in out
     assert "[FAIL] not-3-colorable" in out
+
+
+K5_EDGES = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+K33_EDGES = [(i, j) for i in range(3) for j in range(3, 6)]
+
+# the witnesses of the structural checks, exactly as `verify --json`
+# writes them: a cycle in its canonical orientation, and a Kuratowski
+# subgraph as its kind and its sorted edges
+STRUCTURAL_WITNESSES = {
+    "c4": (
+        4, [(0, 1), (1, 2), (2, 3), (0, 3)],
+        {"no-4-or-5-cycles": {"type": "cycle", "vertices": [0, 1, 2, 3]}},
+    ),
+    "k5": (
+        5, K5_EDGES,
+        {
+            "planarity": {
+                "type": "kuratowski",
+                "kind": "K5",
+                "edges": [list(e) for e in K5_EDGES],
+            },
+            "no-4-or-5-cycles": {"type": "cycle", "vertices": [0, 1, 2, 3]},
+        },
+    ),
+    "k33": (
+        6, K33_EDGES,
+        {
+            "planarity": {
+                "type": "kuratowski",
+                "kind": "K3,3",
+                "edges": [list(e) for e in K33_EDGES],
+            },
+            "no-4-or-5-cycles": {"type": "cycle", "vertices": [0, 3, 1, 4]},
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(STRUCTURAL_WITNESSES))
+def test_verify_json_writes_the_structural_witnesses(tmp_path, capsys, name):
+    n, edges, expected = STRUCTURAL_WITNESSES[name]
+    graph_path = tmp_path / f"{name}.g6"
+    graph_path.write_bytes(encode(build_graph(n, edges), "graph6"))
+    report_path = tmp_path / f"{name}.json"
+    code, _, _ = run_cli(
+        capsys, "verify", str(graph_path), "--json", str(report_path)
+    )
+    assert code == 1
+    checks = json.loads(report_path.read_text())["checks"]
+    got = {c["name"]: c["witness"] for c in checks if c["name"] in expected}
+    assert got == expected
+    assert all(c["verdict"] == "fail" for c in checks if c["name"] in expected)

@@ -162,6 +162,10 @@ def test_json_errors():
     for key in (b"1_0", b" 3", b"+3", b"03", b"x", b"9" * 5000):
         with pytest.raises(FormatError, match="not a plain vertex id"):
             decode(b'{"n": 12, "edges": [], "labels": {"%s": "x"}}' % key, "json")
+    # label values are JSON strings, never turned into their text
+    for value in (b"null", b"[1, 2]", b"7", b"true", b'{"x": 1}'):
+        with pytest.raises(FormatError, match="label of vertex 1 must be a string"):
+            decode(b'{"n": 2, "edges": [], "labels": {"1": %s}}' % value, "json")
     g = decode(b'{"n": 12, "edges": [], "labels": {"0": "a", "10": "b"}}', "json")
     assert g.labels == ((0, "a"), (10, "b"))
 

@@ -173,16 +173,18 @@ def test_wide_search_finds_have_distinct_digests(wide_unreduced):
 INTRA_KINDS = ("none", "path", "cycle", "path_or_cycle", "clique")
 
 
-def random_template_spec(rng):
-    """A small random template under a contract with at most one
-    forbidden cycle length and random terminal distance floors."""
+def random_template_spec(rng, max_size=2):
+    """A small random template, its non-terminal layers of at most
+    ``max_size`` vertices unless they match a larger one, under a
+    contract with at most one forbidden cycle length and random terminal
+    distance floors."""
     arity = rng.randint(1, 3)
     layers = [LayerSpec("L0", arity)]
     for i in range(1, rng.randint(2, 5)):
         target = rng.choice(layers)
         kinds = ["subsets", "matching"] + (["pairs"] if target.size >= 2 else [])
         kind = rng.choice(kinds)
-        size = target.size if kind == "matching" else rng.randint(1, 2)
+        size = target.size if kind == "matching" else rng.randint(1, max_size)
         layers.append(
             LayerSpec(f"L{i}", size, rng.choice(INTRA_KINDS), target.name, kind)
         )
@@ -198,10 +200,18 @@ def random_template_spec(rng):
 
 def interchangeable(template):
     """Layers whose vertices can be permuted with the template unchanged:
-    own edges ``none`` or ``clique``, and every layer linking to it picks
-    subsets or is a matching or pairs layer that is interchangeable too."""
+    own edges that every permutation keeps (none, a clique, a triangle,
+    one edge), and every layer linking to it picks subsets or is a
+    matching or pairs layer that is interchangeable too."""
+    def symmetric(layer):
+        return (
+            layer.intra in ("none", "clique")
+            or layer.size <= 2
+            or (layer.size == 3 and layer.intra == "cycle")
+        )
+
     def free(layer):
-        return layer.intra in ("none", "clique") and all(
+        return symmetric(layer) and all(
             other.link_kind == "subsets" or free(other)
             for other in template.layers
             if other.link_to == layer.name
@@ -295,11 +305,8 @@ def filtered_product(spec, reduced=True):
 
 
 def walked(spec):
-    """The walk's candidates, whose vertex count is the template's."""
-    n = sum(layer.size for layer in spec.template.layers)
-    found = list(_template_candidates(spec, Counter()))
-    assert {count for count, _ in found} <= {n}
-    return [edges for _, edges in found]
+    """The walk's candidates, as edge tuples."""
+    return list(_template_candidates(spec, Counter()))
 
 
 def test_template_candidates_match_the_filtered_product():
@@ -484,6 +491,31 @@ def test_pairs_in_every_order_lose_no_class(name):
     assert sorted(found) == sorted(classes)
 
 
+@pytest.mark.parametrize("y_intra", ["cycle", "none"])
+def test_a_triangle_layer_is_interchangeable(y_intra):
+    # a cycle on 3 vertices is a triangle, which every permutation of
+    # them keeps, so x and y swap like clique layers: the walk keeps the
+    # clique template's 10 candidates and finds its 5 classes
+    def spec(x_intra, y_intra):
+        contract = InterfaceContract(
+            min_terminal_distances=((0, 1), (1, 0)), require_planar=False
+        )
+        return SearchSpec(contract, TemplateSpec((
+            LayerSpec("t", 2),
+            LayerSpec("x", 3, x_intra, "t", "subsets"),
+            LayerSpec("y", 3, y_intra, "x", "pairs"),
+        )))
+
+    triangles = spec("cycle", y_intra)
+    assert interchangeable(triangles.template) == {"t", "x", "y"}
+    assert len(walked(triangles)) == 10
+    found = [canonical_form(g.graph).data for g in search_gadget(triangles)]
+    cliques = [
+        canonical_form(g.graph).data for g in search_gadget(spec("clique", y_intra))
+    ]
+    assert len(found) == 5 and found == cliques
+
+
 def test_hub_step_prune_matches_the_edge_by_edge_test():
     # a subsets step's cycle prune, decided once for all of its
     # alternatives from the paths grown from each target, keeps exactly
@@ -546,9 +578,9 @@ def test_deep_template_walks_without_recursion():
         sys.setrecursionlimit(limit)
     spokes = tuple((2, x) for x in range(3, 1203))
     assert found == [
-        (1203, ((0, 2),) + spokes),
-        (1203, ((1, 2),) + spokes),
-        (1203, ((0, 2), (1, 2)) + spokes),
+        ((0, 2),) + spokes,
+        ((1, 2),) + spokes,
+        ((0, 2), (1, 2)) + spokes,
     ]
 
 
@@ -571,11 +603,13 @@ def test_search_spec_json_round_trip():
 
 def test_step_counts_match_the_listed_alternatives():
     # the count that guards memory before the walk is the length of the
-    # step the walk would list
+    # step the walk would list; layers of up to 4 vertices, since own
+    # edges on 2 are empty or one edge and leave every pairs layer
+    # interchangeable
     rng = random.Random(1604)
     ordered = 0
     for _ in range(60):
-        template = random_template_spec(rng).template
+        template = random_template_spec(rng, max_size=4).template
         sizes = {layer.name: layer.size for layer in template.layers}
         free = interchangeable(template)
         counts = []
@@ -677,7 +711,10 @@ def test_certify_and_freeze_refuses_a_failing_gadget(tmp_path):
     gadget = TerminalGadget(
         p3, (0, 2), InterfaceContract(exact_terminal_distances=((0, 3), (3, 0)))
     )
-    with pytest.raises(ContractError, match="refusing to freeze"):
+    # the refusal is require_contract's: the clause and its witness
+    with pytest.raises(ContractError, match="clause distance-t0-t1 failed") as exc:
         certify_and_freeze(gadget, tmp_path / "nope.json")
+    assert exc.value.clause == "distance-t0-t1"
+    assert "'path': [0, 1, 2]" in str(exc.value)
     assert not (tmp_path / "nope.json").exists()
 

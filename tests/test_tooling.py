@@ -5,7 +5,8 @@ attribute.  A refactor that moves or renames one of them would break
 ``perfbench/run.py --trace 1`` at start-up; this catches it here, and
 one op of each benchmark workload, run through its own gate, catches a
 change to an entry point the workloads call.  The proof checker must
-stay free of package imports."""
+stay free of package imports, and the report layer free of the
+analysis module."""
 
 import ast
 import importlib
@@ -47,7 +48,8 @@ def test_every_benchmark_workload_passes_its_gate(tmp_path):
         assert bench.check(key, bench.op(key)) is None, name
 
 
-PROOF = Path(__file__).resolve().parent.parent / "src" / "steinberg" / "proof.py"
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "steinberg"
+PROOF = PACKAGE / "proof.py"
 
 
 def test_proof_checker_imports_only_the_standard_library():
@@ -65,3 +67,17 @@ def test_proof_checker_imports_only_the_standard_library():
         top = name.split(".")[0]
         assert top != "steinberg"
         assert top in sys.stdlib_module_names, name
+
+
+def test_report_imports_nothing_from_analysis():
+    # check bodies hand reports their witnesses as JSON values, so the
+    # report layer needs none of the objects the checks inspect
+    tree = ast.parse((PACKAGE / "report.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            assert module not in (".analysis", "steinberg.analysis"), module
+            if module in (".", "steinberg"):
+                assert "analysis" not in [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            assert "steinberg.analysis" not in [a.name for a in node.names]
