@@ -114,13 +114,20 @@ def _split(p: _Partition, adj: Adjacency, work: deque[tuple[int, int]]) -> None:
                     hit.append(w)
         touched: dict[int, list[int]] = {}
         for w in hit:
-            touched.setdefault(start[w], []).append(w)
+            s = start[w]
+            if s in touched:
+                touched[s].append(w)
+            else:
+                touched[s] = [w]
         for c in sorted(touched):
             ce = end[c]
             ws = touched[c]
             if len(ws) == ce - c:
                 k = count[ws[0]]
-                if all(count[w] == k for w in ws):
+                for w in ws:
+                    if count[w] != k:
+                        break
+                else:
                     continue
             groups: dict[int, list[int]] = {}
             for v in order[c:ce]:

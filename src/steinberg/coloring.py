@@ -2,7 +2,9 @@
 
 The solver encodes the coloring as clauses over (vertex, color)
 variables and runs textbook conflict-driven clause learning on them, so
-its speed does not hang on the input's vertex order.  It is
+its speed does not hang on the input's vertex order.  The edge clauses
+are implication lists read off the sorted adjacency, not clause
+objects: "v takes c" makes each neighbour's "takes c" false.  It is
 deterministic: each decision sets the unassigned variable of highest
 activity false, ties to the smallest variable.  On UNSAT its learnt
 clauses form a proof that :func:`_coloring_check` replays with
@@ -80,11 +82,23 @@ class SolveStats:
 
 
 def _cdcl(
-    num_vars: int, clauses: list[list[int]], stats: SolveStats
+    n: int, adj: Sequence[Sequence[int]], units: Sequence[int], stats: SolveStats
 ) -> list[int] | None:
-    """Conflict-driven clause learning over literals ``2 * var`` (true)
-    and ``2 * var + 1`` (false); returns the literal values of a total
-    model (1 true, -1 false), or None when the clauses are unsatisfiable.
+    """Conflict-driven clause learning on the 3-coloring of the n-vertex
+    graph with sorted adjacency lists ``adj``, over literals ``2 * var``
+    (true) and ``2 * var + 1`` (false) of the variables ``3 * v + c``;
+    ``units`` are literals of distinct variables that hold from the
+    start.  Returns the literal values of a total model (1 true, -1
+    false), or None when no model exists.
+
+    Each vertex's at-least-one clause is watched like a learnt clause.
+    The edge clauses "not both ends take c" are implication lists: a
+    true "v takes c" makes "w takes c" false for each neighbour w in
+    ``adj[v]`` order, before the watched clauses of "v does not take c"
+    are visited, which is the order of binary clauses listed edge by
+    edge ahead of everything learnt.  A binary reason is the pair
+    (implied literal, false literal), and a binary conflict (false
+    neighbour literal, false literal).
 
     Two watched literals per clause, first-UIP learning, and branching
     on the unassigned variable of highest activity (ties to the smallest
@@ -92,41 +106,57 @@ def _cdcl(
     activity, and later conflicts weigh more.  No restarts and no clause
     deletion, so the learnt clauses only grow.
     """
+    num_vars = 3 * n
     value = [0] * (2 * num_vars)
     level = [0] * num_vars
-    reason: list[list[int] | None] = [None] * num_vars
+    reason: list[Sequence[int] | None] = [None] * num_vars
     watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars)]
-    trail: list[int] = []
+    implied: list[Sequence[int]] = [()] * (2 * num_vars)
+    for v in range(n):
+        at_least_one = [6 * v, 6 * v + 2, 6 * v + 4]
+        watches[6 * v].append(at_least_one)
+        watches[6 * v + 2].append(at_least_one)
+        for c in range(3):
+            implied[6 * v + 2 * c] = [6 * w + 2 * c + 1 for w in adj[v]]
+    trail = list(units)
+    for lit in units:
+        value[lit] = 1
+        value[lit ^ 1] = -1
     trail_lim: list[int] = []
+    depth = 0  # len(trail_lim)
     activity = [0.0] * num_vars
     bump = 1.0
     heap = [(-0.0, v) for v in range(num_vars)]  # sorted, so a heap
-
-    def assign(lit: int, why: list[int] | None) -> None:
-        value[lit] = 1
-        value[lit ^ 1] = -1
-        level[lit >> 1] = len(trail_lim)
-        reason[lit >> 1] = why
-        trail.append(lit)
-
-    for c in clauses:
-        if len(c) > 1:
-            watches[c[0]].append(c)
-            watches[c[1]].append(c)
-        elif value[c[0]] == -1:
-            return None
-        elif not value[c[0]]:
-            assign(c[0], None)
+    # the key of each variable's newest heap entry, None once it is popped
+    keyed: list[float | None] = [-0.0] * num_vars
+    nodes = propagations = 0
     qhead = 0
     while True:
-        # unit propagation: visit the clauses watching each newly false
-        # literal, moving the watch or propagating the other watched one
+        # unit propagation: the implications of each newly true literal,
+        # then the clauses watching its negation, moving the watch or
+        # propagating the other watched literal
         conflict = None
-        while qhead < len(trail) and conflict is None:
-            false_lit = trail[qhead] ^ 1
+        while qhead < len(trail):
+            lit = trail[qhead]
             qhead += 1
-            stats.propagations += 1
+            propagations += 1
+            false_lit = lit ^ 1
+            for q in implied[lit]:
+                x = value[q]
+                if not x:
+                    value[q] = 1
+                    value[q ^ 1] = -1
+                    level[q >> 1] = depth
+                    reason[q >> 1] = (q, false_lit)
+                    trail.append(q)
+                elif x < 0:
+                    conflict = (q, false_lit)
+                    break
+            if conflict is not None:
+                break
             watching = watches[false_lit]
+            if not watching:
+                continue
             watches[false_lit] = kept = []
             for k, c in enumerate(watching):
                 if c[0] == false_lit:
@@ -146,22 +176,41 @@ def _cdcl(
                         kept.extend(watching[k + 1 :])
                         conflict = c
                         break
-                    assign(other, c)
+                    value[other] = 1
+                    value[other ^ 1] = -1
+                    level[other >> 1] = depth
+                    reason[other >> 1] = c
+                    trail.append(other)
+            if conflict is not None:
+                break
         if conflict is None:
             while heap and value[2 * heap[0][1]]:
-                heapq.heappop(heap)
+                key, v = heapq.heappop(heap)
+                if key == keyed[v]:
+                    keyed[v] = None
             if not heap:
+                stats.nodes += nodes
+                stats.propagations += propagations
                 return value
-            stats.nodes += 1
+            nodes += 1
             trail_lim.append(len(trail))
-            assign(2 * heapq.heappop(heap)[1] + 1, None)
+            depth += 1
+            key, v = heapq.heappop(heap)
+            keyed[v] = None
+            lit = 2 * v + 1
+            value[lit] = 1
+            value[lit ^ 1] = -1
+            level[v] = depth
+            reason[v] = None
+            trail.append(lit)
             continue
         stats.conflicts += 1
         if not trail_lim:
+            stats.nodes += nodes
+            stats.propagations += propagations
             return None
         # first-UIP analysis: resolve the conflict with the reasons of
         # current-level literals, latest first, until one is left
-        here = len(trail_lim)
         learnt = [0]
         seen = set()
         pending = 0
@@ -179,7 +228,8 @@ def _cdcl(
                     bump *= 1e-100
                     heap = [(-activity[u], u) for u in range(num_vars)]
                     heapq.heapify(heap)
-                if level[v] == here:
+                    keyed = [-a for a in activity]
+                if level[v] == depth:
                     pending += 1
                 else:
                     learnt.append(q)
@@ -196,7 +246,8 @@ def _cdcl(
         bump /= 0.95
         stats.proof.append(tuple(learnt))
         # backjump to the second-highest level in the clause, which then
-        # asserts its first-UIP literal
+        # asserts its first-UIP literal; an unassigned variable goes back
+        # on the heap unless an entry with its current activity is there
         back = 0
         for k in range(1, len(learnt)):
             if level[learnt[k] >> 1] > back:
@@ -204,14 +255,24 @@ def _cdcl(
                 learnt[1], learnt[k] = learnt[k], learnt[1]
         for q in trail[trail_lim[back] :]:
             value[q] = value[q ^ 1] = 0
-            heapq.heappush(heap, (-activity[q >> 1], q >> 1))
+            v = q >> 1
+            key = -activity[v]
+            if keyed[v] != key:
+                keyed[v] = key
+                heapq.heappush(heap, (key, v))
         del trail[trail_lim[back] :]
         del trail_lim[back:]
+        depth = back
         qhead = len(trail)
+        lit = learnt[0]
         if len(learnt) > 1:
-            watches[learnt[0]].append(learnt)
+            watches[lit].append(learnt)
             watches[learnt[1]].append(learnt)
-        assign(learnt[0], learnt if len(learnt) > 1 else None)
+        value[lit] = 1
+        value[lit ^ 1] = -1
+        level[lit >> 1] = depth
+        reason[lit >> 1] = learnt if len(learnt) > 1 else None
+        trail.append(lit)
 
 
 def solve_3coloring_with_stats(
@@ -223,8 +284,8 @@ def solve_3coloring_with_stats(
     The encoding has a variable ``3 * v + c`` for "vertex v takes color
     c", with literal ``2 * (3 * v + c)`` and its negation one above: one
     at-least-one clause per vertex, one binary clause per edge and
-    color, and for each fixed vertex three units, its own color true
-    and the other two false.
+    color, kept as implication lists, and for each fixed vertex three
+    units, its own color true and the other two false.
     """
     fixed = dict(fixed or {})
     check_fixed(g, fixed)
@@ -232,15 +293,13 @@ def solve_3coloring_with_stats(
         # permuting the colors maps proper colorings to proper colorings,
         # so with nothing fixed vertex 0 may take color 0 outright
         fixed = {0: 0}
-    clauses = [[6 * v, 6 * v + 2, 6 * v + 4] for v in range(g.n)]
-    for u, v in g.edges:
-        clauses.extend(
-            [6 * u + 2 * c + 1, 6 * v + 2 * c + 1] for c in range(3)
-        )
-    for v, col in sorted(fixed.items()):
-        clauses.extend([6 * v + 2 * c + (c != col)] for c in range(3))
+    units = [
+        6 * v + 2 * c + (c != col)
+        for v, col in sorted(fixed.items())
+        for c in range(3)
+    ]
     stats = SolveStats()
-    model = _cdcl(3 * g.n, clauses, stats)
+    model = _cdcl(g.n, g.adj, units, stats)
     if model is None:
         return None, stats
     # no clause forbids two true colors on one vertex; any true one is

@@ -50,7 +50,7 @@ from .formats import (
     strict_bool, strict_int, strict_str,
 )
 from .graphs import Graph, add_apex, build_graph
-from .report import VerificationReport, timed_check
+from .report import VerificationReport, timed_check, witness_text
 
 
 # ---------------------------------------------------------------------------
@@ -350,12 +350,13 @@ def first_failing_clause(gadget: TerminalGadget) -> str | None:
 
 def require_contract(gadget: TerminalGadget) -> VerificationReport:
     """verify_contract, raising :class:`ContractError` on the first
-    failing clause."""
+    failing clause, with its witness rendered as the report text does."""
     report = verify_contract(gadget)
     if not report.passed:
         bad = next(c for c in report.checks if not c.passed)
         raise ContractError(
-            f"contract clause {bad.name} failed: {bad.witness}", clause=bad.name
+            f"contract clause {bad.name} failed: {witness_text(bad.witness)}",
+            clause=bad.name,
         )
     return report
 

@@ -7,17 +7,35 @@ def rup_refutes(n, edges, fixing, proof) -> bool:
     ``edges`` that extends ``fixing``?  The encoding is rebuilt here:
     literal ``2 * (3 * v + c)`` says v has color c, the one above it that
     v has not; a clause per vertex, per edge and color, and three units
-    per fixed vertex.  Each proof clause, then the empty clause, must make
-    unit propagation conflict once its literals are assumed false, and is
-    then added.  Two literals per clause are watched, and what follows
-    with nothing assumed is kept throughout."""
+    per fixed vertex.  The edge clauses are implication lists: "v has c"
+    makes "w has not c" true for each neighbour w.  Each proof clause,
+    then the empty clause, must make unit propagation conflict once its
+    literals are assumed false, and is then added.  Two literals per
+    other clause are watched, and what follows with nothing assumed is
+    kept throughout."""
     true = bytearray(6 * n)  # true[lit] is set when lit holds
     watches, trail = [[] for _ in range(6 * n)], []
+    implied = [[] for _ in range(6 * n)]  # what each literal makes true
+    for u, v in edges:
+        for c in range(0, 6, 2):
+            implied[6 * u + c].append(6 * v + c + 1)
+            implied[6 * v + c].append(6 * u + c + 1)
+    for v in range(n):
+        at_least_one = [6 * v, 6 * v + 2, 6 * v + 4]
+        watches[6 * v].append(at_least_one)
+        watches[6 * v + 2].append(at_least_one)
 
     def propagate(head: int) -> bool:  # True on a conflict
         while head < len(trail):
-            false_lit = trail[head] ^ 1
+            lit = trail[head]
             head += 1
+            for q in implied[lit]:
+                if true[q ^ 1]:
+                    return True
+                if not true[q]:
+                    true[q] = 1
+                    trail.append(q)
+            false_lit = lit ^ 1
             watching, i = watches[false_lit], 0
             while i < len(watching):
                 c = watching[i]
@@ -54,13 +72,9 @@ def rup_refutes(n, edges, fixing, proof) -> bool:
         trail.append(c[0])
         return propagate(len(trail) - 1)
 
-    formula = [[6 * v, 6 * v + 2, 6 * v + 4] for v in range(n)]
-    for u, v in edges:
-        formula.extend([6 * u + 2 * c + 1, 6 * v + 2 * c + 1] for c in range(3))
     for v, col in fixing.items():
-        formula.extend([6 * v + 2 * c + (c != col)] for c in range(3))
-    if any(add(clause) for clause in formula):
-        return True
+        if any(add([6 * v + 2 * c + (c != col)]) for c in range(3)):
+            return True
     for clause in proof:
         if not all(0 <= lit < 6 * n for lit in clause):
             return False

@@ -120,12 +120,14 @@ class VerificationReport:
                 line += f"  ({c.duration_s:.3f}s)"
             lines.append(line)
             if c.witness is not None:
-                lines.append(f"         witness: {_compact(c.witness)}")
+                lines.append(f"         witness: {witness_text(c.witness)}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
 
 
-def _compact(obj: Any) -> str:
+def witness_text(obj: Any) -> str:
+    """A witness as one line of JSON with sorted keys, cut at 200
+    characters: the report text's rendering and the contract refusal's."""
     text = json.dumps(obj, sort_keys=True)
     if len(text) > 200:
         text = text[:197] + "..."

@@ -6,11 +6,14 @@ catch its bugs.  The graph6 encoder follows the published format
 definition directly, the cycle finder enumerates vertex subsets, the
 coloring check enumerates assignments, the isomorphism test tries
 every permutation, and the canonical form encodes every leaf of the
-refinement tree.
+refinement tree.  The solver reference runs the package solver's search
+over an explicit clause list, with a clause object per edge and color,
+so that the package's implication lists must reproduce it step for step.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import random
 import sys
@@ -222,6 +225,154 @@ def iso_classes_upto(n_max: int) -> dict[int, list[Graph]]:
                 seen.setdefault(canonical_digest(h), h)
         levels[n] = [seen[key] for key in sorted(seen)]
     return levels
+
+
+def reference_solve(g: Graph, fixed=None):
+    """The package solver's search over an explicit clause list, as
+    ``(coloring or None, (nodes, propagations, conflicts), proof)``.
+
+    The encoding is built in full: one at-least-one clause per vertex,
+    one binary clause per edge and color in ``g.edges`` order, and three
+    units per fixed vertex in vertex order, with vertex 0 pinned to color
+    0 when nothing is fixed.  The search is conflict-driven clause
+    learning with two watched literals per clause, first-UIP learning and
+    the highest-activity open variable set false (ties to the smallest),
+    so the package solver, which keeps the edge clauses as implication
+    lists instead, must make exactly the same decisions, propagations
+    and learnt clauses.  ``fixed`` must be proper on its own edges.
+    """
+    fixed = dict(fixed or {})
+    if not fixed and g.n:
+        fixed = {0: 0}
+    num_vars = 3 * g.n
+    clauses = [[6 * v, 6 * v + 2, 6 * v + 4] for v in range(g.n)]
+    for u, v in g.edges:
+        clauses.extend([6 * u + 2 * c + 1, 6 * v + 2 * c + 1] for c in range(3))
+    for v, col in sorted(fixed.items()):
+        clauses.extend([6 * v + 2 * c + (c != col)] for c in range(3))
+    nodes = propagations = conflicts = 0
+    proof: list[tuple[int, ...]] = []
+
+    value = [0] * (2 * num_vars)
+    level = [0] * num_vars
+    reason: list[list[int] | None] = [None] * num_vars
+    watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars)]
+    trail: list[int] = []
+    trail_lim: list[int] = []
+    activity = [0.0] * num_vars
+    bump = 1.0
+    heap = [(-0.0, v) for v in range(num_vars)]
+
+    def assign(lit: int, why: list[int] | None) -> None:
+        value[lit] = 1
+        value[lit ^ 1] = -1
+        level[lit >> 1] = len(trail_lim)
+        reason[lit >> 1] = why
+        trail.append(lit)
+
+    def result(model):
+        if model is None:
+            return None, (nodes, propagations, conflicts), proof
+        colors = {v: model[6 * v : 6 * v + 6 : 2].index(1) for v in range(g.n)}
+        return colors, (nodes, propagations, conflicts), proof
+
+    for c in clauses:
+        if len(c) > 1:
+            watches[c[0]].append(c)
+            watches[c[1]].append(c)
+        elif value[c[0]] == -1:
+            return result(None)
+        elif not value[c[0]]:
+            assign(c[0], None)
+    qhead = 0
+    while True:
+        conflict = None
+        while qhead < len(trail) and conflict is None:
+            false_lit = trail[qhead] ^ 1
+            qhead += 1
+            propagations += 1
+            watching = watches[false_lit]
+            watches[false_lit] = kept = []
+            for k, c in enumerate(watching):
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                other = c[0]
+                if value[other] == 1:
+                    kept.append(c)
+                    continue
+                for i in range(2, len(c)):
+                    if value[c[i]] != -1:
+                        c[1], c[i] = c[i], false_lit
+                        watches[c[1]].append(c)
+                        break
+                else:
+                    kept.append(c)
+                    if value[other] == -1:
+                        kept.extend(watching[k + 1 :])
+                        conflict = c
+                        break
+                    assign(other, c)
+        if conflict is None:
+            while heap and value[2 * heap[0][1]]:
+                heapq.heappop(heap)
+            if not heap:
+                return result(value)
+            nodes += 1
+            trail_lim.append(len(trail))
+            assign(2 * heapq.heappop(heap)[1] + 1, None)
+            continue
+        conflicts += 1
+        if not trail_lim:
+            return result(None)
+        here = len(trail_lim)
+        learnt = [0]
+        seen = set()
+        pending = 0
+        i = len(trail)
+        clause = conflict
+        while True:
+            for q in clause:
+                v = q >> 1
+                if v in seen or not level[v]:
+                    continue
+                seen.add(v)
+                activity[v] += bump
+                if activity[v] > 1e100:
+                    activity = [a * 1e-100 for a in activity]
+                    bump *= 1e-100
+                    heap = [(-activity[u], u) for u in range(num_vars)]
+                    heapq.heapify(heap)
+                if level[v] == here:
+                    pending += 1
+                else:
+                    learnt.append(q)
+            while True:
+                i -= 1
+                lit = trail[i]
+                if lit >> 1 in seen:
+                    break
+            pending -= 1
+            if not pending:
+                break
+            clause = reason[lit >> 1]
+        learnt[0] = lit ^ 1
+        bump /= 0.95
+        proof.append(tuple(learnt))
+        back = 0
+        for k in range(1, len(learnt)):
+            if level[learnt[k] >> 1] > back:
+                back = level[learnt[k] >> 1]
+                learnt[1], learnt[k] = learnt[k], learnt[1]
+        for q in trail[trail_lim[back] :]:
+            value[q] = value[q ^ 1] = 0
+            heapq.heappush(heap, (-activity[q >> 1], q >> 1))
+        del trail[trail_lim[back] :]
+        del trail_lim[back:]
+        qhead = len(trail)
+        if len(learnt) > 1:
+            watches[learnt[0]].append(learnt)
+            watches[learnt[1]].append(learnt)
+        assign(learnt[0], learnt if len(learnt) > 1 else None)
 
 
 def rup_refutes(g: Graph, fixed, proof) -> bool:

@@ -39,6 +39,7 @@ from steinberg.search import certify_and_freeze
 from support import (
     product_3coloring_exists,
     random_conflict_free_fixing,
+    reference_solve,
     rup_refutes,
     stack_depth,
 )
@@ -181,6 +182,43 @@ def test_solver_counts_are_pinned_on_seed_and_triple(seed_gadget, triple_gadget)
         assert "".join(str(got[v]) for v in range(g.n)) == witness
 
 
+@pytest.mark.parametrize(
+    "ends, stats, witness",
+    [
+        (
+            ("d", "e"),
+            SolveStats(nodes=403, propagations=3717, conflicts=34),
+            (
+                "002210112221021012102020121201010221010212121010221021012102"
+                "020121202010121020212101020120112101020202101212120002112021"
+                "2010102201121010202021012120200021020212110021"
+            ),
+        ),
+        (
+            ("b", "c"),
+            SolveStats(nodes=132, propagations=1223, conflicts=8),
+            (
+                "021202021121021010102221010201021212010212121010210221201010"
+                "221010212121010212012121002121021012012020120201011220110212"
+                "1210102102212020101210021212100021120121210021"
+            ),
+        ),
+    ],
+    ids=["minus-d-e", "minus-b-c"],
+)
+def test_solver_counts_are_pinned_on_colorable_deletions(
+    final_graph, ends, stats, witness
+):
+    # the final graph minus one triangle edge colors, after conflicts
+    # that each learn a clause; a change that moves these must say so
+    g = remove_edge(final_graph, *map(final_graph.vertex_by_label, ends))
+    got, got_stats = solve_3coloring_with_stats(g)
+    assert got_stats == stats
+    assert len(got_stats.proof) == stats.conflicts
+    assert is_proper(g, got)
+    assert "".join(str(got[v]) for v in range(g.n)) == witness
+
+
 def test_solver_counts_are_pinned_on_final_graph(final_graph):
     result, stats = solve_3coloring_with_stats(final_graph)
     assert result is None
@@ -264,17 +302,50 @@ def coin_flip_graphs(draw, max_n=9):
     return build_graph(n, [e for e, k in zip(pairs, keep) if k])
 
 
-@given(coin_flip_graphs())
+@given(coin_flip_graphs(), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=300, deadline=None)
-def test_replay_matches_the_reference_checker(g):
-    # on every UNSAT proof and its mutants the package's two-watched-
-    # literal replay gives the naive reference's verdict
-    result, stats = solve_3coloring_with_stats(g, {0: 0})
+def test_replay_matches_the_reference_checker(g, seed):
+    # on every UNSAT proof and its mutants, under a random fixing of up
+    # to three vertices (the solver's own {0: 0} pin when it is empty),
+    # the package's replay gives the naive reference's verdict
+    rng = random.Random(seed)
+    fixed = random_conflict_free_fixing(rng, g, rng.randrange(4)) or {0: 0}
+    result, stats = solve_3coloring_with_stats(g, fixed)
     if result is not None:
         return
-    assert _both_checkers(g, {0: 0}, stats.proof)
+    assert _both_checkers(g, fixed, stats.proof)
     for mutant in _proof_mutants(stats.proof).values():
-        _both_checkers(g, {0: 0}, mutant)
+        _both_checkers(g, fixed, mutant)
+
+
+def _assert_same_search(g, fixed=None):
+    """The solver's coloring, counters and proof equal those of the
+    reference search over the explicit clause list."""
+    got, stats = solve_3coloring_with_stats(g, fixed)
+    want, counts, steps = reference_solve(g, fixed)
+    assert got == want
+    assert (stats.nodes, stats.propagations, stats.conflicts) == counts
+    assert stats.proof == steps
+    return got
+
+
+@given(coin_flip_graphs(), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=300, deadline=None)
+def test_solver_matches_the_clause_list_reference(g, seed):
+    _assert_same_search(g, random_conflict_free_fixing(random.Random(seed), g))
+
+
+def test_solver_matches_the_reference_on_the_final_graph_family(final_graph):
+    # the nine colorable one-edge deletions the benchmark verifies, then
+    # two relabelings of the final graph, each refuted
+    g = final_graph
+    for tri in (("d", "e", "f"), ("d'", "e'", "f'"), ("b", "c", "c'")):
+        for a, b in itertools.combinations(tri, 2):
+            h = remove_edge(g, g.vertex_by_label(a), g.vertex_by_label(b))
+            assert _assert_same_search(h) is not None
+    for seed in (1, 2):
+        h = g.relabeled(random.Random(seed).sample(range(g.n), g.n))
+        assert _assert_same_search(h) is None
 
 
 def _count_solves(monkeypatch):

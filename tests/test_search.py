@@ -715,6 +715,6 @@ def test_certify_and_freeze_refuses_a_failing_gadget(tmp_path):
     with pytest.raises(ContractError, match="clause distance-t0-t1 failed") as exc:
         certify_and_freeze(gadget, tmp_path / "nope.json")
     assert exc.value.clause == "distance-t0-t1"
-    assert "'path': [0, 1, 2]" in str(exc.value)
+    assert '"path": [0, 1, 2]' in str(exc.value)
     assert not (tmp_path / "nope.json").exists()
 
