@@ -306,7 +306,6 @@ def canonical_form(g: Graph) -> CanonicalForm:
             node.prefix + [v],
             [gamma for gamma in node.fixing if v not in gamma],
         )
-    assert best is not None
     return CanonicalForm(best[0])
 
 

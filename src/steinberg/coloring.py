@@ -11,7 +11,8 @@ clauses form a proof that :func:`_coloring_check` replays with
 :mod:`proof`, which shares no code with the solver.  Every coloring
 verdict in the package comes from that function: the contracts' pattern
 clauses, ``verify``'s colorability check and each row of a
-:func:`terminal_behavior` table.
+:func:`terminal_behavior` table.  A table row that a passing contract
+clause has already refuted comes from that clause, not a second solve.
 """
 
 from __future__ import annotations
@@ -589,12 +590,17 @@ class TerminalBehavior:
         return dict(self.entries)
 
 
-def terminal_behavior(gadget: "TerminalGadget") -> TerminalBehavior:
+def terminal_behavior(
+    gadget: "TerminalGadget", refuted: frozenset[str]
+) -> TerminalBehavior:
     """Decide every terminal pattern of a gadget with 2 to 4 terminals.
 
-    A pattern is infeasible exactly when :func:`_coloring_check` passes
-    on its fixing, so equal colors on adjacent terminals are infeasible,
-    not an error.
+    ``refuted`` holds patterns, in ``gadget.terminals`` order, that a
+    passing contract clause on the same graph has already refuted; they
+    are recorded infeasible without a second solve.  Pass ``frozenset()``
+    to decide every row here.  Any other pattern is infeasible exactly
+    when :func:`_coloring_check` passes on its fixing, so equal colors on
+    adjacent terminals are infeasible, not an error.
     """
     terminals = gadget.terminals
     t = len(terminals)
@@ -602,8 +608,8 @@ def terminal_behavior(gadget: "TerminalGadget") -> TerminalBehavior:
         raise ValueError(f"terminal behavior needs 2..4 terminals, got {t}")
     entries = []
     for pattern in all_patterns(t):
-        infeasible, _, _ = _coloring_check(
+        infeasible = pattern in refuted or _coloring_check(
             gadget.graph, pattern_fixing(terminals, pattern)
-        )
+        )[0]
         entries.append((pattern, not infeasible))
     return TerminalBehavior(t, tuple(entries))

@@ -861,11 +861,14 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
     any other check runs.  The seed is checked with its terminals in
     role order under :func:`seed_contract`, so the check names are those
     of its own contract.  The triple's clauses run without a report of
-    their own, so the triple is never digested.
+    their own, so the triple is never digested.  The case tree's seed
+    table takes its all-equal row from the seed contract's refutation:
+    that pattern is the same in every terminal order.
     """
     seed_report = require_contract(seed_in_roles(seed))
     checks = [replace(c, name=f"seed:{c.name}") for c in seed_report.checks]
-    all_equal = pattern_fixing(seed.terminals, all_equal_pattern(len(seed.terminals)))
+    pattern = all_equal_pattern(len(seed.terminals))
+    all_equal = pattern_fixing(seed.terminals, pattern)
 
     def seed_exhaustive():
         count = exhaustive_color_count(seed.graph, all_equal)
@@ -888,7 +891,8 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
         checks.append(timed_check(f"triple:{name}", body))
 
     def composition():
-        result = compositional_check(seed, terminal_behavior(seed))
+        seed_table = terminal_behavior(seed, frozenset({pattern}))
+        result = compositional_check(seed, seed_table)
         if result.ok:
             return True, None, result.to_json_dict()
         return False, result.counterexample, result.to_json_dict()

@@ -46,14 +46,8 @@ from typing import Any, Iterator
 
 from . import __version__ as _tool_version
 from .canon import canonical_form
-from .coloring import exhaustive_color_count, pattern_fixing, terminal_behavior
-from .errors import (
-    ContractError,
-    ImproperFixingError,
-    OracleMismatchError,
-    SearchSpecError,
-    SizeGuardError,
-)
+from .coloring import terminal_behavior
+from .errors import ContractError, SearchSpecError
 from .formats import strict_int, strict_str
 from .gadgets import (
     InterfaceContract,
@@ -635,30 +629,17 @@ def seed_search_spec() -> SearchSpec:
 # freezing
 
 def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
-    """Re-verify a gadget, tabulate its terminal behavior (each refutation
-    in it replayed as a proof), and write the frozen JSON file.
+    """Re-verify a gadget, tabulate its terminal behavior, and write the
+    frozen JSON file.
 
     A failing clause raises :func:`require_contract`'s
-    :class:`ContractError`, and nothing is written.  Forbidden patterns
-    within the exhaustive sweep's guard also get their sweep count under
-    ``exhaustive_counts``; a nonzero count raises
-    :class:`OracleMismatchError`, and nothing is written.
+    :class:`ContractError`, and nothing is written.  Once every clause
+    passes, the forbidden patterns' rows come from their clauses'
+    refutations, each replayed as a proof; the table solves only the
+    other rows, and their refutations are replayed too.
     """
     report = require_contract(gadget)
-    behavior = terminal_behavior(gadget)
-    counts: dict[str, int] = {}
-    for pattern in sorted(gadget.contract.forbidden_patterns):
-        fixing = pattern_fixing(gadget.terminals, pattern)
-        try:
-            counts[pattern] = exhaustive_color_count(gadget.graph, fixing)
-        except (ImproperFixingError, SizeGuardError):
-            # equal colors on adjacent terminals, or too big to sweep
-            continue
-        if counts[pattern] != 0:
-            raise OracleMismatchError(
-                f"pattern {pattern}: exhaustive sweep found"
-                f" {counts[pattern]} colorings where the solver found none"
-            )
+    behavior = terminal_behavior(gadget, gadget.contract.forbidden_patterns)
     cofacial = None
     if gadget.contract.require_planar:
         cofacial = terminals_cofacial(gadget)
@@ -673,7 +654,6 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
         "checks": [c.name for c in report.checks],
         "behavior": behavior.as_dict(),
         "terminals_cofacial": cofacial,
-        "exhaustive_counts": counts,
     }
     path = Path(path)
     save_gadget(gadget, path, verification=verification)

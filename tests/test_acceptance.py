@@ -111,7 +111,9 @@ def test_criterion_2_triple_lemma_suite(seed_gadget, triple_gadget):
         assert result is None
         assert rup_refutes(g2, fixing, stats.proof)
         # solver-free backing: the triple's table, derived from the seed's
-        composed = compositional_check(seed_gadget, terminal_behavior(seed_gadget))
+        composed = compositional_check(
+            seed_gadget, terminal_behavior(seed_gadget, frozenset())
+        )
         assert composed.triple_stage.behavior.feasible("000") is False
     report(2, "composite lemma suite", t, limit=30)
 
@@ -129,7 +131,9 @@ def test_criterion_3_theorem_suite(seed_gadget, final_graph):
         assert result is None
         assert rup_refutes(g, {0: 0}, stats.proof)
 
-        composed = compositional_check(seed_gadget, terminal_behavior(seed_gadget))
+        composed = compositional_check(
+            seed_gadget, terminal_behavior(seed_gadget, frozenset())
+        )
         assert composed.ok and composed.counterexample is None
     report(3, "non-colorability theorem suite", t, limit=60)
 

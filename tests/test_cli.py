@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -286,30 +287,51 @@ def test_lemmas_checks_the_seed_contract_once(monkeypatch, capsys):
 
 
 def test_lemmas_json_lists_the_fifteen_checks_in_order(tmp_path, capsys):
+    # the whole report with its durations stripped: each check's details
+    # as written, and the case tree by the SHA-256 of its details in
+    # sorted-key JSON, since the tree runs to some 14 kB
     path = tmp_path / "lemmas.json"
-    code, _, _ = run_cli(capsys, "lemmas", "--json", str(path))
-    assert code == 0
-    checks = json.loads(path.read_text())["checks"]
-    assert [c["name"] for c in checks] == [
-        "seed:forbidden-cycles",
-        "seed:distance-t0-t1",
-        "seed:distance-t0-t2",
-        "seed:distance-t1-t2",
-        "seed:pattern-000-infeasible",
-        "seed:planarity",
-        "seed:all-equal-exhaustive-sweep",
-        "seed:all-equal-brute-force",
-        "triple:forbidden-cycles",
-        "triple:distance-t0-t1",
-        "triple:distance-t0-t2",
-        "triple:distance-t1-t2",
-        "triple:pattern-000-infeasible",
-        "triple:planarity",
-        "composition:case-tree",
-    ]
-    assert all(c["verdict"] == "pass" for c in checks)
-    sweep = next(c for c in checks if c["name"] == "seed:all-equal-exhaustive-sweep")
-    assert sweep["details"] == {"assignments_swept": 531441, "extensions_found": 0}
+    assert run_cli(capsys, "lemmas", "--json", str(path))[0] == 0
+    doc = json.loads(path.read_text())
+    for check in doc["checks"]:
+        del check["duration_s"]
+        assert check.pop("verdict") == "pass"
+    tree = doc["checks"].pop()
+    assert tree["name"] == "composition:case-tree"
+    digest = hashlib.sha256(json.dumps(tree["details"], sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "11a2377dd54780e5b4f3980f7517072b445e37daf1c121a9d2d467084b137e2e"
+    )
+    assert doc == {
+        "overall": "pass",
+        "target": {"canonical_digest": "3855c0a1d182d600", "m": 23, "n": 15},
+        "tool_version": "0.1.0",
+        "checks": [
+            {"name": "seed:forbidden-cycles"},
+            {"name": "seed:distance-t0-t1", "details": {"distance": 3}},
+            {"name": "seed:distance-t0-t2", "details": {"distance": 3}},
+            {"name": "seed:distance-t1-t2", "details": {"distance": 4}},
+            {"name": "seed:pattern-000-infeasible", "details": {
+                "solver_nodes": 2, "conflicts": 3, "proof_clauses": 2,
+                "proof_literals": 4, "proof": "rup-checked",
+            }},
+            {"name": "seed:planarity", "details": {"faces": "euler-checked"}},
+            {"name": "seed:all-equal-exhaustive-sweep", "details": {
+                "assignments_swept": 531441, "extensions_found": 0,
+            }},
+            {"name": "seed:all-equal-brute-force",
+             "details": {"oracle": "brute-force"}},
+            {"name": "triple:forbidden-cycles"},
+            {"name": "triple:distance-t0-t1", "details": {"distance": 4}},
+            {"name": "triple:distance-t0-t2", "details": {"distance": 4}},
+            {"name": "triple:distance-t1-t2", "details": {"distance": 4}},
+            {"name": "triple:pattern-000-infeasible", "details": {
+                "solver_nodes": 45, "conflicts": 12, "proof_clauses": 11,
+                "proof_literals": 26, "proof": "rup-checked",
+            }},
+            {"name": "triple:planarity", "details": {"faces": "euler-checked"}},
+        ],
+    }
 
 
 def test_search_stock_writes_a_frozen_gadget(tmp_path, capsys, seed_gadget):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steinberg import (
+    ContractError,
     ImproperFixingError,
     OracleMismatchError,
     SizeGuardError,
@@ -24,11 +26,12 @@ from steinberg import (
     solve_3coloring_with_stats,
     terminal_behavior,
 )
-from steinberg import cli, coloring, gadgets, proof
+from steinberg import cli, coloring, gadgets, proof, search
 from steinberg.coloring import (
     SolveStats,
     all_equal_pattern,
     all_patterns,
+    pattern_fixing,
     pattern_of,
     pattern_representative,
 )
@@ -412,13 +415,42 @@ def test_deep_branching_does_not_recurse():
 
 def test_one_solver_binding_sees_every_solve(monkeypatch, seed_gadget, tmp_path):
     # lemmas: the seed's and the triple's pattern-000 clauses and the
-    # seed's five behavior rows; a freeze: the seed's clause and its rows
+    # seed's four feasible behavior rows; a freeze: the seed's clause and
+    # the same four rows.  Each takes the all-equal row from the seed's
+    # clause, and the freeze sweeps nothing
     calls = _count_solves(monkeypatch)
     assert gadgets.lemmas_report(seed_gadget).passed
-    assert len(calls) == 7
-    calls.clear()
-    certify_and_freeze(seed_gadget, tmp_path / "seed.json")
     assert len(calls) == 6
+    calls.clear()
+
+    def no_sweep(*args):
+        raise AssertionError("the freeze ran the exhaustive sweep")
+
+    for module in (coloring, gadgets, search):
+        monkeypatch.setattr(
+            module, "exhaustive_color_count", no_sweep, raising=False
+        )
+    certify_and_freeze(seed_gadget, tmp_path / "seed.json")
+    assert len(calls) == 5
+
+
+def test_freeze_refuses_a_feasible_forbidden_pattern_with_no_extra_solve(
+    monkeypatch, seed_gadget, tmp_path
+):
+    # the table takes a forbidden row from its clause only once the
+    # clause has passed: a contract forbidding the feasible "012" is
+    # refused by that clause, after the contract's own two solves alone
+    contract = dataclasses.replace(
+        seed_gadget.contract, forbidden_patterns=frozenset({"000", "012"})
+    )
+    gadget = TerminalGadget(seed_gadget.graph, seed_gadget.terminals, contract)
+    calls = _count_solves(monkeypatch)
+    path = tmp_path / "seed.json"
+    with pytest.raises(ContractError, match="clause pattern-012-infeasible") as exc:
+        certify_and_freeze(gadget, path)
+    assert exc.value.clause == "pattern-012-infeasible"
+    assert calls == [{0: 0, 1: 0, 2: 0}, {0: 0, 1: 1, 2: 2}]
+    assert not path.exists()
 
 
 def _all_zero_with_stats(g, fixed=None):
@@ -431,7 +463,9 @@ _IMPROPER_WITNESS_RUNS = {
     "verify-contract": lambda: gadgets.verify_contract(
         _bare_gadget(C5, (0, 1, 2), frozenset({"012"}))
     ),
-    "terminal-behavior": lambda: terminal_behavior(_bare_gadget(C5, (0, 2))),
+    "terminal-behavior": lambda: terminal_behavior(
+        _bare_gadget(C5, (0, 2)), frozenset()
+    ),
 }
 
 
@@ -688,7 +722,7 @@ def _bare_gadget(g, terminals, forbidden_patterns=frozenset()):
 
 def test_triangle_terminals_admit_only_all_distinct():
     tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
-    behavior = terminal_behavior(_bare_gadget(tri, (0, 1, 2)))
+    behavior = terminal_behavior(_bare_gadget(tri, (0, 1, 2)), frozenset())
     assert dict(behavior.entries) == {
         "000": False,
         "001": False,
@@ -700,14 +734,54 @@ def test_triangle_terminals_admit_only_all_distinct():
 
 def test_edgeless_gadget_is_not_forced_unequal():
     g = build_graph(3, [])
-    assert terminal_behavior(_bare_gadget(g, (0, 1, 2))).feasible("000")
+    behavior = terminal_behavior(_bare_gadget(g, (0, 1, 2)), frozenset())
+    assert behavior.feasible("000")
 
 
 def test_seed_gadget_behavior_table(seed_gadget):
-    behavior = terminal_behavior(seed_gadget)
+    behavior = terminal_behavior(seed_gadget, frozenset())
     table = dict(behavior.entries)
     assert table["000"] is False
     assert all(table[p] for p in ("001", "010", "011", "012"))
+
+
+def test_contract_refuted_rows_leave_the_table_unchanged(seed_gadget, triple_gadget):
+    # the rows a passing contract has refuted, taken without a solve,
+    # read as the solver reads them: the seed in every terminal order
+    # (its packaged order first) and the triple
+    forbidden = InterfaceContract(
+        forbidden_patterns=seed_gadget.contract.forbidden_patterns
+    )
+    cases = [
+        TerminalGadget(seed_gadget.graph, order, forbidden)
+        for order in itertools.permutations(seed_gadget.terminals)
+    ]
+    cases.append(triple_gadget)
+    for gadget in cases:
+        assert gadgets.verify_contract(gadget).passed
+        refuted = gadget.contract.forbidden_patterns
+        assert terminal_behavior(gadget, refuted) == terminal_behavior(
+            gadget, frozenset()
+        )
+
+
+@given(graphs(7), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=80, deadline=None)
+def test_truly_infeasible_rows_leave_the_table_unchanged(g, seed):
+    # refuted is every pattern that an unpruned sweep finds infeasible
+    rng = random.Random(seed)
+    if g.n < 2:
+        return
+    terminals = tuple(rng.sample(range(g.n), rng.randint(2, min(4, g.n))))
+    refuted = frozenset(
+        p
+        for p in all_patterns(len(terminals))
+        if not product_3coloring_exists(g, pattern_fixing(terminals, p))
+    )
+    gadget = _bare_gadget(g, terminals)
+    assert terminal_behavior(gadget, refuted) == terminal_behavior(
+        gadget, frozenset()
+    )
 
 
 # ---------------------------------------------------------------------------

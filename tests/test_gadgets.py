@@ -517,7 +517,7 @@ def test_build_counterexample_rejects_a_broken_triple(triple_gadget):
 # compositional argument
 
 def test_compositional_check_closes_every_branch(seed_gadget):
-    behavior = terminal_behavior(seed_gadget)
+    behavior = terminal_behavior(seed_gadget, frozenset())
     result = compositional_check(seed_gadget, behavior)
     assert result.ok
     assert result.counterexample is None
@@ -538,8 +538,10 @@ def test_compositional_check_closes_every_branch(seed_gadget):
 
 
 def test_composed_triple_table_matches_the_solver(seed_gadget, triple_gadget):
-    result = compositional_check(seed_gadget, terminal_behavior(seed_gadget))
-    assert result.triple_stage.behavior == terminal_behavior(triple_gadget)
+    seed_table = terminal_behavior(seed_gadget, frozenset())
+    result = compositional_check(seed_gadget, seed_table)
+    triple_table = terminal_behavior(triple_gadget, frozenset())
+    assert result.triple_stage.behavior == triple_table
 
 
 def test_compositional_check_catches_a_lying_behavior_table(seed_gadget):
@@ -585,7 +587,7 @@ def test_compositional_check_reads_the_table_in_the_seeds_terminal_order(
 def test_walk_finds_a_survivor_once_an_extra_edge_is_gone(
     seed_gadget, triple_gadget
 ):
-    seed_table = terminal_behavior(seed_gadget)
+    seed_table = terminal_behavior(seed_gadget, frozenset())
     triple_table = compositional_check(seed_gadget, seed_table).triple_stage.behavior
     recipe = counterexample_recipe(triple_gadget)
     for edge in recipe.extra_edges:
@@ -662,10 +664,12 @@ def test_walk_matches_the_solver_on_the_pasted_graph(case):
         pasted = paste(recipe).graph
     except PasteError:
         assume(False)  # two parts put an edge on one slot pair
-    tables = [terminal_behavior(part.gadget) for part in recipe.parts]
+    tables = [
+        terminal_behavior(part.gadget, frozenset()) for part in recipe.parts
+    ]
     walk = walk_recipe(recipe, tables, terminals)
     want = terminal_behavior(
-        TerminalGadget(pasted, terminals, InterfaceContract())
+        TerminalGadget(pasted, terminals, InterfaceContract()), frozenset()
     )
     assert walk.behavior == want
     for pattern, coloring in walk.witnesses.items():

@@ -25,7 +25,6 @@ from steinberg import (
     seed_search_spec,
     verify_contract,
 )
-from steinberg import coloring
 from steinberg.analysis import distance, forbidden_cycle_check
 from steinberg.canon import canonical_form
 from steinberg.gadgets import (
@@ -668,23 +667,22 @@ def test_certify_and_freeze_round_trip(tmp_path, seed_gadget):
     assert ver["digest"] == canonical_digest(seed_gadget.graph)
     assert ver["behavior"]["000"] is False
     assert ver["terminals_cofacial"] is True
-    assert ver["exhaustive_counts"]["000"] == 0
+    assert "exhaustive_counts" not in ver
 
 
 def test_freeze_record_has_proofs_not_an_oracle_list(tmp_path, seed_gadget, triple_gadget):
     # every pattern verdict is a replayed proof, so the record names no
-    # skipped cross-check; the sweep still counts within its guard, which
-    # the triple's 39 free vertices are past
-    for gadget, counts in ((seed_gadget, {"000": 0}), (triple_gadget, {})):
+    # skipped cross-check and carries no sweep count
+    for gadget in (seed_gadget, triple_gadget):
         path = certify_and_freeze(gadget, tmp_path / f"{gadget.graph.n}.json")
         ver = load_gadget_payload(path)["verification"]
         assert "oracle_skipped" not in ver
-        assert ver["exhaustive_counts"] == counts
+        assert "exhaustive_counts" not in ver
 
 
-def test_freeze_sweeps_no_pattern_forced_onto_an_edge(tmp_path):
-    # "00" on the two ends of an edge is infeasible by its fixing alone,
-    # so the record has its behavior row but no sweep count
+def test_freeze_records_a_pattern_forced_onto_an_edge(tmp_path):
+    # "00" on the two ends of an edge is infeasible by its fixing alone;
+    # the clause passes on that, and the record has its behavior row
     tri = build_graph(3, [(0, 1), (1, 2), (0, 2)])
     gadget = TerminalGadget(
         tri, (0, 1), InterfaceContract(forbidden_patterns=frozenset({"00"}))
@@ -692,18 +690,55 @@ def test_freeze_sweeps_no_pattern_forced_onto_an_edge(tmp_path):
     path = certify_and_freeze(gadget, tmp_path / "t.json")
     ver = load_gadget_payload(path)["verification"]
     assert ver["behavior"] == {"00": False, "01": True}
-    assert ver["exhaustive_counts"] == {}
 
 
-def test_freeze_records_no_sweep_count_past_the_sweep_guard(
-    tmp_path, monkeypatch, seed_gadget
-):
-    # the guard lives in the sweep alone: lowered below the seed's 12 free
-    # vertices, the record keeps its keys and lists no count
-    monkeypatch.setattr(coloring, "_EXHAUSTIVE_LIMIT", 11)
-    path = certify_and_freeze(seed_gadget, tmp_path / "seed.json")
-    ver = load_gadget_payload(path)["verification"]
-    assert ver["exhaustive_counts"] == {}
+# the packaged seed as frozen before records dropped the sweep counts
+_SWEPT_SEED_RECORD = {
+    "contract": {
+        "exact_terminal_distances": [[0, 3, 3], [3, 0, 4], [3, 4, 0]],
+        "forbidden_cycle_lengths": [4, 5],
+        "forbidden_patterns": ["000"],
+        "min_terminal_distances": None,
+        "require_planar": True,
+    },
+    "edges": [
+        [0, 5], [0, 6], [1, 3], [1, 4], [2, 7], [2, 8], [3, 4], [3, 9],
+        [4, 5], [4, 10], [5, 6], [5, 10], [6, 7], [6, 11], [7, 8], [7, 11],
+        [8, 9], [9, 12], [10, 13], [11, 14], [12, 13], [12, 14], [13, 14],
+    ],
+    "labels": {
+        "0": "a", "1": "b", "10": "k", "11": "l", "12": "m", "13": "n",
+        "14": "o", "2": "c", "3": "d", "4": "e", "5": "f", "6": "g", "7": "h",
+        "8": "i", "9": "j",
+    },
+    "n": 15,
+    "terminals": [0, 1, 2],
+    "verification": {
+        "behavior": {
+            "000": False, "001": True, "010": True, "011": True, "012": True,
+        },
+        "checks": [
+            "forbidden-cycles", "distance-t0-t1", "distance-t0-t2",
+            "distance-t1-t2", "pattern-000-infeasible", "planarity",
+        ],
+        "digest": "3855c0a1d182d600",
+        "exhaustive_counts": {"000": 0},
+        "terminals_cofacial": True,
+        "tool_version": "0.1.0",
+    },
+}
+
+
+def test_a_record_with_sweep_counts_still_loads(tmp_path, seed_gadget):
+    # records frozen with exhaustive_counts load as the seed they froze,
+    # and re-freezing that seed drops only the key
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(_SWEPT_SEED_RECORD))
+    assert load_gadget(path) == seed_gadget
+    fresh = certify_and_freeze(load_gadget(path), tmp_path / "new.json")
+    old = dict(_SWEPT_SEED_RECORD["verification"])
+    del old["exhaustive_counts"]
+    assert load_gadget_payload(fresh) == {**_SWEPT_SEED_RECORD, "verification": old}
 
 
 def test_certify_and_freeze_refuses_a_failing_gadget(tmp_path):

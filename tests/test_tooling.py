@@ -5,8 +5,8 @@ attribute.  A refactor that moves or renames one of them would break
 ``perfbench/run.py --trace 1`` at start-up; this catches it here, and
 one op of each benchmark workload, run through its own gate, catches a
 change to an entry point the workloads call.  The proof checker must
-stay free of package imports, and the report layer free of the
-analysis module."""
+stay free of package imports, the report layer free of the analysis
+module, and the package free of ``assert`` statements."""
 
 import ast
 import importlib
@@ -81,3 +81,15 @@ def test_report_imports_nothing_from_analysis():
                 assert "analysis" not in [a.name for a in node.names]
         elif isinstance(node, ast.Import):
             assert "steinberg.analysis" not in [a.name for a in node.names]
+
+
+def test_the_package_has_no_assert_statement():
+    # python -O strips assert statements, so a check the package needs
+    # must raise instead
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
