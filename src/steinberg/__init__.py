@@ -26,6 +26,7 @@ from .graphs import Graph, build_graph
 from .formats import decode, encode, sniff_format
 from .canon import CanonicalForm, canonical_digest, canonical_form
 from .analysis import (
+    CycleCensus,
     CycleWitness,
     PlanarityCertificate,
     cycles_of_length,
@@ -100,6 +101,7 @@ __all__ = [
     "CanonicalForm",
     "canonical_form",
     "canonical_digest",
+    "CycleCensus",
     "CycleWitness",
     "PlanarityCertificate",
     "cycles_of_length",

@@ -1,12 +1,15 @@
 """Structural facts with checkable witnesses.
 
 A distance is the length of a shortest path, found by a BFS that stops
-at its target.  Short cycles are enumerated exhaustively with a bounded
-DFS.  Planarity verdicts come from an iterative
-left-right planarity test, and every verdict is wrapped in a certificate
-(a rotation system or a Kuratowski subdivision) that
-:func:`validate_planarity_certificate` re-checks from scratch with code
-the test does not share, so the test's answer is never taken on faith.
+at its target.  Short cycles are enumerated exhaustively by one bounded
+DFS per :class:`CycleCensus`, which finds every requested length in
+3..6 in one pass; a verify report takes one census of its 3-, 4- and
+5-cycles and reads its cycle check and both triangle checks off it.
+Planarity verdicts come from an iterative left-right planarity test,
+and every verdict is wrapped in a certificate (a rotation system or a
+Kuratowski subdivision) that :func:`validate_planarity_certificate`
+re-checks from scratch with code the test does not share, so the test's
+answer is never taken on faith.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CertificateError
@@ -77,48 +81,114 @@ class CycleWitness:
         ]
 
 
-def cycles_of_length(g: Graph, k: int) -> list[CycleWitness]:
-    """All simple cycles of length exactly k, 3 <= k <= 6.
+def _cycle_dfs(g: Graph, lengths: frozenset[int]) -> dict[int, list[CycleWitness]]:
+    """Every simple cycle of each length in ``lengths``, in one DFS.
 
-    DFS from each start vertex, visiting only larger vertices, with the
-    reflection broken by requiring second < last.  Output is sorted.
+    The DFS starts at each vertex s, visits only vertices larger than s
+    and goes as deep as the largest length; at each depth in ``lengths``
+    it tests whether the path closes back to s, breaking the reflection
+    by requiring second < last.  The sorted adjacency makes the DFS meet
+    the paths of each length in lexicographic order, so each list comes
+    out sorted.
     """
-    if not (3 <= k <= 6):
-        raise ValueError(f"cycle length must be in 3..6, got {k}")
-    out: list[CycleWitness] = []
+    out: dict[int, list[CycleWitness]] = {k: [] for k in sorted(lengths)}
+    top = max(lengths)
+    # close[d]: the list that takes the cycles on d vertices, or None
+    close = [out.get(d) for d in range(top + 1)]
     adj = g.adj
     nbrs = g.neighbor_sets
-    path = [0] * k
+    path = [0] * top
     in_path = [False] * g.n
 
-    def extend(depth: int) -> None:
+    def extend(depth: int, s: int, s_nbrs: frozenset[int]) -> None:
+        # path[:depth] runs from s; try each next vertex w
         last = path[depth - 1]
-        if depth == k:
-            if path[0] in nbrs[last] and path[1] < last:
-                out.append(CycleWitness(tuple(path)))
+        if depth + 1 == top:
+            # the last level needs no recursion: w closes the path or not
+            found = close[top]
+            for w in adj[last]:
+                if w > s and not in_path[w] and w in s_nbrs and path[1] < w:
+                    found.append(CycleWitness((*path[:depth], w)))
             return
+        found = close[depth + 1]
         for w in adj[last]:
-            if w > path[0] and not in_path[w]:
+            if w > s and not in_path[w]:
                 path[depth] = w
+                if found is not None and w in s_nbrs and path[1] < w:
+                    found.append(CycleWitness(tuple(path[:depth + 1])))
                 in_path[w] = True
-                extend(depth + 1)
+                extend(depth + 1, s, s_nbrs)
                 in_path[w] = False
 
     for s in range(g.n):
         path[0] = s
         in_path[s] = True
-        extend(1)
+        extend(1, s, nbrs[s])
         in_path[s] = False
     return out
 
 
+# a shared edge, a triangle on it and a second cycle on it
+Conflict = tuple[Edge, CycleWitness, CycleWitness]
+
+
+class CycleCensus:
+    """The simple cycles of each requested length in 3..6 of one graph.
+
+    ``census[k]`` lists the k-cycles in sorted order.  One bounded DFS
+    finds every length the first time any list is read, so a census that
+    nobody reads, or one of no lengths, runs no DFS.  The triangle index
+    the triangle predicates share is built once per census, too.
+    """
+
+    def __init__(self, g: Graph, lengths: Iterable[int]) -> None:
+        self.lengths = frozenset(lengths)
+        for k in sorted(self.lengths):
+            if not (3 <= k <= 6):
+                raise ValueError(f"cycle length must be in 3..6, got {k}")
+        self.graph = g
+
+    def __getitem__(self, k: int) -> list[CycleWitness]:
+        return self._cycles[k]
+
+    @cached_property
+    def _cycles(self) -> dict[int, list[CycleWitness]]:
+        if not self.lengths:
+            return {}
+        return _cycle_dfs(self.graph, self.lengths)
+
+    @cached_property
+    def triangle_pairs(self) -> tuple[dict[Edge, list[CycleWitness]], list[Conflict]]:
+        """Each edge on a triangle with its triangles in sorted order, and
+        every pair of triangles on one edge, sorted by edge, then by pair."""
+        by_edge: dict[Edge, list[CycleWitness]] = {}
+        for tri in self[3]:
+            for e in tri.edges():
+                by_edge.setdefault(e, []).append(tri)
+        pairs = [
+            (e, t1, t2)
+            for e in sorted(by_edge)
+            for t1, t2 in itertools.combinations(by_edge[e], 2)
+        ]
+        return by_edge, pairs
+
+
+def cycles_of_length(g: Graph, k: int) -> list[CycleWitness]:
+    """All simple cycles of length exactly k, 3 <= k <= 6, sorted."""
+    return CycleCensus(g, (k,))[k]
+
+
 def forbidden_cycle_check(
-    g: Graph, lengths: Iterable[int]
+    g: Graph, lengths: Iterable[int], *, census: CycleCensus | None = None
 ) -> CycleWitness | None:
     """Return None when no cycle of any given length exists, else the
-    first witness (smallest length, then lexicographic)."""
-    for k in sorted(set(lengths)):
-        found = cycles_of_length(g, k)
+    first witness (smallest length, then lexicographic).  ``census``,
+    when given, must cover ``lengths``; otherwise one is built."""
+    lengths = sorted(set(lengths))
+    if census is None:
+        census = CycleCensus(g, lengths)
+    for k in lengths:
+        found = census[k]
         if found:
             return found[0]
     return None
@@ -126,32 +196,22 @@ def forbidden_cycle_check(
 
 # ---------------------------------------------------------------------------
 # triangle adjacency predicates
+#
+# Each takes an optional ``census`` covering the lengths it reads (3, and
+# 5 for the conflicts); without one it builds its own.
 
-# a shared edge, a triangle on it and a second cycle on it
-Conflict = tuple[Edge, CycleWitness, CycleWitness]
-
-
-def _triangle_pairs(g: Graph) -> tuple[dict[Edge, list[CycleWitness]], list[Conflict]]:
-    """Each edge on a triangle with its triangles in sorted order, and
-    every pair of triangles on one edge, sorted by edge, then by pair."""
-    by_edge: dict[Edge, list[CycleWitness]] = {}
-    for tri in cycles_of_length(g, 3):
-        for e in tri.edges():
-            by_edge.setdefault(e, []).append(tri)
-    pairs = [
-        (e, t1, t2)
-        for e in sorted(by_edge)
-        for t1, t2 in itertools.combinations(by_edge[e], 2)
-    ]
-    return by_edge, pairs
-
-
-def triangles_sharing_edge(g: Graph) -> list[Conflict]:
+def triangles_sharing_edge(
+    g: Graph, *, census: CycleCensus | None = None
+) -> list[Conflict]:
     """Every unordered pair of distinct triangles with a common edge."""
-    return _triangle_pairs(g)[1]
+    if census is None:
+        census = CycleCensus(g, (3,))
+    return list(census.triangle_pairs[1])
 
 
-def triangle_edge_conflicts(g: Graph) -> list[Conflict]:
+def triangle_edge_conflicts(
+    g: Graph, *, census: CycleCensus | None = None
+) -> list[Conflict]:
     """Pairs (triangle, 3- or 5-cycle) sharing an edge.
 
     The triangle pairs come first, exactly as :func:`triangles_sharing_edge`
@@ -159,13 +219,21 @@ def triangle_edge_conflicts(g: Graph) -> list[Conflict]:
     (triangle, 5-cycle) pair appears once, tagged with its smallest shared
     edge, sorted by that edge, then by the pair.
     """
-    by_edge, pairs = _triangle_pairs(g)
-    shared: dict[tuple[CycleWitness, CycleWitness], Edge] = {}
-    for five in cycles_of_length(g, 5):
+    if census is None:
+        census = CycleCensus(g, (3, 5))
+    by_edge, pairs = census.triangle_pairs
+    fives = []
+    for five in census[5]:
+        # a triangle may share two edges with a 5-cycle; keep the smaller
+        seen = set()
         for e in sorted(five.edges()):
             for tri in by_edge.get(e, ()):
-                shared.setdefault((tri, five), e)
-    fives = sorted((e, tri, five) for (tri, five), e in shared.items())
+                if tri.vertices not in seen:
+                    seen.add(tri.vertices)
+                    fives.append((e, tri, five))
+    # a witness orders as its vertex tuple, so plain tuple keys give the
+    # same order without a Python-level comparison per step
+    fives.sort(key=lambda c: (c[0], c[1].vertices, c[2].vertices))
     return pairs + fives
 
 

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .analysis import (
+    CycleCensus,
     distance,
     forbidden_cycle_check,
     is_planar,
@@ -240,9 +241,12 @@ def _planarity_check(g: Graph) -> tuple[bool, Any, Any]:
     return False, {"type": "kuratowski", "kind": cert.kind, "edges": edges}, None
 
 
-def _cycle_check(g: Graph, lengths: frozenset[int]) -> tuple[bool, Any, Any]:
-    """No cycle of a length in ``lengths``."""
-    hit = forbidden_cycle_check(g, lengths)
+def _cycle_check(
+    g: Graph, lengths: frozenset[int], *, census: CycleCensus | None = None
+) -> tuple[bool, Any, Any]:
+    """No cycle of a length in ``lengths``, read off ``census`` when
+    given (it must cover ``lengths``)."""
+    hit = forbidden_cycle_check(g, lengths, census=census)
     if hit is None:
         return True, None, None
     return False, {"type": "cycle", "vertices": list(hit.vertices)}, None
@@ -371,8 +375,10 @@ def terminals_cofacial(gadget: TerminalGadget) -> bool:
 # ---------------------------------------------------------------------------
 # the counterexample battery
 
-def _adjacent_triangles_check(g: Graph) -> tuple[bool, Any, Any]:
-    conflicts = triangles_sharing_edge(g)
+def _adjacent_triangles_check(
+    g: Graph, *, census: CycleCensus
+) -> tuple[bool, Any, Any]:
+    conflicts = triangles_sharing_edge(g, census=census)
     if not conflicts:
         return True, None, {"triangle_pairs_sharing_an_edge": 0}
     edge, t1, t2 = conflicts[0]
@@ -380,8 +386,10 @@ def _adjacent_triangles_check(g: Graph) -> tuple[bool, Any, Any]:
     return False, witness, {}
 
 
-def _triangle_short_cycle_edge_check(g: Graph) -> tuple[bool, Any, Any]:
-    conflicts = triangle_edge_conflicts(g)
+def _triangle_short_cycle_edge_check(
+    g: Graph, *, census: CycleCensus
+) -> tuple[bool, Any, Any]:
+    conflicts = triangle_edge_conflicts(g, census=census)
     if not conflicts:
         return True, None, {"conflicts": 0}
     edge, tri, other = conflicts[0]
@@ -400,15 +408,23 @@ def counterexample_report(g: Graph, jobs: int = 1) -> VerificationReport:
 
     ``jobs`` is ignored: the solver runs in one process, and the keyword
     stays only so existing callers that pass it keep working.
+
+    The three cycle and triangle checks read one census of the 3-, 4- and
+    5-cycles.  Its DFS runs inside the first of them, ``no-4-or-5-cycles``,
+    whose ``duration_s`` therefore carries it.
     """
+    census = CycleCensus(g, (3, 4, 5))
     return _report(g, [
         ("planarity", lambda: _planarity_check(g)),
-        ("no-4-or-5-cycles", lambda: _cycle_check(g, frozenset({4, 5}))),
+        (
+            "no-4-or-5-cycles",
+            lambda: _cycle_check(g, frozenset({4, 5}), census=census),
+        ),
         ("not-3-colorable", lambda: _coloring_check(g, {})),
-        ("no-adjacent-triangles", lambda: _adjacent_triangles_check(g)),
+        ("no-adjacent-triangles", lambda: _adjacent_triangles_check(g, census=census)),
         (
             "no-triangle-sharing-edge-with-3-or-5-cycle",
-            lambda: _triangle_short_cycle_edge_check(g),
+            lambda: _triangle_short_cycle_edge_check(g, census=census),
         ),
     ])
 

@@ -153,6 +153,22 @@ def random_sparse_graph(rng: random.Random, n: int, m: int) -> Graph:
     return build_graph(n, sorted(pairs))
 
 
+def triangulated_grid(w: int) -> Graph:
+    """The w x w grid, row by row, with the diagonal v - (v + w + 1) in
+    every square: 2 (w - 1)^2 triangles, every inner edge on two."""
+    edges = []
+    for r in range(w):
+        for c in range(w):
+            v = r * w + c
+            if c + 1 < w:
+                edges.append((v, v + 1))
+            if r + 1 < w:
+                edges.append((v, v + w))
+            if c + 1 < w and r + 1 < w:
+                edges.append((v, v + w + 1))
+    return build_graph(w * w, edges)
+
+
 def stack_depth() -> int:
     """Frames on the caller's stack, for setting a tight recursion limit."""
     depth = 0

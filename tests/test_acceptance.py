@@ -44,6 +44,7 @@ from support import (
     random_sparse_graph,
     rup_refutes,
     subset_cycles,
+    triangulated_grid,
 )
 
 
@@ -266,17 +267,7 @@ def test_hostile_disjoint_triangles_certificate():
 
 def test_hostile_triangulated_grid_triangle_check():
     w = 30
-    edges = []
-    for r in range(w):
-        for c in range(w):
-            v = r * w + c
-            if c + 1 < w:
-                edges.append((v, v + 1))
-            if r + 1 < w:
-                edges.append((v, v + w))
-            if c + 1 < w and r + 1 < w:
-                edges.append((v, v + w + 1))
-    g = build_graph(w * w, edges)
+    g = triangulated_grid(w)
     with Timer() as t:
         conflicts = triangle_edge_conflicts(g)
     ceiling(f"triangle conflicts of a {w}x{w} triangulated grid", t, limit=1.5)

@@ -1,7 +1,9 @@
+import itertools
 import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +11,10 @@ from hypothesis import strategies as st
 
 from steinberg import (
     CertificateError,
+    CycleCensus,
     PlanarityCertificate,
     build_graph,
+    counterexample_report,
     cycles_of_length,
     distance,
     forbidden_cycle_check,
@@ -124,6 +128,42 @@ def test_cycles_match_subset_oracle(g, k):
     assert got == subset_cycles(g, k)
 
 
+NONEMPTY_LENGTH_SETS = [
+    set(lengths)
+    for r in range(1, 5)
+    for lengths in itertools.combinations((3, 4, 5, 6), r)
+]
+
+
+@given(graphs())
+@settings(max_examples=100, deadline=None)
+def test_census_matches_subset_oracle(g):
+    # one DFS per census, whatever lengths it is asked for, finds each
+    # length's cycles exactly and in sorted order
+    oracle = {k: sorted(subset_cycles(g, k)) for k in (3, 4, 5, 6)}
+    for lengths in NONEMPTY_LENGTH_SETS:
+        census = CycleCensus(g, lengths)
+        for k in lengths:
+            assert [w.vertices for w in census[k]] == oracle[k], (lengths, k)
+
+
+def test_census_of_no_lengths_runs_no_dfs(monkeypatch):
+    def no_dfs(g, lengths):
+        raise AssertionError("a census of no lengths ran its DFS")
+
+    monkeypatch.setattr(analysis, "_cycle_dfs", no_dfs)
+    assert forbidden_cycle_check(K5, set()) is None
+    assert forbidden_cycle_check(K5, []) is None
+
+
+@pytest.mark.parametrize("bad", [2, 7])
+def test_census_rejects_lengths_outside_3_to_6(bad):
+    with pytest.raises(ValueError):
+        CycleCensus(K5, {3, bad})
+    with pytest.raises(ValueError):
+        forbidden_cycle_check(K5, {bad})
+
+
 def test_forbidden_cycle_check():
     c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     assert forbidden_cycle_check(c6, {4, 5}) is None
@@ -183,19 +223,27 @@ def test_triangle_predicates_match_subset_reference(g):
     assert plain(triangle_edge_conflicts(g)) == conflicts
 
 
-def test_triangle_edge_conflicts_enumerates_each_length_once(monkeypatch):
-    # one pass for the triangles, one for the 5-cycles
-    from steinberg import analysis
+def test_one_cycle_dfs_per_verify_report(monkeypatch):
+    # the report's cycle check and both triangle checks read one census
+    # of the 3-, 4- and 5-cycles, whose DFS runs inside the first of them
+    # and so shows in its time; a triangle check alone takes its own
+    runs = []
 
-    calls = []
+    def counting(g, lengths, real=analysis._cycle_dfs):
+        runs.append(sorted(lengths))
+        time.sleep(0.05)
+        return real(g, lengths)
 
-    def counting(g, k, real=analysis.cycles_of_length):
-        calls.append(k)
-        return real(g, k)
-
-    monkeypatch.setattr(analysis, "cycles_of_length", counting)
-    assert triangle_edge_conflicts(K5)
-    assert calls == [3, 5]
+    monkeypatch.setattr(analysis, "_cycle_dfs", counting)
+    house = build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
+    for g in (K5, house):
+        runs.clear()
+        report = counterexample_report(g)
+        assert runs == [[3, 4, 5]]
+        assert report.check("no-4-or-5-cycles").duration_s >= 0.05
+        runs.clear()
+        assert triangle_edge_conflicts(g)
+        assert runs == [[3, 5]]
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from steinberg import (
     canonical_digest,
     compositional_check,
     counterexample_recipe,
+    counterexample_report,
     first_failing_clause,
     forbidden_cycle_check,
     load_gadget,
@@ -47,7 +48,7 @@ from steinberg.gadgets import (
 )
 from steinberg.graphs import add_edges
 
-from support import cheapest_failing_check, replace_at
+from support import cheapest_failing_check, replace_at, triangulated_grid
 
 
 TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -319,6 +320,61 @@ def test_terminals_cofacial(seed_gadget):
     )
     gadget = TerminalGadget(octa, (0, 5, 1), InterfaceContract())
     assert not terminals_cofacial(gadget)
+
+
+# ---------------------------------------------------------------------------
+# the counterexample battery
+
+def complete_graph(n):
+    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+SHORT_CYCLE_CHECKS = (
+    "no-4-or-5-cycles",
+    "no-adjacent-triangles",
+    "no-triangle-sharing-edge-with-3-or-5-cycle",
+)
+K_PAIR = (
+    {"type": "cycle", "vertices": [0, 1, 2, 3]},
+    {"edge": [0, 1], "triangles": [[0, 1, 2], [0, 1, 3]]},
+    {"triangle": [0, 1, 2], "cycle": [0, 1, 3], "shared_edge": [0, 1]},
+)
+# the witnesses each check reported when it enumerated its own cycle
+# lengths, before the three shared one census; None marks a pass
+SHORT_CYCLE_WITNESSES = {
+    "K4": (lambda: complete_graph(4), K_PAIR),
+    "K5": (lambda: complete_graph(5), K_PAIR),
+    "house": (
+        lambda: build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)]),
+        (
+            {"type": "cycle", "vertices": [0, 2, 3, 4]},
+            None,
+            {"triangle": [0, 1, 2], "cycle": [0, 1, 2, 3, 4], "shared_edge": [0, 1]},
+        ),
+    ),
+    "book": (
+        lambda: build_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)]),
+        ({"type": "cycle", "vertices": [0, 2, 1, 3]}, *K_PAIR[1:]),
+    ),
+    "triangulated-grid-30": (
+        lambda: triangulated_grid(30),
+        (
+            {"type": "cycle", "vertices": [0, 1, 31, 30]},
+            {"edge": [0, 31], "triangles": [[0, 1, 31], [0, 30, 31]]},
+            {"triangle": [0, 1, 31], "cycle": [0, 30, 31], "shared_edge": [0, 31]},
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_CYCLE_WITNESSES))
+def test_short_cycle_witnesses_are_pinned(name):
+    build, witnesses = SHORT_CYCLE_WITNESSES[name]
+    report = counterexample_report(build())
+    for check, witness in zip(SHORT_CYCLE_CHECKS, witnesses):
+        result = report.check(check)
+        assert result.passed == (witness is None), check
+        assert result.witness == witness, check
 
 
 # ---------------------------------------------------------------------------
