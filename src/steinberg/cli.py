@@ -87,17 +87,8 @@ def cmd_build(args) -> int:
     except SteinbergError as exc:
         print(f"error: frozen seed gadget unavailable: {exc}", file=sys.stderr)
         return 2
-    if stage == "seed":
-        gadget = seed
-    else:
-        triple = build_triple_gadget(seed)
-        if stage == "triple":
-            gadget = triple
-        else:
-            gadget = None
-            graph = build_counterexample(triple)
-    if stage != "final":
-        graph = gadget.graph
+    gadget = seed if stage == "seed" else build_triple_gadget(seed)
+    graph = build_counterexample(gadget) if stage == "final" else gadget.graph
     digest = canonical_digest(graph)
     print(
         f"stage {args.stage}: {graph.n} vertices, {len(graph.edges)} edges,"
@@ -106,7 +97,7 @@ def cmd_build(args) -> int:
     if args.out:
         out = Path(args.out)
         fmt = _resolve_format(args.format, out)
-        if fmt == "json" and gadget is not None:
+        if fmt == "json" and stage != "final":
             save_gadget(gadget, out)
         else:
             out.write_bytes(encode(graph, fmt))
@@ -154,8 +145,7 @@ def cmd_search(args) -> int:
     found = 0
     funnel: Counter = Counter()
     for gadget in search_gadget(spec, limit=args.limit, funnel=funnel):
-        digest = canonical_digest(gadget.graph)
-        path = out_dir / f"gadget-{digest}.json"
+        path = out_dir / f"gadget-{gadget.search_digest}.json"
         certify_and_freeze(gadget, path)
         found += 1
         print(

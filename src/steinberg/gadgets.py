@@ -18,7 +18,7 @@ the seed, triple, final argument cannot drift from the construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -182,6 +182,11 @@ class TerminalGadget:
     graph: Graph
     terminals: tuple[int, ...]
     contract: InterfaceContract
+    # a search find's canonical digest, set only by the search that passed
+    # its whole contract; a constructed or replace()d gadget has None
+    search_digest: str | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if len(set(self.terminals)) != len(self.terminals):

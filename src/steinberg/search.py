@@ -27,7 +27,9 @@ template with more is refused.  Each complete
 candidate is rejected at its cheapest failing contract clause
 (:func:`first_failing_clause`).  Planarity runs only on candidates that
 pass every cheaper clause, and the co-facial test and the canonical form
-only on those that pass them all.  Results stream in a fixed order:
+only on those that pass them all.  Each find carries that form's digest
+as its evidence, and :func:`certify_and_freeze` writes its record from
+it instead of checking the find again.  Results stream in a fixed order:
 fewer edges first, then smallest canonical form, so a search is
 reproducible run to run.  An optional counter records the funnel: how
 many candidates each stage enumerated, pruned, rejected, dropped as
@@ -52,6 +54,7 @@ from .formats import strict_int, strict_str
 from .gadgets import (
     InterfaceContract,
     TerminalGadget,
+    _contract_clauses,
     first_failing_clause,
     require_contract,
     save_gadget,
@@ -566,13 +569,11 @@ def search_gadget(
         funnel = Counter()
 
     n = sum(layer.size for layer in spec.template.layers)
+    labels = {v: chr(ord("a") + v) for v in range(n)} if n <= 26 else None
     seen: set[bytes] = set()
     emitted = 0
 
     def consider(edges: _Edges) -> TerminalGadget | None:
-        labels = (
-            {v: chr(ord("a") + v) for v in range(n)} if n <= 26 else None
-        )
         graph = build_graph(n, edges, labels)
         gadget = TerminalGadget(graph, tuple(range(arity)), spec.contract)
         funnel["enumerated"] += 1
@@ -588,14 +589,15 @@ def search_gadget(
     def emit_bucket(bucket: list[TerminalGadget]) -> Iterator[TerminalGadget]:
         nonlocal emitted
         keyed = sorted(
-            ((canonical_form(g.graph).data, g) for g in bucket),
-            key=lambda pair: pair[0],
+            ((canonical_form(g.graph), g) for g in bucket),
+            key=lambda pair: pair[0].data,
         )
-        for key, gadget in keyed:
-            if key in seen:
+        for form, gadget in keyed:
+            if form.data in seen:
                 funnel["duplicates"] += 1
                 continue
-            seen.add(key)
+            seen.add(form.data)
+            object.__setattr__(gadget, "search_digest", form.digest)
             emitted += 1
             funnel["emitted"] += 1
             yield gadget
@@ -629,29 +631,32 @@ def seed_search_spec() -> SearchSpec:
 # freezing
 
 def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
-    """Re-verify a gadget, tabulate its terminal behavior, and write the
+    """Verify a gadget, tabulate its terminal behavior, and write the
     frozen JSON file.
 
-    A failing clause raises :func:`require_contract`'s
-    :class:`ContractError`, and nothing is written.  Once every clause
-    passes, the forbidden patterns' rows come from their clauses'
-    refutations, each replayed as a proof; the table solves only the
-    other rows, and their refutations are replayed too.
+    A find of :func:`search_gadget` passed its clauses and, under
+    planarity, the co-facial test in the search, and is not checked
+    again.  Any other gadget that fails either raises
+    :class:`ContractError`, and nothing is written.  The forbidden
+    patterns' rows come from their clauses' refutations; the table
+    solves only the other rows.  Every refutation is replayed as a proof.
     """
-    report = require_contract(gadget)
+    digest = gadget.search_digest
+    if digest is None:
+        digest = require_contract(gadget).target["canonical_digest"]
     behavior = terminal_behavior(gadget, gadget.contract.forbidden_patterns)
     cofacial = None
     if gadget.contract.require_planar:
-        cofacial = terminals_cofacial(gadget)
+        cofacial = gadget.search_digest is not None or terminals_cofacial(gadget)
         if not cofacial:
             raise ContractError(
                 "refusing to freeze: terminals are not co-facial",
                 clause="cofacial",
             )
     verification = {
-        "digest": report.target["canonical_digest"],
+        "digest": digest,
         "tool_version": _tool_version,
-        "checks": [c.name for c in report.checks],
+        "checks": [name for name, _ in _contract_clauses(gadget)],
         "behavior": behavior.as_dict(),
         "terminals_cofacial": cofacial,
     }

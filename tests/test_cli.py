@@ -20,6 +20,7 @@ from steinberg import (
 )
 from steinberg import cli, stock
 from steinberg.cli import main
+from steinberg.gadgets import load_gadget_payload
 from steinberg.graphs import MAX_VERTICES
 from steinberg.search import search_spec_to_json_dict, seed_search_spec
 
@@ -57,6 +58,32 @@ def test_version(capsys):
     assert out.strip()
 
 
+def test_the_package_runs_as_a_module(tmp_path, final_graph):
+    # python -m steinberg is the command line from a source checkout
+    final = tmp_path / "g.g6"
+    final.write_bytes(encode(final_graph, "graph6"))
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "steinberg", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+
+    version = run("--version")
+    assert version.returncode == 0 and version.stdout.strip()
+    verify = run("verify", str(final))
+    assert verify.returncode == 0, verify.stderr
+    assert verify.stdout.rstrip().endswith("overall: PASS")
+    missing = run("verify", str(tmp_path / "missing.g6"))
+    assert missing.returncode == 2
+    assert missing.stdout == ""
+    assert [line[:7] for line in missing.stderr.splitlines()] == ["error: "]
+
+
 def test_no_command_is_a_usage_error(capsys):
     code, _, err = run_cli(capsys)
     assert code == 2
@@ -83,6 +110,15 @@ def test_build_final_stage_and_formats(tmp_path, capsys, final_graph):
     code, out, _ = run_cli(capsys, "build", "--stage", "g2", "--out", str(col))
     assert code == 0
     assert decode(col.read_bytes(), "dimacs").n == 42
+
+
+@pytest.mark.parametrize("stage, n", [("seed", 15), ("triple", 42), ("final", 166)])
+def test_build_json_is_a_gadget_but_for_the_final_graph(tmp_path, capsys, stage, n):
+    path = tmp_path / f"{stage}.json"
+    assert run_cli(capsys, "build", "--stage", stage, "--out", str(path))[0] == 0
+    payload = load_gadget_payload(path)
+    assert payload["n"] == n
+    assert ("terminals" in payload) == (stage != "final")
 
 
 def test_verify_counterexample_fails_on_k4(capsys, k4_file):

@@ -26,7 +26,7 @@ from steinberg import (
     solve_3coloring_with_stats,
     terminal_behavior,
 )
-from steinberg import cli, coloring, gadgets, proof, search
+from steinberg import canon, cli, coloring, gadgets, proof, search
 from steinberg.coloring import (
     SolveStats,
     all_equal_pattern,
@@ -432,6 +432,31 @@ def test_one_solver_binding_sees_every_solve(monkeypatch, seed_gadget, tmp_path)
         )
     certify_and_freeze(seed_gadget, tmp_path / "seed.json")
     assert len(calls) == 5
+
+
+def test_a_find_freezes_with_its_behavior_rows_alone(monkeypatch, tmp_path):
+    # the search passed the find's clauses and co-facial test and kept its
+    # digest: the freeze solves the four feasible rows and runs neither
+    # planarity nor a canonical form
+    find = next(iter(search.search_gadget(search.seed_search_spec())))
+    calls = _count_solves(monkeypatch)
+    counted = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            counted.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(gadgets, "is_planar")
+    for module in (canon, search):
+        counting(module, "canonical_form")
+    certify_and_freeze(find, tmp_path / "find.json")
+    assert len(calls) == 4 and {0: 0, 1: 0, 2: 0} not in calls
+    assert counted == []
 
 
 def test_freeze_refuses_a_feasible_forbidden_pattern_with_no_extra_solve(

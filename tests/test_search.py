@@ -753,3 +753,48 @@ def test_certify_and_freeze_refuses_a_failing_gadget(tmp_path):
     assert '"path": [0, 1, 2]' in str(exc.value)
     assert not (tmp_path / "nope.json").exists()
 
+
+
+def test_freeze_refuses_terminals_that_share_no_face(tmp_path):
+    # K4 is planar, but K4 with an apex joined to all four is K5: every
+    # clause passes and the co-facial test refuses the freeze
+    k4 = build_graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
+    gadget = TerminalGadget(k4, (0, 1, 2, 3), InterfaceContract(require_planar=True))
+    path = tmp_path / "k4.json"
+    refusal = "refusing to freeze: terminals are not co-facial"
+    with pytest.raises(ContractError, match=refusal) as exc:
+        certify_and_freeze(gadget, path)
+    assert exc.value.clause == "cofacial"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("spec", [seed_search_spec, wide_spec])
+def test_a_find_freezes_as_its_plain_gadget_does(tmp_path, spec):
+    # a find carries the search's evidence, a rebuilt gadget none; both
+    # freeze to the same bytes
+    finds = list(search_gadget(spec()))
+    assert finds
+    for i, find in enumerate(finds):
+        plain = TerminalGadget(find.graph, find.terminals, find.contract)
+        assert find.search_digest == canonical_digest(find.graph)
+        assert plain.search_digest is None
+        assert plain == find and hash(plain) == hash(find)
+        assert repr(plain) == repr(find)
+        assert gadget_to_json_dict(plain) == gadget_to_json_dict(find)
+        got = certify_and_freeze(find, tmp_path / f"find-{i}.json")
+        want = certify_and_freeze(plain, tmp_path / f"plain-{i}.json")
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_a_find_with_a_replaced_contract_is_checked_again(tmp_path):
+    # replace() drops the evidence: the new contract's clauses run, and
+    # the feasible "012" is refused by its own clause
+    find = next(iter(search_gadget(seed_search_spec())))
+    contract = replace(find.contract, forbidden_patterns=frozenset({"000", "012"}))
+    changed = replace(find, contract=contract)
+    assert changed.search_digest is None
+    path = tmp_path / "changed.json"
+    with pytest.raises(ContractError, match="clause pattern-012-infeasible") as exc:
+        certify_and_freeze(changed, path)
+    assert exc.value.clause == "pattern-012-infeasible"
+    assert not path.exists()
