@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable
 
 from .errors import FormatError
@@ -229,9 +230,71 @@ def graph_from_json_dict(d: dict[str, Any]) -> Graph:
 
 
 def dump_json(obj: Any) -> bytes:
-    """The one JSON byte format of every file the package writes: indent
-    2, sorted keys, ASCII, a trailing newline."""
-    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii")
+    """The one JSON byte format of every file the package writes: the
+    bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` in ASCII plus
+    a newline.  Each item is on its own line, two spaces deeper than its
+    container, with ``,`` after all but the last, ``": "`` after each key
+    and ``{}`` / ``[]`` for an empty container; NaN and the infinities
+    are written ``NaN``, ``Infinity`` and ``-Infinity``, as ``json``
+    writes them.  A key that is not a string (an int too) raises
+    ``TypeError``, as does a value ``json`` refuses (a set, bytes, an
+    object), with ``json``'s message.  With ``indent`` set ``json.dumps``
+    runs its pure-Python encoder; this writer joins its pieces once."""
+    out: list[str] = []
+    _write_json(obj, "\n", out)
+    out.append("\n")
+    return "".join(out).encode("ascii")
+
+
+_JSON_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _write_json(o: Any, nl: str, out: list[str]) -> None:
+    """Append the pieces of ``o`` to ``out``; ``nl`` is a newline and the
+    indent of the line ``o`` starts on."""
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        text = float.__repr__(o)
+        out.append(_JSON_FLOATS.get(text, text))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for item in o:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = comma
+        out.append(nl + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for key in sorted(o):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(o[key], inner, out)
+            sep = comma
+        out.append(nl + "}")
+    else:
+        raise TypeError(
+            f"Object of type {o.__class__.__name__} is not JSON serializable"
+        )
 
 
 def encode_json(g: Graph) -> bytes:

@@ -2,8 +2,12 @@
 
 Each check body hands over its witness and details as JSON values, so
 this module knows nothing of the objects the checks inspect.  The JSON
-emitter is deterministic (``formats.dump_json``, fixed rounding), and
-parse(emit(report)) == report, so reports can be archived and diffed.
+emitter is deterministic (``formats.dump_json``, fixed rounding): ASCII,
+keys sorted, one item a line indented two spaces a level, ``,`` between
+items, ``": "`` after keys, ``{}`` and ``[]`` when empty, a final newline,
+the bytes of ``json.dumps(indent=2, sort_keys=True)`` plus ``"\n"``.
+Parsing an emitted report gives the report back, so reports can be
+archived and diffed.
 """
 
 from __future__ import annotations

@@ -6,7 +6,8 @@ catch its bugs.  The graph6 encoder follows the published format
 definition directly, the cycle finder enumerates vertex subsets, the
 coloring check enumerates assignments, the isomorphism test tries
 every permutation, and the canonical form encodes every leaf of the
-refinement tree.  The solver reference runs the package solver's search
+refinement tree.  The JSON writer's reference is the standard library's
+indenting encoder.  The solver reference runs the package solver's search
 over an explicit clause list, with a clause object per edge and color,
 so that the package's implication lists must reproduce it step for step.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import json
 import random
 import sys
 from collections import deque
@@ -45,6 +47,11 @@ def graph6_reference(n: int, edges) -> bytes:
             value = (value << 1) | b
         out.append(63 + value)
     return bytes(out)
+
+
+def reference_dump_json(obj) -> bytes:
+    """The package's JSON byte format as the standard library writes it."""
+    return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii")
 
 
 def normalize_cycle(seq) -> tuple[int, ...]:

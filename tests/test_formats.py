@@ -1,13 +1,20 @@
+import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steinberg import FormatError, build_graph, decode, encode, sniff_format
-from steinberg.formats import FORMATS, decode_graph6, strict_bool
+from steinberg import (
+    FormatError, build_graph, counterexample_report, decode, encode, sniff_format,
+)
+from steinberg.formats import FORMATS, decode_graph6, dump_json, strict_bool
+from steinberg.gadgets import lemmas_report
+from steinberg.graphs import remove_edge
+from steinberg.stock import seed_data_path
 
-from support import graph6_reference
+from support import graph6_reference, reference_dump_json
 
 
 def graphs(max_n: int = 12):
@@ -50,6 +57,71 @@ def test_json_preserves_labels():
     back = decode(encode(g, "json"), "json")
     assert back == g
     assert back.label_map == {0: "a", 2: "c'"}
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(2**80), max_value=2**80),
+    st.floats(),
+    st.sampled_from(
+        [-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf, 2.0**64, 0.1]
+    ),
+    st.text(),
+    st.text(alphabet='"\\/\x00\x1f\x7f\u2028\xe9\U0001f600 ab'),
+)
+JSON_KEYS = st.text(max_size=6) | st.sampled_from(
+    ['"', "\\", "\n", "\xe9", "\U0001f600"]
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(JSON_KEYS, inner, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+@given(JSON_VALUES)
+@settings(max_examples=500, deadline=None)
+def test_dump_json_agrees_with_the_standard_library(value):
+    assert dump_json(value) == reference_dump_json(value)
+
+
+def test_dump_json_agrees_on_the_documents_the_package_writes(
+    seed_gadget, final_graph
+):
+    data = seed_data_path().read_bytes()
+    assert dump_json(json.loads(data)) == data
+    lemmas = lemmas_report(seed_gadget).to_json_dict()
+    assert dump_json(lemmas) == reference_dump_json(lemmas)
+    at = final_graph.vertex_by_label
+    colorable = counterexample_report(remove_edge(final_graph, at("d"), at("e")))
+    doc = colorable.to_json_dict()
+    assert not colorable.passed  # the report carries a coloring witness
+    assert dump_json(doc) == reference_dump_json(doc)
+
+
+def test_dump_json_writes_special_floats_and_refuses_what_json_refuses():
+    specials = [math.nan, math.inf, -math.inf]
+    assert dump_json(specials) == b"[\n  NaN,\n  Infinity,\n  -Infinity\n]\n"
+    assert dump_json(specials) == reference_dump_json(specials)
+    assert dump_json({}) == b"{}\n" and dump_json([]) == b"[]\n"
+    refused = {"set": {1, 2}, "bytes": b"ab", "object": object(),
+               "frozenset": {"a": [frozenset()]}}
+    for name, bad in refused.items():
+        message = f"Object of type {name} is not JSON serializable"
+        with pytest.raises(TypeError, match=message):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError, match=message):
+            dump_json(bad)
+    # json would write an int key as its text; the package's writer
+    # takes string keys only
+    for bad in ({1: "a"}, {"a": {2: None}}):
+        with pytest.raises(TypeError, match="keys must be str, not int"):
+            dump_json(bad)
 
 
 def test_graph6_optional_header_accepted():

@@ -6,7 +6,8 @@ attribute.  A refactor that moves or renames one of them would break
 one op of each benchmark workload, run through its own gate, catches a
 change to an entry point the workloads call.  The proof checker must
 stay free of package imports, the report layer free of the analysis
-module, and the package free of ``assert`` statements."""
+module, and the package free of ``assert`` statements and of a second,
+indenting JSON writer."""
 
 import ast
 import importlib
@@ -91,5 +92,20 @@ def test_the_package_has_no_assert_statement():
         for path in sorted(PACKAGE.rglob("*.py"))
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_no_call_in_the_package_indents_through_json():
+    # json.dumps runs its pure-Python encoder whenever indent is set;
+    # formats.dump_json is the one indented writer
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None))
+        in ("dump", "dumps")
+        and any(k.arg == "indent" for k in node.keywords)
     ]
     assert found == []
