@@ -27,7 +27,6 @@ from .formats import decode, encode, sniff_format
 from .canon import CanonicalForm, canonical_digest, canonical_form
 from .analysis import (
     CycleCensus,
-    CycleWitness,
     PlanarityCertificate,
     cycles_of_length,
     distance,
@@ -38,7 +37,6 @@ from .analysis import (
     validate_planarity_certificate,
 )
 from .coloring import (
-    TerminalBehavior,
     brute_force_3coloring,
     check_fixed,
     exhaustive_color_count,
@@ -54,7 +52,6 @@ from .gadgets import (
     InterfaceContract,
     PastePart,
     PasteRecipe,
-    PasteResult,
     TerminalGadget,
     build_counterexample,
     build_triple_gadget,
@@ -102,7 +99,6 @@ __all__ = [
     "canonical_form",
     "canonical_digest",
     "CycleCensus",
-    "CycleWitness",
     "PlanarityCertificate",
     "cycles_of_length",
     "distance",
@@ -111,7 +107,6 @@ __all__ = [
     "validate_planarity_certificate",
     "triangles_sharing_edge",
     "triangle_edge_conflicts",
-    "TerminalBehavior",
     "is_proper",
     "check_fixed",
     "solve_3coloring",
@@ -126,7 +121,6 @@ __all__ = [
     "TerminalGadget",
     "PastePart",
     "PasteRecipe",
-    "PasteResult",
     "paste",
     "seed_contract",
     "triple_contract",

@@ -3,13 +3,15 @@
 A distance is the length of a shortest path, found by a BFS that stops
 at its target.  Short cycles are enumerated exhaustively by one bounded
 DFS per :class:`CycleCensus`, which finds every requested length in
-3..6 in one pass; a verify report takes one census of its 3-, 4- and
-5-cycles and reads its cycle check and both triangle checks off it.
+3..6 in one pass and hands out each cycle as its canonical vertex tuple;
+a verify report takes one census of its 3-, 4- and 5-cycles and reads
+its cycle check and both triangle checks off it.
 Planarity verdicts come from an iterative left-right planarity test,
 and every verdict is wrapped in a certificate (a rotation system or a
 Kuratowski subdivision) that :func:`validate_planarity_certificate`
 re-checks from scratch with code the test does not share, so the test's
-answer is never taken on faith.
+answer is never taken on faith.  Only the checker names an
+obstruction's kind, K5 or K3,3.
 """
 
 from __future__ import annotations
@@ -58,30 +60,17 @@ def distance(g: Graph, u: int, v: int) -> int | None:
 # ---------------------------------------------------------------------------
 # short cycles
 
-@dataclass(frozen=True, order=True)
-class CycleWitness:
-    """A simple cycle in canonical orientation.
-
-    ``vertices`` starts at the smallest vertex on the cycle and runs in
-    the direction whose second vertex is smaller than its last, so each
-    cycle has exactly one witness form.
-    """
-
-    vertices: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        return len(self.vertices)
-
-    def edges(self) -> list[Edge]:
-        vs = self.vertices
-        return [
-            normalize_edge(vs[i], vs[(i + 1) % len(vs)])
-            for i in range(len(vs))
-        ]
+# A cycle is its vertex tuple in canonical orientation: it starts at its
+# smallest vertex and runs in the direction whose second vertex is
+# smaller than its last, so each cycle has exactly one form.
+Cycle = tuple[int, ...]
 
 
-def _cycle_dfs(g: Graph, lengths: frozenset[int]) -> dict[int, list[CycleWitness]]:
+def _cycle_edges(vs: Cycle) -> list[Edge]:
+    return [normalize_edge(vs[i - 1], vs[i]) for i in range(len(vs))]
+
+
+def _cycle_dfs(g: Graph, lengths: frozenset[int]) -> dict[int, list[Cycle]]:
     """Every simple cycle of each length in ``lengths``, in one DFS.
 
     The DFS starts at each vertex s, visits only vertices larger than s
@@ -91,7 +80,7 @@ def _cycle_dfs(g: Graph, lengths: frozenset[int]) -> dict[int, list[CycleWitness
     the paths of each length in lexicographic order, so each list comes
     out sorted.
     """
-    out: dict[int, list[CycleWitness]] = {k: [] for k in sorted(lengths)}
+    out: dict[int, list[Cycle]] = {k: [] for k in sorted(lengths)}
     top = max(lengths)
     # close[d]: the list that takes the cycles on d vertices, or None
     close = [out.get(d) for d in range(top + 1)]
@@ -108,14 +97,14 @@ def _cycle_dfs(g: Graph, lengths: frozenset[int]) -> dict[int, list[CycleWitness
             found = close[top]
             for w in adj[last]:
                 if w > s and not in_path[w] and w in s_nbrs and path[1] < w:
-                    found.append(CycleWitness((*path[:depth], w)))
+                    found.append((*path[:depth], w))
             return
         found = close[depth + 1]
         for w in adj[last]:
             if w > s and not in_path[w]:
                 path[depth] = w
                 if found is not None and w in s_nbrs and path[1] < w:
-                    found.append(CycleWitness(tuple(path[:depth + 1])))
+                    found.append(tuple(path[:depth + 1]))
                 in_path[w] = True
                 extend(depth + 1, s, s_nbrs)
                 in_path[w] = False
@@ -129,7 +118,7 @@ def _cycle_dfs(g: Graph, lengths: frozenset[int]) -> dict[int, list[CycleWitness
 
 
 # a shared edge, a triangle on it and a second cycle on it
-Conflict = tuple[Edge, CycleWitness, CycleWitness]
+Conflict = tuple[Edge, Cycle, Cycle]
 
 
 class CycleCensus:
@@ -148,22 +137,22 @@ class CycleCensus:
                 raise ValueError(f"cycle length must be in 3..6, got {k}")
         self.graph = g
 
-    def __getitem__(self, k: int) -> list[CycleWitness]:
+    def __getitem__(self, k: int) -> list[Cycle]:
         return self._cycles[k]
 
     @cached_property
-    def _cycles(self) -> dict[int, list[CycleWitness]]:
+    def _cycles(self) -> dict[int, list[Cycle]]:
         if not self.lengths:
             return {}
         return _cycle_dfs(self.graph, self.lengths)
 
     @cached_property
-    def triangle_pairs(self) -> tuple[dict[Edge, list[CycleWitness]], list[Conflict]]:
+    def triangle_pairs(self) -> tuple[dict[Edge, list[Cycle]], list[Conflict]]:
         """Each edge on a triangle with its triangles in sorted order, and
         every pair of triangles on one edge, sorted by edge, then by pair."""
-        by_edge: dict[Edge, list[CycleWitness]] = {}
+        by_edge: dict[Edge, list[Cycle]] = {}
         for tri in self[3]:
-            for e in tri.edges():
+            for e in _cycle_edges(tri):
                 by_edge.setdefault(e, []).append(tri)
         pairs = [
             (e, t1, t2)
@@ -173,16 +162,16 @@ class CycleCensus:
         return by_edge, pairs
 
 
-def cycles_of_length(g: Graph, k: int) -> list[CycleWitness]:
+def cycles_of_length(g: Graph, k: int) -> list[Cycle]:
     """All simple cycles of length exactly k, 3 <= k <= 6, sorted."""
     return CycleCensus(g, (k,))[k]
 
 
 def forbidden_cycle_check(
     g: Graph, lengths: Iterable[int], *, census: CycleCensus | None = None
-) -> CycleWitness | None:
+) -> Cycle | None:
     """Return None when no cycle of any given length exists, else the
-    first witness (smallest length, then lexicographic).  ``census``,
+    first cycle (smallest length, then lexicographic).  ``census``,
     when given, must cover ``lengths``; otherwise one is built."""
     lengths = sorted(set(lengths))
     if census is None:
@@ -226,14 +215,12 @@ def triangle_edge_conflicts(
     for five in census[5]:
         # a triangle may share two edges with a 5-cycle; keep the smaller
         seen = set()
-        for e in sorted(five.edges()):
+        for e in sorted(_cycle_edges(five)):
             for tri in by_edge.get(e, ()):
-                if tri.vertices not in seen:
-                    seen.add(tri.vertices)
+                if tri not in seen:
+                    seen.add(tri)
                     fives.append((e, tri, five))
-    # a witness orders as its vertex tuple, so plain tuple keys give the
-    # same order without a Python-level comparison per step
-    fives.sort(key=lambda c: (c[0], c[1].vertices, c[2].vertices))
+    fives.sort()
     return pairs + fives
 
 
@@ -247,7 +234,6 @@ class PlanarityCertificate:
     planar: bool
     rotation: tuple[tuple[int, ...], ...] | None = None
     obstruction_edges: tuple[Edge, ...] | None = None
-    kind: str | None = None  # "K5" or "K3,3" when nonplanar
 
 
 class _LeftRight:
@@ -650,15 +636,14 @@ def _kuratowski_edges(g: Graph) -> tuple[Edge, ...]:
 
 
 def is_planar(g: Graph) -> PlanarityCertificate:
-    """Planarity test; the verdict always carries a certificate."""
+    """Planarity test; the verdict always carries a certificate.  The
+    certificate does not name its obstruction's kind: only
+    :func:`validate_planarity_certificate` classifies one."""
     lr = _LeftRight(g.adj)
     if lr.planar:
         return PlanarityCertificate(planar=True, rotation=lr.rotation())
     edges = _kuratowski_edges(g)
-    _, kind = _smooth_subdivision(edges)
-    return PlanarityCertificate(
-        planar=False, obstruction_edges=edges, kind=kind
-    )
+    return PlanarityCertificate(planar=False, obstruction_edges=edges)
 
 
 def _component_roots(n: int, edges: Iterable[Edge]) -> list[int]:
@@ -702,12 +687,11 @@ def _trace_faces(rotation: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     return faces
 
 
-def _smooth_subdivision(edges: tuple[Edge, ...]) -> tuple[dict[int, set[int]], str]:
-    """Suppress degree-2 vertices; classify the remaining core."""
+def _smooth_subdivision(edges: tuple[Edge, ...]) -> str:
+    """Suppress the degree-2 vertices of a loopless edge list; name the
+    remaining core, "K5" or "K3,3"."""
     adj: dict[int, set[int]] = {}
     for u, v in edges:
-        if u == v:
-            raise CertificateError("obstruction contains a loop")
         adj.setdefault(u, set()).add(v)
         adj.setdefault(v, set()).add(u)
     # suppressing x keeps every other degree, so one sorted pass
@@ -727,7 +711,7 @@ def _smooth_subdivision(edges: tuple[Edge, ...]) -> tuple[dict[int, set[int]], s
         for v in core:
             if adj[v] != set(core) - {v}:
                 raise CertificateError("core is 4-regular but not complete")
-        return adj, "K5"
+        return "K5"
     if len(core) == 6 and degs == [3] * 6:
         side = {core[0]: 0}
         queue = [core[0]]
@@ -743,7 +727,7 @@ def _smooth_subdivision(edges: tuple[Edge, ...]) -> tuple[dict[int, set[int]], s
         part1 = set(core) - part0
         if len(part0) != 3 or any(adj[v] != part1 for v in part0):
             raise CertificateError("core is not a complete bipartite 3+3")
-        return adj, "K3,3"
+        return "K3,3"
     raise CertificateError(
         f"smoothed obstruction has {len(core)} branch vertices of degrees"
         f" {degs}; neither a K5 nor a K3,3 subdivision"
@@ -752,13 +736,14 @@ def _smooth_subdivision(edges: tuple[Edge, ...]) -> tuple[dict[int, set[int]], s
 
 def validate_planarity_certificate(
     g: Graph, cert: PlanarityCertificate
-) -> None:
-    """Re-check a certificate from first principles.
+) -> str | None:
+    """Re-check a certificate from first principles; return the kind of
+    obstruction it proved, "K5" or "K3,3", or None for a planar one.
 
     Planar: the rotation system must list each vertex's exact neighbor
     set, and tracing its faces must satisfy n - m + f = 2 on every
     connected component with at least one edge.  Nonplanar: the
-    obstruction must be a subgraph that smooths to K5 or K3,3.
+    obstruction must be a loopless subgraph that smooths to K5 or K3,3.
 
     Raises :class:`CertificateError` when anything fails.
     """
@@ -784,17 +769,15 @@ def validate_planarity_certificate(
                     f"Euler check failed on a component: n={n_c[r]}"
                     f" m={m_c[r]} f={f_c[r]}"
                 )
-        return
+        return None
     edges = cert.obstruction_edges
     if not edges:
         raise CertificateError("nonplanar certificate carries no obstruction")
     for u, v in edges:
+        if u == v:
+            raise CertificateError("obstruction contains a loop")
         if not g.has_edge(u, v):
             raise CertificateError(
                 f"obstruction edge ({u}, {v}) is not in the graph"
             )
-    _, kind = _smooth_subdivision(edges)
-    if cert.kind is not None and cert.kind != kind:
-        raise CertificateError(
-            f"certificate says {cert.kind}, obstruction smooths to {kind}"
-        )
+    return _smooth_subdivision(edges)

@@ -568,32 +568,15 @@ def all_equal_pattern(t: int) -> str:
     return "0" * t
 
 
-@dataclass(frozen=True)
-class TerminalBehavior:
-    """Feasibility of each terminal partition pattern for a gadget.
+def terminal_behavior(
+    gadget: "TerminalGadget", refuted: frozenset[str]
+) -> dict[str, bool]:
+    """Decide every terminal pattern of a gadget with 2 to 4 terminals:
+    the feasibility of each, in :func:`all_patterns` order.
 
     Feasibility under one representative coloring decides the whole
     pattern class because permuting the three colors maps proper
     colorings to proper colorings.
-    """
-
-    arity: int
-    entries: tuple[tuple[str, bool], ...]
-
-    def feasible(self, pattern: str) -> bool:
-        for p, ok in self.entries:
-            if p == pattern:
-                return ok
-        raise KeyError(f"unknown pattern {pattern!r}")
-
-    def as_dict(self) -> dict[str, bool]:
-        return dict(self.entries)
-
-
-def terminal_behavior(
-    gadget: "TerminalGadget", refuted: frozenset[str]
-) -> TerminalBehavior:
-    """Decide every terminal pattern of a gadget with 2 to 4 terminals.
 
     ``refuted`` holds patterns, in ``gadget.terminals`` order, that a
     passing contract clause on the same graph has already refuted; they
@@ -606,10 +589,10 @@ def terminal_behavior(
     t = len(terminals)
     if t not in _BEHAVIOR_ARITIES:
         raise ValueError(f"terminal behavior needs 2..4 terminals, got {t}")
-    entries = []
+    table = {}
     for pattern in all_patterns(t):
         infeasible = pattern in refuted or _coloring_check(
             gadget.graph, pattern_fixing(terminals, pattern)
         )[0]
-        entries.append((pattern, not infeasible))
-    return TerminalBehavior(t, tuple(entries))
+        table[pattern] = not infeasible
+    return table

@@ -34,7 +34,6 @@ from .analysis import (
 )
 from .canon import canonical_digest
 from .coloring import (
-    TerminalBehavior,
     _coloring_check,
     _coloring_witness,
     all_equal_pattern,
@@ -237,13 +236,14 @@ CheckBody = Callable[[], tuple[bool, Any, Any]]
 
 def _planarity_check(g: Graph) -> tuple[bool, Any, Any]:
     """Planarity, with its certificate re-checked from scratch; the
-    witness of a failure is the Kuratowski subgraph."""
+    witness of a failure is the Kuratowski subgraph, with the kind the
+    check proved."""
     cert = is_planar(g)
-    validate_planarity_certificate(g, cert)
+    kind = validate_planarity_certificate(g, cert)
     if cert.planar:
         return True, None, {"faces": "euler-checked"}
     edges = [list(e) for e in cert.obstruction_edges]
-    return False, {"type": "kuratowski", "kind": cert.kind, "edges": edges}, None
+    return False, {"type": "kuratowski", "kind": kind, "edges": edges}, None
 
 
 def _cycle_check(
@@ -254,7 +254,7 @@ def _cycle_check(
     hit = forbidden_cycle_check(g, lengths, census=census)
     if hit is None:
         return True, None, None
-    return False, {"type": "cycle", "vertices": list(hit.vertices)}, None
+    return False, {"type": "cycle", "vertices": list(hit)}, None
 
 
 def _report(
@@ -387,7 +387,7 @@ def _adjacent_triangles_check(
     if not conflicts:
         return True, None, {"triangle_pairs_sharing_an_edge": 0}
     edge, t1, t2 = conflicts[0]
-    witness = {"edge": list(edge), "triangles": [list(t1.vertices), list(t2.vertices)]}
+    witness = {"edge": list(edge), "triangles": [list(t1), list(t2)]}
     return False, witness, {}
 
 
@@ -399,8 +399,8 @@ def _triangle_short_cycle_edge_check(
         return True, None, {"conflicts": 0}
     edge, tri, other = conflicts[0]
     witness = {
-        "triangle": list(tri.vertices),
-        "cycle": list(other.vertices),
+        "triangle": list(tri),
+        "cycle": list(other),
         "shared_edge": list(edge),
     }
     return False, witness, {}
@@ -461,21 +461,14 @@ class PasteRecipe:
     labels: tuple[tuple[int, str], ...] | None = None
 
 
-@dataclass(frozen=True)
-class PasteResult:
-    graph: Graph
-    slot_vertices: tuple[int, ...]
-    fresh_vertices: tuple[int, ...]
-    part_maps: tuple[dict[int, int], ...]
+def paste(recipe: PasteRecipe) -> Graph:
+    """Execute a recipe into the pasted graph.
 
-
-def paste(recipe: PasteRecipe) -> PasteResult:
-    """Execute a recipe.
-
-    Vertex numbering is deterministic: slots first, then extra vertices,
-    then each part's interior in part order.  Any two edges landing on
-    the same final pair is a collision error, whether they come from two
-    parts, from one part and an extra edge, or from two extra edges.
+    Vertex numbering is deterministic: the slots are 0..num_slots-1,
+    the extra vertices take the next extra_vertices ids, and each part's
+    interior follows in part order.  Any two edges landing on the same
+    final pair is a collision error, whether they come from two parts,
+    from one part and an extra edge, or from two extra edges.
     """
     s = recipe.num_slots
     f = recipe.extra_vertices
@@ -536,13 +529,7 @@ def paste(recipe: PasteRecipe) -> PasteResult:
         put(u, v, "extra edge")
 
     labels = dict(recipe.labels) if recipe.labels else None
-    graph = build_graph(next_vertex, sorted(edges), labels)
-    return PasteResult(
-        graph=graph,
-        slot_vertices=tuple(range(s)),
-        fresh_vertices=tuple(range(s, s + f)),
-        part_maps=tuple(part_maps),
-    )
+    return build_graph(next_vertex, sorted(edges), labels)
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +603,8 @@ def paste_triple(seed: TerminalGadget) -> TerminalGadget:
     """Paste three seed copies by :func:`triple_recipe` into the
     composite gadget, without checking the seed's contract; callers
     check ``seed_in_roles(seed)`` first."""
-    result = paste(triple_recipe(seed))
-    return TerminalGadget(result.graph, (0, 1, 2), triple_contract())
+    graph = paste(triple_recipe(seed))
+    return TerminalGadget(graph, (0, 1, 2), triple_contract())
 
 
 def build_triple_gadget(seed: TerminalGadget, jobs: int = 1) -> TerminalGadget:
@@ -696,7 +683,7 @@ def build_counterexample(triple: TerminalGadget, jobs: int = 1) -> Graph:
     require_contract(
         TerminalGadget(triple.graph, triple.terminals, triple_contract())
     )
-    return paste(counterexample_recipe(triple)).graph
+    return paste(counterexample_recipe(triple))
 
 
 # ---------------------------------------------------------------------------
@@ -713,14 +700,14 @@ class RecipeWalk:
     ``{"survivor": pattern}``; ``closed_by`` counts the closing reasons.
     """
 
-    behavior: TerminalBehavior
+    behavior: dict[str, bool]
     closed_by: dict[str, int]
     witnesses: dict[str, dict[str, int]]
     tree: dict[str, Any]
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
-            "table": self.behavior.as_dict(),
+            "table": self.behavior,
             "closed_by": dict(sorted(self.closed_by.items())),
             "witnesses": self.witnesses,
             "tree": self.tree,
@@ -729,7 +716,7 @@ class RecipeWalk:
 
 def walk_recipe(
     recipe: PasteRecipe,
-    tables: Sequence[TerminalBehavior],
+    tables: Sequence[dict[str, bool]],
     terminals: tuple[int, ...],
 ) -> RecipeWalk:
     """Decide the terminal behavior of ``paste(recipe)`` on the slot or
@@ -774,15 +761,16 @@ def walk_recipe(
     edges_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v in recipe.extra_edges:
         edges_at[max(step[u], step[v])].append((u, v))
-    parts_at: list[list[tuple[int, tuple[int, ...], TerminalBehavior]]] = [
+    parts_at: list[list[tuple[int, tuple[int, ...], dict[str, bool]]]] = [
         [] for _ in range(n)
     ]
     for i, (part, table) in enumerate(zip(recipe.parts, tables)):
-        if table.arity != len(part.slots):
-            raise ValueError(
-                f"part {i} has {len(part.slots)} terminals but its behavior"
-                f" table covers {table.arity}"
-            )
+        for p in table:
+            if len(p) != len(part.slots):
+                raise ValueError(
+                    f"part {i} has {len(part.slots)} terminals but its"
+                    f" behavior table lists pattern {p!r}"
+                )
         parts_at[max(step[s] for s in part.slots)].append((i, part.slots, table))
     labels = dict(recipe.labels or ())
     name = [labels.get(v, str(v)) for v in range(n)]
@@ -796,7 +784,7 @@ def walk_recipe(
                 return f"edge {name[u]}-{name[v]} monochromatic"
         for i, slots, table in parts_at[k]:
             pattern = pattern_of([color[s] for s in slots])
-            if not table.feasible(pattern):
+            if not table[pattern]:
                 where = ", ".join(name[s] for s in slots)
                 return f"part {i} ({where}) takes infeasible pattern {pattern}"
         return None
@@ -820,9 +808,7 @@ def walk_recipe(
 
     tree = walk(0)
     patterns = all_patterns(len(terminals)) if terminals else [""]
-    behavior = TerminalBehavior(
-        len(terminals), tuple((p, p in witnesses) for p in patterns)
-    )
+    behavior = {p: p in witnesses for p in patterns}
     return RecipeWalk(behavior, closed_by, witnesses, tree)
 
 
@@ -851,7 +837,7 @@ class CompositionalResult:
 
 
 def compositional_check(
-    seed: TerminalGadget, seed_behavior: TerminalBehavior
+    seed: TerminalGadget, seed_behavior: dict[str, bool]
 ) -> CompositionalResult:
     """Prove the final graph non-3-colorable from the seed behavior
     table alone, without running the solver.

@@ -657,7 +657,7 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
         "digest": digest,
         "tool_version": _tool_version,
         "checks": [name for name, _ in _contract_clauses(gadget)],
-        "behavior": behavior.as_dict(),
+        "behavior": behavior,
         "terminals_cofacial": cofacial,
     }
     path = Path(path)

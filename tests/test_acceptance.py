@@ -115,7 +115,7 @@ def test_criterion_2_triple_lemma_suite(seed_gadget, triple_gadget):
         composed = compositional_check(
             seed_gadget, terminal_behavior(seed_gadget, frozenset())
         )
-        assert composed.triple_stage.behavior.feasible("000") is False
+        assert composed.triple_stage.behavior["000"] is False
     report(2, "composite lemma suite", t, limit=30)
 
 
@@ -190,16 +190,15 @@ def test_criterion_6_structural_oracles(small_graph_pool, seed_gadget):
     with Timer() as t:
         for g in pool:
             for k in (3, 4, 5, 6):
-                got = {w.vertices for w in cycles_of_length(g, k)}
+                got = set(cycles_of_length(g, k))
                 assert got == subset_cycles(g, k)
 
         for g in pool:
             cert = is_planar(g)
-            validate_planarity_certificate(g, cert)
+            kind = validate_planarity_certificate(g, cert)
             if cert.planar and g.n >= 3:
                 assert g.m <= 3 * g.n - 6
-            if not cert.planar:
-                assert cert.kind in ("K5", "K3,3")
+            assert kind in ((None,) if cert.planar else ("K5", "K3,3"))
 
         reference = canonical_form(seed_gadget.graph)
         perm = list(range(seed_gadget.graph.n))
@@ -289,6 +288,5 @@ def test_hostile_random_nonplanar_report():
     cert = PlanarityCertificate(
         planar=False,
         obstruction_edges=tuple(tuple(e) for e in witness["edges"]),
-        kind=witness["kind"],
     )
-    validate_planarity_certificate(g, cert)
+    assert validate_planarity_certificate(g, cert) == witness["kind"]

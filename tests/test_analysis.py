@@ -106,11 +106,11 @@ def test_cycles_of_length_rejects_bad_k():
 def test_cycle_witnesses_are_canonical_and_sorted():
     g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
     found = cycles_of_length(g, 4)
-    assert [w.vertices for w in found] == [(0, 1, 2, 3), (0, 3, 4, 5)]
+    assert found == [(0, 1, 2, 3), (0, 3, 4, 5)]
     for w in found:
-        assert w.vertices == normalize_cycle(w.vertices)
-        assert len(w.edges()) == 4
-        for u, v in w.edges():
+        assert w == normalize_cycle(w)
+        assert len(analysis._cycle_edges(w)) == 4
+        for u, v in analysis._cycle_edges(w):
             assert g.has_edge(u, v)
 
 
@@ -124,7 +124,7 @@ def test_chords_do_not_hide_cycles():
 @given(graphs(), st.sampled_from([3, 4, 5, 6]))
 @settings(max_examples=200, deadline=None)
 def test_cycles_match_subset_oracle(g, k):
-    got = {w.vertices for w in cycles_of_length(g, k)}
+    got = set(cycles_of_length(g, k))
     assert got == subset_cycles(g, k)
 
 
@@ -144,7 +144,7 @@ def test_census_matches_subset_oracle(g):
     for lengths in NONEMPTY_LENGTH_SETS:
         census = CycleCensus(g, lengths)
         for k in lengths:
-            assert [w.vertices for w in census[k]] == oracle[k], (lengths, k)
+            assert census[k] == oracle[k], (lengths, k)
 
 
 def test_census_of_no_lengths_runs_no_dfs(monkeypatch):
@@ -168,11 +168,11 @@ def test_forbidden_cycle_check():
     c6 = build_graph(6, [(i, (i + 1) % 6) for i in range(6)])
     assert forbidden_cycle_check(c6, {4, 5}) is None
     w = forbidden_cycle_check(c6, {4, 5, 6})
-    assert w is not None and w.length == 6
+    assert w is not None and len(w) == 6
 
     c4 = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     w = forbidden_cycle_check(c4, {4, 5})
-    assert w is not None and w.vertices == (0, 1, 2, 3)
+    assert w == (0, 1, 2, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +185,7 @@ def test_triangles_sharing_edge():
     assert len(conflicts) == 1
     edge, t1, t2 = conflicts[0]
     assert edge == (0, 1)
-    assert {t1.vertices, t2.vertices} == {(0, 1, 2), (0, 1, 3)}
+    assert {t1, t2} == {(0, 1, 2), (0, 1, 3)}
 
     disjoint = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     assert triangles_sharing_edge(disjoint) == []
@@ -197,9 +197,9 @@ def test_triangle_edge_conflicts_with_five_cycle():
     conflicts = triangle_edge_conflicts(house)
     assert len(conflicts) == 1
     edge, tri, five = conflicts[0]
-    assert tri.vertices == (0, 1, 2)
-    assert five.length == 5
-    assert edge in set(tri.edges()) and edge in set(five.edges())
+    assert tri == (0, 1, 2)
+    assert len(five) == 5
+    assert edge in analysis._cycle_edges(tri) and edge in analysis._cycle_edges(five)
 
     # the knob that picked cycle lengths is gone: 3 and 5 are always checked
     with pytest.raises(TypeError):
@@ -215,12 +215,9 @@ def test_triangle_edge_conflicts_includes_triangle_pairs():
 @given(graphs(9))
 @settings(max_examples=150, deadline=None)
 def test_triangle_predicates_match_subset_reference(g):
-    def plain(conflicts):
-        return [(e, a.vertices, b.vertices) for e, a, b in conflicts]
-
     pairs, conflicts = reference_triangle_conflicts(g)
-    assert plain(triangles_sharing_edge(g)) == pairs
-    assert plain(triangle_edge_conflicts(g)) == conflicts
+    assert triangles_sharing_edge(g) == pairs
+    assert triangle_edge_conflicts(g) == conflicts
 
 
 def test_one_cycle_dfs_per_verify_report(monkeypatch):
@@ -268,8 +265,7 @@ def test_kuratowski_obstructions(obstruction, kind):
     for g in (obstruction, subdivide_every_edge(obstruction)):
         cert = is_planar(g)
         assert not cert.planar
-        assert cert.kind == kind
-        validate_planarity_certificate(g, cert)
+        assert validate_planarity_certificate(g, cert) == kind
 
 
 def test_planar_verdicts_respect_edge_bound():
@@ -317,20 +313,42 @@ def test_tampered_obstruction_fails():
     cert = is_planar(K5)
     # an obstruction edge that the graph does not contain
     fake = PlanarityCertificate(
-        planar=False, obstruction_edges=((0, 1), (2, 5)), kind=cert.kind
+        planar=False, obstruction_edges=((0, 1), (2, 5))
     )
     g6 = build_graph(6, list(K5.edges))
     with pytest.raises(CertificateError, match="not in the graph"):
         validate_planarity_certificate(g6, fake)
-    # wrong kind label
-    wrong = PlanarityCertificate(
-        planar=False, obstruction_edges=cert.obstruction_edges, kind="K3,3"
+    # a loop is refused as a certificate fault, not a graph-building one
+    looped = PlanarityCertificate(
+        planar=False, obstruction_edges=((0, 0), *cert.obstruction_edges)
     )
-    with pytest.raises(CertificateError, match="smooths to"):
-        validate_planarity_certificate(K5, wrong)
+    with pytest.raises(CertificateError, match="loop"):
+        validate_planarity_certificate(K5, looped)
     # no obstruction at all
     with pytest.raises(CertificateError, match="no obstruction"):
         validate_planarity_certificate(K5, PlanarityCertificate(planar=False))
+
+
+PRISM = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                        (0, 3), (1, 4), (2, 5)])
+
+
+@pytest.mark.parametrize("g, message", [
+    pytest.param(
+        build_graph(8, [*K5.edges, (5, 6), (6, 7), (5, 7)]),
+        "smooths to a doubled edge", id="K5-and-a-triangle",
+    ),
+    pytest.param(PRISM, "3-regular core is not bipartite", id="prism"),
+    pytest.param(
+        build_graph(4, list(itertools.combinations(range(4), 2))),
+        "neither a K5 nor a K3,3", id="K4",
+    ),
+])
+def test_an_obstruction_that_does_not_smooth_to_k5_or_k33_fails(g, message):
+    # each obstruction is the whole graph, so every edge is in it
+    cert = PlanarityCertificate(planar=False, obstruction_edges=g.edges)
+    with pytest.raises(CertificateError, match=message):
+        validate_planarity_certificate(g, cert)
 
 
 @given(graphs(8))
@@ -355,11 +373,11 @@ def test_deep_inputs_do_not_recurse(g, kind):
     sys.setrecursionlimit(stack_depth() + 40)
     try:
         cert = is_planar(g)
-        validate_planarity_certificate(g, cert)
+        proved = validate_planarity_certificate(g, cert)
     finally:
         sys.setrecursionlimit(limit)
     assert cert.planar == (kind is None)
-    assert cert.kind == kind
+    assert proved == kind
     if kind is not None:
         assert cert.obstruction_edges == g.edges
 

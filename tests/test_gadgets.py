@@ -34,7 +34,6 @@ from steinberg import (
     verify_contract,
 )
 from steinberg.coloring import (
-    TerminalBehavior,
     all_patterns,
     is_proper,
     pattern_of,
@@ -388,11 +387,9 @@ def test_paste_two_edges_share_a_slot():
             PastePart(edge_gadget(), (1, 2)),
         ),
     )
-    result = paste(recipe)
-    assert result.graph.n == 3
-    assert result.graph.edges == ((0, 1), (1, 2))
-    assert result.slot_vertices == (0, 1, 2)
-    assert result.fresh_vertices == ()
+    g = paste(recipe)
+    assert g.n == 3
+    assert g.edges == ((0, 1), (1, 2))
 
 
 def test_paste_numbering_is_slots_fresh_then_interiors():
@@ -404,21 +401,32 @@ def test_paste_numbering_is_slots_fresh_then_interiors():
         extra_edges=((0, 1), (1, 2)),
         labels=((0, "hub"),),
     )
-    result = paste(recipe)
-    g = result.graph
+    g = paste(recipe)
     assert g.n == 1 + 2 + 2
-    assert result.fresh_vertices == (1, 2)
-    assert result.part_maps[0][0] == 0
-    assert set(result.part_maps[0].values()) == {0, 3, 4}
+    # the fresh vertices 1, 2 carry the extra edges; the triangle's
+    # terminal lands on slot 0 and its interior on 3, 4
+    assert g.edges == ((0, 1), (0, 3), (0, 4), (1, 2), (3, 4))
     assert g.label_map == {0: "hub"}
 
 
-def test_paste_maps_preserve_part_edges(seed_gadget, triple_gadget):
-    result = paste(triple_recipe(seed_gadget))
-    for gmap in result.part_maps:
-        for u, v in seed_gadget.graph.edges:
-            assert result.graph.has_edge(gmap[u], gmap[v])
-    assert result.graph.m == 3 * seed_gadget.graph.m + 3
+def test_paste_maps_preserve_part_edges(seed_gadget):
+    # rebuild each part's vertex map by the numbering paste promises:
+    # terminals on their slots, interiors after the slots and fresh
+    # vertices in part order
+    recipe = triple_recipe(seed_gadget)
+    next_vertex = recipe.num_slots + recipe.extra_vertices
+    want = set(recipe.extra_edges)
+    for part in recipe.parts:
+        gmap = dict(zip(part.gadget.terminals, part.slots))
+        for v in range(part.gadget.graph.n):
+            if v not in gmap:
+                gmap[v] = next_vertex
+                next_vertex += 1
+        want |= {tuple(sorted((gmap[u], gmap[v]))) for u, v in part.gadget.graph.edges}
+    g = paste(recipe)
+    assert g.n == next_vertex
+    assert set(g.edges) == want
+    assert g.m == 3 * seed_gadget.graph.m + 3
 
 
 def test_paste_rejects_duplicate_slot_within_part():
@@ -511,10 +519,10 @@ def test_triple_recipe_orients_the_seed(seed_gadget):
 def test_triple_paste_ignores_the_seeds_terminal_order(seed_gadget):
     # b and c are told apart by vertex id, so all six orders of the
     # seed's terminals paste the very same triple, not a mirror image
-    want = paste(triple_recipe(seed_gadget)).graph
+    want = paste(triple_recipe(seed_gadget))
     for order in itertools.permutations(seed_gadget.terminals):
         turned = TerminalGadget(seed_gadget.graph, order, InterfaceContract())
-        assert paste(triple_recipe(turned)).graph == want
+        assert paste(triple_recipe(turned)) == want
 
 
 def test_build_triple_gadget_arithmetic(seed_gadget, triple_gadget):
@@ -553,7 +561,7 @@ def test_counterexample_names_and_extra_triangles(final_graph):
 
 
 def test_counterexample_renumbering_preserves_the_graph(triple_gadget, final_graph):
-    raw = paste(counterexample_recipe(triple_gadget)).graph
+    raw = paste(counterexample_recipe(triple_gadget))
     assert canonical_digest(raw) == canonical_digest(final_graph)
 
 
@@ -577,18 +585,18 @@ def test_compositional_check_closes_every_branch(seed_gadget):
     result = compositional_check(seed_gadget, behavior)
     assert result.ok
     assert result.counterexample is None
-    assert result.triple_stage.behavior.as_dict() == {
-        "000": False,
-        "001": True,
-        "010": True,
-        "011": True,
-        "012": True,
-    }
+    assert list(result.triple_stage.behavior.items()) == [
+        ("000", False),
+        ("001", True),
+        ("010", True),
+        ("011", True),
+        ("012", True),
+    ]
     # no stage-one coloring leaves the composite's terminals all equal,
     # and no stage-two branch survives at all
     assert "000" not in result.triple_stage.witnesses
     assert result.final_stage.witnesses == {}
-    assert result.final_stage.behavior.as_dict() == {"": False}
+    assert result.final_stage.behavior == {"": False}
     # a json-serializable summary
     json.dumps(result.to_json_dict())
 
@@ -602,17 +610,15 @@ def test_composed_triple_table_matches_the_solver(seed_gadget, triple_gadget):
 
 def test_compositional_check_catches_a_lying_behavior_table(seed_gadget):
     # if the all-equal pattern were feasible the argument must not close
-    lying = TerminalBehavior(
-        arity=3, entries=tuple((p, True) for p in all_patterns(3))
-    )
+    lying = dict.fromkeys(all_patterns(3), True)
     result = compositional_check(seed_gadget, lying)
     assert not result.ok
     assert result.counterexample is not None
 
 
 def test_compositional_check_rejects_wrong_arity(seed_gadget):
-    two = TerminalBehavior(arity=2, entries=(("00", False), ("01", True)))
-    with pytest.raises(ValueError):
+    two = {"00": False, "01": True}
+    with pytest.raises(ValueError, match="lists pattern '00'"):
         compositional_check(seed_gadget, two)
 
 
@@ -622,18 +628,13 @@ def test_compositional_check_reads_the_table_in_the_seeds_terminal_order(
     # an asymmetric table, as a search might propose: besides the
     # all-equal pattern, b = c with a apart is infeasible
     a, b, c = seed_gadget.terminals
-    table = TerminalBehavior(
-        3, tuple((p, p not in ("000", "011")) for p in all_patterns(3))
-    )
+    table = {p: p not in ("000", "011") for p in all_patterns(3)}
     turned = TerminalGadget(seed_gadget.graph, (b, c, a), InterfaceContract())
-    turned_table = TerminalBehavior(
-        3,
-        tuple(
-            (p, table.feasible(pattern_of([int(p[2]), int(p[0]), int(p[1])])))
-            for p in all_patterns(3)
-        ),
-    )
-    assert paste(triple_recipe(turned)).graph == paste(triple_recipe(seed_gadget)).graph
+    turned_table = {
+        p: table[pattern_of([int(p[2]), int(p[0]), int(p[1])])]
+        for p in all_patterns(3)
+    }
+    assert paste(triple_recipe(turned)) == paste(triple_recipe(seed_gadget))
     got = compositional_check(turned, turned_table)
     want = compositional_check(seed_gadget, table)
     assert got.triple_stage.behavior == want.triple_stage.behavior
@@ -651,10 +652,10 @@ def test_walk_finds_a_survivor_once_an_extra_edge_is_gone(
             recipe, extra_edges=tuple(e for e in recipe.extra_edges if e != edge)
         )
         walk = walk_recipe(cut, [triple_table] * 4, ())
-        assert walk.behavior.feasible(""), edge
+        assert walk.behavior[""], edge
     # the last cut's surviving slot coloring really extends to the graph
     survivor = walk.witnesses[""]
-    pasted = paste(cut).graph
+    pasted = paste(cut)
     fixing = {pasted.vertex_by_label(name): c for name, c in survivor.items()}
     coloring = solve_3coloring(pasted, fixing)
     assert coloring is not None and is_proper(pasted, coloring)
@@ -717,7 +718,7 @@ def small_recipes(draw):
 def test_walk_matches_the_solver_on_the_pasted_graph(case):
     recipe, terminals = case
     try:
-        pasted = paste(recipe).graph
+        pasted = paste(recipe)
     except PasteError:
         assume(False)  # two parts put an edge on one slot pair
     tables = [

@@ -38,6 +38,7 @@ from steinberg.search import (
     _link_alternatives,
     _template_candidates,
     _template_steps,
+    funnel_line,
     load_search_spec,
     search_spec_from_json_dict,
     search_spec_to_json_dict,
@@ -151,6 +152,30 @@ def test_wide_template_funnel():
         "emitted": 1,
     }
     assert funnel["not-cofacial"] == 0
+
+
+def test_funnel_counts_a_candidate_whose_terminals_share_no_face():
+    # two hubs on any nonempty sets of three terminals, every terminal
+    # pair at least 2 apart: only the K2,3, both hubs on all three
+    # terminals, passes the contract yet puts its terminals on no face
+    contract = InterfaceContract(
+        min_terminal_distances=((0, 2, 2), (2, 0, 2), (2, 2, 0)),
+        require_planar=True,
+    )
+    template = TemplateSpec(layers=(
+        LayerSpec("terminals", 3),
+        LayerSpec("hubs", 2, link_to="terminals", link_kind="subsets"),
+    ))
+    funnel = Counter()
+    found = list(search_gadget(SearchSpec(contract, template), funnel=funnel))
+    assert funnel_line(funnel) == (
+        "funnel: enumerated 28, pruned-cycle 0, pruned-distance 0,"
+        " distance-t0-t1 14, distance-t0-t2 4, not-cofacial 1,"
+        " duplicates 6, emitted 3"
+    )
+    for gadget in found:
+        g = gadget.graph
+        assert [g.degree(v) for v in range(g.n)].count(3) < 2, g.edges
 
 
 def test_wide_search_finds_have_distinct_digests(wide_unreduced):

@@ -7,7 +7,9 @@ one op of each benchmark workload, run through its own gate, catches a
 change to an entry point the workloads call.  The proof checker must
 stay free of package imports, the report layer free of the analysis
 module, and the package free of ``assert`` statements and of a second,
-indenting JSON writer."""
+indenting JSON writer.  The planarity test must share no code with the
+certificate checker that re-checks its verdicts, and every name the
+package exports must resolve."""
 
 import ast
 import importlib
@@ -109,3 +111,37 @@ def test_no_call_in_the_package_indents_through_json():
         and any(k.arg == "indent" for k in node.keywords)
     ]
     assert found == []
+
+
+def test_planarity_producer_shares_no_code_with_its_checker():
+    # a certificate is only evidence if the checker does not reuse the
+    # code that produced it; the checker alone names an obstruction's kind
+    producer = {"is_planar", "_kuratowski_edges", "_kernel", "_LeftRight"}
+    checker = {
+        "validate_planarity_certificate",
+        "_smooth_subdivision",
+        "_trace_faces",
+        "_component_roots",
+    }
+    tree = ast.parse((PACKAGE / "analysis.py").read_text())
+    defs = {
+        node.name: node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    assert producer <= set(defs) and checker <= set(defs)
+    for name in sorted(producer):
+        used = {
+            getattr(node, "id", getattr(node, "attr", None))
+            for node in ast.walk(defs[name])
+            if isinstance(node, (ast.Name, ast.Attribute))
+        }
+        assert not used & checker, (name, sorted(used & checker))
+
+
+def test_every_exported_name_resolves():
+    import steinberg
+
+    assert len(set(steinberg.__all__)) == len(steinberg.__all__)
+    missing = [name for name in steinberg.__all__ if not hasattr(steinberg, name)]
+    assert missing == []
