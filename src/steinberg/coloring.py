@@ -17,7 +17,6 @@ clause has already refuted comes from that clause, not a second solve.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
@@ -35,6 +34,7 @@ _BRUTE_FORCE_LIMIT = 25  # 3^25 assignment space; beyond this, refuse
 _EXHAUSTIVE_LIMIT = 16  # full bitset sweep, all 3^k rows touched
 _SWEEP_CHUNK_VERTICES = 11  # a chunk spans 3^11 rows, one bit each
 _BEHAVIOR_ARITIES = range(2, 5)  # terminal counts a behavior table covers
+_ACTIVITY_LIMIT = 1e100  # past this, every solver activity is divided by it
 
 
 def is_proper(g: Graph, assignment: Mapping[int, int]) -> bool:
@@ -104,8 +104,10 @@ def _cdcl(
     Two watched literals per clause, first-UIP learning, and branching
     on the unassigned variable of highest activity (ties to the smallest
     variable), set false.  Every variable in a conflict's analysis gains
-    activity, and later conflicts weigh more.  No restarts and no clause
-    deletion, so the learnt clauses only grow.
+    activity, and later conflicts weigh more.  A decision takes the first
+    open variable of a list sorted by activity, highest first, which the
+    first decision after a conflict sorts again.  No restarts and no
+    clause deletion, so the learnt clauses only grow.
     """
     num_vars = 3 * n
     value = [0] * (2 * num_vars)
@@ -127,9 +129,9 @@ def _cdcl(
     depth = 0  # len(trail_lim)
     activity = [0.0] * num_vars
     bump = 1.0
-    heap = [(-0.0, v) for v in range(num_vars)]  # sorted, so a heap
-    # the key of each variable's newest heap entry, None once it is popped
-    keyed: list[float | None] = [-0.0] * num_vars
+    limit = _ACTIVITY_LIMIT
+    order: list[int] | None = None  # by activity; None after a conflict
+    pos = 0  # no variable before order[pos] is open until the next conflict
     nodes = propagations = 0
     qhead = 0
     while True:
@@ -185,19 +187,21 @@ def _cdcl(
             if conflict is not None:
                 break
         if conflict is None:
-            while heap and value[2 * heap[0][1]]:
-                key, v = heapq.heappop(heap)
-                if key == keyed[v]:
-                    keyed[v] = None
-            if not heap:
+            if order is None:  # stable, so ties keep the smallest first
+                order = sorted(
+                    range(num_vars), key=activity.__getitem__, reverse=True
+                )
+                pos = 0
+            while pos < num_vars and value[2 * order[pos]]:
+                pos += 1
+            if pos == num_vars:
                 stats.nodes += nodes
                 stats.propagations += propagations
                 return value
             nodes += 1
             trail_lim.append(len(trail))
             depth += 1
-            key, v = heapq.heappop(heap)
-            keyed[v] = None
+            v = order[pos]
             lit = 2 * v + 1
             value[lit] = 1
             value[lit ^ 1] = -1
@@ -206,6 +210,7 @@ def _cdcl(
             trail.append(lit)
             continue
         stats.conflicts += 1
+        order = None
         if not trail_lim:
             stats.nodes += nodes
             stats.propagations += propagations
@@ -224,12 +229,10 @@ def _cdcl(
                     continue
                 seen.add(v)
                 activity[v] += bump
-                if activity[v] > 1e100:
-                    activity = [a * 1e-100 for a in activity]
-                    bump *= 1e-100
-                    heap = [(-activity[u], u) for u in range(num_vars)]
-                    heapq.heapify(heap)
-                    keyed = [-a for a in activity]
+                if activity[v] > limit:
+                    scale = 1 / limit
+                    activity = [a * scale for a in activity]
+                    bump *= scale
                 if level[v] == depth:
                     pending += 1
                 else:
@@ -247,8 +250,7 @@ def _cdcl(
         bump /= 0.95
         stats.proof.append(tuple(learnt))
         # backjump to the second-highest level in the clause, which then
-        # asserts its first-UIP literal; an unassigned variable goes back
-        # on the heap unless an entry with its current activity is there
+        # asserts its first-UIP literal; the next decision sorts again
         back = 0
         for k in range(1, len(learnt)):
             if level[learnt[k] >> 1] > back:
@@ -256,11 +258,6 @@ def _cdcl(
                 learnt[1], learnt[k] = learnt[k], learnt[1]
         for q in trail[trail_lim[back] :]:
             value[q] = value[q ^ 1] = 0
-            v = q >> 1
-            key = -activity[v]
-            if keyed[v] != key:
-                keyed[v] = key
-                heapq.heappush(heap, (key, v))
         del trail[trail_lim[back] :]
         del trail_lim[back:]
         depth = back
@@ -274,6 +271,12 @@ def _cdcl(
         level[lit >> 1] = depth
         reason[lit >> 1] = learnt if len(learnt) > 1 else None
         trail.append(lit)
+
+
+def _symmetry_pin(g: Graph, fixed: Mapping[int, int]) -> Mapping[int, int]:
+    """``fixed``, or vertex 0 at color 0 when nothing is fixed: permuting
+    the colors maps proper colorings to proper colorings."""
+    return fixed if fixed or not g.n else {0: 0}
 
 
 def solve_3coloring_with_stats(
@@ -290,13 +293,9 @@ def solve_3coloring_with_stats(
     """
     fixed = dict(fixed or {})
     check_fixed(g, fixed)
-    if not fixed and g.n:
-        # permuting the colors maps proper colorings to proper colorings,
-        # so with nothing fixed vertex 0 may take color 0 outright
-        fixed = {0: 0}
     units = [
         6 * v + 2 * c + (c != col)
-        for v, col in sorted(fixed.items())
+        for v, col in sorted(_symmetry_pin(g, fixed).items())
         for c in range(3)
     ]
     stats = SolveStats()
@@ -486,9 +485,9 @@ def _coloring_check(
     A fixing monochromatic on one of its own edges passes (mode
     ``adjacent-terminals``).  A solver witness is checked with
     :func:`is_proper`, and an UNSAT verdict by replaying its proof with
-    :func:`rup_refutes` under the solver's own pin, ``{0: 0}`` when
-    nothing is fixed.  A failed check raises :class:`OracleMismatchError`,
-    not an assertion, so ``python -O`` keeps it.
+    :func:`rup_refutes` under ``fixing`` and the solver's symmetry pin.
+    A failed check raises :class:`OracleMismatchError`, not an
+    assertion, so ``python -O`` keeps it.
     """
     try:
         solution, stats = solve_3coloring_with_stats(g, fixing)
@@ -500,7 +499,7 @@ def _coloring_check(
                 f"solver returned an improper coloring with fixing {fixing!r}"
             )
         return False, _coloring_witness(solution), {"solver_nodes": stats.nodes}
-    if not rup_refutes(g.n, g.edges, fixing or {0: 0}, stats.proof):
+    if not rup_refutes(g.n, g.edges, _symmetry_pin(g, fixing), stats.proof):
         raise OracleMismatchError(
             f"the solver's UNSAT proof fails the RUP check with fixing {fixing!r}"
         )

@@ -250,7 +250,7 @@ def iso_classes_upto(n_max: int) -> dict[int, list[Graph]]:
     return levels
 
 
-def reference_solve(g: Graph, fixed=None):
+def reference_solve(g: Graph, fixed=None, *, limit=1e100):
     """The package solver's search over an explicit clause list, as
     ``(coloring or None, (nodes, propagations, conflicts), proof)``.
 
@@ -262,7 +262,10 @@ def reference_solve(g: Graph, fixed=None):
     the highest-activity open variable set false (ties to the smallest),
     so the package solver, which keeps the edge clauses as implication
     lists instead, must make exactly the same decisions, propagations
-    and learnt clauses.  ``fixed`` must be proper on its own edges.
+    and learnt clauses.  Once an activity passes ``limit``, every
+    activity and the bump are multiplied by ``1 / limit``, as the package
+    solver does at ``coloring._ACTIVITY_LIMIT``.  ``fixed`` must be
+    proper on its own edges.
     """
     fixed = dict(fixed or {})
     if not fixed and g.n:
@@ -360,9 +363,9 @@ def reference_solve(g: Graph, fixed=None):
                     continue
                 seen.add(v)
                 activity[v] += bump
-                if activity[v] > 1e100:
-                    activity = [a * 1e-100 for a in activity]
-                    bump *= 1e-100
+                if activity[v] > limit:
+                    activity = [a * (1 / limit) for a in activity]
+                    bump *= 1 / limit
                     heap = [(-activity[u], u) for u in range(num_vars)]
                     heapq.heapify(heap)
                 if level[v] == here:

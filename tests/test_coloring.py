@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -42,6 +43,7 @@ from steinberg.search import certify_and_freeze
 from support import (
     product_3coloring_exists,
     random_conflict_free_fixing,
+    random_sparse_graph,
     reference_solve,
     rup_refutes,
     stack_depth,
@@ -321,15 +323,20 @@ def test_replay_matches_the_reference_checker(g, seed):
         _both_checkers(g, fixed, mutant)
 
 
-def _assert_same_search(g, fixed=None):
+def _same_search(g, fixed=None, *, limit=1e100):
     """The solver's coloring, counters and proof equal those of the
-    reference search over the explicit clause list."""
+    reference search over the explicit clause list; returns the first
+    two."""
     got, stats = solve_3coloring_with_stats(g, fixed)
-    want, counts, steps = reference_solve(g, fixed)
+    want, counts, steps = reference_solve(g, fixed, limit=limit)
     assert got == want
     assert (stats.nodes, stats.propagations, stats.conflicts) == counts
     assert stats.proof == steps
-    return got
+    return got, stats
+
+
+def _assert_same_search(g, fixed=None):
+    return _same_search(g, fixed)[0]
 
 
 @given(coin_flip_graphs(), st.integers(min_value=0, max_value=2**31 - 1))
@@ -349,6 +356,31 @@ def test_solver_matches_the_reference_on_the_final_graph_family(final_graph):
     for seed in (1, 2):
         h = g.relabeled(random.Random(seed).sample(range(g.n), g.n))
         assert _assert_same_search(h) is None
+
+
+@pytest.mark.parametrize(
+    "n, m, seed, colorable",
+    [(1000, 2000, 10, True), (200, 460, 4, False)],
+    ids=["1000-vertices-colorable", "200-vertices-refuted"],
+)
+def test_solver_matches_the_reference_over_hundreds_of_conflicts(
+    n, m, seed, colorable
+):
+    # every conflict sorts the decision order again, so a long search
+    # must still pick each decision exactly as the reference's heap does
+    got, stats = _same_search(random_sparse_graph(random.Random(seed), n, m))
+    assert (got is not None) == colorable
+    assert stats.conflicts >= 300
+
+
+def test_activity_rescale_matches_the_reference(monkeypatch, final_graph):
+    # the default limit takes about 4,500 conflicts to pass; at 1e3 the
+    # bump alone passes it after log(1e3) / -log(0.95), about 135
+    monkeypatch.setattr(coloring, "_ACTIVITY_LIMIT", 1e3)
+    h = final_graph.relabeled(random.Random(1).sample(range(166), 166))
+    got, stats = _same_search(h, limit=1e3)
+    assert got is None
+    assert stats.conflicts > math.log(1e3) / -math.log(0.95)
 
 
 def _count_solves(monkeypatch):
