@@ -6,6 +6,13 @@ leaf of the equitable-refinement search tree, which is the full orbit
 of labelings up to automorphism, so the result is exact rather than a
 hash heuristic.
 
+Each node's partition comes from worklist refinement: a cell splits by
+its vertices' neighbour counts into a splitter cell, and splitters are
+taken first in, first out.  Of each split only the fragments before the
+last are enqueued, since the last can split nothing (see ``_split``):
+the partitions are those of enqueuing every fragment, from about half
+the splitters.
+
 The search still returns the minimum over the whole tree but does not
 visit all of it.  A leaf whose encoding equals the first or the best
 leaf's gives an automorphism: the map from one leaf's vertex order to
@@ -79,6 +86,17 @@ class _Partition:
     def copy(self) -> _Partition:
         return _Partition(self.order[:], self.start[:], self.end[:])
 
+    def individualized(self, t: int, v: int) -> _Partition:
+        """A copy with ``v`` split off the front of the cell starting at
+        ``t``; the rest of that cell follows it as one cell."""
+        child = self.copy()
+        e = self.end[t]
+        child.order[t:e] = [v] + [w for w in self.order[t:e] if w != v]
+        child.end[t], child.end[t + 1] = t + 1, e
+        for w in child.order[t + 1 : e]:
+            child.start[w] = t + 1
+        return child
+
     def ranges(self) -> list[tuple[int, int]]:
         out = []
         s, end, n = 0, self.end, len(self.order)
@@ -94,31 +112,42 @@ def _split(p: _Partition, adj: Adjacency, work: deque[tuple[int, int]]) -> None:
     A splitter is the position range of a cell at the time it was
     enqueued.  Splitting only permutes vertices inside a cell, so the
     range keeps the same vertex set.  Neighbour counts come from walking
-    the splitter's adjacency, and only the cells those hits touch are
-    visited, in position order.  A split cell becomes its fragments in
-    increasing order of count, each sorted, and every fragment is
-    enqueued.  The order depends only on structure, never on the input
-    labeling, so the final cell sequence is isomorphism-invariant.
+    the splitter's adjacency and are kept only for vertices in cells of
+    more than one vertex, and only the cells they touch are visited, in
+    position order.  A split cell becomes its fragments in increasing
+    order of count, each sorted.  The order depends only on structure,
+    never on the input labeling, so the final cell sequence is
+    isomorphism-invariant.
+
+    Every fragment but the last is enqueued; the last could split
+    nothing.  Call a cell settled when every cell has uniform counts into
+    it.  A cell is settled once its own splitter is processed, and the
+    last fragment of a split cell once the splitters that settle that
+    cell and its other fragments are: counts into it are counts into the
+    cell less counts into the others.  Those splitters were all enqueued
+    before the last fragment's would have been, and the queue is first
+    in, first out, so that splitter would change nothing, and skipping it
+    leaves every partition, leaf and form exactly as they were.  At a
+    child node the cells of the equitable parent are settled from the
+    start, and the rest of the target cell is once ``{v}`` is processed.
     """
     order, start, end = p.order, p.start, p.end
     count = [0] * len(order)
     while work:
         s, e = work.popleft()
-        hit: list[int] = []
+        touched: dict[int, list[int]] = {}
         for v in order[s:e]:
             for w in adj[v]:
                 if count[w]:
                     count[w] += 1
-                else:
+                    continue
+                c = start[w]
+                if end[c] - c > 1:
                     count[w] = 1
-                    hit.append(w)
-        touched: dict[int, list[int]] = {}
-        for w in hit:
-            s = start[w]
-            if s in touched:
-                touched[s].append(w)
-            else:
-                touched[s] = [w]
+                    if c in touched:
+                        touched[c].append(w)
+                    else:
+                        touched[c] = [w]
         for c in sorted(touched):
             ce = end[c]
             ws = touched[c]
@@ -140,10 +169,12 @@ def _split(p: _Partition, adj: Adjacency, work: deque[tuple[int, int]]) -> None:
                 end[pos] = nxt
                 for v in fragment:
                     start[v] = pos
-                work.append((pos, nxt))
+                if nxt != ce:
+                    work.append((pos, nxt))
                 pos = nxt
-        for w in hit:
-            count[w] = 0
+        for ws in touched.values():
+            for w in ws:
+                count[w] = 0
 
 
 def _refine(cells: Cells, adj: Adjacency) -> _Partition:
@@ -157,12 +188,16 @@ def _refine(cells: Cells, adj: Adjacency) -> _Partition:
 def _target(p: _Partition) -> int | None:
     """Start of the first smallest cell with more than one vertex."""
     best = None
-    best_size = len(p.order) + 1
-    for s, e in p.ranges():
-        if 1 < e - s < best_size:
-            best, best_size = s, e - s
-            if best_size == 2:
+    n, end = len(p.order), p.end
+    best_size = n + 1
+    s = 0
+    while s < n:
+        size = end[s] - s
+        if 1 < size < best_size:
+            best, best_size = s, size
+            if size == 2:
                 break
+        s += size
     return best
 
 
@@ -291,12 +326,8 @@ def canonical_form(g: Graph) -> CanonicalForm:
         if node.explored and node.in_explored_orbit(v):
             continue
         node.explored.append(v)
-        child = node.partition.copy()
-        t, e = node.target, child.end[node.target]
-        child.order[t:e] = [v] + [w for w in node.children if w != v]
-        child.end[t], child.end[t + 1] = t + 1, e
-        for w in child.order[t + 1 : e]:
-            child.start[w] = t + 1
+        t = node.target
+        child = node.partition.individualized(t, v)
         # The parent is equitable, so its cells and the rest of the target
         # cell split nothing: starting from {v} alone gives the same cells
         # as starting from every cell.

@@ -1,5 +1,7 @@
 import itertools
 import random
+import time
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +124,70 @@ def test_refine_keeps_the_reference_cell_order(data):
     assert got == reference_refine(cells, g.neighbor_sets)
 
 
+def cells_of(p) -> list[list[int]]:
+    return [p.order[s:e] for s, e in p.ranges()]
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_child_refinement_from_the_vertex_alone_keeps_the_reference_cells(data):
+    # copies of one drawn graph, each joined to a hub the same way, so
+    # that the equitable partition keeps cells to individualize
+    k = data.draw(st.integers(min_value=6, max_value=13))
+    copies = data.draw(st.integers(min_value=2, max_value=3))
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    base = data.draw(st.sets(st.sampled_from(pairs), max_size=2 * k))
+    spokes = data.draw(st.sets(st.integers(min_value=0, max_value=k - 1)))
+    n = copies * k + 1
+    edges = [(c * k + u, c * k + v) for c in range(copies) for u, v in base]
+    edges += [(c * k + u, n - 1) for c in range(copies) for u in spokes]
+    perm = data.draw(st.permutations(list(range(n))))
+    g = build_graph(n, edges).relabeled(list(perm))
+    p = canon._refine([list(range(n))], g.adj)
+    t = canon._target(p)
+    assert t is not None
+    # every child of the root, then down the first child to a leaf
+    while t is not None:
+        cells = cells_of(p)
+        i = [s for s, _ in p.ranges()].index(t)
+        children = []
+        for v in p.order[t : p.end[t]]:
+            child = p.individualized(t, v)
+            canon._split(child, g.adj, deque([(t, t + 1)]))
+            rest = [w for w in cells[i] if w != v]
+            want = reference_refine(
+                cells[:i] + [[v], rest] + cells[i + 1 :], g.neighbor_sets
+            )
+            assert cells_of(child) == want
+            children.append(child)
+        p = children[0]
+        t = canon._target(p)
+
+
+def spider(legs: int, length: int):
+    """A root joined to the first vertex of each of ``legs`` paths."""
+    edges = []
+    for leg in range(legs):
+        first = 1 + leg * length
+        edges.append((0, first))
+        edges += [(first + i, first + i + 1) for i in range(length - 1)]
+    return build_graph(1 + legs * length, edges)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [disjoint_cycles(30, 3), spider(60, 3)],
+    ids=["30 disjoint triangles", "spider with 60 legs of length 3"],
+)
+def test_deep_symmetric_inputs_keep_their_form_under_relabeling(g):
+    # both forms take about 0.3 s on a 2-core x86-64 machine
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    start = time.perf_counter()
+    assert canonical_form(g.relabeled(perm)).data == canonical_form(g).data
+    assert time.perf_counter() - start < 3
+
+
 def petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
@@ -170,6 +236,21 @@ def count_leaves(monkeypatch, g) -> int:
 def test_final_graph_search_visits_four_leaves(monkeypatch, final_graph):
     # the full tree has 8 leaves; the automorphisms found prune half
     assert count_leaves(monkeypatch, final_graph) == 4
+
+
+def test_final_graph_refinement_dequeues_408_splitters(monkeypatch, final_graph):
+    # enqueuing every fragment of each split dequeues 800; the last
+    # fragment can split nothing, and skipping it leaves 408
+    popped = []
+
+    class CountingDeque(deque):
+        def popleft(self):
+            popped.append(None)
+            return super().popleft()
+
+    monkeypatch.setattr(canon, "deque", CountingDeque)
+    assert canonical_digest(final_graph) == "6acb9d9830286561"
+    assert len(popped) == 408
 
 
 def test_disjoint_cycles_stay_cheap(monkeypatch):
