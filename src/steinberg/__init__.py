@@ -10,6 +10,8 @@ produced them.
 
 __version__ = "0.1.0"
 
+# the public names; importing them here also loads every module whose
+# functions perfbench/tracing.py wraps, before its tracer is installed
 from .errors import (
     CertificateError,
     ContractError,
@@ -48,7 +50,6 @@ from .coloring import (
 )
 from .report import CheckResult, VerificationReport
 from .gadgets import (
-    CompositionalResult,
     InterfaceContract,
     PastePart,
     PasteRecipe,
@@ -77,71 +78,3 @@ from .search import (
     seed_search_spec,
 )
 from .stock import load_seed_gadget, seed_data_path
-
-__all__ = [
-    "__version__",
-    "SteinbergError",
-    "GraphConstructionError",
-    "FormatError",
-    "ImproperFixingError",
-    "SizeGuardError",
-    "ContractError",
-    "PasteError",
-    "CertificateError",
-    "OracleMismatchError",
-    "SearchSpecError",
-    "Graph",
-    "build_graph",
-    "encode",
-    "decode",
-    "sniff_format",
-    "CanonicalForm",
-    "canonical_form",
-    "canonical_digest",
-    "CycleCensus",
-    "PlanarityCertificate",
-    "cycles_of_length",
-    "distance",
-    "forbidden_cycle_check",
-    "is_planar",
-    "validate_planarity_certificate",
-    "triangles_sharing_edge",
-    "triangle_edge_conflicts",
-    "is_proper",
-    "check_fixed",
-    "solve_3coloring",
-    "solve_3coloring_with_stats",
-    "revalidate_unsat",
-    "brute_force_3coloring",
-    "exhaustive_color_count",
-    "terminal_behavior",
-    "CheckResult",
-    "VerificationReport",
-    "InterfaceContract",
-    "TerminalGadget",
-    "PastePart",
-    "PasteRecipe",
-    "paste",
-    "seed_contract",
-    "triple_contract",
-    "triple_recipe",
-    "counterexample_recipe",
-    "build_triple_gadget",
-    "build_counterexample",
-    "verify_contract",
-    "first_failing_clause",
-    "counterexample_report",
-    "terminals_cofacial",
-    "compositional_check",
-    "CompositionalResult",
-    "save_gadget",
-    "load_gadget",
-    "LayerSpec",
-    "TemplateSpec",
-    "SearchSpec",
-    "search_gadget",
-    "seed_search_spec",
-    "certify_and_freeze",
-    "load_seed_gadget",
-    "seed_data_path",
-]

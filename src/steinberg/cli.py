@@ -24,20 +24,15 @@ from .errors import (
     SizeGuardError,
     SteinbergError,
 )
-from .formats import (
-    FORMATS,
-    decode,
-    encode,
-    sniff_format,
-)
+from .formats import FORMAT_NAMES, decode, encode, sniff_format
 from .gadgets import (
+    TerminalGadget,
     build_counterexample,
     build_triple_gadget,
     counterexample_report,
     lemmas_report,
     save_gadget,
 )
-from .graphs import Graph
 from .report import VerificationReport
 from .search import (
     certify_and_freeze,
@@ -57,20 +52,13 @@ _STAGES = {
     "g": "final",
 }
 
-_FORMAT_ALIASES = {"g6": "graph6", "col": "dimacs"}
-
 
 def _resolve_format(name: str | None, path: Path) -> str:
-    if name is not None:
-        name = _FORMAT_ALIASES.get(name, name)
-        if name not in FORMATS:
-            raise FormatError(f"unknown format {name!r}")
-        return name
-    return sniff_format(path.name)
-
-
-def _load_graph(path: Path, fmt: str) -> Graph:
-    return decode(path.read_bytes(), fmt)
+    if name is None:
+        return sniff_format(path.name)
+    if name not in FORMAT_NAMES:
+        raise FormatError(f"unknown format {name!r}")
+    return FORMAT_NAMES[name]
 
 
 def _write_report(report: VerificationReport, json_path: str | None) -> None:
@@ -80,13 +68,17 @@ def _write_report(report: VerificationReport, json_path: str | None) -> None:
         print(f"report written to {json_path}")
 
 
+def _load_seed() -> TerminalGadget:
+    # a seed that does not load is an input error, like a bad graph file
+    try:
+        return load_seed_gadget()
+    except SteinbergError as exc:
+        raise FormatError(f"frozen seed gadget unavailable: {exc}") from exc
+
+
 def cmd_build(args) -> int:
     stage = _STAGES[args.stage]
-    try:
-        seed = load_seed_gadget()
-    except SteinbergError as exc:
-        print(f"error: frozen seed gadget unavailable: {exc}", file=sys.stderr)
-        return 2
+    seed = _load_seed()
     gadget = seed if stage == "seed" else build_triple_gadget(seed)
     graph = build_counterexample(gadget) if stage == "final" else gadget.graph
     digest = canonical_digest(graph)
@@ -108,18 +100,13 @@ def cmd_build(args) -> int:
 def cmd_verify(args) -> int:
     path = Path(args.graph)
     fmt = _resolve_format(args.format, path)
-    report = counterexample_report(_load_graph(path, fmt))
+    report = counterexample_report(decode(path.read_bytes(), fmt))
     _write_report(report, args.json)
     return 0 if report.passed else 1
 
 
 def cmd_lemmas(args) -> int:
-    try:
-        seed = load_seed_gadget()
-    except SteinbergError as exc:
-        print(f"error: frozen seed gadget unavailable: {exc}", file=sys.stderr)
-        return 2
-    report = lemmas_report(seed)
+    report = lemmas_report(_load_seed())
     _write_report(report, args.json)
     return 0 if report.passed else 1
 
@@ -165,7 +152,7 @@ def cmd_convert(args) -> int:
     dst = Path(args.dst)
     src_fmt = _resolve_format(getattr(args, "from"), src)
     dst_fmt = _resolve_format(args.to, dst)
-    graph = _load_graph(src, src_fmt)
+    graph = decode(src.read_bytes(), src_fmt)
     dst.write_bytes(encode(graph, dst_fmt))
     print(f"{src} ({src_fmt}) -> {dst} ({dst_fmt})")
     return 0
@@ -192,7 +179,7 @@ def _at_least_one(text: str) -> int:
 def _add_format(p: argparse.ArgumentParser, flag: str = "--format") -> None:
     p.add_argument(
         flag,
-        choices=sorted(set(FORMATS) | set(_FORMAT_ALIASES)),
+        choices=sorted(FORMAT_NAMES),
         default=None,
         help="file format (default: by extension)",
     )

@@ -535,18 +535,7 @@ def all_patterns(t: int) -> list[str]:
     in lexicographic order."""
     if not (1 <= t <= 4):
         raise ValueError(f"pattern arity must be 1..4, got {t}")
-    result: list[str] = []
-
-    def grow(prefix: list[int]) -> None:
-        if len(prefix) == t:
-            result.append("".join(str(d) for d in prefix))
-            return
-        top = max(prefix) if prefix else -1
-        for d in range(min(top + 1, 2) + 1):
-            grow(prefix + [d])
-
-    grow([])
-    return result
+    return sorted({pattern_of(c) for c in itertools.product(range(3), repeat=t)})
 
 
 def pattern_representative(pattern: str) -> list[int]:

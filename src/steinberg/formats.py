@@ -15,8 +15,6 @@ from typing import Any, Iterable
 from .errors import FormatError
 from .graphs import MAX_VERTICES, Graph, build_graph
 
-FORMATS = ("graph6", "dimacs", "json")
-
 _G6_HEADER = b">>graph6<<"
 _G6_OFFSET = bytes((b + 63) & 255 for b in range(256))
 _G6_PRINTABLE = bytes(range(63, 127))
@@ -196,6 +194,21 @@ def strict_str(value: Any, name: str) -> str:
     return value
 
 
+def strict_list(value: Any, name: str) -> list:
+    """``value`` if it is a JSON list; a string is refused, not read
+    letter by letter."""
+    if not isinstance(value, list):
+        raise FormatError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def strict_object(value: Any, name: str) -> dict:
+    """``value`` if it is a JSON object."""
+    if not isinstance(value, dict):
+        raise FormatError(f"{name} must be an object, got {value!r}")
+    return value
+
+
 def _vertex_key(key: Any) -> int:
     """A label key as a vertex id: plain decimal digits without a leading
     zero, so that ``"1_0"``, ``" 3"``, ``"+3"`` and ``"03"`` are refused."""
@@ -320,34 +333,38 @@ def decode_json(data: bytes) -> Graph:
     return graph_from_json_dict(parse_json_payload(data))
 
 
+# each format by its name: its encoder, its decoder and the file suffixes
+# that name it, which are also the names ``--format``, ``--from`` and
+# ``--to`` take
+_FORMATS = {
+    "graph6": (encode_graph6, decode_graph6, ("g6", "graph6")),
+    "dimacs": (encode_dimacs, decode_dimacs, ("col", "dimacs")),
+    "json": (encode_json, decode_json, ("json",)),
+}
+FORMATS = tuple(_FORMATS)
+FORMAT_NAMES = {
+    suffix: fmt for fmt, (_, _, suffixes) in _FORMATS.items() for suffix in suffixes
+}
+
+
+def _codec(fmt: str) -> tuple:
+    if fmt not in FORMATS:
+        raise FormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _FORMATS[fmt]
+
+
 def encode(g: Graph, fmt: str) -> bytes:
-    if fmt == "graph6":
-        return encode_graph6(g)
-    if fmt == "dimacs":
-        return encode_dimacs(g)
-    if fmt == "json":
-        return encode_json(g)
-    raise FormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _codec(fmt)[0](g)
 
 
 def decode(data: bytes, fmt: str) -> Graph:
-    if fmt == "graph6":
-        return decode_graph6(data)
-    if fmt == "dimacs":
-        return decode_dimacs(data)
-    if fmt == "json":
-        return decode_json(data)
-    raise FormatError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return _codec(fmt)[1](data)
 
 
 def sniff_format(path_name: str) -> str:
-    lower = path_name.lower()
-    if lower.endswith((".g6", ".graph6")):
-        return "graph6"
-    if lower.endswith((".col", ".dimacs")):
-        return "dimacs"
-    if lower.endswith(".json"):
-        return "json"
+    _, dot, suffix = path_name.lower().rpartition(".")
+    if dot and suffix in FORMAT_NAMES:
+        return FORMAT_NAMES[suffix]
     raise FormatError(
         f"cannot infer format from file name {path_name!r}; pass it explicitly"
     )

@@ -47,7 +47,7 @@ from .coloring import (
 from .errors import ContractError, FormatError, PasteError
 from .formats import (
     dump_json, graph_from_json_dict, graph_to_json_dict, parse_json_payload,
-    strict_bool, strict_int, strict_str,
+    strict_bool, strict_int, strict_list, strict_object, strict_str,
 )
 from .graphs import Graph, add_apex, build_graph
 from .report import VerificationReport, timed_check, witness_text
@@ -153,22 +153,28 @@ class InterfaceContract:
 
     @classmethod
     def from_json_dict(cls, d: dict[str, Any]) -> "InterfaceContract":
+        strict_object(d, "contract")
+
         def mat(key: str) -> Matrix | None:
             raw = d.get(key)
             if raw is None:
                 return None
-            return tuple(tuple(strict_int(x, key) for x in row) for row in raw)
+            rows = [strict_list(r, f"a row of {key}") for r in strict_list(raw, key)]
+            return tuple(tuple(strict_int(x, key) for x in row) for row in rows)
+
+        def items(key: str) -> list:
+            return strict_list(d.get(key, []), key)
 
         return cls(
             forbidden_cycle_lengths=frozenset(
                 strict_int(k, "a cycle length")
-                for k in d.get("forbidden_cycle_lengths", ())
+                for k in items("forbidden_cycle_lengths")
             ),
             min_terminal_distances=mat("min_terminal_distances"),
             exact_terminal_distances=mat("exact_terminal_distances"),
             forbidden_patterns=frozenset(
                 strict_str(p, "a forbidden pattern")
-                for p in d.get("forbidden_patterns", ())
+                for p in items("forbidden_patterns")
             ),
             require_planar=strict_bool(
                 d.get("require_planar", True), "require_planar"
@@ -689,39 +695,22 @@ def build_counterexample(triple: TerminalGadget, jobs: int = 1) -> Graph:
 # ---------------------------------------------------------------------------
 # solver-free compositional argument
 
-@dataclass(frozen=True)
-class RecipeWalk:
-    """Terminal behavior of a pasted graph, derived from its parts' tables.
-
-    ``witnesses`` maps each feasible pattern to the first slot and fresh
-    vertex coloring that realizes it, keyed by the recipe's labels.  In
-    ``tree`` a branch reads ``{"vertex": name, "cases": {color: subtree}}``,
-    a closed branch is its closing reason and a surviving one reads
-    ``{"survivor": pattern}``; ``closed_by`` counts the closing reasons.
-    """
-
-    behavior: dict[str, bool]
-    closed_by: dict[str, int]
-    witnesses: dict[str, dict[str, int]]
-    tree: dict[str, Any]
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "table": self.behavior,
-            "closed_by": dict(sorted(self.closed_by.items())),
-            "witnesses": self.witnesses,
-            "tree": self.tree,
-        }
-
-
 def walk_recipe(
     recipe: PasteRecipe,
     tables: Sequence[dict[str, bool]],
     terminals: tuple[int, ...],
-) -> RecipeWalk:
+) -> dict[str, Any]:
     """Decide the terminal behavior of ``paste(recipe)`` on the slot or
     fresh vertices ``terminals`` from one behavior table per part,
     without a solver.
+
+    Returns the walk as its report JSON: ``table`` is the derived
+    behavior table; ``witnesses`` maps each feasible pattern to the first
+    slot and fresh vertex coloring that realizes it, keyed by the
+    recipe's labels.  In ``tree`` a branch reads ``{"vertex": name,
+    "cases": {color: subtree}}``, a closed branch is its closing reason
+    and a surviving one reads ``{"survivor": pattern}``; ``closed_by``
+    counts the closing reasons.
 
     ``tables[i]`` reads part i in the terminal order of its gadget.  The
     walk enumerates colorings of the slot and fresh vertices with vertex
@@ -808,37 +797,17 @@ def walk_recipe(
 
     tree = walk(0)
     patterns = all_patterns(len(terminals)) if terminals else [""]
-    behavior = {p: p in witnesses for p in patterns}
-    return RecipeWalk(behavior, closed_by, witnesses, tree)
-
-
-@dataclass(frozen=True)
-class CompositionalResult:
-    """Outcome of the composition-level non-colorability argument."""
-
-    triple_stage: RecipeWalk
-    final_stage: RecipeWalk
-
-    @property
-    def counterexample(self) -> dict[str, int] | None:
-        return self.final_stage.witnesses.get("")
-
-    @property
-    def ok(self) -> bool:
-        return self.counterexample is None
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "triple_stage": self.triple_stage.to_json_dict(),
-            "final_stage": self.final_stage.to_json_dict(),
-            "counterexample": self.counterexample,
-        }
+    return {
+        "table": {p: p in witnesses for p in patterns},
+        "closed_by": closed_by,
+        "witnesses": witnesses,
+        "tree": tree,
+    }
 
 
 def compositional_check(
     seed: TerminalGadget, seed_behavior: dict[str, bool]
-) -> CompositionalResult:
+) -> dict[str, Any]:
     """Prove the final graph non-3-colorable from the seed behavior
     table alone, without running the solver.
 
@@ -848,13 +817,23 @@ def compositional_check(
     with that table on every part and no terminals; the final graph has
     no 3-coloring exactly when no branch survives.  ``seed_behavior``
     must list the patterns in ``seed.terminals`` order.
+
+    Returns the report JSON of both walks (see :func:`walk_recipe`);
+    ``counterexample`` is the final walk's surviving coloring, ``None``
+    exactly when ``ok``.
     """
     triple_stage = walk_recipe(triple_recipe(seed), [seed_behavior] * 3, (0, 1, 2))
     composite = paste_triple(seed)
     final_stage = walk_recipe(
-        counterexample_recipe(composite), [triple_stage.behavior] * 4, ()
+        counterexample_recipe(composite), [triple_stage["table"]] * 4, ()
     )
-    return CompositionalResult(triple_stage, final_stage)
+    counterexample = final_stage["witnesses"].get("")
+    return {
+        "ok": counterexample is None,
+        "triple_stage": triple_stage,
+        "final_stage": final_stage,
+        "counterexample": counterexample,
+    }
 
 
 def lemmas_report(seed: TerminalGadget) -> VerificationReport:
@@ -900,9 +879,7 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
     def composition():
         seed_table = terminal_behavior(seed, frozenset({pattern}))
         result = compositional_check(seed, seed_table)
-        if result.ok:
-            return True, None, result.to_json_dict()
-        return False, result.counterexample, result.to_json_dict()
+        return result["ok"], result["counterexample"], result
 
     checks.append(timed_check("composition:case-tree", composition))
     return VerificationReport(target=seed_report.target, checks=tuple(checks))
@@ -922,7 +899,9 @@ def gadget_from_json_dict(d: dict[str, Any]) -> TerminalGadget:
     graph = graph_from_json_dict(d)
     if "terminals" not in d:
         raise FormatError("gadget JSON needs a 'terminals' list")
-    terminals = tuple(strict_int(t, "a terminal") for t in d["terminals"])
+    terminals = tuple(
+        strict_int(t, "a terminal") for t in strict_list(d["terminals"], "terminals")
+    )
     try:
         contract = InterfaceContract.from_json_dict(d.get("contract", {}))
         return TerminalGadget(graph, terminals, contract)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .canon import canonical_digest
 from .errors import CertificateError
+from .formats import strict_object
 from .gadgets import TerminalGadget, gadget_from_json_dict, load_gadget_payload
 
 _SEED_PREFIX = "seed-"
@@ -46,7 +47,8 @@ def load_seed_gadget() -> TerminalGadget:
         raise CertificateError(
             f"seed digest {digest} does not match file name {path.name}"
         )
-    recorded = payload.get("verification", {}).get("digest")
+    verification = strict_object(payload.get("verification", {}), "verification")
+    recorded = verification.get("digest")
     if recorded is not None and recorded != digest:
         raise CertificateError(
             f"seed digest {digest} does not match recorded digest {recorded}"

@@ -115,7 +115,7 @@ def test_criterion_2_triple_lemma_suite(seed_gadget, triple_gadget):
         composed = compositional_check(
             seed_gadget, terminal_behavior(seed_gadget, frozenset())
         )
-        assert composed.triple_stage.behavior["000"] is False
+        assert composed["triple_stage"]["table"]["000"] is False
     report(2, "composite lemma suite", t, limit=30)
 
 
@@ -135,7 +135,7 @@ def test_criterion_3_theorem_suite(seed_gadget, final_graph):
         composed = compositional_check(
             seed_gadget, terminal_behavior(seed_gadget, frozenset())
         )
-        assert composed.ok and composed.counterexample is None
+        assert composed["ok"] and composed["counterexample"] is None
     report(3, "non-colorability theorem suite", t, limit=60)
 
 

@@ -20,6 +20,7 @@ from steinberg import (
 )
 from steinberg import cli, stock
 from steinberg.cli import main
+from steinberg.formats import FORMAT_NAMES
 from steinberg.gadgets import load_gadget_payload
 from steinberg.graphs import MAX_VERTICES
 from steinberg.search import search_spec_to_json_dict, seed_search_spec
@@ -577,6 +578,43 @@ def test_a_bad_forbidden_pattern_is_a_usage_error(
     )
 
 
+@pytest.mark.parametrize("path, value, message", [
+    pytest.param(("contract",), 5, "contract must be an object, got 5", id="contract"),
+    pytest.param(("contract", "forbidden_patterns"), "000",
+                 "forbidden_patterns must be a list, got '000'", id="patterns"),
+    pytest.param(("contract", "exact_terminal_distances", 0), 5,
+                 "a row of exact_terminal_distances must be a list, got 5", id="row"),
+    pytest.param(("terminals",), 5, "terminals must be a list, got 5", id="terminals"),
+    pytest.param(("verification",), [], "verification must be an object, got []",
+                 id="verification"),
+])
+def test_a_wrongly_typed_json_field_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, path, value, message
+):
+    # one error line and exit 2, not a traceback, in a search spec and in
+    # a gadget file alike; a spec has neither terminals nor a verification
+    if path[0] == "contract":
+        spec = {
+            "contract": {"exact_terminal_distances": [[0, 3, 3], [3, 0, 4], [3, 4, 0]]},
+            "template": {"layers": []},
+        }
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(replace_at(spec, path, value)))
+        code, out, err = run_cli(
+            capsys, "search", str(spec_path), "--out-dir", str(tmp_path)
+        )
+        assert (code, out, err) == (2, "", f"error: bad search spec: {message}\n")
+
+    seed = json.loads(seed_data_path().read_text())
+    seed_path = tmp_path / seed_data_path().name
+    seed_path.write_text(json.dumps(replace_at(seed, path, value)))
+    monkeypatch.setattr(stock, "seed_data_path", lambda: seed_path)
+    code, out, err = run_cli(capsys, "lemmas")
+    assert (code, out, err) == (
+        2, "", f"error: frozen seed gadget unavailable: {message}\n"
+    )
+
+
 def test_search_spec_with_an_oversized_integer_is_a_usage_error(tmp_path, capsys):
     # past the interpreter's 4,300-digit limit for integer conversion
     spec_path = tmp_path / "spec.json"
@@ -782,6 +820,30 @@ def test_convert_unknown_extension(tmp_path, capsys, c5_file):
     code, _, err = run_cli(capsys, "convert", str(c5_file), str(tmp_path / "out.xyz"))
     assert code == 2
     assert "format" in err
+
+
+def test_format_flags_take_every_format_name(tmp_path, capsys, c5_file):
+    # the files end in .bin, so only the flags can name their formats
+    names = {"g6": "graph6", "graph6": "graph6", "col": "dimacs",
+             "dimacs": "dimacs", "json": "json"}
+    assert FORMAT_NAMES == names
+    c5 = decode(c5_file.read_bytes(), "graph6")
+    for name, fmt in names.items():
+        there = tmp_path / f"c5-{name}.bin"
+        code, out, _ = run_cli(capsys, "convert", str(c5_file), str(there), "--to", name)
+        assert (code, out) == (0, f"{c5_file} (graph6) -> {there} ({fmt})\n")
+        assert there.read_bytes() == encode(c5, fmt)
+        back = tmp_path / f"back-{name}.g6"
+        code, out, _ = run_cli(capsys, "convert", str(there), str(back), "--from", name)
+        assert (code, out) == (0, f"{there} ({fmt}) -> {back} (graph6)\n")
+        assert back.read_bytes() == c5_file.read_bytes()
+
+    code, out, _ = run_cli(capsys, "verify", str(tmp_path / "c5-col.bin"), "--format", "col")
+    assert code == 1
+    assert out.startswith(f"target: canonical_digest={canonical_digest(c5)}, m=5, n=5\n")
+    code, out, err = run_cli(capsys, "convert", str(c5_file), str(tmp_path / "x.bin"),
+                             "--to", "foo")
+    assert (code, out, err) == (2, "", "error: unknown format 'foo'\n")
 
 
 def test_shrink_is_an_unknown_subcommand(capsys, c5_file):

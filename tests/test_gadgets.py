@@ -583,9 +583,9 @@ def test_build_counterexample_rejects_a_broken_triple(triple_gadget):
 def test_compositional_check_closes_every_branch(seed_gadget):
     behavior = terminal_behavior(seed_gadget, frozenset())
     result = compositional_check(seed_gadget, behavior)
-    assert result.ok
-    assert result.counterexample is None
-    assert list(result.triple_stage.behavior.items()) == [
+    assert result["ok"]
+    assert result["counterexample"] is None
+    assert list(result["triple_stage"]["table"].items()) == [
         ("000", False),
         ("001", True),
         ("010", True),
@@ -594,26 +594,26 @@ def test_compositional_check_closes_every_branch(seed_gadget):
     ]
     # no stage-one coloring leaves the composite's terminals all equal,
     # and no stage-two branch survives at all
-    assert "000" not in result.triple_stage.witnesses
-    assert result.final_stage.witnesses == {}
-    assert result.final_stage.behavior == {"": False}
+    assert "000" not in result["triple_stage"]["witnesses"]
+    assert result["final_stage"]["witnesses"] == {}
+    assert result["final_stage"]["table"] == {"": False}
     # a json-serializable summary
-    json.dumps(result.to_json_dict())
+    json.dumps(result)
 
 
 def test_composed_triple_table_matches_the_solver(seed_gadget, triple_gadget):
     seed_table = terminal_behavior(seed_gadget, frozenset())
     result = compositional_check(seed_gadget, seed_table)
     triple_table = terminal_behavior(triple_gadget, frozenset())
-    assert result.triple_stage.behavior == triple_table
+    assert result["triple_stage"]["table"] == triple_table
 
 
 def test_compositional_check_catches_a_lying_behavior_table(seed_gadget):
     # if the all-equal pattern were feasible the argument must not close
     lying = dict.fromkeys(all_patterns(3), True)
     result = compositional_check(seed_gadget, lying)
-    assert not result.ok
-    assert result.counterexample is not None
+    assert not result["ok"]
+    assert result["counterexample"] is not None
 
 
 def test_compositional_check_rejects_wrong_arity(seed_gadget):
@@ -637,24 +637,25 @@ def test_compositional_check_reads_the_table_in_the_seeds_terminal_order(
     assert paste(triple_recipe(turned)) == paste(triple_recipe(seed_gadget))
     got = compositional_check(turned, turned_table)
     want = compositional_check(seed_gadget, table)
-    assert got.triple_stage.behavior == want.triple_stage.behavior
-    assert got.ok == want.ok
+    assert got["triple_stage"]["table"] == want["triple_stage"]["table"]
+    assert got["ok"] == want["ok"]
 
 
 def test_walk_finds_a_survivor_once_an_extra_edge_is_gone(
     seed_gadget, triple_gadget
 ):
     seed_table = terminal_behavior(seed_gadget, frozenset())
-    triple_table = compositional_check(seed_gadget, seed_table).triple_stage.behavior
+    result = compositional_check(seed_gadget, seed_table)
+    triple_table = result["triple_stage"]["table"]
     recipe = counterexample_recipe(triple_gadget)
     for edge in recipe.extra_edges:
         cut = dataclasses.replace(
             recipe, extra_edges=tuple(e for e in recipe.extra_edges if e != edge)
         )
         walk = walk_recipe(cut, [triple_table] * 4, ())
-        assert walk.behavior[""], edge
+        assert walk["table"][""], edge
     # the last cut's surviving slot coloring really extends to the graph
-    survivor = walk.witnesses[""]
+    survivor = walk["witnesses"][""]
     pasted = paste(cut)
     fixing = {pasted.vertex_by_label(name): c for name, c in survivor.items()}
     coloring = solve_3coloring(pasted, fixing)
@@ -728,8 +729,8 @@ def test_walk_matches_the_solver_on_the_pasted_graph(case):
     want = terminal_behavior(
         TerminalGadget(pasted, terminals, InterfaceContract()), frozenset()
     )
-    assert walk.behavior == want
-    for pattern, coloring in walk.witnesses.items():
+    assert walk["table"] == want
+    for pattern, coloring in walk["witnesses"].items():
         assert pattern_of([coloring[str(t)] for t in terminals]) == pattern
 
 
