@@ -9,19 +9,19 @@ its cycle check and both triangle checks off it.
 Planarity verdicts come from an iterative left-right planarity test,
 and every verdict is wrapped in a certificate (a rotation system or a
 Kuratowski subdivision) that :func:`validate_planarity_certificate`
-re-checks from scratch with code the test does not share, so the test's
-answer is never taken on faith.  Only the checker names an
-obstruction's kind, K5 or K3,3.
+re-checks from scratch with the checker in :mod:`check`, which shares
+no code with the test, so the test's answer is never taken on faith.
+Only the checker names an obstruction's kind, K5 or K3,3.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .check import InvalidCertificate, planarity_certificate_kind
 from .errors import CertificateError
 from .graphs import Edge, Graph, normalize_edge
 
@@ -646,138 +646,9 @@ def is_planar(g: Graph) -> PlanarityCertificate:
     return PlanarityCertificate(planar=False, obstruction_edges=edges)
 
 
-def _component_roots(n: int, edges: Iterable[Edge]) -> list[int]:
-    """One representative vertex per connected component, for each vertex."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return [find(v) for v in range(n)]
-
-
-def _trace_faces(rotation: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Face orbits of the rotation system, as dart cycles, each starting
-    at its smallest dart, in order of those darts."""
-    succ: dict[tuple[int, int], tuple[int, int]] = {}
-    for v, ring in enumerate(rotation):
-        deg = len(ring)
-        for i, u in enumerate(ring):
-            # the dart (u, v) continues along the next edge after u in
-            # the cyclic order around v
-            w = ring[(i + 1) % deg]
-            succ[(u, v)] = (v, w)
-    faces = []
-    seen: set[tuple[int, int]] = set()
-    for dart in sorted(succ):
-        face = []
-        while dart not in seen:
-            seen.add(dart)
-            face.append(dart[0])
-            dart = succ[dart]
-        if face:
-            faces.append(face)
-    return faces
-
-
-def _smooth_subdivision(edges: tuple[Edge, ...]) -> str:
-    """Suppress the degree-2 vertices of a loopless edge list; name the
-    remaining core, "K5" or "K3,3"."""
-    adj: dict[int, set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    # suppressing x keeps every other degree, so one sorted pass
-    # suppresses each degree-2 vertex of the input in turn
-    for x in sorted(adj):
-        if len(adj[x]) == 2:
-            u, w = adj.pop(x)
-            if w in adj[u]:
-                raise CertificateError("obstruction smooths to a doubled edge")
-            adj[u].remove(x)
-            adj[w].remove(x)
-            adj[u].add(w)
-            adj[w].add(u)
-    core = sorted(adj)
-    degs = sorted(len(adj[v]) for v in core)
-    if len(core) == 5 and degs == [4] * 5:
-        for v in core:
-            if adj[v] != set(core) - {v}:
-                raise CertificateError("core is 4-regular but not complete")
-        return "K5"
-    if len(core) == 6 and degs == [3] * 6:
-        side = {core[0]: 0}
-        queue = [core[0]]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in side:
-                    side[w] = 1 - side[v]
-                    queue.append(w)
-                elif side[w] == side[v]:
-                    raise CertificateError("3-regular core is not bipartite")
-        part0 = {v for v in core if side[v] == 0}
-        part1 = set(core) - part0
-        if len(part0) != 3 or any(adj[v] != part1 for v in part0):
-            raise CertificateError("core is not a complete bipartite 3+3")
-        return "K3,3"
-    raise CertificateError(
-        f"smoothed obstruction has {len(core)} branch vertices of degrees"
-        f" {degs}; neither a K5 nor a K3,3 subdivision"
-    )
-
-
-def validate_planarity_certificate(
-    g: Graph, cert: PlanarityCertificate
-) -> str | None:
-    """Re-check a certificate from first principles; return the kind of
-    obstruction it proved, "K5" or "K3,3", or None for a planar one.
-
-    Planar: the rotation system must list each vertex's exact neighbor
-    set, and tracing its faces must satisfy n - m + f = 2 on every
-    connected component with at least one edge.  Nonplanar: the
-    obstruction must be a loopless subgraph that smooths to K5 or K3,3.
-
-    Raises :class:`CertificateError` when anything fails.
-    """
-    if cert.planar:
-        rotation = cert.rotation
-        if rotation is None or len(rotation) != g.n:
-            raise CertificateError("rotation system missing or wrong length")
-        for v in range(g.n):
-            ring = rotation[v]
-            if len(set(ring)) != len(ring) or set(ring) != set(g.adj[v]):
-                raise CertificateError(
-                    f"rotation at vertex {v} does not list its neighbors"
-                )
-        # n, m and f per component, keyed by its root and ordered by
-        # its smallest vertex
-        root = _component_roots(g.n, g.edges)
-        n_c = Counter(root)
-        m_c = Counter(root[u] for u, _ in g.edges)
-        f_c = Counter(root[face[0]] for face in _trace_faces(rotation))
-        for r in n_c:
-            if m_c[r] and n_c[r] - m_c[r] + f_c[r] != 2:
-                raise CertificateError(
-                    f"Euler check failed on a component: n={n_c[r]}"
-                    f" m={m_c[r]} f={f_c[r]}"
-                )
-        return None
-    edges = cert.obstruction_edges
-    if not edges:
-        raise CertificateError("nonplanar certificate carries no obstruction")
-    for u, v in edges:
-        if u == v:
-            raise CertificateError("obstruction contains a loop")
-        if not g.has_edge(u, v):
-            raise CertificateError(
-                f"obstruction edge ({u}, {v}) is not in the graph"
-            )
-    return _smooth_subdivision(edges)
+def validate_planarity_certificate(g: Graph, cert: PlanarityCertificate) -> str | None:
+    """The :mod:`check` verdict, failing as :class:`CertificateError`."""
+    try:
+        return planarity_certificate_kind(g, cert)
+    except InvalidCertificate as exc:
+        raise CertificateError(str(exc)) from exc

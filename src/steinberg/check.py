@@ -1,0 +1,245 @@
+"""The checks that verdicts rest on: a RUP refutation (Goldberg and
+Novikov, DATE 2003) of 3-coloring, a coloring and a planarity certificate.
+Standard library only; graphs and certificates are read by attribute."""
+
+from collections import Counter
+
+
+class InvalidCertificate(ValueError):
+    """A planarity certificate does not validate against its graph."""
+
+
+def rup_refutes(n, edges, fixing, proof) -> bool:
+    """Does ``proof`` refute a proper 3-coloring of the n-vertex graph on
+    ``edges`` that extends ``fixing``?  The encoding is rebuilt here:
+    literal ``2 * (3 * v + c)`` says v has color c, the one above it that
+    v has not; a clause per vertex, per edge and color, and three units
+    per fixed vertex.  The edge clauses are implication lists: "v has c"
+    makes "w has not c" true for each neighbour w.  Each proof clause,
+    then the empty clause, must make unit propagation conflict once its
+    literals are assumed false, and is then added.  Two literals per
+    other clause are watched, and what follows with nothing assumed is
+    kept throughout."""
+    true = bytearray(6 * n)  # true[lit] is set when lit holds
+    watches, trail = [[] for _ in range(6 * n)], []
+    implied = [[] for _ in range(6 * n)]  # what each literal makes true
+    for u, v in edges:
+        for c in range(0, 6, 2):
+            implied[6 * u + c].append(6 * v + c + 1)
+            implied[6 * v + c].append(6 * u + c + 1)
+    for v in range(n):
+        at_least_one = [6 * v, 6 * v + 2, 6 * v + 4]
+        watches[6 * v].append(at_least_one)
+        watches[6 * v + 2].append(at_least_one)
+
+    def propagate(head: int) -> bool:  # True on a conflict
+        while head < len(trail):
+            lit = trail[head]
+            head += 1
+            for q in implied[lit]:
+                if true[q ^ 1]:
+                    return True
+                if not true[q]:
+                    true[q] = 1
+                    trail.append(q)
+            false_lit = lit ^ 1
+            watching, i = watches[false_lit], 0
+            while i < len(watching):
+                c = watching[i]
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                if not true[c[0]]:
+                    k = 2
+                    while k < len(c) and true[c[k] ^ 1]:
+                        k += 1
+                    if k < len(c):  # move the watch to c[k]
+                        c[1], c[k] = c[k], false_lit
+                        watches[c[1]].append(c)
+                        watching[i] = watching[-1]
+                        watching.pop()
+                        continue
+                    if true[c[0] ^ 1]:
+                        return True
+                    true[c[0]] = 1
+                    trail.append(c[0])
+                i += 1
+        return False
+
+    def add(clause) -> bool:  # with nothing assumed; True on a conflict
+        # true literals first, then open ones, then false ones
+        c = sorted(clause, key=lambda lit: 2 * true[lit ^ 1] - true[lit])
+        if not c or true[c[0] ^ 1]:
+            return True
+        if len(c) > 1:
+            watches[c[0]].append(c)
+            watches[c[1]].append(c)
+        if true[c[0]] or len(c) > 1 and not true[c[1] ^ 1]:
+            return False
+        true[c[0]] = 1
+        trail.append(c[0])
+        return propagate(len(trail) - 1)
+
+    for v, col in fixing.items():
+        if any(add([6 * v + 2 * c + (c != col)]) for c in range(3)):
+            return True
+    for clause in proof:
+        if not all(0 <= lit < 6 * n for lit in clause):
+            return False
+        base, conflict = len(trail), False
+        for lit in clause:
+            conflict = conflict or true[lit]
+            if not true[lit ^ 1]:
+                true[lit ^ 1] = 1
+                trail.append(lit ^ 1)
+        conflict = conflict or propagate(base)
+        for lit in trail[base:]:  # undo the assumed part only
+            true[lit] = 0
+        del trail[base:]
+        if not conflict or add(clause):
+            return bool(conflict)
+    return False
+
+
+def is_proper(g, assignment) -> bool:
+    """Check a total assignment; partial or out-of-range input is an error."""
+    if len(assignment) != g.n or set(assignment) != set(range(g.n)):
+        raise ValueError("assignment must color every vertex exactly once")
+    for v, c in assignment.items():
+        if c not in (0, 1, 2):
+            raise ValueError(f"vertex {v} has color {c}, not in 0..2")
+    return all(assignment[u] != assignment[v] for u, v in g.edges)
+
+
+def _component_roots(n: int, edges) -> list[int]:
+    """One representative vertex per connected component, for each vertex."""
+    parent = list(range(n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return [find(v) for v in range(n)]
+
+
+def _trace_faces(rotation: tuple[tuple[int, ...], ...]) -> list[list[int]]:
+    """Face orbits of the rotation system, as dart cycles, each starting
+    at its smallest dart, in order of those darts."""
+    succ: dict[tuple[int, int], tuple[int, int]] = {}
+    for v, ring in enumerate(rotation):
+        deg = len(ring)
+        for i, u in enumerate(ring):
+            # the dart (u, v) continues along the next edge after u in
+            # the cyclic order around v
+            w = ring[(i + 1) % deg]
+            succ[(u, v)] = (v, w)
+    faces = []
+    seen: set[tuple[int, int]] = set()
+    for dart in sorted(succ):
+        face = []
+        while dart not in seen:
+            seen.add(dart)
+            face.append(dart[0])
+            dart = succ[dart]
+        if face:
+            faces.append(face)
+    return faces
+
+
+def _smooth_subdivision(edges) -> str:
+    """Suppress the degree-2 vertices of a loopless edge list; name the
+    remaining core, "K5" or "K3,3"."""
+    adj: dict[int, set[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
+    # suppressing x keeps every other degree, so one sorted pass
+    # suppresses each degree-2 vertex of the input in turn
+    for x in sorted(adj):
+        if len(adj[x]) == 2:
+            u, w = adj.pop(x)
+            if w in adj[u]:
+                raise InvalidCertificate("obstruction smooths to a doubled edge")
+            adj[u].remove(x)
+            adj[w].remove(x)
+            adj[u].add(w)
+            adj[w].add(u)
+    core = sorted(adj)
+    degs = sorted(len(adj[v]) for v in core)
+    if len(core) == 5 and degs == [4] * 5:
+        for v in core:
+            if adj[v] != set(core) - {v}:
+                raise InvalidCertificate("core is 4-regular but not complete")
+        return "K5"
+    if len(core) == 6 and degs == [3] * 6:
+        side = {core[0]: 0}
+        queue = [core[0]]
+        while queue:
+            v = queue.pop()
+            for w in adj[v]:
+                if w not in side:
+                    side[w] = 1 - side[v]
+                    queue.append(w)
+                elif side[w] == side[v]:
+                    raise InvalidCertificate("3-regular core is not bipartite")
+        part0 = {v for v in core if side[v] == 0}
+        part1 = set(core) - part0
+        if len(part0) != 3 or any(adj[v] != part1 for v in part0):
+            raise InvalidCertificate("core is not a complete bipartite 3+3")
+        return "K3,3"
+    raise InvalidCertificate(
+        f"smoothed obstruction has {len(core)} branch vertices of degrees"
+        f" {degs}; neither a K5 nor a K3,3 subdivision"
+    )
+
+
+def planarity_certificate_kind(g, cert) -> str | None:
+    """Re-check a certificate from first principles; return the kind of
+    obstruction it proved, "K5" or "K3,3", or None for a planar one.
+
+    Planar: the rotation system must list each vertex's exact neighbor
+    set, and tracing its faces must satisfy n - m + f = 2 on every
+    connected component with at least one edge.  Nonplanar: the
+    obstruction must be a loopless subgraph that smooths to K5 or K3,3.
+
+    Raises :class:`InvalidCertificate` when anything fails.
+    """
+    if cert.planar:
+        rotation = cert.rotation
+        if rotation is None or len(rotation) != g.n:
+            raise InvalidCertificate("rotation system missing or wrong length")
+        for v in range(g.n):
+            ring = rotation[v]
+            if len(set(ring)) != len(ring) or set(ring) != set(g.adj[v]):
+                raise InvalidCertificate(
+                    f"rotation at vertex {v} does not list its neighbors"
+                )
+        # n, m and f per component, keyed by its root and ordered by
+        # its smallest vertex
+        root = _component_roots(g.n, g.edges)
+        n_c = Counter(root)
+        m_c = Counter(root[u] for u, _ in g.edges)
+        f_c = Counter(root[face[0]] for face in _trace_faces(rotation))
+        for r in n_c:
+            if m_c[r] and n_c[r] - m_c[r] + f_c[r] != 2:
+                raise InvalidCertificate(
+                    f"Euler check failed on a component: n={n_c[r]}"
+                    f" m={m_c[r]} f={f_c[r]}"
+                )
+        return None
+    edges = cert.obstruction_edges
+    if not edges:
+        raise InvalidCertificate("nonplanar certificate carries no obstruction")
+    for u, v in edges:
+        if u == v:
+            raise InvalidCertificate("obstruction contains a loop")
+        if not g.has_edge(u, v):
+            raise InvalidCertificate(
+                f"obstruction edge ({u}, {v}) is not in the graph"
+            )
+    return _smooth_subdivision(edges)

@@ -8,11 +8,11 @@ objects: "v takes c" makes each neighbour's "takes c" false.  It is
 deterministic: each decision sets the unassigned variable of highest
 activity false, ties to the smallest variable.  On UNSAT its learnt
 clauses form a proof that :func:`_coloring_check` replays with
-:mod:`proof`, which shares no code with the solver.  Every coloring
-verdict in the package comes from that function: the contracts' pattern
-clauses, ``verify``'s colorability check and each row of a
-:func:`terminal_behavior` table.  A table row that a passing contract
-clause has already refuted comes from that clause, not a second solve.
+:mod:`check`, which checks witnesses too and shares no code with the
+solver.  Every coloring verdict comes from that function: the
+contracts' pattern clauses, ``verify``'s colorability check and each
+row of a :func:`terminal_behavior` table that no passing contract
+clause has already refuted (those come from the clause, not a solve).
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
+from .check import is_proper, rup_refutes
 from .errors import ImproperFixingError, OracleMismatchError, SizeGuardError
 from .graphs import Graph
-from .proof import rup_refutes
 
 if TYPE_CHECKING:  # pragma: no cover
     from .gadgets import TerminalGadget
@@ -35,16 +35,6 @@ _EXHAUSTIVE_LIMIT = 16  # full bitset sweep, all 3^k rows touched
 _SWEEP_CHUNK_VERTICES = 11  # a chunk spans 3^11 rows, one bit each
 _BEHAVIOR_ARITIES = range(2, 5)  # terminal counts a behavior table covers
 _ACTIVITY_LIMIT = 1e100  # past this, every solver activity is divided by it
-
-
-def is_proper(g: Graph, assignment: Mapping[int, int]) -> bool:
-    """Check a total assignment; partial or out-of-range input is an error."""
-    if len(assignment) != g.n or set(assignment) != set(range(g.n)):
-        raise ValueError("assignment must color every vertex exactly once")
-    for v, c in assignment.items():
-        if c not in (0, 1, 2):
-            raise ValueError(f"vertex {v} has color {c}, not in 0..2")
-    return all(assignment[u] != assignment[v] for u, v in g.edges)
 
 
 def check_fixed(g: Graph, fixed: Mapping[int, int]) -> None:

@@ -50,7 +50,7 @@ from . import __version__ as _tool_version
 from .canon import canonical_form
 from .coloring import terminal_behavior
 from .errors import ContractError, SearchSpecError
-from .formats import strict_int, strict_str
+from .formats import strict_int, strict_list, strict_object, strict_str
 from .gadgets import (
     InterfaceContract,
     TerminalGadget,
@@ -686,29 +686,31 @@ def search_spec_to_json_dict(spec: SearchSpec) -> dict[str, Any]:
     }
 
 
-def _layer_from_json_dict(ld: dict[str, Any]) -> LayerSpec:
+def _layer_from_json_dict(ld: Any) -> LayerSpec:
     def link(key: str) -> str | None:
         value = ld.get(key)
         return None if value is None else strict_str(value, key)
 
+    strict_object(ld, "a layer")
     return LayerSpec(
-        name=strict_str(ld["name"], "a layer name"),
-        size=strict_int(ld["size"], "a layer size"),
+        name=strict_str(ld.get("name"), "a layer name"),
+        size=strict_int(ld.get("size"), "a layer size"),
         intra=strict_str(ld.get("intra", "none"), "intra"),
         link_to=link("link_to"),
         link_kind=link("link_kind"),
     )
 
 
-def search_spec_from_json_dict(d: dict[str, Any]) -> SearchSpec:
+def search_spec_from_json_dict(d: Any) -> SearchSpec:
     """A spec from its JSON form; keys it does not read, such as the
     retired ``max_vertices`` and ``dedup``, are ignored."""
     try:
+        template = strict_object(d, "a search spec").get("template")
         contract = InterfaceContract.from_json_dict(d["contract"])
-        template = d.get("template")
         if template is None:
             raise ValueError("a spec needs a template")
-        layers = tuple(_layer_from_json_dict(ld) for ld in template["layers"])
+        layers = strict_list(strict_object(template, "template")["layers"], "layers")
+        layers = tuple(_layer_from_json_dict(ld) for ld in layers)
         return SearchSpec(contract=contract, template=TemplateSpec(layers=layers))
     except (KeyError, TypeError, ValueError) as exc:
         raise SearchSpecError(f"bad search spec: {exc}") from exc

@@ -615,6 +615,28 @@ def test_a_wrongly_typed_json_field_is_a_usage_error(
     )
 
 
+@pytest.mark.parametrize("spec, message", [
+    pytest.param([], "a search spec must be an object, got []", id="spec"),
+    pytest.param({"contract": {}, "template": 5},
+                 "template must be an object, got 5", id="template"),
+    pytest.param({"contract": {}, "template": {"layers": 5}},
+                 "layers must be a list, got 5", id="layers"),
+    pytest.param({"contract": {}, "template": {"layers": [5]}},
+                 "a layer must be an object, got 5", id="layer"),
+    pytest.param({"contract": {}, "template": {"layers": [{"size": 3}]}},
+                 "a layer name must be a string, got None", id="no-name"),
+    pytest.param({"contract": {}, "template": {"layers": [{"name": "t"}]}},
+                 "a layer size must be an integer, got None", id="no-size"),
+])
+def test_a_wrongly_shaped_search_spec_names_its_field(tmp_path, capsys, spec, message):
+    # one error line naming the field and exit 2, not Python's own words
+    # about subscripts and iteration
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: bad search spec: {message}\n")
+
+
 def test_search_spec_with_an_oversized_integer_is_a_usage_error(tmp_path, capsys):
     # past the interpreter's 4,300-digit limit for integer conversion
     spec_path = tmp_path / "spec.json"

@@ -27,7 +27,7 @@ from steinberg import (
     solve_3coloring_with_stats,
     terminal_behavior,
 )
-from steinberg import canon, cli, coloring, gadgets, proof, search
+from steinberg import canon, check, cli, coloring, gadgets, search
 from steinberg.coloring import (
     SolveStats,
     all_equal_pattern,
@@ -81,6 +81,8 @@ def test_is_proper_rejects_partial_or_out_of_range():
         is_proper(tri, {0: 0, 1: 1})
     with pytest.raises(ValueError):
         is_proper(tri, {0: 0, 1: 1, 2: 5})
+    with pytest.raises(ValueError):  # a vertex outside 0..n-1, 2 left out
+        is_proper(tri, {0: 0, 1: 1, 5: 2})
 
 
 def test_check_fixed():
@@ -231,7 +233,7 @@ def test_solver_counts_are_pinned_on_final_graph(final_graph):
     # every conflict but the last, at level 0, learns one clause
     assert len(stats.proof) == 66
     assert rup_refutes(final_graph, {0: 0}, stats.proof)
-    assert proof.rup_refutes(final_graph.n, final_graph.edges, {0: 0}, stats.proof)
+    assert check.rup_refutes(final_graph.n, final_graph.edges, {0: 0}, stats.proof)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
@@ -259,7 +261,7 @@ def test_verify_refutes_the_final_graph_in_any_vertex_order(
     [(result, stats)] = solves
     assert result is None
     assert rup_refutes(g, {0: 0}, stats.proof)
-    assert proof.rup_refutes(g.n, g.edges, {0: 0}, stats.proof)
+    assert check.rup_refutes(g.n, g.edges, {0: 0}, stats.proof)
 
 
 def _proof_mutants(steps):
@@ -274,7 +276,7 @@ def _proof_mutants(steps):
 def _both_checkers(g, fixed, steps):
     """The package's verdict on a proof, required to equal the test
     reference's."""
-    got = proof.rup_refutes(g.n, g.edges, fixed, steps)
+    got = check.rup_refutes(g.n, g.edges, fixed, steps)
     assert got == rup_refutes(g, fixed, steps)
     return got
 
@@ -296,6 +298,62 @@ def test_checker_rejects_proofs_that_do_not_refute(final_graph):
     # a dropped clause and a flipped literal break the chain
     for mutant in _proof_mutants(steps).values():
         assert not _both_checkers(g, {0: 0}, mutant)
+
+
+def test_checker_takes_literals_in_0_to_6n_less_1_only(final_graph):
+    g = final_graph
+    _, stats = solve_3coloring_with_stats(g)
+    last = 6 * g.n - 1
+    # "vertex 0 takes color 0" follows from the pin and a tautology
+    # holds, so clauses at both ends of the range keep a proof valid
+    assert _both_checkers(g, {0: 0}, [(0,), (last - 1, last), *stats.proof])
+    # a literal past either end names no vertex and color: a proof that
+    # holds one is rejected, however valid the clauses after it
+    for bad in (last + 1, -1):
+        assert not _both_checkers(g, {0: 0}, [(bad,), *stats.proof])
+
+
+def test_final_proof_fails_on_every_one_edge_deletion(final_graph):
+    # each of the final graph's 300 one-edge deletions is 3-colorable
+    # (the graph is 4-critical), so its refutation must fail on every one.
+    # The reference takes 10 ms a replay here, so it sees every 30th
+    g = final_graph
+    _, stats = solve_3coloring_with_stats(g)
+    accepted = []
+    for i, (u, v) in enumerate(g.edges):
+        weakened = remove_edge(g, u, v)
+        if i % 30 == 0:
+            assert not _both_checkers(weakened, {0: 0}, stats.proof)
+        elif check.rup_refutes(g.n, weakened.edges, {0: 0}, stats.proof):
+            accepted.append((u, v))
+    assert len(g.edges) == 300 and accepted == []
+
+
+def test_checker_rejects_random_clause_lists_on_colorable_graphs():
+    # a graph whose edges all join two classes of a hidden 3-coloring has
+    # no refutation, so every random clause list fails, in the package's
+    # replay as in the reference
+    rng = random.Random(3118)
+    for _ in range(1000):
+        n = rng.randint(2, 7)
+        hidden = [rng.randrange(3) for _ in range(n)]
+        g = build_graph(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if hidden[u] != hidden[v] and rng.random() < 0.7
+        ])
+        steps = [
+            tuple(rng.randrange(6 * n) for _ in range(rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 8))
+        ]
+        assert not _both_checkers(g, {0: 0}, steps)
+
+
+def test_a_clause_with_two_open_literals_is_not_a_unit():
+    # the tautology "vertex 2 takes color 2 or does not" passes the RUP
+    # check on the diamond (K4 less 0-2) but forces nothing: taken as a
+    # unit, it would color 1 and 3 alike and refute a colorable graph
+    diamond = build_graph(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert not _both_checkers(diamond, {0: 0}, [(16, 17)])
 
 
 @st.composite

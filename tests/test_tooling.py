@@ -4,20 +4,25 @@ The benchmark's tracer names the functions it wraps by module and
 attribute.  A refactor that moves or renames one of them would break
 ``perfbench/run.py --trace 1`` at start-up; this catches it here, and
 one op of each benchmark workload, run through its own gate, catches a
-change to an entry point the workloads call.  The proof checker must
-stay free of package imports, the report layer free of the analysis
-module, and the package free of ``assert`` statements and of a second,
-indenting JSON writer.  The planarity test must share no code with the
-certificate checker that re-checks its verdicts, and a bare ``import
-steinberg`` must load every module the tracer patches."""
+change to an entry point the workloads call.  The checker module must
+import only the standard library, run from a copy of itself and share
+no code with the solver, the planarity test or the census whose verdicts
+it re-checks.  The report layer stays free of the analysis module, the
+package free of ``assert`` statements and of a second, indenting JSON
+writer, and a bare ``import steinberg`` must load every module the
+tracer patches."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from steinberg import build_graph, solve_3coloring_with_stats
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,24 +59,93 @@ def test_every_benchmark_workload_passes_its_gate(tmp_path):
 
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "steinberg"
-PROOF = PACKAGE / "proof.py"
+CHECK = PACKAGE / "check.py"
+
+
+def _names(tree: ast.AST) -> set[str]:
+    """Every name, attribute and imported name used under ``tree``."""
+    return {
+        getattr(n, "id", getattr(n, "attr", getattr(n, "name", None)))
+        for n in ast.walk(tree)
+        if isinstance(n, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def _shares_no_code_with_the_checker(file: str, names: set[str] | None) -> None:
+    """``names`` in ``file`` (the whole module if None) use nothing that
+    check.py defines, nor anything in ``file`` that calls into it."""
+    checker = {
+        node.name for node in ast.parse(CHECK.read_text()).body if hasattr(node, "name")
+    }
+    module = ast.parse((PACKAGE / file).read_text())
+    defs = {node.name: node for node in module.body if hasattr(node, "name")}
+    # what calls into the checker, such as
+    # analysis.validate_planarity_certificate, is on its side too
+    trusted = checker | {n for n, node in defs.items() if _names(node) & checker}
+    scopes = {file: module} if names is None else {n: defs[n] for n in names}
+    for name, scope in scopes.items():
+        assert not _names(scope) & trusted, (name, sorted(_names(scope) & trusted))
 
 
 def test_proof_checker_imports_only_the_standard_library():
-    # the RUP replay must share no code with the solver it checks, and
-    # must run on its own when copied out of the package
-    tree = ast.parse(PROOF.read_text())
-    imported = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported += [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            assert node.level == 0, "relative import in proof.py"
-            imported.append(node.module)
-    for name in imported:
-        top = name.split(".")[0]
-        assert top != "steinberg"
-        assert top in sys.stdlib_module_names, name
+    # the RUP replay and the certificate checks in check.py must run on
+    # their own when copied out of the package
+    tree = ast.parse(CHECK.read_text())
+    froms = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+    assert all(n.level == 0 for n in froms), "relative import in check.py"
+    imported = [n.module for n in froms] + [
+        a.name for n in ast.walk(tree) if isinstance(n, ast.Import) for a in n.names
+    ]
+    assert all(m.split(".")[0] in sys.stdlib_module_names for m in imported), imported
+
+
+def test_planarity_producer_shares_no_code_with_its_checker():
+    # a certificate is only evidence if the checker does not reuse the
+    # code that produced it
+    _shares_no_code_with_the_checker(
+        "analysis.py",
+        {"_LeftRight", "_kernel", "_kuratowski_edges", "is_planar", "_cycle_dfs"},
+    )
+
+
+def test_solver_and_census_share_no_code_with_the_checker():
+    # nor may the solver whose refutations it replays, or the census
+    # whose canonical forms it recomputes
+    _shares_no_code_with_the_checker(
+        "coloring.py", {"_cdcl", "solve_3coloring_with_stats"}
+    )
+    _shares_no_code_with_the_checker("canon.py", None)
+
+
+def test_the_checker_runs_from_a_copy_of_itself(tmp_path):
+    # python -I -S reads neither PYTHONPATH nor site-packages, so the copy
+    # runs on the standard library alone; it reads graphs and
+    # certificates by attribute, so plain namespaces stand in for them
+    shutil.copy(CHECK, tmp_path)
+    k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
+    _, stats = solve_3coloring_with_stats(build_graph(4, k4))
+    k5 = [[i, j] for i in range(5) for j in range(i + 1, 5)]
+    code = (
+        "import json, sys\n"
+        "from types import SimpleNamespace\n"
+        "sys.path.insert(0, '')\n"
+        "from check import planarity_certificate_kind, rup_refutes\n"
+        "k4, proof, k5 = json.load(sys.stdin)\n"
+        "g = SimpleNamespace(n=5, edges=k5, has_edge=lambda u, v: [u, v] in k5)\n"
+        "cert = SimpleNamespace(planar=False, obstruction_edges=k5)\n"
+        "print(rup_refutes(4, k4, {0: 0}, proof))\n"
+        "print(rup_refutes(4, k4, {0: 0}, proof[1:]))\n"
+        "print(planarity_certificate_kind(g, cert))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        cwd=tmp_path,
+        input=json.dumps([k4, stats.proof, k5]),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert stats.proof and out.stdout.split() == ["True", "False", "K5"]
 
 
 def test_report_imports_nothing_from_analysis():
@@ -113,32 +187,6 @@ def test_no_call_in_the_package_indents_through_json():
         and any(k.arg == "indent" for k in node.keywords)
     ]
     assert found == []
-
-
-def test_planarity_producer_shares_no_code_with_its_checker():
-    # a certificate is only evidence if the checker does not reuse the
-    # code that produced it; the checker alone names an obstruction's kind
-    producer = {"is_planar", "_kuratowski_edges", "_kernel", "_LeftRight"}
-    checker = {
-        "validate_planarity_certificate",
-        "_smooth_subdivision",
-        "_trace_faces",
-        "_component_roots",
-    }
-    tree = ast.parse((PACKAGE / "analysis.py").read_text())
-    defs = {
-        node.name: node
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-    }
-    assert producer <= set(defs) and checker <= set(defs)
-    for name in sorted(producer):
-        used = {
-            getattr(node, "id", getattr(node, "attr", None))
-            for node in ast.walk(defs[name])
-            if isinstance(node, (ast.Name, ast.Attribute))
-        }
-        assert not used & checker, (name, sorted(used & checker))
 
 
 def test_importing_the_package_loads_every_traced_module():
