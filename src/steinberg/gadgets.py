@@ -712,13 +712,16 @@ def walk_recipe(
     and a surviving one reads ``{"survivor": pattern}``; ``closed_by``
     counts the closing reasons.
 
-    ``tables[i]`` reads part i in the terminal order of its gadget.  The
-    walk enumerates colorings of the slot and fresh vertices with vertex
-    0 pinned to color 0, which is no loss because permuting colors
-    preserves properness.  A branch closes on a
-    monochromatic extra edge or on a part whose terminals take a pattern
-    its table marks infeasible.  Part interiors are disjoint and extra
-    edges touch only slot and fresh vertices, so every surviving
+    ``tables[i]`` reads part i in the terminal order of its gadget.  Each
+    slot or fresh vertex, in walk order, takes a color already used or the
+    next unused one.  Every coloring is a color permutation of exactly one
+    such first-use coloring, and properness, :func:`pattern_of` and every
+    closing reason are invariant under permutation, so no pattern is lost;
+    the walk runs in lexicographic order and a pattern's first coloring in
+    that order is first-use, so it is the pattern's witness.  A branch
+    closes on a monochromatic extra edge or on a part whose terminals take
+    a pattern its table marks infeasible.  Part interiors are disjoint and
+    extra edges touch only slot and fresh vertices, so every surviving
     coloring extends to the whole pasted graph: the derived table is
     exact.  With no terminals the single pattern is "", feasible exactly
     when the pasted graph is 3-colorable.
@@ -729,8 +732,7 @@ def walk_recipe(
         )
     n = recipe.num_slots + recipe.extra_vertices
     # color next the vertex that decides the most extra edges and parts,
-    # smallest id first on ties (so vertex 0 comes first): branches close
-    # early and the case tree stays small
+    # smallest id first on ties: branches close early, the tree stays small
     scopes = [set(e) for e in recipe.extra_edges]
     scopes += [set(part.slots) for part in recipe.parts]
     order: list[int] = []
@@ -750,9 +752,7 @@ def walk_recipe(
     edges_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v in recipe.extra_edges:
         edges_at[max(step[u], step[v])].append((u, v))
-    parts_at: list[list[tuple[int, tuple[int, ...], dict[str, bool]]]] = [
-        [] for _ in range(n)
-    ]
+    parts_at: list[list[tuple]] = [[] for _ in range(n)]  # (i, slots, table)
     for i, (part, table) in enumerate(zip(recipe.parts, tables)):
         for p in table:
             if len(p) != len(part.slots):
@@ -778,24 +778,24 @@ def walk_recipe(
                 return f"part {i} ({where}) takes infeasible pattern {pattern}"
         return None
 
-    def walk(k: int) -> dict[str, Any]:
+    def walk(k: int, used: int) -> dict[str, Any]:  # used: colors on order[:k]
         if k == n:
             pattern = pattern_of([color[t] for t in terminals])
             witnesses.setdefault(pattern, dict(zip(name, color)))
             return {"survivor": pattern}
         v = order[k]
         cases: dict[str, Any] = {}
-        for c in (0,) if k == 0 else (0, 1, 2):
+        for c in range(min(used + 1, 3)):
             color[v] = c
             reason = closing_reason(k)
             if reason is None:
-                cases[str(c)] = walk(k + 1)
+                cases[str(c)] = walk(k + 1, max(used, c + 1))
             else:
                 closed_by[reason] = closed_by.get(reason, 0) + 1
                 cases[str(c)] = reason
         return {"vertex": name[v], "cases": cases}
 
-    tree = walk(0)
+    tree = walk(0, 0)
     patterns = all_patterns(len(terminals)) if terminals else [""]
     return {
         "table": {p: p in witnesses for p in patterns},

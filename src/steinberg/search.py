@@ -706,10 +706,10 @@ def search_spec_from_json_dict(d: Any) -> SearchSpec:
     retired ``max_vertices`` and ``dedup``, are ignored."""
     try:
         template = strict_object(d, "a search spec").get("template")
-        contract = InterfaceContract.from_json_dict(d["contract"])
+        contract = InterfaceContract.from_json_dict(d.get("contract"))
         if template is None:
             raise ValueError("a spec needs a template")
-        layers = strict_list(strict_object(template, "template")["layers"], "layers")
+        layers = strict_list(strict_object(template, "template").get("layers"), "layers")
         layers = tuple(_layer_from_json_dict(ld) for ld in layers)
         return SearchSpec(contract=contract, template=TemplateSpec(layers=layers))
     except (KeyError, TypeError, ValueError) as exc:

@@ -343,6 +343,16 @@ PRISM = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
         build_graph(4, list(itertools.combinations(range(4), 2))),
         "neither a K5 nor a K3,3", id="K4",
     ),
+    # five branch vertices that are not all of degree 4, and six that
+    # are not all of degree 3
+    pytest.param(
+        build_graph(5, [e for e in K5.edges if e != (0, 1)]),
+        "neither a K5 nor a K3,3", id="K5-less-an-edge",
+    ),
+    pytest.param(
+        build_graph(6, [(0, 1), *itertools.combinations(range(2, 6), 2)]),
+        "neither a K5 nor a K3,3", id="edge-beside-K4",
+    ),
 ])
 def test_an_obstruction_that_does_not_smooth_to_k5_or_k33_fails(g, message):
     # each obstruction is the whole graph, so every edge is in it

@@ -325,8 +325,9 @@ def test_lemmas_checks_the_seed_contract_once(monkeypatch, capsys):
 
 def test_lemmas_json_lists_the_fifteen_checks_in_order(tmp_path, capsys):
     # the whole report with its durations stripped: each check's details
-    # as written, and the case tree by the SHA-256 of its details in
-    # sorted-key JSON, since the tree runs to some 14 kB
+    # as written, the case tree's verdict, tables and witnesses too, and
+    # its two walks (tree and closed_by) by the SHA-256 of their
+    # sorted-key JSON, since they run to some 8 kB
     path = tmp_path / "lemmas.json"
     assert run_cli(capsys, "lemmas", "--json", str(path))[0] == 0
     doc = json.loads(path.read_text())
@@ -335,10 +336,30 @@ def test_lemmas_json_lists_the_fifteen_checks_in_order(tmp_path, capsys):
         assert check.pop("verdict") == "pass"
     tree = doc["checks"].pop()
     assert tree["name"] == "composition:case-tree"
-    digest = hashlib.sha256(json.dumps(tree["details"], sort_keys=True).encode())
+    walks = {
+        stage: {key: tree["details"][stage].pop(key) for key in ("tree", "closed_by")}
+        for stage in ("triple_stage", "final_stage")
+    }
+    digest = hashlib.sha256(json.dumps(walks, sort_keys=True).encode())
     assert digest.hexdigest() == (
-        "11a2377dd54780e5b4f3980f7517072b445e37daf1c121a9d2d467084b137e2e"
+        "2ecc19f8b14311b64837573db2424910cb6a5eaf0ad3e035be7911d663a38754"
     )
+    assert tree["details"] == {
+        "ok": True,
+        "counterexample": None,
+        "triple_stage": {
+            "table": {
+                "000": False, "001": True, "010": True, "011": True, "012": True,
+            },
+            "witnesses": {
+                "001": {"a": 0, "b": 0, "c": 1, "d": 1, "e": 0, "f": 2},
+                "010": {"a": 0, "b": 1, "c": 0, "d": 0, "e": 1, "f": 2},
+                "011": {"a": 0, "b": 1, "c": 1, "d": 0, "e": 2, "f": 1},
+                "012": {"a": 0, "b": 1, "c": 2, "d": 0, "e": 1, "f": 2},
+            },
+        },
+        "final_stage": {"table": {"": False}, "witnesses": {}},
+    }
     assert doc == {
         "overall": "pass",
         "target": {"canonical_digest": "3855c0a1d182d600", "m": 23, "n": 15},
@@ -617,6 +638,10 @@ def test_a_wrongly_typed_json_field_is_a_usage_error(
 
 @pytest.mark.parametrize("spec, message", [
     pytest.param([], "a search spec must be an object, got []", id="spec"),
+    pytest.param({"template": {"layers": []}},
+                 "contract must be an object, got None", id="no-contract"),
+    pytest.param({"contract": {}, "template": {}},
+                 "layers must be a list, got None", id="no-layers"),
     pytest.param({"contract": {}, "template": 5},
                  "template must be an object, got 5", id="template"),
     pytest.param({"contract": {}, "template": {"layers": 5}},

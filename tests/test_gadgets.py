@@ -600,6 +600,25 @@ def test_compositional_check_closes_every_branch(seed_gadget):
     # a json-serializable summary
     json.dumps(result)
 
+    # each vertex takes a color already used on its path or the next
+    # unused one, so no two branches differ by a color permutation
+    def shape(node, used):  # (leaves, branch nodes) under node
+        if "cases" not in node:
+            return 1, 0
+        assert list(node["cases"]) == [str(c) for c in range(min(used, 2) + 1)]
+        leaves, branches = 0, 1
+        for c, sub in node["cases"].items():
+            if isinstance(sub, str):  # a closing reason
+                leaves += 1
+            else:
+                sub_leaves, sub_branches = shape(sub, max(used, int(c) + 1))
+                leaves += sub_leaves
+                branches += sub_branches
+        return leaves, branches
+
+    assert shape(result["triple_stage"]["tree"], 0) == (45, 24)
+    assert shape(result["final_stage"]["tree"], 0) == (78, 40)
+
 
 def test_composed_triple_table_matches_the_solver(seed_gadget, triple_gadget):
     seed_table = terminal_behavior(seed_gadget, frozenset())

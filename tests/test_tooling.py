@@ -7,7 +7,8 @@ one op of each benchmark workload, run through its own gate, catches a
 change to an entry point the workloads call.  The checker module must
 import only the standard library, run from a copy of itself and share
 no code with the solver, the planarity test or the census whose verdicts
-it re-checks.  The report layer stays free of the analysis module, the
+it re-checks, and the case tree must close without calling the solver.
+The report layer stays free of the analysis module, the
 package free of ``assert`` statements and of a second, indenting JSON
 writer, and a bare ``import steinberg`` must load every module the
 tracer patches."""
@@ -22,7 +23,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-from steinberg import build_graph, solve_3coloring_with_stats
+import pytest
+
+from steinberg import (
+    build_graph,
+    coloring,
+    compositional_check,
+    load_seed_gadget,
+    solve_3coloring_with_stats,
+    terminal_behavior,
+)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -115,6 +125,22 @@ def test_solver_and_census_share_no_code_with_the_checker():
         "coloring.py", {"_cdcl", "solve_3coloring_with_stats"}
     )
     _shares_no_code_with_the_checker("canon.py", None)
+
+
+def test_the_case_tree_runs_without_the_solver(monkeypatch):
+    # compositional_check derives both stages from the seed table alone,
+    # so with that table computed first a solver that refuses every call
+    # is never reached
+    seed = load_seed_gadget()
+    table = terminal_behavior(seed, frozenset())
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the solver ran")
+
+    monkeypatch.setattr(coloring, "_cdcl", refuse)
+    with pytest.raises(RuntimeError, match="the solver ran"):
+        terminal_behavior(seed, frozenset())
+    assert compositional_check(seed, table)["ok"]
 
 
 def test_the_checker_runs_from_a_copy_of_itself(tmp_path):
