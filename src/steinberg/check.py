@@ -1,5 +1,6 @@
-"""The checks that verdicts rest on: a RUP refutation (Goldberg and
-Novikov, DATE 2003) of 3-coloring, a coloring and a planarity certificate.
+"""The checks that verdicts rest on: a hinted refutation of 3-coloring,
+whose steps are reverse unit propagation (Goldberg and Novikov, DATE
+2003) in a given order, a coloring and a planarity certificate.
 Standard library only; graphs and certificates are read by attribute."""
 
 from collections import Counter
@@ -9,94 +10,55 @@ class InvalidCertificate(ValueError):
     """A planarity certificate does not validate against its graph."""
 
 
-def rup_refutes(n, edges, fixing, proof) -> bool:
-    """Does ``proof`` refute a proper 3-coloring of the n-vertex graph on
-    ``edges`` that extends ``fixing``?  The encoding is rebuilt here:
-    literal ``2 * (3 * v + c)`` says v has color c, the one above it that
-    v has not; a clause per vertex, per edge and color, and three units
-    per fixed vertex.  The edge clauses are implication lists: "v has c"
-    makes "w has not c" true for each neighbour w.  Each proof clause,
-    then the empty clause, must make unit propagation conflict once its
-    literals are assumed false, and is then added.  Two literals per
-    other clause are watched, and what follows with nothing assumed is
-    kept throughout."""
+def hints_refute(n, edges, fixing, steps) -> bool:
+    """Do the hinted ``steps`` refute a proper 3-coloring of the n-vertex
+    graph on ``edges`` that extends ``fixing``?  Literal ``2 * (3 * v +
+    c)`` says v has color c, the one above it that v has not; the
+    fixing's literals hold from the start.  A step is a clause and its
+    hints, as in LRAT (Cruz-Filipe et al., CADE 2017): each hint is an
+    earlier step's index or an input clause, v's at-least-one triple or
+    "u or w lacks c" for an edge u-w.  With the clause's literals assumed
+    false, each hint in turn must leave exactly one literal open, which
+    then holds, or none, which proves the clause; a proved unit holds
+    from then on.  The steps must reach the empty clause; each step costs
+    its clause and hints, never a pass over the graph."""
+    inputs = {(6 * v, 6 * v + 2, 6 * v + 4) for v in range(n)}
+    inputs.update(
+        (6 * u + c, 6 * w + c) for u, w in map(sorted, edges) for c in (1, 3, 5)
+    )
     true = bytearray(6 * n)  # true[lit] is set when lit holds
-    watches, trail = [[] for _ in range(6 * n)], []
-    implied = [[] for _ in range(6 * n)]  # what each literal makes true
-    for u, v in edges:
-        for c in range(0, 6, 2):
-            implied[6 * u + c].append(6 * v + c + 1)
-            implied[6 * v + c].append(6 * u + c + 1)
-    for v in range(n):
-        at_least_one = [6 * v, 6 * v + 2, 6 * v + 4]
-        watches[6 * v].append(at_least_one)
-        watches[6 * v + 2].append(at_least_one)
-
-    def propagate(head: int) -> bool:  # True on a conflict
-        while head < len(trail):
-            lit = trail[head]
-            head += 1
-            for q in implied[lit]:
-                if true[q ^ 1]:
-                    return True
-                if not true[q]:
-                    true[q] = 1
-                    trail.append(q)
-            false_lit = lit ^ 1
-            watching, i = watches[false_lit], 0
-            while i < len(watching):
-                c = watching[i]
-                if c[0] == false_lit:
-                    c[0], c[1] = c[1], false_lit
-                if not true[c[0]]:
-                    k = 2
-                    while k < len(c) and true[c[k] ^ 1]:
-                        k += 1
-                    if k < len(c):  # move the watch to c[k]
-                        c[1], c[k] = c[k], false_lit
-                        watches[c[1]].append(c)
-                        watching[i] = watching[-1]
-                        watching.pop()
-                        continue
-                    if true[c[0] ^ 1]:
-                        return True
-                    true[c[0]] = 1
-                    trail.append(c[0])
-                i += 1
-        return False
-
-    def add(clause) -> bool:  # with nothing assumed; True on a conflict
-        # true literals first, then open ones, then false ones
-        c = sorted(clause, key=lambda lit: 2 * true[lit ^ 1] - true[lit])
-        if not c or true[c[0] ^ 1]:
-            return True
-        if len(c) > 1:
-            watches[c[0]].append(c)
-            watches[c[1]].append(c)
-        if true[c[0]] or len(c) > 1 and not true[c[1] ^ 1]:
-            return False
-        true[c[0]] = 1
-        trail.append(c[0])
-        return propagate(len(trail) - 1)
-
     for v, col in fixing.items():
-        if any(add([6 * v + 2 * c + (c != col)]) for c in range(3)):
-            return True
-    for clause in proof:
+        for c in range(3):
+            true[6 * v + 2 * c + (c != col)] = 1
+    for k, (clause, hints) in enumerate(steps):
         if not all(0 <= lit < 6 * n for lit in clause):
             return False
-        base, conflict = len(trail), False
-        for lit in clause:
-            conflict = conflict or true[lit]
-            if not true[lit ^ 1]:
-                true[lit ^ 1] = 1
-                trail.append(lit ^ 1)
-        conflict = conflict or propagate(base)
-        for lit in trail[base:]:  # undo the assumed part only
+        trail = [lit ^ 1 for lit in clause if not true[lit ^ 1]]
+        for lit in trail:
+            true[lit] = 1
+        for hint in hints:
+            if isinstance(hint, int):
+                if not 0 <= hint < k:
+                    return False
+                hint = steps[hint][0]
+            elif tuple(sorted(hint)) not in inputs:
+                return False
+            open_lits = [lit for lit in hint if not true[lit ^ 1]]
+            if len(open_lits) != 1:
+                break
+            if not true[open_lits[0]]:
+                true[open_lits[0]] = 1
+                trail.append(open_lits[0])
+        else:
+            return False  # no hint left every literal false
+        for lit in trail:  # undo what this step assumed and derived
             true[lit] = 0
-        del trail[base:]
-        if not conflict or add(clause):
-            return bool(conflict)
+        if open_lits:
+            return False
+        if not clause:
+            return True
+        if len(clause) == 1:
+            true[clause[0]] = 1
     return False
 
 

@@ -7,12 +7,13 @@ are implication lists read off the sorted adjacency, not clause
 objects: "v takes c" makes each neighbour's "takes c" false.  It is
 deterministic: each decision sets the unassigned variable of highest
 activity false, ties to the smallest variable.  On UNSAT its learnt
-clauses form a proof that :func:`_coloring_check` replays with
-:mod:`check`, which checks witnesses too and shares no code with the
-solver.  Every coloring verdict comes from that function: the
-contracts' pattern clauses, ``verify``'s colorability check and each
-row of a :func:`terminal_behavior` table that no passing contract
-clause has already refuted (those come from the clause, not a solve).
+clauses, each with the clauses that derive it, form a hinted proof that
+:func:`_coloring_check` checks with :mod:`check`, which checks
+witnesses too and shares no code with the solver.  Every coloring
+verdict comes from that function: the contracts' pattern clauses,
+``verify``'s colorability check and each row of a
+:func:`terminal_behavior` table that no passing contract clause has
+already refuted (those come from the clause, not a solve).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from .check import is_proper, rup_refutes
+from .check import hints_refute, is_proper
 from .errors import ImproperFixingError, OracleMismatchError, SizeGuardError
 from .graphs import Graph
 
@@ -62,12 +63,17 @@ class SolveStats:
     :func:`solve_3coloring_with_stats`; after an UNSAT verdict each of
     them, and then the empty clause, follows from the encoding and the
     clauses before it by unit propagation alone (a RUP proof).
+    ``steps`` holds that proof with its order given, as the ``(clause,
+    hints)`` pairs that :func:`check.hints_refute` reads.
     """
 
     nodes: int = 0
     propagations: int = 0
     conflicts: int = 0
     proof: list[tuple[int, ...]] = field(
+        default_factory=list, compare=False, repr=False
+    )
+    steps: list[tuple[tuple[int, ...], tuple[Any, ...]]] = field(
         default_factory=list, compare=False, repr=False
     )
 
@@ -98,6 +104,11 @@ def _cdcl(
     open variable of a list sorted by activity, highest first, which the
     first decision after a conflict sorts again.  No restarts and no
     clause deletion, so the learnt clauses only grow.
+
+    Each learnt clause is a step of ``stats.steps`` whose hints are the
+    reasons its analysis resolved, in trail order, then the conflict.
+    Each literal set at level 0 from a clause is a unit step citing that
+    clause, and a conflict at level 0 the empty clause citing it.
     """
     num_vars = 3 * n
     value = [0] * (2 * num_vars)
@@ -124,6 +135,14 @@ def _cdcl(
     pos = 0  # no variable before order[pos] is open until the next conflict
     nodes = propagations = 0
     qhead = 0
+    steps = stats.steps
+    step_of: dict[int, int] = {}  # id of a kept learnt clause -> its step
+
+    def hint(clause: Sequence[int]) -> Any:
+        k = step_of.get(id(clause))
+        return tuple(clause) if k is None else k
+
+    fact = 0  # trail[:fact] at level 0 has its steps
     while True:
         # unit propagation: the implications of each newly true literal,
         # then the clauses watching its negation, moving the watch or
@@ -176,6 +195,11 @@ def _cdcl(
                     trail.append(other)
             if conflict is not None:
                 break
+        if not depth:
+            for lit in trail[fact:]:
+                if reason[lit >> 1] is not None:
+                    steps.append(((lit,), (hint(reason[lit >> 1]),)))
+            fact = len(trail)
         if conflict is None:
             if order is None:  # stable, so ties keep the smallest first
                 order = sorted(
@@ -202,6 +226,7 @@ def _cdcl(
         stats.conflicts += 1
         order = None
         if not trail_lim:
+            steps.append(((), (hint(conflict),)))
             stats.nodes += nodes
             stats.propagations += propagations
             return None
@@ -212,7 +237,9 @@ def _cdcl(
         pending = 0
         i = len(trail)
         clause = conflict
+        hints = []
         while True:
+            hints.append(hint(clause))
             for q in clause:
                 v = q >> 1
                 if v in seen or not level[v]:
@@ -239,6 +266,10 @@ def _cdcl(
         learnt[0] = lit ^ 1
         bump /= 0.95
         stats.proof.append(tuple(learnt))
+        hints.reverse()
+        steps.append((stats.proof[-1], tuple(hints)))
+        if len(learnt) > 1:  # kept as a reason, so its id stays its own
+            step_of[id(learnt)] = len(steps) - 1
         # backjump to the second-highest level in the clause, which then
         # asserts its first-UIP literal; the next decision sorts again
         back = 0
@@ -474,9 +505,9 @@ def _coloring_check(
 
     A fixing monochromatic on one of its own edges passes (mode
     ``adjacent-terminals``).  A solver witness is checked with
-    :func:`is_proper`, and an UNSAT verdict by replaying its proof with
-    :func:`rup_refutes` under ``fixing`` and the solver's symmetry pin.
-    A failed check raises :class:`OracleMismatchError`, not an
+    :func:`is_proper`, and an UNSAT verdict by checking its hinted steps
+    with :func:`hints_refute` under ``fixing`` and the solver's pin.  A
+    failed check raises :class:`OracleMismatchError`, not an
     assertion, so ``python -O`` keeps it.
     """
     try:
@@ -489,7 +520,7 @@ def _coloring_check(
                 f"solver returned an improper coloring with fixing {fixing!r}"
             )
         return False, _coloring_witness(solution), {"solver_nodes": stats.nodes}
-    if not rup_refutes(g.n, g.edges, _symmetry_pin(g, fixing), stats.proof):
+    if not hints_refute(g.n, g.edges, _symmetry_pin(g, fixing), stats.steps):
         raise OracleMismatchError(
             f"the solver's UNSAT proof fails the RUP check with fixing {fixing!r}"
         )

@@ -52,7 +52,7 @@ class CertificateError(SteinbergError, ValueError):
 
 class OracleMismatchError(SteinbergError, RuntimeError):
     """A solver verdict failed its independent check: an improper witness,
-    a refutation proof that does not replay, or a disagreeing sweep."""
+    a refutation proof that fails its check, or a disagreeing sweep."""
 
 
 class SearchSpecError(SteinbergError, ValueError):

@@ -639,7 +639,7 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
     again.  Any other gadget that fails either raises
     :class:`ContractError`, and nothing is written.  The forbidden
     patterns' rows come from their clauses' refutations; the table
-    solves only the other rows.  Every refutation is replayed as a proof.
+    solves only the other rows.  Every refutation is checked as a proof.
     """
     digest = gadget.search_digest
     if digest is None:

@@ -230,10 +230,13 @@ def test_solver_counts_are_pinned_on_final_graph(final_graph):
     result, stats = solve_3coloring_with_stats(final_graph)
     assert result is None
     assert stats == SolveStats(nodes=657, propagations=5781, conflicts=67)
-    # every conflict but the last, at level 0, learns one clause
+    # every conflict but the last, at level 0, learns one clause; the
+    # hinted steps add 32 level-0 units and the empty clause
     assert len(stats.proof) == 66
+    assert len(stats.steps) == 99
+    assert sum(len(hints) for _, hints in stats.steps) == 1119
     assert rup_refutes(final_graph, {0: 0}, stats.proof)
-    assert check.rup_refutes(final_graph.n, final_graph.edges, {0: 0}, stats.proof)
+    assert _both_checkers(final_graph, {0: 0}, stats.steps)
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
@@ -261,23 +264,87 @@ def test_verify_refutes_the_final_graph_in_any_vertex_order(
     [(result, stats)] = solves
     assert result is None
     assert rup_refutes(g, {0: 0}, stats.proof)
-    assert check.rup_refutes(g.n, g.edges, {0: 0}, stats.proof)
+    assert check.hints_refute(g.n, g.edges, {0: 0}, stats.steps)
 
 
-def _proof_mutants(steps):
-    """A RUP proof with its first or last clause dropped, emptied, and
-    with its first literal flipped."""
+def _edited(steps, k, clause=None, hints=None):
+    """``steps`` with step k's clause or hints replaced."""
+    old_clause, old_hints = steps[k]
+    step = (
+        old_clause if clause is None else clause,
+        old_hints if hints is None else hints,
+    )
+    return [*steps[:k], step, *steps[k + 1 :]]
+
+
+def _shifted(steps, by):
+    """``steps`` with every step index among their hints raised by ``by``."""
+    return [
+        (clause, tuple(h + by if isinstance(h, int) else h for h in hints))
+        for clause, hints in steps
+    ]
+
+
+def _proof_mutants(g, steps):
+    """The hinted steps of a refutation of g, broken in each way a
+    checker must catch: the first or last step dropped; no steps; a
+    clause's first literal flipped, or moved 6n down, where a negative
+    index would read it as itself; a hint dropped; two hints swapped
+    where the later one uses what the earlier one derives; an edge pair
+    hint given a second color or a non-edge; and a step citing itself
+    or, put first, the last step."""
+    steps = list(steps)
     mutants = {"first-dropped": steps[1:], "last-dropped": steps[:-1], "empty": []}
-    if steps:
-        mutants["flipped"] = [(steps[0][0] ^ 1, *steps[0][1:]), *steps[1:]]
+    if not steps:
+        return mutants
+    mutants["later-step"] = [((), (len(steps),)), *_shifted(steps, 1)]
+    mutants["own-step"] = _edited(steps, len(steps) - 1, hints=(len(steps) - 1,))
+    k = next((k for k, (clause, _) in enumerate(steps) if clause), None)
+    if k is not None:
+        lit, *rest = steps[k][0]
+        mutants["flipped"] = _edited(steps, k, clause=(lit ^ 1, *rest))
+        mutants["out-of-range"] = _edited(steps, k, clause=(lit - 6 * g.n, *rest))
+    k = next((k for k, (_, hints) in enumerate(steps) if len(hints) > 1), None)
+    if k is not None:
+        mutants["hint-dropped"] = _edited(steps, k, hints=steps[k][1][1:])
+    for k, (_, hints) in enumerate(steps):
+        lits = [steps[h][0] if isinstance(h, int) else h for h in hints]
+        # i stops short of the last hint: the conflict, put first, can
+        # run the chain backwards and still close the step
+        uses = ((j, i) for i in range(len(hints) - 1) for j in range(i)
+                if any(lit ^ 1 in lits[j] for lit in lits[i]))
+        j, i = next(uses, (None, None))
+        if j is not None:
+            swapped = list(hints)
+            swapped[i], swapped[j] = hints[j], hints[i]
+            mutants["hints-swapped"] = _edited(steps, k, hints=tuple(swapped))
+            break
+    pair = next((
+        (k, i, h) for k, (_, hints) in enumerate(steps)
+        for i, h in enumerate(hints) if not isinstance(h, int) and len(h) == 2
+    ), None)
+    if pair is not None:
+        k, i, (a, b) = pair
+        hints = list(steps[k][1])
+        hints[i] = (a, b - b % 6 + (b % 6 + 2) % 6)
+        mutants["mixed-color"] = _edited(steps, k, hints=tuple(hints))
+        u = a // 6
+        others = set(range(g.n)) - g.neighbor_sets[u] - {u}
+        if others:
+            x = min(others)
+            hints[i] = (a, 6 * x + a % 6)
+            mutants["non-edge"] = _edited(steps, k, hints=tuple(hints))
     return mutants
 
 
 def _both_checkers(g, fixed, steps):
-    """The package's verdict on a proof, required to equal the test
-    reference's."""
-    got = check.rup_refutes(g.n, g.edges, fixed, steps)
-    assert got == rup_refutes(g, fixed, steps)
+    """The package's verdict on hinted steps; whenever it accepts, the
+    test reference must accept the steps' clauses up to the empty clause
+    by unit propagation alone."""
+    got = check.hints_refute(g.n, g.edges, fixed, steps)
+    if got:
+        clauses = [tuple(clause) for clause, _ in steps]
+        assert rup_refutes(g, fixed, clauses[: clauses.index(())])
     return got
 
 
@@ -285,54 +352,62 @@ def test_checker_rejects_proofs_that_do_not_refute(final_graph):
     g = final_graph
     result, stats = solve_3coloring_with_stats(g)
     assert result is None
-    steps = stats.proof
+    steps = stats.steps
+    assert _both_checkers(g, {0: 0}, steps)
     # the proof of a different graph: minus d-e, the graph colors, so no
     # proof of it can pass
     weakened = remove_edge(g, g.vertex_by_label("d"), g.vertex_by_label("e"))
     assert solve_3coloring(weakened) is not None
     assert not _both_checkers(weakened, {0: 0}, steps)
-    # unit propagation alone does not refute the encoding
-    assert not _both_checkers(g, {0: 0}, [])
-    # "vertex 0 takes color 1" contradicts the pin, so it is not RUP
-    assert not _both_checkers(g, {0: 0}, [(2,), *steps])
-    # a dropped clause and a flipped literal break the chain
-    for mutant in _proof_mutants(steps).values():
-        assert not _both_checkers(g, {0: 0}, mutant)
+    # "vertex 0 takes color 1" contradicts the pin, so no hint proves it
+    contradicting = [((2,), ((0, 2, 4),)), *_shifted(steps, 1)]
+    assert not _both_checkers(g, {0: 0}, contradicting)
+    # every mutant breaks the chain
+    mutants = _proof_mutants(g, steps)
+    assert len(mutants) == 11
+    for name, mutant in mutants.items():
+        assert not _both_checkers(g, {0: 0}, mutant), name
 
 
 def test_checker_takes_literals_in_0_to_6n_less_1_only(final_graph):
     g = final_graph
     _, stats = solve_3coloring_with_stats(g)
     last = 6 * g.n - 1
-    # "vertex 0 takes color 0" follows from the pin and a tautology
-    # holds, so clauses at both ends of the range keep a proof valid
-    assert _both_checkers(g, {0: 0}, [(0,), (last - 1, last), *stats.proof])
+    u = min(g.neighbor_sets[g.n - 1])
+    pair = (6 * u + 5, last)
+
+    def ends(top):
+        ends = [((0,), ((0, 2, 4),)), ((pair[0], top), (pair,))]
+        return [*ends, *_shifted(stats.steps, len(ends))]
+
+    # "vertex 0 takes color 0" follows from the pin and the input clause
+    # "u or n-1 lacks color 2" from itself, so steps at both ends of the
+    # range keep a proof valid
+    assert _both_checkers(g, {0: 0}, ends(last))
     # a literal past either end names no vertex and color: a proof that
-    # holds one is rejected, however valid the clauses after it
+    # holds one is rejected, however valid the steps after it (through a
+    # negative index, -1 would read as 6n-1)
     for bad in (last + 1, -1):
-        assert not _both_checkers(g, {0: 0}, [(bad,), *stats.proof])
+        assert not _both_checkers(g, {0: 0}, ends(bad))
 
 
 def test_final_proof_fails_on_every_one_edge_deletion(final_graph):
     # each of the final graph's 300 one-edge deletions is 3-colorable
-    # (the graph is 4-critical), so its refutation must fail on every one.
-    # The reference takes 10 ms a replay here, so it sees every 30th
+    # (the graph is 4-critical), so its refutation must fail on every one
     g = final_graph
     _, stats = solve_3coloring_with_stats(g)
-    accepted = []
-    for i, (u, v) in enumerate(g.edges):
-        weakened = remove_edge(g, u, v)
-        if i % 30 == 0:
-            assert not _both_checkers(weakened, {0: 0}, stats.proof)
-        elif check.rup_refutes(g.n, weakened.edges, {0: 0}, stats.proof):
-            accepted.append((u, v))
+    accepted = [
+        (u, v) for u, v in g.edges
+        if _both_checkers(remove_edge(g, u, v), {0: 0}, stats.steps)
+    ]
     assert len(g.edges) == 300 and accepted == []
 
 
 def test_checker_rejects_random_clause_lists_on_colorable_graphs():
     # a graph whose edges all join two classes of a hidden 3-coloring has
-    # no refutation, so every random clause list fails, in the package's
-    # replay as in the reference
+    # no refutation, so every random list of hinted steps ending in the
+    # empty clause fails; each hint is an earlier step, an input clause
+    # or a random pair
     rng = random.Random(3118)
     for _ in range(1000):
         n = rng.randint(2, 7)
@@ -341,19 +416,69 @@ def test_checker_rejects_random_clause_lists_on_colorable_graphs():
             (u, v) for u in range(n) for v in range(u + 1, n)
             if hidden[u] != hidden[v] and rng.random() < 0.7
         ])
-        steps = [
-            tuple(rng.randrange(6 * n) for _ in range(rng.randint(1, 4)))
-            for _ in range(rng.randint(1, 8))
+        inputs = [(6 * v, 6 * v + 2, 6 * v + 4) for v in range(n)] + [
+            (6 * u + c, 6 * v + c) for u, v in g.edges for c in (1, 3, 5)
         ]
+
+        def hint(k):
+            roll = rng.random()
+            if k and roll < 0.2:
+                return rng.randrange(k)
+            if roll < 0.9:
+                return rng.choice(inputs)
+            return (rng.randrange(6 * n), rng.randrange(6 * n))
+
+        steps = [
+            (
+                tuple(rng.randrange(6 * n) for _ in range(rng.randint(0, 3))),
+                tuple(hint(k) for _ in range(rng.randint(1, 6))),
+            )
+            for k in range(rng.randint(1, 8))
+        ]
+        steps[-1] = ((), steps[-1][1])
         assert not _both_checkers(g, {0: 0}, steps)
 
 
 def test_a_clause_with_two_open_literals_is_not_a_unit():
-    # the tautology "vertex 2 takes color 2 or does not" passes the RUP
-    # check on the diamond (K4 less 0-2) but forces nothing: taken as a
-    # unit, it would color 1 and 3 alike and refute a colorable graph
+    # on the diamond (K4 less 0-2), with both literals of the tautology
+    # "vertex 2 takes color 2 or does not" assumed false, these hints
+    # color 1 and 3 alike, so they prove it; it forces nothing, but taken
+    # as the unit "vertex 2 takes color 2" it would let the same hints
+    # refute a colorable graph
     diamond = build_graph(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert not _both_checkers(diamond, {0: 0}, [(16, 17)])
+    hints = ((11, 17), (17, 23), (1, 7), (6, 8, 10), (1, 19), (18, 20, 22), (9, 21))
+    assert not _both_checkers(diamond, {0: 0}, [((16, 17), hints), ((), hints)])
+
+
+def test_a_step_cites_only_earlier_steps():
+    # the empty clause citing itself, a later empty clause, or the last
+    # step through a negative index would close at once and refute C5
+    for steps in ([((), (0,))], [((), (1,)), ((), ((0, 2, 4),))], [((), (-1,))]):
+        assert not _both_checkers(C5, {0: 0}, steps)
+    # while K4's proof stays valid with each input clause it uses restated
+    # as a step, from step 0 up, and cited by index
+    _, stats = solve_3coloring_with_stats(K4)
+    steps = stats.steps
+    inputs = sorted({h for _, hints in steps for h in hints if isinstance(h, tuple)})
+    restated = [(h, (h,)) for h in inputs]
+    for clause, hints in steps:
+        cited = (inputs.index(h) if h in inputs else h + len(inputs) for h in hints)
+        restated.append((clause, tuple(cited)))
+    assert _both_checkers(K4, {0: 0}, restated)
+
+
+def test_an_input_hint_is_an_at_least_one_triple_or_an_edge_pair():
+    # each hint here is false under its fixing, so it would close the one
+    # step and refute a colorable graph, were it taken as an input clause:
+    # a non-edge's pair, a pair of two colors, a vertex's triple short of
+    # a color, and a triple across two vertices
+    for g, fixed, hint in (
+        (build_graph(2, []), {0: 0, 1: 0}, (1, 7)),
+        (build_graph(2, [(0, 1)]), {0: 0, 1: 1}, (1, 9)),
+        (build_graph(1, []), {0: 2}, (0, 2)),
+        (build_graph(2, []), {0: 0, 1: 2}, (4, 6, 8)),
+    ):
+        assert not _both_checkers(g, fixed, [((), (hint,))]), hint
 
 
 @st.composite
@@ -368,16 +493,17 @@ def coin_flip_graphs(draw, max_n=9):
 @given(coin_flip_graphs(), st.integers(min_value=0, max_value=2**31 - 1))
 @settings(max_examples=300, deadline=None)
 def test_replay_matches_the_reference_checker(g, seed):
-    # on every UNSAT proof and its mutants, under a random fixing of up
-    # to three vertices (the solver's own {0: 0} pin when it is empty),
-    # the package's replay gives the naive reference's verdict
+    # on every UNSAT proof, under a random fixing of up to three vertices
+    # (the solver's own {0: 0} pin when it is empty), the package accepts
+    # the hinted steps and the naive reference their clauses; on each
+    # mutant the package accepts only what the reference accepts
     rng = random.Random(seed)
     fixed = random_conflict_free_fixing(rng, g, rng.randrange(4)) or {0: 0}
     result, stats = solve_3coloring_with_stats(g, fixed)
     if result is not None:
         return
-    assert _both_checkers(g, fixed, stats.proof)
-    for mutant in _proof_mutants(stats.proof).values():
+    assert _both_checkers(g, fixed, stats.steps)
+    for mutant in _proof_mutants(g, stats.steps).values():
         _both_checkers(g, fixed, mutant)
 
 
@@ -621,23 +747,30 @@ def test_improper_solver_witness_is_caught_under_python_O():
     assert out.stdout.split() == ["1", *_IMPROPER_WITNESS_RUNS]
 
 
-# proofs that must not pass: the final graph's own proof mutated, or its
-# intact proof on the final graph minus d-e, which colors
-_BAD_REFUTATIONS = ("first-dropped", "last-dropped", "flipped", "edge-removed")
+# proofs that must not pass: the final graph's own hinted steps mutated,
+# or its intact steps on the final graph minus d-e, which colors
+_BAD_REFUTATIONS = (
+    "first-dropped", "last-dropped", "flipped", "edge-removed", "empty",
+    "hint-dropped", "hints-swapped", "later-step", "own-step",
+    "mixed-color", "non-edge", "out-of-range",
+)
 
 
 def _bad_refutation(g, name):
-    """The graph and the proof of one bad refutation of the final graph g."""
+    """The graph and the steps of one bad refutation of the final graph
+    g, or with ``name`` "intact" the control: g and its own steps."""
     _, stats = solve_3coloring_with_stats(g)
+    if name == "intact":
+        return g, stats.steps
     if name == "edge-removed":
-        return remove_edge(g, g.vertex_by_label("d"), g.vertex_by_label("e")), stats.proof
-    return g, _proof_mutants(stats.proof)[name]
+        return remove_edge(g, g.vertex_by_label("d"), g.vertex_by_label("e")), stats.steps
+    return g, _proof_mutants(g, stats.steps)[name]
 
 
 def _claiming_unsat(steps):
     """A solver stand-in that calls every query UNSAT with ``steps`` as
-    its proof."""
-    return lambda g, fixed=None: (None, SolveStats(proof=list(steps)))
+    its hinted proof."""
+    return lambda g, fixed=None: (None, SolveStats(steps=list(steps)))
 
 
 def _verify_claiming_unsat(g, steps, path):
@@ -650,6 +783,14 @@ def _verify_claiming_unsat(g, steps, path):
         return cli.main(["verify", str(path)])
     finally:
         coloring.solve_3coloring_with_stats = solve
+
+
+def test_intact_steps_pass_through_the_unsat_stand_in(tmp_path, capsys, final_graph):
+    # the control for the bad refutations below: the same stand-in with
+    # the final graph's own steps verifies, so each refusal is the checker's
+    g, steps = _bad_refutation(final_graph, "intact")
+    assert _verify_claiming_unsat(g, steps, tmp_path / "g.g6") == 0
+    assert "ORACLE MISMATCH" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", _BAD_REFUTATIONS)
@@ -665,18 +806,21 @@ def test_bad_refutation_is_an_oracle_mismatch(
 
 
 def test_bad_refutation_is_caught_under_python_O(tmp_path):
-    # the same verify runs in a child with assertions stripped: the
-    # rejected proof is raised, not asserted, so it survives -O
+    # the same verify runs in a child with assertions stripped, after
+    # the intact control: the rejected proof is raised, not asserted, so
+    # it survives -O
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "from pathlib import Path\n"
         "from steinberg import build_counterexample, build_triple_gadget\n"
         "import test_coloring as t\n"
         "print(sys.flags.optimize)\n"
         "g = build_counterexample(build_triple_gadget(t.load_seed_gadget()))\n"
-        "for name in t._BAD_REFUTATIONS:\n"
+        "for name in ('intact', *t._BAD_REFUTATIONS):\n"
         "    bad = t._bad_refutation(g, name)\n"
-        "    print(name, t._verify_claiming_unsat(*bad, Path(sys.argv[1])))\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = t._verify_claiming_unsat(*bad, Path(sys.argv[1]))\n"
+        "    print(name, code)\n"
     )
     src = os.path.dirname(os.path.dirname(coloring.__file__))
     here = os.path.dirname(os.path.abspath(__file__))
@@ -689,7 +833,8 @@ def test_bad_refutation_is_caught_under_python_O(tmp_path):
         env=env,
     )
     assert out.stdout.split() == [
-        "1", *(word for name in _BAD_REFUTATIONS for word in (name, "1"))
+        "1", "intact", "0",
+        *(word for name in _BAD_REFUTATIONS for word in (name, "1")),
     ]
     assert out.stderr.count("ORACLE MISMATCH: ") == len(_BAD_REFUTATIONS)
 

@@ -98,8 +98,8 @@ def _shares_no_code_with_the_checker(file: str, names: set[str] | None) -> None:
 
 
 def test_proof_checker_imports_only_the_standard_library():
-    # the RUP replay and the certificate checks in check.py must run on
-    # their own when copied out of the package
+    # the hinted-proof check and the certificate checks in check.py must
+    # run on their own when copied out of the package
     tree = ast.parse(CHECK.read_text())
     froms = [n for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
     assert all(n.level == 0 for n in froms), "relative import in check.py"
@@ -146,7 +146,8 @@ def test_the_case_tree_runs_without_the_solver(monkeypatch):
 def test_the_checker_runs_from_a_copy_of_itself(tmp_path):
     # python -I -S reads neither PYTHONPATH nor site-packages, so the copy
     # runs on the standard library alone; it reads graphs and
-    # certificates by attribute, so plain namespaces stand in for them
+    # certificates by attribute, so plain namespaces stand in for them,
+    # and takes hinted steps after a JSON round trip, hints as lists
     shutil.copy(CHECK, tmp_path)
     k4 = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     _, stats = solve_3coloring_with_stats(build_graph(4, k4))
@@ -155,23 +156,23 @@ def test_the_checker_runs_from_a_copy_of_itself(tmp_path):
         "import json, sys\n"
         "from types import SimpleNamespace\n"
         "sys.path.insert(0, '')\n"
-        "from check import planarity_certificate_kind, rup_refutes\n"
-        "k4, proof, k5 = json.load(sys.stdin)\n"
+        "from check import hints_refute, planarity_certificate_kind\n"
+        "k4, steps, k5 = json.load(sys.stdin)\n"
         "g = SimpleNamespace(n=5, edges=k5, has_edge=lambda u, v: [u, v] in k5)\n"
         "cert = SimpleNamespace(planar=False, obstruction_edges=k5)\n"
-        "print(rup_refutes(4, k4, {0: 0}, proof))\n"
-        "print(rup_refutes(4, k4, {0: 0}, proof[1:]))\n"
+        "print(hints_refute(4, k4, {0: 0}, steps))\n"
+        "print(hints_refute(4, k4, {0: 0}, steps[1:]))\n"
         "print(planarity_certificate_kind(g, cert))\n"
     )
     out = subprocess.run(
         [sys.executable, "-I", "-S", "-c", code],
         cwd=tmp_path,
-        input=json.dumps([k4, stats.proof, k5]),
+        input=json.dumps([k4, stats.steps, k5]),
         capture_output=True,
         text=True,
         check=True,
     )
-    assert stats.proof and out.stdout.split() == ["True", "False", "K5"]
+    assert stats.steps and out.stdout.split() == ["True", "False", "K5"]
 
 
 def test_report_imports_nothing_from_analysis():
