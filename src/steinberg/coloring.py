@@ -1,8 +1,10 @@
 """3-coloring: a clause-learning solver plus independent brute force.
 
 The solver encodes the coloring as clauses over (vertex, color)
-variables and runs textbook conflict-driven clause learning on them, so
-its speed does not hang on the input's vertex order.  The edge clauses
+variables and runs textbook conflict-driven clause learning on them.
+The input's vertex order sets its cost (the final graph takes 67
+conflicts in paste order and a few hundred under seeded relabelings)
+but neither its verdict nor whether its proof is valid.  The edge clauses
 are implication lists read off the sorted adjacency, not clause
 objects: "v takes c" makes each neighbour's "takes c" false.  It is
 deterministic: each decision sets the unassigned variable of highest
@@ -33,9 +35,10 @@ ColorAssignment = dict[int, int]
 
 _BRUTE_FORCE_LIMIT = 25  # 3^25 assignment space; beyond this, refuse
 _EXHAUSTIVE_LIMIT = 16  # full bitset sweep, all 3^k rows touched
-_SWEEP_CHUNK_VERTICES = 11  # a chunk spans 3^11 rows, one bit each
+_SWEEP_CHUNK_VERTICES = 9  # a chunk spans 3^9 rows, one bit each (fastest of 8..11)
 _BEHAVIOR_ARITIES = range(2, 5)  # terminal counts a behavior table covers
 _ACTIVITY_LIMIT = 1e100  # past this, every solver activity is divided by it
+_ACTIVITY_DECAY = 0.95  # each conflict's bump is the last one divided by this
 
 
 def check_fixed(g: Graph, fixed: Mapping[int, int]) -> None:
@@ -93,17 +96,21 @@ def _cdcl(
     true "v takes c" makes "w takes c" false for each neighbour w in
     ``adj[v]`` order, before the watched clauses of "v does not take c"
     are visited, which is the order of binary clauses listed edge by
-    edge ahead of everything learnt.  A binary reason is the pair
-    (implied literal, false literal), and a binary conflict (false
-    neighbour literal, false literal).
+    edge ahead of everything learnt.  A binary reason is kept as its
+    false literal and read as the pair (implied literal, false literal),
+    and a binary conflict is the pair (false neighbour literal, false
+    literal).
 
     Two watched literals per clause, first-UIP learning, and branching
     on the unassigned variable of highest activity (ties to the smallest
     variable), set false.  Every variable in a conflict's analysis gains
     activity, and later conflicts weigh more.  A decision takes the first
-    open variable of a list sorted by activity, highest first, which the
-    first decision after a conflict sorts again.  No restarts and no
-    clause deletion, so the learnt clauses only grow.
+    open variable of a list kept in that order: the first decision after
+    a conflict sorts the previous list again by the new activities, a
+    stable sort that keeps every old tie smallest first.  When a bump
+    may have made two activities newly equal, or a rescale may have
+    merged two, it sorts all variables afresh instead.  No restarts and
+    no clause deletion, so the learnt clauses only grow.
 
     Each learnt clause is a step of ``stats.steps`` whose hints are the
     reasons its analysis resolved, in trail order, then the conflict.
@@ -113,16 +120,15 @@ def _cdcl(
     num_vars = 3 * n
     value = [0] * (2 * num_vars)
     level = [0] * num_vars
-    reason: list[Sequence[int] | None] = [None] * num_vars
-    watches: list[list[list[int]]] = [[] for _ in range(2 * num_vars)]
-    implied: list[Sequence[int]] = [()] * (2 * num_vars)
-    for v in range(n):
+    reason: list[Sequence[int] | int | None] = [None] * num_vars
+    watches: list[list[list[int]]] = []
+    implied: list[list[int]] = []  # by vertex: "w lacks color 0", w adjacent
+    for v, nbrs in enumerate(adj):
         at_least_one = [6 * v, 6 * v + 2, 6 * v + 4]
-        watches[6 * v].append(at_least_one)
-        watches[6 * v + 2].append(at_least_one)
-        for c in range(3):
-            implied[6 * v + 2 * c] = [6 * w + 2 * c + 1 for w in adj[v]]
+        watches += [at_least_one], [], [at_least_one], [], [], []
+        implied.append([6 * w + 1 for w in nbrs])
     trail = list(units)
+    push = trail.append
     for lit in units:
         value[lit] = 1
         value[lit ^ 1] = -1
@@ -131,11 +137,15 @@ def _cdcl(
     activity = [0.0] * num_vars
     bump = 1.0
     limit = _ACTIVITY_LIMIT
-    order: list[int] | None = None  # by activity; None after a conflict
+    decay = _ACTIVITY_DECAY
+    order = list(range(num_vars))  # by activity, highest first
     pos = 0  # no variable before order[pos] is open until the next conflict
+    resort: Sequence[int] | None = None  # what the next decision sorts
+    held = {0.0}  # a superset of the activity values now held
     nodes = propagations = 0
     qhead = 0
     steps = stats.steps
+    proof = stats.proof
     step_of: dict[int, int] = {}  # id of a kept learnt clause -> its step
 
     def hint(clause: Sequence[int]) -> Any:
@@ -146,65 +156,90 @@ def _cdcl(
     while True:
         # unit propagation: the implications of each newly true literal,
         # then the clauses watching its negation, moving the watch or
-        # propagating the other watched literal
+        # propagating the other watched literal; only a true "v takes c"
+        # has implications, and only a false one is watched by the
+        # at-least-one clauses
         conflict = None
+        start = qhead
         while qhead < len(trail):
             lit = trail[qhead]
             qhead += 1
-            propagations += 1
-            false_lit = lit ^ 1
-            for q in implied[lit]:
-                x = value[q]
-                if not x:
-                    value[q] = 1
-                    value[q ^ 1] = -1
-                    level[q >> 1] = depth
-                    reason[q >> 1] = (q, false_lit)
-                    trail.append(q)
-                elif x < 0:
-                    conflict = (q, false_lit)
+            if lit & 1:
+                false_lit = lit - 1
+            else:
+                false_lit = lit + 1
+                color = lit % 6  # twice the color, as a literal offset
+                for q in implied[lit // 6]:
+                    q += color
+                    x = value[q]
+                    if not x:
+                        value[q] = 1
+                        value[q - 1] = -1
+                        level[q >> 1] = depth
+                        reason[q >> 1] = false_lit
+                        push(q)
+                    elif x < 0:
+                        conflict = (q, false_lit)
+                        break
+                if conflict is not None:
                     break
-            if conflict is not None:
-                break
             watching = watches[false_lit]
             if not watching:
                 continue
             watches[false_lit] = kept = []
             for k, c in enumerate(watching):
                 if c[0] == false_lit:
-                    c[0], c[1] = c[1], false_lit
-                other = c[0]
+                    c[0] = other = c[1]
+                    c[1] = false_lit
+                else:
+                    other = c[0]
                 if value[other] == 1:
                     kept.append(c)
                     continue
-                for i in range(2, len(c)):
-                    if value[c[i]] != -1:
-                        c[1], c[i] = c[i], false_lit
-                        watches[c[1]].append(c)
-                        break
+                if len(c) == 3:  # every at-least-one clause: one literal to try
+                    q = c[2]
+                    if value[q] != -1:
+                        c[1] = q
+                        c[2] = false_lit
+                        watches[q].append(c)
+                        continue
                 else:
-                    kept.append(c)
-                    if value[other] == -1:
-                        kept.extend(watching[k + 1 :])
-                        conflict = c
-                        break
-                    value[other] = 1
-                    value[other ^ 1] = -1
-                    level[other >> 1] = depth
-                    reason[other >> 1] = c
-                    trail.append(other)
+                    for i in range(2, len(c)):
+                        q = c[i]
+                        if value[q] != -1:
+                            c[1] = q
+                            c[i] = false_lit
+                            watches[q].append(c)
+                            break
+                    else:
+                        i = 0  # nothing to watch instead: unit or conflict
+                    if i:
+                        continue
+                kept.append(c)
+                if value[other] == -1:
+                    kept.extend(watching[k + 1 :])
+                    conflict = c
+                    break
+                value[other] = 1
+                value[other ^ 1] = -1
+                level[other >> 1] = depth
+                reason[other >> 1] = c
+                push(other)
             if conflict is not None:
                 break
+        propagations += qhead - start
         if not depth:
             for lit in trail[fact:]:
-                if reason[lit >> 1] is not None:
-                    steps.append(((lit,), (hint(reason[lit >> 1]),)))
+                r = reason[lit >> 1]
+                if r.__class__ is int:
+                    r = (lit, r)
+                if r is not None:
+                    steps.append(((lit,), (hint(r),)))
             fact = len(trail)
         if conflict is None:
-            if order is None:  # stable, so ties keep the smallest first
-                order = sorted(
-                    range(num_vars), key=activity.__getitem__, reverse=True
-                )
+            if resort is not None:  # stable, so ties keep their order
+                order = sorted(resort, key=activity.__getitem__, reverse=True)
+                resort = None
                 pos = 0
             while pos < num_vars and value[2 * order[pos]]:
                 pos += 1
@@ -221,10 +256,9 @@ def _cdcl(
             value[lit ^ 1] = -1
             level[v] = depth
             reason[v] = None
-            trail.append(lit)
+            push(lit)
             continue
         stats.conflicts += 1
-        order = None
         if not trail_lim:
             steps.append(((), (hint(conflict),)))
             stats.nodes += nodes
@@ -238,18 +272,25 @@ def _cdcl(
         i = len(trail)
         clause = conflict
         hints = []
+        moved: dict[float, float] = {}  # new activity -> old, this conflict
+        tied = False  # whether two activities may have become equal
         while True:
-            hints.append(hint(clause))
+            k = step_of.get(id(clause))
+            hints.append(tuple(clause) if k is None else k)
             for q in clause:
                 v = q >> 1
                 if v in seen or not level[v]:
                     continue
                 seen.add(v)
-                activity[v] += bump
-                if activity[v] > limit:
+                a = activity[v]
+                b = activity[v] = a + bump
+                if b in held or moved.setdefault(b, a) != a:
+                    tied = True
+                if b > limit:
                     scale = 1 / limit
-                    activity = [a * scale for a in activity]
+                    activity = [x * scale for x in activity]
                     bump *= scale
+                    tied = True
                 if level[v] == depth:
                     pending += 1
                 else:
@@ -263,11 +304,21 @@ def _cdcl(
             if not pending:
                 break
             clause = reason[lit >> 1]
+            if clause.__class__ is int:
+                clause = (lit, clause)
         learnt[0] = lit ^ 1
-        bump /= 0.95
-        stats.proof.append(tuple(learnt))
+        bump /= decay
+        if tied or len(held) + len(moved) > 2 * num_vars:
+            # sort afresh, and forget the values no longer held
+            resort = range(num_vars)
+            held = set(activity)
+        else:
+            held.update(moved)
+            if resort is None:
+                resort = order
+        proof.append(tuple(learnt))
         hints.reverse()
-        steps.append((stats.proof[-1], tuple(hints)))
+        steps.append((proof[-1], tuple(hints)))
         if len(learnt) > 1:  # kept as a reason, so its id stays its own
             step_of[id(learnt)] = len(steps) - 1
         # backjump to the second-highest level in the clause, which then
@@ -291,7 +342,7 @@ def _cdcl(
         value[lit ^ 1] = -1
         level[lit >> 1] = depth
         reason[lit >> 1] = learnt if len(learnt) > 1 else None
-        trail.append(lit)
+        push(lit)
 
 
 def _symmetry_pin(g: Graph, fixed: Mapping[int, int]) -> Mapping[int, int]:
@@ -435,7 +486,7 @@ def exhaustive_color_count(
     """Count proper 3-colorings extending ``fixed`` by sweeping the full
     3^k assignment space in bitset chunks; every row is examined.
 
-    The first (at most 11) free vertices span the rows of one chunk: bit
+    The first (at most 9) free vertices span the rows of one chunk: bit
     r of an integer stands for row r, and ``masks[v][c]`` holds the rows
     that give vertex v color c.  Each coloring of the remaining free
     vertices is one chunk, in which they and the fixed vertices are
@@ -461,8 +512,11 @@ def exhaustive_color_count(
     masks: dict[int, list[int]] = {}
     stride = 1
     for v in inner:
-        run = (1 << stride) - 1
-        masks[v] = [_tile(run << (c * stride), 3 * stride, rows) for c in range(3)]
+        # color 1's rows are color 0's moved up one stride, within each
+        # block of 3 strides, so no row leaves the chunk
+        zero = _tile((1 << stride) - 1, 3 * stride, rows)
+        one = zero << stride
+        masks[v] = [zero, one, every_row ^ zero ^ one]
         stride *= 3
     base = 0  # rows violating an edge between two row-spanning vertices
     half_edges = []  # (row-spanning vertex, colored vertex)
@@ -540,8 +594,13 @@ def pattern_of(colors: Sequence[int]) -> str:
     """Normalize a color tuple to its partition pattern string.
 
     First occurrences are renumbered 0, 1, 2 in order, so (2, 2, 0)
-    and (1, 1, 2) both become "001".
+    and (1, 1, 2) both become "001".  Tuples of 1 to 4 colors are read
+    from a table that this function's own loop filled at import.
     """
+    colors = tuple(colors)
+    pattern = _PATTERN_TABLE.get(colors)
+    if pattern is not None:
+        return pattern
     seen: dict[int, int] = {}
     out = []
     for c in colors:
@@ -549,6 +608,15 @@ def pattern_of(colors: Sequence[int]) -> str:
             seen[c] = len(seen)
         out.append(seen[c])
     return "".join(str(d) for d in out)
+
+
+# filled through pattern_of itself: a tuple not yet in it takes the loop
+_PATTERN_TABLE: dict[tuple[int, ...], str] = {}
+_PATTERN_TABLE.update(
+    (colors, pattern_of(colors))
+    for t in range(1, 5)
+    for colors in itertools.product(range(3), repeat=t)
+)
 
 
 def all_patterns(t: int) -> list[str]:

@@ -250,7 +250,7 @@ def iso_classes_upto(n_max: int) -> dict[int, list[Graph]]:
     return levels
 
 
-def reference_solve(g: Graph, fixed=None, *, limit=1e100):
+def reference_solve(g: Graph, fixed=None, *, limit=1e100, decay=0.95):
     """The package solver's search over an explicit clause list, as
     ``(coloring or None, (nodes, propagations, conflicts), proof)``.
 
@@ -263,9 +263,10 @@ def reference_solve(g: Graph, fixed=None, *, limit=1e100):
     so the package solver, which keeps the edge clauses as implication
     lists instead, must make exactly the same decisions, propagations
     and learnt clauses.  Once an activity passes ``limit``, every
-    activity and the bump are multiplied by ``1 / limit``, as the package
-    solver does at ``coloring._ACTIVITY_LIMIT``.  ``fixed`` must be
-    proper on its own edges.
+    activity and the bump are multiplied by ``1 / limit``, and after each
+    conflict the bump is divided by ``decay``, as the package solver does
+    at ``coloring._ACTIVITY_LIMIT`` and ``coloring._ACTIVITY_DECAY``.
+    ``fixed`` must be proper on its own edges.
     """
     fixed = dict(fixed or {})
     if not fixed and g.n:
@@ -382,7 +383,7 @@ def reference_solve(g: Graph, fixed=None, *, limit=1e100):
                 break
             clause = reason[lit >> 1]
         learnt[0] = lit ^ 1
-        bump /= 0.95
+        bump /= decay
         proof.append(tuple(learnt))
         back = 0
         for k in range(1, len(learnt)):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -226,6 +227,11 @@ def test_solver_counts_are_pinned_on_colorable_deletions(
     assert "".join(str(got[v]) for v in range(g.n)) == witness
 
 
+def _steps_digest(stats):
+    # every step's clause and hints, in order
+    return hashlib.sha256(repr(stats.steps).encode()).hexdigest()
+
+
 def test_solver_counts_are_pinned_on_final_graph(final_graph):
     result, stats = solve_3coloring_with_stats(final_graph)
     assert result is None
@@ -235,8 +241,25 @@ def test_solver_counts_are_pinned_on_final_graph(final_graph):
     assert len(stats.proof) == 66
     assert len(stats.steps) == 99
     assert sum(len(hints) for _, hints in stats.steps) == 1119
+    # the whole refutation, hint order included; a change to the solver
+    # that moves this digest, or the one below, must say why
+    assert _steps_digest(stats) == (
+        "31f6890171560477fc817a0b5b359bfd98bca1baf4fcb07866015ddf693dd9bf"
+    )
     assert rup_refutes(final_graph, {0: 0}, stats.proof)
     assert _both_checkers(final_graph, {0: 0}, stats.steps)
+
+
+def test_solver_steps_are_pinned_on_a_colorable_deletion(final_graph):
+    # without the d-e edge the solver finds a coloring after 34 conflicts
+    g = final_graph
+    h = remove_edge(g, g.vertex_by_label("d"), g.vertex_by_label("e"))
+    result, stats = solve_3coloring_with_stats(h)
+    assert result is not None and is_proper(h, result)
+    assert stats == SolveStats(nodes=403, propagations=3717, conflicts=34)
+    assert _steps_digest(stats) == (
+        "33e693e8d678899bda07984352a0854efbbb6fd1b2ada632711f34b89c77596f"
+    )
 
 
 @pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
@@ -507,12 +530,12 @@ def test_replay_matches_the_reference_checker(g, seed):
         _both_checkers(g, fixed, mutant)
 
 
-def _same_search(g, fixed=None, *, limit=1e100):
+def _same_search(g, fixed=None, *, limit=1e100, decay=0.95):
     """The solver's coloring, counters and proof equal those of the
     reference search over the explicit clause list; returns the first
     two."""
     got, stats = solve_3coloring_with_stats(g, fixed)
-    want, counts, steps = reference_solve(g, fixed, limit=limit)
+    want, counts, steps = reference_solve(g, fixed, limit=limit, decay=decay)
     assert got == want
     assert (stats.nodes, stats.propagations, stats.conflicts) == counts
     assert stats.proof == steps
@@ -529,17 +552,57 @@ def test_solver_matches_the_clause_list_reference(g, seed):
     _assert_same_search(g, random_conflict_free_fixing(random.Random(seed), g))
 
 
-def test_solver_matches_the_reference_on_the_final_graph_family(final_graph):
-    # the nine colorable one-edge deletions the benchmark verifies, then
-    # two relabelings of the final graph, each refuted
-    g = final_graph
+def _final_graph_family(g):
+    """The nine colorable one-edge deletions the benchmark verifies, then
+    two relabelings of the final graph, each refuted, with whether each
+    is colorable."""
     for tri in (("d", "e", "f"), ("d'", "e'", "f'"), ("b", "c", "c'")):
         for a, b in itertools.combinations(tri, 2):
-            h = remove_edge(g, g.vertex_by_label(a), g.vertex_by_label(b))
-            assert _assert_same_search(h) is not None
+            yield remove_edge(g, g.vertex_by_label(a), g.vertex_by_label(b)), True
     for seed in (1, 2):
-        h = g.relabeled(random.Random(seed).sample(range(g.n), g.n))
-        assert _assert_same_search(h) is None
+        yield g.relabeled(random.Random(seed).sample(range(g.n), g.n)), False
+
+
+def test_solver_matches_the_reference_on_the_final_graph_family(final_graph):
+    for h, colorable in _final_graph_family(final_graph):
+        assert (_assert_same_search(h) is not None) == colorable
+
+
+@pytest.mark.parametrize(
+    "decay, limit", [(1.0, 1e100), (0.95, 3.0)], ids=["equal-bumps", "limit-3"]
+)
+def test_solver_matches_the_reference_through_activity_ties(
+    monkeypatch, final_graph, decay, limit
+):
+    # the solver sorts its previous decision order again after a
+    # conflict, and sorts afresh when two activities may have become
+    # equal.  At decay 1.0 every bump is 1.0, so variables bumped in
+    # different conflicts tie at every conflict; a limit of 3.0 rescales
+    # 51 times in the family's 895 conflicts, and 1 / 3 rounds, so a
+    # rescale can merge two values
+    monkeypatch.setattr(coloring, "_ACTIVITY_DECAY", decay)
+    monkeypatch.setattr(coloring, "_ACTIVITY_LIMIT", limit)
+    for h, colorable in _final_graph_family(final_graph):
+        got, _ = _same_search(h, limit=limit, decay=decay)
+        assert (got is not None) == colorable
+
+
+def test_solver_matches_the_reference_when_a_rescale_merges_activities(
+    monkeypatch,
+):
+    # at decay 0.5 the bump doubles at every conflict, so a limit of 3.0
+    # rescales at nearly every one; on this graph the rounding of 1 / 3
+    # makes two activities equal that were ordered against their
+    # variables, which only a fresh sort puts back in the reference's order
+    monkeypatch.setattr(coloring, "_ACTIVITY_DECAY", 0.5)
+    monkeypatch.setattr(coloring, "_ACTIVITY_LIMIT", 3.0)
+    rng = random.Random(93)
+    n = rng.randrange(20, 120)
+    got, stats = _same_search(
+        random_sparse_graph(rng, n, int(n * 2.3)), limit=3.0, decay=0.5
+    )
+    assert got is None
+    assert stats.conflicts == 53
 
 
 @pytest.mark.parametrize(
@@ -881,17 +944,19 @@ def _walks(length, same_ends):
     return (2**length + (2 if same_ends else -1) * (-1) ** length) // 3
 
 
-@pytest.mark.parametrize("n", range(10, 17))
+@pytest.mark.parametrize("n", range(8, 17))
 def test_exhaustive_count_matches_closed_forms(n):
-    # past 11 free vertices the sweep runs in several chunks
+    # past 9 free vertices the sweep runs in several chunks
     assert exhaustive_color_count(_cycle(n)) == 2**n + 2 * (-1) ** n
     assert exhaustive_color_count(_path(n)) == 3 * 2 ** (n - 1)
 
 
 @pytest.mark.parametrize("end_color", [0, 1])
 def test_exhaustive_count_with_fixings_across_chunks(end_color):
-    # 14 vertices with 7 and 13 fixed: 12 free, so vertex 12 alone is
-    # colored per chunk, and its edge to fixed vertex 13 is checked per chunk
+    # 14 vertices with 7 and 13 fixed: 12 free, so the 9 free vertices
+    # 0..6, 8 and 9 span each chunk's rows and 10..12 are colored per
+    # chunk; the edge 6-7 joins a row-spanning vertex to a fixed one, 9-10
+    # one to a per-chunk vertex, and 12-13 a per-chunk vertex to a fixed one
     fixed = {7: 0, 13: end_color}
     same = end_color == 0
     # the path: 0..6 hangs off vertex 7, 8..12 runs from 7 to 13
@@ -936,6 +1001,20 @@ def test_pattern_of_normalizes_by_first_occurrence():
     assert pattern_of([1, 0, 2]) == "012"
     assert pattern_of([0, 0, 0]) == "000"
     assert all_equal_pattern(3) == "000"
+
+
+def test_pattern_table_agrees_with_the_loop():
+    # tuples of 1 to 4 colors are read from a table, anything else is
+    # normalized by the loop that filled it
+    def loop(colors):
+        first = {}
+        return "".join(str(first.setdefault(c, len(first))) for c in colors)
+
+    for t in range(1, 5):
+        for colors in itertools.product(range(3), repeat=t):
+            assert pattern_of(list(colors)) == loop(colors)
+    assert pattern_of([2, 1, 0, 2, 1]) == loop([2, 1, 0, 2, 1]) == "01201"
+    assert pattern_of([]) == ""
 
 
 def test_all_patterns_arity_three():
