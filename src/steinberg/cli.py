@@ -54,11 +54,7 @@ _STAGES = {
 
 
 def _resolve_format(name: str | None, path: Path) -> str:
-    if name is None:
-        return sniff_format(path.name)
-    if name not in FORMAT_NAMES:
-        raise FormatError(f"unknown format {name!r}")
-    return FORMAT_NAMES[name]
+    return sniff_format(path.name) if name is None else FORMAT_NAMES[name]
 
 
 def _write_report(report: VerificationReport, json_path: str | None) -> None:
@@ -112,13 +108,12 @@ def cmd_lemmas(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.stock:
-        spec = seed_search_spec()
-    else:
-        if not args.spec:
-            print("error: pass a spec file or --stock", file=sys.stderr)
-            return 2
-        spec = load_search_spec(args.spec)
+    # checked after parsing, so an unknown option is reported before a
+    # stray argument that an argparse group would take for the spec
+    if args.stock == (args.spec is not None):
+        print("error: pass exactly one of a spec file or --stock", file=sys.stderr)
+        return 2
+    spec = seed_search_spec() if args.stock else load_search_spec(args.spec)
     arity = spec.contract.arity
     if arity is not None and arity not in _BEHAVIOR_ARITIES:
         # every find is frozen with its behavior table, which covers only
@@ -220,7 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_jobs(p)
     p.set_defaults(fn=cmd_lemmas)
 
-    p = sub.add_parser("search", help="run a constrained gadget search")
+    p = sub.add_parser(
+        "search", help="run a constrained gadget search",
+        usage="steinberg search (--stock | SPEC.json) [--limit LIMIT]"
+        " [--out-dir OUT_DIR]",
+    )
     p.add_argument("spec", nargs="?", help="SearchSpec JSON file")
     p.add_argument("--stock", action="store_true", help="use the built-in seed template")
     p.add_argument(
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("src")
     p.add_argument("dst")
     _add_format(p, "--from")
-    p.add_argument("--to", default=None, help="output format (default: by extension)")
+    _add_format(p, "--to")
     p.set_defaults(fn=cmd_convert)
 
     return parser

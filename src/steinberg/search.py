@@ -22,14 +22,16 @@ nondecreasing order (see :class:`LayerSpec`); any other pairs layer
 gives its 2-subsets to its vertices in every order.  The first member
 of each isomorphism class in the full walk's order is lex-least in its
 orbit, so it is still walked, and the search emits the same gadgets in
-the same order.  The walk holds at most ``_WALK_CAP`` candidates, and a
-template with more is refused.  Each complete
-candidate is rejected at its cheapest failing contract clause
-(:func:`first_failing_clause`).  Planarity runs only on candidates that
-pass every cheaper clause, and the co-facial test and the canonical form
-only on those that pass them all.  Each find carries that form's digest
-as its evidence, and :func:`certify_and_freeze` writes its record from
-it instead of checking the find again.  Results stream in a fixed order:
+the same order.  Everything the search holds before its first check,
+the edges its steps list and then the edges of every candidate the walk
+keeps, counts against one budget, ``_HOLD_CAP`` edges, and a template
+that needs more is refused.  Each complete candidate is rejected at its
+cheapest failing contract clause (:func:`first_failing_clause`).
+Planarity runs only on candidates that pass every cheaper clause, and
+the co-facial test and the canonical form only on those that pass them
+all.  Each find carries that form's digest as its evidence, and
+:func:`certify_and_freeze` writes its record from it instead of
+checking the find again.  Results stream in a fixed order:
 fewer edges first, then smallest canonical form, so a search is
 reproducible run to run.  An optional counter records the funnel: how
 many candidates each stage enumerated, pruned, rejected, dropped as
@@ -44,7 +46,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from . import __version__ as _tool_version
 from .canon import canonical_form
@@ -65,12 +67,14 @@ from .graphs import MAX_VERTICES, build_graph
 
 _INTRA_KINDS = ("none", "path", "cycle", "path_or_cycle", "clique")
 _LINK_KINDS = ("subsets", "pairs", "matching")
-# alternatives one step may list, all held at once before the walk; the
-# stock pairs step has 455, the widened subsets step 63
-_STEP_CAP = 65_536
-# candidates past the walk's prunes, all held at once to be sorted by edge
-# count; the widened stock template keeps 126
-_WALK_CAP = 100_000
+# edges the search holds before it checks its first candidate: every edge
+# its steps list, then every edge of each candidate the walk keeps, since
+# the walk sorts them all by edge count first.  It bounds memory where a
+# cap on alternatives or candidates cannot, as one candidate may hold
+# thousands of edges.  The stock template lists 2,819 edges and holds 46,
+# the widened one 665 and 2,634, the 1,201-step deep template 1,204 and
+# 3,604; a template refused here peaks near 100 MB in under a second
+_HOLD_CAP = 1 << 20
 
 _Edges = tuple[tuple[int, int], ...]
 
@@ -118,29 +122,6 @@ class SearchSpec:
     template: TemplateSpec
 
 
-def _link_alternatives(kind: str, t: int, size: int, ordered: bool = False) -> int:
-    """How many alternatives one link step lists, for a target layer of
-    ``t`` vertices, counted exactly up to ``_STEP_CAP`` and only just
-    past it: a pairs layer chooses ``size`` of the C(t, 2) target pairs,
-    in every order when ``ordered``, a subsets vertex one of the 2^t - 1
-    nonempty target subsets."""
-    if kind == "matching":
-        return 1
-    if kind == "subsets":
-        return (1 << min(t, _STEP_CAP.bit_length())) - 1
-    pairs = t * (t - 1) // 2
-    if size > pairs:
-        return 0
-    # P(p, size) = p (p - 1) ... (p - size + 1), and C(p, size) = C(p, k)
-    k = size if ordered else min(size, pairs - size)
-    count = 1
-    for i in range(k):
-        count = count * (pairs - i) // (1 if ordered else i + 1)
-        if count > _STEP_CAP:
-            break
-    return count
-
-
 def _validate_template(template: TemplateSpec, arity: int | None) -> None:
     if not template.layers:
         raise SearchSpecError("template has no layers")
@@ -178,18 +159,6 @@ def _validate_template(template: TemplateSpec, arity: int | None) -> None:
         sizes[layer.name] = layer.size
     if sum(sizes.values()) > MAX_VERTICES:  # before any per-vertex step
         raise SearchSpecError(f"template has more than {MAX_VERTICES} vertices")
-    free = _interchangeable_layers(template)
-    for layer in template.layers:  # before any step is listed
-        if layer.link_kind is not None and _link_alternatives(
-            layer.link_kind,
-            sizes[layer.link_to],
-            layer.size,
-            ordered=layer.name not in free,
-        ) > _STEP_CAP:
-            raise SearchSpecError(
-                f"layer {layer.name!r} has a link step of more than"
-                f" {_STEP_CAP} alternatives"
-            )
     if arity and template.layers[0].size != arity:
         raise SearchSpecError(
             f"terminal layer size {template.layers[0].size} != contract"
@@ -197,11 +166,12 @@ def _validate_template(template: TemplateSpec, arity: int | None) -> None:
         )
 
 
-def _intra_variants(kind: str, verts: range) -> list[_Edges]:
+def _intra_variants(kind: str, verts: range, most: int) -> list[_Edges]:
+    # a clique is drawn only one edge past ``most``, enough to refuse it
     if kind == "none":
         return [()]
     if kind == "clique":
-        return [tuple(itertools.combinations(verts, 2))]
+        return [tuple(itertools.islice(itertools.combinations(verts, 2), most + 1))]
     path = tuple(zip(verts, verts[1:]))
     cycle = path + ((verts[0], verts[-1]),) if len(verts) >= 3 else path
     return {
@@ -268,17 +238,18 @@ def _distance_floor_violated(
     return False
 
 
-def _interchangeable_layers(template: TemplateSpec) -> set[str]:
-    """Names of the interchangeable layers (see :class:`LayerSpec`).
-    Links point to earlier layers, so one pass from the last layer back
-    decides it."""
+def _interchangeable_layers(
+    template: TemplateSpec, intra: list[list[_Edges]]
+) -> set[str]:
+    """Names of the interchangeable layers (see :class:`LayerSpec`),
+    given each layer's own edge sets.  Links point to earlier layers, so
+    one pass from the last layer back decides it."""
     free: set[str] = set()
     pinned: set[str] = set()
-    for layer in reversed(template.layers):
+    for layer, variants in zip(reversed(template.layers), reversed(intra)):
         whole = layer.size * (layer.size - 1) // 2
         if layer.name not in pinned and all(
-            len(edges) in (0, whole)
-            for edges in _intra_variants(layer.intra, range(layer.size))
+            len(edges) in (0, whole) for edges in variants
         ):
             free.add(layer.name)
         if layer.link_kind in ("matching", "pairs") and layer.name not in free:
@@ -286,31 +257,52 @@ def _interchangeable_layers(template: TemplateSpec) -> set[str]:
     return free
 
 
+def _over_budget(what: str) -> SearchSpecError:
+    return SearchSpecError(
+        f"template holds more than {_HOLD_CAP} edges before its first"
+        f" check ({what})"
+    )
+
+
 def _template_steps(
     template: TemplateSpec,
-) -> tuple[list[list[_Edges]], list[int | None], list[int | None]]:
+) -> tuple[list[list[_Edges]], list[int | None], list[int | None], int]:
     """The template as a list of steps, each a list of alternative edge
     tuples; for each step the earlier step whose choice it starts from,
-    or None; and for each step the vertex every edge of it meets (its
-    hub), or None.  Every intra step comes first, so candidates of one
-    edge count come shape by shape; then one step per link: a matching
-    has one alternative, a subsets vertex every nonempty neighborhood by
-    size then lexicographically, with the vertex as its hub, a pairs
-    layer every sequence of distinct 2-subsets, strictly increasing when
-    the layer is interchangeable.  The vertices of an interchangeable
+    or None; for each step the vertex every edge of it meets (its hub),
+    or None; and how many edges of ``_HOLD_CAP`` the listing leaves.
+    Every intra step comes first, so candidates of one edge count come
+    shape by shape; then one step per link: a matching has one
+    alternative, a subsets vertex every nonempty neighborhood by size
+    then lexicographically, with the vertex as its hub, a pairs layer
+    every sequence of distinct 2-subsets, strictly increasing when the
+    layer is interchangeable.  The vertices of an interchangeable
     subsets layer choose in nondecreasing order, each from its
     predecessor's choice on, so no two candidates differ only by
-    swapping them."""
-    free = _interchangeable_layers(template)
+    swapping them.  Each edge is counted as it is listed, and past the
+    budget the template is refused, naming the layer being listed."""
+    left = _HOLD_CAP
+
+    def listed(layer: LayerSpec, alternatives: Iterable[_Edges]) -> list[_Edges]:
+        nonlocal left
+        step = []
+        for es in alternatives:
+            left -= len(es)
+            if left < 0:
+                raise _over_budget(f"listing layer {layer.name!r}")
+            step.append(es)
+        return step
+
     verts: dict[str, range] = {}
     start = 0
     for layer in template.layers:
         verts[layer.name] = range(start, start + layer.size)
         start += layer.size
     steps = [
-        _intra_variants(layer.intra, verts[layer.name])
+        listed(layer, _intra_variants(layer.intra, verts[layer.name], left))
         for layer in template.layers
     ]
+    free = _interchangeable_layers(template, steps)
     follows: list[int | None] = [None] * len(steps)
     hubs: list[int | None] = [None] * len(steps)
     for layer in template.layers:
@@ -319,18 +311,23 @@ def _template_steps(
         targets = verts[layer.link_to]
         own = verts[layer.name]
         if layer.link_kind == "matching":
-            steps.append([tuple(zip(targets, own))])
+            steps.append(listed(layer, [tuple(zip(targets, own))]))
             follows.append(None)
             hubs.append(None)
         elif layer.link_kind == "pairs":
+            # the 2-subsets are built whole before the first alternative,
+            # and a nonempty step lists at least two edges per 2-subset
+            pairs = len(targets) * (len(targets) - 1) // 2
+            if layer.size <= pairs and 2 * pairs > left:
+                raise _over_budget(f"listing layer {layer.name!r}")
             orders = (
                 itertools.combinations if layer.name in free
                 else itertools.permutations
             )
-            steps.append([
+            steps.append(listed(layer, (
                 tuple((t, v) for v, pair in zip(own, pairs) for t in pair)
                 for pairs in orders(itertools.combinations(targets, 2), layer.size)
-            ])
+            )))
             follows.append(None)
             hubs.append(None)
         else:
@@ -338,12 +335,12 @@ def _template_steps(
                 tied = v != own[0] and layer.name in free
                 follows.append(len(steps) - 1 if tied else None)
                 hubs.append(v)
-                steps.append([
+                steps.append(listed(layer, (
                     tuple((t, v) for t in subset)
                     for size in range(1, len(targets) + 1)
                     for subset in itertools.combinations(targets, size)
-                ])
-    return steps, follows, hubs
+                )))
+    return steps, follows, hubs, left
 
 
 def _hub_survivors(
@@ -419,6 +416,7 @@ def _walk(
     lengths: frozenset[int],
     floors: list[tuple[int, int, int]],
     funnel: Counter,
+    left: int,
 ) -> list[_Edges]:
     """Every choice of one alternative per step that no monotone prune
     rejects, as a sorted edge tuple, in the order of the steps'
@@ -432,7 +430,9 @@ def _walk(
     rest count as "pruned-cycle" in one addition.  Every other
     alternative is cycle-pruned alone by :func:`_closes_forbidden_cycle`,
     and every alternative past the cycle prune meets the distance floors.
-    More than ``_WALK_CAP`` candidates raise :class:`SearchSpecError`."""
+    Each candidate kept spends its edges from the ``left`` edges of
+    ``_HOLD_CAP``, and past them the walk raises
+    :class:`SearchSpecError`."""
     masks = [
         None if hub is None else [sum(1 << t for t, _ in es) for es in step]
         for step, hub in zip(steps, hubs)
@@ -460,12 +460,10 @@ def _walk(
     enter(si)
     while True:
         if si == len(steps):
+            left -= len(chosen)
+            if left < 0:
+                raise _over_budget("holding candidates")
             out.append(tuple(sorted(chosen)))
-            if len(out) > _WALK_CAP:
-                raise SearchSpecError(
-                    f"template has more than {_WALK_CAP} candidates that"
-                    " pass the walk's prunes"
-                )
         elif tried[si] < len(queue[si]):
             es = steps[si][queue[si][tried[si]]]
             tried[si] += 1
@@ -515,7 +513,7 @@ def _template_candidates(spec: SearchSpec, funnel: Counter) -> list[_Edges]:
                 if matrix[i][j] > 1:
                     floors.append((i, j, matrix[i][j]))
 
-    steps, follows, hubs = _template_steps(template)
+    steps, follows, hubs, left = _template_steps(template)
     out = _walk(
         steps,
         follows,
@@ -524,6 +522,7 @@ def _template_candidates(spec: SearchSpec, funnel: Counter) -> list[_Edges]:
         contract.forbidden_cycle_lengths,
         floors,
         funnel,
+        left,
     )
     return sorted(out, key=len)
 

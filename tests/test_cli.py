@@ -441,6 +441,16 @@ def test_wide_search_is_the_same_under_any_hash_seed(tmp_path):
     assert frozen[0] == frozen[1] == seed_data_path().read_bytes()
 
 
+@pytest.mark.parametrize("given", [["spec.json", "--stock"], []])
+def test_search_takes_a_spec_or_stock_never_both(tmp_path, capsys, given):
+    # a spec given with --stock would be silently dropped
+    out_dir = tmp_path / "out"
+    argv = [str(tmp_path / a) if a.endswith(".json") else a for a in given]
+    code, out, err = run_cli(capsys, "search", *argv, "--out-dir", str(out_dir))
+    assert (code, out, err) == (2, "", "error: pass exactly one of a spec file or --stock\n")
+    assert not out_dir.exists()
+
+
 def test_search_spec_file_with_no_hits(tmp_path, capsys):
     # the only candidate is the triangle, which is a forbidden 3-cycle
     spec = {
@@ -739,48 +749,82 @@ def test_huge_declared_size_is_refused_before_allocating(tmp_path, name):
     assert str(MAX_VERTICES) in out.stderr
 
 
-def _one_step_spec(target: int, layer: dict) -> bytes:
+def _spec(*layers: dict) -> bytes:
     return json.dumps({
         "contract": {"min_terminal_distances": [[0, 1], [1, 0]]},
-        "template": {"layers": [
-            {"name": "t", "size": 2},
-            {"name": "ring", "size": target, "link_to": "t", "link_kind": "subsets"},
-            {"name": "x", "link_to": "ring", **layer},
-        ]},
+        "template": {"layers": [{"name": "t", "size": 2}, *layers]},
     }).encode()
 
 
-# one link step each whose alternatives would be listed before the walk
-_OVERSIZED_STEPS = {
-    "4-pairs-of-12": _one_step_spec(12, {"size": 4, "link_kind": "pairs"}),
-    "5-pairs-of-20": _one_step_spec(20, {"size": 5, "link_kind": "pairs"}),
-    "subsets-of-40": _one_step_spec(40, {"size": 1, "link_kind": "subsets"}),
+def _one_step_spec(target: int, layer: dict) -> bytes:
+    return _spec(
+        {"name": "ring", "size": target, "link_to": "t", "link_kind": "subsets"},
+        {"name": "x", "link_to": "ring", **layer},
+    )
+
+
+# templates that need more than the search's budget of 1,048,576 held
+# edges, each refused where it crosses it: while a layer's steps are
+# listed, or while the walk holds candidates
+_PAST_THE_BUDGET = {
+    # one link step each of 720,720, about 1.96e9, 2^40 - 1 and 491,400
+    # alternatives
+    "4-pairs-of-12": ("listing layer 'x'", _one_step_spec(
+        12, {"size": 4, "link_kind": "pairs"}
+    )),
+    "5-pairs-of-20": ("listing layer 'x'", _one_step_spec(
+        20, {"size": 5, "link_kind": "pairs"}
+    )),
+    "subsets-of-40": ("listing layer 'x'", _one_step_spec(
+        40, {"size": 1, "link_kind": "subsets"}
+    )),
     # a path tells the four vertices apart, so their pairs come in every order
-    "4-ordered-pairs-of-8": _one_step_spec(
+    "4-ordered-pairs-of-8": ("listing layer 'x'", _one_step_spec(
         8, {"size": 4, "intra": "path", "link_kind": "pairs"}
-    ),
+    )),
+    # 200 steps of 65,535 alternatives, each step about 524,000 edges
+    "many-small-steps": ("listing layer 'x'", _one_step_spec(
+        16, {"size": 200, "link_kind": "subsets"}
+    )),
+    # the clique's own edges, about 800 million
+    "one-large-clique": ("listing layer 'c'", _spec(
+        {"name": "c", "size": 40_000, "intra": "clique"},
+    )),
+    # about 800 million 2-subsets of the large layer, for one vertex
+    "pairs-over-a-large-layer": ("listing layer 'x'", _spec(
+        {"name": "big", "size": 40_000},
+        {"name": "x", "size": 1, "link_to": "big", "link_kind": "pairs"},
+    )),
+    # 3^17 candidates of about 10,000 edges each, none pruned
+    "large-candidates": ("holding candidates", _spec(
+        {"name": "hub", "size": 1, "link_to": "t", "link_kind": "subsets"},
+        {"name": "x", "size": 10_000, "link_to": "hub", "link_kind": "subsets"},
+        {"name": "y", "size": 17, "intra": "path", "link_to": "t",
+         "link_kind": "subsets"},
+    )),
 }
 
 
-@pytest.mark.parametrize("name", list(_OVERSIZED_STEPS))
-def test_oversized_template_step_is_refused_before_allocating(tmp_path, name):
-    # 720,720, about 1.96e9, 2^40 - 1 and 491,400 alternatives, against a
-    # cap of 65,536 a step
+@pytest.mark.parametrize("name", list(_PAST_THE_BUDGET))
+def test_template_past_the_edge_budget_is_refused_before_allocating(tmp_path, name):
+    where, data = _PAST_THE_BUDGET[name]
     path = tmp_path / "spec.json"
-    path.write_bytes(_OVERSIZED_STEPS[name])
+    path.write_bytes(data)
     out = _run_capped("search", path, tmp_path)
     assert out.returncode == 2, out.stderr
     assert out.stdout == ""
     assert out.stderr == (
-        "error: layer 'x' has a link step of more than 65536 alternatives\n"
+        "error: template holds more than 1048576 edges before its first"
+        f" check ({where})\n"
     )
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 
 def test_search_refuses_a_walk_with_too_many_candidates(tmp_path):
     # no step lists more than 63 alternatives and nothing is pruned, but
     # the 3^6 ring neighborhoods times 2,016 nondecreasing pairs of ring
-    # subsets make about 1.5 million candidates to hold at once and sort,
-    # against a cap of 100,000
+    # subsets make about 1.5 million candidates of 11 to 26 edges, all
+    # held at once to be sorted: far past the budget of 1,048,576 edges
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({
         "contract": {"min_terminal_distances": [[0, 1], [1, 0]]},
@@ -795,8 +839,8 @@ def test_search_refuses_a_walk_with_too_many_candidates(tmp_path):
     assert out.returncode == 2, out.stderr
     assert out.stdout == ""
     assert out.stderr == (
-        "error: template has more than 100000 candidates that pass the"
-        " walk's prunes\n"
+        "error: template holds more than 1048576 edges before its first"
+        " check (holding candidates)\n"
     )
 
 
@@ -890,7 +934,8 @@ def test_format_flags_take_every_format_name(tmp_path, capsys, c5_file):
     assert out.startswith(f"target: canonical_digest={canonical_digest(c5)}, m=5, n=5\n")
     code, out, err = run_cli(capsys, "convert", str(c5_file), str(tmp_path / "x.bin"),
                              "--to", "foo")
-    assert (code, out, err) == (2, "", "error: unknown format 'foo'\n")
+    assert (code, out) == (2, "")
+    assert "argument --to: invalid choice: 'foo'" in err
 
 
 def test_shrink_is_an_unknown_subcommand(capsys, c5_file):

@@ -35,7 +35,6 @@ from steinberg.gadgets import (
 from steinberg.search import (
     _closes_forbidden_cycle,
     _hub_survivors,
-    _link_alternatives,
     _template_candidates,
     _template_steps,
     funnel_line,
@@ -197,9 +196,9 @@ def test_wide_search_finds_have_distinct_digests(wide_unreduced):
 INTRA_KINDS = ("none", "path", "cycle", "path_or_cycle", "clique")
 
 
-def random_template_spec(rng, max_size=2):
-    """A small random template, its non-terminal layers of at most
-    ``max_size`` vertices unless they match a larger one, under a
+def random_template_spec(rng):
+    """A small random template, its non-terminal layers of at most 2
+    vertices unless they match a larger one, under a
     contract with at most one forbidden cycle length and random terminal
     distance floors."""
     arity = rng.randint(1, 3)
@@ -208,7 +207,7 @@ def random_template_spec(rng, max_size=2):
         target = rng.choice(layers)
         kinds = ["subsets", "matching"] + (["pairs"] if target.size >= 2 else [])
         kind = rng.choice(kinds)
-        size = target.size if kind == "matching" else rng.randint(1, max_size)
+        size = target.size if kind == "matching" else rng.randint(1, 2)
         layers.append(
             LayerSpec(f"L{i}", size, rng.choice(INTRA_KINDS), target.name, kind)
         )
@@ -625,34 +624,32 @@ def test_search_spec_json_round_trip():
     assert back == spec
 
 
-def test_step_counts_match_the_listed_alternatives():
-    # the count that guards memory before the walk is the length of the
-    # step the walk would list; layers of up to 4 vertices, since own
-    # edges on 2 are empty or one edge and leave every pairs layer
-    # interchangeable
-    rng = random.Random(1604)
-    ordered = 0
-    for _ in range(60):
-        template = random_template_spec(rng, max_size=4).template
-        sizes = {layer.name: layer.size for layer in template.layers}
-        free = interchangeable(template)
-        counts = []
-        for layer in template.layers:
-            if layer.link_kind is not None:
-                count = _link_alternatives(
-                    layer.link_kind, sizes[layer.link_to], layer.size,
-                    ordered=layer.name not in free,
-                )
-                ordered += layer.link_kind == "pairs" and layer.name not in free
-                counts += [count] * (layer.size if layer.link_kind == "subsets" else 1)
-        links = _template_steps(template)[0][len(template.layers):]
-        assert [len(step) for step in links] == counts
-    assert ordered > 5
-    assert _link_alternatives("pairs", 6, 3) == 455  # the stock bridges
-    assert _link_alternatives("pairs", 6, 3, ordered=True) == 2730
-    assert _link_alternatives("subsets", 6, 3) == 63  # the widened bridges
-    assert _link_alternatives("pairs", 3, 4) == 0  # four of three pairs
-    assert _link_alternatives("subsets", 16, 1) == 2**16 - 1
+def test_the_edge_budget_counts_listed_then_held_edges(monkeypatch):
+    # the widened template lists 665 edges: its layers' own, 11 on the
+    # ring and 3 on the inner triangle, then 72 of the ring's links, 576
+    # of the bridges' and 3 of the inner matching; its walk then holds
+    # 2,634 more in 126 candidates.  The search finds the same at exactly
+    # that budget, and one edge less is refused where it runs out
+    spec = wide_spec()
+    funnel = Counter()
+    expected = [g.graph.edges for g in search_gadget(spec, funnel=funnel)]
+    assert len(expected) == 1
+    monkeypatch.setattr("steinberg.search._HOLD_CAP", 665 + 2634)
+    again = Counter()
+    assert [g.graph.edges for g in search_gadget(spec, funnel=again)] == expected
+    assert again == funnel
+    for cap, where in ((665 + 2633, "holding candidates"),
+                       (664, "listing layer 'inner'"),
+                       (86, "listing layer 'bridges'"),
+                       (13, "listing layer 'inner'"),
+                       (10, "listing layer 'ring'")):
+        monkeypatch.setattr("steinberg.search._HOLD_CAP", cap)
+        with pytest.raises(SearchSpecError) as info:
+            list(search_gadget(spec))
+        assert str(info.value) == (
+            f"template holds more than {cap} edges before its first check"
+            f" ({where})"
+        )
 
 
 def test_old_spec_and_gadget_keys_are_ignored(tmp_path, seed_gadget):
