@@ -123,10 +123,11 @@ def cmd_search(args) -> int:
             f" {max(_BEHAVIOR_ARITIES)} terminals; the contract has {arity}"
         )
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     found = 0
     funnel: Counter = Counter()
     for gadget in search_gadget(spec, limit=args.limit, funnel=funnel):
+        # made at the first find, so a refused or empty search makes none
+        out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"gadget-{gadget.search_digest}.json"
         certify_and_freeze(gadget, path)
         found += 1

@@ -314,19 +314,19 @@ def encode_json(g: Graph) -> bytes:
     return dump_json(graph_to_json_dict(g))
 
 
-def parse_json_payload(data: bytes) -> dict[str, Any]:
+def parse_json_payload(data: bytes) -> Any:
+    """The one JSON reader of every file the package reads: ``data`` as
+    UTF-8 whatever the locale, decoded by ``json``.  Each caller checks
+    the shape of what it gets."""
     try:
-        payload = json.loads(data.decode("utf-8"))
+        return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
-        raise FormatError("gadget JSON is not UTF-8", offset=exc.start) from None
+        raise FormatError("JSON input is not UTF-8", offset=exc.start) from None
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON: {exc.msg}", offset=exc.pos) from None
     except ValueError:  # an integer past the interpreter's digit limit
         most = sys.get_int_max_str_digits()
         raise FormatError(f"bad JSON: an integer has more than {most} digits") from None
-    if not isinstance(payload, dict):
-        raise FormatError("gadget JSON must be an object")
-    return payload
 
 
 def decode_json(data: bytes) -> Graph:

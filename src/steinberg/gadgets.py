@@ -922,7 +922,3 @@ def save_gadget(
 
 def load_gadget(path: str | Path) -> TerminalGadget:
     return gadget_from_json_dict(parse_json_payload(Path(path).read_bytes()))
-
-
-def load_gadget_payload(path: str | Path) -> dict[str, Any]:
-    return parse_json_payload(Path(path).read_bytes())

@@ -58,15 +58,8 @@ class Graph:
         """Sorted adjacency lists."""
         return tuple(tuple(sorted(s)) for s in self.neighbor_sets)
 
-    @cached_property
-    def label_map(self) -> dict[int, str]:
-        return dict(self.labels) if self.labels else {}
-
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edge_set
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbor_sets[v])
 
     def vertex_by_label(self, name: str) -> int:
         for v, label in self.labels or ():
@@ -126,14 +119,6 @@ def remove_edge(g: Graph, u: int, v: int) -> Graph:
     if e not in g.edge_set:
         raise GraphConstructionError(f"edge ({u}, {v}) not present")
     return Graph(g.n, tuple(x for x in g.edges if x != e), g.labels)
-
-
-def add_edges(g: Graph, new: Iterable[tuple[int, int]]) -> Graph:
-    edges = list(g.edges)
-    for u, v in new:
-        edges.append((u, v))
-    labels = dict(g.labels) if g.labels else None
-    return build_graph(g.n, edges, labels)
 
 
 def add_apex(g: Graph, targets: Iterable[int]) -> Graph:

@@ -5,19 +5,18 @@ this module knows nothing of the objects the checks inspect.  The JSON
 emitter is deterministic (``formats.dump_json``, fixed rounding): ASCII,
 keys sorted, one item a line indented two spaces a level, ``,`` between
 items, ``": "`` after keys, ``{}`` and ``[]`` when empty, a final newline,
-the bytes of ``json.dumps(indent=2, sort_keys=True)`` plus ``"\n"``.
-Parsing an emitted report gives the report back, so reports can be
-archived and diffed.
+the bytes of ``json.dumps(indent=2, sort_keys=True)`` plus ``"\n"``,
+so reports can be archived and diffed.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
-from . import __version__ as _tool_version
+from . import __version__
 from .formats import dump_json
 
 
@@ -48,16 +47,6 @@ class CheckResult:
             d["details"] = self.details
         return d
 
-    @classmethod
-    def from_json_dict(cls, d: dict[str, Any]) -> "CheckResult":
-        return cls(
-            name=d["name"],
-            passed=d["verdict"] == "pass",
-            witness=d.get("witness"),
-            details=d.get("details"),
-            duration_s=d.get("duration_s", 0.0),
-        )
-
 
 def timed_check(name: str, fn: Callable[[], tuple[bool, Any, Any]]) -> CheckResult:
     """Run one check body, which returns ``(passed, witness, details)``
@@ -77,7 +66,6 @@ def timed_check(name: str, fn: Callable[[], tuple[bool, Any, Any]]) -> CheckResu
 class VerificationReport:
     target: dict[str, Any]
     checks: tuple[CheckResult, ...]
-    tool_version: str = field(default=_tool_version)
 
     @property
     def passed(self) -> bool:
@@ -92,25 +80,13 @@ class VerificationReport:
     def to_json_dict(self) -> dict[str, Any]:
         return {
             "target": self.target,
-            "tool_version": self.tool_version,
+            "tool_version": __version__,
             "overall": "pass" if self.passed else "fail",
             "checks": [c.to_json_dict() for c in self.checks],
         }
 
     def to_json_bytes(self) -> bytes:
         return dump_json(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, d: dict[str, Any]) -> "VerificationReport":
-        return cls(
-            target=d["target"],
-            checks=tuple(CheckResult.from_json_dict(c) for c in d["checks"]),
-            tool_version=d.get("tool_version", "unknown"),
-        )
-
-    @classmethod
-    def from_json_bytes(cls, data: bytes) -> "VerificationReport":
-        return cls.from_json_dict(json.loads(data.decode("utf-8")))
 
     def render_text(self) -> str:
         lines = []

@@ -41,8 +41,6 @@ duplicates and emitted.
 from __future__ import annotations
 
 import itertools
-import json
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -52,7 +50,9 @@ from . import __version__ as _tool_version
 from .canon import canonical_form
 from .coloring import terminal_behavior
 from .errors import ContractError, SearchSpecError
-from .formats import strict_int, strict_list, strict_object, strict_str
+from .formats import (
+    parse_json_payload, strict_int, strict_list, strict_object, strict_str,
+)
 from .gadgets import (
     InterfaceContract,
     TerminalGadget,
@@ -716,13 +716,6 @@ def search_spec_from_json_dict(d: Any) -> SearchSpec:
 
 
 def load_search_spec(path: str | Path) -> SearchSpec:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise SearchSpecError(f"bad search spec JSON: {exc}") from exc
-    except ValueError:  # an integer past the interpreter's digit limit
-        limit = sys.get_int_max_str_digits()
-        raise SearchSpecError(
-            f"bad search spec JSON: an integer has more than {limit} digits"
-        ) from None
-    return search_spec_from_json_dict(payload)
+    """The spec in the JSON file at ``path``; a file that is not JSON raises
+    ``FormatError``, as a graph file does, and a bad shape ``SearchSpecError``."""
+    return search_spec_from_json_dict(parse_json_payload(Path(path).read_bytes()))

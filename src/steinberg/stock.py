@@ -9,37 +9,40 @@ doesn't match its own name.
 from __future__ import annotations
 
 from importlib import resources
-from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .canon import canonical_digest
 from .errors import CertificateError
-from .formats import strict_object
-from .gadgets import TerminalGadget, gadget_from_json_dict, load_gadget_payload
+from .formats import parse_json_payload, strict_object
+from .gadgets import TerminalGadget, gadget_from_json_dict
+
+if TYPE_CHECKING:  # pragma: no cover
+    from importlib.resources.abc import Traversable
 
 _SEED_PREFIX = "seed-"
 
 
-def seed_data_path() -> Path:
-    """Locate the packaged frozen seed file."""
+def seed_data_path() -> Traversable:
+    """The packaged frozen seed file, as a resource entry that reads the
+    same from a directory or a zip."""
     data_dir = resources.files(__package__) / "data"
-    matches = sorted(
+    matches = [
         entry
         for entry in data_dir.iterdir()
         if entry.name.startswith(_SEED_PREFIX) and entry.name.endswith(".json")
-    )
+    ]
     if len(matches) != 1:
         raise CertificateError(
             f"expected exactly one {_SEED_PREFIX}*.json data file,"
             f" found {len(matches)}"
         )
-    with resources.as_file(matches[0]) as concrete:
-        return Path(concrete)
+    return matches[0]
 
 
 def load_seed_gadget() -> TerminalGadget:
     """Load the frozen seed and check it against its recorded digest."""
     path = seed_data_path()
-    payload = load_gadget_payload(path)
+    payload = parse_json_payload(path.read_bytes())
     gadget = gadget_from_json_dict(payload)
     digest = canonical_digest(gadget.graph)
     expected = path.name[len(_SEED_PREFIX) : -len(".json")]

@@ -5,12 +5,12 @@ import resource
 import subprocess
 import sys
 import time
+import zipfile
 
 import pytest
 
 from steinberg import (
     CertificateError,
-    VerificationReport,
     build_graph,
     canonical_digest,
     decode,
@@ -20,8 +20,7 @@ from steinberg import (
 )
 from steinberg import cli, stock
 from steinberg.cli import main
-from steinberg.formats import FORMAT_NAMES
-from steinberg.gadgets import load_gadget_payload
+from steinberg.formats import FORMAT_NAMES, parse_json_payload
 from steinberg.graphs import MAX_VERTICES
 from steinberg.search import search_spec_to_json_dict, seed_search_spec
 
@@ -117,7 +116,7 @@ def test_build_final_stage_and_formats(tmp_path, capsys, final_graph):
 def test_build_json_is_a_gadget_but_for_the_final_graph(tmp_path, capsys, stage, n):
     path = tmp_path / f"{stage}.json"
     assert run_cli(capsys, "build", "--stage", stage, "--out", str(path))[0] == 0
-    payload = load_gadget_payload(path)
+    payload = parse_json_payload(path.read_bytes())
     assert payload["n"] == n
     assert ("terminals" in payload) == (stage != "final")
 
@@ -162,27 +161,18 @@ def test_verify_details_name_the_coloring_cross_check(tmp_path, capsys, k4_file)
     path = tmp_path / "k4.json"
     code, _, _ = run_cli(capsys, "verify", str(k4_file), "--json", str(path))
     assert code == 1
-    check = VerificationReport.from_json_bytes(path.read_bytes()).check(
-        "not-3-colorable"
-    )
-    assert check.passed
-    assert check.details == {
+    (check,) = [
+        c for c in json.loads(path.read_bytes())["checks"]
+        if c["name"] == "not-3-colorable"
+    ]
+    assert check["verdict"] == "pass"
+    assert check["details"] == {
         "solver_nodes": 1,
         "conflicts": 2,
         "proof_clauses": 1,
         "proof_literals": 1,
         "proof": "rup-checked",
     }
-
-
-def test_verify_report_json_round_trips(tmp_path, capsys, k4_file):
-    report_path = tmp_path / "report.json"
-    code, _, _ = run_cli(capsys, "verify", str(k4_file), "--json", str(report_path))
-    assert code == 1
-    report = VerificationReport.from_json_bytes(report_path.read_bytes())
-    assert not report.passed
-    assert report.to_json_bytes() == report_path.read_bytes()
-    assert report.target["n"] == 4
 
 
 def _report_without_durations(path):
@@ -441,6 +431,59 @@ def test_wide_search_is_the_same_under_any_hash_seed(tmp_path):
     assert frozen[0] == frozen[1] == seed_data_path().read_bytes()
 
 
+def test_a_utf8_spec_is_read_whatever_the_locale(tmp_path):
+    # the stock template with its ring renamed past ASCII, searched under
+    # the C locale, where a file opened as text would be read as ASCII
+    spec = search_spec_to_json_dict(seed_search_spec())
+    for layer in spec["template"]["layers"]:
+        for key in ("name", "link_to"):
+            if layer[key] == "ring":
+                layer[key] = "anneau-\u00e9"
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_bytes(json.dumps(spec, ensure_ascii=False).encode("utf-8"))
+    out_dir = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "steinberg.cli", "search", str(spec_path),
+         "--out-dir", str(out_dir)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONUTF8": "0",
+             "PYTHONCOERCECLOCALE": "0"},
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "1 gadget(s) frozen" in run.stdout.splitlines()
+    assert [p.name for p in out_dir.iterdir()] == ["gadget-3855c0a1d182d600.json"]
+
+
+def test_the_seed_loads_from_a_zipped_package(tmp_path):
+    # the seed is read through importlib.resources, which reads it inside
+    # the archive; no copy of it need exist on disk
+    package = os.path.dirname(cli.__file__)
+    archive = tmp_path / "steinberg.zip"
+    with zipfile.ZipFile(archive, "w") as zf:
+        for root, dirs, files in os.walk(package):
+            dirs[:] = [d for d in dirs if d != "__pycache__"]
+            for name in files:
+                path = os.path.join(root, name)
+                zf.write(path, os.path.relpath(path, os.path.dirname(package)))
+    run = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, steinberg.cli as cli; print(cli.__file__);"
+         " sys.exit(cli.main(['build', '--stage', 'seed']))"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(archive)},
+        timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    where, built = run.stdout.splitlines()
+    assert where.startswith(str(archive))
+    assert built == "stage seed: 15 vertices, 23 edges, digest 3855c0a1d182d600"
+
+
 @pytest.mark.parametrize("given", [["spec.json", "--stock"], []])
 def test_search_takes_a_spec_or_stock_never_both(tmp_path, capsys, given):
     # a spec given with --stock would be silently dropped
@@ -682,7 +725,7 @@ def test_search_spec_with_an_oversized_integer_is_a_usage_error(tmp_path, capsys
     assert code == 2
     assert out == ""
     assert err == (
-        "error: bad search spec JSON: an integer has more than"
+        "error: bad JSON: an integer has more than"
         f" {sys.get_int_max_str_digits()} digits\n"
     )
     # the interpreter's own advice names a call no command line can make
@@ -723,12 +766,12 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
-def _run_capped(command, path, tmp_path):
+def _run_capped(command, path, out_dir):
     """The command line on ``path`` in a child under a 1 GB address cap."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
     return subprocess.run(
         [sys.executable, "-m", "steinberg.cli", command, str(path),
-         *(["--out-dir", str(tmp_path)] if command == "search" else [])],
+         *(["--out-dir", str(out_dir)] if command == "search" else [])],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": src},
@@ -810,13 +853,14 @@ def test_template_past_the_edge_budget_is_refused_before_allocating(tmp_path, na
     where, data = _PAST_THE_BUDGET[name]
     path = tmp_path / "spec.json"
     path.write_bytes(data)
-    out = _run_capped("search", path, tmp_path)
+    out = _run_capped("search", path, tmp_path / "out")
     assert out.returncode == 2, out.stderr
     assert out.stdout == ""
     assert out.stderr == (
         "error: template holds more than 1048576 edges before its first"
         f" check ({where})\n"
     )
+    # the output directory is made at the first find, so none is left
     assert [p.name for p in tmp_path.iterdir()] == ["spec.json"]
 
 

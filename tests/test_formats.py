@@ -56,7 +56,7 @@ def test_json_preserves_labels():
     g = build_graph(3, [(0, 1)], labels={0: "a", 2: "c'"})
     back = decode(encode(g, "json"), "json")
     assert back == g
-    assert back.label_map == {0: "a", 2: "c'"}
+    assert dict(back.labels) == {0: "a", 2: "c'"}
 
 
 JSON_SCALARS = st.one_of(

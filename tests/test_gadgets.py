@@ -42,10 +42,8 @@ from steinberg.coloring import (
 from steinberg.gadgets import (
     gadget_from_json_dict,
     gadget_to_json_dict,
-    load_gadget_payload,
     walk_recipe,
 )
-from steinberg.graphs import add_edges
 
 from support import cheapest_failing_check, replace_at, triangulated_grid
 
@@ -179,7 +177,7 @@ def test_verify_contract_reports_cycle_violation(seed_gadget):
     # join two vertices at distance 3 to close a 4-cycle
     u, v = 0, seed_gadget.terminals[1]
     spoiled = TerminalGadget(
-        add_edges(g, [(u, v)]) if not g.has_edge(u, v) else g,
+        build_graph(g.n, (*g.edges, (u, v)), dict(g.labels)),
         seed_gadget.terminals,
         seed_contract(),
     )
@@ -406,7 +404,7 @@ def test_paste_numbering_is_slots_fresh_then_interiors():
     # the fresh vertices 1, 2 carry the extra edges; the triangle's
     # terminal lands on slot 0 and its interior on 3, 4
     assert g.edges == ((0, 1), (0, 3), (0, 4), (1, 2), (3, 4))
-    assert g.label_map == {0: "hub"}
+    assert dict(g.labels) == {0: "hub"}
 
 
 def test_paste_maps_preserve_part_edges(seed_gadget):
@@ -763,5 +761,5 @@ def test_gadget_save_load_round_trip(tmp_path, seed_gadget):
     assert back.graph == seed_gadget.graph
     assert back.terminals == seed_gadget.terminals
     assert back.contract == seed_gadget.contract
-    payload = load_gadget_payload(path)
+    payload = json.loads(path.read_bytes())
     assert payload["verification"] == {"note": 1}

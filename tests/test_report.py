@@ -34,17 +34,6 @@ def test_check_lookup():
         r.check("missing")
 
 
-def test_json_round_trip_is_exact():
-    r = sample_report()
-    data = r.to_json_bytes()
-    back = VerificationReport.from_json_bytes(data)
-    assert back.to_json_bytes() == data
-    assert back.passed == r.passed
-    assert back.target == r.target
-    assert [c.name for c in back.checks] == ["first", "second"]
-    assert back.check("first").details == {"nodes": 7}
-
-
 def test_render_text_shape():
     text = sample_report().render_text()
     lines = text.splitlines()

@@ -9,9 +9,9 @@ import only the standard library, run from a copy of itself and share
 no code with the solver, the planarity test or the census whose verdicts
 it re-checks, and the case tree must close without calling the solver.
 The report layer stays free of the analysis module, the
-package free of ``assert`` statements and of a second, indenting JSON
-writer, and a bare ``import steinberg`` must load every module the
-tracer patches."""
+package free of ``assert`` statements, of a second, indenting JSON
+writer and of a second JSON reader, and a bare ``import steinberg``
+must load every module the tracer patches."""
 
 import ast
 import importlib
@@ -214,6 +214,34 @@ def test_no_call_in_the_package_indents_through_json():
         and any(k.arg == "indent" for k in node.keywords)
     ]
     assert found == []
+
+
+def test_formats_parse_json_payload_is_the_one_json_reader():
+    # it decodes UTF-8 whatever the locale and turns every decode error
+    # into a FormatError; a second json.load(s) would do neither for sure,
+    # and read_text decodes by the locale
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        scope = {
+            id(node): fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.ImportFrom) and node.module == "json":
+                names = {a.name for a in node.names} & {"load", "loads"}
+                found += [f"{path.name}: from json import {n}" for n in sorted(names)]
+            elif isinstance(func, ast.Attribute) and (
+                func.attr == "read_text"
+                or func.attr in ("load", "loads")
+                and getattr(func.value, "id", None) == "json"
+            ):
+                where = scope.get(id(node), "<module>")
+                found.append(f"{path.name}: {func.attr} in {where}")
+    assert found == ["formats.py: loads in parse_json_payload"]
 
 
 def test_importing_the_package_loads_every_traced_module():
