@@ -76,9 +76,11 @@ def _cycle_dfs(g: Graph, lengths: frozenset[int]) -> dict[int, list[Cycle]]:
     The DFS starts at each vertex s, visits only vertices larger than s
     and goes as deep as the largest length; at each depth in ``lengths``
     it tests whether the path closes back to s, breaking the reflection
-    by requiring second < last.  The sorted adjacency makes the DFS meet
-    the paths of each length in lexicographic order, so each list comes
-    out sorted.
+    by requiring second < last.  A call extends its path by the last
+    two vertices in two nested loops, so no call is made for a path one
+    vertex short of the largest length.  The sorted adjacency makes the
+    DFS meet the paths of each length in lexicographic order, so each
+    list comes out sorted.
     """
     out: dict[int, list[Cycle]] = {k: [] for k in sorted(lengths)}
     top = max(lengths)
@@ -91,16 +93,20 @@ def _cycle_dfs(g: Graph, lengths: frozenset[int]) -> dict[int, list[Cycle]]:
 
     def extend(depth: int, s: int, s_nbrs: frozenset[int]) -> None:
         # path[:depth] runs from s; try each next vertex w
-        last = path[depth - 1]
-        if depth + 1 == top:
-            # the last level needs no recursion: w closes the path or not
-            found = close[top]
-            for w in adj[last]:
-                if w > s and not in_path[w] and w in s_nbrs and path[1] < w:
-                    found.append((*path[:depth], w))
-            return
         found = close[depth + 1]
-        for w in adj[last]:
+        if depth + 2 == top:
+            # w, then a last vertex x that closes the path or not
+            closing = close[top]
+            for w in adj[path[depth - 1]]:
+                if w > s and not in_path[w]:
+                    second = path[1] if depth > 1 else w
+                    if found is not None and w in s_nbrs and second < w:
+                        found.append((*path[:depth], w))
+                    for x in adj[w]:
+                        if x in s_nbrs and second < x and not in_path[x]:
+                            closing.append((*path[:depth], w, x))
+            return
+        for w in adj[path[depth - 1]]:
             if w > s and not in_path[w]:
                 path[depth] = w
                 if found is not None and w in s_nbrs and path[1] < w:
@@ -278,7 +284,6 @@ class _LeftRight:
         nesting: list[int] = []
         out: list[list[int]] = [[] for _ in range(n)]
         roots = []
-        nxt = [0] * n
 
         def finish(k: int) -> None:
             # edge k's return heights are final: fix its nesting depth and
@@ -301,36 +306,36 @@ class _LeftRight:
                 continue
             height[s] = 0
             roots.append(s)
-            stack = [s]
+            # each vertex on the DFS path with the rest of its adjacency
+            stack = [(s, iter(adj[s]))]
             while stack:
-                v = stack[-1]
-                i = nxt[v]
-                if i == len(adj[v]):
-                    stack.pop()
-                    if parent_edge[v] >= 0:
-                        finish(parent_edge[v])
-                    continue
-                nxt[v] = i + 1
-                w = adj[v][i]
-                hv, hw = height[v], height[w]
-                # an edge to a finished descendant or along the tree edge
-                # from the parent is already oriented
-                if hw >= hv or (hw >= 0 and src[parent_edge[v]] == w):
-                    continue
-                k = len(src)
-                src.append(v)
-                dst.append(w)
-                out[v].append(k)
-                lowpt2.append(hv)
-                nesting.append(0)
-                if hw < 0:  # tree edge
-                    lowpt.append(hv)
-                    parent_edge[w] = k
-                    height[w] = hv + 1
-                    stack.append(w)
-                else:  # back edge
-                    lowpt.append(hw)
+                v, rest = stack[-1]
+                hv, e = height[v], parent_edge[v]
+                parent = src[e] if e >= 0 else -1
+                for w in rest:
+                    hw = height[w]
+                    # an edge to a finished descendant or along the tree
+                    # edge from the parent is already oriented
+                    if hw >= hv or w == parent:
+                        continue
+                    k = len(src)
+                    src.append(v)
+                    dst.append(w)
+                    out[v].append(k)
+                    lowpt2.append(hv)
+                    nesting.append(0)
+                    if hw < 0:  # tree edge
+                        lowpt.append(hv)
+                        parent_edge[w] = k
+                        height[w] = hv + 1
+                        stack.append((w, iter(adj[w])))
+                        break
+                    lowpt.append(hw)  # back edge
                     finish(k)
+                else:
+                    stack.pop()
+                    if e >= 0:
+                        finish(e)
 
         self.height, self.parent_edge, self.roots = height, parent_edge, roots
         self.src, self.dst, self.lowpt, self.nesting = src, dst, lowpt, nesting
@@ -390,7 +395,7 @@ class _LeftRight:
                 else:
                     ref[P[0]] = Q[1]
                 P[0] = Q[0]
-            if any(x is not None for x in P):
+            if P.count(None) < 4:
                 S.append(P)
             return True
 
@@ -444,32 +449,28 @@ class _LeftRight:
                 return True
             return add_constraints(ei, e)
 
-        nxt = [0] * len(height)
         for s in self.roots:
-            stack = [s]
+            stack = [(s, iter(ordered[s]))]
             while stack:
-                v = stack[-1]
-                i = nxt[v]
-                if i == len(ordered[v]):
+                v, rest = stack[-1]
+                for ei in rest:
+                    stack_bottom[ei] = S[-1] if S else None
+                    w = dst[ei]
+                    if parent_edge[w] == ei:  # tree edge
+                        stack.append((w, iter(ordered[w])))
+                        break
+                    lowpt_edge[ei] = ei
+                    S.append([None, None, ei, ei])
+                    if not integrate(ei):
+                        return False
+                else:
                     stack.pop()
                     e = parent_edge[v]
                     if e >= 0:
                         remove_back_edges(e)
                         if not integrate(e):
                             return False
-                    continue
-                nxt[v] = i + 1
-                ei = ordered[v][i]
-                stack_bottom[ei] = S[-1] if S else None
-                w = dst[ei]
-                if parent_edge[w] == ei:  # tree edge
-                    stack.append(w)
-                    continue
-                lowpt_edge[ei] = ei
-                S.append([None, None, ei, ei])
-                if not integrate(ei):
-                    return False
-        self.ref, self.side = ref, side
+        self.ref, self.side, self.ordered = ref, side, ordered
         return True
 
     def rotation(self) -> tuple[tuple[int, ...], ...]:
@@ -481,80 +482,55 @@ class _LeftRight:
         ref, side, nesting = self.ref, self.side, self.nesting
         # resolve each side relative to its reference chain
         for k in range(len(dst)):
-            chain = []
-            e = k
-            while ref[e] is not None:
-                chain.append(e)
-                e = ref[e]
-            s = side[e]
-            for x in reversed(chain):
-                s *= side[x]
-                side[x] = s
-                ref[x] = None
+            if ref[k] is not None:
+                chain = []
+                e = k
+                while ref[e] is not None:
+                    chain.append(e)
+                    e = ref[e]
+                s = side[e]
+                for x in reversed(chain):
+                    s *= side[x]
+                    side[x] = s
+                    ref[x] = None
             nesting[k] *= side[k]
-        # each rotation as a cyclic doubly linked list
-        cw: list[dict[int, int]] = [{} for _ in range(n)]
-        ccw: list[dict[int, int]] = [{} for _ in range(n)]
-        first: list[int | None] = [None] * n
-
-        def insert_after(v: int, w: int, at: int | None) -> None:
-            if at is None:
-                cw[v][w] = ccw[v][w] = first[v] = w
-                return
-            c = cw[v][at]
-            cw[v][at] = w
-            cw[v][w] = c
-            ccw[v][c] = w
-            ccw[v][w] = at
-
-        def insert_before(v: int, w: int, at: int | None) -> None:
-            insert_after(v, w, None if at is None else ccw[v][at])
-            if first[v] == at:
-                first[v] = w
-
-        ordered = [sorted(o, key=nesting.__getitem__) for o in self.out]
-        for v in range(n):
-            prev = None
-            for k in ordered[v]:
-                insert_after(v, dst[k], prev)
-                prev = dst[k]
-        # add each edge at its head: a tree edge first, a back edge
-        # beside the left or right reference of its head
-        left_ref = [0] * n
-        right_ref = [0] * n
-        nxt = [0] * n
+        # the test's order stays where no out-edge turned left; a stable
+        # sort of it by signed depth keeps ties in edge order elsewhere
+        ordered = self.ordered
+        for v in {self.src[k] for k, x in enumerate(side) if x < 0}:
+            if len(ordered[v]) > 1:
+                ordered[v] = sorted(ordered[v], key=nesting.__getitem__)
+        # a vertex's ring starts at its parent, then takes its out-edges
+        # in order of signed nesting depth: a back edge's head, or a tree
+        # edge's child, with the back edges returning to the vertex from
+        # the child's subtree on the left before it and on the right
+        # after it, each side latest first
+        rings: list[list[int]] = [[] for _ in range(n)]
+        left: list[list[int]] = [[] for _ in range(n)]
+        right: list[list[int]] = [[] for _ in range(n)]
         for s in self.roots:
-            stack = [s]
+            stack = [(s, iter(ordered[s]))]
             while stack:
-                v = stack[-1]
-                i = nxt[v]
-                if i == len(ordered[v]):
-                    stack.pop()
-                    continue
-                nxt[v] = i + 1
-                ei = ordered[v][i]
-                w = dst[ei]
-                if parent_edge[w] == ei:
-                    insert_before(w, v, first[w])
-                    left_ref[v] = right_ref[v] = w
-                    stack.append(w)
-                elif side[ei] == 1:
-                    insert_after(w, v, right_ref[w])
-                else:
-                    insert_before(w, v, left_ref[w])
-                    left_ref[w] = v
-        rings = []
-        for v in range(n):
-            ring = []
-            w = first[v]
-            if w is not None:
-                while True:
-                    ring.append(w)
-                    w = cw[v][w]
-                    if w == first[v]:
+                v, rest = stack[-1]
+                for ei in rest:
+                    w = dst[ei]
+                    if parent_edge[w] == ei:
+                        rings[w].append(v)
+                        stack.append((w, iter(ordered[w])))
                         break
-            rings.append(tuple(ring))
-        return tuple(rings)
+                    rings[v].append(w)
+                    (right if side[ei] == 1 else left)[w].append(v)
+                else:
+                    stack.pop()
+                    if stack:  # v's subtree is done: close its segment
+                        u = stack[-1][0]
+                        ring = rings[u]
+                        ring.extend(reversed(left[u]))
+                        ring.append(v)
+                        ring.extend(reversed(right[u]))
+                        left[u].clear()
+                        right[u].clear()
+        return tuple(map(tuple, rings))
 
 
 def _adjacency(n: int, edges: Iterable[Edge]) -> list[list[int]]:

@@ -13,6 +13,19 @@ last are enqueued, since the last can split nothing (see ``_split``):
 the partitions are those of enqueuing every fragment, from about half
 the splitters.
 
+The search keeps one partition and refines it in place, as nauty does
+(McKay and Piperno, "Practical graph isomorphism, II", 2014): every
+split pushes the cell it broke onto a trail, and returning to a node
+undoes the trail to the length it had there, so no node copies the
+partition.  The starts of the cells of more than one vertex are kept
+as cells split and merge back, so choosing the target cell and testing
+whether cells relate trivially look at those cells only.  A leaf is
+compared by its key, its relabeled edges sorted as numbers that order
+as their graph6 bit positions do (see ``_leaf_key``): graph6 orders
+leaves as the reverse of their keys, so the smallest encoding is the
+greatest key, a comparison stops at the first edge that differs, and
+only the best leaf is packed.
+
 The search still returns the minimum over the whole tree but does not
 visit all of it.  A leaf whose encoding equals the first or the best
 leaf's gives an automorphism: the map from one leaf's vertex order to
@@ -56,46 +69,68 @@ class CanonicalForm:
 
 
 class _Partition:
-    """An ordered partition kept as one vertex array.
+    """An ordered partition kept as one vertex array and refined in place.
 
     ``order`` lists the vertices cell by cell, each cell sorted;
-    ``start[v]`` is the position where the cell holding v begins and
-    ``end[s]`` is one past the last position of the cell beginning at s.
+    ``start[v]`` is the position where the cell holding v begins,
+    ``end[s]`` is one past the last position of the cell beginning at s,
+    and ``multi`` holds the starts of the cells of more than one vertex.
+    Every split pushes the split cell's bounds and vertices onto
+    ``trail``, so :meth:`undo` can return to any earlier partition.
+    ``count`` is all zeros between splitters (see ``_split``).
     """
 
-    __slots__ = ("order", "start", "end")
+    __slots__ = ("order", "start", "end", "multi", "trail", "count")
 
-    def __init__(self, order: list[int], start: list[int], end: list[int]) -> None:
-        self.order = order
-        self.start = start
-        self.end = end
-
-    @classmethod
-    def from_cells(cls, cells: Cells, n: int) -> _Partition:
-        order: list[int] = []
-        start = [0] * n
-        end = [0] * n
+    def __init__(self, cells: Cells, n: int) -> None:
+        self.order: list[int] = []
+        self.start = [0] * n
+        self.end = [0] * n
+        self.multi: set[int] = set()
+        self.trail: list[tuple[int, int, list[int]]] = []
+        self.count = [0] * n
         for cell in cells:
-            s = len(order)
-            order.extend(sorted(cell))
-            end[s] = len(order)
+            s = len(self.order)
+            self.order.extend(sorted(cell))
+            self.end[s] = len(self.order)
+            if len(cell) > 1:
+                self.multi.add(s)
             for v in cell:
-                start[v] = s
-        return cls(order, start, end)
+                self.start[v] = s
 
-    def copy(self) -> _Partition:
-        return _Partition(self.order[:], self.start[:], self.end[:])
+    def individualize(self, t: int, v: int) -> None:
+        """Split ``v`` off the front of the cell starting at ``t``; the
+        rest of that cell follows it as one cell."""
+        order, e = self.order, self.end[t]
+        cell = order[t:e]
+        self.trail.append((t, e, cell))
+        rest = [w for w in cell if w != v]
+        order[t] = v
+        order[t + 1 : e] = rest
+        self.end[t], self.end[t + 1] = t + 1, e
+        for w in rest:
+            self.start[w] = t + 1
+        self.multi.discard(t)
+        if len(rest) > 1:
+            self.multi.add(t + 1)
 
-    def individualized(self, t: int, v: int) -> _Partition:
-        """A copy with ``v`` split off the front of the cell starting at
-        ``t``; the rest of that cell follows it as one cell."""
-        child = self.copy()
-        e = self.end[t]
-        child.order[t:e] = [v] + [w for w in self.order[t:e] if w != v]
-        child.end[t], child.end[t + 1] = t + 1, e
-        for w in child.order[t + 1 : e]:
-            child.start[w] = t + 1
-        return child
+    def undo(self, mark: int) -> None:
+        """Merge back every split made since ``trail`` was ``mark`` long,
+        latest first."""
+        order, start, end, multi, trail = (
+            self.order, self.start, self.end, self.multi, self.trail
+        )
+        while len(trail) > mark:
+            c, ce, cell = trail.pop()
+            s = end[c]
+            for v in order[s:ce]:
+                start[v] = c
+            while s < ce:
+                multi.discard(s)
+                s = end[s]
+            order[c:ce] = cell
+            end[c] = ce
+            multi.add(c)
 
     def ranges(self) -> list[tuple[int, int]]:
         out = []
@@ -130,9 +165,12 @@ def _split(p: _Partition, adj: Adjacency, work: deque[tuple[int, int]]) -> None:
     leaves every partition, leaf and form exactly as they were.  At a
     child node the cells of the equitable parent are settled from the
     start, and the rest of the target cell is once ``{v}`` is processed.
+
+    Each split goes onto ``p.trail`` and keeps ``p.multi`` current.
     """
-    order, start, end = p.order, p.start, p.end
-    count = [0] * len(order)
+    order, start, end, multi, trail, count = (
+        p.order, p.start, p.end, p.multi, p.trail, p.count
+    )
     while work:
         s, e = work.popleft()
         touched: dict[int, list[int]] = {}
@@ -158,17 +196,24 @@ def _split(p: _Partition, adj: Adjacency, work: deque[tuple[int, int]]) -> None:
                         break
                 else:
                     continue
+            cell = order[c:ce]
             groups: dict[int, list[int]] = {}
-            for v in order[c:ce]:
+            for v in cell:
                 groups.setdefault(count[v], []).append(v)
+            trail.append((c, ce, cell))
             pos = c
             for k in sorted(groups):
                 fragment = groups[k]
                 nxt = pos + len(fragment)
                 order[pos:nxt] = fragment
                 end[pos] = nxt
-                for v in fragment:
-                    start[v] = pos
+                if pos != c:
+                    for v in fragment:
+                        start[v] = pos
+                if nxt - pos > 1:
+                    multi.add(pos)
+                elif pos == c:
+                    multi.discard(c)
                 if nxt != ce:
                     work.append((pos, nxt))
                 pos = nxt
@@ -180,62 +225,65 @@ def _split(p: _Partition, adj: Adjacency, work: deque[tuple[int, int]]) -> None:
 def _refine(cells: Cells, adj: Adjacency) -> _Partition:
     """Refine the ordered partition ``cells`` to the coarsest stable one,
     starting with every cell as a splitter."""
-    p = _Partition.from_cells(cells, len(adj))
+    p = _Partition(cells, len(adj))
     _split(p, adj, deque(p.ranges()))
     return p
 
 
 def _target(p: _Partition) -> int | None:
     """Start of the first smallest cell with more than one vertex."""
-    best = None
-    n, end = len(p.order), p.end
-    best_size = n + 1
-    s = 0
-    while s < n:
-        size = end[s] - s
-        if 1 < size < best_size:
-            best, best_size = s, size
-            if size == 2:
-                break
-        s += size
-    return best
+    end = p.end
+    return min(p.multi, key=lambda s: (end[s] - s, s), default=None)
 
 
-def _cells_relate_trivially(p: _Partition, nbrs: tuple[frozenset[int], ...]) -> bool:
+def _cells_relate_trivially(p: _Partition, adj: Adjacency) -> bool:
     """True when adjacency depends only on which cells two vertices lie in.
 
     For a stable partition this needs checking only between multi-vertex
     cells (singletons are uniform against everything by equitability):
     each such cell must induce an empty or complete subgraph, and each
-    pair must be empty or complete bipartite.  Then every cell-respecting
-    order encodes to the same bytes, so one leaf stands for the whole
-    subtree.  Without this, highly symmetric graphs (edgeless, complete,
-    complete multipartite) degenerate to n! leaves.
+    pair must be empty or complete bipartite.  One vertex of each cell
+    stands for all of it, and counting its neighbours by cell finds
+    every cell it meets.  Then every cell-respecting order encodes to
+    the same bytes, so one leaf stands for the whole subtree.  Without
+    this, highly symmetric graphs (edgeless, complete, complete
+    multipartite) degenerate to n! leaves.
     """
-    multi = [frozenset(p.order[s:e]) for s, e in p.ranges() if e - s > 1]
-    for i, ci in enumerate(multi):
-        u = next(iter(ci))
-        if len(nbrs[u] & ci) not in (0, len(ci) - 1):
-            return False
-        for cj in multi[i + 1 :]:
-            if len(nbrs[u] & cj) not in (0, len(cj)):
+    order, start, end, multi = p.order, p.start, p.end, p.multi
+    for c in multi:
+        met: dict[int, int] = {}
+        for w in adj[order[c]]:
+            s = start[w]
+            if s in multi:
+                met[s] = met.get(s, 0) + 1
+        for s, k in met.items():
+            if k != end[s] - s - (s == c):
                 return False
     return True
 
 
-def _encode_leaf(g: Graph, order: list[int]) -> bytes:
-    """graph6 of ``g`` with vertex ``order[i]`` renamed to ``i``."""
-    position = [0] * g.n
-    for pos, v in enumerate(order):
-        position[v] = pos
-    return pack_graph6(g.n, [(position[u], position[v]) for u, v in g.edges])
+def _leaf_key(edges: tuple[tuple[int, int], ...], order: list[int]) -> list[int]:
+    """The edges of the graph with vertex ``order[i]`` renamed to ``i``,
+    each pair i < j as ``j * n + i``, sorted.  These numbers order as
+    graph6's bit positions do, so of two leaves the greater key is the
+    smaller graph6 encoding, and equal keys are equal encodings."""
+    n = len(order)
+    position = [0] * n
+    for i, v in enumerate(order):
+        position[v] = i
+    key = [
+        a * n + b if a > b else b * n + a
+        for a, b in [(position[u], position[v]) for u, v in edges]
+    ]
+    key.sort()
+    return key
 
 
 @dataclass
 class _Node:
     """An inner node of the search tree on the current path."""
 
-    partition: _Partition
+    mark: int  # the trail's length when the node's partition was refined
     target: int  # start of the cell whose vertices are the children
     children: list[int]
     prefix: list[int]  # vertices individualized on the way here
@@ -274,27 +322,26 @@ def canonical_form(g: Graph) -> CanonicalForm:
     """Compute the canonical form of ``g``."""
     if g.n == 0:
         return CanonicalForm(encode_graph6(g))
-    adj, nbrs = g.adj, g.neighbor_sets
-    # Leaves are (encoding, vertex order, individualized vertices).
-    first: tuple[bytes, list[int], list[int]] | None = None
-    best: tuple[bytes, list[int], list[int]] | None = None
+    adj = g.adj
+    # Leaves are (key, vertex order, individualized vertices).
+    first: tuple[list[int], list[int], list[int]] | None = None
+    best: tuple[list[int], list[int], list[int]] | None = None
     path: list[_Node] = []
+    p = _refine([list(range(g.n))], adj)
 
-    def visit(
-        p: _Partition, prefix: list[int], fixing: list[dict[int, int]]
-    ) -> None:
+    def visit(prefix: list[int], fixing: list[dict[int, int]]) -> None:
         nonlocal first, best
         target = _target(p)
-        if target is not None and not _cells_relate_trivially(p, nbrs):
+        if target is not None and not _cells_relate_trivially(p, adj):
             children = p.order[target : p.end[target]]
-            path.append(_Node(p, target, children, prefix, fixing))
+            path.append(_Node(len(p.trail), target, children, prefix, fixing))
             return
-        leaf = (_encode_leaf(g, p.order), p.order, prefix)
+        key = _leaf_key(g.edges, p.order)
         if first is None:
-            first = best = leaf
+            first = best = (key, p.order[:], prefix)
             return
         for known in (first, best):
-            if leaf[0] == known[0]:
+            if key == known[0]:
                 # The map between the two orders is an automorphism.  It
                 # fixes the vertices individualized above the deepest node
                 # the leaves share and maps the child holding ``known``
@@ -308,14 +355,14 @@ def canonical_form(g: Graph) -> CanonicalForm:
                         break
                     shared += 1
                 del path[shared + 1 :]
-                gamma = {u: v for u, v in zip(known[1], leaf[1]) if u != v}
+                gamma = {u: v for u, v in zip(known[1], p.order) if u != v}
                 for node in path:
                     node.fixing.append(gamma)
                 return
-        if leaf[0] < best[0]:
-            best = leaf
+        if key > best[0]:  # the greater key is the smaller encoding
+            best = (key, p.order[:], prefix)
 
-    visit(_refine([list(range(g.n))], adj), [], [])
+    visit([], [])
     while path:
         node = path[-1]
         if node.next == len(node.children):
@@ -327,17 +374,15 @@ def canonical_form(g: Graph) -> CanonicalForm:
             continue
         node.explored.append(v)
         t = node.target
-        child = node.partition.individualized(t, v)
+        p.undo(node.mark)
+        p.individualize(t, v)
         # The parent is equitable, so its cells and the rest of the target
         # cell split nothing: starting from {v} alone gives the same cells
         # as starting from every cell.
-        _split(child, adj, deque([(t, t + 1)]))
-        visit(
-            child,
-            node.prefix + [v],
-            [gamma for gamma in node.fixing if v not in gamma],
-        )
-    return CanonicalForm(best[0])
+        _split(p, adj, deque([(t, t + 1)]))
+        visit(node.prefix + [v], [gamma for gamma in node.fixing if v not in gamma])
+    n = g.n
+    return CanonicalForm(pack_graph6(n, [(k % n, k // n) for k in best[0]]))
 
 
 def canonical_digest(g: Graph) -> str:

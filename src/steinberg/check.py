@@ -72,44 +72,46 @@ def is_proper(g, assignment) -> bool:
     return all(assignment[u] != assignment[v] for u, v in g.edges)
 
 
-def _component_roots(n: int, edges) -> list[int]:
-    """One representative vertex per connected component, for each vertex."""
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    return [find(v) for v in range(n)]
+def _component_roots(adj) -> list[int]:
+    """For each vertex, the smallest vertex of its connected component."""
+    root = [-1] * len(adj)
+    for s in range(len(adj)):
+        if root[s] < 0:
+            root[s] = s
+            stack = [s]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if root[w] < 0:
+                        root[w] = s
+                        stack.append(w)
+    return root
 
 
-def _trace_faces(rotation: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    """Face orbits of the rotation system, as dart cycles, each starting
-    at its smallest dart, in order of those darts."""
-    succ: dict[tuple[int, int], tuple[int, int]] = {}
-    for v, ring in enumerate(rotation):
-        deg = len(ring)
-        for i, u in enumerate(ring):
-            # the dart (u, v) continues along the next edge after u in
-            # the cyclic order around v
-            w = ring[(i + 1) % deg]
-            succ[(u, v)] = (v, w)
-    faces = []
-    seen: set[tuple[int, int]] = set()
-    for dart in sorted(succ):
-        face = []
-        while dart not in seen:
-            seen.add(dart)
-            face.append(dart[0])
-            dart = succ[dart]
-        if face:
-            faces.append(face)
+def _faces_per_component(rotation, root) -> Counter:
+    """How many faces the rotation system traces on each component, by
+    the component's ``root``.  Dart k is the k-th entry of the rotation
+    read vertex by vertex, from its vertex to that neighbor."""
+    n = len(rotation)
+    tail = [v for v, ring in enumerate(rotation) for _ in ring]
+    head = [w for ring in rotation for w in ring]
+    dart = {v * n + w: k for k, (v, w) in enumerate(zip(tail, head))}
+    after = []  # the next dart around the same tail, cyclically
+    for ring in rotation:
+        k = len(after)
+        after.extend(range(k + 1, k + len(ring)))
+        if ring:
+            after.append(k)
+    # the dart v -> w continues from w along the edge after w -> v
+    succ = [after[dart[w * n + v]] for v, w in zip(tail, head)]
+    faces: Counter = Counter()
+    seen = bytearray(len(head))
+    for k, v in enumerate(tail):
+        if not seen[k]:
+            faces[root[v]] += 1
+            d = k
+            while not seen[d]:
+                seen[d] = 1
+                d = succ[d]
     return faces
 
 
@@ -175,18 +177,17 @@ def planarity_certificate_kind(g, cert) -> str | None:
         rotation = cert.rotation
         if rotation is None or len(rotation) != g.n:
             raise InvalidCertificate("rotation system missing or wrong length")
-        for v in range(g.n):
+        for v, nbrs in enumerate(g.neighbor_sets):
             ring = rotation[v]
-            if len(set(ring)) != len(ring) or set(ring) != set(g.adj[v]):
+            if len(ring) != len(nbrs) or set(ring) != nbrs:
                 raise InvalidCertificate(
                     f"rotation at vertex {v} does not list its neighbors"
                 )
-        # n, m and f per component, keyed by its root and ordered by
-        # its smallest vertex
-        root = _component_roots(g.n, g.edges)
+        # n, m and f per component, keyed by its smallest vertex
+        root = _component_roots(g.adj)
         n_c = Counter(root)
         m_c = Counter(root[u] for u, _ in g.edges)
-        f_c = Counter(root[face[0]] for face in _trace_faces(rotation))
+        f_c = _faces_per_component(rotation, root)
         for r in n_c:
             if m_c[r] and n_c[r] - m_c[r] + f_c[r] != 2:
                 raise InvalidCertificate(

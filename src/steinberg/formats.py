@@ -319,11 +319,14 @@ def parse_json_payload(data: bytes) -> Any:
     UTF-8 whatever the locale, decoded by ``json``.  Each caller checks
     the shape of what it gets."""
     try:
-        return json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
+        return json.loads(text)
     except UnicodeDecodeError as exc:
         raise FormatError("JSON input is not UTF-8", offset=exc.start) from None
     except json.JSONDecodeError as exc:
-        raise FormatError(f"bad JSON: {exc.msg}", offset=exc.pos) from None
+        # ``pos`` counts characters; the offset counts bytes
+        offset = len(text[: exc.pos].encode("utf-8"))
+        raise FormatError(f"bad JSON: {exc.msg}", offset=offset) from None
     except ValueError:  # an integer past the interpreter's digit limit
         most = sys.get_int_max_str_digits()
         raise FormatError(f"bad JSON: an integer has more than {most} digits") from None

@@ -47,16 +47,18 @@ class Graph:
 
     @cached_property
     def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return tuple(frozenset(s) for s in nbrs)
+        return tuple(map(frozenset, self.adj))
 
     @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted adjacency lists."""
-        return tuple(tuple(sorted(s)) for s in self.neighbor_sets)
+        """Sorted adjacency lists, from one pass over the sorted edges:
+        v meets its smaller neighbors as (u, v), in increasing u, before
+        its larger ones as (v, w), in increasing w."""
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, v in self.edges:
+            adj[u].append(v)
+            adj[v].append(u)
+        return tuple(map(tuple, adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edge_set

@@ -21,7 +21,7 @@ from steinberg import (
 from steinberg import cli, stock
 from steinberg.cli import main
 from steinberg.formats import FORMAT_NAMES, parse_json_payload
-from steinberg.graphs import MAX_VERTICES
+from steinberg.graphs import MAX_VERTICES, remove_edge
 from steinberg.search import search_spec_to_json_dict, seed_search_spec
 
 from support import deep_template_spec, replace_at
@@ -1054,3 +1054,64 @@ def test_verify_json_writes_the_structural_witnesses(tmp_path, capsys, name):
     got = {c["name"]: c["witness"] for c in checks if c["name"] in expected}
     assert got == expected
     assert all(c["verdict"] == "fail" for c in checks if c["name"] in expected)
+
+
+# SHA-256 of `verify --json` with every check's `duration_s` line cut
+# out, on the final graph and on each of its nine one-edge deletions (an
+# edge of one of the triangles d-e-f, d'-e'-f' and b-c-c'); recorded
+# before the digest, adjacency, face-tracing and planarity kernels were
+# rewritten for speed, so every byte of each report is pinned
+VERIFY_JSON_SHA256 = {
+    "final": (
+        "7239de55c8140eb70a4d6ed4b9689efd9906dcb99ea930e95b4f6864b0c5ee9c"
+    ),
+    "d-e": (
+        "17a30e4c65efa5b11f8248c3e64f4ac8e21eac3a90ac24d57ea860e3ad59ad27"
+    ),
+    "d-f": (
+        "ea2c5d81ad1844ee183ef99b7aaa47eac766195a5aa5a00195894917c8c900d6"
+    ),
+    "e-f": (
+        "9fb32358c2c6f0bd50882964e06855e74af0664ec19b91130469b520afd7a6be"
+    ),
+    "d'-e'": (
+        "34c72ec6ffef64934daaa56b3ea885a19fa3c74d6b38f1bd0433b090bf620e9f"
+    ),
+    "d'-f'": (
+        "62636d9117dc4a968b15916c270f513dfab6b8baaea6f460d96938474cb26875"
+    ),
+    "e'-f'": (
+        "d6e5bb11a9778047fb67d2e5bfb15324e5c06e8da7c4189b94308cae4535ed2c"
+    ),
+    "b-c": (
+        "2030599bd4a9b366e85c099885e4ece8f7b4778ebbc90648aa64a4c723f91e58"
+    ),
+    "b-c'": (
+        "4c473cce1ff08255e593bf62605a4a69ef01ad39ef5b13fd23aec46c85f1a034"
+    ),
+    "c-c'": (
+        "b3e0520b5b41d209a4c3d068020270ec0df424451e20536232a82e03594442d6"
+    ),
+}
+
+
+def _verify_json_sha256(capsys, tmp_path, g) -> str:
+    graph_path = tmp_path / "g.g6"
+    graph_path.write_bytes(encode(g, "graph6"))
+    report_path = tmp_path / "report.json"
+    run_cli(capsys, "verify", str(graph_path), "--json", str(report_path))
+    lines = report_path.read_bytes().splitlines(keepends=True)
+    kept = b"".join(line for line in lines if b'"duration_s": ' not in line)
+    return hashlib.sha256(kept).hexdigest()
+
+
+def test_verify_json_bytes_are_pinned_on_the_final_graph_family(
+    tmp_path, capsys, final_graph
+):
+    got = {"final": _verify_json_sha256(capsys, tmp_path, final_graph)}
+    for key in list(VERIFY_JSON_SHA256)[1:]:
+        u, v = (final_graph.vertex_by_label(name) for name in key.split("-"))
+        got[key] = _verify_json_sha256(
+            capsys, tmp_path, remove_edge(final_graph, u, v)
+        )
+    assert got == VERIFY_JSON_SHA256

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from steinberg import (
     FormatError, build_graph, counterexample_report, decode, encode, sniff_format,
 )
-from steinberg.formats import FORMATS, decode_graph6, dump_json, strict_bool
+from steinberg.formats import (
+    FORMATS,
+    decode_graph6,
+    dump_json,
+    parse_json_payload,
+    strict_bool,
+)
 from steinberg.gadgets import lemmas_report
 from steinberg.graphs import remove_edge
 from steinberg.stock import seed_data_path
@@ -210,6 +216,20 @@ def test_dimacs_error_offset_points_at_bad_line():
     with pytest.raises(FormatError) as exc:
         decode(data, "dimacs")
     assert exc.value.offset == data.index(b"e 1 5")
+
+
+def test_json_error_offsets_count_bytes():
+    # the error sits at the end of the 19-byte file, the 16th character
+    data = '{"name": "ééé", '.encode()
+    assert len(data) == 19
+    with pytest.raises(FormatError, match=r"\(byte offset 19\)") as exc:
+        parse_json_payload(data)
+    assert exc.value.offset == 19
+    # in ASCII input bytes and characters are one
+    for ascii_data in (b'{"name": "eee", ', b'{"n": 2, "edges": [[0', b"[1, 2"):
+        with pytest.raises(FormatError) as exc:
+            parse_json_payload(ascii_data)
+        assert exc.value.offset == len(ascii_data)
 
 
 def test_json_errors():

@@ -1,4 +1,8 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinberg import Graph, GraphConstructionError, build_graph
 from steinberg.graphs import (
@@ -53,6 +57,32 @@ def test_adjacency_views_agree():
     assert g.adj[0] == (1, 2)
     assert g.adj[4] == (3,)
     assert [len(g.adj[v]) for v in range(5)] == [2, 2, 2, 1, 1]
+
+
+def assert_sorted_adjacency(g):
+    # adj comes from one pass over the sorted edges, so it is sorted only
+    # because every constructor sorts them; the sets are read off the
+    # edges here, independently of adj
+    for v in range(g.n):
+        assert g.adj[v] == tuple(sorted(g.neighbor_sets[v]))
+        assert g.neighbor_sets[v] == {w for e in g.edges if v in e for w in e if w != v}
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_adjacency_is_sorted_on_every_constructor(data):
+    n = data.draw(st.integers(min_value=1, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = sorted(data.draw(st.sets(st.sampled_from(pairs)))) if pairs else []
+    g = build_graph(n, data.draw(st.permutations(edges)))
+    assert_sorted_adjacency(g)
+    perm = list(range(n))
+    random.Random(data.draw(st.integers(min_value=0, max_value=2**32))).shuffle(perm)
+    assert_sorted_adjacency(g.relabeled(perm))
+    if edges:
+        assert_sorted_adjacency(remove_edge(g, *data.draw(st.sampled_from(edges))))
+    targets = data.draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    assert_sorted_adjacency(add_apex(g, sorted(targets, reverse=True)))
 
 
 def test_labels_round_trip_and_lookup():
