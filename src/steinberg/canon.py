@@ -41,17 +41,32 @@ minimum is unchanged:
 - after a leaf repeats an earlier one, the search returns to the
   deepest node the two leaves share, since the rest of the current
   child's subtree is the image of the earlier leaf's, already searched.
+
+A digest is the first 16 hex digits of the SHA-256 of the form.  The
+hash comes from the interpreter's built-in module (``_sha2`` from
+Python 3.12, ``_sha256`` before), as ``random`` takes its ``sha512``:
+``hashlib`` loads OpenSSL's libcrypto, which costs every process about
+3.5 MB of memory and a few milliseconds, to hash a form of a few
+kilobytes.  ``hashlib`` is the fallback for an interpreter built
+without those modules; every implementation gives the same digest.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
 from .formats import encode_graph6, pack_graph6
 from .graphs import Graph
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 Cells = list[list[int]]
 Adjacency = tuple[tuple[int, ...], ...]
@@ -65,7 +80,7 @@ class CanonicalForm:
 
     @cached_property
     def digest(self) -> str:
-        return hashlib.sha256(self.data).hexdigest()[:16]
+        return sha256(self.data).hexdigest()[:16]
 
 
 class _Partition:

@@ -8,6 +8,7 @@ byte.
 from __future__ import annotations
 
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable
@@ -17,9 +18,27 @@ from .graphs import MAX_VERTICES, Graph, build_graph
 
 _G6_HEADER = b">>graph6<<"
 _G6_OFFSET = bytes((b + 63) & 255 for b in range(256))
-_G6_PRINTABLE = bytes(range(63, 127))
-# a body byte's six bits, high bit first, as text
-_G6_SIX_BITS = {b: format(b - 63, "06b") for b in _G6_PRINTABLE}
+# the set bits of a body byte, counted from its high bit; None for a byte
+# outside the printable range 63..126
+_G6_SET_BITS = [
+    tuple(i for i in range(6) if (b - 63) << i & 32) if 63 <= b <= 126 else None
+    for b in range(256)
+]
+# a run of all-zero body bytes: the next byte to visit is where it ends
+_G6_ZEROS = re.compile(rb"\?*").match
+
+# how many characters of a value an error message quotes
+_QUOTE_CAP = 80
+
+
+def quote(value: Any) -> str:
+    """``repr(value)`` for an error message, cut after 80 characters with
+    the cut marked, so that a message stays one short line whatever the
+    size of the input it names."""
+    text = repr(value)
+    if len(text) <= _QUOTE_CAP:
+        return text
+    return f"{text[:_QUOTE_CAP]}... ({len(text)} characters)"
 
 
 def _g6_encode_n(n: int) -> bytes:
@@ -53,14 +72,23 @@ def encode_graph6(g: Graph) -> bytes:
 
 
 def decode_graph6(data: bytes) -> Graph:
+    """The graph in graph6 ``data``, with an optional ``>>graph6<<``
+    header and trailing newlines.  Only the body bytes that are not ``?``
+    (all zero bits) are visited, so time and memory beyond ``data`` grow
+    with the edges rather than with the n(n-1)/12-byte body."""
     pos = 0
     if data.startswith(_G6_HEADER):
         pos = len(_G6_HEADER)
-    data = data.rstrip(b"\n")
-    if pos >= len(data):
+    # the end of the data without its trailing newlines, found a window
+    # at a time rather than by copying all of it with rstrip
+    end = len(data)
+    while end and data[end - 1] == 10:
+        window = data[max(0, end - 4096) : end]
+        end -= len(window) - len(window.rstrip(b"\n"))
+    if pos >= end:
         raise FormatError("empty graph6 payload", offset=pos)
     if data[pos] == ord("~"):
-        if pos + 4 > len(data):
+        if pos + 4 > end:
             raise FormatError("truncated graph6 vertex count", offset=pos)
         chunk = data[pos + 1 : pos + 4]
         for i, b in enumerate(chunk):
@@ -78,29 +106,30 @@ def decode_graph6(data: bytes) -> Graph:
         pos += 1
     nbits = n * (n - 1) // 2
     nbytes = (nbits + 5) // 6
-    if len(data) - pos != nbytes:
+    if end - pos != nbytes:
         raise FormatError(
-            f"graph6 body for n={n} needs {nbytes} bytes, got {len(data) - pos}",
+            f"graph6 body for n={n} needs {nbytes} bytes, got {end - pos}",
             offset=pos,
         )
-    body = data[pos:]
-    if body.translate(None, _G6_PRINTABLE):
-        i = next(i for i, b in enumerate(body) if not (63 <= b <= 126))
-        raise FormatError(f"invalid graph6 byte {body[i]!r}", offset=pos + i)
-    bits = "".join([_G6_SIX_BITS[b] for b in body])
-    # bit v*(v-1)/2 + u stands for edge (u, v): walk the set bits with
-    # the column v and the index `start` of its first bit
+    # bit v*(v-1)/2 + u of the body stands for edge (u, v): walk the set
+    # bits with the column v and the index `start` of its first bit
     edges = []
     v, start = 1, 0
-    idx = bits.find("1")
-    while 0 <= idx < nbits:
-        while idx >= start + v:
-            start += v
-            v += 1
-        edges.append((idx - start, v))
-        idx = bits.find("1", idx + 1)
-    if idx >= 0:
-        raise FormatError("nonzero padding bits in graph6 body", offset=pos)
+    i = _G6_ZEROS(data, pos, end).end()
+    while i < end:
+        bits = _G6_SET_BITS[data[i]]
+        if bits is None:
+            raise FormatError(f"invalid graph6 byte {data[i]!r}", offset=i)
+        base = 6 * (i - pos)
+        for bit in bits:
+            idx = base + bit
+            if idx >= nbits:
+                raise FormatError("nonzero padding bits in graph6 body", offset=pos)
+            while idx >= start + v:
+                start += v
+                v += 1
+            edges.append((idx - start, v))
+        i = _G6_ZEROS(data, i + 1, end).end()
     return build_graph(n, edges)
 
 
@@ -109,6 +138,27 @@ def encode_dimacs(g: Graph) -> bytes:
     for u, v in g.edges:
         lines.append(f"e {u + 1} {v + 1}")
     return ("\n".join(lines) + "\n").encode("ascii")
+
+
+# a token ``int`` reads as a decimal integer; one it refuses anyway has
+# more digits than the interpreter converts
+_DIMACS_INT = re.compile(r"[+-]?[0-9]+(?:_[0-9]+)*")
+
+
+def _dimacs_ints(tokens: list[str], kind: str, line: str, offset: int) -> list[int]:
+    """The integers of a ``kind`` line, naming what is wrong with them if
+    they are not all integers."""
+    try:
+        return [int(t) for t in tokens]
+    except ValueError:
+        if all(_DIMACS_INT.fullmatch(t) for t in tokens):
+            most = sys.get_int_max_str_digits()
+            raise FormatError(
+                f"{kind} line: an integer has more than {most} digits", offset=offset
+            ) from None
+        raise FormatError(
+            f"non-integer {kind} line {quote(line)}", offset=offset
+        ) from None
 
 
 def decode_dimacs(data: bytes) -> Graph:
@@ -127,38 +177,29 @@ def decode_dimacs(data: bytes) -> Graph:
                 raise FormatError("duplicate problem line", offset=offset)
             if len(parts) != 4 or parts[1] != "edge":
                 raise FormatError(
-                    f"expected 'p edge <n> <m>', got {line!r}", offset=offset
+                    f"expected 'p edge <n> <m>', got {quote(line)}", offset=offset
                 )
-            try:
-                n, m = int(parts[2]), int(parts[3])
-            except ValueError:
-                raise FormatError(
-                    f"non-integer problem line {line!r}", offset=offset
-                ) from None
+            n, m = _dimacs_ints(parts[2:], "problem", line, offset)
         elif parts[0] == "e":
             if n is None:
                 raise FormatError("edge line before problem line", offset=offset)
             if len(parts) != 3:
-                raise FormatError(f"malformed edge line {line!r}", offset=offset)
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FormatError(
-                    f"non-integer edge line {line!r}", offset=offset
-                ) from None
+                raise FormatError(f"malformed edge line {quote(line)}", offset=offset)
+            u, v = _dimacs_ints(parts[1:], "edge", line, offset)
             if not (1 <= u <= n) or not (1 <= v <= n):
                 raise FormatError(
-                    f"edge ({u}, {v}) outside 1..{n}", offset=offset
+                    f"edge ({quote(u)}, {quote(v)}) outside 1..{quote(n)}",
+                    offset=offset,
                 )
             edges.append((u - 1, v - 1))
         else:
-            raise FormatError(f"unknown line kind {parts[0]!r}", offset=offset)
+            raise FormatError(f"unknown line kind {quote(parts[0])}", offset=offset)
         offset += len(raw) + 1
     if n is None:
         raise FormatError("missing problem line", offset=0)
     if m is not None and m != len(edges):
         raise FormatError(
-            f"problem line declares {m} edges, file has {len(edges)}", offset=0
+            f"problem line declares {quote(m)} edges, file has {len(edges)}", offset=0
         )
     return build_graph(n, edges)
 
@@ -174,7 +215,7 @@ def strict_int(value: Any, name: str) -> int:
     """``value`` if it is an integer; a float or a bool is refused, not
     truncated."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{name} must be an integer, got {value!r}")
+        raise FormatError(f"{name} must be an integer, got {quote(value)}")
     return value
 
 
@@ -182,7 +223,7 @@ def strict_bool(value: Any, name: str) -> bool:
     """``value`` if it is JSON ``true`` or ``false``; a string such as
     ``"false"`` or a number is refused, not read as truthy."""
     if not isinstance(value, bool):
-        raise FormatError(f"{name} must be true or false, got {value!r}")
+        raise FormatError(f"{name} must be true or false, got {quote(value)}")
     return value
 
 
@@ -190,7 +231,7 @@ def strict_str(value: Any, name: str) -> str:
     """``value`` if it is a JSON string; a list or a number is refused,
     not turned into its text."""
     if not isinstance(value, str):
-        raise FormatError(f"{name} must be a string, got {value!r}")
+        raise FormatError(f"{name} must be a string, got {quote(value)}")
     return value
 
 
@@ -198,14 +239,14 @@ def strict_list(value: Any, name: str) -> list:
     """``value`` if it is a JSON list; a string is refused, not read
     letter by letter."""
     if not isinstance(value, list):
-        raise FormatError(f"{name} must be a list, got {value!r}")
+        raise FormatError(f"{name} must be a list, got {quote(value)}")
     return value
 
 
 def strict_object(value: Any, name: str) -> dict:
     """``value`` if it is a JSON object."""
     if not isinstance(value, dict):
-        raise FormatError(f"{name} must be an object, got {value!r}")
+        raise FormatError(f"{name} must be an object, got {quote(value)}")
     return value
 
 
@@ -214,7 +255,7 @@ def _vertex_key(key: Any) -> int:
     zero, so that ``"1_0"``, ``" 3"``, ``"+3"`` and ``"03"`` are refused."""
     if not (isinstance(key, str) and key.isascii() and key.isdigit()
             and (key == "0" or key[0] != "0")):
-        raise FormatError(f"label key {key!r} is not a plain vertex id")
+        raise FormatError(f"label key {quote(key)} is not a plain vertex id")
     try:
         return int(key)
     except ValueError:  # past the interpreter's digit limit

@@ -47,7 +47,7 @@ from .coloring import (
 from .errors import ContractError, FormatError, PasteError
 from .formats import (
     dump_json, graph_from_json_dict, graph_to_json_dict, parse_json_payload,
-    strict_bool, strict_int, strict_list, strict_object, strict_str,
+    quote, strict_bool, strict_int, strict_list, strict_object, strict_str,
 )
 from .graphs import Graph, add_apex, build_graph
 from .report import VerificationReport, timed_check, witness_text
@@ -116,10 +116,10 @@ class InterfaceContract:
         for p in self.forbidden_patterns:
             if not isinstance(p, str) or not set(p) <= set("012"):
                 raise ValueError(
-                    f"forbidden pattern {p!r} has a color other than 0, 1, 2"
+                    f"forbidden pattern {quote(p)} has a color other than 0, 1, 2"
                 )
             if pattern_of([int(ch) for ch in p]) != p:
-                raise ValueError(f"forbidden pattern {p!r} is not normalized")
+                raise ValueError(f"forbidden pattern {quote(p)} is not normalized")
             arities.add(len(p))
         if len(arities) > 1:
             raise ValueError(f"contract clauses disagree on arity: {arities}")

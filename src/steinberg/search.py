@@ -51,7 +51,7 @@ from .canon import canonical_form
 from .coloring import terminal_behavior
 from .errors import ContractError, SearchSpecError
 from .formats import (
-    parse_json_payload, strict_int, strict_list, strict_object, strict_str,
+    parse_json_payload, quote, strict_int, strict_list, strict_object, strict_str,
 )
 from .gadgets import (
     InterfaceContract,
@@ -128,33 +128,35 @@ def _validate_template(template: TemplateSpec, arity: int | None) -> None:
     sizes: dict[str, int] = {}
     for idx, layer in enumerate(template.layers):
         if layer.size <= 0:
-            raise SearchSpecError(f"layer {layer.name!r} has size {layer.size}")
+            raise SearchSpecError(
+                f"layer {quote(layer.name)} has size {quote(layer.size)}"
+            )
         if layer.name in sizes:
-            raise SearchSpecError(f"duplicate layer name {layer.name!r}")
+            raise SearchSpecError(f"duplicate layer name {quote(layer.name)}")
         if layer.intra not in _INTRA_KINDS:
-            raise SearchSpecError(f"unknown intra kind {layer.intra!r}")
+            raise SearchSpecError(f"unknown intra kind {quote(layer.intra)}")
         if (layer.link_to is None) != (layer.link_kind is None):
             raise SearchSpecError(
-                f"layer {layer.name!r} needs link_to and link_kind together"
+                f"layer {quote(layer.name)} needs link_to and link_kind together"
             )
         if idx == 0 and layer.link_to is not None:
             raise SearchSpecError("the terminal layer cannot link anywhere")
         if layer.link_to is not None:
             if layer.link_to not in sizes:
                 raise SearchSpecError(
-                    f"layer {layer.name!r} links to unknown or later layer"
-                    f" {layer.link_to!r}"
+                    f"layer {quote(layer.name)} links to unknown or later layer"
+                    f" {quote(layer.link_to)}"
                 )
             if layer.link_kind not in _LINK_KINDS:
-                raise SearchSpecError(f"unknown link kind {layer.link_kind!r}")
+                raise SearchSpecError(f"unknown link kind {quote(layer.link_kind)}")
             if layer.link_kind == "matching" and sizes[layer.link_to] != layer.size:
                 raise SearchSpecError(
-                    f"matching layer {layer.name!r} must equal"
-                    f" {layer.link_to!r} in size"
+                    f"matching layer {quote(layer.name)} must equal"
+                    f" {quote(layer.link_to)} in size"
                 )
             if layer.link_kind == "pairs" and sizes[layer.link_to] < 2:
                 raise SearchSpecError(
-                    f"pairs layer {layer.name!r} needs a target of size >= 2"
+                    f"pairs layer {quote(layer.name)} needs a target of size >= 2"
                 )
         sizes[layer.name] = layer.size
     if sum(sizes.values()) > MAX_VERTICES:  # before any per-vertex step
@@ -289,7 +291,7 @@ def _template_steps(
         for es in alternatives:
             left -= len(es)
             if left < 0:
-                raise _over_budget(f"listing layer {layer.name!r}")
+                raise _over_budget(f"listing layer {quote(layer.name)}")
             step.append(es)
         return step
 
@@ -319,7 +321,7 @@ def _template_steps(
             # and a nonempty step lists at least two edges per 2-subset
             pairs = len(targets) * (len(targets) - 1) // 2
             if layer.size <= pairs and 2 * pairs > left:
-                raise _over_budget(f"listing layer {layer.name!r}")
+                raise _over_budget(f"listing layer {quote(layer.name)}")
             orders = (
                 itertools.combinations if layer.name in free
                 else itertools.permutations

@@ -1,7 +1,12 @@
+import hashlib
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -311,3 +316,41 @@ def test_pruning_uses_only_automorphisms_that_fix_the_node(monkeypatch):
     for g in [twisted, disjoint_cycles(5, 7), *VERTEX_TRANSITIVE.values()]:
         canonical_form(g)
     assert sum(merged) > 0
+
+
+def test_the_digest_hash_agrees_with_hashlib_across_block_boundaries():
+    # SHA-256 pads and hashes in 64-byte blocks: lengths at and beside
+    # every block multiple up to about 10,000 bytes, and random ones
+    rng = random.Random(38)
+    lengths = {0, 1, 55, 56, 57, 119, 120, 121}
+    lengths |= {64 * k + d for k in range(1, 157) for d in (-1, 0, 1)}
+    lengths |= {rng.randrange(10_001) for _ in range(50)}
+    for n in sorted(lengths):
+        data = rng.randbytes(n)
+        assert canon.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest(), n
+        expected = hashlib.sha256(data).hexdigest()[:16]
+        assert canon.CanonicalForm(data).digest == expected
+
+
+def test_the_hashlib_fallback_gives_the_pinned_digests():
+    # with neither built-in module importable canon falls back to
+    # hashlib, which must give the same digests
+    code = (
+        "import sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "import hashlib\n"
+        "from steinberg import (build_counterexample, build_triple_gadget,\n"
+        "    canon, canonical_digest, load_seed_gadget)\n"
+        "seed = load_seed_gadget()\n"
+        "final = build_counterexample(build_triple_gadget(seed))\n"
+        "print(canon.sha256 is hashlib.sha256)\n"
+        "print(canonical_digest(seed.graph), canonical_digest(final))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(canon.__file__).parent.parent)},
+    )
+    assert out.stdout.split() == ["True", "3855c0a1d182d600", "6acb9d9830286561"]

@@ -273,6 +273,34 @@ def test_malformed_input_is_an_input_error(tmp_path, capsys, command, name):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+_HUGE_SPEC = {
+    "contract": {"min_terminal_distances": [[0, 1], [1, 0]]},
+    "template": {"layers": [{"name": "t", "size": 2, "intra": "x" * 200_000}]},
+}
+
+
+@pytest.mark.parametrize("command, name, data", [
+    pytest.param("verify", "long-line.col", b"x" * 1_000_000 + b"\n", id="line"),
+    pytest.param("verify", "long-m.col", b"p edge 3 " + b"9" * 500_000 + b"\n",
+                 id="digits"),
+    pytest.param("verify", "n-list.json",
+                 json.dumps({"n": list(range(100_000)), "edges": []}).encode(),
+                 id="json"),
+    pytest.param("search", "spec.json", json.dumps(_HUGE_SPEC).encode(), id="spec"),
+])
+def test_an_error_line_quotes_a_huge_input_in_short(
+    tmp_path, capsys, command, name, data
+):
+    # one short error line, not one as large as the input it names
+    path = tmp_path / name
+    path.write_bytes(data)
+    extra = ["--out-dir", str(tmp_path / "out")] if command == "search" else []
+    code, out, err = run_cli(capsys, command, str(path), *extra)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err.encode()) < 300, err[:400]
+
+
 def test_lemmas(capsys):
     code, out, _ = run_cli(capsys, "lemmas")
     assert code == 0

@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,9 @@ from steinberg.formats import (
     FORMATS,
     decode_graph6,
     dump_json,
+    pack_graph6,
     parse_json_payload,
+    quote,
     strict_bool,
 )
 from steinberg.gadgets import lemmas_report
@@ -135,6 +139,31 @@ def test_graph6_optional_header_accepted():
     data = encode(g, "graph6")
     assert decode(b">>graph6<<" + data, "graph6") == g
     assert decode(data + b"\n", "graph6") == g
+    # trailing newlines are stripped a window at a time
+    assert decode(data + b"\n" * 10_000, "graph6") == g
+    with pytest.raises(FormatError, match="empty graph6 payload"):
+        decode(b"\n" * 10_000, "graph6")
+
+
+def test_a_large_sparse_graph6_decodes_in_memory_that_grows_with_its_edges():
+    # 20,000 vertices and 40,000 edges take a 33 MB body; the decoder
+    # visits only its bytes that are not "?", and holds no copy of it
+    rng = random.Random(20_000)
+    n = 20_000
+    pairs = set()
+    while len(pairs) < 40_000:
+        u, v = sorted(rng.sample(range(n), 2))
+        pairs.add((u, v))
+    data = pack_graph6(n, pairs) + b"\n"
+    assert len(data) > 33_000_000
+    tracemalloc.start()
+    try:
+        g = decode_graph6(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.n == n and g.edges == tuple(sorted(pairs))
+    assert peak < 32_000_000, peak
 
 
 def test_graph6_large_n_uses_long_form():
@@ -204,11 +233,42 @@ def test_dimacs_accepts_comments_and_blank_lines():
         (b"p edge 2 1\ne 1 5\n", "outside"),
         (b"p edge 2 2\ne 1 2\n", "declares 2 edges"),
         (b"q 1 2\n", "unknown line kind"),
+        (b"p edge 2 1\ne 1 x\n", "non-integer edge line"),
     ],
 )
 def test_dimacs_rejects_malformed_input(data, fragment):
     with pytest.raises(FormatError, match=fragment):
         decode(data, "dimacs")
+
+
+@pytest.mark.parametrize(
+    "data, kind, offset",
+    [
+        pytest.param(b"p edge 3 " + b"9" * 5000 + b"\n", "problem", 0, id="m"),
+        pytest.param(b"p edge " + b"1_0" * 2500 + b" 0\n", "problem", 0, id="n"),
+        pytest.param(b"p edge 3 1\ne 1 " + b"9" * 5000 + b"\n", "edge", 11, id="v"),
+        pytest.param(b"p edge 3 1\ne -" + b"9" * 5000 + b" 1\n", "edge", 11, id="u"),
+    ],
+)
+def test_dimacs_names_the_digit_limit(data, kind, offset):
+    # an integer past the interpreter's digit limit is named as such, not
+    # as a non-integer
+    most = sys.get_int_max_str_digits()
+    with pytest.raises(FormatError) as exc:
+        decode(data, "dimacs")
+    assert str(exc.value) == (
+        f"{kind} line: an integer has more than {most} digits (byte offset {offset})"
+    )
+
+
+def test_quote_cuts_long_values_and_marks_the_cut():
+    for short in ("abc", "x" * 78, 7, [1, 2, 3], None, "\u00e9"):
+        assert quote(short) == repr(short)
+    assert quote("x" * 79) == repr("x" * 79)[:80] + "... (81 characters)"
+    long = "x" * 200_000
+    assert quote(long) == repr(long)[:80] + "... (200002 characters)"
+    numbers = list(range(100_000))
+    assert quote(numbers) == repr(numbers)[:80] + f"... ({len(repr(numbers))} characters)"
 
 
 def test_dimacs_error_offset_points_at_bad_line():

@@ -11,7 +11,9 @@ it re-checks, and the case tree must close without calling the solver.
 The report layer stays free of the analysis module, the
 package free of ``assert`` statements, of a second, indenting JSON
 writer and of a second JSON reader, and a bare ``import steinberg``
-must load every module the tracer patches."""
+must load every module the tracer patches.  No command loads OpenSSL:
+``hashlib`` is imported only where the interpreter lacks its built-in
+SHA-256."""
 
 import ast
 import importlib
@@ -29,6 +31,7 @@ from steinberg import (
     build_graph,
     coloring,
     compositional_check,
+    encode,
     load_seed_gadget,
     solve_3coloring_with_stats,
     terminal_behavior,
@@ -266,3 +269,55 @@ def test_importing_the_package_loads_every_traced_module():
     )
     loaded = set(out.stdout.split())
     assert [m for m in homes if m not in loaded] == []
+
+
+def test_hashlib_is_imported_only_as_the_digest_fallback():
+    # hashlib loads OpenSSL's libcrypto; canon.py takes SHA-256 from the
+    # interpreter's built-in module and names hashlib only in the except
+    # clause that runs where that module is missing
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        fallback = {
+            id(node)
+            for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler)
+            for node in ast.walk(handler)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "hashlib" for name in names):
+                where = "fallback" if id(node) in fallback else "import"
+                found.append(f"{path.name}: hashlib {where}")
+    assert found == ["canon.py: hashlib fallback"]
+
+
+def test_verify_loads_no_openssl(tmp_path, final_graph):
+    # python -m steinberg verify on the final graph, then a look at what
+    # it loaded: _hashlib is the OpenSSL binding behind hashlib
+    final = tmp_path / "final.g6"
+    final.write_bytes(encode(final_graph, "graph6"))
+    code = (
+        "import runpy, sys\n"
+        "sys.argv = ['steinberg', 'verify', sys.argv[1]]\n"
+        "try:\n"
+        "    runpy.run_module('steinberg', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print('exit', exc.code)\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(final)],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+    )
+    lines = out.stdout.splitlines()
+    assert "overall: PASS" in lines[-3]
+    assert lines[-2:] == ["exit 0", "False"]
