@@ -74,52 +74,54 @@ def _cycle_dfs(g: Graph, lengths: frozenset[int]) -> dict[int, list[Cycle]]:
     """Every simple cycle of each length in ``lengths``, in one DFS.
 
     The DFS starts at each vertex s, visits only vertices larger than s
-    and goes as deep as the largest length; at each depth in ``lengths``
-    it tests whether the path closes back to s, breaking the reflection
-    by requiring second < last.  A call extends its path by the last
-    two vertices in two nested loops, so no call is made for a path one
-    vertex short of the largest length.  The sorted adjacency makes the
-    DFS meet the paths of each length in lexicographic order, so each
-    list comes out sorted.
+    and goes as deep as the largest length, one nested loop per vertex
+    of the path after s, so no function is called per path.  At each
+    depth in ``lengths`` it tests whether the path closes back to s,
+    breaking the reflection by requiring second < last.  The sorted
+    adjacency makes the DFS meet the paths of each length in
+    lexicographic order, so each list comes out sorted.
     """
     out: dict[int, list[Cycle]] = {k: [] for k in sorted(lengths)}
     top = max(lengths)
-    # close[d]: the list that takes the cycles on d vertices, or None
-    close = [out.get(d) for d in range(top + 1)]
+    c3, c4, c5, c6 = (out.get(k) for k in (3, 4, 5, 6))
     adj = g.adj
-    nbrs = g.neighbor_sets
-    path = [0] * top
-    in_path = [False] * g.n
-
-    def extend(depth: int, s: int, s_nbrs: frozenset[int]) -> None:
-        # path[:depth] runs from s; try each next vertex w
-        found = close[depth + 1]
-        if depth + 2 == top:
-            # w, then a last vertex x that closes the path or not
-            closing = close[top]
-            for w in adj[path[depth - 1]]:
-                if w > s and not in_path[w]:
-                    second = path[1] if depth > 1 else w
-                    if found is not None and w in s_nbrs and second < w:
-                        found.append((*path[:depth], w))
-                    for x in adj[w]:
-                        if x in s_nbrs and second < x and not in_path[x]:
-                            closing.append((*path[:depth], w, x))
-            return
-        for w in adj[path[depth - 1]]:
-            if w > s and not in_path[w]:
-                path[depth] = w
-                if found is not None and w in s_nbrs and path[1] < w:
-                    found.append(tuple(path[:depth + 1]))
-                in_path[w] = True
-                extend(depth + 1, s, s_nbrs)
-                in_path[w] = False
-
-    for s in range(g.n):
-        path[0] = s
-        in_path[s] = True
-        extend(1, s, nbrs[s])
-        in_path[s] = False
+    # near[w] == s when w is adjacent to a neighbour of s larger than s:
+    # only from such a w can the path close with one more vertex, so the
+    # loop over the last vertex runs from it alone
+    near = [-1] * g.n
+    for s, sn in enumerate(g.neighbor_sets):
+        if top > 4:
+            for x in adj[s]:
+                if x > s:
+                    for w in adj[x]:
+                        near[w] = s
+        for a in adj[s]:
+            if a < s:
+                continue
+            for b in adj[a]:
+                if b <= s:
+                    continue
+                if c3 is not None and b in sn and a < b:
+                    c3.append((s, a, b))
+                if top == 3:
+                    continue
+                for c in adj[b]:
+                    if c <= s or c == a:
+                        continue
+                    if c4 is not None and c in sn and a < c:
+                        c4.append((s, a, b, c))
+                    if top == 4 or (top == 5 and near[c] != s):
+                        continue
+                    for d in adj[c]:
+                        if d <= s or d == a or d == b:
+                            continue
+                        if c5 is not None and d in sn and a < d:
+                            c5.append((s, a, b, c, d))
+                        if top == 5 or near[d] != s:
+                            continue
+                        for e in adj[d]:
+                            if e in sn and a < e and e != b and e != c:
+                                c6.append((s, a, b, c, d, e))
     return out
 
 
@@ -158,11 +160,16 @@ class CycleCensus:
         every pair of triangles on one edge, sorted by edge, then by pair."""
         by_edge: dict[Edge, list[Cycle]] = {}
         for tri in self[3]:
-            for e in _cycle_edges(tri):
-                by_edge.setdefault(e, []).append(tri)
+            a, b, c = tri  # a < b < c in canonical orientation
+            for e in ((a, b), (a, c), (b, c)):
+                if e in by_edge:
+                    by_edge[e].append(tri)
+                else:
+                    by_edge[e] = [tri]
+        shared = sorted(e for e, tris in by_edge.items() if len(tris) > 1)
         pairs = [
             (e, t1, t2)
-            for e in sorted(by_edge)
+            for e in shared
             for t1, t2 in itertools.combinations(by_edge[e], 2)
         ]
         return by_edge, pairs
@@ -285,22 +292,6 @@ class _LeftRight:
         out: list[list[int]] = [[] for _ in range(n)]
         roots = []
 
-        def finish(k: int) -> None:
-            # edge k's return heights are final: fix its nesting depth and
-            # fold its lowpoints into the parent edge of its tail
-            v = src[k]
-            nesting[k] = 2 * lowpt[k] + (lowpt2[k] < height[v])
-            e = parent_edge[v]
-            if e >= 0:
-                lk, le = lowpt[k], lowpt[e]
-                if lk < le:
-                    lowpt2[e] = min(le, lowpt2[k])
-                    lowpt[e] = lk
-                elif lk > le:
-                    lowpt2[e] = min(lowpt2[e], lk)
-                else:
-                    lowpt2[e] = min(lowpt2[e], lowpt2[k])
-
         for s in range(n):
             if height[s] >= 0:
                 continue
@@ -323,19 +314,44 @@ class _LeftRight:
                     dst.append(w)
                     out[v].append(k)
                     lowpt2.append(hv)
-                    nesting.append(0)
                     if hw < 0:  # tree edge
                         lowpt.append(hv)
+                        nesting.append(0)
                         parent_edge[w] = k
                         height[w] = hv + 1
                         stack.append((w, iter(adj[w])))
                         break
-                    lowpt.append(hw)  # back edge
-                    finish(k)
+                    # a back edge returns to hw and then to hv, so its
+                    # nesting depth is 2 hw; folded into e, whose return
+                    # heights are both below hv, only hw can count
+                    lowpt.append(hw)
+                    nesting.append(2 * hw)
+                    le = lowpt[e]
+                    if hw < le:
+                        lowpt2[e] = le
+                        lowpt[e] = hw
+                    elif le < hw < lowpt2[e]:
+                        lowpt2[e] = hw
                 else:
                     stack.pop()
-                    if e >= 0:
-                        finish(e)
+                    if e < 0:
+                        continue
+                    # e's return heights are final: fix its nesting depth
+                    # and fold its lowpoints into the parent edge of its
+                    # tail, the parent, at height hv - 1
+                    lk, lk2 = lowpt[e], lowpt2[e]
+                    nesting[e] = 2 * lk + (lk2 < hv - 1)
+                    f = parent_edge[parent]
+                    if f >= 0:
+                        lf = lowpt[f]
+                        if lk < lf:
+                            lowpt2[f] = lf if lf < lk2 else lk2
+                            lowpt[f] = lk
+                        elif lk > lf:
+                            if lk < lowpt2[f]:
+                                lowpt2[f] = lk
+                        elif lk2 < lowpt2[f]:
+                            lowpt2[f] = lk2
 
         self.height, self.parent_edge, self.roots = height, parent_edge, roots
         self.src, self.dst, self.lowpt, self.nesting = src, dst, lowpt, nesting
@@ -346,18 +362,14 @@ class _LeftRight:
         the conflict-pair stack; False as soon as no assignment fits."""
         height, parent_edge = self.height, self.parent_edge
         src, dst, lowpt = self.src, self.dst, self.lowpt
-        nesting = self.nesting
-        ordered = [sorted(o, key=nesting.__getitem__) for o in self.out]
+        depth = self.nesting.__getitem__
+        ordered = [sorted(o, key=depth) if len(o) > 1 else o for o in self.out]
         m = len(src)
         ref: list[int | None] = [None] * m
         side = [1] * m
         lowpt_edge: list[int | None] = [None] * m
         stack_bottom: list[list | None] = [None] * m
         S: list[list] = []
-
-        def conflicting(high: int | None, ei: int) -> bool:
-            # an interval whose highest edge returns above ei's lowpoint
-            return high is not None and lowpt[high] > lowpt[ei]
 
         def add_constraints(ei: int, e: int) -> bool:
             P: list = [None, None, None, None]
@@ -379,13 +391,19 @@ class _LeftRight:
                 if (S[-1] if S else None) is stack_bottom[ei]:
                     break
             # merge the return edges of earlier siblings that conflict
-            # with ei into P's left interval
-            while S and (conflicting(S[-1][1], ei) or conflicting(S[-1][3], ei)):
-                Q = S.pop()
-                if conflicting(Q[3], ei):
-                    Q[:] = Q[2], Q[3], Q[0], Q[1]
-                if conflicting(Q[3], ei):
-                    return False
+            # with ei into P's left interval: those of an interval whose
+            # highest edge returns above ei's lowpoint
+            low = lowpt[ei]
+            while S:
+                Q = S[-1]
+                left, right = Q[1], Q[3]
+                if right is not None and lowpt[right] > low:
+                    if left is not None and lowpt[left] > low:
+                        return False
+                    Q[:] = Q[2], right, Q[0], left
+                elif left is None or lowpt[left] <= low:
+                    break
+                S.pop()
                 if P[2] is not None:
                     ref[P[2]] = Q[3]
                 if Q[2] is not None:
@@ -399,19 +417,21 @@ class _LeftRight:
                 S.append(P)
             return True
 
-        def lowest(P: list) -> int:
-            if P[0] is None and P[1] is None:
-                return lowpt[P[2]]
-            if P[2] is None and P[3] is None:
-                return lowpt[P[0]]
-            return min(lowpt[P[0]], lowpt[P[2]])
-
         def remove_back_edges(e: int) -> None:
             u = src[e]
             hu = height[u]
             # drop the conflict pairs whose every edge returns to u
-            while S and lowest(S[-1]) == hu:
-                P = S.pop()
+            while S:
+                P = S[-1]
+                if P[0] is None and P[1] is None:
+                    lowest = lowpt[P[2]]
+                elif P[2] is None and P[3] is None:
+                    lowest = lowpt[P[0]]
+                else:
+                    lowest = min(lowpt[P[0]], lowpt[P[2]])
+                if lowest != hu:
+                    break
+                S.pop()
                 if P[0] is not None:
                     side[P[0]] = -1
             if S:
@@ -437,22 +457,15 @@ class _LeftRight:
                 else:
                     ref[e] = hr
 
-        def integrate(ei: int) -> bool:
-            # fold the return edges of ei, just finished, into its tail's
-            # parent edge
-            v = src[ei]
-            if lowpt[ei] >= height[v]:
-                return True
-            e = parent_edge[v]
-            if ordered[v][0] == ei:
-                lowpt_edge[e] = lowpt_edge[ei]
-                return True
-            return add_constraints(ei, e)
-
+        # Each edge ei out of v, once its subtree is done, has its return
+        # edges folded into v's parent edge e: the first edge in nesting
+        # order hands e its lowpoint edge, each later one adds constraints.
+        # A back edge always returns above v; a tree edge may not.
         for s in self.roots:
             stack = [(s, iter(ordered[s]))]
             while stack:
                 v, rest = stack[-1]
+                e = parent_edge[v]
                 for ei in rest:
                     stack_bottom[ei] = S[-1] if S else None
                     w = dst[ei]
@@ -461,14 +474,20 @@ class _LeftRight:
                         break
                     lowpt_edge[ei] = ei
                     S.append([None, None, ei, ei])
-                    if not integrate(ei):
+                    if ordered[v][0] == ei:
+                        lowpt_edge[e] = ei
+                    elif not add_constraints(ei, e):
                         return False
                 else:
                     stack.pop()
-                    e = parent_edge[v]
-                    if e >= 0:
-                        remove_back_edges(e)
-                        if not integrate(e):
+                    if e < 0:
+                        continue
+                    remove_back_edges(e)
+                    u = src[e]
+                    if lowpt[e] < height[u]:
+                        if ordered[u][0] == e:
+                            lowpt_edge[parent_edge[u]] = lowpt_edge[e]
+                        elif not add_constraints(e, parent_edge[u]):
                             return False
         self.ref, self.side, self.ordered = ref, side, ordered
         return True
@@ -478,13 +497,18 @@ class _LeftRight:
         clockwise order.  It resolves the sides in place, so it runs
         once per test."""
         n = len(self.adj)
-        dst, parent_edge = self.dst, self.parent_edge
+        src, dst, parent_edge = self.src, self.dst, self.parent_edge
         ref, side, nesting = self.ref, self.side, self.nesting
-        # resolve each side relative to its reference chain
-        for k in range(len(dst)):
-            if ref[k] is not None:
+        # resolve each side relative to its reference chain: an edge's
+        # side times its reference's resolved side.  Most references
+        # point to later edges, so going backwards most are resolved
+        # already; a chain that is not is resolved first, from its end.
+        for k in range(len(ref) - 1, -1, -1):
+            e = ref[k]
+            if e is None:
+                continue
+            if ref[e] is not None:
                 chain = []
-                e = k
                 while ref[e] is not None:
                     chain.append(e)
                     e = ref[e]
@@ -493,11 +517,19 @@ class _LeftRight:
                     s *= side[x]
                     side[x] = s
                     ref[x] = None
-            nesting[k] *= side[k]
-        # the test's order stays where no out-edge turned left; a stable
-        # sort of it by signed depth keeps ties in edge order elsewhere
+                e = ref[k]
+            side[k] *= side[e]
+            ref[k] = None
+        # an edge on the left negates its nesting depth; the test's order
+        # stays where no out-edge turned left, and a stable sort of it by
+        # signed depth keeps ties in edge order elsewhere
+        turned = set()
+        for k, x in enumerate(side):
+            if x < 0:
+                nesting[k] = -nesting[k]
+                turned.add(src[k])
         ordered = self.ordered
-        for v in {self.src[k] for k, x in enumerate(side) if x < 0}:
+        for v in turned:
             if len(ordered[v]) > 1:
                 ordered[v] = sorted(ordered[v], key=nesting.__getitem__)
         # a vertex's ring starts at its parent, then takes its out-edges

@@ -195,7 +195,7 @@ def _split(p: _Partition, adj: Adjacency, work: deque[tuple[int, int]]) -> None:
                     count[w] += 1
                     continue
                 c = start[w]
-                if end[c] - c > 1:
+                if c in multi:
                     count[w] = 1
                     if c in touched:
                         touched[c].append(w)
@@ -204,13 +204,37 @@ def _split(p: _Partition, adj: Adjacency, work: deque[tuple[int, int]]) -> None:
         for c in sorted(touched):
             ce = end[c]
             ws = touched[c]
-            if len(ws) == ce - c:
-                k = count[ws[0]]
-                for w in ws:
-                    if count[w] != k:
-                        break
-                else:
+            k = count[ws[0]]
+            for w in ws:
+                if count[w] != k:
+                    break
+            else:
+                # one count among the touched: unless every vertex is
+                # touched, the general split below makes two fragments,
+                # the untouched vertices and then ``ws``; build them
+                # directly, with the same trail entry and splitter
+                mid = ce - len(ws)
+                if mid == c:
                     continue
+                cell = order[c:ce]
+                trail.append((c, ce, cell))
+                if mid - c == 1:
+                    multi.discard(c)
+                if ce - c == 2:
+                    # w, the one vertex touched, goes behind the other
+                    order[c], order[mid] = cell[cell[0] == w], w
+                    start[w] = mid
+                else:
+                    if ce - mid > 1:
+                        multi.add(mid)
+                    ws.sort()
+                    order[c:mid] = [v for v in cell if not count[v]]
+                    order[mid:ce] = ws
+                    for w in ws:
+                        start[w] = mid
+                end[c], end[mid] = mid, ce
+                work.append((c, mid))
+                continue
             cell = order[c:ce]
             groups: dict[int, list[int]] = {}
             for v in cell:
@@ -287,8 +311,8 @@ def _leaf_key(edges: tuple[tuple[int, int], ...], order: list[int]) -> list[int]
     for i, v in enumerate(order):
         position[v] = i
     key = [
-        a * n + b if a > b else b * n + a
-        for a, b in [(position[u], position[v]) for u, v in edges]
+        a * n + b if (a := position[u]) > (b := position[v]) else b * n + a
+        for u, v in edges
     ]
     key.sort()
     return key

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how their messages
+quote the values they name."""
+
+# how many characters of a value an error message quotes
+_QUOTE_CAP = 80
+
+
+def quote(value: object) -> str:
+    """``repr(value)`` for an error message, cut after 80 characters with
+    the cut marked, so that a message stays one short line whatever the
+    size of the input it names."""
+    text = repr(value)
+    if len(text) <= _QUOTE_CAP:
+        return text
+    return f"{text[:_QUOTE_CAP]}... ({len(text)} characters)"
 
 
 class SteinbergError(Exception):

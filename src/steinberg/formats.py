@@ -13,7 +13,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable
 
-from .errors import FormatError
+from .errors import FormatError, quote
 from .graphs import MAX_VERTICES, Graph, build_graph
 
 _G6_HEADER = b">>graph6<<"
@@ -26,19 +26,6 @@ _G6_SET_BITS = [
 ]
 # a run of all-zero body bytes: the next byte to visit is where it ends
 _G6_ZEROS = re.compile(rb"\?*").match
-
-# how many characters of a value an error message quotes
-_QUOTE_CAP = 80
-
-
-def quote(value: Any) -> str:
-    """``repr(value)`` for an error message, cut after 80 characters with
-    the cut marked, so that a message stays one short line whatever the
-    size of the input it names."""
-    text = repr(value)
-    if len(text) <= _QUOTE_CAP:
-        return text
-    return f"{text[:_QUOTE_CAP]}... ({len(text)} characters)"
 
 
 def _g6_encode_n(n: int) -> bytes:
@@ -112,8 +99,9 @@ def decode_graph6(data: bytes) -> Graph:
             offset=pos,
         )
     # bit v*(v-1)/2 + u of the body stands for edge (u, v): walk the set
-    # bits with the column v and the index `start` of its first bit
-    edges = []
+    # bits with the column v and the index `start` of its first bit, and
+    # file each v under its row u, so the edges come out sorted
+    rows: list[list[int]] = [[] for _ in range(n)]
     v, start = 1, 0
     i = _G6_ZEROS(data, pos, end).end()
     while i < end:
@@ -128,9 +116,9 @@ def decode_graph6(data: bytes) -> Graph:
             while idx >= start + v:
                 start += v
                 v += 1
-            edges.append((idx - start, v))
+            rows[idx - start].append(v)
         i = _G6_ZEROS(data, i + 1, end).end()
-    return build_graph(n, edges)
+    return build_graph(n, [(u, v) for u, row in enumerate(rows) for v in row])
 
 
 def encode_dimacs(g: Graph) -> bytes:
@@ -371,6 +359,8 @@ def parse_json_payload(data: bytes) -> Any:
     except ValueError:  # an integer past the interpreter's digit limit
         most = sys.get_int_max_str_digits()
         raise FormatError(f"bad JSON: an integer has more than {most} digits") from None
+    except RecursionError:
+        raise FormatError("bad JSON: arrays or objects nested too deeply") from None
 
 
 def decode_json(data: bytes) -> Graph:

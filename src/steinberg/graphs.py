@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .errors import GraphConstructionError
+from .errors import GraphConstructionError, quote
 
 Edge = tuple[int, int]
 MAX_VERTICES = 258047  # graph6's limit, so every graph fits every format
@@ -20,7 +20,7 @@ MAX_VERTICES = 258047  # graph6's limit, so every graph fits every format
 def normalize_edge(u: int, v: int) -> Edge:
     """Order an endpoint pair; loops are rejected."""
     if u == v:
-        raise GraphConstructionError(f"loop at vertex {u} is not allowed")
+        raise GraphConstructionError(f"loop at vertex {quote(u)} is not allowed")
     return (u, v) if u < v else (v, u)
 
 
@@ -93,16 +93,16 @@ def build_graph(
     """
     if not 0 <= n <= MAX_VERTICES:  # before any memory is spent per vertex
         raise GraphConstructionError(
-            f"vertex count must be in 0..{MAX_VERTICES}, got {n}"
+            f"vertex count must be in 0..{MAX_VERTICES}, got {quote(n)}"
         )
     seen: set[Edge] = set()
     normalized: list[Edge] = []
     for u, v in edges:
         if not (0 <= u < n) or not (0 <= v < n):
             raise GraphConstructionError(
-                f"edge ({u}, {v}) has an endpoint outside 0..{n - 1}"
+                f"edge ({quote(u)}, {quote(v)}) has an endpoint outside 0..{n - 1}"
             )
-        e = normalize_edge(u, v)
+        e = (u, v) if u < v else normalize_edge(u, v)
         if e in seen:
             raise GraphConstructionError(f"duplicate edge ({u}, {v})")
         seen.add(e)
@@ -111,15 +111,16 @@ def build_graph(
     if labels is not None:
         for v in labels:
             if not (0 <= v < n):
-                raise GraphConstructionError(f"label on unknown vertex {v}")
+                raise GraphConstructionError(f"label on unknown vertex {quote(v)}")
         label_tuple = tuple(sorted(labels.items()))
-    return Graph(n, tuple(sorted(normalized)), label_tuple)
+    normalized.sort()
+    return Graph(n, tuple(normalized), label_tuple)
 
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:
     e = normalize_edge(u, v)
     if e not in g.edge_set:
-        raise GraphConstructionError(f"edge ({u}, {v}) not present")
+        raise GraphConstructionError(f"edge ({quote(u)}, {quote(v)}) not present")
     return Graph(g.n, tuple(x for x in g.edges if x != e), g.labels)
 
 

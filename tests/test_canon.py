@@ -129,25 +129,83 @@ def test_refine_keeps_the_reference_cell_order(data):
     assert got == reference_refine(cells, g.neighbor_sets)
 
 
+def _ladder(rungs: int, ends: str) -> tuple[int, list[tuple[int, int]]]:
+    """Two rails 0..r-1 and r..2r-1 joined rung by rung: open, closed
+    into a prism, or closed with a half twist into a Moebius ladder."""
+    r = rungs
+    edges = [(i, i + 1) for i in range(r - 1)]
+    edges += [(r + i, r + i + 1) for i in range(r - 1)]
+    edges += [(i, r + i) for i in range(r)]
+    if ends == "prism":
+        edges += [(0, r - 1), (r, 2 * r - 1)]
+    elif ends == "moebius":
+        edges += [(0, 2 * r - 1), (r - 1, r)]
+    return 2 * r, edges
+
+
+@st.composite
+def two_vertex_cell_graphs(draw):
+    """Graphs of at most 20 vertices whose refinement leaves many cells
+    of two vertices, relabeled: disjoint edges; a ladder, a prism or a
+    Moebius ladder beside up to two disjoint edges; or two copies of an
+    even cycle with a drawn perfect matching, whose every vertex shares
+    its cell with its twin, beside up to two disjoint edges.  Each has a
+    nontrivial automorphism, so no refinement is discrete."""
+    kind = draw(st.sampled_from(["edges", "ladder", "matched cycles"]))
+    parts = []
+    if kind == "edges":
+        parts += [(2, [(0, 1)])] * draw(st.integers(min_value=1, max_value=5))
+    elif kind == "ladder":
+        ends = draw(st.sampled_from(["open", "prism", "moebius"]))
+        rungs = draw(st.integers(min_value=2 if ends == "open" else 3, max_value=10))
+        parts.append(_ladder(rungs, ends))
+    else:
+        length = 2 * draw(st.integers(min_value=2, max_value=5))
+        order = draw(st.permutations(list(range(length))))
+        edges = {tuple(sorted((i, (i + 1) % length))) for i in range(length)}
+        edges |= {tuple(sorted(order[i : i + 2])) for i in range(0, length, 2)}
+        parts += [(length, sorted(edges))] * 2
+    room = (20 - sum(m for m, _ in parts)) // 2
+    if kind != "edges":
+        parts += [(2, [(0, 1)])] * draw(st.integers(min_value=0, max_value=min(2, room)))
+    n, edges = 0, []
+    for m, part in parts:
+        edges += [(n + u, n + v) for u, v in part]
+        n += m
+    perm = draw(st.permutations(list(range(n))))
+    return build_graph(n, edges).relabeled(list(perm))
+
+
+@given(two_vertex_cell_graphs())
+@settings(max_examples=100, deadline=None)
+def test_two_vertex_cells_keep_the_full_tree_minimum(g):
+    assert canonical_form(g).data == reference_canonical_form(g)
+
+
 def cells_of(p) -> list[list[int]]:
     return [p.order[s:e] for s, e in p.ranges()]
 
 
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_child_refinement_from_the_vertex_alone_keeps_the_reference_cells(data):
-    # copies of one drawn graph, each joined to a hub the same way, so
-    # that the equitable partition keeps cells to individualize
-    k = data.draw(st.integers(min_value=6, max_value=13))
-    copies = data.draw(st.integers(min_value=2, max_value=3))
+@st.composite
+def hub_copies(draw):
+    """Copies of one drawn graph, each joined to a hub the same way, so
+    that the equitable partition keeps cells to individualize."""
+    k = draw(st.integers(min_value=6, max_value=13))
+    copies = draw(st.integers(min_value=2, max_value=3))
     pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
-    base = data.draw(st.sets(st.sampled_from(pairs), max_size=2 * k))
-    spokes = data.draw(st.sets(st.integers(min_value=0, max_value=k - 1)))
+    base = draw(st.sets(st.sampled_from(pairs), max_size=2 * k))
+    spokes = draw(st.sets(st.integers(min_value=0, max_value=k - 1)))
     n = copies * k + 1
     edges = [(c * k + u, c * k + v) for c in range(copies) for u, v in base]
     edges += [(c * k + u, n - 1) for c in range(copies) for u in spokes]
-    perm = data.draw(st.permutations(list(range(n))))
-    g = build_graph(n, edges).relabeled(list(perm))
+    perm = draw(st.permutations(list(range(n))))
+    return build_graph(n, edges).relabeled(list(perm))
+
+
+@given(st.one_of(hub_copies(), two_vertex_cell_graphs()))
+@settings(max_examples=120, deadline=None)
+def test_child_refinement_from_the_vertex_alone_keeps_the_reference_cells(g):
+    n = g.n
     p = canon._refine([list(range(n))], g.adj)
     t = canon._target(p)
     assert t is not None

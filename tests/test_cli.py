@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -19,6 +20,7 @@ from steinberg import (
     seed_data_path,
 )
 from steinberg import cli, stock
+from steinberg.analysis import CycleCensus, is_planar, triangle_edge_conflicts
 from steinberg.cli import main
 from steinberg.formats import FORMAT_NAMES, parse_json_payload
 from steinberg.graphs import MAX_VERTICES, remove_edge
@@ -279,7 +281,11 @@ _HUGE_SPEC = {
 }
 
 
-@pytest.mark.parametrize("command, name, data", [
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+
+# inputs that name a huge value or nest deeply, each of which must end in
+# one short error line and exit 2
+HOSTILE_INPUTS = [
     pytest.param("verify", "long-line.col", b"x" * 1_000_000 + b"\n", id="line"),
     pytest.param("verify", "long-m.col", b"p edge 3 " + b"9" * 500_000 + b"\n",
                  id="digits"),
@@ -287,18 +293,52 @@ _HUGE_SPEC = {
                  json.dumps({"n": list(range(100_000)), "edges": []}).encode(),
                  id="json"),
     pytest.param("search", "spec.json", json.dumps(_HUGE_SPEC).encode(), id="spec"),
-])
+    pytest.param("verify", "deep.json", _DEEP, id="deep-graph"),
+    pytest.param("search", "deep-spec.json", b'{"contract": ' + _DEEP + b"}",
+                 id="deep-spec"),
+    pytest.param("verify", "nines.col", b"p edge " + b"9" * 4_000 + b" 0\n",
+                 id="vertex-count"),
+    pytest.param("verify", "nines.json",
+                 b'{"n": 2, "edges": [[' + b"9" * 4_300 + b", 0]]}", id="endpoint"),
+]
+
+
+def _hostile_argv(tmp_path, command, name, data) -> list[str]:
+    path = tmp_path / name
+    path.write_bytes(data)
+    extra = ["--out-dir", str(tmp_path / "out")] if command == "search" else []
+    return [command, str(path), *extra]
+
+
+@pytest.mark.parametrize("command, name, data", HOSTILE_INPUTS)
 def test_an_error_line_quotes_a_huge_input_in_short(
     tmp_path, capsys, command, name, data
 ):
     # one short error line, not one as large as the input it names
-    path = tmp_path / name
-    path.write_bytes(data)
-    extra = ["--out-dir", str(tmp_path / "out")] if command == "search" else []
-    code, out, err = run_cli(capsys, command, str(path), *extra)
+    code, out, err = run_cli(capsys, *_hostile_argv(tmp_path, command, name, data))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert len(err.encode()) < 300, err[:400]
+    assert len(err.encode()) <= 200, err[:400]
+
+
+@pytest.mark.parametrize("command, name, data", HOSTILE_INPUTS)
+def test_a_hostile_input_ends_in_one_short_error_line_in_a_child(
+    tmp_path, command, name, data
+):
+    # the whole process, not only main(): no traceback, whatever the
+    # interpreter prints on its own, and exit 2
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "steinberg",
+         *_hostile_argv(tmp_path, command, name, data)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert (run.returncode, run.stdout) == (2, b""), run.stderr[-400:]
+    assert b"Traceback" not in run.stderr
+    assert run.stderr.startswith(b"error: ") and run.stderr.count(b"\n") == 1
+    assert len(run.stderr) <= 200, run.stderr[:400]
 
 
 def test_lemmas(capsys):
@@ -1143,3 +1183,91 @@ def test_verify_json_bytes_are_pinned_on_the_final_graph_family(
             capsys, tmp_path, remove_edge(final_graph, u, v)
         )
     assert got == VERIFY_JSON_SHA256
+
+
+# SHA-256 of what the planarity producer and the cycle census hand out:
+# each rotation system, each obstruction's edges, the 3-, 4- and 5-cycle
+# lists and `triangle_edge_conflicts`, as `repr` over a family of graphs;
+# recorded before the refinement, left-right planarity and census
+# kernels were rewritten for speed, so every list is pinned in its order
+PRODUCER_SHA256 = {
+    "final family": {
+        "planarity": "ecf1f60dc1b5da70cf0ffd700ef50f59189cb9735ddd31a9476da4f950b5a449",
+        "cycles": "58c13c3829df3116e7b5b43a2dbdd4b5751c80a32fc12871c95707691f1092ff",
+        "conflicts": "3cb845f78f7c3bdce4b7d749b6039ee6a28da83e8d0fb07449397e05ae10800c",
+    },
+    "random": {
+        "planarity": "a8863d653914019e15ffa776dc2c611b67d794fe54e0a20bab40b0219e6b7946",
+        "cycles": "584e2cdcdf5a258d2c845b520567b4f0dcdaf1295321c3081b3d38d0e760e045",
+        "conflicts": "9dbdac5946357ef16b1bd8d3e26f7a21549c572bef1a81beacddabfb3e80a268",
+    },
+}
+
+
+def _apollonian(rng, n: int) -> list[tuple[int, int]]:
+    """A random maximal planar graph: each new vertex goes into a face
+    of the triangulation so far and is joined to its three corners."""
+    edges = [(0, 1), (0, 2), (1, 2)]
+    faces = [(0, 1, 2), (0, 1, 2)]
+    for v in range(3, n):
+        a, b, c = faces.pop(rng.randrange(len(faces)))
+        edges += [(a, v), (b, v), (c, v)]
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    return edges
+
+
+def producer_pin_graphs():
+    """Seeded random planar graphs (triangulations with a share of their
+    edges deleted) and nonplanar ones (the same with random non-edges
+    added), each relabeled by a random permutation."""
+    out = []
+    for seed in range(12):
+        rng = random.Random(3900 + seed)
+        n = rng.randrange(12, 40)
+        edges = _apollonian(rng, n)
+        rng.shuffle(edges)
+        edges = edges[: len(edges) * rng.randrange(5, 11) // 10]
+        if seed % 2:
+            have = set(edges)
+            target = len(edges) + rng.randrange(1, 4)
+            while len(edges) < target:
+                u, v = sorted(rng.sample(range(n), 2))
+                if (u, v) not in have:
+                    have.add((u, v))
+                    edges.append((u, v))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        out.append(build_graph(n, [(perm[u], perm[v]) for u, v in edges]))
+    return out
+
+
+def _producer_sha256(graphs) -> dict[str, str]:
+    got: dict[str, list] = {"planarity": [], "cycles": [], "conflicts": []}
+    for g in graphs:
+        cert = is_planar(g)
+        got["planarity"].append((cert.planar, cert.rotation, cert.obstruction_edges))
+        census = CycleCensus(g, (3, 4, 5))
+        got["cycles"].append((census[3], census[4], census[5]))
+        got["conflicts"].append(triangle_edge_conflicts(g, census=census))
+    return {
+        key: hashlib.sha256(repr(value).encode()).hexdigest()
+        for key, value in got.items()
+    }
+
+
+def test_planarity_and_census_outputs_are_pinned_on_the_final_graph_family(
+    final_graph,
+):
+    family = [final_graph] + [
+        remove_edge(final_graph, *(final_graph.vertex_by_label(v) for v in key.split("-")))
+        for key in list(VERIFY_JSON_SHA256)[1:]
+    ]
+    assert _producer_sha256(family) == PRODUCER_SHA256["final family"]
+
+
+def test_planarity_and_census_outputs_are_pinned_on_random_graphs():
+    graphs = producer_pin_graphs()
+    # both verdicts occur, and a nonplanar one within Euler's bound
+    verdicts = [(is_planar(g).planar, g.m <= 3 * g.n - 6) for g in graphs]
+    assert (True, True) in verdicts and (False, True) in verdicts
+    assert _producer_sha256(graphs) == PRODUCER_SHA256["random"]

@@ -41,6 +41,33 @@ def test_out_of_range_endpoint_rejected():
         build_graph(0, [(0, 0)])
 
 
+def test_construction_errors_quote_huge_integers_in_short():
+    # short values keep their messages byte for byte; a huge one is cut
+    huge = int("9" * 4_000)
+    cases = [
+        (lambda: build_graph(3, [(0, 5)]), "edge (0, 5) has an endpoint outside 0..2"),
+        (lambda: build_graph(-1, []), "vertex count must be in 0..258047, got -1"),
+        (lambda: build_graph(2, [], {7: "x"}), "label on unknown vertex 7"),
+        (lambda: remove_edge(build_graph(3, []), 0, 1), "edge (0, 1) not present"),
+        (
+            lambda: build_graph(huge, []),
+            f"vertex count must be in 0..258047, got {'9' * 80}... (4000 characters)",
+        ),
+        (
+            lambda: build_graph(2, [(huge, 0)]),
+            f"edge ({'9' * 80}... (4000 characters), 0) has an endpoint outside 0..1",
+        ),
+        (
+            lambda: remove_edge(build_graph(3, []), 0, huge),
+            f"edge (0, {'9' * 80}... (4000 characters)) not present",
+        ),
+    ]
+    for build, message in cases:
+        with pytest.raises(GraphConstructionError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
 def test_duplicate_edge_rejected():
     with pytest.raises(GraphConstructionError, match="duplicate"):
         build_graph(3, [(0, 1), (1, 0)])
