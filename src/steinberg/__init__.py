@@ -50,14 +50,14 @@ from .coloring import (
 )
 from .report import CheckResult, VerificationReport
 from .gadgets import (
+    COUNTEREXAMPLE_RECIPE,
+    TRIPLE_RECIPE,
     InterfaceContract,
-    PastePart,
     PasteRecipe,
     TerminalGadget,
     build_counterexample,
     build_triple_gadget,
     compositional_check,
-    counterexample_recipe,
     counterexample_report,
     first_failing_clause,
     load_gadget,
@@ -66,7 +66,6 @@ from .gadgets import (
     seed_contract,
     terminals_cofacial,
     triple_contract,
-    triple_recipe,
     verify_contract,
 )
 from .search import (

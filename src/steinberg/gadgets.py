@@ -8,12 +8,15 @@ fresh vertices and extra edges are added on top, and every structural
 collision (two vertices of one part on one slot, duplicated edges) is an
 error rather than a silent merge.
 
-The two stock recipes here build, from a verified seed gadget, the
-three-copy composite gadget and then the final counterexample graph.
-The same recipes drive the solver-free proof: :func:`walk_recipe`
-derives a pasted graph's terminal behavior from its parts' behavior
-tables, and :func:`compositional_check` walks both recipes in turn, so
-the seed, triple, final argument cannot drift from the construction.
+A recipe is a shape alone: its slot space, each part's slots, fresh
+vertices and extra edges.  :func:`paste` fills it with one gadget per
+part, and :func:`walk_recipe` with one behavior table per part, deriving
+the pasted graph's terminal behavior without a solver.  The two stock
+recipes are constants: :data:`TRIPLE_RECIPE` pastes three copies of the
+seed, its terminals in (a, b, c) role order, into the composite gadget,
+and :data:`COUNTEREXAMPLE_RECIPE` four composites into the final graph.
+:func:`compositional_check` walks both with the seed's table, so the
+seed, triple, final argument cannot drift from the construction.
 """
 
 from __future__ import annotations
@@ -444,31 +447,46 @@ def counterexample_report(g: Graph, jobs: int = 1) -> VerificationReport:
 # paste calculus
 
 @dataclass(frozen=True)
-class PastePart:
-    """One part of a recipe: ``slots[i]`` receives terminal i."""
-
-    gadget: TerminalGadget
-    slots: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class PasteRecipe:
-    """A reproducible build script over a shared slot space.
+    """A reproducible assembly shape over a shared slot space.
 
     Slots 0..num_slots-1 are identification points; extra vertices get
     ids num_slots..num_slots+extra_vertices-1; extra edges live on those
-    ids.
+    ids.  ``parts[i]`` lists part i's slots: ``parts[i][j]`` receives the
+    part's terminal j.  The parts name no gadget, so one recipe is pasted
+    with gadgets by :func:`paste` and walked with behavior tables by
+    :func:`walk_recipe`.
     """
 
     num_slots: int
-    parts: tuple[PastePart, ...]
+    parts: tuple[tuple[int, ...], ...]
     extra_vertices: int = 0
     extra_edges: tuple[tuple[int, int], ...] = ()
     labels: tuple[tuple[int, str], ...] | None = None
 
+    def __post_init__(self) -> None:
+        s = self.num_slots
+        if s < 0 or self.extra_vertices < 0:
+            raise PasteError("slot and extra-vertex counts must be >= 0")
+        for pi, slots in enumerate(self.parts):
+            if len(set(slots)) != len(slots):
+                raise PasteError(f"part {pi} would identify two of its own vertices")
+            for slot in slots:
+                if not (0 <= slot < s):
+                    raise PasteError(f"part {pi} references unknown slot {slot}")
+        dangling = set(range(s)) - {slot for slots in self.parts for slot in slots}
+        if dangling:
+            raise PasteError(f"dangling slot {min(dangling)}: no part is pasted to it")
+        union = s + self.extra_vertices
+        for u, v in self.extra_edges:
+            if not (0 <= u < union) or not (0 <= v < union):
+                raise PasteError(f"extra edge ({u}, {v}) outside the union space")
+            if u == v:
+                raise PasteError(f"extra edge ({u}, {v}) is a loop")
 
-def paste(recipe: PasteRecipe) -> Graph:
-    """Execute a recipe into the pasted graph.
+
+def paste(recipe: PasteRecipe, gadgets: Sequence[TerminalGadget]) -> Graph:
+    """Execute a recipe into the pasted graph, ``gadgets[i]`` as part i.
 
     Vertex numbering is deterministic: the slots are 0..num_slots-1,
     the extra vertices take the next extra_vertices ids, and each part's
@@ -476,43 +494,18 @@ def paste(recipe: PasteRecipe) -> Graph:
     final pair is a collision error, whether they come from two parts,
     from one part and an extra edge, or from two extra edges.
     """
-    s = recipe.num_slots
-    f = recipe.extra_vertices
-    if s < 0 or f < 0:
-        raise PasteError("slot and extra-vertex counts must be >= 0")
-    used_slots: set[int] = set()
-    for pi, part in enumerate(recipe.parts):
-        terms = part.gadget.terminals
-        if len(part.slots) != len(terms):
-            raise PasteError(
-                f"part {pi} assigns {len(part.slots)} slots to"
-                f" {len(terms)} terminals"
-            )
-        if len(set(part.slots)) != len(part.slots):
-            raise PasteError(
-                f"part {pi} would identify two of its own vertices"
-            )
-        for slot in part.slots:
-            if not (0 <= slot < s):
-                raise PasteError(f"part {pi} references unknown slot {slot}")
-            used_slots.add(slot)
-    for slot in range(s):
-        if slot not in used_slots:
-            raise PasteError(f"dangling slot {slot}: no part is pasted to it")
-    union = s + f
-    for u, v in recipe.extra_edges:
-        if not (0 <= u < union) or not (0 <= v < union):
-            raise PasteError(f"extra edge ({u}, {v}) outside the union space")
-        if u == v:
-            raise PasteError(f"extra edge ({u}, {v}) is a loop")
-
-    next_vertex = s + f
+    if len(gadgets) != len(recipe.parts):
+        raise PasteError(f"{len(gadgets)} gadgets for {len(recipe.parts)} parts")
+    next_vertex = recipe.num_slots + recipe.extra_vertices
     part_maps: list[dict[int, int]] = []
-    for part in recipe.parts:
-        gmap: dict[int, int] = {}
-        for pos, term in enumerate(part.gadget.terminals):
-            gmap[term] = part.slots[pos]
-        for v in range(part.gadget.graph.n):
+    for pi, (slots, gadget) in enumerate(zip(recipe.parts, gadgets)):
+        if len(slots) != len(gadget.terminals):
+            raise PasteError(
+                f"part {pi} assigns {len(slots)} slots to"
+                f" {len(gadget.terminals)} terminals"
+            )
+        gmap = dict(zip(gadget.terminals, slots))
+        for v in range(gadget.graph.n):
             if v not in gmap:
                 gmap[v] = next_vertex
                 next_vertex += 1
@@ -528,8 +521,8 @@ def paste(recipe: PasteRecipe) -> Graph:
             )
         edges[e] = origin
 
-    for pi, (part, gmap) in enumerate(zip(recipe.parts, part_maps)):
-        for u, v in part.gadget.graph.edges:
+    for pi, (gadget, gmap) in enumerate(zip(gadgets, part_maps)):
+        for u, v in gadget.graph.edges:
             put(gmap[u], gmap[v], f"part {pi}")
     for u, v in recipe.extra_edges:
         put(u, v, "extra edge")
@@ -541,8 +534,9 @@ def paste(recipe: PasteRecipe) -> Graph:
 # ---------------------------------------------------------------------------
 # the two stock compositions
 
-def _seed_roles(seed: TerminalGadget) -> tuple[int, int, int]:
-    """Order the seed terminals as (a, b, c): the pair at distance 4 is
+def seed_in_roles(seed: TerminalGadget) -> TerminalGadget:
+    """The seed as the triple needs it: terminals in (a, b, c) role
+    order under :func:`seed_contract`.  The pair at distance 4 is
     (b, c), b the smaller vertex id, and the remaining terminal is a.
     Ordering b and c by id, not by position, keeps the pasted triple the
     same whatever order the seed lists its terminals in."""
@@ -567,62 +561,42 @@ def _seed_roles(seed: TerminalGadget) -> tuple[int, int, int]:
     b_pos, c_pos = far[0]
     a_pos = ({0, 1, 2} - {b_pos, c_pos}).pop()
     b, c = sorted((t[b_pos], t[c_pos]))
-    return t[a_pos], b, c
+    return TerminalGadget(seed.graph, (t[a_pos], b, c), seed_contract())
 
 
-def triple_recipe(seed: TerminalGadget) -> PasteRecipe:
-    """Three seed copies around a shared triangle.
-
-    Slots: 0, 1, 2 are the new terminals; 3, 4, 5 ("d", "e", "f") take
-    the three a-role terminals and carry the extra triangle.  Copy X
-    spans slots (0, 1), copy Y (1, 2), copy Z (2, 0) with its distance-4
-    pair, so every new terminal pair is bridged by exactly one copy.
-    Each part is the seed itself, its slots listed in the seed's own
-    terminal order, so a behavior table of the seed reads each part.
-    """
-    a, b, c = _seed_roles(seed)
-    pos = {v: i for i, v in enumerate(seed.terminals)}
-
-    def part(a_slot: int, b_slot: int, c_slot: int) -> PastePart:
-        slots = [0, 0, 0]
-        slots[pos[a]] = a_slot
-        slots[pos[b]] = b_slot
-        slots[pos[c]] = c_slot
-        return PastePart(seed, tuple(slots))
-
-    return PasteRecipe(
-        num_slots=6,
-        parts=(part(3, 0, 1), part(4, 1, 2), part(5, 2, 0)),
-        extra_vertices=0,
-        extra_edges=((3, 4), (4, 5), (3, 5)),
-        labels=((0, "a"), (1, "b"), (2, "c"), (3, "d"), (4, "e"), (5, "f")),
-    )
+# Three seed copies around a shared triangle.  Slots 0, 1, 2 are the new
+# terminals; 3, 4, 5 ("d", "e", "f") take the three a-role terminals and
+# carry the extra triangle.  Each part lists its slots in (a, b, c) role
+# order: copy X spans slots (0, 1), copy Y (1, 2), copy Z (2, 0) with its
+# distance-4 pair (b, c), so every new terminal pair is bridged by exactly
+# one copy.  Each part is ``seed_in_roles(seed)``.
+TRIPLE_RECIPE = PasteRecipe(
+    num_slots=6,
+    parts=((3, 0, 1), (4, 1, 2), (5, 2, 0)),
+    extra_vertices=0,
+    extra_edges=((3, 4), (4, 5), (3, 5)),
+    labels=((0, "a"), (1, "b"), (2, "c"), (3, "d"), (4, "e"), (5, "f")),
+)
 
 
-def seed_in_roles(seed: TerminalGadget) -> TerminalGadget:
-    """The seed as the triple needs it: terminals in (a, b, c) role
-    order under :func:`seed_contract`."""
-    return TerminalGadget(seed.graph, _seed_roles(seed), seed_contract())
-
-
-def paste_triple(seed: TerminalGadget) -> TerminalGadget:
-    """Paste three seed copies by :func:`triple_recipe` into the
-    composite gadget, without checking the seed's contract; callers
-    check ``seed_in_roles(seed)`` first."""
-    graph = paste(triple_recipe(seed))
+def _paste_triple(roles: TerminalGadget) -> TerminalGadget:
+    """Paste three copies of ``roles``, the seed in role order, by
+    :data:`TRIPLE_RECIPE`, without checking the seed's contract."""
+    graph = paste(TRIPLE_RECIPE, [roles] * 3)
     return TerminalGadget(graph, (0, 1, 2), triple_contract())
 
 
 def build_triple_gadget(seed: TerminalGadget, jobs: int = 1) -> TerminalGadget:
     """Paste three verified seed copies into the composite gadget.
 
-    The seed is re-verified against its full contract first; any failing
-    clause rejects the build.  ``jobs`` is ignored: the solver runs in one
-    process, and the keyword stays only so existing callers that pass it
-    keep working.
+    The seed is oriented once by :func:`seed_in_roles` and re-verified
+    against its full contract; any failing clause rejects the build.
+    ``jobs`` is ignored: the solver runs in one process, and the keyword
+    stays only so existing callers that pass it keep working.
     """
-    require_contract(seed_in_roles(seed))
-    return paste_triple(seed)
+    roles = seed_in_roles(seed)
+    require_contract(roles)
+    return _paste_triple(roles)
 
 
 # final assembly slot ids
@@ -658,26 +632,22 @@ _FINAL_EXTRA_EDGES = (
 )
 
 
-def counterexample_recipe(triple: TerminalGadget) -> PasteRecipe:
-    """Four composite copies sharing a hub vertex.
-
-    Copies P and Q meet in slots (a, c), copies R and S in (a, c');
-    their third terminals become d, f, d', f'.  Fresh vertices b, e, e'
-    close the three extra triangles b-c-c', d-e-f, d'-e'-f', and a is
-    joined to b, e, e'.
-    """
-    return PasteRecipe(
-        num_slots=7,
-        parts=(
-            PastePart(triple, (_A, _C, _D)),
-            PastePart(triple, (_A, _C, _F)),
-            PastePart(triple, (_A, _CP, _DP)),
-            PastePart(triple, (_A, _CP, _FP)),
-        ),
-        extra_vertices=3,
-        extra_edges=_FINAL_EXTRA_EDGES,
-        labels=_FINAL_LABELS,
-    )
+# Four composite copies sharing a hub vertex.  Copies P and Q meet in
+# slots (a, c), copies R and S in (a, c'); their third terminals become
+# d, f, d', f'.  Fresh vertices b, e, e' close the three extra triangles
+# b-c-c', d-e-f, d'-e'-f', and a is joined to b, e, e'.
+COUNTEREXAMPLE_RECIPE = PasteRecipe(
+    num_slots=7,
+    parts=(
+        (_A, _C, _D),
+        (_A, _C, _F),
+        (_A, _CP, _DP),
+        (_A, _CP, _FP),
+    ),
+    extra_vertices=3,
+    extra_edges=_FINAL_EXTRA_EDGES,
+    labels=_FINAL_LABELS,
+)
 
 
 def build_counterexample(triple: TerminalGadget, jobs: int = 1) -> Graph:
@@ -689,7 +659,7 @@ def build_counterexample(triple: TerminalGadget, jobs: int = 1) -> Graph:
     require_contract(
         TerminalGadget(triple.graph, triple.terminals, triple_contract())
     )
-    return paste(counterexample_recipe(triple))
+    return paste(COUNTEREXAMPLE_RECIPE, [triple] * 4)
 
 
 # ---------------------------------------------------------------------------
@@ -700,9 +670,9 @@ def walk_recipe(
     tables: Sequence[dict[str, bool]],
     terminals: tuple[int, ...],
 ) -> dict[str, Any]:
-    """Decide the terminal behavior of ``paste(recipe)`` on the slot or
-    fresh vertices ``terminals`` from one behavior table per part,
-    without a solver.
+    """Decide the terminal behavior of ``paste(recipe, gadgets)`` on the
+    slot or fresh vertices ``terminals`` from one behavior table per part,
+    without a solver or the gadgets.
 
     Returns the walk as its report JSON: ``table`` is the derived
     behavior table; ``witnesses`` maps each feasible pattern to the first
@@ -712,29 +682,36 @@ def walk_recipe(
     and a surviving one reads ``{"survivor": pattern}``; ``closed_by``
     counts the closing reasons.
 
-    ``tables[i]`` reads part i in the terminal order of its gadget.  Each
-    slot or fresh vertex, in walk order, takes a color already used or the
-    next unused one.  Every coloring is a color permutation of exactly one
-    such first-use coloring, and properness, :func:`pattern_of` and every
-    closing reason are invariant under permutation, so no pattern is lost;
-    the walk runs in lexicographic order and a pattern's first coloring in
-    that order is first-use, so it is the pattern's witness.  A branch
-    closes on a monochromatic extra edge or on a part whose terminals take
-    a pattern its table marks infeasible.  Part interiors are disjoint and
-    extra edges touch only slot and fresh vertices, so every surviving
-    coloring extends to the whole pasted graph: the derived table is
-    exact.  With no terminals the single pattern is "", feasible exactly
-    when the pasted graph is 3-colorable.
+    ``tables[i]`` reads part i in the order of its slots, keyed by
+    exactly the patterns of that many terminals (``""`` for none), and
+    ``terminals`` are distinct slot or fresh vertices; anything else is a
+    :class:`ValueError`.  Each slot or fresh vertex, in walk order, takes
+    a color already used or the next unused one.  Every coloring is a
+    color permutation of exactly one such first-use coloring, and
+    properness, :func:`pattern_of` and every closing reason are invariant
+    under permutation, so no pattern is lost; the walk runs in
+    lexicographic order and a pattern's first coloring in that order is
+    first-use, so it is the pattern's witness.  A branch closes on a
+    monochromatic extra edge or on a part whose terminals take a pattern
+    its table marks infeasible.  Part interiors are disjoint and extra
+    edges touch only slot and fresh vertices, so every surviving coloring
+    extends to the whole pasted graph: the derived table is exact.  With
+    no terminals the single pattern is "", feasible exactly when the
+    pasted graph is 3-colorable.
     """
     if len(tables) != len(recipe.parts):
         raise ValueError(
             f"{len(tables)} behavior tables for {len(recipe.parts)} parts"
         )
     n = recipe.num_slots + recipe.extra_vertices
+    if len(set(terminals) & set(range(n))) != len(terminals):
+        raise ValueError(
+            f"terminals {terminals} are not distinct vertices of 0..{n - 1}"
+        )
     # color next the vertex that decides the most extra edges and parts,
     # smallest id first on ties: branches close early, the tree stays small
     scopes = [set(e) for e in recipe.extra_edges]
-    scopes += [set(part.slots) for part in recipe.parts]
+    scopes += [set(slots) for slots in recipe.parts]
     order: list[int] = []
     while len(order) < n:
         placed = set(order)
@@ -753,14 +730,15 @@ def walk_recipe(
     for u, v in recipe.extra_edges:
         edges_at[max(step[u], step[v])].append((u, v))
     parts_at: list[list[tuple]] = [[] for _ in range(n)]  # (i, slots, table)
-    for i, (part, table) in enumerate(zip(recipe.parts, tables)):
-        for p in table:
-            if len(p) != len(part.slots):
-                raise ValueError(
-                    f"part {i} has {len(part.slots)} terminals but its"
-                    f" behavior table lists pattern {p!r}"
-                )
-        parts_at[max(step[s] for s in part.slots)].append((i, part.slots, table))
+    for i, (slots, table) in enumerate(zip(recipe.parts, tables)):
+        want = set(all_patterns(len(slots))) if slots else {""}
+        if set(table) != want:
+            p = min(set(table) ^ want)
+            raise ValueError(
+                f"part {i} has {len(slots)} terminals but its behavior table"
+                f" {'lists' if p in table else 'lacks'} pattern {p!r}"
+            )
+        parts_at[max((step[s] for s in slots), default=0)].append((i, slots, table))
     labels = dict(recipe.labels or ())
     name = [labels.get(v, str(v)) for v in range(n)]
     color = [0] * n
@@ -805,27 +783,25 @@ def walk_recipe(
     }
 
 
-def compositional_check(
-    seed: TerminalGadget, seed_behavior: dict[str, bool]
-) -> dict[str, Any]:
+def compositional_check(seed_behavior: dict[str, bool]) -> dict[str, Any]:
     """Prove the final graph non-3-colorable from the seed behavior
-    table alone, without running the solver.
+    table alone, without the solver, the seed or any pasted graph.
 
-    Stage one walks :func:`triple_recipe` with the seed table on every
-    part and derives the composite gadget's whole behavior table on its
-    terminals (0, 1, 2).  Stage two walks :func:`counterexample_recipe`
-    with that table on every part and no terminals; the final graph has
-    no 3-coloring exactly when no branch survives.  ``seed_behavior``
-    must list the patterns in ``seed.terminals`` order.
+    ``seed_behavior`` reads the seed's terminals in (a, b, c) role order,
+    the order of ``seed_in_roles(seed).terminals``.  Stage one walks
+    :data:`TRIPLE_RECIPE` with the seed table on every part and derives
+    the composite gadget's whole behavior table on its terminals
+    (0, 1, 2).  Stage two walks :data:`COUNTEREXAMPLE_RECIPE` with that
+    table on every part and no terminals; the final graph has no
+    3-coloring exactly when no branch survives.
 
     Returns the report JSON of both walks (see :func:`walk_recipe`);
     ``counterexample`` is the final walk's surviving coloring, ``None``
     exactly when ``ok``.
     """
-    triple_stage = walk_recipe(triple_recipe(seed), [seed_behavior] * 3, (0, 1, 2))
-    composite = paste_triple(seed)
+    triple_stage = walk_recipe(TRIPLE_RECIPE, [seed_behavior] * 3, (0, 1, 2))
     final_stage = walk_recipe(
-        counterexample_recipe(composite), [triple_stage["table"]] * 4, ()
+        COUNTEREXAMPLE_RECIPE, [triple_stage["table"]] * 4, ()
     )
     counterexample = final_stage["witnesses"].get("")
     return {
@@ -841,24 +817,26 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
     infeasibility by an exhaustive sweep and by brute force, the triple's
     contract, and the solver-free case tree over both recipes.
 
-    The seed's contract is checked once, the check
-    :func:`build_triple_gadget` makes, so the triple is pasted without
-    repeating it; a failing clause raises :class:`ContractError` before
-    any other check runs.  The seed is checked with its terminals in
-    role order under :func:`seed_contract`, so the check names are those
-    of its own contract.  The triple's clauses run without a report of
-    their own, so the triple is never digested.  The case tree's seed
-    table takes its all-equal row from the seed contract's refutation:
-    that pattern is the same in every terminal order.
+    The seed is oriented once by :func:`seed_in_roles`, and every check
+    below reads it in that (a, b, c) role order, so one seed gives one
+    report whatever order its file lists the terminals in, and the check
+    names are those of :func:`seed_contract`.  The seed's contract is
+    checked once, the check :func:`build_triple_gadget` makes, so the
+    triple is pasted without repeating it; a failing clause raises
+    :class:`ContractError` before any other check runs.  The triple's
+    clauses run without a report of their own, so the triple is never
+    digested.  The case tree's seed table takes its all-equal row from
+    the seed contract's refutation.
     """
-    seed_report = require_contract(seed_in_roles(seed))
+    roles = seed_in_roles(seed)
+    seed_report = require_contract(roles)
     checks = [replace(c, name=f"seed:{c.name}") for c in seed_report.checks]
-    pattern = all_equal_pattern(len(seed.terminals))
-    all_equal = pattern_fixing(seed.terminals, pattern)
+    pattern = all_equal_pattern(len(roles.terminals))
+    all_equal = pattern_fixing(roles.terminals, pattern)
 
     def seed_exhaustive():
-        count = exhaustive_color_count(seed.graph, all_equal)
-        swept = 3 ** (seed.graph.n - len(seed.terminals))
+        count = exhaustive_color_count(roles.graph, all_equal)
+        swept = 3 ** (roles.graph.n - len(roles.terminals))
         return count == 0, (
             None if count == 0 else {"extensions_found": count}
         ), {"assignments_swept": swept, "extensions_found": count}
@@ -866,19 +844,19 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
     checks.append(timed_check("seed:all-equal-exhaustive-sweep", seed_exhaustive))
 
     def seed_oracle():
-        witness = brute_force_3coloring(seed.graph, all_equal)
+        witness = brute_force_3coloring(roles.graph, all_equal)
         if witness is None:
             return True, None, {"oracle": "brute-force"}
         return False, _coloring_witness(witness), {}
 
     checks.append(timed_check("seed:all-equal-brute-force", seed_oracle))
 
-    for name, body in _contract_clauses(paste_triple(seed)):
+    for name, body in _contract_clauses(_paste_triple(roles)):
         checks.append(timed_check(f"triple:{name}", body))
 
     def composition():
-        seed_table = terminal_behavior(seed, frozenset({pattern}))
-        result = compositional_check(seed, seed_table)
+        seed_table = terminal_behavior(roles, frozenset({pattern}))
+        result = compositional_check(seed_table)
         return result["ok"], result["counterexample"], result
 
     checks.append(timed_check("composition:case-tree", composition))

@@ -35,6 +35,7 @@ from steinberg import (
     validate_planarity_certificate,
 )
 from steinberg.formats import FORMATS
+from steinberg.gadgets import seed_in_roles
 from steinberg.graphs import remove_edge
 
 from support import (
@@ -113,7 +114,7 @@ def test_criterion_2_triple_lemma_suite(seed_gadget, triple_gadget):
         assert rup_refutes(g2, fixing, stats.proof)
         # solver-free backing: the triple's table, derived from the seed's
         composed = compositional_check(
-            seed_gadget, terminal_behavior(seed_gadget, frozenset())
+            terminal_behavior(seed_in_roles(seed_gadget), frozenset())
         )
         assert composed["triple_stage"]["table"]["000"] is False
     report(2, "composite lemma suite", t, limit=30)
@@ -133,7 +134,7 @@ def test_criterion_3_theorem_suite(seed_gadget, final_graph):
         assert rup_refutes(g, {0: 0}, stats.proof)
 
         composed = compositional_check(
-            seed_gadget, terminal_behavior(seed_gadget, frozenset())
+            terminal_behavior(seed_in_roles(seed_gadget), frozenset())
         )
         assert composed["ok"] and composed["counterexample"] is None
     report(3, "non-colorability theorem suite", t, limit=60)

@@ -123,6 +123,29 @@ def test_build_json_is_a_gadget_but_for_the_final_graph(tmp_path, capsys, stage,
     assert ("terminals" in payload) == (stage != "final")
 
 
+# SHA-256 of the file `build --stage STAGE --out` writes, recorded before
+# the paste recipes became plain slot layouts: each stage's vertex order,
+# labels and edges, and the seed and triple gadgets' terminals and
+# contracts, byte for byte
+BUILD_SHA256 = {
+    ("seed", "json"): "6aac8e42a8ddf78fb6c4cd0809c515dd102b57f30bf756babb06ecc2d9a03167",
+    ("seed", "g6"): "38be2ecd522dcd9829be077a359fa6fe97f8843cfd3c069de361b8c3df4779e5",
+    ("triple", "json"): "899f084943f75b784a6336cfa471f66457162777643b5de655faddd4b7aad4f7",
+    ("triple", "g6"): "de7f479388540556ffdef9df695830307e88b3a688edd25dd039eb2c929e2e80",
+    ("final", "json"): "f3a0d9ee035043a7a5e5c64d851f1862321cf0628bb40473468502278ebf3221",
+    ("final", "g6"): "04d847a80605b96c4fc25db6d3fe9fb7673fe2a2ce8bd61c218e77f5fbc5a840",
+}
+
+
+def test_build_output_bytes_are_pinned(tmp_path, capsys):
+    got = {}
+    for stage, ext in BUILD_SHA256:
+        path = tmp_path / f"{stage}.{ext}"
+        assert run_cli(capsys, "build", "--stage", stage, "--out", str(path))[0] == 0
+        got[stage, ext] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == BUILD_SHA256
+
+
 def test_verify_counterexample_fails_on_k4(capsys, k4_file):
     code, out, _ = run_cli(capsys, "verify", str(k4_file))
     assert code == 1

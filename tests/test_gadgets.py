@@ -7,11 +7,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steinberg import (
+    COUNTEREXAMPLE_RECIPE,
+    TRIPLE_RECIPE,
     ContractError,
     FormatError,
     InterfaceContract,
     PasteError,
-    PastePart,
     PasteRecipe,
     TerminalGadget,
     build_counterexample,
@@ -19,8 +20,8 @@ from steinberg import (
     build_triple_gadget,
     canonical_digest,
     compositional_check,
-    counterexample_recipe,
     counterexample_report,
+    distance,
     first_failing_clause,
     forbidden_cycle_check,
     load_gadget,
@@ -30,7 +31,6 @@ from steinberg import (
     terminal_behavior,
     terminals_cofacial,
     triple_contract,
-    triple_recipe,
     verify_contract,
 )
 from steinberg.coloring import (
@@ -42,6 +42,8 @@ from steinberg.coloring import (
 from steinberg.gadgets import (
     gadget_from_json_dict,
     gadget_to_json_dict,
+    lemmas_report,
+    seed_in_roles,
     walk_recipe,
 )
 
@@ -378,14 +380,8 @@ def test_short_cycle_witnesses_are_pinned(name):
 # paste
 
 def test_paste_two_edges_share_a_slot():
-    recipe = PasteRecipe(
-        num_slots=3,
-        parts=(
-            PastePart(edge_gadget(), (0, 1)),
-            PastePart(edge_gadget(), (1, 2)),
-        ),
-    )
-    g = paste(recipe)
+    recipe = PasteRecipe(num_slots=3, parts=((0, 1), (1, 2)))
+    g = paste(recipe, [edge_gadget()] * 2)
     assert g.n == 3
     assert g.edges == ((0, 1), (1, 2))
 
@@ -394,12 +390,12 @@ def test_paste_numbering_is_slots_fresh_then_interiors():
     tri_gadget = TerminalGadget(TRIANGLE, (0,), InterfaceContract())
     recipe = PasteRecipe(
         num_slots=1,
-        parts=(PastePart(tri_gadget, (0,)),),
+        parts=((0,),),
         extra_vertices=2,
         extra_edges=((0, 1), (1, 2)),
         labels=((0, "hub"),),
     )
-    g = paste(recipe)
+    g = paste(recipe, [tri_gadget])
     assert g.n == 1 + 2 + 2
     # the fresh vertices 1, 2 carry the extra edges; the triangle's
     # terminal lands on slot 0 and its interior on 3, 4
@@ -411,116 +407,98 @@ def test_paste_maps_preserve_part_edges(seed_gadget):
     # rebuild each part's vertex map by the numbering paste promises:
     # terminals on their slots, interiors after the slots and fresh
     # vertices in part order
-    recipe = triple_recipe(seed_gadget)
+    recipe = TRIPLE_RECIPE
+    roles = seed_in_roles(seed_gadget)
     next_vertex = recipe.num_slots + recipe.extra_vertices
     want = set(recipe.extra_edges)
-    for part in recipe.parts:
-        gmap = dict(zip(part.gadget.terminals, part.slots))
-        for v in range(part.gadget.graph.n):
+    for slots in recipe.parts:
+        gmap = dict(zip(roles.terminals, slots))
+        for v in range(roles.graph.n):
             if v not in gmap:
                 gmap[v] = next_vertex
                 next_vertex += 1
-        want |= {tuple(sorted((gmap[u], gmap[v]))) for u, v in part.gadget.graph.edges}
-    g = paste(recipe)
+        want |= {tuple(sorted((gmap[u], gmap[v]))) for u, v in roles.graph.edges}
+    g = paste(recipe, [roles] * 3)
     assert g.n == next_vertex
     assert set(g.edges) == want
     assert g.m == 3 * seed_gadget.graph.m + 3
 
 
+# a recipe's shape is checked when it is made, so paste and walk_recipe
+# both refuse a malformed one before either reads it
+
 def test_paste_rejects_duplicate_slot_within_part():
     with pytest.raises(PasteError, match="identify two"):
-        paste(
-            PasteRecipe(
-                num_slots=2,
-                parts=(PastePart(edge_gadget(), (0, 0)),),
-            )
-        )
+        PasteRecipe(num_slots=2, parts=((0, 0),))
 
 
 def test_paste_rejects_slot_arity_mismatch():
     with pytest.raises(PasteError, match="assigns"):
-        paste(
-            PasteRecipe(num_slots=2, parts=(PastePart(edge_gadget(), (0,)),))
-        )
+        paste(PasteRecipe(num_slots=1, parts=((0,),)), [edge_gadget()])
+    with pytest.raises(PasteError, match="1 gadgets for 2 parts"):
+        paste(PasteRecipe(num_slots=3, parts=((0, 1), (1, 2))), [edge_gadget()])
 
 
 def test_paste_rejects_unknown_and_dangling_slots():
     with pytest.raises(PasteError, match="unknown slot"):
-        paste(
-            PasteRecipe(num_slots=1, parts=(PastePart(edge_gadget(), (0, 3)),))
-        )
-    with pytest.raises(PasteError, match="dangling slot"):
-        paste(
-            PasteRecipe(num_slots=3, parts=(PastePart(edge_gadget(), (0, 1)),))
-        )
+        PasteRecipe(num_slots=1, parts=((0, 3),))
+    with pytest.raises(PasteError, match="dangling slot 2"):
+        PasteRecipe(num_slots=3, parts=((0, 1),))
 
 
 def test_paste_rejects_edge_collisions():
     # two parts landing the same edge
     with pytest.raises(PasteError, match="collision"):
-        paste(
-            PasteRecipe(
-                num_slots=2,
-                parts=(
-                    PastePart(edge_gadget(), (0, 1)),
-                    PastePart(edge_gadget(), (1, 0)),
-                ),
-            )
-        )
+        paste(PasteRecipe(num_slots=2, parts=((0, 1), (1, 0))), [edge_gadget()] * 2)
     # an extra edge colliding with a part edge
     with pytest.raises(PasteError, match="collision"):
         paste(
-            PasteRecipe(
-                num_slots=2,
-                parts=(PastePart(edge_gadget(), (0, 1)),),
-                extra_edges=((0, 1),),
-            )
+            PasteRecipe(num_slots=2, parts=((0, 1),), extra_edges=((0, 1),)),
+            [edge_gadget()],
         )
 
 
 def test_paste_rejects_bad_extra_edges():
-    recipe = PasteRecipe(
-        num_slots=2,
-        parts=(PastePart(edge_gadget(), (0, 1)),),
-        extra_edges=((0, 5),),
-    )
     with pytest.raises(PasteError, match="outside the union"):
-        paste(recipe)
+        PasteRecipe(num_slots=2, parts=((0, 1),), extra_edges=((0, 5),))
     with pytest.raises(PasteError, match="loop"):
-        paste(
-            PasteRecipe(
-                num_slots=2,
-                parts=(PastePart(edge_gadget(), (0, 1)),),
-                extra_edges=((0, 0),),
-            )
-        )
+        PasteRecipe(num_slots=2, parts=((0, 1),), extra_edges=((0, 0),))
 
 
 # ---------------------------------------------------------------------------
 # the two stock compositions
 
 def test_triple_recipe_orients_the_seed(seed_gadget):
-    recipe = triple_recipe(seed_gadget)
+    recipe = TRIPLE_RECIPE
     assert recipe.num_slots == 6
     assert len(recipe.parts) == 3
     assert recipe.extra_edges == ((3, 4), (4, 5), (3, 5))
     # each part bridges one terminal pair with its distance-4 pair (b, c)
     seen_pairs = set()
-    for part in recipe.parts:
-        b_slot = part.slots[1]
-        c_slot = part.slots[2]
+    for slots in recipe.parts:
+        b_slot = slots[1]
+        c_slot = slots[2]
         seen_pairs.add(frozenset({b_slot, c_slot}))
-        assert part.slots[0] in (3, 4, 5)
+        assert slots[0] in (3, 4, 5)
     assert seen_pairs == {frozenset({0, 1}), frozenset({1, 2}), frozenset({0, 2})}
+    # each part is the seed in (a, b, c) role order, so (b, c) is its
+    # distance-4 pair
+    roles = seed_in_roles(seed_gadget)
+    a, b, c = roles.terminals
+    g = roles.graph
+    assert (distance(g, a, b), distance(g, a, c), distance(g, b, c)) == (3, 3, 4)
 
 
-def test_triple_paste_ignores_the_seeds_terminal_order(seed_gadget):
+def test_seed_in_roles_ignores_the_seeds_terminal_order(seed_gadget, triple_gadget):
     # b and c are told apart by vertex id, so all six orders of the
-    # seed's terminals paste the very same triple, not a mirror image
-    want = paste(triple_recipe(seed_gadget))
+    # seed's terminals give one oriented seed and paste the very same
+    # triple, not a mirror image; the packaged seed is in role order
+    roles = seed_in_roles(seed_gadget)
+    assert roles.terminals == seed_gadget.terminals
     for order in itertools.permutations(seed_gadget.terminals):
         turned = TerminalGadget(seed_gadget.graph, order, InterfaceContract())
-        assert paste(triple_recipe(turned)) == want
+        assert seed_in_roles(turned) == roles
+        assert build_triple_gadget(turned) == triple_gadget
 
 
 def test_build_triple_gadget_arithmetic(seed_gadget, triple_gadget):
@@ -559,7 +537,7 @@ def test_counterexample_names_and_extra_triangles(final_graph):
 
 
 def test_counterexample_renumbering_preserves_the_graph(triple_gadget, final_graph):
-    raw = paste(counterexample_recipe(triple_gadget))
+    raw = paste(COUNTEREXAMPLE_RECIPE, [triple_gadget] * 4)
     assert canonical_digest(raw) == canonical_digest(final_graph)
 
 
@@ -580,7 +558,7 @@ def test_build_counterexample_rejects_a_broken_triple(triple_gadget):
 
 def test_compositional_check_closes_every_branch(seed_gadget):
     behavior = terminal_behavior(seed_gadget, frozenset())
-    result = compositional_check(seed_gadget, behavior)
+    result = compositional_check(behavior)
     assert result["ok"]
     assert result["counterexample"] is None
     assert list(result["triple_stage"]["table"].items()) == [
@@ -620,7 +598,7 @@ def test_compositional_check_closes_every_branch(seed_gadget):
 
 def test_composed_triple_table_matches_the_solver(seed_gadget, triple_gadget):
     seed_table = terminal_behavior(seed_gadget, frozenset())
-    result = compositional_check(seed_gadget, seed_table)
+    result = compositional_check(seed_table)
     triple_table = terminal_behavior(triple_gadget, frozenset())
     assert result["triple_stage"]["table"] == triple_table
 
@@ -628,43 +606,62 @@ def test_composed_triple_table_matches_the_solver(seed_gadget, triple_gadget):
 def test_compositional_check_catches_a_lying_behavior_table(seed_gadget):
     # if the all-equal pattern were feasible the argument must not close
     lying = dict.fromkeys(all_patterns(3), True)
-    result = compositional_check(seed_gadget, lying)
+    result = compositional_check(lying)
     assert not result["ok"]
     assert result["counterexample"] is not None
 
 
-def test_compositional_check_rejects_wrong_arity(seed_gadget):
+def test_compositional_check_rejects_wrong_arity():
     two = {"00": False, "01": True}
     with pytest.raises(ValueError, match="lists pattern '00'"):
-        compositional_check(seed_gadget, two)
+        compositional_check(two)
 
 
-def test_compositional_check_reads_the_table_in_the_seeds_terminal_order(
-    seed_gadget,
+def test_compositional_check_rejects_a_table_that_lacks_a_pattern():
+    with pytest.raises(ValueError, match="lacks pattern '010'"):
+        compositional_check({"000": False, "001": True})
+
+
+@pytest.mark.parametrize(
+    "terminals",
+    [(0, 1, 9), (0, 1, -1), (0, 0, 1)],
+    ids=["past-the-last-vertex", "negative", "repeated"],
+)
+def test_walk_refuses_terminals_that_are_not_distinct_vertices(
+    seed_gadget, terminals
 ):
-    # an asymmetric table, as a search might propose: besides the
-    # all-equal pattern, b = c with a apart is infeasible
-    a, b, c = seed_gadget.terminals
-    table = {p: p not in ("000", "011") for p in all_patterns(3)}
-    turned = TerminalGadget(seed_gadget.graph, (b, c, a), InterfaceContract())
-    turned_table = {
-        p: table[pattern_of([int(p[2]), int(p[0]), int(p[1])])]
-        for p in all_patterns(3)
-    }
-    assert paste(triple_recipe(turned)) == paste(triple_recipe(seed_gadget))
-    got = compositional_check(turned, turned_table)
-    want = compositional_check(seed_gadget, table)
-    assert got["triple_stage"]["table"] == want["triple_stage"]["table"]
-    assert got["ok"] == want["ok"]
+    seed_table = terminal_behavior(seed_gadget, frozenset())
+    with pytest.raises(ValueError, match=r"not distinct vertices of 0\.\.5"):
+        walk_recipe(TRIPLE_RECIPE, [seed_table] * 3, terminals)
+
+
+@pytest.mark.parametrize("feasible", [False, True])
+def test_walk_reads_a_part_without_terminals_by_its_empty_pattern(feasible):
+    recipe = PasteRecipe(num_slots=1, parts=((0,), ()))
+    walk = walk_recipe(recipe, [{"0": True}, {"": feasible}], (0,))
+    assert walk["table"] == {"0": feasible}
+
+
+def test_lemmas_report_ignores_the_seeds_terminal_order(seed_gadget):
+    # the seed is oriented once and every check reads it in role order,
+    # so all six orders of its terminals give the packaged order's report
+    def stripped(seed) -> bytes:
+        lines = lemmas_report(seed).to_json_bytes().splitlines(keepends=True)
+        return b"".join(line for line in lines if b'"duration_s": ' not in line)
+
+    want = stripped(seed_gadget)
+    for order in itertools.permutations(seed_gadget.terminals):
+        turned = dataclasses.replace(seed_gadget, terminals=order)
+        assert stripped(turned) == want, order
 
 
 def test_walk_finds_a_survivor_once_an_extra_edge_is_gone(
     seed_gadget, triple_gadget
 ):
     seed_table = terminal_behavior(seed_gadget, frozenset())
-    result = compositional_check(seed_gadget, seed_table)
+    result = compositional_check(seed_table)
     triple_table = result["triple_stage"]["table"]
-    recipe = counterexample_recipe(triple_gadget)
+    recipe = COUNTEREXAMPLE_RECIPE
     for edge in recipe.extra_edges:
         cut = dataclasses.replace(
             recipe, extra_edges=tuple(e for e in recipe.extra_edges if e != edge)
@@ -673,7 +670,7 @@ def test_walk_finds_a_survivor_once_an_extra_edge_is_gone(
         assert walk["table"][""], edge
     # the last cut's surviving slot coloring really extends to the graph
     survivor = walk["witnesses"][""]
-    pasted = paste(cut)
+    pasted = paste(cut, [triple_gadget] * 4)
     fixing = {pasted.vertex_by_label(name): c for name, c in survivor.items()}
     coloring = solve_3coloring(pasted, fixing)
     assert coloring is not None and is_proper(pasted, coloring)
@@ -683,8 +680,10 @@ def test_walk_finds_a_survivor_once_an_extra_edge_is_gone(
 def small_recipes(draw):
     """2-3 random gadgets of at most 7 vertices and arity 2-3, pasted on
     random slots with up to 2 fresh vertices and random extra edges,
-    plus 2-3 terminal slots in a random order."""
+    plus 2-3 terminal slots in a random order: the recipe, its gadgets
+    and the terminals."""
     parts = []
+    gadgets = []
     slot_pool = draw(st.integers(min_value=3, max_value=6))
     for _ in range(draw(st.integers(min_value=2, max_value=3))):
         arity = draw(st.integers(min_value=2, max_value=3))
@@ -693,21 +692,21 @@ def small_recipes(draw):
         edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
         terminals = tuple(draw(st.permutations(range(n)))[:arity])
         slots = tuple(draw(st.permutations(range(slot_pool)))[:arity])
-        gadget = TerminalGadget(build_graph(n, edges), terminals, InterfaceContract())
-        parts.append(PastePart(gadget, slots))
-    used = sorted({s for part in parts for s in part.slots})
+        gadgets.append(
+            TerminalGadget(build_graph(n, edges), terminals, InterfaceContract())
+        )
+        parts.append(slots)
+    used = sorted({s for slots in parts for s in slots})
     renumber = {s: i for i, s in enumerate(used)}
-    parts = [
-        PastePart(p.gadget, tuple(renumber[s] for s in p.slots)) for p in parts
-    ]
+    parts = [tuple(renumber[s] for s in slots) for slots in parts]
     num_slots = len(used)
     fresh = draw(st.integers(min_value=0, max_value=2))
     part_edges = set()  # part edges that land on two slots
-    for p in parts:
-        slot_of = dict(zip(p.gadget.terminals, p.slots))
+    for slots, gadget in zip(parts, gadgets):
+        slot_of = dict(zip(gadget.terminals, slots))
         part_edges |= {
             frozenset((slot_of[u], slot_of[v]))
-            for u, v in p.gadget.graph.edges
+            for u, v in gadget.graph.edges
             if u in slot_of and v in slot_of
         }
     free_pairs = [
@@ -728,20 +727,18 @@ def small_recipes(draw):
         extra_vertices=fresh,
         extra_edges=extra_edges,
     )
-    return recipe, terminals
+    return recipe, gadgets, terminals
 
 
 @given(small_recipes())
 @settings(max_examples=80, deadline=None)
 def test_walk_matches_the_solver_on_the_pasted_graph(case):
-    recipe, terminals = case
+    recipe, gadgets, terminals = case
     try:
-        pasted = paste(recipe)
+        pasted = paste(recipe, gadgets)
     except PasteError:
         assume(False)  # two parts put an edge on one slot pair
-    tables = [
-        terminal_behavior(part.gadget, frozenset()) for part in recipe.parts
-    ]
+    tables = [terminal_behavior(gadget, frozenset()) for gadget in gadgets]
     walk = walk_recipe(recipe, tables, terminals)
     want = terminal_behavior(
         TerminalGadget(pasted, terminals, InterfaceContract()), frozenset()

@@ -7,7 +7,8 @@ one op of each benchmark workload, run through its own gate, catches a
 change to an entry point the workloads call.  The checker module must
 import only the standard library, run from a copy of itself and share
 no code with the solver, the planarity test or the census whose verdicts
-it re-checks, and the case tree must close without calling the solver.
+it re-checks, and the case tree must close without calling the solver,
+pasting a graph or measuring a distance.
 The report layer stays free of the analysis module, the
 package free of ``assert`` statements, of a second, indenting JSON
 writer and of a second JSON reader, and a bare ``import steinberg``
@@ -32,10 +33,12 @@ from steinberg import (
     coloring,
     compositional_check,
     encode,
+    gadgets,
     load_seed_gadget,
     solve_3coloring_with_stats,
     terminal_behavior,
 )
+from steinberg.gadgets import seed_in_roles
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -132,18 +135,23 @@ def test_solver_and_census_share_no_code_with_the_checker():
 
 def test_the_case_tree_runs_without_the_solver(monkeypatch):
     # compositional_check derives both stages from the seed table alone,
-    # so with that table computed first a solver that refuses every call
-    # is never reached
+    # so with that table computed first a solver, a paste or a distance
+    # that refuses every call is never reached
     seed = load_seed_gadget()
-    table = terminal_behavior(seed, frozenset())
+    table = terminal_behavior(seed_in_roles(seed), frozenset())
 
-    def refuse(*args, **kwargs):
-        raise RuntimeError("the solver ran")
+    def refuse(what):
+        def refused(*args, **kwargs):
+            raise RuntimeError(f"the {what} ran")
 
-    monkeypatch.setattr(coloring, "_cdcl", refuse)
+        return refused
+
+    monkeypatch.setattr(coloring, "_cdcl", refuse("solver"))
+    monkeypatch.setattr(gadgets, "paste", refuse("paste"))
+    monkeypatch.setattr(gadgets, "distance", refuse("distance"))
     with pytest.raises(RuntimeError, match="the solver ran"):
         terminal_behavior(seed, frozenset())
-    assert compositional_check(seed, table)["ok"]
+    assert compositional_check(table)["ok"]
 
 
 def test_the_checker_runs_from_a_copy_of_itself(tmp_path):
