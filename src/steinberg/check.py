@@ -1,9 +1,13 @@
 """The checks that verdicts rest on: a hinted refutation of 3-coloring,
 whose steps are reverse unit propagation (Goldberg and Novikov, DATE
-2003) in a given order, a coloring and a planarity certificate.
-Standard library only; graphs and certificates are read by attribute."""
+2003) in a given order, a coloring, a planarity certificate, a recipe's
+case tree and what a recipe inherits from its parts' terminal distances.
+Standard library only; graphs and certificates are read by attribute,
+recipes and trees are plain data."""
 
 from collections import Counter
+from heapq import heappop, heappush
+from itertools import product
 
 
 class InvalidCertificate(ValueError):
@@ -206,3 +210,159 @@ def planarity_certificate_kind(g, cert) -> str | None:
                 f"obstruction edge ({u}, {v}) is not in the graph"
             )
     return _smooth_subdivision(edges)
+
+
+def _first_use(colors) -> str:
+    """Colors renamed in order of first use: (2, 2, 0) reads "001"."""
+    seen: dict = {}
+    return "".join([str(seen.setdefault(c, len(seen))) for c in colors])
+
+
+def case_tree_refutes(names, extra_edges, parts, terminals, tree, table) -> bool:
+    """Does ``tree`` prove ``table`` the terminal behavior of an assembly?
+
+    The assembly's vertices are ``names`` by index; ``extra_edges`` join
+    them, and ``parts`` pairs each part's vertices, its terminals in
+    order, with its behavior table, keyed by first-use patterns.  A
+    branch ``{"vertex": name, "cases": {color: subtree}}`` colors an
+    uncolored vertex; its cases are exactly the colors 0 to
+    min(used + 1, 3) - 1, ``used`` counted along the path, so every
+    coloring is a color permutation of one path (Van Hentenryck et al.,
+    IJCAI 2003).  A string closes a case: the color must make an extra
+    edge monochromatic or give a fully colored part a pattern its table
+    marks False; the string itself is not read.  Any other case must
+    violate nothing, so ``{"survivor": pattern}`` is a full coloring
+    with that pattern on ``terminals``.  ``table`` has exactly the
+    patterns of that many terminals, true exactly where a survivor has
+    it: cover, then each case alone, as cube-and-conquer proofs are
+    checked (Heule, Kullmann and Marek, SAT 2016)."""
+    vertex = {name: v for v, name in enumerate(names)}
+    want = {""}  # the first-use patterns on the terminals
+    for _ in terminals:
+        want = {p + str(c) for p in want for c in range(min(len(set(p)) + 1, 3))}
+    if len(vertex) != len(names) or set(table) != want:
+        return False
+    nbrs: list[list[int]] = [[] for _ in names]
+    owned: list[list] = [[] for _ in names]
+    for u, w in extra_edges:
+        nbrs[u].append(w)
+        nbrs[w].append(u)
+    for slots, rows in parts:
+        for s in slots or range(len(names)):  # no slots: checked at every vertex
+            owned[s].append((slots, rows))
+    patterns: dict[tuple, str] = {}
+    found = set()
+    keys = ({"0"}, {"0", "1"}, {"0", "1", "2"})
+
+    def violated(v, color) -> bool:  # by v's color, on an edge or a part at v
+        c = color[v]
+        for u in nbrs[v]:
+            if color[u] == c:
+                return True
+        for slots, rows in owned[v]:
+            key = tuple([color[s] for s in slots])
+            if -1 not in key:
+                if key not in patterns:
+                    patterns[key] = _first_use(key)
+                if rows.get(patterns[key]) is False:
+                    return True
+        return False
+
+    # each node with the colors on its path, -1 where none is given yet
+    stack = [(tree, 0, [-1] * len(names))]
+    while stack:
+        node, used, color = stack.pop()
+        if not isinstance(node, dict):
+            return False
+        if "survivor" in node:
+            pattern = _first_use([color[t] for t in terminals])
+            if -1 in color or node["survivor"] != pattern:
+                return False
+            found.add(pattern)
+            continue
+        v = vertex.get(node.get("vertex"))
+        cases = node.get("cases")
+        if v is None or color[v] >= 0 or not isinstance(cases, dict) or (
+            cases.keys() != keys[min(used, 2)]
+        ):
+            return False
+        for c in range(min(used + 1, 3)):
+            case = cases["012"[c]]
+            colored = color.copy()
+            colored[v] = c
+            closed = isinstance(case, str)
+            if violated(v, colored) != closed:
+                return False
+            if not closed:
+                stack.append((case, max(used, c + 1), colored))
+    return all(table[p] is (p in found) for p in want)
+
+
+def skeleton_facts(n, extra_edges, parts, terminals, lengths):
+    """What an assembly on vertices 0..n-1 inherits from its parts'
+    terminal distances.  Its skeleton weighs each extra edge 1 and joins
+    each two vertices of a part, in terminal order, at the part's
+    distance between those terminals; ``parts`` pairs the vertices with
+    that matrix, None where unreachable.  Part interiors are disjoint
+    and meet the rest at terminals only, so a path splits there into
+    extra edges and segments through one part, each at least its part's
+    distance and each realized at exactly it: skeleton distances are the
+    assembly's.  A cycle that leaves a part maps to a skeleton cycle with
+    two or more owners (a part, or one extra edge) and is at least its
+    weight; one of extra edges alone is exactly its weight.
+
+    Returns ``(dist, floor, exact, bad)``: the distances between the
+    vertices ``terminals``, None where unreachable; a lower bound on
+    every cycle that runs through a part and leaves it; the weights,
+    lightest first, of the cycles of extra edges up to ``max(lengths) +
+    1``; and the lightest skeleton cycle, as ``(weight, vertices)``, that
+    could give a cycle of a length in ``lengths`` (not empty), or None.
+    One through a part edge could exactly when it weighs at most
+    ``max(lengths)``, so None, with each part free of those lengths,
+    proves the assembly free of them."""
+    edges = [(u, v, 1, ~k) for k, (u, v) in enumerate(extra_edges)]
+    for i, (slots, dist) in enumerate(parts):
+        for x, y in product(range(len(slots)), repeat=2):
+            if x < y and dist[x][y] is not None:
+                edges.append((slots[x], slots[y], dist[x][y], i))
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (u, v, _, _) in enumerate(edges):
+        at[u].append((e, v))
+        at[v].append((e, u))
+    dist = []
+    for t in terminals:  # Dijkstra from each terminal
+        reached: dict[int, int] = {}
+        heap = [(0, t)]
+        while heap:
+            w, v = heappop(heap)
+            if v not in reached:
+                reached[v] = w
+                for e, x in at[v]:
+                    heappush(heap, (w + edges[e][2], x))
+        dist.append([reached.get(u) for u in terminals])
+    cap = max(lengths) + 1
+    cycles: dict[frozenset, tuple[int, list[int]]] = {}
+    # simple paths up to cap from their least vertex: (path, edge ids, weight)
+    stack = [([s], [], 0) for s in range(n)]
+    while stack:
+        path, ids, weight = stack.pop()
+        for e, x in at[path[-1]]:
+            w = weight + edges[e][2]
+            if w > cap or e in ids:
+                continue
+            if x == path[0]:
+                cycles.setdefault(frozenset(ids + [e]), (w, path))
+            elif x > path[0] and x not in path:
+                stack.append((path + [x], ids + [e], w))
+    floor, exact, bad = cap + 1, [], None
+    for ids, (w, path) in sorted(cycles.items(), key=lambda c: c[1]):
+        owners = {edges[e][3] for e in ids}
+        if len(owners) < 2:
+            continue  # a cycle inside one part is that part's own clause
+        if max(owners) < 0:
+            exact.append(w)
+        else:
+            floor = min(floor, w)
+        if bad is None and (w in lengths if max(owners) < 0 else w < cap):
+            bad = (w, path)
+    return dist, floor, exact, bad

@@ -16,12 +16,14 @@ recipes are constants: :data:`TRIPLE_RECIPE` pastes three copies of the
 seed, its terminals in (a, b, c) role order, into the composite gadget,
 and :data:`COUNTEREXAMPLE_RECIPE` four composites into the final graph.
 :func:`compositional_check` walks both with the seed's table, so the
-seed, triple, final argument cannot drift from the construction.
+seed, triple, final argument cannot drift from the construction, and
+:func:`claw_skeleton` stands a small graph in for a paste's planarity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -36,6 +38,7 @@ from .analysis import (
     validate_planarity_certificate,
 )
 from .canon import canonical_digest
+from .check import case_tree_refutes, skeleton_facts
 from .coloring import (
     _coloring_check,
     _coloring_witness,
@@ -47,7 +50,7 @@ from .coloring import (
     pattern_of,
     terminal_behavior,
 )
-from .errors import ContractError, FormatError, PasteError
+from .errors import ContractError, FormatError, OracleMismatchError, PasteError
 from .formats import (
     dump_json, graph_from_json_dict, graph_to_json_dict, parse_json_payload,
     quote, strict_bool, strict_int, strict_list, strict_object, strict_str,
@@ -484,6 +487,37 @@ class PasteRecipe:
             if u == v:
                 raise PasteError(f"extra edge ({u}, {v}) is a loop")
 
+    @cached_property
+    def walk_order(self) -> tuple[int, ...]:
+        """The order :func:`walk_recipe` colors the slot and fresh
+        vertices in, worked out once per recipe: next the vertex that
+        decides the most extra edges and parts, smallest id first on
+        ties, so branches close early and the tree stays small."""
+        n = self.num_slots + self.extra_vertices
+        scopes = [set(e) for e in self.extra_edges]
+        scopes += [set(slots) for slots in self.parts]
+        order: list[int] = []
+        while len(order) < n:
+            placed = set(order)
+            order.append(
+                max(
+                    (v for v in range(n) if v not in placed),
+                    key=lambda v: (
+                        sum(v in sc and sc - {v} <= placed for sc in scopes),
+                        -v,
+                    ),
+                )
+            )
+        return tuple(order)
+
+    @property
+    def names(self) -> list[str]:
+        """The slot and fresh vertices' labels by id, an unlabeled one
+        named by its id."""
+        labels = dict(self.labels or ())
+        n = self.num_slots + self.extra_vertices
+        return [labels.get(v, str(v)) for v in range(n)]
+
 
 def paste(recipe: PasteRecipe, gadgets: Sequence[TerminalGadget]) -> Graph:
     """Execute a recipe into the pasted graph, ``gadgets[i]`` as part i.
@@ -650,6 +684,34 @@ COUNTEREXAMPLE_RECIPE = PasteRecipe(
 )
 
 
+def claw_skeleton(recipe: PasteRecipe, terminals: Sequence[int] = ()) -> Graph:
+    """The recipe with each part replaced by a claw, a new vertex joined
+    to the part's slots, numbered after the slot and fresh vertices; an
+    apex joined to ``terminals``, when there are any, comes last.
+
+    If each part is planar with its terminals on one face and the claw
+    skeleton is planar, so is the paste: draw each part in a small disk
+    round its claw's centre, its terminals on the boundary in the claw's
+    cyclic order (with three terminals either order is a mirror image),
+    and contract each claw edge.  With the apex the paste's ``terminals``
+    are co-facial too, as :func:`terminals_cofacial` tests a gadget.  A
+    claw fixes no cyclic order of four or more terminals, so such a part
+    is a :class:`PasteError`.
+    """
+    n = recipe.num_slots + recipe.extra_vertices
+    edges = list(recipe.extra_edges)
+    for i, slots in enumerate(recipe.parts):
+        if len(slots) > 3:
+            raise PasteError(
+                f"part {i} has {len(slots)} terminals: a claw fixes the"
+                " cyclic order of at most 3"
+            )
+        edges += [(s, n + i) for s in slots]
+    apex = n + len(recipe.parts)
+    edges += [(t, apex) for t in terminals]
+    return build_graph(apex + bool(terminals), edges)
+
+
 def build_counterexample(triple: TerminalGadget, jobs: int = 1) -> Graph:
     """Assemble the final graph from a verified composite gadget, in
     the vertex order :func:`paste` gives it.
@@ -708,22 +770,7 @@ def walk_recipe(
         raise ValueError(
             f"terminals {terminals} are not distinct vertices of 0..{n - 1}"
         )
-    # color next the vertex that decides the most extra edges and parts,
-    # smallest id first on ties: branches close early, the tree stays small
-    scopes = [set(e) for e in recipe.extra_edges]
-    scopes += [set(slots) for slots in recipe.parts]
-    order: list[int] = []
-    while len(order) < n:
-        placed = set(order)
-        order.append(
-            max(
-                (v for v in range(n) if v not in placed),
-                key=lambda v: (
-                    sum(v in sc and sc - {v} <= placed for sc in scopes),
-                    -v,
-                ),
-            )
-        )
+    order = recipe.walk_order
     step = {v: k for k, v in enumerate(order)}
     # each extra edge and part is decided once its last vertex is colored
     edges_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
@@ -739,8 +786,7 @@ def walk_recipe(
                 f" {'lists' if p in table else 'lacks'} pattern {p!r}"
             )
         parts_at[max((step[s] for s in slots), default=0)].append((i, slots, table))
-    labels = dict(recipe.labels or ())
-    name = [labels.get(v, str(v)) for v in range(n)]
+    name = recipe.names
     color = [0] * n
     closed_by: dict[str, int] = {}
     witnesses: dict[str, dict[str, int]] = {}
@@ -812,21 +858,55 @@ def compositional_check(seed_behavior: dict[str, bool]) -> dict[str, Any]:
     }
 
 
+def _recipe_facts(
+    recipe: PasteRecipe, distances: Matrix, terminals: tuple[int, ...],
+    lengths: frozenset[int],
+) -> tuple[list, Any]:
+    """:func:`check.skeleton_facts` on ``recipe`` with ``distances`` on
+    every part: the derived distances between ``terminals``, and a
+    forbidden-cycles check body's result whose details give the cycle
+    floor and the exact cycles, and whose witness names the lightest
+    forbidden skeleton cycle by the recipe's labels."""
+    names = recipe.names
+    parts = [(slots, distances) for slots in recipe.parts]
+    dist, floor, exact, bad = skeleton_facts(
+        len(names), recipe.extra_edges, parts, terminals, lengths
+    )
+    details = {"derived": "skeleton", "part_cycles_at_least": floor,
+               "extra_cycles": exact}
+    if bad is None:
+        return dist, (True, None, details)
+    witness = {"type": "skeleton-cycle", "weight": bad[0],
+               "vertices": [names[v] for v in bad[1]]}
+    return dist, (False, witness, details)
+
+
 def lemmas_report(seed: TerminalGadget) -> VerificationReport:
-    """The per-stage lemmas: the seed's contract, the seed's all-equal
-    infeasibility by an exhaustive sweep and by brute force, the triple's
-    contract, and the solver-free case tree over both recipes.
+    """The paper's argument from the seed upward: the seed's contract,
+    its all-equal infeasibility by an exhaustive sweep and by brute
+    force, the triple's contract derived from the seed's, and the
+    solver-free case tree over both recipes.
 
     The seed is oriented once by :func:`seed_in_roles`, and every check
-    below reads it in that (a, b, c) role order, so one seed gives one
-    report whatever order its file lists the terminals in, and the check
-    names are those of :func:`seed_contract`.  The seed's contract is
-    checked once, the check :func:`build_triple_gadget` makes, so the
-    triple is pasted without repeating it; a failing clause raises
-    :class:`ContractError` before any other check runs.  The triple's
-    clauses run without a report of their own, so the triple is never
-    digested.  The case tree's seed table takes its all-equal row from
-    the seed contract's refutation.
+    reads it in that (a, b, c) role order, so one seed gives one report
+    whatever order its file lists the terminals in, and the check names
+    are those of :func:`seed_contract`.  Its contract is checked once, as
+    :func:`build_triple_gadget` checks it; a failing clause raises
+    :class:`ContractError` before any other check runs.  The seed is the
+    only graph built: no recipe is pasted.
+
+    ``composition:case-tree`` walks both recipes with the seed's table,
+    whose all-equal row is the seed contract's refutation, and
+    :func:`check.case_tree_refutes` must accept both walks, or
+    :class:`OracleMismatchError` is raised.  The triple's clauses are
+    derived through :data:`TRIPLE_RECIPE`: its distances and forbidden
+    cycles by :func:`check.skeleton_facts` from the seed's distances and
+    cycle clause; its all-equal row from the checked walk's table; its
+    planarity and its terminals' co-faciality from its claw skeleton
+    with an apex on them (:func:`claw_skeleton`), given the seed's
+    planarity and its terminals' co-faciality.  The case tree's details
+    add the final graph's cycle and planarity facts, derived the same
+    way through :data:`COUNTEREXAMPLE_RECIPE` from the triple's.
     """
     roles = seed_in_roles(seed)
     seed_report = require_contract(roles)
@@ -851,15 +931,73 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
 
     checks.append(timed_check("seed:all-equal-brute-force", seed_oracle))
 
-    for name, body in _contract_clauses(_paste_triple(roles)):
-        checks.append(timed_check(f"triple:{name}", body))
+    triple = triple_contract()
+    dist, triple_cycles = _recipe_facts(
+        TRIPLE_RECIPE, roles.contract.exact_terminal_distances, (0, 1, 2),
+        triple.forbidden_cycle_lengths,
+    )
+    walked: dict[str, Any] = {}
 
     def composition():
         seed_table = terminal_behavior(roles, frozenset({pattern}))
-        result = compositional_check(seed_table)
-        return result["ok"], result["counterexample"], result
+        walked.update(compositional_check(seed_table))
+        for recipe, table, terminals, stage in (
+            (TRIPLE_RECIPE, seed_table, (0, 1, 2), walked["triple_stage"]),
+            (COUNTEREXAMPLE_RECIPE, walked["triple_stage"]["table"], (),
+             walked["final_stage"]),
+        ):
+            parts = [(slots, table) for slots in recipe.parts]
+            if not case_tree_refutes(recipe.names, recipe.extra_edges, parts,
+                                     terminals, stage["tree"], stage["table"]):
+                raise OracleMismatchError(
+                    f"the case tree over {len(parts)} parts fails its check"
+                )
+        _, (acyclic, cycle, cycles) = _recipe_facts(
+            COUNTEREXAMPLE_RECIPE, dist, (), frozenset({4, 5})
+        )
+        planar, kuratowski, faces = _planarity_check(
+            claw_skeleton(COUNTEREXAMPLE_RECIPE)
+        )
+        walked["final_stage"]["no-4-or-5-cycles"] = cycles
+        walked["final_stage"]["planarity"] = (
+            {"derived": "claw-skeleton", **faces} if planar else kuratowski
+        )
+        passed = walked["ok"] and acyclic and planar
+        return passed, walked["counterexample"] or cycle or kuratowski, walked
 
-    checks.append(timed_check("composition:case-tree", composition))
+    case_tree = timed_check("composition:case-tree", composition)
+
+    def distance_clause(i, j):
+        want = triple.exact_terminal_distances[i][j]
+        details = {"derived": "skeleton", "distance": dist[i][j]}
+        if dist[i][j] == want:
+            return True, None, details
+        return False, {**details, "expected_exact": want}, None
+
+    def pattern_clause(p):
+        row = walked["triple_stage"]["table"][p]
+        witness = walked["triple_stage"]["witnesses"].get(p)
+        return not row, witness, {"derived": "case-tree"}
+
+    def planarity_clause():
+        if not terminals_cofacial(roles):
+            return False, {"type": "seed-terminals-not-cofacial"}, None
+        planar, kuratowski, faces = _planarity_check(
+            claw_skeleton(TRIPLE_RECIPE, (0, 1, 2))
+        )
+        return planar, kuratowski, {"derived": "claw-skeleton", **(faces or {})}
+
+    # the triple contract's clauses, in the order _contract_clauses runs them
+    clauses = [("forbidden-cycles", lambda: triple_cycles)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        clauses.append(
+            (f"distance-t{i}-t{j}", lambda i=i, j=j: distance_clause(i, j))
+        )
+    for p in sorted(triple.forbidden_patterns):
+        clauses.append((f"pattern-{p}-infeasible", lambda p=p: pattern_clause(p)))
+    clauses.append(("planarity", planarity_clause))
+    checks += [timed_check(f"triple:{name}", body) for name, body in clauses]
+    checks.append(case_tree)
     return VerificationReport(target=seed_report.target, checks=tuple(checks))
 
 

@@ -19,7 +19,7 @@ from steinberg import (
     load_gadget,
     seed_data_path,
 )
-from steinberg import cli, stock
+from steinberg import cli, gadgets, stock
 from steinberg.analysis import CycleCensus, is_planar, triangle_edge_conflicts
 from steinberg.cli import main
 from steinberg.formats import FORMAT_NAMES, parse_json_payload
@@ -404,6 +404,24 @@ def test_lemmas_checks_the_seed_contract_once(monkeypatch, capsys):
     assert 42 not in digests
 
 
+@pytest.mark.parametrize("refused", [1, 2], ids=["triple-tree", "final-tree"])
+def test_lemmas_reports_a_case_tree_the_checker_refuses(monkeypatch, capsys, refused):
+    # the checker's first verdict is on the triple's tree, its second on
+    # the final recipe's; refusing either is an oracle mismatch
+    accepted = []
+    check = gadgets.case_tree_refutes
+
+    def refuse_one(*args):
+        accepted.append(check(*args))
+        return len(accepted) != refused and accepted[-1]
+
+    monkeypatch.setattr(gadgets, "case_tree_refutes", refuse_one)
+    code, out, err = run_cli(capsys, "lemmas")
+    assert (code, out, accepted) == (1, "", [True] * refused)
+    parts = (3, 4)[refused - 1]
+    assert err == f"ORACLE MISMATCH: the case tree over {parts} parts fails its check\n"
+
+
 def test_lemmas_json_lists_the_fifteen_checks_in_order(tmp_path, capsys):
     # the whole report with its durations stripped: each check's details
     # as written, the case tree's verdict, tables and witnesses too, and
@@ -439,7 +457,15 @@ def test_lemmas_json_lists_the_fifteen_checks_in_order(tmp_path, capsys):
                 "012": {"a": 0, "b": 1, "c": 2, "d": 0, "e": 1, "f": 2},
             },
         },
-        "final_stage": {"table": {"": False}, "witnesses": {}},
+        "final_stage": {
+            "table": {"": False},
+            "witnesses": {},
+            "no-4-or-5-cycles": {
+                "derived": "skeleton", "part_cycles_at_least": 6,
+                "extra_cycles": [3, 3, 3],
+            },
+            "planarity": {"derived": "claw-skeleton", "faces": "euler-checked"},
+        },
     }
     assert doc == {
         "overall": "pass",
@@ -460,15 +486,20 @@ def test_lemmas_json_lists_the_fifteen_checks_in_order(tmp_path, capsys):
             }},
             {"name": "seed:all-equal-brute-force",
              "details": {"oracle": "brute-force"}},
-            {"name": "triple:forbidden-cycles"},
-            {"name": "triple:distance-t0-t1", "details": {"distance": 4}},
-            {"name": "triple:distance-t0-t2", "details": {"distance": 4}},
-            {"name": "triple:distance-t1-t2", "details": {"distance": 4}},
-            {"name": "triple:pattern-000-infeasible", "details": {
-                "solver_nodes": 45, "conflicts": 12, "proof_clauses": 11,
-                "proof_literals": 26, "proof": "rup-checked",
+            {"name": "triple:forbidden-cycles", "details": {
+                "derived": "skeleton", "part_cycles_at_least": 7,
+                "extra_cycles": [3],
             }},
-            {"name": "triple:planarity", "details": {"faces": "euler-checked"}},
+            {"name": "triple:distance-t0-t1",
+             "details": {"derived": "skeleton", "distance": 4}},
+            {"name": "triple:distance-t0-t2",
+             "details": {"derived": "skeleton", "distance": 4}},
+            {"name": "triple:distance-t1-t2",
+             "details": {"derived": "skeleton", "distance": 4}},
+            {"name": "triple:pattern-000-infeasible",
+             "details": {"derived": "case-tree"}},
+            {"name": "triple:planarity",
+             "details": {"derived": "claw-skeleton", "faces": "euler-checked"}},
         ],
     }
 

@@ -693,13 +693,13 @@ def test_deep_branching_does_not_recurse():
 
 
 def test_one_solver_binding_sees_every_solve(monkeypatch, seed_gadget, tmp_path):
-    # lemmas: the seed's and the triple's pattern-000 clauses and the
-    # seed's four feasible behavior rows; a freeze: the seed's clause and
-    # the same four rows.  Each takes the all-equal row from the seed's
-    # clause, and the freeze sweeps nothing
+    # lemmas: the seed's pattern-000 clause and the seed's four feasible
+    # behavior rows, the triple's row read off the checked case tree; a
+    # freeze: the seed's clause and the same four rows.  Each takes the
+    # all-equal row from the seed's clause, and the freeze sweeps nothing
     calls = _count_solves(monkeypatch)
     assert gadgets.lemmas_report(seed_gadget).passed
-    assert len(calls) == 6
+    assert len(calls) == 5
     calls.clear()
 
     def no_sweep(*args):

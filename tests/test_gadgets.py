@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import json
@@ -33,13 +34,19 @@ from steinberg import (
     triple_contract,
     verify_contract,
 )
+from steinberg.analysis import is_planar
+from steinberg.check import case_tree_refutes, skeleton_facts
 from steinberg.coloring import (
     all_patterns,
     is_proper,
     pattern_of,
     solve_3coloring,
+    solve_3coloring_with_stats,
 )
 from steinberg.gadgets import (
+    _planarity_check,
+    _recipe_facts,
+    claw_skeleton,
     gadget_from_json_dict,
     gadget_to_json_dict,
     lemmas_report,
@@ -47,7 +54,7 @@ from steinberg.gadgets import (
     walk_recipe,
 )
 
-from support import cheapest_failing_check, replace_at, triangulated_grid
+from support import cheapest_failing_check, replace_at, rup_refutes, triangulated_grid
 
 
 TRIANGLE = build_graph(3, [(0, 1), (1, 2), (0, 2)])
@@ -638,8 +645,11 @@ def test_walk_refuses_terminals_that_are_not_distinct_vertices(
 @pytest.mark.parametrize("feasible", [False, True])
 def test_walk_reads_a_part_without_terminals_by_its_empty_pattern(feasible):
     recipe = PasteRecipe(num_slots=1, parts=((0,), ()))
-    walk = walk_recipe(recipe, [{"0": True}, {"": feasible}], (0,))
+    tables = [{"0": True}, {"": feasible}]
+    walk = walk_recipe(recipe, tables, (0,))
     assert walk["table"] == {"0": feasible}
+    parts = list(zip(recipe.parts, tables))
+    assert case_tree_refutes(["0"], (), parts, (0,), walk["tree"], walk["table"])
 
 
 def test_lemmas_report_ignores_the_seeds_terminal_order(seed_gadget):
@@ -746,6 +756,302 @@ def test_walk_matches_the_solver_on_the_pasted_graph(case):
     assert walk["table"] == want
     for pattern, coloring in walk["witnesses"].items():
         assert pattern_of([coloring[str(t)] for t in terminals]) == pattern
+    parts = list(zip(recipe.parts, tables))
+    assert case_tree_refutes(
+        recipe.names, recipe.extra_edges, parts, terminals, walk["tree"],
+        walk["table"],
+    )
+
+
+# ---------------------------------------------------------------------------
+# the derived lemmas: the case-tree checker, the skeleton and the claws
+
+def _stock_walks(seed_gadget):
+    """Each stock recipe with the checker's arguments for its walk."""
+    seed_table = terminal_behavior(seed_in_roles(seed_gadget), frozenset())
+    result = compositional_check(seed_table)
+    triple_table = result["triple_stage"]["table"]
+    return [
+        (TRIPLE_RECIPE, seed_table, (0, 1, 2), result["triple_stage"]),
+        (COUNTEREXAMPLE_RECIPE, triple_table, (), result["final_stage"]),
+    ]
+
+
+def _tree_accepted(recipe, table, terminals, tree, derived, names=None):
+    parts = [(slots, table) for slots in recipe.parts]
+    return case_tree_refutes(
+        names or recipe.names, recipe.extra_edges, parts, terminals, tree,
+        derived,
+    )
+
+
+def _branches(node, path=()):
+    """(path, node) for every branch node, a path being its case keys."""
+    if isinstance(node, dict) and "cases" in node:
+        yield path, node
+        for c, sub in node["cases"].items():
+            yield from _branches(sub, path + (c,))
+
+
+def _leaves(node, path=()):
+    """(path, leaf) for every closed case and survivor under ``node``."""
+    if isinstance(node, str) or "survivor" in node:
+        yield path, node
+    else:
+        for c, sub in node["cases"].items():
+            yield from _leaves(sub, path + (c,))
+
+
+def _at(tree, path):
+    for c in path:
+        tree = tree["cases"][c]
+    return tree
+
+
+def test_the_checker_accepts_both_stock_case_trees(seed_gadget):
+    for recipe, table, terminals, stage in _stock_walks(seed_gadget):
+        assert _tree_accepted(recipe, table, terminals, stage["tree"], stage["table"])
+
+
+def test_the_checker_refuses_each_mutant_case_tree(seed_gadget):
+    for recipe, table, terminals, stage in _stock_walks(seed_gadget):
+        tree, derived = stage["tree"], stage["table"]
+
+        def refused(mutant_tree=tree, mutant_table=derived, names=None):
+            return not _tree_accepted(
+                recipe, table, terminals, mutant_tree, mutant_table, names
+            )
+
+        # one case dropped, at every branch in turn
+        for path, _ in _branches(tree):
+            mutant = copy.deepcopy(tree)
+            cases = _at(mutant, path)["cases"]
+            cases.pop(max(cases))
+            assert refused(mutant), path
+        # a closed leaf moved onto a case where nothing is violated
+        reason = next(leaf for _, leaf in _leaves(tree) if isinstance(leaf, str))
+        for path, _ in _branches(tree):
+            for c, sub in _at(tree, path)["cases"].items():
+                if not isinstance(sub, str):
+                    mutant = copy.deepcopy(tree)
+                    _at(mutant, path)["cases"][c] = reason
+                    assert refused(mutant), path + (c,)
+        # each derived row flipped, and a row too many
+        for pattern in derived:
+            assert refused(mutant_table={**derived, pattern: not derived[pattern]})
+        assert refused(mutant_table={**derived, "0120": False})
+        # a name given twice, a tree that is a bare reason, a list for a case
+        assert refused(names=[recipe.names[0]] * len(recipe.names))
+        assert refused("closed")
+        mutant = copy.deepcopy(tree)
+        mutant["cases"]["0"] = [mutant["cases"]["0"]]
+        assert refused(mutant)
+        # two vertex names swapped: the root's and its first branch child's
+        names = recipe.names
+        first = tree["vertex"]
+        second = next(node["vertex"] for path, node in _branches(tree) if path)
+        i, j = names.index(first), names.index(second)
+        names[i], names[j] = names[j], names[i]
+        assert refused(names=names), (first, second)
+    # a survivor's pattern changed (only the triple stage has survivors)
+    recipe, table, terminals, stage = _stock_walks(seed_gadget)[0]
+    for path, leaf in _leaves(stage["tree"]):
+        if isinstance(leaf, dict):
+            mutant = copy.deepcopy(stage["tree"])
+            node = _at(mutant, path)
+            node["survivor"] = "000" if leaf["survivor"] != "000" else "012"
+            assert not _tree_accepted(
+                recipe, table, terminals, mutant, stage["table"]
+            ), path
+
+
+def test_the_checker_refuses_a_vertex_colored_twice_on_a_path():
+    args = (["x"], (), [((0,), {"0": True})], (0,))
+    once = {"vertex": "x", "cases": {"0": {"survivor": "0"}}}
+    again = {"vertex": "x", "cases": {"0": {"survivor": "0"}, "1": {"survivor": "0"}}}
+    twice = {"vertex": "x", "cases": {"0": again}}
+    assert case_tree_refutes(*args, once, {"0": True})
+    assert not case_tree_refutes(*args, twice, {"0": True})
+
+
+def test_the_checker_refuses_a_survivor_that_leaves_a_vertex_uncolored():
+    # y's own part takes no color, so x's only coloring does not extend
+    args = (["x", "y"], ((0, 1),), [((0,), {"0": True}), ((1,), {"0": False})], (0,))
+    closed = {"vertex": "y", "cases": {"0": "x-y", "1": "y infeasible"}}
+    assert case_tree_refutes(
+        *args, {"vertex": "x", "cases": {"0": closed}}, {"0": False}
+    )
+    early = {"vertex": "x", "cases": {"0": {"survivor": "0"}}}
+    assert not case_tree_refutes(*args, early, {"0": True})
+
+
+def test_the_checker_reads_four_terminals():
+    # two edge gadgets side by side: 14 first-use patterns on 4 terminals
+    edge = {"00": False, "01": True}
+    recipe = PasteRecipe(num_slots=4, parts=((0, 1), (2, 3)))
+    walk = walk_recipe(recipe, [edge, edge], (0, 1, 2, 3))
+    assert len(walk["table"]) == 14 and sum(walk["table"].values()) == 6
+    parts = [(slots, edge) for slots in recipe.parts]
+    assert case_tree_refutes(
+        recipe.names, (), parts, (0, 1, 2, 3), walk["tree"], walk["table"]
+    )
+
+
+def test_derived_triple_facts_agree_with_the_pasted_triple(
+    seed_gadget, triple_gadget, final_graph
+):
+    # the evidence lemmas no longer gathers, kept as a cross-check: BFS,
+    # the census, the left-right test and a checked solver refutation on
+    # the pasted triple, the census and planarity on the final graph
+    roles = seed_in_roles(seed_gadget)
+    dist, (acyclic, _, details) = _recipe_facts(
+        TRIPLE_RECIPE, roles.contract.exact_terminal_distances, (0, 1, 2),
+        frozenset({4, 5}),
+    )
+    g = triple_gadget.graph
+    t = triple_gadget.terminals
+    for i, j in itertools.combinations(range(3), 2):
+        assert dist[i][j] == distance(g, t[i], t[j]) == 4
+    assert acyclic and forbidden_cycle_check(g, {4, 5}) is None
+    assert details == {
+        "derived": "skeleton", "part_cycles_at_least": 7, "extra_cycles": [3],
+    }
+    assert terminals_cofacial(roles)
+    claw = claw_skeleton(TRIPLE_RECIPE, (0, 1, 2))
+    assert (claw.n, claw.m) == (10, 15)
+    assert _planarity_check(claw)[0] and is_planar(g).planar
+    assert terminals_cofacial(triple_gadget)
+    fixing = {v: 0 for v in t}
+    result, stats = solve_3coloring_with_stats(g, fixing)
+    assert result is None and rup_refutes(g, fixing, stats.proof)
+    stage = _stock_walks(seed_gadget)[0][3]
+    assert stage["table"]["000"] is False
+    # the final recipe, from the triple's derived distances
+    _, (acyclic, _, details) = _recipe_facts(
+        COUNTEREXAMPLE_RECIPE, dist, (), frozenset({4, 5})
+    )
+    assert acyclic and forbidden_cycle_check(final_graph, {4, 5}) is None
+    assert details["part_cycles_at_least"] == 6
+    assert details["extra_cycles"] == [3, 3, 3]
+    claw = claw_skeleton(COUNTEREXAMPLE_RECIPE)
+    assert (claw.n, claw.m) == (14, 24)
+    assert _planarity_check(claw)[0] and is_planar(final_graph).planar
+
+
+def test_skeleton_refuses_a_seed_with_b_and_c_at_distance_3():
+    near = ((0, 3, 3), (3, 0, 3), (3, 3, 0))
+    dist, (acyclic, witness, _) = _recipe_facts(
+        TRIPLE_RECIPE, near, (0, 1, 2), frozenset({4, 5})
+    )
+    # the triple's terminals come out at 3, not the contract's 4
+    assert [dist[0][1], dist[0][2], dist[1][2]] == [3, 3, 3]
+    assert acyclic and witness is None
+
+
+@pytest.mark.parametrize(
+    "edge, weight, vertices",
+    [((0, 3), 4, ["a", "d"]), ((0, 1), 5, ["a", "b"])],
+    ids=["a-d", "a-b"],
+)
+def test_skeleton_refuses_an_extra_edge_between_two_slots(edge, weight, vertices):
+    seed = seed_contract().exact_terminal_distances
+    recipe = dataclasses.replace(
+        TRIPLE_RECIPE, extra_edges=TRIPLE_RECIPE.extra_edges + (edge,)
+    )
+    _, (acyclic, witness, _) = _recipe_facts(recipe, seed, (), frozenset({4, 5}))
+    # the new edge and the seed's own path between its ends: a cycle
+    # through a part edge light enough to be a 4- or 5-cycle
+    assert not acyclic
+    assert witness == {"type": "skeleton-cycle", "weight": weight, "vertices": vertices}
+
+
+def test_skeleton_leaves_a_cycle_inside_one_part_to_that_part():
+    # a part whose terminals are pairwise adjacent closes a triangle of
+    # its own; only the part's clause can speak for it
+    adjacent = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+    _, floor, exact, bad = skeleton_facts(3, (), [((0, 1, 2), adjacent)], (), {3})
+    assert (floor, exact, bad) == (5, [], None)
+
+
+def test_skeleton_lists_extra_cycles_up_to_one_past_the_longest_length():
+    pentagon = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 0))
+    assert skeleton_facts(5, pentagon, [], (), {3})[1:] == (5, [], None)
+    assert skeleton_facts(5, pentagon, [], (), {4})[1:] == (6, [5], None)
+    five = (5, [0, 4, 3, 2, 1])
+    assert skeleton_facts(5, pentagon, [], (), {5})[1:] == (7, [5], five)
+
+
+def test_skeleton_refuses_a_part_cycle_lighter_than_every_length():
+    # an extra edge beside a part's 2-path: the pasted cycle is at least
+    # 3 and may be 4 or 5, so the skeleton cannot rule those out
+    _, floor, exact, bad = skeleton_facts(
+        2, ((0, 1),), [((0, 1), ((0, 2), (2, 0)))], (), {4, 5}
+    )
+    assert (floor, exact, bad) == (3, [], (3, [0, 1]))
+
+
+def test_a_claw_skeleton_holding_k33_is_refused_with_its_obstruction():
+    # three parts on the same three slots: the claws make K3,3
+    recipe = PasteRecipe(num_slots=3, parts=((0, 1, 2),) * 3)
+    passed, witness, _ = _planarity_check(claw_skeleton(recipe))
+    assert not passed
+    assert witness["type"] == "kuratowski" and witness["kind"] == "K3,3"
+
+
+def test_a_claw_fixes_no_order_of_four_terminals():
+    recipe = PasteRecipe(num_slots=4, parts=((0, 1, 2, 3),))
+    with pytest.raises(PasteError, match="part 0 has 4 terminals: a claw"):
+        claw_skeleton(recipe)
+
+
+def _part_distances(gadget):
+    t = gadget.terminals
+    return [[distance(gadget.graph, u, v) for v in t] for u in t]
+
+
+@given(small_recipes(), st.sampled_from([{3}, {4, 5}, {3, 4, 5, 6}]))
+@settings(max_examples=80, deadline=None)
+def test_skeleton_facts_are_sound_on_the_paste(case, lengths):
+    recipe, gadgets, _ = case
+    try:
+        pasted = paste(recipe, gadgets)
+    except PasteError:
+        assume(False)  # two parts put an edge on one slot pair
+    n = recipe.num_slots + recipe.extra_vertices
+    parts = [(slots, _part_distances(g)) for slots, g in zip(recipe.parts, gadgets)]
+    dist, floor, exact, bad = skeleton_facts(
+        n, recipe.extra_edges, parts, range(n), lengths
+    )
+    # the skeleton's distances are the paste's, slot and fresh vertices alike
+    for u, v in itertools.product(range(n), repeat=2):
+        assert dist[u][v] == distance(pasted, u, v), (u, v)
+    # a cycle of extra edges alone is a cycle of the paste
+    for w in exact:
+        assert 3 <= w and (w > 6 or forbidden_cycle_check(pasted, {w}) is not None)
+    assert floor > max(lengths) or bad is not None
+    # no forbidden skeleton cycle and no forbidden cycle inside a part:
+    # none in the paste either
+    if bad is None and all(
+        forbidden_cycle_check(g.graph, lengths) is None for g in gadgets
+    ):
+        assert forbidden_cycle_check(pasted, lengths) is None
+
+
+@given(small_recipes())
+@settings(max_examples=80, deadline=None)
+def test_a_planar_claw_skeleton_gives_a_planar_paste(case):
+    recipe, gadgets, terminals = case
+    try:
+        pasted = paste(recipe, gadgets)
+    except PasteError:
+        assume(False)
+    assume(all(is_planar(g.graph).planar and terminals_cofacial(g) for g in gadgets))
+    if is_planar(claw_skeleton(recipe)).planar:
+        assert is_planar(pasted).planar
+    if is_planar(claw_skeleton(recipe, terminals)).planar:
+        assert terminals_cofacial(
+            TerminalGadget(pasted, terminals, InterfaceContract())
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ change to an entry point the workloads call.  The checker module must
 import only the standard library, run from a copy of itself and share
 no code with the solver, the planarity test or the census whose verdicts
 it re-checks, and the case tree must close without calling the solver,
-pasting a graph or measuring a distance.
+pasting a graph or measuring a distance; its checker shares no name with
+the walk that grows the tree, and ``lemmas`` builds no graph but the
+seed.
 The report layer stays free of the analysis module, the
 package free of ``assert`` statements, of a second, indenting JSON
 writer and of a second JSON reader, and a bare ``import steinberg``
@@ -17,6 +19,7 @@ must load every module the tracer patches.  No command loads OpenSSL:
 SHA-256."""
 
 import ast
+import builtins
 import importlib
 import importlib.util
 import json
@@ -152,6 +155,56 @@ def test_the_case_tree_runs_without_the_solver(monkeypatch):
     with pytest.raises(RuntimeError, match="the solver ran"):
         terminal_behavior(seed, frozenset())
     assert compositional_check(table)["ok"]
+
+
+def test_lemmas_builds_only_the_seed(monkeypatch):
+    # the triple's clauses are derived, not measured: with the paste
+    # refused, and the solver, BFS, the census and the planarity test
+    # refused any graph but the 15-vertex seed and the small skeletons,
+    # lemmas still passes every check
+    seed = load_seed_gadget()
+
+    def refuse(what, fn=None, allowed=lambda *args: False):
+        def refused(*args, **kwargs):
+            if not allowed(*args):
+                raise RuntimeError(f"the {what} ran")
+            return fn(*args, **kwargs)
+
+        return refused
+
+    monkeypatch.setattr(gadgets, "paste", refuse("paste"))
+    monkeypatch.setattr(gadgets, "_paste_triple", refuse("triple paste"))
+    monkeypatch.setattr(
+        coloring, "_cdcl", refuse("solver", coloring._cdcl, lambda n, *_: n == 15)
+    )
+    for name in ("shortest_path", "forbidden_cycle_check", "is_planar"):
+        monkeypatch.setattr(gadgets, name, refuse(
+            name, getattr(gadgets, name), lambda g, *_: g.n <= 16
+        ))
+    assert gadgets.lemmas_report(seed).passed
+
+
+def test_the_tree_checker_shares_no_names_with_the_walk():
+    # check.case_tree_refutes and check.skeleton_facts re-derive what
+    # walk_recipe derives; a helper of the walk's (pattern_of,
+    # all_patterns, its closures) inside them, or in the check.py
+    # functions they call, would check the walk with its own code
+    module = ast.parse((PACKAGE / "gadgets.py").read_text())
+    walk = next(n for n in module.body if getattr(n, "name", "") == "walk_recipe")
+    helpers = {"walk_recipe"} | {
+        n.func.id for n in ast.walk(walk)
+        if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+    } | {n.name for n in ast.walk(walk) if isinstance(n, ast.FunctionDef)}
+    helpers -= set(dir(builtins))
+    assert {"pattern_of", "all_patterns", "closing_reason", "walk"} <= helpers
+    defs = {
+        node.name: node for node in ast.parse(CHECK.read_text()).body
+        if hasattr(node, "name")
+    }
+    for name in ("case_tree_refutes", "skeleton_facts"):
+        used = _names(defs[name])
+        used |= set().union(*(_names(defs[n]) for n in used & set(defs)))
+        assert not used & helpers, (name, sorted(used & helpers))
 
 
 def test_the_checker_runs_from_a_copy_of_itself(tmp_path):
