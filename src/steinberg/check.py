@@ -24,45 +24,82 @@ def hints_refute(n, edges, fixing, steps) -> bool:
     "u or w lacks c" for an edge u-w.  With the clause's literals assumed
     false, each hint in turn must leave exactly one literal open, which
     then holds, or none, which proves the clause; a proved unit holds
-    from then on.  The steps must reach the empty clause; each step costs
-    its clause and hints, never a pass over the graph."""
-    inputs = {(6 * v, 6 * v + 2, 6 * v + 4) for v in range(n)}
-    inputs.update(
-        (6 * u + c, 6 * w + c) for u, w in map(sorted, edges) for c in (1, 3, 5)
-    )
-    true = bytearray(6 * n)  # true[lit] is set when lit holds
+    from then on.  The steps must reach the empty clause.
+
+    Input clauses are recognized by arithmetic, not looked up: a triple
+    sorts to 6v, 6v + 2, 6v + 4 with 0 <= v < n, and a pair holds two odd
+    literals of one color (equal modulo 6) whose vertices are an edge.
+    Each hint is read once, up to its second open literal, so a step
+    costs its clause and hints, never a pass over the graph; literals and
+    step indices are ints."""
+    top = 6 * n
+    pairs = {(u, w) if u < w else (w, u) for u, w in edges}
+    false = bytearray(top)  # false[lit] is set when lit is false
     for v, col in fixing.items():
         for c in range(3):
-            true[6 * v + 2 * c + (c != col)] = 1
+            false[6 * v + 2 * c + (c == col)] = 1
     for k, (clause, hints) in enumerate(steps):
-        if not all(0 <= lit < 6 * n for lit in clause):
-            return False
-        trail = [lit ^ 1 for lit in clause if not true[lit ^ 1]]
-        for lit in trail:
-            true[lit] = 1
+        trail = []  # what this step assumes and derives, to undo
+        for lit in clause:
+            if not 0 <= lit < top:
+                return False
+            if not false[lit]:
+                false[lit] = 1
+                trail.append(lit)
         for hint in hints:
+            # each kind of hint finds its one open literal, -1 for none
             if isinstance(hint, int):
                 if not 0 <= hint < k:
                     return False
-                hint = steps[hint][0]
-            elif tuple(sorted(hint)) not in inputs:
+                unit = -1
+                for lit in steps[hint][0]:
+                    if not false[lit]:
+                        if unit >= 0:
+                            return False  # a second open literal
+                        unit = lit
+            elif len(hint) == 2:
+                a, b = hint
+                if not (a & 1 and (a - b) % 6 == 0 and (
+                    (a // 6, b // 6) if a < b else (b // 6, a // 6)
+                ) in pairs):
+                    return False
+                if false[a]:
+                    unit = -1 if false[b] else b
+                elif false[b]:
+                    unit = a
+                else:
+                    return False
+            elif len(hint) == 3:
+                a, b, c = sorted(hint)
+                if a % 6 or b != a + 2 or c != a + 4 or not 0 <= a < top:
+                    return False
+                if false[a]:
+                    if false[b]:
+                        unit = -1 if false[c] else c
+                    elif false[c]:
+                        unit = b
+                    else:
+                        return False
+                elif false[b] and false[c]:
+                    unit = a
+                else:
+                    return False
+            else:
                 return False
-            open_lits = [lit for lit in hint if not true[lit ^ 1]]
-            if len(open_lits) != 1:
-                break
-            if not true[open_lits[0]]:
-                true[open_lits[0]] = 1
-                trail.append(open_lits[0])
+            if unit < 0:
+                break  # every literal false: the clause is proved
+            unit ^= 1  # the unit holds, so its negation is false
+            if not false[unit]:
+                false[unit] = 1
+                trail.append(unit)
         else:
             return False  # no hint left every literal false
         for lit in trail:  # undo what this step assumed and derived
-            true[lit] = 0
-        if open_lits:
-            return False
+            false[lit] = 0
         if not clause:
             return True
         if len(clause) == 1:
-            true[clause[0]] = 1
+            false[clause[0] ^ 1] = 1
     return False
 
 

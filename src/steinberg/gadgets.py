@@ -820,6 +820,7 @@ def walk_recipe(
         return {"vertex": name[v], "cases": cases}
 
     tree = walk(0, 0)
+    del walk  # walk's closure holds walk: a cycle, freed now, not by gc
     patterns = all_patterns(len(terminals)) if terminals else [""]
     return {
         "table": {p: p in witnesses for p in patterns},

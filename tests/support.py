@@ -10,6 +10,7 @@ refinement tree.  The JSON writer's reference is the standard library's
 indenting encoder.  The solver reference runs the package solver's search
 over an explicit clause list, with a clause object per edge and color,
 so that the package's implication lists must reproduce it step for step.
+The hinted-proof reference looks every input clause up in a table.
 """
 
 from __future__ import annotations
@@ -447,6 +448,53 @@ def rup_refutes(g: Graph, fixed, proof) -> bool:
         for lit in clause:
             occurs.setdefault(lit, []).append(clauses[-1])
     return True
+
+
+def reference_hints_refute(n, edges, fixing, steps) -> bool:
+    """:func:`steinberg.check.hints_refute` over an explicit table of input
+    clauses: every at-least-one triple and every edge pair for each color
+    goes in a set, each tuple hint is looked up there sorted, and each
+    hint's open literals are listed in full.  The package checker, which
+    recognizes input clauses by arithmetic and stops at a hint's second
+    open literal, must give the same verdict on every proof."""
+    inputs = {(6 * v, 6 * v + 2, 6 * v + 4) for v in range(n)}
+    inputs.update(
+        (6 * u + c, 6 * w + c) for u, w in map(sorted, edges) for c in (1, 3, 5)
+    )
+    true = bytearray(6 * n)  # true[lit] is set when lit holds
+    for v, col in fixing.items():
+        for c in range(3):
+            true[6 * v + 2 * c + (c != col)] = 1
+    for k, (clause, hints) in enumerate(steps):
+        if not all(0 <= lit < 6 * n for lit in clause):
+            return False
+        trail = [lit ^ 1 for lit in clause if not true[lit ^ 1]]
+        for lit in trail:
+            true[lit] = 1
+        for hint in hints:
+            if isinstance(hint, int):
+                if not 0 <= hint < k:
+                    return False
+                hint = steps[hint][0]
+            elif tuple(sorted(hint)) not in inputs:
+                return False
+            open_lits = [lit for lit in hint if not true[lit ^ 1]]
+            if len(open_lits) != 1:
+                break
+            if not true[open_lits[0]]:
+                true[open_lits[0]] = 1
+                trail.append(open_lits[0])
+        else:
+            return False  # no hint left every literal false
+        for lit in trail:  # undo what this step assumed and derived
+            true[lit] = 0
+        if open_lits:
+            return False
+        if not clause:
+            return True
+        if len(clause) == 1:
+            true[clause[0]] = 1
+    return False
 
 
 # contract clause kinds, cheapest first, by the first word of a check name

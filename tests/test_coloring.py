@@ -45,6 +45,7 @@ from support import (
     product_3coloring_exists,
     random_conflict_free_fixing,
     random_sparse_graph,
+    reference_hints_refute,
     reference_solve,
     rup_refutes,
     stack_depth,
@@ -361,10 +362,12 @@ def _proof_mutants(g, steps):
 
 
 def _both_checkers(g, fixed, steps):
-    """The package's verdict on hinted steps; whenever it accepts, the
-    test reference must accept the steps' clauses up to the empty clause
-    by unit propagation alone."""
+    """The package's verdict on hinted steps, which the table-driven
+    reference checker must share; whenever it accepts, the naive
+    reference must accept the steps' clauses up to the empty clause by
+    unit propagation alone."""
     got = check.hints_refute(g.n, g.edges, fixed, steps)
+    assert got == reference_hints_refute(g.n, g.edges, fixed, steps)
     if got:
         clauses = [tuple(clause) for clause, _ in steps]
         assert rup_refutes(g, fixed, clauses[: clauses.index(())])
@@ -400,16 +403,16 @@ def test_checker_takes_literals_in_0_to_6n_less_1_only(final_graph):
     pair = (6 * u + 5, last)
 
     def ends(top):
-        ends = [((0,), ((0, 2, 4),)), ((pair[0], top), (pair,))]
+        ends = [((0,), ((0, 2, 4),)), ((*pair, top), (pair,))]
         return [*ends, *_shifted(stats.steps, len(ends))]
 
-    # "vertex 0 takes color 0" follows from the pin and the input clause
-    # "u or n-1 lacks color 2" from itself, so steps at both ends of the
-    # range keep a proof valid
+    # "vertex 0 takes color 0" follows from the pin, and the input clause
+    # "u or n-1 lacks color 2" with any literal added from itself, so
+    # steps at both ends of the range keep a proof valid
     assert _both_checkers(g, {0: 0}, ends(last))
     # a literal past either end names no vertex and color: a proof that
-    # holds one is rejected, however valid the steps after it (through a
-    # negative index, -1 would read as 6n-1)
+    # holds one is rejected, though no hint reads it and however valid
+    # the steps after it (through a negative index, -1 would read as 6n-1)
     for bad in (last + 1, -1):
         assert not _both_checkers(g, {0: 0}, ends(bad))
 
@@ -471,6 +474,13 @@ def test_a_clause_with_two_open_literals_is_not_a_unit():
     diamond = build_graph(4, [(0, 1), (0, 3), (1, 2), (1, 3), (2, 3)])
     hints = ((11, 17), (17, 23), (1, 7), (6, 8, 10), (1, 19), (18, 20, 22), (9, 21))
     assert not _both_checkers(diamond, {0: 0}, [((16, 17), hints), ((), hints)])
+    # on the path 1-0-2 with 1 and 2 fixed to colors 1 and 2, step 0
+    # proves "vertex 0 takes color 0 or 2"; cited with vertex 0's color
+    # open, it leaves both literals open and forces neither, but taken as
+    # "vertex 0 takes color 2" the edge 0-2 would close the empty clause
+    path = build_graph(3, [(0, 1), (0, 2)])
+    steps = [((0, 4), ((0, 2, 4), (3, 9))), ((), (0, (5, 17)))]
+    assert not _both_checkers(path, {1: 1, 2: 2}, steps)
 
 
 def test_a_step_cites_only_earlier_steps():
@@ -504,6 +514,61 @@ def test_an_input_hint_is_an_at_least_one_triple_or_an_edge_pair():
         assert not _both_checkers(g, fixed, [((), (hint,))]), hint
 
 
+# K4 on 0..3 and a pendant vertex 4 on 3: 6n = 30, and the last edge,
+# 3-4, ends at the last vertex
+K4_PENDANT = build_graph(5, [*K4.edges, (3, 4)])
+
+
+def _after_step(clause, *hints):
+    """K4_PENDANT's refutation under {0: 0} after one more step,
+    ``clause`` with ``hints``."""
+    _, stats = solve_3coloring_with_stats(K4_PENDANT)
+    return [(clause, hints), *_shifted(stats.steps, 1)]
+
+
+def test_input_hints_at_the_boundaries_of_the_arithmetic():
+    # each step is proved by one hint, every literal of which its clause
+    # assumes false, so the proof is accepted exactly when the hint is an
+    # input clause
+    accepted = [*itertools.permutations((24, 26, 28))]
+    for c in (1, 3, 5):
+        accepted += [(18 + c, 24 + c), (24 + c, 18 + c), (c, 18 + c)]
+    for hint in accepted:
+        assert _both_checkers(K4_PENDANT, {0: 0}, _after_step(hint, hint)), hint
+    rejected = {
+        # vertex n's literals are past 6n - 1, so no clause can hold
+        # them; taken as an input clause, the hint is read out of range
+        "triple of vertex n": ((), (30, 32, 34)),
+        "pair past vertex n - 1": ((19,), (19, 31)),
+        "repeated literal": ((24, 26), (24, 24, 26)),
+        "repeated last literal": ((24, 28), (24, 28, 28)),
+        "triple across vertices": ((20, 22, 24), (22, 24, 20)),
+        "triple of odd literals": ((25, 27, 29), (25, 27, 29)),
+        "two colors": ((19, 27), (19, 27)),
+        "two colors, larger first": ((21, 25), (25, 21)),
+        "non-edge": ((1, 25), (1, 25)),
+        "one vertex with itself": ((25,), (25, 25)),
+        "two positive literals": ((18, 24), (24, 18)),
+        # through a negative index -5 reads as 25, the pair's partner on
+        # the edge 3-4, and -6, -4, -2 as vertex 4's triple
+        "negative literal": ((19, 25), (19, -5)),
+        "negative triple": ((24, 26, 28), (-6, -4, -2)),
+        "empty tuple": ((), ()),
+        "four literals": ((24, 26, 28, 29), (24, 26, 28, 29)),
+    }
+    for name, (clause, hint) in rejected.items():
+        steps = _after_step(clause, hint)
+        assert not _both_checkers(K4_PENDANT, {0: 0}, steps), name
+
+
+def test_a_hint_may_derive_a_literal_that_already_holds():
+    # under the pin, vertex 0's triple leaves open only "vertex 0 takes
+    # color 0", which holds already; the step must not undo the pin as it
+    # undoes what it derived, for the proof after it rests on the pin
+    steps = _after_step((24, 26, 28), (0, 2, 4), (24, 26, 28))
+    assert _both_checkers(K4_PENDANT, {0: 0}, steps)
+
+
 @st.composite
 def coin_flip_graphs(draw, max_n=9):
     """Each pair an edge with even odds: about a third are UNSAT."""
@@ -517,9 +582,10 @@ def coin_flip_graphs(draw, max_n=9):
 @settings(max_examples=300, deadline=None)
 def test_replay_matches_the_reference_checker(g, seed):
     # on every UNSAT proof, under a random fixing of up to three vertices
-    # (the solver's own {0: 0} pin when it is empty), the package accepts
-    # the hinted steps and the naive reference their clauses; on each
-    # mutant the package accepts only what the reference accepts
+    # (the solver's own {0: 0} pin when it is empty), the package and the
+    # table-driven reference accept the hinted steps and the naive
+    # reference their clauses; on each mutant the two checkers agree, and
+    # the naive reference accepts whatever they accept
     rng = random.Random(seed)
     fixed = random_conflict_free_fixing(rng, g, rng.randrange(4)) or {0: 0}
     result, stats = solve_3coloring_with_stats(g, fixed)
@@ -528,6 +594,62 @@ def test_replay_matches_the_reference_checker(g, seed):
     assert _both_checkers(g, fixed, stats.steps)
     for mutant in _proof_mutants(g, stats.steps).values():
         _both_checkers(g, fixed, mutant)
+
+
+def _edited_at_random(rng, g, steps):
+    """``steps`` with one random edit to one step: a hint replaced by an
+    earlier or nearby step index, a random input clause or a tuple of
+    random literals near the ends of the range; one literal of a tuple
+    hint or of the clause negated or moved by a few places; a tuple
+    hint's literals shuffled; or a hint dropped or repeated."""
+    n = g.n
+    k = rng.randrange(len(steps))
+    clause, hints = steps[k]
+    hints = list(hints)
+    i = rng.randrange(len(hints))
+    lit = rng.choice([rng.randrange(-6, 6), rng.randrange(6 * n - 6, 6 * n + 6)])
+    kind = rng.randrange(7)
+    if kind == 0:
+        hints[i] = rng.randrange(-2, k + 2)
+    elif kind == 1:
+        v = rng.randrange(n)
+        inputs = [(6 * v, 6 * v + 2, 6 * v + 4)]
+        inputs += [(6 * u + c, 6 * w + c) for u, w in g.edges for c in (1, 3, 5)]
+        hints[i] = rng.choice(inputs)
+    elif kind == 2:
+        hints[i] = tuple(lit + 2 * j for j in range(rng.randrange(5)))
+    elif kind == 3 and not isinstance(hints[i], int):
+        lits = list(hints[i])
+        j = rng.randrange(len(lits))
+        lits[j] = rng.choice([lits[j] ^ 1, lits[j] + 2, lits[j] - 6, lits[j] + 6])
+        hints[i] = tuple(lits)
+    elif kind == 4 and not isinstance(hints[i], int):
+        hints[i] = tuple(rng.sample(hints[i], len(hints[i])))
+    elif kind == 5 and clause:
+        lits = list(clause)
+        j = rng.randrange(len(lits))
+        lits[j] = rng.choice([lits[j] ^ 1, lits[j] + 6, lit])
+        clause = tuple(lits)
+    elif rng.random() < 0.5:
+        del hints[i]
+    else:
+        hints.insert(i, hints[i])
+    return _edited(steps, k, clause=clause, hints=tuple(hints))
+
+
+@given(coin_flip_graphs(), st.integers(min_value=0, max_value=2**31 - 1))
+@settings(max_examples=300, deadline=None)
+def test_both_checkers_agree_on_randomly_edited_proofs(g, seed):
+    # the package's arithmetic on input clauses and the reference's table
+    # give one verdict on each of 20 random one-step edits of a
+    # refutation, under a random conflict-free fixing
+    rng = random.Random(seed)
+    fixed = random_conflict_free_fixing(rng, g, rng.randrange(4)) or {0: 0}
+    result, stats = solve_3coloring_with_stats(g, fixed)
+    if result is not None:
+        return
+    for _ in range(20):
+        _both_checkers(g, fixed, _edited_at_random(rng, g, stats.steps))
 
 
 def _same_search(g, fixed=None, *, limit=1e100, decay=0.95):

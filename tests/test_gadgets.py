@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import itertools
 import json
 
@@ -601,6 +602,20 @@ def test_compositional_check_closes_every_branch(seed_gadget):
 
     assert shape(result["triple_stage"]["tree"], 0) == (45, 24)
     assert shape(result["final_stage"]["tree"], 0) == (78, 40)
+
+
+def test_compositional_check_leaves_no_cyclic_garbage(seed_gadget):
+    # reference counting alone frees what both walks make, so a run of
+    # lemmas ops leaves nothing for the collector
+    behavior = terminal_behavior(seed_gadget, frozenset())
+    gc.collect()
+    gc.disable()
+    try:
+        compositional_check(behavior)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_composed_triple_table_matches_the_solver(seed_gadget, triple_gadget):
