@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections import Counter
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -181,7 +182,10 @@ def _add_format(p: argparse.ArgumentParser, flag: str = "--format") -> None:
     )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves
+    it unchanged, so every call of :func:`main` reuses it."""
     parser = argparse.ArgumentParser(
         prog="steinberg",
         description=(

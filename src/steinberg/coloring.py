@@ -466,9 +466,9 @@ def brute_force_3coloring(
                 del colors[v]
         return False
 
-    if extend(0):
-        return colors
-    return None
+    found = extend(0)
+    del extend  # extend's closure holds extend: a cycle, freed now, not by gc
+    return colors if found else None
 
 
 def _tile(block: int, width: int, total: int) -> int:

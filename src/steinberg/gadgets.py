@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import combinations, permutations
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -570,32 +571,29 @@ def paste(recipe: PasteRecipe, gadgets: Sequence[TerminalGadget]) -> Graph:
 
 def seed_in_roles(seed: TerminalGadget) -> TerminalGadget:
     """The seed as the triple needs it: terminals in (a, b, c) role
-    order under :func:`seed_contract`.  The pair at distance 4 is
-    (b, c), b the smaller vertex id, and the remaining terminal is a.
-    Ordering b and c by id, not by position, keeps the pasted triple the
-    same whatever order the seed lists its terminals in."""
+    order under :func:`seed_contract`, the first order of the sorted
+    terminals at the contract's exact distances.  So b is the smaller id
+    of the pair the contract puts in roles (b, c), and the pasted triple
+    is the same whatever order the seed lists its terminals in."""
+    contract = seed_contract()
+    want = contract.exact_terminal_distances
     t = seed.terminals
-    if len(t) != 3:
+    if len(t) != contract.arity:
         raise ContractError(
-            f"seed gadget needs 3 terminals, got {len(t)}", clause="arity"
+            f"seed gadget needs {contract.arity} terminals, got {len(t)}",
+            clause="arity",
         )
-    dists = {
-        (i, j): distance(seed.graph, t[i], t[j])
-        for i in range(3)
-        for j in range(i + 1, 3)
-    }
-    far = [(i, j) for (i, j), d in dists.items() if d == 4]
-    near = [(i, j) for (i, j), d in dists.items() if d == 3]
-    if len(far) != 1 or len(near) != 2:
-        raise ContractError(
-            f"terminal distances {dists} do not match one 4-pair and two"
-            " 3-pairs",
-            clause="distance",
-        )
-    b_pos, c_pos = far[0]
-    a_pos = ({0, 1, 2} - {b_pos, c_pos}).pop()
-    b, c = sorted((t[b_pos], t[c_pos]))
-    return TerminalGadget(seed.graph, (t[a_pos], b, c), seed_contract())
+    dist = {pair: distance(seed.graph, *pair) for pair in permutations(t, 2)}
+    pairs = list(combinations(range(len(t)), 2))
+    for order in permutations(sorted(t)):
+        if all(dist[order[i], order[j]] == want[i][j] for i, j in pairs):
+            return TerminalGadget(seed.graph, order, contract)
+    raise ContractError(
+        "seed contract clause distance failed: terminal distances"
+        f" {[dist[t[i], t[j]] for i, j in pairs]} fit"
+        f" {[want[i][j] for i, j in pairs]} in no order",
+        clause="distance",
+    )
 
 
 # Three seed copies around a shared triangle.  Slots 0, 1, 2 are the new
@@ -613,13 +611,6 @@ TRIPLE_RECIPE = PasteRecipe(
 )
 
 
-def _paste_triple(roles: TerminalGadget) -> TerminalGadget:
-    """Paste three copies of ``roles``, the seed in role order, by
-    :data:`TRIPLE_RECIPE`, without checking the seed's contract."""
-    graph = paste(TRIPLE_RECIPE, [roles] * 3)
-    return TerminalGadget(graph, (0, 1, 2), triple_contract())
-
-
 def build_triple_gadget(seed: TerminalGadget, jobs: int = 1) -> TerminalGadget:
     """Paste three verified seed copies into the composite gadget.
 
@@ -630,7 +621,8 @@ def build_triple_gadget(seed: TerminalGadget, jobs: int = 1) -> TerminalGadget:
     """
     roles = seed_in_roles(seed)
     require_contract(roles)
-    return _paste_triple(roles)
+    graph = paste(TRIPLE_RECIPE, [roles] * 3)
+    return TerminalGadget(graph, (0, 1, 2), triple_contract())
 
 
 # final assembly slot ids
@@ -840,34 +832,45 @@ def compositional_check(seed_behavior: dict[str, bool]) -> dict[str, Any]:
     the composite gadget's whole behavior table on its terminals
     (0, 1, 2).  Stage two walks :data:`COUNTEREXAMPLE_RECIPE` with that
     table on every part and no terminals; the final graph has no
-    3-coloring exactly when no branch survives.
-
-    Returns the report JSON of both walks (see :func:`walk_recipe`);
-    ``counterexample`` is the final walk's surviving coloring, ``None``
-    exactly when ``ok``.
+    3-coloring exactly when no branch survives.  Each walk's tree must
+    pass :func:`check.case_tree_refutes`, or :class:`OracleMismatchError`
+    is raised.  Returns the report JSON of both walks (see
+    :func:`walk_recipe`); ``counterexample`` is the final walk's
+    surviving coloring, ``None`` exactly when ``ok``.
     """
-    triple_stage = walk_recipe(TRIPLE_RECIPE, [seed_behavior] * 3, (0, 1, 2))
-    final_stage = walk_recipe(
-        COUNTEREXAMPLE_RECIPE, [triple_stage["table"]] * 4, ()
-    )
-    counterexample = final_stage["witnesses"].get("")
-    return {
-        "ok": counterexample is None,
-        "triple_stage": triple_stage,
-        "final_stage": final_stage,
-        "counterexample": counterexample,
-    }
+    stages: dict[str, Any] = {}
+    table = seed_behavior
+    for stage, recipe, terminals in (
+        ("triple_stage", TRIPLE_RECIPE, (0, 1, 2)),
+        ("final_stage", COUNTEREXAMPLE_RECIPE, ()),
+    ):
+        parts = [(slots, table) for slots in recipe.parts]
+        walk = walk_recipe(recipe, [table] * len(parts), terminals)
+        if not case_tree_refutes(recipe.names, recipe.extra_edges, parts,
+                                 terminals, walk["tree"], walk["table"]):
+            raise OracleMismatchError(
+                f"the case tree over {len(parts)} parts fails its check"
+            )
+        stages[stage] = walk
+        table = walk["table"]
+    counterexample = stages["final_stage"]["witnesses"].get("")
+    return {"ok": counterexample is None, **stages, "counterexample": counterexample}
 
 
-def _recipe_facts(
+def _derived_facts(
     recipe: PasteRecipe, distances: Matrix, terminals: tuple[int, ...],
     lengths: frozenset[int],
-) -> tuple[list, Any]:
-    """:func:`check.skeleton_facts` on ``recipe`` with ``distances`` on
-    every part: the derived distances between ``terminals``, and a
-    forbidden-cycles check body's result whose details give the cycle
-    floor and the exact cycles, and whose witness names the lightest
-    forbidden skeleton cycle by the recipe's labels."""
+) -> tuple[list, tuple[bool, Any, Any], tuple[bool, Any, Any]]:
+    """What a paste of ``recipe`` inherits from parts that each have
+    ``distances`` between their terminals, no cycle of a length in
+    ``lengths``, and planarity with co-facial terminals.
+
+    Returns the derived distances between ``terminals`` by
+    :func:`check.skeleton_facts`; a forbidden-cycles check body's result,
+    whose details give the cycle floor and the exact cycles and whose
+    witness names the lightest forbidden skeleton cycle by the recipe's
+    labels; and a planarity check body's result on the claw skeleton
+    with an apex on ``terminals`` (:func:`claw_skeleton`)."""
     names = recipe.names
     parts = [(slots, distances) for slots in recipe.parts]
     dist, floor, exact, bad = skeleton_facts(
@@ -875,11 +878,13 @@ def _recipe_facts(
     )
     details = {"derived": "skeleton", "part_cycles_at_least": floor,
                "extra_cycles": exact}
-    if bad is None:
-        return dist, (True, None, details)
-    witness = {"type": "skeleton-cycle", "weight": bad[0],
-               "vertices": [names[v] for v in bad[1]]}
-    return dist, (False, witness, details)
+    witness = None if bad is None else {
+        "type": "skeleton-cycle", "weight": bad[0],
+        "vertices": [names[v] for v in bad[1]],
+    }
+    planar, kuratowski, faces = _planarity_check(claw_skeleton(recipe, terminals))
+    claws = {"derived": "claw-skeleton", **(faces or {})}
+    return dist, (bad is None, witness, details), (planar, kuratowski, claws)
 
 
 def lemmas_report(seed: TerminalGadget) -> VerificationReport:
@@ -888,32 +893,25 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
     force, the triple's contract derived from the seed's, and the
     solver-free case tree over both recipes.
 
-    The seed is oriented once by :func:`seed_in_roles`, and every check
-    reads it in that (a, b, c) role order, so one seed gives one report
-    whatever order its file lists the terminals in, and the check names
-    are those of :func:`seed_contract`.  Its contract is checked once, as
-    :func:`build_triple_gadget` checks it; a failing clause raises
-    :class:`ContractError` before any other check runs.  The seed is the
-    only graph built: no recipe is pasted.
-
-    ``composition:case-tree`` walks both recipes with the seed's table,
-    whose all-equal row is the seed contract's refutation, and
-    :func:`check.case_tree_refutes` must accept both walks, or
-    :class:`OracleMismatchError` is raised.  The triple's clauses are
-    derived through :data:`TRIPLE_RECIPE`: its distances and forbidden
-    cycles by :func:`check.skeleton_facts` from the seed's distances and
-    cycle clause; its all-equal row from the checked walk's table; its
-    planarity and its terminals' co-faciality from its claw skeleton
-    with an apex on them (:func:`claw_skeleton`), given the seed's
-    planarity and its terminals' co-faciality.  The case tree's details
-    add the final graph's cycle and planarity facts, derived the same
-    way through :data:`COUNTEREXAMPLE_RECIPE` from the triple's.
+    The seed is oriented once by :func:`seed_in_roles` and every check
+    reads it in that role order, so one seed gives one report whatever
+    order its file lists the terminals in.  Its contract is checked
+    once, as :func:`build_triple_gadget` checks it: a failing clause
+    raises :class:`ContractError` before any other check runs.  No
+    recipe is pasted.  ``composition:case-tree`` runs
+    :func:`compositional_check` on the seed's table.  The triple's
+    distances, cycles and planarity come from :func:`_derived_facts` on
+    :data:`TRIPLE_RECIPE` (planarity also needs the seed's terminals
+    co-facial), its all-equal row from the checked walk.  The case
+    tree's details add the final graph's facts, derived from the
+    triple's on :data:`COUNTEREXAMPLE_RECIPE`.
     """
     roles = seed_in_roles(seed)
     seed_report = require_contract(roles)
     checks = [replace(c, name=f"seed:{c.name}") for c in seed_report.checks]
-    pattern = all_equal_pattern(len(roles.terminals))
-    all_equal = pattern_fixing(roles.terminals, pattern)
+    all_equal = pattern_fixing(
+        roles.terminals, all_equal_pattern(len(roles.terminals))
+    )
 
     def seed_exhaustive():
         count = exhaustive_color_count(roles.graph, all_equal)
@@ -933,40 +931,26 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
     checks.append(timed_check("seed:all-equal-brute-force", seed_oracle))
 
     triple = triple_contract()
-    dist, triple_cycles = _recipe_facts(
+    dist, triple_cycles, triple_claws = _derived_facts(
         TRIPLE_RECIPE, roles.contract.exact_terminal_distances, (0, 1, 2),
         triple.forbidden_cycle_lengths,
     )
     walked: dict[str, Any] = {}
 
     def composition():
-        seed_table = terminal_behavior(roles, frozenset({pattern}))
-        walked.update(compositional_check(seed_table))
-        for recipe, table, terminals, stage in (
-            (TRIPLE_RECIPE, seed_table, (0, 1, 2), walked["triple_stage"]),
-            (COUNTEREXAMPLE_RECIPE, walked["triple_stage"]["table"], (),
-             walked["final_stage"]),
-        ):
-            parts = [(slots, table) for slots in recipe.parts]
-            if not case_tree_refutes(recipe.names, recipe.extra_edges, parts,
-                                     terminals, stage["tree"], stage["table"]):
-                raise OracleMismatchError(
-                    f"the case tree over {len(parts)} parts fails its check"
-                )
-        _, (acyclic, cycle, cycles) = _recipe_facts(
+        walked.update(compositional_check(
+            terminal_behavior(roles, roles.contract.forbidden_patterns)
+        ))
+        _, (acyclic, cycle, cycles), (planar, kuratowski, claws) = _derived_facts(
             COUNTEREXAMPLE_RECIPE, dist, (), frozenset({4, 5})
         )
-        planar, kuratowski, faces = _planarity_check(
-            claw_skeleton(COUNTEREXAMPLE_RECIPE)
-        )
         walked["final_stage"]["no-4-or-5-cycles"] = cycles
-        walked["final_stage"]["planarity"] = (
-            {"derived": "claw-skeleton", **faces} if planar else kuratowski
-        )
+        walked["final_stage"]["planarity"] = claws if planar else kuratowski
         passed = walked["ok"] and acyclic and planar
         return passed, walked["counterexample"] or cycle or kuratowski, walked
 
     case_tree = timed_check("composition:case-tree", composition)
+    triple_walk = walked["triple_stage"]
 
     def distance_clause(i, j):
         want = triple.exact_terminal_distances[i][j]
@@ -976,26 +960,20 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
         return False, {**details, "expected_exact": want}, None
 
     def pattern_clause(p):
-        row = walked["triple_stage"]["table"][p]
-        witness = walked["triple_stage"]["witnesses"].get(p)
-        return not row, witness, {"derived": "case-tree"}
+        witness = triple_walk["witnesses"].get(p)
+        return not triple_walk["table"][p], witness, {"derived": "case-tree"}
 
     def planarity_clause():
         if not terminals_cofacial(roles):
             return False, {"type": "seed-terminals-not-cofacial"}, None
-        planar, kuratowski, faces = _planarity_check(
-            claw_skeleton(TRIPLE_RECIPE, (0, 1, 2))
-        )
-        return planar, kuratowski, {"derived": "claw-skeleton", **(faces or {})}
+        return triple_claws
 
     # the triple contract's clauses, in the order _contract_clauses runs them
     clauses = [("forbidden-cycles", lambda: triple_cycles)]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        clauses.append(
-            (f"distance-t{i}-t{j}", lambda i=i, j=j: distance_clause(i, j))
-        )
-    for p in sorted(triple.forbidden_patterns):
-        clauses.append((f"pattern-{p}-infeasible", lambda p=p: pattern_clause(p)))
+    clauses += [(f"distance-t{i}-t{j}", lambda i=i, j=j: distance_clause(i, j))
+                for i, j in combinations(range(len(dist)), 2)]
+    clauses += [(f"pattern-{p}-infeasible", lambda p=p: pattern_clause(p))
+                for p in sorted(triple.forbidden_patterns)]
     clauses.append(("planarity", planarity_clause))
     checks += [timed_check(f"triple:{name}", body) for name, body in clauses]
     checks.append(case_tree)

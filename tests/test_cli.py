@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -12,6 +13,8 @@ import pytest
 
 from steinberg import (
     CertificateError,
+    InterfaceContract,
+    TerminalGadget,
     build_graph,
     canonical_digest,
     decode,
@@ -1061,6 +1064,56 @@ def test_build_falls_back_to_the_search_only_when_asked(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "build", "--stage", "final", "--search")
     assert code == 2
     assert "unrecognized arguments: --search" in err
+
+
+@pytest.mark.parametrize("command", ["build", "lemmas"])
+def test_a_seed_off_its_contracts_distances_is_refused(monkeypatch, capsys, command):
+    # terminals pairwise at distance 3 fit no role order: one error line
+    # naming the clause, exit 1, before anything is written
+    nonagon = build_graph(9, [(i, (i + 1) % 9) for i in range(9)])
+    seed = TerminalGadget(nonagon, (0, 3, 6), InterfaceContract())
+    monkeypatch.setattr(cli, "load_seed_gadget", lambda: seed)
+    code, out, err = run_cli(capsys, command)
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: seed contract clause distance failed: terminal distances"
+        " [3, 3, 3] fit [3, 3, 4] in no order\n"
+    )
+
+
+def test_main_builds_its_parser_once_and_keeps_each_calls_answer(
+    tmp_path, capsys, c5_file
+):
+    # every call parses with the one parser: a run of subcommands, an
+    # argparse error among them, answers the same the second time round
+    runs = [
+        ("build", "--stage", "seed"),
+        ("build", "--stage", "nope"),
+        ("convert", str(c5_file), str(tmp_path / "c5.col")),
+        ("search",),
+        ("--version",),
+    ]
+    first = [run_cli(capsys, *argv) for argv in runs]
+    assert [code for code, _, _ in first] == [0, 2, 0, 2, 0]
+    assert "invalid choice: 'nope'" in first[1][2]
+    assert [run_cli(capsys, *argv) for argv in runs] == first
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_lemmas_op_through_main_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # after a first call has built the parser, reference counting frees
+    # all an op makes: nothing is left for the collector
+    argv = ["lemmas", "--json", str(tmp_path / "lemmas.json")]
+    assert run_cli(capsys, *argv)[0] == 0
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    capsys.readouterr()
+    assert (code, unreachable) == (0, 0)
 
 
 def test_convert_round_trip(tmp_path, capsys, c5_file):

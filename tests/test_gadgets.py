@@ -14,6 +14,7 @@ from steinberg import (
     ContractError,
     FormatError,
     InterfaceContract,
+    OracleMismatchError,
     PasteError,
     PasteRecipe,
     TerminalGadget,
@@ -35,6 +36,7 @@ from steinberg import (
     triple_contract,
     verify_contract,
 )
+from steinberg import gadgets
 from steinberg.analysis import is_planar
 from steinberg.check import case_tree_refutes, skeleton_facts
 from steinberg.coloring import (
@@ -45,8 +47,8 @@ from steinberg.coloring import (
     solve_3coloring_with_stats,
 )
 from steinberg.gadgets import (
+    _derived_facts,
     _planarity_check,
-    _recipe_facts,
     claw_skeleton,
     gadget_from_json_dict,
     gadget_to_json_dict,
@@ -509,6 +511,17 @@ def test_seed_in_roles_ignores_the_seeds_terminal_order(seed_gadget, triple_gadg
         assert build_triple_gadget(turned) == triple_gadget
 
 
+def test_seed_in_roles_refuses_distances_that_break_the_contract():
+    # a 9-cycle's terminals 0, 3, 6 are pairwise at distance 3: no order
+    # gives the seed contract's (3, 3, 4), whatever order they come in
+    nonagon = build_graph(9, [(i, (i + 1) % 9) for i in range(9)])
+    for order in itertools.permutations((0, 3, 6)):
+        seed = TerminalGadget(nonagon, order, InterfaceContract())
+        with pytest.raises(ContractError, match=r"\[3, 3, 3\] fit \[3, 3, 4\]") as exc:
+            seed_in_roles(seed)
+        assert exc.value.clause == "distance"
+
+
 def test_build_triple_gadget_arithmetic(seed_gadget, triple_gadget):
     n1, m1 = seed_gadget.graph.n, seed_gadget.graph.m
     assert triple_gadget.graph.n == 3 * n1 - 3
@@ -616,6 +629,28 @@ def test_compositional_check_leaves_no_cyclic_garbage(seed_gadget):
     finally:
         gc.enable()
     assert unreachable == 0
+
+
+@pytest.mark.parametrize("stage", [0, 1], ids=["triple-tree", "final-tree"])
+def test_compositional_check_refuses_a_tampered_walk(monkeypatch, seed_gadget, stage):
+    # one walk's tree loses the last case of its root: the check runs the
+    # tree checker on each walk itself, so it raises before it returns
+    walk = gadgets.walk_recipe
+    walks = []
+
+    def tampered(*args):
+        walks.append(walk(*args))
+        if len(walks) == stage + 1:
+            cases = walks[-1]["tree"]["cases"]
+            cases.pop(max(cases))
+        return walks[-1]
+
+    monkeypatch.setattr(gadgets, "walk_recipe", tampered)
+    table = terminal_behavior(seed_in_roles(seed_gadget), frozenset())
+    parts = len((TRIPLE_RECIPE, COUNTEREXAMPLE_RECIPE)[stage].parts)
+    with pytest.raises(OracleMismatchError, match=f"case tree over {parts} parts"):
+        compositional_check(table)
+    assert len(walks) == stage + 1
 
 
 def test_composed_triple_table_matches_the_solver(seed_gadget, triple_gadget):
@@ -919,7 +954,7 @@ def test_derived_triple_facts_agree_with_the_pasted_triple(
     # the census, the left-right test and a checked solver refutation on
     # the pasted triple, the census and planarity on the final graph
     roles = seed_in_roles(seed_gadget)
-    dist, (acyclic, _, details) = _recipe_facts(
+    dist, (acyclic, _, details), claws = _derived_facts(
         TRIPLE_RECIPE, roles.contract.exact_terminal_distances, (0, 1, 2),
         frozenset({4, 5}),
     )
@@ -935,6 +970,7 @@ def test_derived_triple_facts_agree_with_the_pasted_triple(
     claw = claw_skeleton(TRIPLE_RECIPE, (0, 1, 2))
     assert (claw.n, claw.m) == (10, 15)
     assert _planarity_check(claw)[0] and is_planar(g).planar
+    assert claws == (True, None, {"derived": "claw-skeleton", "faces": "euler-checked"})
     assert terminals_cofacial(triple_gadget)
     fixing = {v: 0 for v in t}
     result, stats = solve_3coloring_with_stats(g, fixing)
@@ -942,7 +978,7 @@ def test_derived_triple_facts_agree_with_the_pasted_triple(
     stage = _stock_walks(seed_gadget)[0][3]
     assert stage["table"]["000"] is False
     # the final recipe, from the triple's derived distances
-    _, (acyclic, _, details) = _recipe_facts(
+    _, (acyclic, _, details), claws = _derived_facts(
         COUNTEREXAMPLE_RECIPE, dist, (), frozenset({4, 5})
     )
     assert acyclic and forbidden_cycle_check(final_graph, {4, 5}) is None
@@ -951,11 +987,12 @@ def test_derived_triple_facts_agree_with_the_pasted_triple(
     claw = claw_skeleton(COUNTEREXAMPLE_RECIPE)
     assert (claw.n, claw.m) == (14, 24)
     assert _planarity_check(claw)[0] and is_planar(final_graph).planar
+    assert claws[0] and claws[2]["derived"] == "claw-skeleton"
 
 
 def test_skeleton_refuses_a_seed_with_b_and_c_at_distance_3():
     near = ((0, 3, 3), (3, 0, 3), (3, 3, 0))
-    dist, (acyclic, witness, _) = _recipe_facts(
+    dist, (acyclic, witness, _), _ = _derived_facts(
         TRIPLE_RECIPE, near, (0, 1, 2), frozenset({4, 5})
     )
     # the triple's terminals come out at 3, not the contract's 4
@@ -973,7 +1010,7 @@ def test_skeleton_refuses_an_extra_edge_between_two_slots(edge, weight, vertices
     recipe = dataclasses.replace(
         TRIPLE_RECIPE, extra_edges=TRIPLE_RECIPE.extra_edges + (edge,)
     )
-    _, (acyclic, witness, _) = _recipe_facts(recipe, seed, (), frozenset({4, 5}))
+    _, (acyclic, witness, _), _ = _derived_facts(recipe, seed, (), frozenset({4, 5}))
     # the new edge and the seed's own path between its ends: a cycle
     # through a part edge light enough to be a 4- or 5-cycle
     assert not acyclic

@@ -9,8 +9,8 @@ import only the standard library, run from a copy of itself and share
 no code with the solver, the planarity test or the census whose verdicts
 it re-checks, and the case tree must close without calling the solver,
 pasting a graph or measuring a distance; its checker shares no name with
-the walk that grows the tree, and ``lemmas`` builds no graph but the
-seed.
+the walk that grows the tree, only ``compositional_check`` walks a recipe
+or runs that checker, and ``lemmas`` builds no graph but the seed.
 The report layer stays free of the analysis module, the
 package free of ``assert`` statements, of a second, indenting JSON
 writer and of a second JSON reader, and a bare ``import steinberg``
@@ -173,7 +173,6 @@ def test_lemmas_builds_only_the_seed(monkeypatch):
         return refused
 
     monkeypatch.setattr(gadgets, "paste", refuse("paste"))
-    monkeypatch.setattr(gadgets, "_paste_triple", refuse("triple paste"))
     monkeypatch.setattr(
         coloring, "_cdcl", refuse("solver", coloring._cdcl, lambda n, *_: n == 15)
     )
@@ -205,6 +204,24 @@ def test_the_tree_checker_shares_no_names_with_the_walk():
         used = _names(defs[name])
         used |= set().union(*(_names(defs[n]) for n in used & set(defs)))
         assert not used & helpers, (name, sorted(used & helpers))
+
+
+def test_only_compositional_check_walks_and_checks_a_recipe():
+    # the seed, triple, final chain is listed once: every walk of a
+    # recipe and every run of the tree checker in the package is made by
+    # compositional_check, so each caller gets a checked proof
+    callers = {"walk_recipe": set(), "case_tree_refutes": set()}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    called = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if called in callers:
+                        callers[called].add(getattr(top, "name", path.name))
+    assert callers == {
+        "walk_recipe": {"compositional_check"},
+        "case_tree_refutes": {"compositional_check"},
+    }
 
 
 def test_the_checker_runs_from_a_copy_of_itself(tmp_path):
