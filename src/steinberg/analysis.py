@@ -85,42 +85,44 @@ def _cycle_dfs(g: Graph, lengths: frozenset[int]) -> dict[int, list[Cycle]]:
     top = max(lengths)
     c3, c4, c5, c6 = (out.get(k) for k in (3, 4, 5, 6))
     adj = g.adj
+    # mark[w] == s when w is a neighbour of s, so a path closes at w;
     # near[w] == s when w is adjacent to a neighbour of s larger than s:
     # only from such a w can the path close with one more vertex, so the
     # loop over the last vertex runs from it alone
+    mark = [-1] * g.n
     near = [-1] * g.n
-    for s, sn in enumerate(g.neighbor_sets):
-        if top > 4:
-            for x in adj[s]:
-                if x > s:
-                    for w in adj[x]:
-                        near[w] = s
+    for s in range(g.n):
+        for x in adj[s]:
+            mark[x] = s
+            if top > 4 and x > s:
+                for w in adj[x]:
+                    near[w] = s
         for a in adj[s]:
             if a < s:
                 continue
             for b in adj[a]:
                 if b <= s:
                     continue
-                if c3 is not None and b in sn and a < b:
+                if c3 is not None and mark[b] == s and a < b:
                     c3.append((s, a, b))
                 if top == 3:
                     continue
                 for c in adj[b]:
                     if c <= s or c == a:
                         continue
-                    if c4 is not None and c in sn and a < c:
+                    if c4 is not None and mark[c] == s and a < c:
                         c4.append((s, a, b, c))
                     if top == 4 or (top == 5 and near[c] != s):
                         continue
                     for d in adj[c]:
                         if d <= s or d == a or d == b:
                             continue
-                        if c5 is not None and d in sn and a < d:
+                        if c5 is not None and mark[d] == s and a < d:
                             c5.append((s, a, b, c, d))
                         if top == 5 or near[d] != s:
                             continue
                         for e in adj[d]:
-                            if e in sn and a < e and e != b and e != c:
+                            if mark[e] == s and a < e and e != b and e != c:
                                 c6.append((s, a, b, c, d, e))
     return out
 
@@ -583,7 +585,7 @@ def _kernel(g: Graph) -> dict[Edge, list[Edge]]:
     disjoint, so a Kuratowski subdivision in the kernel expands to one
     in ``g``.
     """
-    nbrs = [set(s) for s in g.neighbor_sets]
+    nbrs = [set(s) for s in g.adj]
     paths = {e: [e] for e in g.edges}
     queue = [v for v in range(g.n) if len(nbrs[v]) <= 2]
     while queue:

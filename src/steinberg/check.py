@@ -218,9 +218,9 @@ def planarity_certificate_kind(g, cert) -> str | None:
         rotation = cert.rotation
         if rotation is None or len(rotation) != g.n:
             raise InvalidCertificate("rotation system missing or wrong length")
-        for v, nbrs in enumerate(g.neighbor_sets):
+        for v, nbrs in enumerate(g.adj):
             ring = rotation[v]
-            if len(ring) != len(nbrs) or set(ring) != nbrs:
+            if len(ring) != len(nbrs) or set(ring) != set(nbrs):
                 raise InvalidCertificate(
                     f"rotation at vertex {v} does not list its neighbors"
                 )

@@ -452,7 +452,7 @@ def brute_force_3coloring(
             " brute-force guard"
         )
     colors: dict[int, int] = dict(fixed)
-    nbrs = g.neighbor_sets
+    nbrs = g.adj
 
     def extend(i: int) -> bool:
         if i == len(free):

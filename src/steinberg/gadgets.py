@@ -99,27 +99,11 @@ class InterfaceContract:
         for k in self.forbidden_cycle_lengths:
             if not (3 <= k <= 6):
                 raise ValueError(f"forbidden cycle length {k} outside 3..6")
-        arities = set()
-        if self.min_terminal_distances is not None:
-            _check_matrix(self.min_terminal_distances, "min distances")
-            arities.add(len(self.min_terminal_distances))
-        if self.exact_terminal_distances is not None:
-            _check_matrix(self.exact_terminal_distances, "exact distances")
-            arities.add(len(self.exact_terminal_distances))
-        if (
-            self.min_terminal_distances is not None
-            and self.exact_terminal_distances is not None
-        ):
-            t = len(self.min_terminal_distances)
-            for i in range(t):
-                for j in range(t):
-                    if (
-                        self.exact_terminal_distances[i][j]
-                        < self.min_terminal_distances[i][j]
-                    ):
-                        raise ValueError(
-                            "exact distances must dominate min distances"
-                        )
+        minimum, exact = self.min_terminal_distances, self.exact_terminal_distances
+        if minimum is not None:
+            _check_matrix(minimum, "min distances")
+        if exact is not None:
+            _check_matrix(exact, "exact distances")
         for p in self.forbidden_patterns:
             if not isinstance(p, str) or not set(p) <= set("012"):
                 raise ValueError(
@@ -127,19 +111,25 @@ class InterfaceContract:
                 )
             if pattern_of([int(ch) for ch in p]) != p:
                 raise ValueError(f"forbidden pattern {quote(p)} is not normalized")
-            arities.add(len(p))
+        arities = self._arities()
         if len(arities) > 1:
             raise ValueError(f"contract clauses disagree on arity: {arities}")
+        if minimum is not None and exact is not None and any(
+            e < m for rows in zip(exact, minimum) for e, m in zip(*rows)
+        ):
+            raise ValueError("exact distances must dominate min distances")
+
+    def _arities(self) -> set[int]:
+        """The terminal count each clause fixes: a distance matrix's
+        size, a forbidden pattern's length."""
+        matrices = (self.min_terminal_distances, self.exact_terminal_distances)
+        return {len(m) for m in matrices if m is not None} | {
+            len(p) for p in self.forbidden_patterns
+        }
 
     @property
     def arity(self) -> int | None:
-        if self.exact_terminal_distances is not None:
-            return len(self.exact_terminal_distances)
-        if self.min_terminal_distances is not None:
-            return len(self.min_terminal_distances)
-        for p in self.forbidden_patterns:
-            return len(p)
-        return None
+        return next(iter(self._arities()), None)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -283,70 +273,73 @@ def _report(
 # ---------------------------------------------------------------------------
 # contract verification
 
-def _contract_clauses(gadget: TerminalGadget) -> list[tuple[str, CheckBody]]:
-    """The contract's clauses as (name, body) pairs, in report order.
-    Each body runs its clause in full."""
-    g = gadget.graph
-    contract = gadget.contract
-    clauses: list[tuple[str, CheckBody]] = []
-
+def _clauses(contract: InterfaceContract, t: int) -> list[tuple[str, str, Any]]:
+    """The contract's clauses on ``t`` terminals as (name, kind, ask), in
+    report order; :func:`_measured` makes a body of each.  The kind is
+    ``forbidden``, ``distance``, ``pattern`` or ``planarity``; the ask is
+    the forbidden lengths, ``(i, j, exact, minimum)`` for terminals i < j,
+    the pattern, or ``None``."""
+    clauses: list[tuple[str, str, Any]] = []
     if contract.forbidden_cycle_lengths:
-        clauses.append((
-            "forbidden-cycles",
-            lambda: _cycle_check(g, contract.forbidden_cycle_lengths),
-        ))
-
+        clauses.append(
+            ("forbidden-cycles", "forbidden", contract.forbidden_cycle_lengths)
+        )
     exact = contract.exact_terminal_distances
     minimum = contract.min_terminal_distances
-    t = len(gadget.terminals)
-    for i in range(t):
-        for j in range(i + 1, t):
-            want_exact = exact[i][j] if exact else None
-            want_min = minimum[i][j] if minimum else None
-            if want_exact is None and want_min is None:
-                continue
-
-            def distance_clause(i=i, j=j, want_exact=want_exact, want_min=want_min):
-                path = shortest_path(g, gadget.terminals[i], gadget.terminals[j])
-                d = None if path is None else len(path) - 1
-                ok = d is not None
-                if ok and want_exact is not None:
-                    ok = d == want_exact
-                if ok and want_min is not None:
-                    ok = d >= want_min
-                witness = None
-                if not ok:
-                    witness = {
-                        "distance": d,
-                        "path": path,
-                        "expected_exact": want_exact,
-                        "expected_min": want_min,
-                    }
-                return ok, witness, {"distance": d}
-
-            clauses.append((f"distance-t{i}-t{j}", distance_clause))
-
+    if exact or minimum:
+        for i, j in combinations(range(t), 2):
+            ask = (i, j, exact[i][j] if exact else None,
+                   minimum[i][j] if minimum else None)
+            clauses.append((f"distance-t{i}-t{j}", "distance", ask))
     for pattern in sorted(contract.forbidden_patterns):
-        fixing = pattern_fixing(gadget.terminals, pattern)
-        clauses.append((
-            f"pattern-{pattern}-infeasible",
-            lambda fixing=fixing: _coloring_check(g, fixing),
-        ))
-
+        clauses.append((f"pattern-{pattern}-infeasible", "pattern", pattern))
     if contract.require_planar:
-        clauses.append(("planarity", lambda: _planarity_check(g)))
-
+        clauses.append(("planarity", "planarity", None))
     return clauses
+
+
+def _distance_holds(d: int | None, exact: int | None, minimum: int | None) -> bool:
+    """Whether ``d`` (None when unreachable) meets a distance clause's
+    ``exact`` and ``minimum``, each None when the clause does not ask it."""
+    return d is not None and exact in (None, d) and d >= (minimum or 0)
+
+
+def _measured(gadget: TerminalGadget, kind: str, ask: Any) -> CheckBody:
+    """The body that checks one clause of :func:`_clauses` on the
+    gadget's graph, in full."""
+    g = gadget.graph
+    if kind == "forbidden":
+        return lambda: _cycle_check(g, ask)
+    if kind == "pattern":
+        fixing = pattern_fixing(gadget.terminals, ask)
+        return lambda: _coloring_check(g, fixing)
+    if kind == "planarity":
+        return lambda: _planarity_check(g)
+    i, j, exact, minimum = ask
+
+    def distance_check():
+        path = shortest_path(g, gadget.terminals[i], gadget.terminals[j])
+        d = None if path is None else len(path) - 1
+        if _distance_holds(d, exact, minimum):
+            return True, None, {"distance": d}
+        witness = {"distance": d, "path": path, "expected_exact": exact,
+                   "expected_min": minimum}
+        return False, witness, {"distance": d}
+
+    return distance_check
 
 
 def verify_contract(gadget: TerminalGadget) -> VerificationReport:
     """Re-check every contract clause; one report line per clause."""
-    return _report(gadget.graph, _contract_clauses(gadget))
+    clauses = _clauses(gadget.contract, len(gadget.terminals))
+    return _report(gadget.graph, [
+        (name, _measured(gadget, kind, ask)) for name, kind, ask in clauses
+    ])
 
 
-# clause kinds by the first word of their names, cheapest first: one BFS,
-# one small pinned solve, a bounded cycle search, then planarity with its
-# certificate (and a Kuratowski subgraph when it fails)
+# clause kinds cheapest first: one BFS, one small pinned solve, a bounded
+# cycle search, then planarity with its certificate (and a Kuratowski
+# subgraph when it fails)
 _CHEAPEST_FIRST = ("distance", "pattern", "forbidden", "planarity")
 
 
@@ -360,11 +353,11 @@ def first_failing_clause(gadget: TerminalGadget) -> str | None:
     ``verify_contract(gadget).passed``.
     """
     clauses = sorted(
-        _contract_clauses(gadget),
-        key=lambda clause: _CHEAPEST_FIRST.index(clause[0].split("-")[0]),
+        _clauses(gadget.contract, len(gadget.terminals)),
+        key=lambda clause: _CHEAPEST_FIRST.index(clause[1]),
     )
-    for name, body in clauses:
-        passed, _, _ = body()
+    for name, kind, ask in clauses:
+        passed, _, _ = _measured(gadget, kind, ask)()
         if not passed:
             return name
     return None
@@ -899,7 +892,8 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
     once, as :func:`build_triple_gadget` checks it: a failing clause
     raises :class:`ContractError` before any other check runs.  No
     recipe is pasted.  ``composition:case-tree`` runs
-    :func:`compositional_check` on the seed's table.  The triple's
+    :func:`compositional_check` on the seed's table.  The triple's checks
+    are the clauses :func:`_clauses` lists for :func:`triple_contract`:
     distances, cycles and planarity come from :func:`_derived_facts` on
     :data:`TRIPLE_RECIPE` (planarity also needs the seed's terminals
     co-facial), its all-equal row from the checked walk.  The case
@@ -952,30 +946,30 @@ def lemmas_report(seed: TerminalGadget) -> VerificationReport:
     case_tree = timed_check("composition:case-tree", composition)
     triple_walk = walked["triple_stage"]
 
-    def distance_clause(i, j):
-        want = triple.exact_terminal_distances[i][j]
+    def distance_clause(ask):
+        i, j, exact, minimum = ask
         details = {"derived": "skeleton", "distance": dist[i][j]}
-        if dist[i][j] == want:
+        if _distance_holds(dist[i][j], exact, minimum):
             return True, None, details
-        return False, {**details, "expected_exact": want}, None
+        asked = {} if minimum is None else {"expected_min": minimum}
+        return False, {**details, "expected_exact": exact, **asked}, None
 
     def pattern_clause(p):
         witness = triple_walk["witnesses"].get(p)
         return not triple_walk["table"][p], witness, {"derived": "case-tree"}
 
-    def planarity_clause():
+    def planarity_clause(_):
         if not terminals_cofacial(roles):
             return False, {"type": "seed-terminals-not-cofacial"}, None
         return triple_claws
 
-    # the triple contract's clauses, in the order _contract_clauses runs them
-    clauses = [("forbidden-cycles", lambda: triple_cycles)]
-    clauses += [(f"distance-t{i}-t{j}", lambda i=i, j=j: distance_clause(i, j))
-                for i, j in combinations(range(len(dist)), 2)]
-    clauses += [(f"pattern-{p}-infeasible", lambda p=p: pattern_clause(p))
-                for p in sorted(triple.forbidden_patterns)]
-    clauses.append(("planarity", planarity_clause))
-    checks += [timed_check(f"triple:{name}", body) for name, body in clauses]
+    # the triple contract's clauses, each by its derived body
+    derived = {"forbidden": lambda _: triple_cycles, "distance": distance_clause,
+               "pattern": pattern_clause, "planarity": planarity_clause}
+    checks += [
+        timed_check(f"triple:{name}", lambda kind=kind, ask=ask: derived[kind](ask))
+        for name, kind, ask in _clauses(triple, len(dist))
+    ]
     checks.append(case_tree)
     return VerificationReport(target=seed_report.target, checks=tuple(checks))
 

@@ -42,14 +42,6 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @cached_property
-    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(map(frozenset, self.adj))
-
-    @cached_property
     def adj(self) -> tuple[tuple[int, ...], ...]:
         """Sorted adjacency lists, from one pass over the sorted edges:
         v meets its smaller neighbors as (u, v), in increasing u, before
@@ -61,7 +53,8 @@ class Graph:
         return tuple(map(tuple, adj))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edge_set
+        u, v = normalize_edge(u, v)
+        return 0 <= u and v < self.n and v in self.adj[u]
 
     def vertex_by_label(self, name: str) -> int:
         for v, label in self.labels or ():
@@ -119,7 +112,7 @@ def build_graph(
 
 def remove_edge(g: Graph, u: int, v: int) -> Graph:
     e = normalize_edge(u, v)
-    if e not in g.edge_set:
+    if not g.has_edge(*e):
         raise GraphConstructionError(f"edge ({quote(u)}, {quote(v)}) not present")
     return Graph(g.n, tuple(x for x in g.edges if x != e), g.labels)
 

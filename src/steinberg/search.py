@@ -56,7 +56,7 @@ from .formats import (
 from .gadgets import (
     InterfaceContract,
     TerminalGadget,
-    _contract_clauses,
+    _clauses,
     first_failing_clause,
     require_contract,
     save_gadget,
@@ -657,7 +657,9 @@ def certify_and_freeze(gadget: TerminalGadget, path: str | Path) -> Path:
     verification = {
         "digest": digest,
         "tool_version": _tool_version,
-        "checks": [name for name, _ in _contract_clauses(gadget)],
+        "checks": [
+            name for name, _, _ in _clauses(gadget.contract, len(gadget.terminals))
+        ],
         "behavior": behavior,
         "terminals_cofacial": cofacial,
     }

@@ -67,7 +67,7 @@ def normalize_cycle(seq) -> tuple[int, ...]:
 
 def subset_cycles(g: Graph, k: int) -> set[tuple[int, ...]]:
     """All k-cycles of g, by checking every subset and every ordering."""
-    es = g.edge_set
+    es = set(g.edges)
     found = set()
     for sub in itertools.combinations(range(g.n), k):
         first = sub[0]
@@ -126,7 +126,7 @@ def brute_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if sorted(map(len, g.adj)) != sorted(map(len, h.adj)):
         return False
-    hs = h.edge_set
+    hs = set(h.edges)
     for perm in itertools.permutations(range(g.n)):
         if all(tuple(sorted((perm[u], perm[v]))) in hs for u, v in g.edges):
             return True
@@ -221,7 +221,7 @@ def random_conflict_free_fixing(
         max_fixed = rng.randrange(g.n + 1)
     fixing: dict[int, int] = {}
     for v in order[:max_fixed]:
-        banned = {fixing[u] for u in g.neighbor_sets[v] if u in fixing}
+        banned = {fixing[u] for u in g.adj[v] if u in fixing}
         open_colors = [c for c in range(3) if c not in banned]
         if open_colors:
             fixing[v] = rng.choice(open_colors)
@@ -567,7 +567,7 @@ def reference_canonical_form(g: Graph) -> bytes:
     """
     if g.n == 0:
         return graph6_reference(0, [])
-    nbrs = g.neighbor_sets
+    nbrs = [set(a) for a in g.adj]
     best = None
 
     def descend(cells) -> None:

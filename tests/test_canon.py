@@ -126,7 +126,7 @@ def test_refine_keeps_the_reference_cell_order(data):
     cells = [list(order[a:b]) for a, b in zip(bounds, bounds[1:]) if a < b]
     p = canon._refine(cells, g.adj)
     got = [p.order[s:e] for s, e in p.ranges()]
-    assert got == reference_refine(cells, g.neighbor_sets)
+    assert got == reference_refine(cells, [set(a) for a in g.adj])
 
 
 def _ladder(rungs: int, ends: str) -> tuple[int, list[tuple[int, int]]]:
@@ -224,7 +224,7 @@ def test_child_refinement_from_the_vertex_alone_keeps_the_reference_cells(g):
             canon._split(p, g.adj, deque([(t, t + 1)]))
             rest = [w for w in cells[i] if w != v]
             want = reference_refine(
-                cells[:i] + [[v], rest] + cells[i + 1 :], g.neighbor_sets
+                cells[:i] + [[v], rest] + cells[i + 1 :], [set(a) for a in g.adj]
             )
             assert cells_of(p) == want
             assert p.multi == {s for s, e in p.ranges() if e - s > 1}
@@ -357,7 +357,7 @@ def test_pruning_uses_only_automorphisms_that_fix_the_node(monkeypatch):
             image = {
                 tuple(sorted((gamma.get(a, a), gamma.get(b, b)))) for a, b in g.edges
             }
-            assert image == g.edge_set
+            assert image == set(g.edges)
         merged.append(len(node.fixing))
         return real(node, v)
 

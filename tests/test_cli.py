@@ -13,6 +13,7 @@ import pytest
 
 from steinberg import (
     CertificateError,
+    FormatError,
     InterfaceContract,
     TerminalGadget,
     build_graph,
@@ -838,6 +839,29 @@ def test_a_wrongly_shaped_search_spec_names_its_field(tmp_path, capsys, spec, me
     spec_path.write_text(json.dumps(spec))
     code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
     assert (code, out, err) == (2, "", f"error: bad search spec: {message}\n")
+
+
+def test_a_min_matrix_larger_than_the_exact_one_is_refused_on_arity(tmp_path, capsys):
+    # the clauses' arities are compared before their matrices are, entry
+    # by entry: one error line and exit 2, or a FormatError from a
+    # gadget file, never an IndexError
+    contract = {
+        "min_terminal_distances": [[0, 1, 1], [1, 0, 1], [1, 1, 0]],
+        "exact_terminal_distances": [[0, 2], [2, 0]],
+    }
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(
+        {"contract": contract, "template": {"layers": [{"name": "t", "size": 3}]}}
+    ))
+    code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == "error: bad search spec: contract clauses disagree on arity: {2, 3}\n"
+    gadget_path = tmp_path / "gadget.json"
+    gadget_path.write_text(json.dumps(
+        {"n": 3, "edges": [], "terminals": [0, 1, 2], "contract": contract}
+    ))
+    with pytest.raises(FormatError, match="contract clauses disagree on arity"):
+        load_gadget(gadget_path)
 
 
 def test_search_spec_with_an_oversized_integer_is_a_usage_error(tmp_path, capsys):

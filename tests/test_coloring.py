@@ -353,7 +353,7 @@ def _proof_mutants(g, steps):
         hints[i] = (a, b - b % 6 + (b % 6 + 2) % 6)
         mutants["mixed-color"] = _edited(steps, k, hints=tuple(hints))
         u = a // 6
-        others = set(range(g.n)) - g.neighbor_sets[u] - {u}
+        others = set(range(g.n)) - set(g.adj[u]) - {u}
         if others:
             x = min(others)
             hints[i] = (a, 6 * x + a % 6)
@@ -399,7 +399,7 @@ def test_checker_takes_literals_in_0_to_6n_less_1_only(final_graph):
     g = final_graph
     _, stats = solve_3coloring_with_stats(g)
     last = 6 * g.n - 1
-    u = min(g.neighbor_sets[g.n - 1])
+    u = min(g.adj[g.n - 1])
     pair = (6 * u + 5, last)
 
     def ends(top):

@@ -121,6 +121,45 @@ def test_contract_rejects_arity_disagreement():
         )
 
 
+def _distance_matrix(t):
+    # symmetric with a zero diagonal, so only its size can be at fault
+    return st.lists(st.integers(0, 5), min_size=t * t, max_size=t * t).map(
+        lambda xs: tuple(
+            tuple(0 if i == j else xs[min(i, j) * t + max(i, j)] for j in range(t))
+            for i in range(t)
+        )
+    )
+
+
+_matrices = st.none() | st.integers(0, 4).flatmap(_distance_matrix)
+
+
+@given(
+    _matrices,
+    _matrices,
+    st.frozensets(st.lists(st.integers(0, 2), max_size=4).map(pattern_of), max_size=2),
+)
+@settings(max_examples=300, deadline=None)
+def test_contract_refuses_clauses_of_mismatched_sizes_with_a_value_error(
+    minimum, exact, patterns
+):
+    # the arity is compared before the two matrices are, entry by entry,
+    # so a min matrix larger than the exact one is no IndexError
+    sizes = {len(m) for m in (minimum, exact) if m is not None}
+    sizes |= {len(p) for p in patterns}
+    try:
+        contract = InterfaceContract(
+            min_terminal_distances=minimum,
+            exact_terminal_distances=exact,
+            forbidden_patterns=patterns,
+        )
+    except ValueError as exc:
+        assert ("disagree on arity" in str(exc)) == (len(sizes) > 1)
+        assert len(sizes) > 1 or "dominate" in str(exc)
+    else:
+        assert contract.arity == next(iter(sizes), None) and len(sizes) <= 1
+
+
 def test_contract_arity_and_json_round_trip():
     for contract in (seed_contract(), triple_contract(), InterfaceContract()):
         back = InterfaceContract.from_json_dict(contract.to_json_dict())
@@ -713,6 +752,24 @@ def test_lemmas_report_ignores_the_seeds_terminal_order(seed_gadget):
     for order in itertools.permutations(seed_gadget.terminals):
         turned = dataclasses.replace(seed_gadget, terminals=order)
         assert stripped(turned) == want, order
+
+
+def test_lemmas_reports_the_triple_contracts_clauses(monkeypatch, seed_gadget):
+    # the triple's checks follow triple_contract(): a clause it drops is
+    # not reported, and every other check keeps its name, order and details
+    def triple_checks(report):
+        return [(c.name, c.details) for c in report.checks if c.name.startswith("triple:")]
+
+    full = triple_checks(lemmas_report(seed_gadget))
+    for dropped, change in (
+        ("triple:planarity", {"require_planar": False}),
+        ("triple:pattern-000-infeasible", {"forbidden_patterns": frozenset()}),
+    ):
+        contract = dataclasses.replace(triple_contract(), **change)
+        monkeypatch.setattr(gadgets, "triple_contract", lambda: contract)
+        report = lemmas_report(seed_gadget)
+        assert report.passed
+        assert triple_checks(report) == [c for c in full if c[0] != dropped]
 
 
 def test_walk_finds_a_survivor_once_an_extra_edge_is_gone(

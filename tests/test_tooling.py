@@ -11,6 +11,8 @@ it re-checks, and the case tree must close without calling the solver,
 pasting a graph or measuring a distance; its checker shares no name with
 the walk that grows the tree, only ``compositional_check`` walks a recipe
 or runs that checker, and ``lemmas`` builds no graph but the seed.
+Only ``gadgets._clauses`` forms a contract clause's name, and no code
+splits a check name to recover its kind.
 The report layer stays free of the analysis module, the
 package free of ``assert`` statements, of a second, indenting JSON
 writer and of a second JSON reader, and a bare ``import steinberg``
@@ -222,6 +224,39 @@ def test_only_compositional_check_walks_and_checks_a_recipe():
         "walk_recipe": {"compositional_check"},
         "case_tree_refutes": {"compositional_check"},
     }
+
+
+def _is_clause_name(text: str) -> bool:
+    return (
+        text == "forbidden-cycles"
+        or text.startswith("distance-t")
+        or text.endswith("-infeasible")
+    )
+
+
+def test_only_clauses_forms_a_contract_clause_name():
+    # a contract's check names, kinds and order are stated once, in
+    # gadgets._clauses; every other reader takes them from its list, and
+    # none splits a name to recover the clause's kind
+    formed, splits = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, str)
+                    and _is_clause_name(node.value)
+                ):
+                    formed.add((path.name, getattr(top, "name", None)))
+                if (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "attr", None) in ("split", "partition")
+                    and node.args
+                    and getattr(node.args[0], "value", None) == "-"
+                ):
+                    splits.append((path.name, node.lineno))
+    assert formed == {("gadgets.py", "_clauses")}
+    assert splits == []
 
 
 def test_the_checker_runs_from_a_copy_of_itself(tmp_path):
