@@ -1,9 +1,13 @@
 """Constrained gadget search and freezing.
 
 The search walks a layered template once, as a list of steps that each
-choose one of several edge tuples.  It prunes a partial candidate as
-soon as it violates a monotone contract clause (a forbidden short cycle,
-a terminal distance already too small).  The walk is one loop over an
+choose one of several edge tuples.  The steps with at most one
+alternative (a fixed intra shape, a matching) are walked first, so their
+edges are in the partial graph from the first choice on; they add no
+branch, so the candidates, their order and the gadgets emitted are those
+of the walk in layer order.  It prunes a partial candidate as soon as
+it violates a monotone contract clause (a forbidden short cycle, a
+terminal distance already too small).  The walk is one loop over an
 explicit stack of per-step choices, so a template of any length stays
 clear of the recursion limit, and the partial graph is one adjacency
 bitmask per vertex: a new edge closes a forbidden k-cycle when simple
@@ -273,8 +277,8 @@ def _template_steps(
     tuples; for each step the earlier step whose choice it starts from,
     or None; for each step the vertex every edge of it meets (its hub),
     or None; and how many edges of ``_HOLD_CAP`` the listing leaves.
-    Every intra step comes first, so candidates of one edge count come
-    shape by shape; then one step per link: a matching has one
+    The layers are listed intra steps first, so candidates of one edge
+    count come shape by shape; then one step per link: a matching has one
     alternative, a subsets vertex every nonempty neighborhood by size
     then lexicographically, with the vertex as its hub, a pairs layer
     every sequence of distinct 2-subsets, strictly increasing when the
@@ -282,7 +286,13 @@ def _template_steps(
     subsets layer choose in nondecreasing order, each from its
     predecessor's choice on, so no two candidates differ only by
     swapping them.  Each edge is counted as it is listed, and past the
-    budget the template is refused, naming the layer being listed."""
+    budget the template is refused, naming the layer being listed.
+
+    The steps are returned forced first: every step with at most one
+    alternative, then the others, each group in listing order.  A forced
+    step's edges then prune every choice step (fail first), and as it
+    adds no branch, the walk keeps the same candidates in the same
+    order; only the ``pruned-*`` counts of partial candidates move."""
     left = _HOLD_CAP
 
     def listed(layer: LayerSpec, alternatives: Iterable[_Edges]) -> list[_Edges]:
@@ -342,7 +352,14 @@ def _template_steps(
                     for size in range(1, len(targets) + 1)
                     for subset in itertools.combinations(targets, size)
                 )))
-    return steps, follows, hubs, left
+    order = sorted(range(len(steps)), key=lambda i: len(steps[i]) > 1)
+    moved = {old: new for new, old in enumerate(order)}
+    return (
+        [steps[i] for i in order],
+        [None if follows[i] is None else moved[follows[i]] for i in order],
+        [hubs[i] for i in order],
+        left,
+    )
 
 
 def _hub_survivors(
@@ -422,11 +439,14 @@ def _walk(
 ) -> list[_Edges]:
     """Every choice of one alternative per step that no monotone prune
     rejects, as a sorted edge tuple, in the order of the steps'
-    alternatives; a step with an entry in ``follows`` starts at the
-    alternative that step chose.  One loop over an explicit stack of
-    per-step queues of alternatives to try, so a template's length never
-    meets the recursion limit; the partial graph is one adjacency bitmask
-    per vertex.  A step with an entry in ``hubs`` (a subsets vertex) is
+    alternatives.  The steps come forced first (see
+    :func:`_template_steps`), so each count in ``funnel`` is of partial
+    candidates pruned with every fixed edge already in place.  A step
+    with an entry in ``follows`` starts at the alternative that step
+    chose.  One loop over an explicit stack of per-step queues of
+    alternatives to try, so a template's length never meets the
+    recursion limit; the partial graph is one adjacency bitmask per
+    vertex.  A step with an entry in ``hubs`` (a subsets vertex) is
     cycle-pruned once on entry, for all of its alternatives, by
     :func:`_hub_survivors`: its queue holds only the survivors, and the
     rest count as "pruned-cycle" in one addition.  Every other

@@ -549,7 +549,7 @@ def test_wide_search_is_the_same_under_any_hash_seed(tmp_path):
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-2:] == [
             "1 gadget(s) frozen",
-            "funnel: enumerated 126, pruned-cycle 7746, pruned-distance 96,"
+            "funnel: enumerated 126, pruned-cycle 5856, pruned-distance 96,"
             " distance-t1-t2 68, pattern-000-infeasible 56, not-cofacial 0,"
             " duplicates 1, emitted 1",
         ]

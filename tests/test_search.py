@@ -33,6 +33,7 @@ from steinberg.gadgets import (
 )
 from steinberg.search import (
     _closes_forbidden_cycle,
+    _distance_floor_violated,
     _hub_survivors,
     _template_candidates,
     _template_steps,
@@ -142,7 +143,7 @@ def test_wide_template_funnel():
     assert [canonical_digest(g.graph) for g in found] == ["3855c0a1d182d600"]
     assert dict(funnel) == {
         "enumerated": 126,
-        "pruned-cycle": 7746,
+        "pruned-cycle": 5856,
         "pruned-distance": 96,
         "distance-t1-t2": 68,
         "pattern-000-infeasible": 56,
@@ -291,6 +292,14 @@ def unpruned_choices(template, every_order=False):
     return start, intra + links, ties
 
 
+def walk_order(choices):
+    """The indices of ``choices`` in the order the walk takes their steps:
+    every step with at most one alternative, then the others, each group
+    in layer order."""
+    forced = [i for i, alternatives in enumerate(choices) if len(alternatives) <= 1]
+    return forced + [i for i in range(len(choices)) if i not in forced]
+
+
 def filtered_product(spec, reduced=True):
     """The template's product in product order, less every candidate with
     a forbidden cycle or a terminal pair closer than its floor.  With
@@ -331,18 +340,75 @@ def walked(spec):
     return list(_template_candidates(spec, Counter()))
 
 
+def forced_link_moved(template):
+    """Does the template list a link step of one alternative after a step
+    of two or more, and does the walk take its steps in another order?"""
+    _, choices, _ = unpruned_choices(template)
+    late = any(
+        len(choices[i]) == 1 and any(len(c) > 1 for c in choices[:i])
+        for i in range(len(template.layers), len(choices))
+    )
+    steps = _template_steps(template)[0]
+    return late and list(map(len, steps)) != list(map(len, choices))
+
+
 def test_template_candidates_match_the_filtered_product():
     rng = random.Random(2016)
-    checked = several_counts = 0
+    checked = several_counts = moved = 0
     for _ in range(80):
         spec = random_template_spec(rng)
         expected = sorted(filtered_product(spec), key=len)
         assert walked(spec) == expected
         checked += len(expected)
         several_counts += len({len(edges) for edges in expected}) > 1
-    # enough survivors, and enough templates mixing edge counts, for the
-    # order and the prunes to be pinned
-    assert checked > 500 and several_counts > 10
+        moved += forced_link_moved(spec.template)
+    # enough survivors, enough templates mixing edge counts, and enough
+    # whose walk takes a one-alternative link ahead of an earlier choice,
+    # for the order and the prunes to be pinned
+    assert checked > 500 and several_counts > 10 and moved > 10
+
+
+def test_forced_steps_come_first_and_the_rest_keep_layer_order():
+    # a step of at most one alternative adds no branch to the walk, so it
+    # comes before every step of two or more and its edges prune from the
+    # first choice on; each group keeps layer order, and a tied step
+    # follows the vertex just ahead of it in its layer
+    rng = random.Random(45)
+    specs = [wide_spec(), seed_search_spec()]
+    specs += [random_template_spec(rng) for _ in range(100)]
+    specs += [interchangeable_template_spec(rng) for _ in range(100)]
+    for spec in specs:
+        steps, follows, hubs, _ = _template_steps(spec.template)
+        _, choices, _ = unpruned_choices(spec.template)
+        assert [[list(es) for es in step] for step in steps] == [
+            choices[i] for i in walk_order(choices)
+        ]
+        branching = [len(step) > 1 for step in steps]
+        assert branching == sorted(branching)
+        assert all(
+            f is None or (f == i - 1 and hubs[f] == hubs[i] - 1)
+            for i, f in enumerate(follows)
+        )
+
+
+def test_wide_walk_makes_its_pinned_prune_calls(monkeypatch):
+    # the inner matching is walked before the ring's and bridges' subsets,
+    # so the 5-cycles through it are cut on the bridges' hub steps: six
+    # single-step cycle tests, one per forced step and one per ring shape
+    calls = Counter()
+    for name, check in (("_closes_forbidden_cycle", _closes_forbidden_cycle),
+                        ("_distance_floor_violated", _distance_floor_violated),
+                        ("_hub_survivors", _hub_survivors)):
+        def counted(*args, name=name, check=check):
+            calls[name] += 1
+            return check(*args)
+        monkeypatch.setattr(f"steinberg.search.{name}", counted)
+    assert len(list(search_gadget(wide_spec()))) == 1
+    assert calls == {
+        "_closes_forbidden_cycle": 6,
+        "_distance_floor_violated": 406,
+        "_hub_survivors": 180,
+    }
 
 
 def test_template_candidates_match_the_filtered_product_at_every_length():
@@ -416,7 +482,8 @@ def test_swapping_interchangeable_vertices_loses_no_class():
     cut = duplicated = 0
     for _ in range(30):
         spec = interchangeable_template_spec(rng)
-        n, _, ties = unpruned_choices(spec.template)
+        n, choices, ties = unpruned_choices(spec.template)
+        ties = {walk_order(choices).index(i) for i in ties}
         follows = _template_steps(spec.template)[1]
         assert ties and {i for i, f in enumerate(follows) if f is not None} == ties
         assert all(follows[i] == i - 1 for i in ties)
