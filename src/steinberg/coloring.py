@@ -11,11 +11,14 @@ deterministic: each decision sets the unassigned variable of highest
 activity false, ties to the smallest variable.  On UNSAT its learnt
 clauses, each with the clauses that derive it, form a hinted proof that
 :func:`_coloring_check` checks with :mod:`check`, which checks
-witnesses too and shares no code with the solver.  Every coloring
-verdict comes from that function: the contracts' pattern clauses,
+witnesses too and shares no code with the solver.  Every verdict of the
+solver goes through that function: the contracts' pattern clauses,
 ``verify``'s colorability check and each row of a
 :func:`terminal_behavior` table that no passing contract clause has
-already refuted (those come from the clause, not a solve).
+already refuted (those come from the clause, not a solve).  The other
+coloring verdicts take no solve: ``lemmas`` has the seed's all-equal row
+from the brute force and from the exhaustive sweep, and the triple's
+pattern clause and the final stage from the checked case tree.
 """
 
 from __future__ import annotations

@@ -475,11 +475,24 @@ class PasteRecipe:
         if dangling:
             raise PasteError(f"dangling slot {min(dangling)}: no part is pasted to it")
         union = s + self.extra_vertices
+        listed: set[frozenset[int]] = set()
         for u, v in self.extra_edges:
             if not (0 <= u < union) or not (0 <= v < union):
                 raise PasteError(f"extra edge ({u}, {v}) outside the union space")
             if u == v:
                 raise PasteError(f"extra edge ({u}, {v}) is a loop")
+            if frozenset((u, v)) in listed:
+                raise PasteError(f"extra edge ({u}, {v}) is listed twice")
+            listed.add(frozenset((u, v)))
+        for v, _ in self.labels or ():
+            if not (0 <= v < union):
+                raise PasteError(f"label on vertex {v} outside the union space")
+        named: dict[str, int] = {}
+        for v, name in enumerate(self.names):
+            if named.setdefault(name, v) != v:
+                raise PasteError(
+                    f"vertices {named[name]} and {v} are both named {quote(name)}"
+                )
 
     @cached_property
     def walk_order(self) -> tuple[int, ...]:

@@ -1,45 +1,50 @@
 """Constrained gadget search and freezing.
 
-The search walks a layered template once, as a list of steps that each
-choose one of several edge tuples.  The steps with at most one
-alternative (a fixed intra shape, a matching) are walked first, so their
-edges are in the partial graph from the first choice on; they add no
-branch, so the candidates, their order and the gadgets emitted are those
-of the walk in layer order.  It prunes a partial candidate as soon as
-it violates a monotone contract clause (a forbidden short cycle, a
-terminal distance already too small).  The walk is one loop over an
-explicit stack of per-step choices, so a template of any length stays
-clear of the recursion limit, and the partial graph is one adjacency
-bitmask per vertex: a new edge closes a forbidden k-cycle when simple
-paths grown k - 3 edges from one end meet the other end's neighbors in
-one mask test, and a terminal distance is a bitset BFS.  A subsets
-vertex's step is a hub step: every edge of it meets that vertex v, so a
-forbidden cycle through its new edges runs v - t ... w - v with t a new
-neighbor.  On entry to such a step the paths t ... w are grown once per
-target t, and each alternative is kept or pruned by one mask test per
-target it picks, instead of by regrowing those paths for every
-alternative.  The walk skips orderings that only swap interchangeable
-vertices (lex-leader symmetry breaking): an interchangeable pairs layer
-lists its 2-subsets in strictly increasing order, and the vertices of an
-interchangeable subsets layer choose their neighborhoods in
+The search walks a layered template once, as a list of steps.  A step is
+one tuple ``(alternatives, tied, hub, masks)``: the edge tuples it
+chooses one of; whether it is tied to the step just before it, and so
+starts at the alternative that step chose; and, for a subsets vertex,
+that vertex as ``hub``, which every edge of the step meets, with each
+alternative's other ends as one bitmask in ``masks`` (both ``None`` on
+any other step).  The steps with at most one alternative (a fixed intra
+shape, a matching) are walked first, so their edges are in the partial
+graph from the first choice on; they add no branch, so the candidates,
+their order and the gadgets emitted are those of the walk in layer
+order.  It prunes a partial candidate as soon as it violates a monotone
+contract clause (a forbidden short cycle, a terminal distance already
+too small).  The walk is one loop over an explicit stack of per-step
+choices, so a template of any length stays clear of the recursion limit,
+and the partial graph is one adjacency bitmask per vertex: a new edge
+closes a forbidden k-cycle when simple paths grown k - 3 edges from one
+end meet the other end's neighbors in one mask test, and a terminal
+distance is a bitset BFS.  A forbidden cycle through a hub step's new
+edges runs hub - t ... w - hub with t a new neighbor, so on entry to the
+step the paths t ... w are grown once per target t, and each alternative
+is kept or pruned by one mask test per target it picks, instead of by
+regrowing those paths for every alternative.  The walk skips orderings
+that only swap interchangeable vertices (lex-leader symmetry breaking):
+an interchangeable pairs layer lists its 2-subsets in strictly
+increasing order, and every vertex of an interchangeable subsets layer
+after its first is tied, so the layer's neighborhoods come in
 nondecreasing order (see :class:`LayerSpec`); any other pairs layer
-gives its 2-subsets to its vertices in every order.  The first member
-of each isomorphism class in the full walk's order is lex-least in its
-orbit, so it is still walked, and the search emits the same gadgets in
-the same order.  Everything the search holds before its first check,
-the edges its steps list and then the edges of every candidate the walk
-keeps, counts against one budget, ``_HOLD_CAP`` edges, and a template
-that needs more is refused.  Each complete candidate is rejected at its
-cheapest failing contract clause (:func:`first_failing_clause`).
-Planarity runs only on candidates that pass every cheaper clause, and
-the co-facial test and the canonical form only on those that pass them
-all.  Each find carries that form's digest as its evidence, and
-:func:`certify_and_freeze` writes its record from it instead of
-checking the find again.  Results stream in a fixed order:
-fewer edges first, then smallest canonical form, so a search is
-reproducible run to run.  An optional counter records the funnel: how
-many candidates each stage enumerated, pruned, rejected, dropped as
-duplicates and emitted.
+gives its 2-subsets to its vertices in every order.  A tied vertex and
+the one before it list the same alternatives, so walking the forced
+steps first keeps them adjacent.  The first member of each isomorphism
+class in the full walk's order is lex-least in its orbit, so it is still
+walked, and the search emits the same gadgets in the same order.
+Everything the search holds before its first check, the edges its steps
+list and then the edges of every candidate the walk keeps, counts
+against one budget, ``_HOLD_CAP`` edges, and a template that needs more
+is refused.  Each complete candidate is rejected at its cheapest failing
+contract clause (:func:`first_failing_clause`).  Planarity runs only on
+candidates that pass every cheaper clause, and the co-facial test and
+the canonical form only on those that pass them all.  Each find carries
+that form's digest as its evidence, and :func:`certify_and_freeze`
+writes its record from it instead of checking the find again.  Results
+stream in a fixed order: fewer edges first, then smallest canonical
+form, so a search is reproducible run to run.  An optional counter
+records the funnel: how many candidates each stage enumerated, pruned,
+rejected, dropped as duplicates and emitted.
 """
 
 from __future__ import annotations
@@ -81,6 +86,8 @@ _LINK_KINDS = ("subsets", "pairs", "matching")
 _HOLD_CAP = 1 << 20
 
 _Edges = tuple[tuple[int, int], ...]
+# (alternatives, tied, hub, masks), as the module docstring describes
+_Step = tuple[list[_Edges], bool, int | None, list[int] | None]
 
 
 @dataclass(frozen=True)
@@ -187,6 +194,19 @@ def _intra_variants(kind: str, verts: range, most: int) -> list[_Edges]:
     }[kind]
 
 
+def _grown(adj: list[int], level: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Each simple path of ``level``, given as its end and the mask of
+    its vertices, extended by one edge every way it can go."""
+    grown = []
+    for x, seen in level:
+        rest = adj[x] & ~seen
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            grown.append((low.bit_length() - 1, seen | low))
+    return grown
+
+
 def _closes_forbidden_cycle(
     adj: list[int], new_edges: _Edges, lengths: frozenset[int]
 ) -> bool:
@@ -205,20 +225,12 @@ def _closes_forbidden_cycle(
         target = adj[v]
         level = [(u, (1 << u) | (1 << v))]
         for depth in range(top + 1):
+            if depth:
+                level = _grown(adj, level)
             if depth + 3 in lengths:
                 for x, seen in level:
                     if adj[x] & target & ~seen:
                         return True
-            if depth == top:
-                break
-            grown = []
-            for x, seen in level:
-                rest = adj[x] & ~seen
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    grown.append((low.bit_length() - 1, seen | low))
-            level = grown
     return False
 
 
@@ -270,29 +282,20 @@ def _over_budget(what: str) -> SearchSpecError:
     )
 
 
-def _template_steps(
-    template: TemplateSpec,
-) -> tuple[list[list[_Edges]], list[int | None], list[int | None], int]:
-    """The template as a list of steps, each a list of alternative edge
-    tuples; for each step the earlier step whose choice it starts from,
-    or None; for each step the vertex every edge of it meets (its hub),
-    or None; and how many edges of ``_HOLD_CAP`` the listing leaves.
-    The layers are listed intra steps first, so candidates of one edge
-    count come shape by shape; then one step per link: a matching has one
-    alternative, a subsets vertex every nonempty neighborhood by size
-    then lexicographically, with the vertex as its hub, a pairs layer
-    every sequence of distinct 2-subsets, strictly increasing when the
-    layer is interchangeable.  The vertices of an interchangeable
-    subsets layer choose in nondecreasing order, each from its
-    predecessor's choice on, so no two candidates differ only by
-    swapping them.  Each edge is counted as it is listed, and past the
-    budget the template is refused, naming the layer being listed.
-
-    The steps are returned forced first: every step with at most one
-    alternative, then the others, each group in listing order.  A forced
-    step's edges then prune every choice step (fail first), and as it
-    adds no branch, the walk keeps the same candidates in the same
-    order; only the ``pruned-*`` counts of partial candidates move."""
+def _template_steps(template: TemplateSpec) -> tuple[list[_Step], int]:
+    """The template's steps, forced first, and how many edges of
+    ``_HOLD_CAP`` their listing leaves.  The layers are listed intra
+    steps first, so candidates of one edge count come shape by shape;
+    then one step per link: a matching has one alternative, a subsets
+    vertex every nonempty neighborhood by size then lexicographically,
+    a pairs layer every sequence of distinct 2-subsets, strictly
+    increasing when the layer is interchangeable.  Each edge is counted
+    as it is listed, and past the budget the template is refused, naming
+    the layer being listed.  One stable sort then puts every step with at
+    most one alternative ahead of the rest: a forced step's edges prune
+    every choice step (fail first), and as it adds no branch, the walk
+    keeps the same candidates in the same order; only the ``pruned-*``
+    counts of partial candidates move."""
     left = _HOLD_CAP
 
     def listed(layer: LayerSpec, alternatives: Iterable[_Edges]) -> list[_Edges]:
@@ -310,22 +313,19 @@ def _template_steps(
     for layer in template.layers:
         verts[layer.name] = range(start, start + layer.size)
         start += layer.size
-    steps = [
+    intra = [
         listed(layer, _intra_variants(layer.intra, verts[layer.name], left))
         for layer in template.layers
     ]
-    free = _interchangeable_layers(template, steps)
-    follows: list[int | None] = [None] * len(steps)
-    hubs: list[int | None] = [None] * len(steps)
+    free = _interchangeable_layers(template, intra)
+    steps: list[_Step] = [(step, False, None, None) for step in intra]
     for layer in template.layers:
         if layer.link_to is None:
             continue
         targets = verts[layer.link_to]
         own = verts[layer.name]
         if layer.link_kind == "matching":
-            steps.append(listed(layer, [tuple(zip(targets, own))]))
-            follows.append(None)
-            hubs.append(None)
+            steps.append((listed(layer, [tuple(zip(targets, own))]), False, None, None))
         elif layer.link_kind == "pairs":
             # the 2-subsets are built whole before the first alternative,
             # and a nonempty step lists at least two edges per 2-subset
@@ -336,30 +336,23 @@ def _template_steps(
                 itertools.combinations if layer.name in free
                 else itertools.permutations
             )
-            steps.append(listed(layer, (
+            steps.append((listed(layer, (
                 tuple((t, v) for v, pair in zip(own, pairs) for t in pair)
                 for pairs in orders(itertools.combinations(targets, 2), layer.size)
-            )))
-            follows.append(None)
-            hubs.append(None)
+            )), False, None, None))
         else:
             for v in own:
-                tied = v != own[0] and layer.name in free
-                follows.append(len(steps) - 1 if tied else None)
-                hubs.append(v)
-                steps.append(listed(layer, (
+                alternatives = listed(layer, (
                     tuple((t, v) for t in subset)
                     for size in range(1, len(targets) + 1)
                     for subset in itertools.combinations(targets, size)
-                )))
-    order = sorted(range(len(steps)), key=lambda i: len(steps[i]) > 1)
-    moved = {old: new for new, old in enumerate(order)}
-    return (
-        [steps[i] for i in order],
-        [None if follows[i] is None else moved[follows[i]] for i in order],
-        [hubs[i] for i in order],
-        left,
-    )
+                ))
+                if v == own[0]:  # every vertex of the layer has these targets
+                    masks = [sum(1 << t for t, _ in es) for es in alternatives]
+                tied = v != own[0] and layer.name in free
+                steps.append((alternatives, tied, v, masks))
+    steps.sort(key=lambda step: len(step[0]) > 1)
+    return steps, left
 
 
 def _hub_survivors(
@@ -369,18 +362,17 @@ def _hub_survivors(
     start: int,
     lengths: frozenset[int],
 ) -> list[int]:
-    """The alternatives from ``start`` on of a hub step, one whose every
-    edge meets vertex ``hub``, that close no forbidden cycle; ``masks``
-    holds each alternative's other ends S as one bitmask.  A forbidden
-    k-cycle through a new edge runs hub - t ... w - hub, with t in S, w in
-    S or already a neighbor of the hub, and t ... w a simple path of
-    k - 2 edges that avoids the hub in the graph as it stands.  Those
-    paths are found once per end t, for every w at once: they grow k - 4
-    edges from t and close on w through one common neighbor in one mask
-    test (a triangle needs t and w adjacent).  The w so reached make the
-    mask ``reach[t]``, and an
-    alternative survives when ``reach[t] & (S | adj[hub])`` is empty for
-    every t in S."""
+    """The indices from ``start`` on of a hub step's alternatives that
+    close no forbidden cycle, given the step's ``hub`` and ``masks``.  A
+    forbidden k-cycle through a new edge runs hub - t ... w - hub, with t
+    in an alternative's mask S, w in S or already a neighbor of the hub,
+    and t ... w a simple path of k - 2 edges that avoids the hub in the
+    graph as it stands.  Those paths are found once per end t, for every
+    w at once: they grow k - 4 edges from t and close on w through one
+    common neighbor in one mask test (a triangle needs t and w adjacent).
+    The w so reached make the mask ``reach[t]``, and an alternative
+    survives when ``reach[t] & (S | adj[hub])`` is empty for every t in
+    S."""
     near = adj[hub]
     ends = 0
     for mask in masks[start:]:
@@ -396,22 +388,16 @@ def _hub_survivors(
         hit = adj[t] & closers if 3 in lengths else 0
         level = [(t, bit | 1 << hub)] if closers else []
         for depth in range(top + 1):
-            grown = []
-            for x, seen in level:
-                if depth + 4 in lengths:
+            if depth:
+                level = _grown(adj, level)
+            if depth + 4 in lengths:
+                for x, seen in level:
                     open_ = closers & ~seen & ~hit
                     while open_:
                         w = open_ & -open_
                         open_ ^= w
                         if adj[x] & adj[w.bit_length() - 1] & ~seen:
                             hit |= w
-                if depth < top:
-                    out = adj[x] & ~seen
-                    while out:
-                        low = out & -out
-                        out ^= low
-                        grown.append((low.bit_length() - 1, seen | low))
-            level = grown
         reach[bit] = hit
     survivors = []
     for i in range(start, len(masks)):
@@ -428,9 +414,7 @@ def _hub_survivors(
 
 
 def _walk(
-    steps: list[list[_Edges]],
-    follows: list[int | None],
-    hubs: list[int | None],
+    steps: list[_Step],
     n: int,
     lengths: frozenset[int],
     floors: list[tuple[int, int, int]],
@@ -439,26 +423,16 @@ def _walk(
 ) -> list[_Edges]:
     """Every choice of one alternative per step that no monotone prune
     rejects, as a sorted edge tuple, in the order of the steps'
-    alternatives.  The steps come forced first (see
-    :func:`_template_steps`), so each count in ``funnel`` is of partial
-    candidates pruned with every fixed edge already in place.  A step
-    with an entry in ``follows`` starts at the alternative that step
-    chose.  One loop over an explicit stack of per-step queues of
-    alternatives to try, so a template's length never meets the
-    recursion limit; the partial graph is one adjacency bitmask per
-    vertex.  A step with an entry in ``hubs`` (a subsets vertex) is
-    cycle-pruned once on entry, for all of its alternatives, by
-    :func:`_hub_survivors`: its queue holds only the survivors, and the
-    rest count as "pruned-cycle" in one addition.  Every other
-    alternative is cycle-pruned alone by :func:`_closes_forbidden_cycle`,
-    and every alternative past the cycle prune meets the distance floors.
-    Each candidate kept spends its edges from the ``left`` edges of
-    ``_HOLD_CAP``, and past them the walk raises
-    :class:`SearchSpecError`."""
-    masks = [
-        None if hub is None else [sum(1 << t for t, _ in es) for es in step]
-        for step, hub in zip(steps, hubs)
-    ]
+    alternatives.  The forced steps come first, so each count in
+    ``funnel`` is of partial candidates pruned with every fixed edge
+    already in place.  A hub step is cycle-pruned once on entry, for all
+    of its alternatives, by :func:`_hub_survivors`: its queue holds only
+    the survivors, and the rest count as "pruned-cycle" in one addition.
+    Every other alternative is cycle-pruned alone by
+    :func:`_closes_forbidden_cycle`, and every alternative past the cycle
+    prune meets the distance floors.  Each candidate kept spends its
+    edges from the ``left`` edges of ``_HOLD_CAP``, and past them the
+    walk raises :class:`SearchSpecError`."""
     adj = [0] * n
     chosen: list[tuple[int, int]] = []
     out: list[_Edges] = []
@@ -466,15 +440,22 @@ def _walk(
     queue: list[range | list[int]] = [range(0)] * len(steps)
     tried = [0] * len(steps)
 
+    def flip(es: _Edges) -> None:
+        # no step lists an edge that is already in place, so this adds
+        # the alternative's edges, and a second flip removes them
+        for u, v in es:
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
+
     def enter(si: int) -> None:
-        lead = follows[si]
-        start = 0 if lead is None else queue[lead][tried[lead] - 1]
+        alternatives, tied, hub, masks = steps[si]
+        start = queue[si - 1][tried[si - 1] - 1] if tied else 0
         tried[si] = 0
-        if hubs[si] is None or not lengths:
-            queue[si] = range(start, len(steps[si]))
+        if hub is None or not lengths:
+            queue[si] = range(start, len(alternatives))
             return
-        queue[si] = _hub_survivors(adj, hubs[si], masks[si], start, lengths)
-        pruned = len(steps[si]) - start - len(queue[si])
+        queue[si] = _hub_survivors(adj, hub, masks, start, lengths)
+        pruned = len(alternatives) - start - len(queue[si])
         if pruned:
             funnel["pruned-cycle"] += pruned
 
@@ -487,12 +468,11 @@ def _walk(
                 raise _over_budget("holding candidates")
             out.append(tuple(sorted(chosen)))
         elif tried[si] < len(queue[si]):
-            es = steps[si][queue[si][tried[si]]]
+            alternatives, _, hub, _ = steps[si]
+            es = alternatives[queue[si][tried[si]]]
             tried[si] += 1
-            for u, v in es:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            if hubs[si] is None and _closes_forbidden_cycle(adj, es, lengths):
+            flip(es)
+            if hub is None and _closes_forbidden_cycle(adj, es, lengths):
                 funnel["pruned-cycle"] += 1
             elif floors and _distance_floor_violated(adj, floors):
                 funnel["pruned-distance"] += 1
@@ -502,50 +482,36 @@ def _walk(
                 if si < len(steps):
                     enter(si)
                 continue
-            for u, v in es:
-                adj[u] &= ~(1 << v)
-                adj[v] &= ~(1 << u)
+            flip(es)
             continue
         # every alternative below step si is done: undo step si - 1
         if si == 0:
             return out
         si -= 1
-        es = steps[si][queue[si][tried[si] - 1]]
+        es = steps[si][0][queue[si][tried[si] - 1]]
         del chosen[len(chosen) - len(es):]
-        for u, v in es:
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
+        flip(es)
 
 
 def _template_candidates(spec: SearchSpec, funnel: Counter) -> list[_Edges]:
     """The edges of every template candidate surviving the monotone
     prunes, in edge-count order; each has the template's vertices.  Each
     prune is counted in ``funnel`` under "pruned-cycle" or
-    "pruned-distance"."""
+    "pruned-distance".  A distance clause's exact distance, else its
+    minimum, is a floor when it is above 1."""
     template = spec.template
     contract = spec.contract
     _validate_template(template, contract.arity)
+    floors = []
+    for _, kind, ask in _clauses(contract, template.layers[0].size):
+        if kind == "distance":
+            i, j, exact, minimum = ask
+            floor = exact or minimum or 0
+            if floor > 1:
+                floors.append((i, j, floor))
+    steps, left = _template_steps(template)
     total = sum(layer.size for layer in template.layers)
-
-    floors: list[tuple[int, int, int]] = []
-    matrix = contract.exact_terminal_distances or contract.min_terminal_distances
-    if matrix is not None:
-        for i in range(len(matrix)):
-            for j in range(i + 1, len(matrix)):
-                if matrix[i][j] > 1:
-                    floors.append((i, j, matrix[i][j]))
-
-    steps, follows, hubs, left = _template_steps(template)
-    out = _walk(
-        steps,
-        follows,
-        hubs,
-        total,
-        contract.forbidden_cycle_lengths,
-        floors,
-        funnel,
-        left,
-    )
+    out = _walk(steps, total, contract.forbidden_cycle_lengths, floors, funnel, left)
     return sorted(out, key=len)
 
 

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import zipfile
+from types import SimpleNamespace
 
 import pytest
 
@@ -1088,6 +1089,30 @@ def test_build_falls_back_to_the_search_only_when_asked(monkeypatch, capsys):
     code, _, err = run_cli(capsys, "build", "--stage", "final", "--search")
     assert code == 2
     assert "unrecognized arguments: --search" in err
+
+
+@pytest.mark.parametrize("seeds", [
+    pytest.param([], id="none"),
+    pytest.param(["seed-0.json", "seed-1.json"], id="two"),
+])
+def test_a_data_directory_without_exactly_one_seed_file_is_refused(
+    tmp_path, capsys, monkeypatch, seeds
+):
+    # files that are not named seed-*.json do not count; build and
+    # lemmas each end in one error line and exit 2
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ["seed-2.json.bak", "other.json", *seeds]:
+        (data / name).write_text("{}")
+    monkeypatch.setattr(stock, "resources", SimpleNamespace(files=lambda _: tmp_path))
+    message = f"expected exactly one seed-*.json data file, found {len(seeds)}"
+    with pytest.raises(CertificateError) as info:
+        stock.seed_data_path()
+    assert str(info.value) == message
+    for command in ("build", "lemmas"):
+        assert run_cli(capsys, command) == (
+            2, "", f"error: frozen seed gadget unavailable: {message}\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["build", "lemmas"])

@@ -514,6 +514,38 @@ def test_paste_rejects_bad_extra_edges():
         PasteRecipe(num_slots=2, parts=((0, 1),), extra_edges=((0, 0),))
 
 
+@pytest.mark.parametrize("edges", [
+    pytest.param(((0, 2), (0, 2)), id="same"),
+    pytest.param(((0, 2), (2, 0)), id="reversed"),
+])
+def test_paste_rejects_an_extra_edge_listed_twice(edges):
+    # in either orientation: claw_skeleton would build the edge twice
+    with pytest.raises(PasteError, match=r"extra edge \(\d, \d\) is listed twice"):
+        PasteRecipe(num_slots=2, parts=((0, 1),), extra_vertices=1, extra_edges=edges)
+
+
+@pytest.mark.parametrize("vertex", [-1, 3])
+def test_paste_rejects_a_label_outside_the_union_space(vertex):
+    # names, walk_recipe and claw_skeleton would ignore it
+    with pytest.raises(PasteError, match=f"label on vertex {vertex} outside"):
+        PasteRecipe(
+            num_slots=2, parts=((0, 1),), extra_vertices=1, labels=((vertex, "x"),)
+        )
+
+
+@pytest.mark.parametrize("labels, message", [
+    pytest.param(((0, "x"), (1, "x")), "vertices 0 and 1 are both named 'x'",
+                 id="two-labels"),
+    # an unlabeled vertex is named by its id
+    pytest.param(((2, "1"),), "vertices 1 and 2 are both named '1'", id="an-id"),
+])
+def test_paste_rejects_two_vertices_of_one_name(labels, message):
+    # the case tree would name two vertices alike, and its checker would
+    # refuse it as if the walk were wrong
+    with pytest.raises(PasteError, match=message):
+        PasteRecipe(num_slots=2, parts=((0, 1),), extra_vertices=1, labels=labels)
+
+
 # ---------------------------------------------------------------------------
 # the two stock compositions
 

@@ -349,7 +349,7 @@ def forced_link_moved(template):
         for i in range(len(template.layers), len(choices))
     )
     steps = _template_steps(template)[0]
-    return late and list(map(len, steps)) != list(map(len, choices))
+    return late and [len(step[0]) for step in steps] != list(map(len, choices))
 
 
 def test_template_candidates_match_the_filtered_product():
@@ -371,24 +371,28 @@ def test_template_candidates_match_the_filtered_product():
 def test_forced_steps_come_first_and_the_rest_keep_layer_order():
     # a step of at most one alternative adds no branch to the walk, so it
     # comes before every step of two or more and its edges prune from the
-    # first choice on; each group keeps layer order, and a tied step
-    # follows the vertex just ahead of it in its layer
+    # first choice on; each group keeps layer order, a tied step follows
+    # the vertex just ahead of it in its layer, and the masks a subsets
+    # layer shares are each step's own alternatives' other ends
     rng = random.Random(45)
     specs = [wide_spec(), seed_search_spec()]
     specs += [random_template_spec(rng) for _ in range(100)]
     specs += [interchangeable_template_spec(rng) for _ in range(100)]
     for spec in specs:
-        steps, follows, hubs, _ = _template_steps(spec.template)
+        steps = _template_steps(spec.template)[0]
         _, choices, _ = unpruned_choices(spec.template)
-        assert [[list(es) for es in step] for step in steps] == [
+        assert [[list(es) for es in step[0]] for step in steps] == [
             choices[i] for i in walk_order(choices)
         ]
-        branching = [len(step) > 1 for step in steps]
+        branching = [len(step[0]) > 1 for step in steps]
         assert branching == sorted(branching)
         assert all(
-            f is None or (f == i - 1 and hubs[f] == hubs[i] - 1)
-            for i, f in enumerate(follows)
+            not tied or (i > 0 and steps[i - 1][2] == hub - 1)
+            for i, (_, tied, hub, _) in enumerate(steps)
         )
+        for step, _, hub, masks in steps:
+            ends = [sum(1 << t for t, _ in es) for es in step]
+            assert masks == (None if hub is None else ends)
 
 
 def test_wide_walk_makes_its_pinned_prune_calls(monkeypatch):
@@ -484,9 +488,9 @@ def test_swapping_interchangeable_vertices_loses_no_class():
         spec = interchangeable_template_spec(rng)
         n, choices, ties = unpruned_choices(spec.template)
         ties = {walk_order(choices).index(i) for i in ties}
-        follows = _template_steps(spec.template)[1]
-        assert ties and {i for i, f in enumerate(follows) if f is not None} == ties
-        assert all(follows[i] == i - 1 for i in ties)
+        steps = _template_steps(spec.template)[0]
+        assert ties and {i for i, step in enumerate(steps) if step[1]} == ties
+        assert all(steps[i - 1][2] == steps[i][2] - 1 for i in ties)
         unreduced = filtered_product(spec, reduced=False)
         cut += len(walked(spec)) < len(unreduced)
         first = {}

@@ -11,7 +11,8 @@ it re-checks, and the case tree must close without calling the solver,
 pasting a graph or measuring a distance; its checker shares no name with
 the walk that grows the tree, only ``compositional_check`` walks a recipe
 or runs that checker, and ``lemmas`` builds no graph but the seed.
-Only ``gadgets._clauses`` forms a contract clause's name, and no code
+Only ``gadgets._clauses`` forms a contract clause's name, only
+``gadgets.py`` reads a contract's distance matrices, and no code
 splits a check name to recover its kind.
 The report layer stays free of the analysis module, the
 package free of ``assert`` statements, of a second, indenting JSON
@@ -257,6 +258,19 @@ def test_only_clauses_forms_a_contract_clause_name():
                     splits.append((path.name, node.lineno))
     assert formed == {("gadgets.py", "_clauses")}
     assert splits == []
+
+
+def test_only_gadgets_reads_a_contract_distance_matrix():
+    # what a distance clause asks is said once, in gadgets.py; the search
+    # takes its distance floors from gadgets._clauses
+    reads = sorted(
+        (path.name, node.lineno)
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("exact_terminal_distances", "min_terminal_distances")
+    )
+    assert reads and [read for read in reads if read[0] != "gadgets.py"] == []
 
 
 def test_the_checker_runs_from_a_copy_of_itself(tmp_path):
