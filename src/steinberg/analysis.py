@@ -32,21 +32,22 @@ from .graphs import Edge, Graph, normalize_edge
 def shortest_path(g: Graph, u: int, v: int) -> list[int] | None:
     """One shortest u-v path as a vertex list, or None.  The BFS stops
     at the level that reaches ``v``."""
-    parent: dict[int, int | None] = {u: None}
+    parent = [-1] * g.n  # -1: not reached yet; u is its own parent
+    parent[u] = u
     frontier = [u]
-    while frontier and v not in parent:
+    while frontier and parent[v] < 0:
         nxt = []
         for x in frontier:
             for w in g.adj[x]:
-                if w not in parent:
+                if parent[w] < 0:
                     parent[w] = x
                     nxt.append(w)
         frontier = nxt
-    if v not in parent:
+    if parent[v] < 0:
         return None
     path = [v]
     while path[-1] != u:
-        path.append(parent[path[-1]])  # type: ignore[arg-type]
+        path.append(parent[path[-1]])
     path.reverse()
     return path
 

@@ -23,7 +23,7 @@ seed, triple, final argument cannot drift from the construction, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -66,7 +66,7 @@ from .report import VerificationReport, timed_check, witness_text
 Matrix = tuple[tuple[int, ...], ...]
 
 
-def _check_matrix(mat: Matrix, what: str) -> None:
+def _check_matrix(mat: Matrix, what: str, exact: bool = False) -> None:
     t = len(mat)
     for row in mat:
         if len(row) != t:
@@ -79,6 +79,8 @@ def _check_matrix(mat: Matrix, what: str) -> None:
                 raise ValueError(f"{what} must be symmetric")
             if mat[i][j] < 0:
                 raise ValueError(f"{what} entries must be >= 0")
+            if exact and i != j and mat[i][j] < 1:  # two terminals are distinct
+                raise ValueError(f"{what} must be >= 1 off the diagonal")
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,7 @@ class InterfaceContract:
         if minimum is not None:
             _check_matrix(minimum, "min distances")
         if exact is not None:
-            _check_matrix(exact, "exact distances")
+            _check_matrix(exact, "exact distances", exact=True)
         for p in self.forbidden_patterns:
             if not isinstance(p, str) or not set(p) <= set("012"):
                 raise ValueError(
@@ -343,6 +345,13 @@ def verify_contract(gadget: TerminalGadget) -> VerificationReport:
 _CHEAPEST_FIRST = ("distance", "pattern", "forbidden", "planarity")
 
 
+@lru_cache
+def _cheapest_first(contract: InterfaceContract, t: int) -> tuple:
+    """:func:`_clauses` sorted stably by :data:`_CHEAPEST_FIRST`."""
+    clauses = _clauses(contract, t)
+    return tuple(sorted(clauses, key=lambda c: _CHEAPEST_FIRST.index(c[1])))
+
+
 def first_failing_clause(gadget: TerminalGadget) -> str | None:
     """The name of the cheapest failing contract clause, or ``None`` when
     every clause passes.
@@ -350,13 +359,11 @@ def first_failing_clause(gadget: TerminalGadget) -> str | None:
     Runs the bodies :func:`verify_contract` runs, each one in full, but
     cheapest kind first, and stops at the first failure; it builds no
     report and computes no digest.  So it is ``None`` exactly when
-    ``verify_contract(gadget).passed``.
+    ``verify_contract(gadget).passed``.  The order is fixed once per
+    contract and terminal count, so a search that checks many candidates
+    under one contract sorts its clauses once.
     """
-    clauses = sorted(
-        _clauses(gadget.contract, len(gadget.terminals)),
-        key=lambda clause: _CHEAPEST_FIRST.index(clause[1]),
-    )
-    for name, kind, ask in clauses:
+    for name, kind, ask in _cheapest_first(gadget.contract, len(gadget.terminals)):
         passed, _, _ = _measured(gadget, kind, ask)()
         if not passed:
             return name
@@ -484,9 +491,13 @@ class PasteRecipe:
             if frozenset((u, v)) in listed:
                 raise PasteError(f"extra edge ({u}, {v}) is listed twice")
             listed.add(frozenset((u, v)))
+        labelled: set[int] = set()
         for v, _ in self.labels or ():
             if not (0 <= v < union):
                 raise PasteError(f"label on vertex {v} outside the union space")
+            if v in labelled:
+                raise PasteError(f"vertex {v} is labelled twice")
+            labelled.add(v)
         named: dict[str, int] = {}
         for v, name in enumerate(self.names):
             if named.setdefault(name, v) != v:

@@ -19,19 +19,21 @@ closes a forbidden k-cycle when simple paths grown k - 3 edges from one
 end meet the other end's neighbors in one mask test, and a terminal
 distance is a bitset BFS.  A forbidden cycle through a hub step's new
 edges runs hub - t ... w - hub with t a new neighbor, so on entry to the
-step the paths t ... w are grown once per target t, and each alternative
-is kept or pruned by one mask test per target it picks, instead of by
-regrowing those paths for every alternative.  The walk skips orderings
-that only swap interchangeable vertices (lex-leader symmetry breaking):
-an interchangeable pairs layer lists its 2-subsets in strictly
-increasing order, and every vertex of an interchangeable subsets layer
-after its first is tied, so the layer's neighborhoods come in
-nondecreasing order (see :class:`LayerSpec`); any other pairs layer
-gives its 2-subsets to its vertices in every order.  A tied vertex and
-the one before it list the same alternatives, so walking the forced
-steps first keeps them adjacent.  The first member of each isomorphism
-class in the full walk's order is lex-least in its orbit, so it is still
-walked, and the search emits the same gadgets in the same order.
+step the w each target t reaches are found once, the last two edges as
+a union of neighbor masks; a target reaching an earlier neighbor of the
+hub is a bad end, and an alternative is pruned by one mask test against
+the bad ends (forward checking), else by one per target it picks.  The
+walk skips orderings that only swap interchangeable vertices (lex-leader
+symmetry breaking): an interchangeable pairs layer lists its 2-subsets
+in strictly increasing order, and every vertex of an interchangeable
+subsets layer after its first is tied, so the layer's neighborhoods
+come in nondecreasing order (see :class:`LayerSpec`); any other pairs
+layer gives its 2-subsets to its vertices in every order.  A tied
+vertex and the one before it list the same alternatives, so walking the
+forced steps first keeps them adjacent.  The first member of each
+isomorphism class in the full walk's order is lex-least in its orbit,
+so it is still walked, and the search emits the same gadgets in the
+same order.
 Everything the search holds before its first check, the edges its steps
 list and then the edges of every candidate the walk keeps, counts
 against one budget, ``_HOLD_CAP`` edges, and a template that needs more
@@ -368,45 +370,49 @@ def _hub_survivors(
     in an alternative's mask S, w in S or already a neighbor of the hub,
     and t ... w a simple path of k - 2 edges that avoids the hub in the
     graph as it stands.  Those paths are found once per end t, for every
-    w at once: they grow k - 4 edges from t and close on w through one
-    common neighbor in one mask test (a triangle needs t and w adjacent).
-    The w so reached make the mask ``reach[t]``, and an alternative
-    survives when ``reach[t] & (S | adj[hub])`` is empty for every t in
-    S."""
+    w at once: they grow k - 4 edges from t, and the neighbors, off the
+    path, of their ends' new neighbors are every w two edges on (a
+    triangle needs t and w adjacent).  The w so reached make the mask
+    ``reach[t]``.  An end whose reach meets ``adj[hub]`` is bad, and an
+    alternative survives when S misses ``bad`` (forward checking) and
+    ``reach[t] & S`` is empty for every t in S."""
     near = adj[hub]
     ends = 0
     for mask in masks[start:]:
         ends |= mask
     top = max(lengths) - 4  # the most edges grown before the last two
     reach: dict[int, int] = {}
+    bad = 0
     rest = ends
     while rest:
         bit = rest & -rest
         rest ^= bit
         t = bit.bit_length() - 1
         closers = (ends ^ bit) | near  # every w a cycle from t could close on
-        hit = adj[t] & closers if 3 in lengths else 0
+        hit = adj[t] if 3 in lengths else 0
         level = [(t, bit | 1 << hub)] if closers else []
         for depth in range(top + 1):
             if depth:
                 level = _grown(adj, level)
             if depth + 4 in lengths:
                 for x, seen in level:
-                    open_ = closers & ~seen & ~hit
-                    while open_:
-                        w = open_ & -open_
-                        open_ ^= w
-                        if adj[x] & adj[w.bit_length() - 1] & ~seen:
-                            hit |= w
-        reach[bit] = hit
+                    ys = adj[x] & ~seen
+                    while ys:
+                        y = ys & -ys
+                        ys ^= y
+                        hit |= adj[y.bit_length() - 1] & ~seen
+        reach[bit] = hit = hit & closers
+        if hit & near:
+            bad |= bit
     survivors = []
-    for i in range(start, len(masks)):
-        closing = masks[i] | near
-        rest = masks[i]
+    for i, mask in enumerate(masks[start:], start):
+        if mask & bad:
+            continue
+        rest = mask
         while rest:
             bit = rest & -rest
             rest ^= bit
-            if reach[bit] & closing:
+            if reach[bit] & mask:
                 break
         else:
             survivors.append(i)

@@ -145,6 +145,28 @@ def product_3coloring_exists(g: Graph, fixed=None) -> bool:
     return False
 
 
+def reference_shortest_path(g: Graph, u: int, v: int) -> list[int] | None:
+    """One shortest u-v path by a BFS that keeps its parents in a dict,
+    stopping at the level that reaches ``v``, or None."""
+    parent: dict[int, int | None] = {u: None}
+    frontier = [u]
+    while frontier and v not in parent:
+        nxt = []
+        for x in frontier:
+            for w in g.adj[x]:
+                if w not in parent:
+                    parent[w] = x
+                    nxt.append(w)
+        frontier = nxt
+    if v not in parent:
+        return None
+    path = [v]
+    while path[-1] != u:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p

@@ -29,6 +29,7 @@ from steinberg.analysis import shortest_path
 from support import (
     normalize_cycle,
     random_sparse_graph,
+    reference_shortest_path,
     reference_triangle_conflicts,
     stack_depth,
     subset_cycles,
@@ -90,6 +91,16 @@ def test_shortest_path_is_shortest():
     g = build_graph(5, [(0, 1), (1, 3), (0, 2), (2, 4), (4, 3)])
     assert shortest_path(g, 0, 3) == [0, 1, 3]
     assert distance(g, 0, 3) == 2
+
+
+@given(graphs())
+@settings(max_examples=200, deadline=None)
+def test_shortest_path_matches_the_dict_bfs(g):
+    # every ordered pair: u == v, unreachable targets across the
+    # components of a disconnected graph, and the same parent on ties
+    for u in range(g.n):
+        for v in range(g.n):
+            assert shortest_path(g, u, v) == reference_shortest_path(g, u, v)
 
 
 # ---------------------------------------------------------------------------

@@ -865,6 +865,22 @@ def test_a_min_matrix_larger_than_the_exact_one_is_refused_on_arity(tmp_path, ca
         load_gadget(gadget_path)
 
 
+def test_search_spec_with_an_exact_distance_of_zero_is_a_usage_error(tmp_path, capsys):
+    # no gadget meets it: refused with the spec, before any walk
+    contract = {"exact_terminal_distances": [[0, 0], [0, 0]]}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"contract": contract, "template": {"layers": [
+        {"name": "t", "size": 2},
+        {"name": "x", "size": 2, "link_to": "t", "link_kind": "subsets"},
+    ]}}))
+    code, out, err = run_cli(capsys, "search", str(spec_path), "--out-dir", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: bad search spec: exact distances must be >= 1 off the diagonal\n"
+    )
+    assert list(tmp_path.iterdir()) == [spec_path]
+
+
 def test_search_spec_with_an_oversized_integer_is_a_usage_error(tmp_path, capsys):
     # past the interpreter's 4,300-digit limit for integer conversion
     spec_path = tmp_path / "spec.json"

@@ -92,6 +92,19 @@ def test_contract_rejects_bad_matrices():
         )
 
 
+@pytest.mark.parametrize("exact", [
+    pytest.param(((0, 0), (0, 0)), id="two"),
+    pytest.param(((0, 3, 3), (3, 0, 0), (3, 0, 0)), id="three"),
+])
+def test_contract_refuses_an_exact_distance_of_zero_between_two_terminals(exact):
+    # no gadget has two distinct terminals at distance 0, so the search
+    # would walk and reject its whole template instead of refusing the spec
+    with pytest.raises(ValueError, match="exact distances must be >= 1 off"):
+        InterfaceContract(exact_terminal_distances=exact)
+    # a minimum of 0 asks nothing and stays legal
+    assert InterfaceContract(min_terminal_distances=exact).arity == len(exact)
+
+
 def test_contract_rejects_unnormalized_pattern():
     with pytest.raises(ValueError, match="not normalized"):
         InterfaceContract(forbidden_patterns=frozenset({"110"}))
@@ -122,8 +135,9 @@ def test_contract_rejects_arity_disagreement():
 
 
 def _distance_matrix(t):
-    # symmetric with a zero diagonal, so only its size can be at fault
-    return st.lists(st.integers(0, 5), min_size=t * t, max_size=t * t).map(
+    # symmetric with a zero diagonal and at least 1 off it (an exact
+    # distance of 0 is refused), so only its size can be at fault
+    return st.lists(st.integers(1, 5), min_size=t * t, max_size=t * t).map(
         lambda xs: tuple(
             tuple(0 if i == j else xs[min(i, j) * t + max(i, j)] for j in range(t))
             for i in range(t)
@@ -323,15 +337,17 @@ def small_gadgets(draw):
     t = draw(st.sampled_from([2, 3]))
     terminals = tuple(draw(st.permutations(range(n)))[:t])
 
-    def matrix(lo):
+    def matrix(lo, least=0):
         mat = [[0] * t for _ in range(t)]
         for i, j in itertools.combinations(range(t), 2):
-            mat[i][j] = mat[j][i] = draw(st.integers(lo[i][j], lo[i][j] + 4))
+            low = max(lo[i][j], least)
+            mat[i][j] = mat[j][i] = draw(st.integers(low, lo[i][j] + 4))
         return tuple(map(tuple, mat))
 
     zero = ((0,) * t,) * t
     minimum = matrix(zero) if draw(st.booleans()) else None
-    exact = matrix(minimum or zero) if draw(st.booleans()) else None
+    # an exact distance of 0 between two terminals is refused
+    exact = matrix(minimum or zero, least=1) if draw(st.booleans()) else None
     contract = InterfaceContract(
         forbidden_cycle_lengths=frozenset(
             draw(st.sets(st.sampled_from([3, 4, 5, 6])))
@@ -543,6 +559,17 @@ def test_paste_rejects_two_vertices_of_one_name(labels, message):
     # the case tree would name two vertices alike, and its checker would
     # refuse it as if the walk were wrong
     with pytest.raises(PasteError, match=message):
+        PasteRecipe(num_slots=2, parts=((0, 1),), extra_vertices=1, labels=labels)
+
+
+@pytest.mark.parametrize("labels", [
+    pytest.param(((0, "a"), (0, "b")), id="renamed"),
+    pytest.param(((2, "x"), (2, "x")), id="repeated"),
+])
+def test_paste_rejects_a_vertex_labelled_twice(labels):
+    # the last label would win silently, so a typo would rename a vertex
+    vertex = labels[0][0]
+    with pytest.raises(PasteError, match=f"vertex {vertex} is labelled twice"):
         PasteRecipe(num_slots=2, parts=((0, 1),), extra_vertices=1, labels=labels)
 
 

@@ -28,6 +28,8 @@ from steinberg import (
 from steinberg.analysis import distance, forbidden_cycle_check
 from steinberg.canon import canonical_form
 from steinberg.gadgets import (
+    _cheapest_first,
+    _clauses,
     gadget_to_json_dict,
     terminals_cofacial,
 )
@@ -415,6 +417,24 @@ def test_wide_walk_makes_its_pinned_prune_calls(monkeypatch):
     }
 
 
+def test_wide_search_orders_its_contract_clauses_once(monkeypatch):
+    # the cheapest-first order is fixed once per contract and terminal
+    # count: one _clauses call for the walk's distance floors and one for
+    # the order, not one per each of the 126 candidates checked
+    calls = Counter()
+
+    def counted(*args):
+        calls["_clauses"] += 1
+        return _clauses(*args)
+
+    monkeypatch.setattr("steinberg.gadgets._clauses", counted)
+    monkeypatch.setattr("steinberg.search._clauses", counted)
+    _cheapest_first.cache_clear()
+    funnel = Counter()
+    assert len(list(search_gadget(wide_spec(), funnel=funnel))) == 1
+    assert funnel["enumerated"] == 126 and calls == {"_clauses": 2}
+
+
 def test_template_candidates_match_the_filtered_product_at_every_length():
     # one or two forbidden lengths from 3..6: the walk closes cycles by
     # growing paths zero to three edges before its last mask test
@@ -658,6 +678,47 @@ def test_hub_step_prune_matches_the_edge_by_edge_test():
     # enough of both verdicts, and enough single edges that close a cycle
     # only through the hub's own neighbors, for a wrong prune to show
     assert pruned > 300 and kept > 300 and near_decides > 30
+
+
+def test_hub_step_prune_matches_the_edge_by_edge_test_on_template_graphs():
+    # partial graphs as the walk builds them, one random alternative per
+    # step in walk order, so the hub's own edges are the forced steps'
+    # (its layer's shape, a matching onto it); a hub step entered past
+    # its first alternative keeps exactly the alternatives whose edges
+    # close no forbidden cycle
+    rng = random.Random(4747)
+    checked = pruned = kept = near_decides = 0
+    for k in range(800):
+        draw = interchangeable_template_spec if k % 2 else random_template_spec
+        template = draw(rng).template
+        steps, _ = _template_steps(template)
+        lengths = frozenset(rng.sample([3, 4, 5, 6], rng.randint(1, 3)))
+        adj = [0] * sum(layer.size for layer in template.layers)
+        for alternatives, _, hub, masks in steps:
+            if hub is not None and adj[hub] and len(masks) > 1:
+                start = rng.randrange(1, len(masks))
+                expected = []
+                for i in range(start, len(alternatives)):
+                    trial = adj[:]
+                    for t, v in alternatives[i]:
+                        trial[t] |= 1 << v
+                        trial[v] |= 1 << t
+                    if not _closes_forbidden_cycle(trial, alternatives[i], lengths):
+                        expected.append(i)
+                    elif len(alternatives[i]) == 1:
+                        near_decides += 1
+                assert _hub_survivors(adj, hub, masks, start, lengths) == expected
+                checked += 1
+                pruned += len(alternatives) - start - len(expected)
+                kept += len(expected)
+            if not alternatives:  # a pairs layer with too few 2-subsets
+                break
+            for u, v in rng.choice(alternatives):
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    # enough of both verdicts, and enough single edges that close a cycle
+    # only through the hub's own neighbors, for a wrong prune to show
+    assert checked > 800 and pruned > 800 and kept > 800 and near_decides > 100
 
 
 def test_deep_template_walks_without_recursion():
