@@ -31,7 +31,11 @@ from .graphs import Edge, Graph, normalize_edge
 
 def shortest_path(g: Graph, u: int, v: int) -> list[int] | None:
     """One shortest u-v path as a vertex list, or None.  The BFS stops
-    at the level that reaches ``v``."""
+    at the level that reaches ``v``.  An endpoint outside ``0..n-1``
+    raises :class:`ValueError`."""
+    for x in (u, v):
+        if not 0 <= x < g.n:
+            raise ValueError(f"endpoint {x} outside 0..{g.n - 1}")
     parent = [-1] * g.n  # -1: not reached yet; u is its own parent
     parent[u] = u
     frontier = [u]
@@ -53,7 +57,8 @@ def shortest_path(g: Graph, u: int, v: int) -> list[int] | None:
 
 
 def distance(g: Graph, u: int, v: int) -> int | None:
-    """Length of a shortest u-v path, or None if none exists."""
+    """Length of a shortest u-v path, or None if none exists; an
+    endpoint outside ``0..n-1`` raises :class:`ValueError`."""
     path = shortest_path(g, u, v)
     return None if path is None else len(path) - 1
 

@@ -15,7 +15,11 @@ witnesses too and shares no code with the solver.  Every verdict of the
 solver goes through that function: the contracts' pattern clauses,
 ``verify``'s colorability check and each row of a
 :func:`terminal_behavior` table that no passing contract clause has
-already refuted (those come from the clause, not a solve).  The other
+already refuted (those come from the clause, not a solve).  A search's
+pattern clause may be settled feasible without a solve, by a coloring
+the same search found earlier: it must agree with the fixing and pass
+:func:`is_proper` on the new candidate, as a solver witness must, and an
+infeasible verdict still comes only from a checked solve.  The other
 coloring verdicts take no solve: ``lemmas`` has the seed's all-equal row
 from the brute force and from the exhaustive sweep, and the triple's
 pattern clause and the final stage from the checked case tree.
@@ -42,6 +46,10 @@ _SWEEP_CHUNK_VERTICES = 9  # a chunk spans 3^9 rows, one bit each (fastest of 8.
 _BEHAVIOR_ARITIES = range(2, 5)  # terminal counts a behavior table covers
 _ACTIVITY_LIMIT = 1e100  # past this, every solver activity is divided by it
 _ACTIVITY_DECAY = 0.95  # each conflict's bump is the last one divided by this
+# colorings a search keeps for its pattern clauses: solves per wide-spec
+# search by cap were 1 -> 48, 2 -> 33, 4 -> 22, 8 -> 13, unbounded -> 13,
+# and with no cap a large template would try every find on every candidate
+_STORED_COLORINGS = 8
 
 
 def check_fixed(g: Graph, fixed: Mapping[int, int]) -> None:
@@ -556,7 +564,7 @@ def _coloring_witness(coloring: Mapping[int, int]) -> dict[str, Any]:
 
 
 def _coloring_check(
-    g: Graph, fixing: Mapping[int, int]
+    g: Graph, fixing: Mapping[int, int], colorings: list | None = None
 ) -> tuple[bool, Any, Any]:
     """No proper 3-coloring extends ``fixing``; a report check body.
 
@@ -566,7 +574,19 @@ def _coloring_check(
     with :func:`hints_refute` under ``fixing`` and the solver's pin.  A
     failed check raises :class:`OracleMismatchError`, not an
     assertion, so ``python -O`` keeps it.
+
+    ``colorings``, when given, holds colorings a search found earlier,
+    most recently useful first.  Before any solve, the first of them that
+    agrees with ``fixing`` and that :func:`is_proper` accepts on ``g``
+    fails the check as its witness (mode ``stored-coloring``) and moves
+    to the front.  Otherwise the solver runs, and a witness it returns
+    joins the front once :func:`is_proper` accepts it; the list keeps the
+    first :data:`_STORED_COLORINGS`.
     """
+    for k, known in enumerate(colorings or ()):
+        if all(known.get(v) == c for v, c in fixing.items()) and is_proper(g, known):
+            colorings.insert(0, colorings.pop(k))
+            return False, _coloring_witness(known), {"mode": "stored-coloring"}
     try:
         solution, stats = solve_3coloring_with_stats(g, fixing)
     except ImproperFixingError:
@@ -576,6 +596,9 @@ def _coloring_check(
             raise OracleMismatchError(
                 f"solver returned an improper coloring with fixing {fixing!r}"
             )
+        if colorings is not None:
+            colorings.insert(0, solution)
+            del colorings[_STORED_COLORINGS:]
         return False, _coloring_witness(solution), {"solver_nodes": stats.nodes}
     if not hints_refute(g.n, g.edges, _symmetry_pin(g, fixing), stats.steps):
         raise OracleMismatchError(

@@ -306,15 +306,18 @@ def _distance_holds(d: int | None, exact: int | None, minimum: int | None) -> bo
     return d is not None and exact in (None, d) and d >= (minimum or 0)
 
 
-def _measured(gadget: TerminalGadget, kind: str, ask: Any) -> CheckBody:
+def _measured(
+    gadget: TerminalGadget, kind: str, ask: Any, colorings: list | None = None
+) -> CheckBody:
     """The body that checks one clause of :func:`_clauses` on the
-    gadget's graph, in full."""
+    gadget's graph, in full; a pattern clause first tries ``colorings``,
+    when given, as :func:`_coloring_check` does."""
     g = gadget.graph
     if kind == "forbidden":
         return lambda: _cycle_check(g, ask)
     if kind == "pattern":
         fixing = pattern_fixing(gadget.terminals, ask)
-        return lambda: _coloring_check(g, fixing)
+        return lambda: _coloring_check(g, fixing, colorings)
     if kind == "planarity":
         return lambda: _planarity_check(g)
     i, j, exact, minimum = ask
@@ -352,19 +355,23 @@ def _cheapest_first(contract: InterfaceContract, t: int) -> tuple:
     return tuple(sorted(clauses, key=lambda c: _CHEAPEST_FIRST.index(c[1])))
 
 
-def first_failing_clause(gadget: TerminalGadget) -> str | None:
+def first_failing_clause(
+    gadget: TerminalGadget, colorings: list | None = None
+) -> str | None:
     """The name of the cheapest failing contract clause, or ``None`` when
     every clause passes.
 
-    Runs the bodies :func:`verify_contract` runs, each one in full, but
-    cheapest kind first, and stops at the first failure; it builds no
-    report and computes no digest.  So it is ``None`` exactly when
+    Runs the bodies :func:`verify_contract` runs, but cheapest kind
+    first, and stops at the first failure; it builds no report and
+    computes no digest.  So it is ``None`` exactly when
     ``verify_contract(gadget).passed``.  The order is fixed once per
     contract and terminal count, so a search that checks many candidates
-    under one contract sorts its clauses once.
+    under one contract sorts its clauses once.  Without ``colorings``
+    each body runs in full; with them, a pattern clause tries them before
+    it solves (:func:`_coloring_check`), which settles the same verdict.
     """
     for name, kind, ask in _cheapest_first(gadget.contract, len(gadget.terminals)):
-        passed, _, _ = _measured(gadget, kind, ask)()
+        passed, _, _ = _measured(gadget, kind, ask, colorings)()
         if not passed:
             return name
     return None

@@ -38,7 +38,11 @@ Everything the search holds before its first check, the edges its steps
 list and then the edges of every candidate the walk keeps, counts
 against one budget, ``_HOLD_CAP`` edges, and a template that needs more
 is refused.  Each complete candidate is rejected at its cheapest failing
-contract clause (:func:`first_failing_clause`).  Planarity runs only on
+contract clause (:func:`first_failing_clause`).  A candidate's pattern
+clause first tries the few colorings the search has already found, most
+recently useful first, and solves only when none of them is a proper
+coloring of it under the pattern: neighbouring candidates differ by a
+few edges, so one coloring often serves many.  Planarity runs only on
 candidates that pass every cheaper clause, and the co-facial test and
 the canonical form only on those that pass them all.  Each find carries
 that form's digest as its evidence, and :func:`certify_and_freeze`
@@ -564,13 +568,14 @@ def search_gadget(
     n = sum(layer.size for layer in spec.template.layers)
     labels = {v: chr(ord("a") + v) for v in range(n)} if n <= 26 else None
     seen: set[bytes] = set()
+    colorings: list[dict[int, int]] = []  # pattern clauses try these first
     emitted = 0
 
     def consider(edges: _Edges) -> TerminalGadget | None:
         graph = build_graph(n, edges, labels)
         gadget = TerminalGadget(graph, tuple(range(arity)), spec.contract)
         funnel["enumerated"] += 1
-        failed = first_failing_clause(gadget)
+        failed = first_failing_clause(gadget, colorings)
         if failed is not None:
             funnel[failed] += 1
             return None

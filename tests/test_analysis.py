@@ -93,6 +93,17 @@ def test_shortest_path_is_shortest():
     assert distance(g, 0, 3) == 2
 
 
+@pytest.mark.parametrize("u, v", [(-2, 1), (0, -1), (0, 4), (4, 0), (-1, 9)])
+def test_an_endpoint_outside_the_graph_is_refused(u, v):
+    # a negative endpoint would index the parent list from its end: -2
+    # to 1 on this path looped, and 0 to -1 returned [0, 1, 2, -1]
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+    bad = u if not 0 <= u < 4 else v
+    for ask in (shortest_path, distance):
+        with pytest.raises(ValueError, match=rf"^endpoint {bad} outside 0\.\.3$"):
+            ask(g, u, v)
+
+
 @given(graphs())
 @settings(max_examples=200, deadline=None)
 def test_shortest_path_matches_the_dict_bfs(g):

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import itertools
@@ -1022,6 +1023,110 @@ def test_bad_refutation_is_caught_under_python_O(tmp_path):
         *(word for name in _BAD_REFUTATIONS for word in (name, "1")),
     ]
     assert out.stderr.count("ORACLE MISMATCH: ") == len(_BAD_REFUTATIONS)
+
+
+# ---------------------------------------------------------------------------
+# colorings a search stores for its pattern clauses
+
+PATH_0_TO_3 = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+# terminals 0 and 1 at the ends of 0-2-4-1, its first two edges in
+# triangles 0-2-3 and 2-3-4: 4 must match 0 and differ from 1, so
+# "00" is infeasible, and dropping any one edge makes it feasible
+FORCED_APART = build_graph(5, [(0, 2), (0, 3), (2, 3), (2, 4), (3, 4), (1, 4)])
+
+
+def _count_checked_solves(monkeypatch):
+    """Count the solves and the RUP checks of their refutations."""
+    calls = collections.Counter()
+    for binding in ("solve_3coloring_with_stats", "hints_refute"):
+        def counted(*args, binding=binding, real=getattr(coloring, binding)):
+            calls[binding] += 1
+            return real(*args)
+        monkeypatch.setattr(coloring, binding, counted)
+    return calls
+
+
+def _witness_coloring(witness):
+    return {int(v): c for v, c in witness["coloring"].items()}
+
+
+def test_a_stored_coloring_that_fits_settles_the_pattern_without_a_solve(
+    monkeypatch,
+):
+    misfit = {0: 0, 1: 1, 2: 0, 3: 1}  # proper, but 3 is off the fixing
+    fit = {0: 0, 1: 1, 2: 2, 3: 0}
+    colorings = [misfit, fit]
+    calls = _count_checked_solves(monkeypatch)
+    got = coloring._coloring_check(PATH_0_TO_3, {0: 0, 3: 0}, colorings)
+    assert got == (False, {"coloring": {"0": 0, "1": 1, "2": 2, "3": 0}},
+                   {"mode": "stored-coloring"})
+    assert not calls and colorings == [fit, misfit]
+
+
+def test_a_stored_coloring_improper_on_the_graph_goes_to_the_solver(monkeypatch):
+    # it agrees with the fixing, but 1 and 3 share a color on the new edge
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (1, 3)])
+    stored = {0: 0, 1: 1, 2: 0, 3: 1}
+    colorings = [stored]
+    calls = _count_checked_solves(monkeypatch)
+    passed, witness, details = coloring._coloring_check(g, {0: 0, 3: 1}, colorings)
+    found = _witness_coloring(witness)
+    assert not passed and is_proper(g, found) and (found[0], found[3]) == (0, 1)
+    assert calls == {"solve_3coloring_with_stats": 1} and "solver_nodes" in details
+    assert colorings == [found, stored]
+
+
+def test_a_stored_coloring_off_the_fixing_goes_to_the_solver(monkeypatch):
+    # proper on the path, but it colors terminals 0 and 3 apart
+    stored = {0: 0, 1: 1, 2: 0, 3: 1}
+    colorings = [stored]
+    calls = _count_checked_solves(monkeypatch)
+    passed, witness, details = coloring._coloring_check(
+        PATH_0_TO_3, {0: 0, 3: 0}, colorings
+    )
+    found = _witness_coloring(witness)
+    assert not passed and is_proper(PATH_0_TO_3, found) and found[0] == found[3] == 0
+    assert calls == {"solve_3coloring_with_stats": 1} and "solver_nodes" in details
+    assert colorings == [found, stored]
+
+
+def test_an_infeasible_pattern_after_feasible_ones_gets_a_checked_refutation(
+    monkeypatch,
+):
+    # FORCED_APART's neighbours, one edge dropped each, as a search meets
+    # them: every coloring they leave agrees with the fixing, so only
+    # is_proper turns them down on FORCED_APART itself
+    fixing = {0: 0, 1: 0}
+    colorings = []
+    for edge in FORCED_APART.edges:
+        near = remove_edge(FORCED_APART, *edge)
+        assert not coloring._coloring_check(near, fixing, colorings)[0]
+    stored = list(colorings)
+    assert len(stored) > 1 and all(c[0] == c[1] == 0 for c in stored)
+    calls = _count_checked_solves(monkeypatch)
+    passed, witness, details = coloring._coloring_check(FORCED_APART, fixing, colorings)
+    assert passed and witness is None and details["proof"] == "rup-checked"
+    assert calls == {"solve_3coloring_with_stats": 1, "hints_refute": 1}
+    assert colorings == stored
+    assert not product_3coloring_exists(FORCED_APART, fixing)
+
+
+def test_an_improper_solver_witness_is_never_stored(monkeypatch):
+    colorings = []
+    monkeypatch.setattr(coloring, "solve_3coloring_with_stats", _all_zero_with_stats)
+    with pytest.raises(OracleMismatchError):
+        coloring._coloring_check(C5, {0: 0}, colorings)
+    assert colorings == []
+
+
+def test_the_stored_colorings_are_the_latest_finds_up_to_the_cap(monkeypatch):
+    # each fixing colors terminal 3 apart from every earlier find, so
+    # each one solves, and the oldest find drops off the end
+    monkeypatch.setattr(coloring, "_STORED_COLORINGS", 2)
+    colorings = []
+    for end in (0, 1, 2):
+        coloring._coloring_check(PATH_0_TO_3, {0: 0, 3: end}, colorings)
+    assert [c[3] for c in colorings] == [2, 1]
 
 
 # ---------------------------------------------------------------------------

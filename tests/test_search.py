@@ -25,6 +25,7 @@ from steinberg import (
     seed_search_spec,
     verify_contract,
 )
+from steinberg import coloring, gadgets
 from steinberg.analysis import distance, forbidden_cycle_check
 from steinberg.canon import canonical_form
 from steinberg.gadgets import (
@@ -415,6 +416,71 @@ def test_wide_walk_makes_its_pinned_prune_calls(monkeypatch):
         "_distance_floor_violated": 406,
         "_hub_survivors": 180,
     }
+
+
+def _settled_by(monkeypatch):
+    """Count a search's pattern checks by how each was settled: the
+    mode its details name, else "solved"."""
+    settled = Counter()
+    check = gadgets._coloring_check
+
+    def counted(*args):
+        result = check(*args)
+        settled[(result[2] or {}).get("mode", "solved")] += 1
+        return result
+
+    monkeypatch.setattr(gadgets, "_coloring_check", counted)
+    return settled
+
+
+@pytest.mark.parametrize(
+    "spec, settled", [(wide_spec, {"solved": 13, "stored-coloring": 45}),
+                      (seed_search_spec, {"solved": 2})], ids=["wide", "stock"],
+)
+def test_search_solves_only_patterns_its_stored_colorings_miss(
+    monkeypatch, spec, settled
+):
+    # 58 wide candidates reach the pattern clause and 56 of them are
+    # colorable: a coloring an earlier one found settles 45; the stock
+    # search's 2 are both infeasible, so each is solved and refuted
+    solves = Counter()
+    solve = coloring.solve_3coloring_with_stats
+
+    def counted(*args):
+        solves["solve_3coloring_with_stats"] += 1
+        return solve(*args)
+
+    monkeypatch.setattr(coloring, "solve_3coloring_with_stats", counted)
+    modes = _settled_by(monkeypatch)
+    assert len(list(search_gadget(spec()))) == 1
+    assert modes == settled
+    assert solves == {"solve_3coloring_with_stats": settled["solved"]}
+
+
+def test_stored_colorings_change_no_find_and_no_funnel_count(monkeypatch):
+    # the same searches with no coloring stored: equal finds, in the same
+    # order, with equal digests and every funnel count equal
+    rng = random.Random(4848)
+    specs = [seed_search_spec(), wide_spec()]
+    specs += [random_template_spec(rng) for _ in range(400)]
+    specs += [interchangeable_template_spec(rng) for _ in range(320)]
+
+    def searched():
+        out = []
+        for spec in specs:
+            funnel = Counter()
+            found = search_gadget(spec, funnel=funnel)
+            out.append(([(g.graph.edges, g.search_digest) for g in found], funnel))
+        return out
+
+    settled = _settled_by(monkeypatch)
+    stored = searched()
+    monkeypatch.setattr(coloring, "_STORED_COLORINGS", 0)
+    assert searched() == stored
+    # enough pattern clauses settled by a stored coloring, and enough finds,
+    # for a changed verdict to show
+    assert settled["stored-coloring"] > 2000
+    assert sum(len(found) for found, _ in stored) > 2000
 
 
 def test_wide_search_orders_its_contract_clauses_once(monkeypatch):
