@@ -52,14 +52,20 @@ _ACTIVITY_DECAY = 0.95  # each conflict's bump is the last one divided by this
 _STORED_COLORINGS = 8
 
 
-def check_fixed(g: Graph, fixed: Mapping[int, int]) -> None:
-    """Reject a pre-assignment that is out of range or already violates
-    one of its own edges.  Distinct from an UNSAT outcome."""
+def _check_fixed_range(g: Graph, fixed: Mapping[int, int]) -> None:
+    """Reject a pre-assignment with a vertex outside ``g`` or a color
+    outside 0..2."""
     for v, c in fixed.items():
         if not (0 <= v < g.n):
             raise ImproperFixingError(f"fixed vertex {v} outside 0..{g.n - 1}")
         if c not in (0, 1, 2):
             raise ImproperFixingError(f"fixed color {c} on vertex {v} not in 0..2")
+
+
+def check_fixed(g: Graph, fixed: Mapping[int, int]) -> None:
+    """Reject a pre-assignment that is out of range or already violates
+    one of its own edges.  Distinct from an UNSAT outcome."""
+    _check_fixed_range(g, fixed)
     for u, v in g.edges:
         if u in fixed and v in fixed and fixed[u] == fixed[v]:
             raise ImproperFixingError(
@@ -569,7 +575,9 @@ def _coloring_check(
     """No proper 3-coloring extends ``fixing``; a report check body.
 
     A fixing monochromatic on one of its own edges passes (mode
-    ``adjacent-terminals``).  A solver witness is checked with
+    ``adjacent-terminals``); one with a vertex outside ``g`` or a color
+    outside 0..2 raises :class:`ImproperFixingError`, as
+    :func:`check_fixed` words it.  A solver witness is checked with
     :func:`is_proper`, and an UNSAT verdict by checking its hinted steps
     with :func:`hints_refute` under ``fixing`` and the solver's pin.  A
     failed check raises :class:`OracleMismatchError`, not an
@@ -583,6 +591,7 @@ def _coloring_check(
     joins the front once :func:`is_proper` accepts it; the list keeps the
     first :data:`_STORED_COLORINGS`.
     """
+    _check_fixed_range(g, fixing)  # the solver's refusal is then an edge's
     for k, known in enumerate(colorings or ()):
         if all(known.get(v) == c for v, c in fixing.items()) and is_proper(g, known):
             colorings.insert(0, colorings.pop(k))

@@ -344,7 +344,9 @@ def verify_contract(gadget: TerminalGadget) -> VerificationReport:
 
 # clause kinds cheapest first: one BFS, one small pinned solve, a bounded
 # cycle search, then planarity with its certificate (and a Kuratowski
-# subgraph when it fails)
+# subgraph when it fails); a search decides a complete candidate's
+# distance clauses on its walk's bitmask rows before any graph is built,
+# and runs the rest in this order
 _CHEAPEST_FIRST = ("distance", "pattern", "forbidden", "planarity")
 
 
@@ -356,7 +358,7 @@ def _cheapest_first(contract: InterfaceContract, t: int) -> tuple:
 
 
 def first_failing_clause(
-    gadget: TerminalGadget, colorings: list | None = None
+    gadget: TerminalGadget, colorings: list | None = None, decided: str | None = None
 ) -> str | None:
     """The name of the cheapest failing contract clause, or ``None`` when
     every clause passes.
@@ -369,8 +371,14 @@ def first_failing_clause(
     under one contract sorts its clauses once.  Without ``colorings``
     each body runs in full; with them, a pattern clause tries them before
     it solves (:func:`_coloring_check`), which settles the same verdict.
+    A search decides a complete candidate's distance clauses on its
+    walk's bitmask rows before it builds a graph, and passes ``decided``
+    as ``"distance"`` for a candidate that met them all: the clauses of
+    that kind are then taken as passed and not run again.
     """
     for name, kind, ask in _cheapest_first(gadget.contract, len(gadget.terminals)):
+        if kind == decided:
+            continue
         passed, _, _ = _measured(gadget, kind, ask, colorings)()
         if not passed:
             return name

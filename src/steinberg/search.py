@@ -37,12 +37,16 @@ same order.
 Everything the search holds before its first check, the edges its steps
 list and then the edges of every candidate the walk keeps, counts
 against one budget, ``_HOLD_CAP`` edges, and a template that needs more
-is refused.  Each complete candidate is rejected at its cheapest failing
-contract clause (:func:`first_failing_clause`).  A candidate's pattern
-clause first tries the few colorings the search has already found, most
-recently useful first, and solves only when none of them is a proper
-coloring of it under the pattern: neighbouring candidates differ by a
-few edges, so one coloring often serves many.  Planarity runs only on
+is refused.  A complete candidate's distance clauses are decided on the
+walk's bitmask rows, by the same bitset BFS, before any graph is built:
+only a candidate that meets them all becomes a graph, rejected at its
+cheapest failing other clause in :func:`first_failing_clause`'s order,
+and one that fails a distance is counted under that clause's name when
+its edge count comes up.  A candidate's pattern clause first tries the
+few colorings the search has already found, most recently useful first,
+and solves only when none of them is a proper coloring of it under the
+pattern: neighbouring candidates differ by a few edges, so one coloring
+often serves many.  Planarity runs only on
 candidates that pass every cheaper clause, and the co-facial test and
 the canonical form only on those that pass them all.  Each find carries
 that form's digest as its evidence, and :func:`certify_and_freeze`
@@ -72,6 +76,7 @@ from .gadgets import (
     InterfaceContract,
     TerminalGadget,
     _clauses,
+    _distance_holds,
     first_failing_clause,
     require_contract,
     save_gadget,
@@ -94,6 +99,10 @@ _HOLD_CAP = 1 << 20
 _Edges = tuple[tuple[int, int], ...]
 # (alternatives, tied, hub, masks), as the module docstring describes
 _Step = tuple[list[_Edges], bool, int | None, list[int] | None]
+# a distance clause of the contract as (name, i, j, exact, minimum)
+_Distance = tuple[str, int, int, int | None, int | None]
+# a walked candidate: its edges and its first failing distance clause
+_Candidate = tuple[_Edges, str | None]
 
 
 @dataclass(frozen=True)
@@ -240,25 +249,33 @@ def _closes_forbidden_cycle(
     return False
 
 
+def _distance_within(adj: list[int], u: int, v: int, most: int) -> int | None:
+    """The distance from ``u`` to ``v`` when it is at most ``most`` edges,
+    else ``None``: a bitset BFS, one frontier of vertex bits per level."""
+    seen = frontier = 1 << u
+    for d in range(1, most + 1):
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= adj[low.bit_length() - 1]
+        frontier = reach & ~seen
+        if frontier >> v & 1:
+            return d
+        if not frontier:
+            return None
+        seen |= frontier
+    return None
+
+
 def _distance_floor_violated(
     adj: list[int], floors: list[tuple[int, int, int]]
 ) -> bool:
     """Is a required terminal distance already beaten?  Distances only
     fall as edges arrive, so a too-short partial distance is final."""
     for u, v, floor in floors:
-        seen = frontier = 1 << u
-        for _ in range(floor - 1):
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                frontier ^= low
-                reach |= adj[low.bit_length() - 1]
-            frontier = reach & ~seen
-            if frontier >> v & 1:
-                return True
-            if not frontier:
-                break
-            seen |= frontier
+        if _distance_within(adj, u, v, floor - 1) is not None:
+            return True
     return False
 
 
@@ -427,25 +444,34 @@ def _walk(
     steps: list[_Step],
     n: int,
     lengths: frozenset[int],
-    floors: list[tuple[int, int, int]],
+    distances: list[_Distance],
     funnel: Counter,
     left: int,
-) -> list[_Edges]:
+) -> list[_Candidate]:
     """Every choice of one alternative per step that no monotone prune
-    rejects, as a sorted edge tuple, in the order of the steps'
-    alternatives.  The forced steps come first, so each count in
+    rejects, as a sorted edge tuple with the name of its first failing
+    clause of ``distances`` (``None`` when all hold), in the order of the
+    steps' alternatives.  The forced steps come first, so each count in
     ``funnel`` is of partial candidates pruned with every fixed edge
     already in place.  A hub step is cycle-pruned once on entry, for all
     of its alternatives, by :func:`_hub_survivors`: its queue holds only
     the survivors, and the rest count as "pruned-cycle" in one addition.
     Every other alternative is cycle-pruned alone by
     :func:`_closes_forbidden_cycle`, and every alternative past the cycle
-    prune meets the distance floors.  Each candidate kept spends its
-    edges from the ``left`` edges of ``_HOLD_CAP``, and past them the
-    walk raises :class:`SearchSpecError`."""
+    prune meets the distance floors: a clause's exact distance, else its
+    minimum, when it is above 1.  A complete candidate's distance clauses
+    are decided on its adjacency rows, in ``distances`` order, by the
+    same bitset BFS.  Each candidate kept spends its edges from the
+    ``left`` edges of ``_HOLD_CAP``, and past them the walk raises
+    :class:`SearchSpecError`."""
+    floors = []
+    for _, i, j, exact, minimum in distances:
+        floor = exact or minimum or 0
+        if floor > 1:
+            floors.append((i, j, floor))
     adj = [0] * n
     chosen: list[tuple[int, int]] = []
-    out: list[_Edges] = []
+    out: list[_Candidate] = []
     # per step, the alternatives this entry tries and how many it has tried
     queue: list[range | list[int]] = [range(0)] * len(steps)
     tried = [0] * len(steps)
@@ -476,7 +502,11 @@ def _walk(
             left -= len(chosen)
             if left < 0:
                 raise _over_budget("holding candidates")
-            out.append(tuple(sorted(chosen)))
+            failed = next((
+                name for name, i, j, exact, minimum in distances
+                if not _distance_holds(_distance_within(adj, i, j, n), exact, minimum)
+            ), None)
+            out.append((tuple(sorted(chosen)), failed))
         elif tried[si] < len(queue[si]):
             alternatives, _, hub, _ = steps[si]
             es = alternatives[queue[si][tried[si]]]
@@ -503,26 +533,25 @@ def _walk(
         flip(es)
 
 
-def _template_candidates(spec: SearchSpec, funnel: Counter) -> list[_Edges]:
-    """The edges of every template candidate surviving the monotone
-    prunes, in edge-count order; each has the template's vertices.  Each
-    prune is counted in ``funnel`` under "pruned-cycle" or
-    "pruned-distance".  A distance clause's exact distance, else its
-    minimum, is a floor when it is above 1."""
+def _template_candidates(spec: SearchSpec, funnel: Counter) -> list[_Candidate]:
+    """Every template candidate surviving the monotone prunes, as its
+    edges and the name of its first failing distance clause, or ``None``,
+    in edge-count order; each has the template's vertices, the terminals
+    first.  Each prune is counted in ``funnel`` under "pruned-cycle" or
+    "pruned-distance"."""
     template = spec.template
     contract = spec.contract
     _validate_template(template, contract.arity)
-    floors = []
-    for _, kind, ask in _clauses(contract, template.layers[0].size):
-        if kind == "distance":
-            i, j, exact, minimum = ask
-            floor = exact or minimum or 0
-            if floor > 1:
-                floors.append((i, j, floor))
+    distances = [
+        (name, *ask)
+        for name, kind, ask in _clauses(contract, template.layers[0].size)
+        if kind == "distance"
+    ]
     steps, left = _template_steps(template)
     total = sum(layer.size for layer in template.layers)
-    out = _walk(steps, total, contract.forbidden_cycle_lengths, floors, funnel, left)
-    return sorted(out, key=len)
+    lengths = contract.forbidden_cycle_lengths
+    out = _walk(steps, total, lengths, distances, funnel, left)
+    return sorted(out, key=lambda candidate: len(candidate[0]))
 
 
 _FUNNEL_HEAD = ("enumerated", "pruned-cycle", "pruned-distance")
@@ -544,7 +573,9 @@ def search_gadget(
     """Stream contract-satisfying gadgets in deterministic order.
 
     Exhaustive within the template when run to completion.  Each
-    complete candidate is rejected at its cheapest failing clause by
+    complete candidate is rejected at its cheapest failing clause: its
+    distance clauses are decided in the walk, and the others, on a graph
+    built only for a candidate that meets them, by
     :func:`first_failing_clause`; only a candidate that passes every
     clause is kept, so every emitted gadget satisfies its whole contract.
     No two emitted gadgets are isomorphic.  When the contract requires
@@ -571,11 +602,14 @@ def search_gadget(
     colorings: list[dict[int, int]] = []  # pattern clauses try these first
     emitted = 0
 
-    def consider(edges: _Edges) -> TerminalGadget | None:
-        graph = build_graph(n, edges, labels)
-        gadget = TerminalGadget(graph, tuple(range(arity)), spec.contract)
+    def consider(edges: _Edges, failed: str | None) -> TerminalGadget | None:
+        # ``failed`` is the walk's verdict on the distance clauses, so a
+        # graph is built only for a candidate that meets them all
         funnel["enumerated"] += 1
-        failed = first_failing_clause(gadget, colorings)
+        if failed is None:
+            graph = build_graph(n, edges, labels)
+            gadget = TerminalGadget(graph, tuple(range(arity)), spec.contract)
+            failed = first_failing_clause(gadget, colorings, decided="distance")
         if failed is not None:
             funnel[failed] += 1
             return None
@@ -602,8 +636,9 @@ def search_gadget(
             if limit is not None and emitted >= limit:
                 return
 
-    for _, group in itertools.groupby(_template_candidates(spec, funnel), key=len):
-        gadgets = (consider(edges) for edges in group)
+    candidates = _template_candidates(spec, funnel)
+    for _, group in itertools.groupby(candidates, key=lambda c: len(c[0])):
+        gadgets = (consider(edges, failed) for edges, failed in group)
         yield from emit_bucket([g for g in gadgets if g is not None])
         if limit is not None and emitted >= limit:
             return

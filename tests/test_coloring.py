@@ -1129,6 +1129,23 @@ def test_the_stored_colorings_are_the_latest_finds_up_to_the_cap(monkeypatch):
     assert [c[3] for c in colorings] == [2, 1]
 
 
+@pytest.mark.parametrize("colorings", [None, [{0: 0, 1: 1, 2: 0}]])
+def test_only_an_edge_monochromatic_fixing_passes_as_adjacent_terminals(colorings):
+    # a fixing with a vertex off the graph or a color outside 0..2 is
+    # refused in check_fixed's words, before any stored coloring or solve
+    edge = build_graph(3, [(0, 1)])
+    for fixing, message in (({7: 0}, "fixed vertex 7 outside 0..2"),
+                            ({0: 5}, "fixed color 5 on vertex 0 not in 0..2")):
+        with pytest.raises(ImproperFixingError) as by_check_fixed:
+            coloring.check_fixed(edge, fixing)
+        with pytest.raises(ImproperFixingError) as by_clause:
+            coloring._coloring_check(edge, fixing, colorings)
+        assert str(by_check_fixed.value) == str(by_clause.value) == message
+    assert coloring._coloring_check(edge, {0: 1, 1: 1}, colorings) == (
+        True, None, {"mode": "adjacent-terminals"}
+    )
+
+
 # ---------------------------------------------------------------------------
 # brute force and the exhaustive sweep
 

@@ -25,7 +25,7 @@ from steinberg import (
     seed_search_spec,
     verify_contract,
 )
-from steinberg import coloring, gadgets
+from steinberg import analysis, check, coloring, gadgets, graphs, search
 from steinberg.analysis import distance, forbidden_cycle_check
 from steinberg.canon import canonical_form
 from steinberg.gadgets import (
@@ -340,7 +340,7 @@ def filtered_product(spec, reduced=True):
 
 def walked(spec):
     """The walk's candidates, as edge tuples."""
-    return list(_template_candidates(spec, Counter()))
+    return [edges for edges, _ in _template_candidates(spec, Counter())]
 
 
 def forced_link_moved(template):
@@ -499,6 +499,137 @@ def test_wide_search_orders_its_contract_clauses_once(monkeypatch):
     funnel = Counter()
     assert len(list(search_gadget(wide_spec(), funnel=funnel))) == 1
     assert funnel["enumerated"] == 126 and calls == {"_clauses": 2}
+
+
+def counted_everywhere(monkeypatch, calls, function):
+    """Count the calls of ``function`` in ``calls`` under its name, through
+    every steinberg module that binds it."""
+    def counted(*args):
+        calls[function.__name__] += 1
+        return function(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "steinberg" and (
+            getattr(module, function.__name__, None) is function
+        ):
+            monkeypatch.setattr(module, function.__name__, counted)
+
+
+@pytest.mark.parametrize("spec, pinned", [
+    (wide_spec, {"build_graph": 60, "shortest_path": 0,
+                 "solve_3coloring_with_stats": 13, "is_proper": 181,
+                 "_distance_floor_violated": 406, "_hub_survivors": 180}),
+    (seed_search_spec, {"build_graph": 4, "shortest_path": 0,
+                        "solve_3coloring_with_stats": 2, "is_proper": 0,
+                        "_distance_floor_violated": 178, "_hub_survivors": 74}),
+], ids=["wide", "stock"])
+def test_search_builds_a_graph_only_for_candidates_that_meet_their_distances(
+    monkeypatch, spec, pinned
+):
+    # the walk decides every complete candidate's distance clauses on its
+    # bitmask rows: 58 of the wide spec's 126 candidates meet them and
+    # become graphs, and 2 more graphs are the co-facial test's apex
+    # graphs; no distance is measured by a list BFS (378 calls before,
+    # 6 on the stock spec), and the solves, the stored colorings' checks
+    # and the walk's prunes are as many as before
+    calls = Counter()
+    for function in (graphs.build_graph, analysis.shortest_path,
+                     coloring.solve_3coloring_with_stats, check.is_proper,
+                     _distance_floor_violated, _hub_survivors):
+        counted_everywhere(monkeypatch, calls, function)
+    assert len(list(search_gadget(spec()))) == 1
+    assert {name: calls[name] for name in pinned} == pinned
+
+
+def test_walk_decides_distance_clauses_as_the_graph_check_does(monkeypatch):
+    # every complete candidate's distance verdict from the walk is the
+    # first failing distance clause that _measured's body, a list BFS on
+    # the built graph, finds; and the search's finds, in order, and its
+    # whole funnel are those of the search that checks every clause on
+    # the graph.  Half the random contracts ask their floors as exact
+    # distances, so a candidate can fail by a distance too long.  They
+    # ask no planarity, which runs only after the distance clauses and
+    # would take most of the time
+    rng = random.Random(4949)
+    specs = [seed_search_spec(), wide_spec()]
+    for k in range(720):
+        spec = (interchangeable_template_spec if k % 2 else random_template_spec)(rng)
+        contract = replace(spec.contract, require_planar=False)
+        if k % 4 < 2:
+            contract = replace(
+                contract, min_terminal_distances=None,
+                exact_terminal_distances=contract.min_terminal_distances,
+            )
+        specs.append(replace(spec, contract=contract))
+    verdicts = Counter()
+    for spec in specs:
+        arity = spec.contract.arity
+        n = sum(layer.size for layer in spec.template.layers)
+        distances = [
+            (name, ask) for name, kind, ask in _clauses(spec.contract, arity)
+            if kind == "distance"
+        ]
+        for edges, failed in _template_candidates(spec, Counter()):
+            gadget = TerminalGadget(build_graph(n, edges), tuple(range(arity)),
+                                    spec.contract)
+            expected, why = None, "met"
+            for name, ask in distances:
+                passed, _, details = gadgets._measured(gadget, "distance", ask)()
+                if not passed:
+                    expected = name
+                    why = "unreachable" if details["distance"] is None else "too-far"
+                    break
+            assert failed == expected, (edges, spec)
+            verdicts[why] += 1
+
+    def searched():
+        out = []
+        for spec in specs:
+            funnel = Counter()
+            found = search_gadget(spec, funnel=funnel)
+            out.append(([(g.graph.edges, g.search_digest) for g in found], funnel))
+        return out
+
+    searches = searched()
+    template_candidates = search._template_candidates
+    monkeypatch.setattr(search, "_template_candidates", lambda spec, funnel: [
+        (edges, None) for edges, _ in template_candidates(spec, funnel)
+    ])
+    monkeypatch.setattr(
+        search, "first_failing_clause",
+        lambda gadget, colorings, decided=None: first_failing_clause(gadget, colorings),
+    )
+    assert searched() == searches
+    # enough candidates of each verdict, and enough finds and prunes, for
+    # a distance off by one, or a changed funnel, to show
+    assert min(verdicts.values()) > 1000 and len(verdicts) == 3
+    assert sum(len(found) for found, _ in searches) > 1500
+    assert sum(funnel["pruned-distance"] for _, funnel in searches) > 1000
+
+
+def test_a_limited_search_counts_only_the_batches_it_checked():
+    # the 15 candidates of the fewest edges come first and one of them
+    # emits, so limit=1 stops after them: the 13 later candidates'
+    # distance verdicts, decided in the walk, are never counted
+    contract = InterfaceContract(
+        min_terminal_distances=((0, 2, 2), (2, 0, 1), (2, 1, 0)),
+        require_planar=True,
+    )
+    template = TemplateSpec(layers=(
+        LayerSpec("t", 3),
+        LayerSpec("x", 2, "clique", "t", "subsets"),
+    ))
+    spec = SearchSpec(contract, template)
+    limited, full = Counter(), Counter()
+    assert len(list(search_gadget(spec, limit=1, funnel=limited))) == 1
+    assert len(list(search_gadget(spec, funnel=full))) == 4
+    assert dict(limited) == {
+        "enumerated": 15, "distance-t0-t1": 9, "distance-t0-t2": 3, "emitted": 1,
+    }
+    assert dict(full) == {
+        "enumerated": 28, "distance-t0-t1": 11, "distance-t0-t2": 4,
+        "not-cofacial": 1, "duplicates": 8, "emitted": 4,
+    }
 
 
 def test_template_candidates_match_the_filtered_product_at_every_length():
@@ -793,7 +924,7 @@ def test_deep_template_walks_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 40)
     try:
-        found = list(_template_candidates(spec, Counter()))
+        found = [edges for edges, _ in _template_candidates(spec, Counter())]
     finally:
         sys.setrecursionlimit(limit)
     spokes = tuple((2, x) for x in range(3, 1203))
