@@ -15,11 +15,7 @@ witnesses too and shares no code with the solver.  Every verdict of the
 solver goes through that function: the contracts' pattern clauses,
 ``verify``'s colorability check and each row of a
 :func:`terminal_behavior` table that no passing contract clause has
-already refuted (those come from the clause, not a solve).  A search's
-pattern clause may be settled feasible without a solve, by a coloring
-the same search found earlier: it must agree with the fixing and pass
-:func:`is_proper` on the new candidate, as a solver witness must, and an
-infeasible verdict still comes only from a checked solve.  The other
+already refuted (those come from the clause, not a solve).  The other
 coloring verdicts take no solve: ``lemmas`` has the seed's all-equal row
 from the brute force and from the exhaustive sweep, and the triple's
 pattern clause and the final stage from the checked case tree.
@@ -46,10 +42,6 @@ _SWEEP_CHUNK_VERTICES = 9  # a chunk spans 3^9 rows, one bit each (fastest of 8.
 _BEHAVIOR_ARITIES = range(2, 5)  # terminal counts a behavior table covers
 _ACTIVITY_LIMIT = 1e100  # past this, every solver activity is divided by it
 _ACTIVITY_DECAY = 0.95  # each conflict's bump is the last one divided by this
-# colorings a search keeps for its pattern clauses: solves per wide-spec
-# search by cap were 1 -> 48, 2 -> 33, 4 -> 22, 8 -> 13, unbounded -> 13,
-# and with no cap a large template would try every find on every candidate
-_STORED_COLORINGS = 8
 
 
 def _check_fixed_range(g: Graph, fixed: Mapping[int, int]) -> None:
@@ -123,11 +115,9 @@ def _cdcl(
     variable), set false.  Every variable in a conflict's analysis gains
     activity, and later conflicts weigh more.  A decision takes the first
     open variable of a list kept in that order: the first decision after
-    a conflict sorts the previous list again by the new activities, a
-    stable sort that keeps every old tie smallest first.  When a bump
-    may have made two activities newly equal, or a rescale may have
-    merged two, it sorts all variables afresh instead.  No restarts and
-    no clause deletion, so the learnt clauses only grow.
+    a conflict sorts every variable afresh by the new activities, a
+    stable sort that keeps ties smallest first.  No restarts and no
+    clause deletion, so the learnt clauses only grow.
 
     Each learnt clause is a step of ``stats.steps`` whose hints are the
     reasons its analysis resolved, in trail order, then the conflict.
@@ -157,8 +147,7 @@ def _cdcl(
     decay = _ACTIVITY_DECAY
     order = list(range(num_vars))  # by activity, highest first
     pos = 0  # no variable before order[pos] is open until the next conflict
-    resort: Sequence[int] | None = None  # what the next decision sorts
-    held = {0.0}  # a superset of the activity values now held
+    resort = False  # whether a conflict came since order was sorted
     nodes = propagations = 0
     qhead = 0
     steps = stats.steps
@@ -254,9 +243,9 @@ def _cdcl(
                     steps.append(((lit,), (hint(r),)))
             fact = len(trail)
         if conflict is None:
-            if resort is not None:  # stable, so ties keep their order
-                order = sorted(resort, key=activity.__getitem__, reverse=True)
-                resort = None
+            if resort:  # stable, so ties keep the smallest variable first
+                order = sorted(range(num_vars), key=activity.__getitem__, reverse=True)
+                resort = False
                 pos = 0
             while pos < num_vars and value[2 * order[pos]]:
                 pos += 1
@@ -289,8 +278,6 @@ def _cdcl(
         i = len(trail)
         clause = conflict
         hints = []
-        moved: dict[float, float] = {}  # new activity -> old, this conflict
-        tied = False  # whether two activities may have become equal
         while True:
             k = step_of.get(id(clause))
             hints.append(tuple(clause) if k is None else k)
@@ -299,15 +286,11 @@ def _cdcl(
                 if v in seen or not level[v]:
                     continue
                 seen.add(v)
-                a = activity[v]
-                b = activity[v] = a + bump
-                if b in held or moved.setdefault(b, a) != a:
-                    tied = True
-                if b > limit:
+                a = activity[v] = activity[v] + bump
+                if a > limit:
                     scale = 1 / limit
                     activity = [x * scale for x in activity]
                     bump *= scale
-                    tied = True
                 if level[v] == depth:
                     pending += 1
                 else:
@@ -325,14 +308,7 @@ def _cdcl(
                 clause = (lit, clause)
         learnt[0] = lit ^ 1
         bump /= decay
-        if tied or len(held) + len(moved) > 2 * num_vars:
-            # sort afresh, and forget the values no longer held
-            resort = range(num_vars)
-            held = set(activity)
-        else:
-            held.update(moved)
-            if resort is None:
-                resort = order
+        resort = True
         proof.append(tuple(learnt))
         hints.reverse()
         steps.append((proof[-1], tuple(hints)))
@@ -569,9 +545,7 @@ def _coloring_witness(coloring: Mapping[int, int]) -> dict[str, Any]:
     return {"coloring": {str(v): c for v, c in sorted(coloring.items())}}
 
 
-def _coloring_check(
-    g: Graph, fixing: Mapping[int, int], colorings: list | None = None
-) -> tuple[bool, Any, Any]:
+def _coloring_check(g: Graph, fixing: Mapping[int, int]) -> tuple[bool, Any, Any]:
     """No proper 3-coloring extends ``fixing``; a report check body.
 
     A fixing monochromatic on one of its own edges passes (mode
@@ -582,20 +556,8 @@ def _coloring_check(
     with :func:`hints_refute` under ``fixing`` and the solver's pin.  A
     failed check raises :class:`OracleMismatchError`, not an
     assertion, so ``python -O`` keeps it.
-
-    ``colorings``, when given, holds colorings a search found earlier,
-    most recently useful first.  Before any solve, the first of them that
-    agrees with ``fixing`` and that :func:`is_proper` accepts on ``g``
-    fails the check as its witness (mode ``stored-coloring``) and moves
-    to the front.  Otherwise the solver runs, and a witness it returns
-    joins the front once :func:`is_proper` accepts it; the list keeps the
-    first :data:`_STORED_COLORINGS`.
     """
     _check_fixed_range(g, fixing)  # the solver's refusal is then an edge's
-    for k, known in enumerate(colorings or ()):
-        if all(known.get(v) == c for v, c in fixing.items()) and is_proper(g, known):
-            colorings.insert(0, colorings.pop(k))
-            return False, _coloring_witness(known), {"mode": "stored-coloring"}
     try:
         solution, stats = solve_3coloring_with_stats(g, fixing)
     except ImproperFixingError:
@@ -605,9 +567,6 @@ def _coloring_check(
             raise OracleMismatchError(
                 f"solver returned an improper coloring with fixing {fixing!r}"
             )
-        if colorings is not None:
-            colorings.insert(0, solution)
-            del colorings[_STORED_COLORINGS:]
         return False, _coloring_witness(solution), {"solver_nodes": stats.nodes}
     if not hints_refute(g.n, g.edges, _symmetry_pin(g, fixing), stats.steps):
         raise OracleMismatchError(

@@ -23,7 +23,7 @@ seed, triple, final argument cannot drift from the construction, and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations, permutations
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -306,18 +306,15 @@ def _distance_holds(d: int | None, exact: int | None, minimum: int | None) -> bo
     return d is not None and exact in (None, d) and d >= (minimum or 0)
 
 
-def _measured(
-    gadget: TerminalGadget, kind: str, ask: Any, colorings: list | None = None
-) -> CheckBody:
+def _measured(gadget: TerminalGadget, kind: str, ask: Any) -> CheckBody:
     """The body that checks one clause of :func:`_clauses` on the
-    gadget's graph, in full; a pattern clause first tries ``colorings``,
-    when given, as :func:`_coloring_check` does."""
+    gadget's graph."""
     g = gadget.graph
     if kind == "forbidden":
         return lambda: _cycle_check(g, ask)
     if kind == "pattern":
         fixing = pattern_fixing(gadget.terminals, ask)
-        return lambda: _coloring_check(g, fixing, colorings)
+        return lambda: _coloring_check(g, fixing)
     if kind == "planarity":
         return lambda: _planarity_check(g)
     i, j, exact, minimum = ask
@@ -344,42 +341,27 @@ def verify_contract(gadget: TerminalGadget) -> VerificationReport:
 
 # clause kinds cheapest first: one BFS, one small pinned solve, a bounded
 # cycle search, then planarity with its certificate (and a Kuratowski
-# subgraph when it fails); a search decides a complete candidate's
-# distance clauses on its walk's bitmask rows before any graph is built,
-# and runs the rest in this order
+# subgraph when it fails)
 _CHEAPEST_FIRST = ("distance", "pattern", "forbidden", "planarity")
 
 
-@lru_cache
 def _cheapest_first(contract: InterfaceContract, t: int) -> tuple:
     """:func:`_clauses` sorted stably by :data:`_CHEAPEST_FIRST`."""
     clauses = _clauses(contract, t)
     return tuple(sorted(clauses, key=lambda c: _CHEAPEST_FIRST.index(c[1])))
 
 
-def first_failing_clause(
-    gadget: TerminalGadget, colorings: list | None = None, decided: str | None = None
-) -> str | None:
+def first_failing_clause(gadget: TerminalGadget) -> str | None:
     """The name of the cheapest failing contract clause, or ``None`` when
     every clause passes.
 
     Runs the bodies :func:`verify_contract` runs, but cheapest kind
     first, and stops at the first failure; it builds no report and
     computes no digest.  So it is ``None`` exactly when
-    ``verify_contract(gadget).passed``.  The order is fixed once per
-    contract and terminal count, so a search that checks many candidates
-    under one contract sorts its clauses once.  Without ``colorings``
-    each body runs in full; with them, a pattern clause tries them before
-    it solves (:func:`_coloring_check`), which settles the same verdict.
-    A search decides a complete candidate's distance clauses on its
-    walk's bitmask rows before it builds a graph, and passes ``decided``
-    as ``"distance"`` for a candidate that met them all: the clauses of
-    that kind are then taken as passed and not run again.
+    ``verify_contract(gadget).passed``.
     """
     for name, kind, ask in _cheapest_first(gadget.contract, len(gadget.terminals)):
-        if kind == decided:
-            continue
-        passed, _, _ = _measured(gadget, kind, ask, colorings)()
+        passed, _, _ = _measured(gadget, kind, ask)()
         if not passed:
             return name
     return None

@@ -42,15 +42,17 @@ walk's bitmask rows, by the same bitset BFS, before any graph is built:
 only a candidate that meets them all becomes a graph, rejected at its
 cheapest failing other clause in :func:`first_failing_clause`'s order,
 and one that fails a distance is counted under that clause's name when
-its edge count comes up.  A candidate's pattern clause first tries the
-few colorings the search has already found, most recently useful first,
-and solves only when none of them is a proper coloring of it under the
-pattern: neighbouring candidates differ by a few edges, so one coloring
-often serves many.  Planarity runs only on
-candidates that pass every cheaper clause, and the co-facial test and
-the canonical form only on those that pass them all.  Each find carries
-that form's digest as its evidence, and :func:`certify_and_freeze`
-writes its record from it instead of checking the find again.  Results
+its edge count comes up.  The search runs that order itself, as the
+skipped distance clauses and its stored colorings are its own: a
+candidate's pattern clause first tries the few colorings the search has
+already found, most recently useful first, and solves only when none of
+them is a proper coloring of it under the pattern: neighbouring
+candidates differ by a few edges, so one coloring often serves many.
+Planarity runs only on candidates that pass every cheaper clause, and
+the co-facial test and the canonical form only on those that pass them
+all.  Each find carries that form's digest as its evidence, and
+:func:`certify_and_freeze` writes its record from it instead of checking
+the find again.  Results
 stream in a fixed order: fewer edges first, then smallest canonical
 form, so a search is reproducible run to run.  An optional counter
 records the funnel: how many candidates each stage enumerated, pruned,
@@ -63,11 +65,14 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Mapping
 
 from . import __version__ as _tool_version
 from .canon import canonical_form
-from .coloring import terminal_behavior
+from .check import is_proper
+from .coloring import (
+    _coloring_check, _coloring_witness, pattern_fixing, terminal_behavior,
+)
 from .errors import ContractError, SearchSpecError
 from .formats import (
     parse_json_payload, quote, strict_int, strict_list, strict_object, strict_str,
@@ -75,15 +80,16 @@ from .formats import (
 from .gadgets import (
     InterfaceContract,
     TerminalGadget,
+    _cheapest_first,
     _clauses,
     _distance_holds,
-    first_failing_clause,
+    _measured,
     require_contract,
     save_gadget,
     seed_contract,
     terminals_cofacial,
 )
-from .graphs import MAX_VERTICES, build_graph
+from .graphs import MAX_VERTICES, Graph, build_graph
 
 _INTRA_KINDS = ("none", "path", "cycle", "path_or_cycle", "clique")
 _LINK_KINDS = ("subsets", "pairs", "matching")
@@ -95,6 +101,10 @@ _LINK_KINDS = ("subsets", "pairs", "matching")
 # the widened one 665 and 2,634, the 1,201-step deep template 1,204 and
 # 3,604; a template refused here peaks near 100 MB in under a second
 _HOLD_CAP = 1 << 20
+# colorings a search keeps for its pattern clauses: solves per wide-spec
+# search by cap were 1 -> 48, 2 -> 33, 4 -> 22, 8 -> 13, unbounded -> 13,
+# and with no cap a large template would try every find on every candidate
+_STORED_COLORINGS = 8
 
 _Edges = tuple[tuple[int, int], ...]
 # (alternatives, tied, hub, masks), as the module docstring describes
@@ -554,6 +564,42 @@ def _template_candidates(spec: SearchSpec, funnel: Counter) -> list[_Candidate]:
     return sorted(out, key=lambda candidate: len(candidate[0]))
 
 
+def _pattern_check(
+    g: Graph, fixing: Mapping[int, int], colorings: list[dict[int, int]]
+) -> tuple[bool, Any, Any]:
+    """A pattern clause's check body as a search runs it.  The first of
+    ``colorings``, the search's earlier finds, that agrees with ``fixing``
+    and that :func:`is_proper` accepts on ``g`` fails the clause as its
+    witness (mode ``stored-coloring``) and moves to the front; otherwise
+    :func:`_coloring_check` decides, and the witness it checked joins the
+    front.  The list keeps the first :data:`_STORED_COLORINGS`."""
+    for k, known in enumerate(colorings):
+        if all(known.get(v) == c for v, c in fixing.items()) and is_proper(g, known):
+            colorings.insert(0, colorings.pop(k))
+            return False, _coloring_witness(known), {"mode": "stored-coloring"}
+    passed, witness, details = _coloring_check(g, fixing)
+    if not passed:
+        colorings.insert(0, {int(v): c for v, c in witness["coloring"].items()})
+        del colorings[_STORED_COLORINGS:]
+    return passed, witness, details
+
+
+def _failing_clause(
+    gadget: TerminalGadget, clauses: list[tuple], colorings: list[dict[int, int]]
+) -> str | None:
+    """The name of the first of ``clauses`` that ``gadget`` fails, or
+    ``None``; a pattern clause runs :func:`_pattern_check`."""
+    for name, kind, ask in clauses:
+        if kind == "pattern":
+            fixing = pattern_fixing(gadget.terminals, ask)
+            passed = _pattern_check(gadget.graph, fixing, colorings)[0]
+        else:
+            passed = _measured(gadget, kind, ask)()[0]
+        if not passed:
+            return name
+    return None
+
+
 _FUNNEL_HEAD = ("enumerated", "pruned-cycle", "pruned-distance")
 _FUNNEL_TAIL = ("not-cofacial", "duplicates", "emitted")
 
@@ -573,10 +619,11 @@ def search_gadget(
     """Stream contract-satisfying gadgets in deterministic order.
 
     Exhaustive within the template when run to completion.  Each
-    complete candidate is rejected at its cheapest failing clause: its
-    distance clauses are decided in the walk, and the others, on a graph
-    built only for a candidate that meets them, by
-    :func:`first_failing_clause`; only a candidate that passes every
+    complete candidate is rejected at its cheapest failing clause, in
+    :func:`first_failing_clause`'s order but by the search's own loop:
+    the walk decides the distance clauses, and a candidate that meets
+    them becomes a graph for the rest, its pattern clauses trying the
+    search's stored colorings first; only a candidate that passes every
     clause is kept, so every emitted gadget satisfies its whole contract.
     No two emitted gadgets are isomorphic.  When the contract requires
     planarity the terminals must additionally share a face, so the
@@ -599,6 +646,7 @@ def search_gadget(
     n = sum(layer.size for layer in spec.template.layers)
     labels = {v: chr(ord("a") + v) for v in range(n)} if n <= 26 else None
     seen: set[bytes] = set()
+    clauses = [c for c in _cheapest_first(spec.contract, arity) if c[1] != "distance"]
     colorings: list[dict[int, int]] = []  # pattern clauses try these first
     emitted = 0
 
@@ -609,7 +657,7 @@ def search_gadget(
         if failed is None:
             graph = build_graph(n, edges, labels)
             gadget = TerminalGadget(graph, tuple(range(arity)), spec.contract)
-            failed = first_failing_clause(gadget, colorings, decided="distance")
+            failed = _failing_clause(gadget, clauses, colorings)
         if failed is not None:
             funnel[failed] += 1
             return None

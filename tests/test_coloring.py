@@ -1057,7 +1057,7 @@ def test_a_stored_coloring_that_fits_settles_the_pattern_without_a_solve(
     fit = {0: 0, 1: 1, 2: 2, 3: 0}
     colorings = [misfit, fit]
     calls = _count_checked_solves(monkeypatch)
-    got = coloring._coloring_check(PATH_0_TO_3, {0: 0, 3: 0}, colorings)
+    got = search._pattern_check(PATH_0_TO_3, {0: 0, 3: 0}, colorings)
     assert got == (False, {"coloring": {"0": 0, "1": 1, "2": 2, "3": 0}},
                    {"mode": "stored-coloring"})
     assert not calls and colorings == [fit, misfit]
@@ -1069,7 +1069,7 @@ def test_a_stored_coloring_improper_on_the_graph_goes_to_the_solver(monkeypatch)
     stored = {0: 0, 1: 1, 2: 0, 3: 1}
     colorings = [stored]
     calls = _count_checked_solves(monkeypatch)
-    passed, witness, details = coloring._coloring_check(g, {0: 0, 3: 1}, colorings)
+    passed, witness, details = search._pattern_check(g, {0: 0, 3: 1}, colorings)
     found = _witness_coloring(witness)
     assert not passed and is_proper(g, found) and (found[0], found[3]) == (0, 1)
     assert calls == {"solve_3coloring_with_stats": 1} and "solver_nodes" in details
@@ -1081,7 +1081,7 @@ def test_a_stored_coloring_off_the_fixing_goes_to_the_solver(monkeypatch):
     stored = {0: 0, 1: 1, 2: 0, 3: 1}
     colorings = [stored]
     calls = _count_checked_solves(monkeypatch)
-    passed, witness, details = coloring._coloring_check(
+    passed, witness, details = search._pattern_check(
         PATH_0_TO_3, {0: 0, 3: 0}, colorings
     )
     found = _witness_coloring(witness)
@@ -1100,11 +1100,11 @@ def test_an_infeasible_pattern_after_feasible_ones_gets_a_checked_refutation(
     colorings = []
     for edge in FORCED_APART.edges:
         near = remove_edge(FORCED_APART, *edge)
-        assert not coloring._coloring_check(near, fixing, colorings)[0]
+        assert not search._pattern_check(near, fixing, colorings)[0]
     stored = list(colorings)
     assert len(stored) > 1 and all(c[0] == c[1] == 0 for c in stored)
     calls = _count_checked_solves(monkeypatch)
-    passed, witness, details = coloring._coloring_check(FORCED_APART, fixing, colorings)
+    passed, witness, details = search._pattern_check(FORCED_APART, fixing, colorings)
     assert passed and witness is None and details["proof"] == "rup-checked"
     assert calls == {"solve_3coloring_with_stats": 1, "hints_refute": 1}
     assert colorings == stored
@@ -1115,33 +1115,40 @@ def test_an_improper_solver_witness_is_never_stored(monkeypatch):
     colorings = []
     monkeypatch.setattr(coloring, "solve_3coloring_with_stats", _all_zero_with_stats)
     with pytest.raises(OracleMismatchError):
-        coloring._coloring_check(C5, {0: 0}, colorings)
+        search._pattern_check(C5, {0: 0}, colorings)
     assert colorings == []
 
 
 def test_the_stored_colorings_are_the_latest_finds_up_to_the_cap(monkeypatch):
     # each fixing colors terminal 3 apart from every earlier find, so
     # each one solves, and the oldest find drops off the end
-    monkeypatch.setattr(coloring, "_STORED_COLORINGS", 2)
+    monkeypatch.setattr(search, "_STORED_COLORINGS", 2)
     colorings = []
     for end in (0, 1, 2):
-        coloring._coloring_check(PATH_0_TO_3, {0: 0, 3: end}, colorings)
+        search._pattern_check(PATH_0_TO_3, {0: 0, 3: end}, colorings)
     assert [c[3] for c in colorings] == [2, 1]
 
 
 @pytest.mark.parametrize("colorings", [None, [{0: 0, 1: 1, 2: 0}]])
 def test_only_an_edge_monochromatic_fixing_passes_as_adjacent_terminals(colorings):
     # a fixing with a vertex off the graph or a color outside 0..2 is
-    # refused in check_fixed's words, before any stored coloring or solve
+    # refused in check_fixed's words, before any solve; a search's
+    # pattern clause, with a coloring stored that agrees with none of
+    # them, refuses them alike
+    def clause(g, fixing):
+        if colorings is None:
+            return coloring._coloring_check(g, fixing)
+        return search._pattern_check(g, fixing, colorings)
+
     edge = build_graph(3, [(0, 1)])
     for fixing, message in (({7: 0}, "fixed vertex 7 outside 0..2"),
                             ({0: 5}, "fixed color 5 on vertex 0 not in 0..2")):
         with pytest.raises(ImproperFixingError) as by_check_fixed:
             coloring.check_fixed(edge, fixing)
         with pytest.raises(ImproperFixingError) as by_clause:
-            coloring._coloring_check(edge, fixing, colorings)
+            clause(edge, fixing)
         assert str(by_check_fixed.value) == str(by_clause.value) == message
-    assert coloring._coloring_check(edge, {0: 1, 1: 1}, colorings) == (
+    assert clause(edge, {0: 1, 1: 1}) == (
         True, None, {"mode": "adjacent-terminals"}
     )
 

@@ -29,7 +29,6 @@ from steinberg import analysis, check, coloring, gadgets, graphs, search
 from steinberg.analysis import distance, forbidden_cycle_check
 from steinberg.canon import canonical_form
 from steinberg.gadgets import (
-    _cheapest_first,
     _clauses,
     gadget_to_json_dict,
     terminals_cofacial,
@@ -422,14 +421,14 @@ def _settled_by(monkeypatch):
     """Count a search's pattern checks by how each was settled: the
     mode its details name, else "solved"."""
     settled = Counter()
-    check = gadgets._coloring_check
+    check = search._pattern_check
 
     def counted(*args):
         result = check(*args)
         settled[(result[2] or {}).get("mode", "solved")] += 1
         return result
 
-    monkeypatch.setattr(gadgets, "_coloring_check", counted)
+    monkeypatch.setattr(search, "_pattern_check", counted)
     return settled
 
 
@@ -475,7 +474,7 @@ def test_stored_colorings_change_no_find_and_no_funnel_count(monkeypatch):
 
     settled = _settled_by(monkeypatch)
     stored = searched()
-    monkeypatch.setattr(coloring, "_STORED_COLORINGS", 0)
+    monkeypatch.setattr(search, "_STORED_COLORINGS", 0)
     assert searched() == stored
     # enough pattern clauses settled by a stored coloring, and enough finds,
     # for a changed verdict to show
@@ -484,9 +483,9 @@ def test_stored_colorings_change_no_find_and_no_funnel_count(monkeypatch):
 
 
 def test_wide_search_orders_its_contract_clauses_once(monkeypatch):
-    # the cheapest-first order is fixed once per contract and terminal
-    # count: one _clauses call for the walk's distance floors and one for
-    # the order, not one per each of the 126 candidates checked
+    # the search lists its clauses once: one _clauses call for the walk's
+    # distance clauses and one for the cheapest-first order of the rest,
+    # not one per each of the 126 candidates checked
     calls = Counter()
 
     def counted(*args):
@@ -495,7 +494,6 @@ def test_wide_search_orders_its_contract_clauses_once(monkeypatch):
 
     monkeypatch.setattr("steinberg.gadgets._clauses", counted)
     monkeypatch.setattr("steinberg.search._clauses", counted)
-    _cheapest_first.cache_clear()
     funnel = Counter()
     assert len(list(search_gadget(wide_spec(), funnel=funnel))) == 1
     assert funnel["enumerated"] == 126 and calls == {"_clauses": 2}
@@ -596,8 +594,8 @@ def test_walk_decides_distance_clauses_as_the_graph_check_does(monkeypatch):
         (edges, None) for edges, _ in template_candidates(spec, funnel)
     ])
     monkeypatch.setattr(
-        search, "first_failing_clause",
-        lambda gadget, colorings, decided=None: first_failing_clause(gadget, colorings),
+        search, "_failing_clause",
+        lambda gadget, clauses, colorings: first_failing_clause(gadget),
     )
     assert searched() == searches
     # enough candidates of each verdict, and enough finds and prunes, for
@@ -605,6 +603,45 @@ def test_walk_decides_distance_clauses_as_the_graph_check_does(monkeypatch):
     assert min(verdicts.values()) > 1000 and len(verdicts) == 3
     assert sum(len(found) for found, _ in searches) > 1500
     assert sum(funnel["pruned-distance"] for _, funnel in searches) > 1000
+
+
+def test_the_search_rejects_a_graph_where_first_failing_clause_does():
+    # the search runs first_failing_clause's order itself, minus the
+    # distance clauses the walk decided and with its own stored
+    # colorings: over every candidate that meets its distances, its
+    # funnel counts each clause's rejections as first_failing_clause
+    # finds them on the candidate's graph, and keeps the rest
+    rng = random.Random(5050)
+    specs = [seed_search_spec(), wide_spec()]
+    specs += [random_template_spec(rng) for _ in range(300)]
+    specs += [interchangeable_template_spec(rng) for _ in range(300)]
+    rejected = Counter()
+    for spec in specs:
+        arity = spec.contract.arity
+        n = sum(layer.size for layer in spec.template.layers)
+        on_graph = {
+            name: kind for name, kind, _ in _clauses(spec.contract, arity)
+            if kind != "distance"
+        }
+        expected = Counter()
+        for edges, failed in _template_candidates(spec, Counter()):
+            if failed is None:
+                gadget = TerminalGadget(build_graph(n, edges), tuple(range(arity)),
+                                        spec.contract)
+                expected[first_failing_clause(gadget)] += 1
+        funnel = Counter()
+        list(search_gadget(spec, funnel=funnel))
+        kept = expected.pop(None, 0)
+        assert {name: funnel[name] for name in on_graph if funnel[name]} == expected
+        assert kept == funnel["not-cofacial"] + funnel["duplicates"] + funnel["emitted"]
+        for name, count in expected.items():
+            rejected[on_graph[name]] += count
+        rejected["kept"] += kept
+    # enough rejections of each kind a graph decides, and enough kept,
+    # for a clause the two loops order or decide apart to show
+    assert min(rejected.values()) > 90 and set(rejected) == {
+        "pattern", "planarity", "kept"
+    }
 
 
 def test_a_limited_search_counts_only_the_batches_it_checked():

@@ -13,7 +13,8 @@ the walk that grows the tree, only ``compositional_check`` walks a recipe
 or runs that checker, and ``lemmas`` builds no graph but the seed.
 Only ``gadgets._clauses`` forms a contract clause's name, only
 ``gadgets.py`` reads a contract's distance matrices, and no code
-splits a check name to recover its kind.
+splits a check name to recover its kind.  Only the search holds its
+stored colorings, and the shared clause checkers take no search state.
 The report layer stays free of the analysis module, the
 package free of ``assert`` statements, of a second, indenting JSON
 writer and of a second JSON reader, and a bare ``import steinberg``
@@ -271,6 +272,39 @@ def test_only_gadgets_reads_a_contract_distance_matrix():
         and node.attr in ("exact_terminal_distances", "min_terminal_distances")
     )
     assert reads and [read for read in reads if read[0] != "gadgets.py"] == []
+
+
+def test_only_the_search_holds_its_stored_colorings_and_skipped_clauses():
+    # the search's stored colorings, and the distance clauses it leaves
+    # to its walk, are search state: only search.py names the cap, the
+    # coloring and contract layers import nothing from it, and their
+    # clause checkers take no parameter a search alone would pass
+    named, imports, signatures = set(), [], {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        if "_STORED_COLORINGS" in _names(tree):
+            named.add(path.name)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                modules = [getattr(node, "module", None) or ""]
+                modules += [alias.name for alias in node.names]
+                if any(m.rpartition(".")[2] == "search" for m in modules):
+                    imports.append((path.name, node.lineno))
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                "_coloring_check", "_measured", "first_failing_clause"
+            ):
+                args = node.args
+                signatures[path.name, node.name] = [
+                    a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                    args.vararg, args.kwarg) if a is not None
+                ]
+    assert named == {"search.py"}
+    assert [i for i in imports if i[0] in ("coloring.py", "gadgets.py")] == []
+    assert signatures == {
+        ("coloring.py", "_coloring_check"): ["g", "fixing"],
+        ("gadgets.py", "_measured"): ["gadget", "kind", "ask"],
+        ("gadgets.py", "first_failing_clause"): ["gadget"],
+    }
 
 
 def test_the_checker_runs_from_a_copy_of_itself(tmp_path):
